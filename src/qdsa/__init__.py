@@ -80,6 +80,7 @@ from .asymptotics import (
     DEFAULT_DECAY_TOL,
     DEFAULT_HORIZON,
     DecayIdealResult,
+    Dynamics,
     EnclosureDecomposition,
     MinimalityReport,
     RecurrentReport,

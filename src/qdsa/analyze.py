@@ -18,10 +18,10 @@ import numpy as np
 from .asymptotics import (
     DEFAULT_DECAY_TOL,
     DEFAULT_HORIZON,
-    decay_ideal_test,
+    Dynamics,
+    _matrix_unit_decay_tests,
     recurrent_projection,
     restricted_stationary_dim,
-    stationary_space,
 )
 from .errors import ValidationError
 from .harmonic import subharmonic_residual
@@ -190,14 +190,6 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _matrix_units(dim: int):
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            yield unit
-
-
 def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Analyze a ModelSpec (or a bare channel/generator).
 
@@ -219,8 +211,8 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     seed = options.seed if options.seed is not None else default_seed()
     decay_tol = options.decay_tol
 
-    report = recurrent_projection(model, horizon=horizon, tol=tol, seed=seed)
-    space = stationary_space(model, tol)
+    dyn = Dynamics(model)
+    report = recurrent_projection(dyn, horizon=horizon, tol=tol, seed=seed)
     decomposition = report.enclosures
     r_min = report.recurrent
 
@@ -239,7 +231,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     minimal_defect = 0.0
     for i, p in enumerate(decomposition.minimal_projections):
         subharm = max(subharm, subharmonic_residual(model, p))
-        sdim, state = restricted_stationary_dim(model, p, tol)
+        sdim, state = restricted_stationary_dim(dyn, p, tol)
         supp_rank = support_projection(state.matrix, tol).rank
         minimal_defect = max(minimal_defect, float(abs(sdim - 1) + (p.rank - supp_rank)))
         for q in decomposition.minimal_projections[i + 1:]:
@@ -248,17 +240,10 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     checks.append(CheckResult("enclosures-subharmonic", subharm, 10 * tol.atol))
     checks.append(CheckResult("enclosures-minimal", minimal_defect, 0.5))
 
-    disagreements = 0
-    for unit in _matrix_units(model.dim):
-        result = decay_ideal_test(model, unit, r_min, horizon=horizon,
-                                  tol=tol, decay_tol=decay_tol)
-        algebraic_decisive = (result.algebraic_residual <= tol.atol
-                              or result.algebraic_residual >= 10 * tol.atol)
-        dynamic_decisive = (result.dynamic_residual <= decay_tol
-                            or result.dynamic_residual >= 10 * decay_tol)
-        if algebraic_decisive and dynamic_decisive:
-            if result.in_ideal_algebraic != result.in_ideal_dynamic:
-                disagreements += 1
+    # each column result stands for the d matrix units E_ij of its column
+    disagreements = model.dim * sum(
+        result.decisively_disagrees(tol.atol, decay_tol)
+        for result in _matrix_unit_decay_tests(dyn, r_min, horizon, tol, decay_tol))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
     limit_support = support_projection(hermitian_part(report.limit_estimate), tol)
@@ -270,7 +255,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         dim=model.dim,
         kind="channel" if hasattr(model, "kraus_ops") else "generator",
         horizon=horizon,
-        stationary_dim=space.dim,
+        stationary_dim=dyn.space(tol).dim,
         enclosure_ranks=tuple(p.rank for p in decomposition.minimal_projections),
         is_unique=decomposition.is_unique,
         fixed_algebra_dim=decomposition.fixed_algebra_dim,

@@ -32,11 +32,21 @@ exist, so state-level limits always go through Cesaro means, while the
 recurrence checks use ``alpha_T`` on projections where monotone
 convergence is guaranteed.  Discrete channels reuse every operation with
 the horizon read as an iteration count.
+
+Every public function accepts either a bare model or a :class:`Dynamics`.
+A ``Dynamics`` wraps one model for the length of one top-level call and
+computes each derived object at most once: the Schrodinger superoperator
+matrix, the stationary space with its kernel/range split (per tolerance),
+and the Heisenberg propagator ``alpha_T`` (per horizon).  The Heisenberg
+superoperator is built once per :func:`minimal_enclosures` call, its only
+user.  A ``Dynamics`` is dropped with the call; nothing is cached on the
+model or globally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +57,7 @@ from .channels import (
     DensityMatrix,
     LindbladGenerator,
     QuantumChannel,
+    Superoperator,
     propagator,
     to_superoperator,
     unvec,
@@ -57,6 +68,8 @@ from .harmonic import is_subharmonic, subharmonic_residual
 from .linalg import (
     Projection,
     ToleranceConfig,
+    _decisive,
+    _tol,
     as_complex_matrix,
     hermitian_part,
     opnorm,
@@ -68,6 +81,7 @@ from .linalg import (
 from .sampling import random_projection
 
 __all__ = [
+    "Dynamics",
     "StationarySpace",
     "EnclosureDecomposition",
     "RecurrentReport",
@@ -92,12 +106,6 @@ DEFAULT_HORIZON = 30.0
 DEFAULT_DECAY_TOL = 1e-8
 
 
-def _tol(tol):
-    from .linalg import DEFAULT_TOL
-
-    return DEFAULT_TOL if tol is None else tol
-
-
 def _is_discrete(obj) -> bool:
     if isinstance(obj, QuantumChannel):
         return True
@@ -114,39 +122,48 @@ def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarra
 
 
 def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
-    """Orthonormal bases of the numerical kernel and range of ``m``."""
+    """Orthonormal bases of the numerical kernel and range of the
+    fixed-point matrix ``m``.
+
+    The kernel of a fixed-point matrix is never empty: it holds the
+    identity (Heisenberg) or a stationary state (Schrodinger).  An empty
+    numerical kernel is therefore an InternalError.
+    """
     u, s, vh = np.linalg.svd(m)
     smax = float(s[0]) if s.size else 0.0
     cutoff = max(tol.rank_rtol * smax, tol.atol)
     null_mask = s <= cutoff
+    if not null_mask.any():
+        raise InternalError(
+            f"numerical fixed-point kernel is empty (smallest singular value "
+            f"{s[-1]:.3e}, cutoff {cutoff:.3e})")
     kernel = vh[null_mask].conj().T
     range_ = u[:, ~null_mask]
     return kernel, range_
 
 
-def _kernel_component(m: np.ndarray, v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Component of ``v`` in ker(m) along ran(m).
+def _kernel_component(kernel: np.ndarray, range_: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component of ``v`` in span(kernel) along span(range_).
 
-    When the zero (or peripheral unit) eigenvalue is semisimple the two
-    subspaces are complementary and this component is the exact infinite
-    Cesaro limit of the flow applied to ``v``.
+    With ``kernel, range_`` from :func:`_split_kernel_range` of a
+    fixed-point matrix whose zero (or peripheral unit) eigenvalue is
+    semisimple, the two subspaces are complementary and this component is
+    the exact infinite Cesaro limit of the flow applied to ``v``.
     """
-    kernel, range_ = _split_kernel_range(m, tol)
-    k = kernel.shape[1]
-    if k == 0:
-        raise InternalError("numerical kernel is empty")
     basis = np.hstack([kernel, range_])
     if basis.shape[0] != basis.shape[1]:
         raise InternalError("kernel and range do not decompose the space")
     coeff = np.linalg.solve(basis, v)
-    return kernel @ coeff[:k]
+    return kernel @ coeff[:kernel.shape[1]]
 
 
-def _hermitian_span(matrices, dim: int, tol: ToleranceConfig):
+def _hermitian_span(kernel: np.ndarray, dim: int, tol: ToleranceConfig):
     """Orthonormal (Hilbert-Schmidt, real coefficients) Hermitian basis of
-    the real span of ``{(m + m^dag)/2, (m - m^dag)/2i}``."""
+    the real span of ``{(m + m^dag)/2, (m - m^dag)/2i}`` over the matrices
+    ``m`` whose vectorizations are the columns of ``kernel``."""
     rows = []
-    for m in matrices:
+    for j in range(kernel.shape[1]):
+        m = unvec(kernel[:, j], dim)
         for h in (hermitian_part(m), hermitian_part(-1j * m)):
             rows.append(np.concatenate([vec(h).real, vec(h).imag]))
     a = np.array(rows)
@@ -175,12 +192,46 @@ class StationarySpace:
     dim: int
 
 
-def _schrodinger_matrix(obj) -> np.ndarray:
-    return to_superoperator(obj, SCHRODINGER).matrix
+class Dynamics:
+    """One model and the objects derived from it, each built on first use.
+
+    Holds the Schrodinger superoperator matrix, the stationary space for
+    each tolerance and the Heisenberg propagator for each horizon asked
+    for.  Build one per top-level call and pass it to the functions of
+    this module in place of the model; it is dropped when the call
+    returns, so the memory it holds never outlives the analysis.
+
+    The Heisenberg superoperator is not kept: only
+    :func:`minimal_enclosures` uses it, once per call, and holding it
+    until ``alpha_T`` is built would add a ``d^2 x d^2`` matrix to the
+    peak memory of the analysis.
+    """
+
+    def __init__(self, model):
+        self.discrete = _is_discrete(model)
+        self.model = model
+        self.dim = model.dim
+        self._flows = {}
+        self._spaces = {}
+
+    @cached_property
+    def schrodinger(self) -> np.ndarray:
+        return to_superoperator(self.model, SCHRODINGER).matrix
+
+    def flow(self, horizon: float) -> Superoperator:
+        """The Heisenberg propagator ``alpha_T`` at ``horizon``."""
+        if horizon not in self._flows:
+            self._flows[horizon] = propagator(self.model, horizon, HEISENBERG)
+        return self._flows[horizon]
+
+    def space(self, tol: ToleranceConfig) -> StationarySpace:
+        if tol not in self._spaces:
+            self._spaces[tol] = stationary_space(self, tol)
+        return self._spaces[tol]
 
 
-def _heisenberg_matrix(obj) -> np.ndarray:
-    return to_superoperator(obj, HEISENBERG).matrix
+def _as_dynamics(obj) -> Dynamics:
+    return obj if isinstance(obj, Dynamics) else Dynamics(obj)
 
 
 def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
@@ -196,8 +247,9 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
 def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) -> DensityMatrix:
     """Exact long-time Cesaro limit of a state under the predual flow."""
     tol = _tol(tol)
-    m = _fixed_point_matrix(_schrodinger_matrix(obj), _is_discrete(obj))
-    limit = unvec(_kernel_component(m, vec(rho.matrix), tol), rho.dim)
+    dyn = _as_dynamics(obj)
+    m = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
+    limit = unvec(_kernel_component(*_split_kernel_range(m, tol), vec(rho.matrix)), rho.dim)
     return _as_state(limit, tol)
 
 
@@ -205,17 +257,18 @@ def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace
     """Fixed-point space of the predual flow with generating states.
 
     An empty stationary space is impossible in finite dimension; if the
-    numerical null space comes out empty, InternalError is raised.
+    numerical null space comes out empty, InternalError is raised.  One
+    kernel/range split gives both the basis and the time-average limit of
+    the maximally mixed state.
     """
     tol = _tol(tol)
-    discrete = _is_discrete(obj)
-    d = obj.dim
-    m = _fixed_point_matrix(_schrodinger_matrix(obj), discrete)
-    kernel, _ = _split_kernel_range(m, tol)
-    if kernel.shape[1] == 0:
-        raise InternalError("numerical stationary space is empty")
-    basis = _hermitian_span([unvec(kernel[:, j], d) for j in range(kernel.shape[1])], d, tol)
-    omega = cesaro_limit(obj, DensityMatrix.maximally_mixed(d), tol)
+    dyn = _as_dynamics(obj)
+    d = dyn.dim
+    m = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
+    kernel, range_ = _split_kernel_range(m, tol)
+    basis = _hermitian_span(kernel, d, tol)
+    mixed = vec(np.eye(d, dtype=complex) / d)
+    omega = _as_state(unvec(_kernel_component(kernel, range_, mixed), d), tol)
 
     w = np.linalg.eigvalsh(omega.matrix)
     lam_max = float(w[-1])
@@ -243,36 +296,30 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
     return sup
 
 
-def _corner_embedding(w: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of ``y -> W y W^dag`` under column stacking."""
-    return np.kron(w.conj(), w)
+def _corner_fixed_matrix(s_full: np.ndarray, w: np.ndarray, discrete: bool) -> np.ndarray:
+    """Fixed-point matrix of the dynamics compressed to the block spanned by
+    the isometry ``w``; ``kron(conj(w), w)`` is ``y -> W y W^dag`` under
+    column stacking."""
+    b = np.kron(w.conj(), w)
+    return _fixed_point_matrix(b.conj().T @ s_full @ b, discrete)
 
 
 def _corner_fixed_basis(s_full: np.ndarray, w: np.ndarray, discrete: bool,
                         tol: ToleranceConfig):
     """Hermitian basis of the fixed points of the dynamics compressed to
     the block spanned by the isometry ``w``."""
-    k = w.shape[1]
-    b = _corner_embedding(w)
-    s_corner = b.conj().T @ s_full @ b
-    m = _fixed_point_matrix(s_corner, discrete)
-    kernel, _ = _split_kernel_range(m, tol)
-    return _hermitian_span([unvec(kernel[:, j], k) for j in range(kernel.shape[1])], k, tol)
+    kernel, _ = _split_kernel_range(_corner_fixed_matrix(s_full, w, discrete), tol)
+    return _hermitian_span(kernel, w.shape[1], tol)
 
 
-def _corner_stationary(obj, w: np.ndarray, tol: ToleranceConfig):
+def _corner_stationary(dyn: Dynamics, w: np.ndarray, tol: ToleranceConfig):
     """Dimension of the block-compressed stationary space and its
     time-average state (from the block-maximally-mixed state)."""
     k = w.shape[1]
-    discrete = _is_discrete(obj)
-    b = _corner_embedding(w)
-    s_corner = b.conj().T @ _schrodinger_matrix(obj) @ b
-    m = _fixed_point_matrix(s_corner, discrete)
-    kernel, _ = _split_kernel_range(m, tol)
-    sdim = kernel.shape[1]
-    limit = unvec(_kernel_component(m, vec(np.eye(k, dtype=complex) / k), tol), k)
-    state = _as_state(limit, tol)
-    return sdim, state
+    m = _corner_fixed_matrix(dyn.schrodinger, w, dyn.discrete)
+    kernel, range_ = _split_kernel_range(m, tol)
+    limit = unvec(_kernel_component(kernel, range_, vec(np.eye(k, dtype=complex) / k)), k)
+    return kernel.shape[1], _as_state(limit, tol)
 
 
 def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = None):
@@ -281,7 +328,7 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     tol = _tol(tol)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
-    return _corner_stationary(obj, p.range_basis, tol)
+    return _corner_stationary(_as_dynamics(obj), p.range_basis, tol)
 
 
 def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
@@ -328,8 +375,8 @@ class EnclosureDecomposition:
     fixed_algebra_dim: int
 
 
-def minimal_enclosures(obj, tol: ToleranceConfig | None = None, seed: int = 7,
-                       space: StationarySpace | None = None) -> EnclosureDecomposition:
+def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
+                       seed: int = 7) -> EnclosureDecomposition:
     """Decompose the recurrent block into minimal sub-harmonic projections.
 
     Splits the recurrent corner along spectral projections of a generic
@@ -339,34 +386,36 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None, seed: int = 7,
     """
     tol = _tol(tol)
     rng = np.random.default_rng(seed)
-    if space is None:
-        space = stationary_space(obj, tol)
-    r = stationary_support(space, tol)
-    discrete = _is_discrete(obj)
-    s_h = _heisenberg_matrix(obj)
+    dyn = _as_dynamics(obj)
+    r = stationary_support(dyn.space(tol), tol)
+    s_h = to_superoperator(dyn.model, HEISENBERG).matrix
 
-    top_fixed = _corner_fixed_basis(s_h, r.range_basis, discrete, tol)
+    top_fixed = _corner_fixed_basis(s_h, r.range_basis, dyn.discrete, tol)
     fixed_algebra_dim = len(top_fixed)
     unique = _is_abelian(top_fixed, tol)
 
     final = []
-    queue = [r.range_basis]
+    # each entry is a block isometry and its fixed basis, when already known
+    queue = [(r.range_basis, top_fixed)]
     guard = 0
     while queue:
         guard += 1
-        if guard > 64 * obj.dim:
+        if guard > 64 * dyn.dim:
             raise ConvergenceFailure("enclosure refinement failed to terminate")
-        w = queue.pop()
+        w, fixed = queue.pop()
         k = w.shape[1]
-        fixed = _corner_fixed_basis(s_h, w, discrete, tol) if k > 1 else [np.eye(1, dtype=complex)]
+        if k == 1:
+            fixed = [np.eye(1, dtype=complex)]
+        elif fixed is None:
+            fixed = _corner_fixed_basis(s_h, w, dyn.discrete, tol)
         if len(fixed) <= 1:
-            sdim, state = _corner_stationary(obj, w, tol)
+            sdim, state = _corner_stationary(dyn, w, tol)
             supp = support_projection(state.matrix, tol)
             if sdim == 1 and supp.rank == k:
                 final.append(Projection.from_range_basis(w))
             elif supp.rank < k:
                 # stationary mass misses part of the block; shrink and retry
-                queue.append(w @ supp.range_basis)
+                queue.append((w @ supp.range_basis, None))
             else:
                 raise ConvergenceFailure(
                     f"block of size {k} has stationary dimension {sdim} "
@@ -387,14 +436,14 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None, seed: int = 7,
                 f"no generic fixed element split a block of size {k} "
                 f"with fixed space dimension {len(fixed)}")
         for idx in groups:
-            queue.append(w @ vectors[:, idx])
+            queue.append((w @ vectors[:, idx], None))
 
     projections = _canonical_order(final)
     for i, p in enumerate(projections):
-        if not is_subharmonic(obj, p, tol):
+        if not is_subharmonic(dyn.model, p, tol):
             raise InternalError(
                 f"refined enclosure {i} fails the sub-harmonic test "
-                f"(residual {subharmonic_residual(obj, p):.3e})")
+                f"(residual {subharmonic_residual(dyn.model, p):.3e})")
         for q in projections[i + 1:]:
             if opnorm(p.matrix @ q.matrix) > 10 * tol.atol:
                 raise InternalError("refined enclosures are not mutually orthogonal")
@@ -431,17 +480,17 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     tol = _tol(tol)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    space = stationary_space(obj, tol)
-    decomposition = minimal_enclosures(obj, tol, seed=seed, space=space)
+    dyn = _as_dynamics(obj)
+    decomposition = minimal_enclosures(dyn, tol, seed=seed)
     r_min = proj_supremum(decomposition.minimal_projections, tol)
-    r_stat = stationary_support(space, tol)
-    prop = propagator(obj, horizon, HEISENBERG)
+    r_stat = stationary_support(dyn.space(tol), tol)
+    prop = dyn.flow(horizon)
     estimate = hermitian_part(prop.apply(r_min.matrix))
     estimate.flags.writeable = False
-    sup_deviation = opnorm(estimate - np.eye(obj.dim))
+    sup_deviation = opnorm(estimate - np.eye(dyn.dim))
     transient_norm = opnorm(prop.apply(r_min.complement().matrix))
     matches = projections_equal(r_min, r_stat, tol, factor=100.0)
-    faithful = r_stat.rank == obj.dim
+    faithful = r_stat.rank == dyn.dim
     return RecurrentReport(
         recurrent=r_min,
         stationary_support=r_stat,
@@ -461,6 +510,22 @@ class DecayIdealResult(NamedTuple):
     algebraic_residual: float
     dynamic_residual: float
 
+    def decisively_disagrees(self, atol: float, decay_tol: float) -> bool:
+        """True when both residuals are decisive and the verdicts differ."""
+        return (_decisive(self.algebraic_residual, atol)
+                and _decisive(self.dynamic_residual, decay_tol)
+                and self.in_ideal_algebraic != self.in_ideal_dynamic)
+
+
+def _decay_result(algebraic_residual: float, dynamic_residual: float,
+                  tol: ToleranceConfig, decay_tol: float) -> DecayIdealResult:
+    return DecayIdealResult(
+        in_ideal_algebraic=algebraic_residual <= tol.atol,
+        in_ideal_dynamic=dynamic_residual <= decay_tol,
+        algebraic_residual=algebraic_residual,
+        dynamic_residual=dynamic_residual,
+    )
+
 
 def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HORIZON,
                      tol: ToleranceConfig | None = None,
@@ -473,17 +538,31 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
     decisive.
     """
     tol = _tol(tol)
+    dyn = _as_dynamics(obj)
     am = as_complex_matrix(a)
-    if am.shape[0] != obj.dim:
+    if am.shape[0] != dyn.dim:
         raise DimMismatch("operand dimension does not match the dynamics")
     algebraic_residual = opnorm(am @ recurrent.matrix)
-    dynamic_residual = opnorm(propagator(obj, horizon, HEISENBERG).apply(am.conj().T @ am))
-    return DecayIdealResult(
-        in_ideal_algebraic=algebraic_residual <= tol.atol,
-        in_ideal_dynamic=dynamic_residual <= decay_tol,
-        algebraic_residual=algebraic_residual,
-        dynamic_residual=dynamic_residual,
-    )
+    dynamic_residual = opnorm(dyn.flow(horizon).apply(am.conj().T @ am))
+    return _decay_result(algebraic_residual, dynamic_residual, tol, decay_tol)
+
+
+def _matrix_unit_decay_tests(dyn: Dynamics, recurrent: Projection, horizon: float,
+                             tol: ToleranceConfig, decay_tol: float) -> list:
+    """:func:`decay_ideal_test` on the matrix units, one result per column.
+
+    Both residuals of ``E_ij`` depend only on ``j``: ``E_ij r`` holds row
+    ``j`` of ``r`` (so its operator norm is that row's length) and
+    ``E_ij^dag E_ij = E_jj``.  Entry ``j`` stands for the ``d`` units
+    ``E_0j .. E_(d-1)j``, all read off the one propagator.
+    """
+    d = dyn.dim
+    alpha = dyn.flow(horizon).matrix
+    row_norms = np.linalg.norm(recurrent.matrix, axis=1)
+    # vec(E_jj) is the unit vector at index j + j * d
+    return [_decay_result(float(row_norms[j]), opnorm(unvec(alpha[:, j * (d + 1)], d)),
+                          tol, decay_tol)
+            for j in range(d)]
 
 
 def asymptotic_equivalence_check(obj, a, recurrent: Projection,
@@ -496,11 +575,12 @@ def asymptotic_equivalence_check(obj, a, recurrent: Projection,
     the horizon and must vanish in the limit.
     """
     tol = _tol(tol)
+    dyn = _as_dynamics(obj)
     am = as_complex_matrix(a)
-    if am.shape[0] != obj.dim:
+    if am.shape[0] != dyn.dim:
         raise DimMismatch("operand dimension does not match the dynamics")
     rm = recurrent.matrix
-    prop = propagator(obj, horizon, HEISENBERG)
+    prop = dyn.flow(horizon)
     return opnorm(prop.apply(am) - prop.apply(rm @ am @ rm))
 
 
@@ -518,11 +598,12 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
         raise ValueError(f"horizon must be positive, got {horizon}")
     if grid_steps < 2:
         raise ValueError(f"grid_steps must be at least 2, got {grid_steps}")
-    if rho.dim != obj.dim:
+    dyn = _as_dynamics(obj)
+    if rho.dim != dyn.dim:
         raise DimMismatch("state dimension does not match the dynamics")
-    if _is_discrete(obj):
+    if dyn.discrete:
         n = int(round(horizon))
-        s = _schrodinger_matrix(obj)
+        s = dyn.schrodinger
         v = vec(rho.matrix)
         acc = np.zeros_like(v)
         for _ in range(n):
@@ -530,7 +611,7 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
             v = s @ v
         mean = unvec(acc / n, rho.dim)
     else:
-        step = propagator(obj, horizon / grid_steps, SCHRODINGER).matrix
+        step = propagator(dyn.model, horizon / grid_steps, SCHRODINGER).matrix
         v = vec(rho.matrix)
         acc = 0.5 * v
         for _ in range(grid_steps - 1):
@@ -579,8 +660,9 @@ def minimality_certificate(obj, recurrent: Projection,
     """
     tol = _tol(tol)
     rng = np.random.default_rng(seed)
-    prop = propagator(obj, horizon, HEISENBERG)
-    d = obj.dim
+    dyn = _as_dynamics(obj)
+    prop = dyn.flow(horizon)
+    d = dyn.dim
     eye = np.eye(d)
 
     gaps = []

@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DimMismatch, NegativeTime, NotHermitian, NotPSD, NotUnital
 from .linalg import (
-    DEFAULT_TOL,
     Projection,
     ToleranceConfig,
+    _tol,
     as_complex_matrix,
     hermitian_part,
     is_psd,
@@ -62,10 +62,6 @@ __all__ = [
 HEISENBERG = "heisenberg"
 SCHRODINGER = "schrodinger"
 _PICTURES = (HEISENBERG, SCHRODINGER)
-
-
-def _tol(tol):
-    return DEFAULT_TOL if tol is None else tol
 
 
 def _check_picture(picture: str):

@@ -43,6 +43,7 @@ from .linalg import (
     Projection,
     ToleranceConfig,
     _statuses_consistent,
+    _tol,
     as_complex_matrix,
     hermitian_part,
     is_psd,
@@ -65,12 +66,6 @@ __all__ = [
     "subharmonic_closure",
     "fixed_point_support_check",
 ]
-
-
-def _tol(tol):
-    from .linalg import DEFAULT_TOL
-
-    return DEFAULT_TOL if tol is None else tol
 
 
 def _matrix_units(dim: int):

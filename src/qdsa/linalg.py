@@ -73,6 +73,15 @@ def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
     return DEFAULT_TOL if tol is None else tol
 
 
+def _decisive(residual: float, threshold: float) -> bool:
+    """True outside the indecisive band ``(threshold, 10 * threshold)``.
+
+    A verdict ``residual <= threshold`` is trusted only when it is
+    decisive; agreement checks between equivalent tests skip the band.
+    """
+    return residual <= threshold or residual >= 10.0 * threshold
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -332,7 +341,7 @@ class ConditionCheck:
 
     @property
     def decisive(self) -> bool:
-        return self.residual <= self.atol or self.residual >= 10.0 * self.atol
+        return _decisive(self.residual, self.atol)
 
     @property
     def status(self) -> bool | None:

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
+    DEFAULT_DECAY_TOL,
+    Dynamics,
+    _fixed_point_matrix,
+    _kernel_component,
+    _split_kernel_range,
     decay_ideal_test,
     recurrent_projection,
 )
@@ -38,6 +43,7 @@ from .harmonic import (
 from .linalg import (
     Projection,
     ToleranceConfig,
+    _decisive,
     hermitian_part,
     opnorm,
     order_leq,
@@ -46,7 +52,7 @@ from .linalg import (
     projection_order_diagnostic,
     support_projection,
 )
-from .models import build_fixture, fixture_horizon, fixture_names
+from .models import fixture_names
 from .sampling import (
     block_diagonal_channel,
     haar_random_channel,
@@ -210,8 +216,7 @@ def _check_generator_criterion(rng, trials, dims, tol):
                               tol)
                     for t in times)
                 residual = subharmonic_residual(gen, p)
-                decisive = residual <= tol.atol or residual >= 10 * tol.atol
-                bad = decisive and (algebraic != orbit)
+                bad = _decisive(residual, tol.atol) and (algebraic != orbit)
                 failures += bad
                 worst = max(worst, _indicator(bad))
     return PropertyResult("generator-criterion-matches-orbit", count, failures, worst)
@@ -297,19 +302,11 @@ def _check_monotone_orbit(rng, trials, dims, tol):
 
 def _cesaro_projected_fixed_point(ch, rng, tol):
     """PSD Heisenberg fixed point: time-average projection of a random PSD element."""
-    s = to_superoperator(ch, HEISENBERG).matrix
-    m = s - np.eye(s.shape[0])
-    u, sv, vh = np.linalg.svd(m)
-    cutoff = max(tol.rank_rtol * float(sv[0]), tol.atol)
-    null_mask = sv <= cutoff
-    kernel = vh[null_mask].conj().T
-    range_ = u[:, ~null_mask]
-    basis = np.hstack([kernel, range_])
+    m = _fixed_point_matrix(to_superoperator(ch, HEISENBERG).matrix, discrete=True)
+    split = _split_kernel_range(m, tol)
     g = rng.standard_normal((ch.dim, ch.dim)) + 1j * rng.standard_normal((ch.dim, ch.dim))
     a = g @ g.conj().T
-    coeff = np.linalg.solve(basis, vec(a))
-    x = unvec(kernel @ coeff[:kernel.shape[1]], ch.dim)
-    x = hermitian_part(x)
+    x = hermitian_part(unvec(_kernel_component(*split, vec(a)), ch.dim))
     w, v = np.linalg.eigh(x)
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
@@ -380,7 +377,8 @@ def _check_recurrent_structure(rng, trials, dims, tol, horizon):
     count = 0
     for model in _structured_models(rng, trials, dims):
         count += 1
-        report = recurrent_projection(model, horizon=horizon, tol=tol,
+        dyn = Dynamics(model)
+        report = recurrent_projection(dyn, horizon=horizon, tol=tol,
                                       seed=int(rng.integers(0, 2**31)))
         limit_support = support_projection(hermitian_part(report.limit_estimate), tol)
         sup_failures += limit_support.rank != model.dim
@@ -388,14 +386,9 @@ def _check_recurrent_structure(rng, trials, dims, tol, horizon):
         worst_match = max(worst_match, mismatch)
         match_failures += not report.supports_match
         for unit in _basis_sample(model.dim, rng, 4):
-            result = decay_ideal_test(model, unit, report.recurrent,
+            result = decay_ideal_test(dyn, unit, report.recurrent,
                                       horizon=horizon, tol=tol)
-            algebraic_decisive = (result.algebraic_residual <= tol.atol
-                                  or result.algebraic_residual >= 10 * tol.atol)
-            dynamic_decisive = (result.dynamic_residual <= 1e-8
-                                or result.dynamic_residual >= 1e-7)
-            if algebraic_decisive and dynamic_decisive:
-                decay_failures += result.in_ideal_algebraic != result.in_ideal_dynamic
+            decay_failures += result.decisively_disagrees(tol.atol, DEFAULT_DECAY_TOL)
     return [
         PropertyResult("recurrent-limit-support-full", count, sup_failures,
                        float(sup_failures > 0)),

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -49,3 +53,17 @@ def ket_bra(dim, i, j):
     m = np.zeros((dim, dim), dtype=complex)
     m[i, j] = 1.0
     return m
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(*args, env=None):
+    """Run ``python -m qdsa.cli`` in a fresh process with ``src`` on the path."""
+    merged = dict(os.environ)
+    merged["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, merged.get("PYTHONPATH")) if p)
+    if env:
+        merged.update(env)
+    proc = subprocess.run([sys.executable, "-m", "qdsa.cli", *args],
+                          capture_output=True, text=True, env=merged)
+    return proc.returncode, proc.stdout, proc.stderr

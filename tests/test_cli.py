@@ -1,23 +1,12 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
 from qdsa.cli import main
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
-
-
-def run_cli(*args, env=None):
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    proc = subprocess.run([sys.executable, "-m", "qdsa.cli", *args],
-                          capture_output=True, text=True, env=merged)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def emit_fixture(tmp_path, name):
