@@ -21,7 +21,6 @@ from .asymptotics import (
     Dynamics,
     _matrix_unit_decay_tests,
     recurrent_projection,
-    restricted_stationary_dim,
 )
 from .errors import ValidationError
 from .harmonic import subharmonic_residual
@@ -229,9 +228,10 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     ortho = 0.0
     subharm = 0.0
     minimal_defect = 0.0
-    for i, p in enumerate(decomposition.minimal_projections):
+    # the stationary dimension and state that certified each enclosure
+    certified = zip(decomposition.minimal_projections, decomposition.certificates)
+    for i, (p, (sdim, state)) in enumerate(certified):
         subharm = max(subharm, subharmonic_residual(model, p))
-        sdim, state = restricted_stationary_dim(dyn, p, tol)
         supp_rank = support_projection(state.matrix, tol).rank
         minimal_defect = max(minimal_defect, float(abs(sdim - 1) + (p.rank - supp_rank)))
         for q in decomposition.minimal_projections[i + 1:]:

@@ -1,24 +1,32 @@
 """Long-time structure of a quantum dynamical semigroup.
 
-The analysis pipeline is:
+Every superoperator here is real: the maps preserve Hermiticity, so in the
+Hermitian frame of :mod:`qdsa.channels` the Schrodinger matrix ``R`` is
+real and the Heisenberg one is its transpose.  The analysis pipeline is:
 
-1. The Schrodinger fixed-point space is computed as a numerical null space
-   and Hermitized (the space is adjoint-closed).  A maximal-support
-   stationary state is obtained as the exact time-average limit of the
-   maximally mixed state, i.e. the component of ``1/d`` in the kernel of
-   the Schrodinger superoperator along its range.  In finite dimension the
-   peripheral spectrum of a CP trace-preserving semigroup is semisimple, so
-   that component is precisely the long-time Cesaro limit.
+1. One real SVD of the fixed-point matrix (``R``, or ``R - 1`` for a
+   channel) gives the stationary space as its right kernel (the kernel
+   columns are already an orthonormal Hermitian basis), the Heisenberg
+   fixed points as its left kernel, and the range.  A maximal-support
+   stationary state is the exact time-average limit of the maximally mixed
+   state, i.e. the component of ``1/d`` in the kernel along the range.  In
+   finite dimension the peripheral spectrum of a CP trace-preserving
+   semigroup is semisimple, so that component is precisely the long-time
+   Cesaro limit.
 
 2. The supremum of the supports of the stationary states gives the maximal
-   recurrent block ``r``.  The Heisenberg fixed points of the dynamics
-   compressed to the corner ``r M r`` form a *-algebra (the compressed
-   semigroup has a faithful stationary state); splitting along the spectral
+   recurrent block ``r``.  Every block the refinement visits is
+   sub-harmonic, so the dynamics compressed to it is again a model:
+   ``(W^dag H W, {W^dag L_i W})`` or ``{W^dag V_i W}`` for the block
+   isometry ``W``; when ``r`` is the whole space the model itself.  The
+   Heisenberg fixed points of the compressed model form a *-algebra (it
+   has a faithful stationary state); splitting along the spectral
    projections of a generic Hermitian fixed element and recursing yields an
    orthogonal family of minimal enclosures, i.e. supports of the minimal
    invariant faces.  Each emitted block is certified by its compressed
-   dynamics having a one-dimensional stationary space whose state has full
-   support on the block.
+   model having a one-dimensional stationary space whose state has full
+   support on the block; the same SVD of the compressed model gives its
+   fixed algebra and its certificate.
 
 3. The minimal recurrent projection is the supremum of the minimal
    enclosures.  At a finite horizon ``T`` the report records how far
@@ -35,11 +43,10 @@ the horizon read as an iteration count.
 
 Every public function accepts either a bare model or a :class:`Dynamics`.
 A ``Dynamics`` wraps one model for the length of one top-level call and
-computes each derived object at most once: the Schrodinger superoperator
-matrix, the stationary space with its kernel/range split (per tolerance),
-and the Heisenberg propagator ``alpha_T`` (per horizon).  The Heisenberg
-superoperator is built once per :func:`minimal_enclosures` call, its only
-user.  A ``Dynamics`` is dropped with the call; nothing is cached on the
+computes each derived object at most once: the real Schrodinger matrix, its
+kernel/range split and the stationary space (per tolerance), and the real
+propagator ``alpha_T`` (per horizon).  No Heisenberg superoperator is ever
+built.  A ``Dynamics`` is dropped with the call; nothing is cached on the
 model or globally.
 """
 
@@ -58,12 +65,19 @@ from .channels import (
     LindbladGenerator,
     QuantumChannel,
     Superoperator,
-    propagator,
+    _propagate,
+    from_hermitian_coords,
+    hermitian_coords,
+    real_form,
     to_superoperator,
-    unvec,
-    vec,
 )
-from .errors import ConvergenceFailure, DimMismatch, InternalError, TheoremViolation
+from .errors import (
+    ConvergenceFailure,
+    DimMismatch,
+    InternalError,
+    NotUnital,
+    TheoremViolation,
+)
 from .harmonic import is_subharmonic, subharmonic_residual
 from .linalg import (
     Projection,
@@ -122,12 +136,14 @@ def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarra
 
 
 def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
-    """Orthonormal bases of the numerical kernel and range of the
-    fixed-point matrix ``m``.
+    """Orthonormal bases of the numerical kernel, range and left kernel of
+    the fixed-point matrix ``m``, from one SVD.
 
-    The kernel of a fixed-point matrix is never empty: it holds the
-    identity (Heisenberg) or a stationary state (Schrodinger).  An empty
-    numerical kernel is therefore an InternalError.
+    For the real Schrodinger form the kernel holds the stationary states
+    and the left kernel the Heisenberg fixed points.  The kernel of a
+    fixed-point matrix is never empty: it holds the identity (Heisenberg)
+    or a stationary state (Schrodinger).  An empty numerical kernel is
+    therefore an InternalError.
     """
     u, s, vh = np.linalg.svd(m)
     smax = float(s[0]) if s.size else 0.0
@@ -139,7 +155,7 @@ def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
             f"{s[-1]:.3e}, cutoff {cutoff:.3e})")
     kernel = vh[null_mask].conj().T
     range_ = u[:, ~null_mask]
-    return kernel, range_
+    return kernel, range_, u[:, null_mask]
 
 
 def _kernel_component(kernel: np.ndarray, range_: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -155,26 +171,6 @@ def _kernel_component(kernel: np.ndarray, range_: np.ndarray, v: np.ndarray) -> 
         raise InternalError("kernel and range do not decompose the space")
     coeff = np.linalg.solve(basis, v)
     return kernel @ coeff[:kernel.shape[1]]
-
-
-def _hermitian_span(kernel: np.ndarray, dim: int, tol: ToleranceConfig):
-    """Orthonormal (Hilbert-Schmidt, real coefficients) Hermitian basis of
-    the real span of ``{(m + m^dag)/2, (m - m^dag)/2i}`` over the matrices
-    ``m`` whose vectorizations are the columns of ``kernel``."""
-    rows = []
-    for j in range(kernel.shape[1]):
-        m = unvec(kernel[:, j], dim)
-        for h in (hermitian_part(m), hermitian_part(-1j * m)):
-            rows.append(np.concatenate([vec(h).real, vec(h).imag]))
-    a = np.array(rows)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = max(tol.rank_rtol * smax, tol.atol)
-    basis = []
-    for row in vh[s > cutoff]:
-        h = unvec(row[:dim * dim] + 1j * row[dim * dim:], dim)
-        basis.append(hermitian_part(h))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -195,16 +191,15 @@ class StationarySpace:
 class Dynamics:
     """One model and the objects derived from it, each built on first use.
 
-    Holds the Schrodinger superoperator matrix, the stationary space for
-    each tolerance and the Heisenberg propagator for each horizon asked
-    for.  Build one per top-level call and pass it to the functions of
-    this module in place of the model; it is dropped when the call
-    returns, so the memory it holds never outlives the analysis.
-
-    The Heisenberg superoperator is not kept: only
-    :func:`minimal_enclosures` uses it, once per call, and holding it
-    until ``alpha_T`` is built would add a ``d^2 x d^2`` matrix to the
-    peak memory of the analysis.
+    Holds the real form of the Schrodinger superoperator in the Hermitian
+    frame, its kernel/range split and the stationary space for each
+    tolerance, and the real Heisenberg propagator for each horizon asked
+    for (the Heisenberg form is the transpose of the Schrodinger one, so no
+    Heisenberg superoperator is built).  Build one per top-level call and
+    pass it to the functions of this module in place of the model; it is
+    dropped when the call returns, so the memory it holds never outlives
+    the analysis.  The corners of :func:`minimal_enclosures` are
+    ``Dynamics`` of compressed models.
     """
 
     def __init__(self, model):
@@ -212,17 +207,27 @@ class Dynamics:
         self.model = model
         self.dim = model.dim
         self._flows = {}
+        self._splits = {}
         self._spaces = {}
 
     @cached_property
     def schrodinger(self) -> np.ndarray:
-        return to_superoperator(self.model, SCHRODINGER).matrix
+        """Real form of the Schrodinger superoperator."""
+        return real_form(to_superoperator(self.model, SCHRODINGER).matrix)
 
     def flow(self, horizon: float) -> Superoperator:
         """The Heisenberg propagator ``alpha_T`` at ``horizon``."""
         if horizon not in self._flows:
-            self._flows[horizon] = propagator(self.model, horizon, HEISENBERG)
+            real = _propagate(self.schrodinger.T, horizon, self.discrete)
+            self._flows[horizon] = Superoperator.from_real(real, HEISENBERG)
         return self._flows[horizon]
+
+    def split(self, tol: ToleranceConfig):
+        """Kernel, range and left kernel of the fixed-point matrix."""
+        if tol not in self._splits:
+            m = _fixed_point_matrix(self.schrodinger, self.discrete)
+            self._splits[tol] = _split_kernel_range(m, tol)
+        return self._splits[tol]
 
     def space(self, tol: ToleranceConfig) -> StationarySpace:
         if tol not in self._spaces:
@@ -244,13 +249,23 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m), tol)
 
 
+def _mixed_limit(dyn: Dynamics, tol: ToleranceConfig):
+    """Stationary dimension and the time-average limit of the maximally
+    mixed state."""
+    kernel, range_, _ = dyn.split(tol)
+    d = dyn.dim
+    mixed = hermitian_coords(np.eye(d) / d)
+    return kernel.shape[1], _as_state(
+        from_hermitian_coords(_kernel_component(kernel, range_, mixed), d), tol)
+
+
 def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) -> DensityMatrix:
     """Exact long-time Cesaro limit of a state under the predual flow."""
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
-    m = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
-    limit = unvec(_kernel_component(*_split_kernel_range(m, tol), vec(rho.matrix)), rho.dim)
-    return _as_state(limit, tol)
+    kernel, range_, _ = dyn.split(tol)
+    limit = _kernel_component(kernel, range_, hermitian_coords(rho.matrix))
+    return _as_state(from_hermitian_coords(limit, rho.dim), tol)
 
 
 def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace:
@@ -264,11 +279,9 @@ def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
     d = dyn.dim
-    m = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
-    kernel, range_ = _split_kernel_range(m, tol)
-    basis = _hermitian_span(kernel, d, tol)
-    mixed = vec(np.eye(d, dtype=complex) / d)
-    omega = _as_state(unvec(_kernel_component(kernel, range_, mixed), d), tol)
+    kernel = dyn.split(tol)[0]
+    basis = [from_hermitian_coords(x, d) for x in kernel.T]
+    _, omega = _mixed_limit(dyn, tol)
 
     w = np.linalg.eigvalsh(omega.matrix)
     lam_max = float(w[-1])
@@ -296,39 +309,48 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
     return sup
 
 
-def _corner_fixed_matrix(s_full: np.ndarray, w: np.ndarray, discrete: bool) -> np.ndarray:
-    """Fixed-point matrix of the dynamics compressed to the block spanned by
-    the isometry ``w``; ``kron(conj(w), w)`` is ``y -> W y W^dag`` under
-    column stacking."""
-    b = np.kron(w.conj(), w)
-    return _fixed_point_matrix(b.conj().T @ s_full @ b, discrete)
+def _compress(model, w: np.ndarray, tol: ToleranceConfig):
+    """The model compressed to the block spanned by the isometry ``w``.
+
+    On a sub-harmonic block the compressed generator ``(W^dag H W,
+    {W^dag L_i W})`` and the compressed channel ``{W^dag V_i W}`` act as
+    ``y -> W^dag S(W y W^dag) W``; the channel is unital exactly when the
+    block is invariant, so a failed unitality check is an InternalError.
+    """
+    wh = w.conj().T
+    if isinstance(model, QuantumChannel):
+        try:
+            return QuantumChannel([wh @ v @ w for v in model.kraus_ops], tol)
+        except NotUnital as exc:
+            raise InternalError(f"block of size {w.shape[1]} is not invariant: {exc}") from exc
+    return LindbladGenerator(wh @ model.hamiltonian @ w,
+                             [wh @ l @ w for l in model.lindblad_ops], tol)
 
 
-def _corner_fixed_basis(s_full: np.ndarray, w: np.ndarray, discrete: bool,
-                        tol: ToleranceConfig):
-    """Hermitian basis of the fixed points of the dynamics compressed to
-    the block spanned by the isometry ``w``."""
-    kernel, _ = _split_kernel_range(_corner_fixed_matrix(s_full, w, discrete), tol)
-    return _hermitian_span(kernel, w.shape[1], tol)
+def _corner(dyn: Dynamics, w: np.ndarray, tol: ToleranceConfig) -> Dynamics:
+    """Dynamics of the block spanned by ``w``; ``dyn`` itself when ``w`` is
+    the identity, so the top-level split is reused."""
+    if w.shape[1] == dyn.dim and np.array_equal(w, np.eye(dyn.dim)):
+        return dyn
+    return Dynamics(_compress(dyn.model, w, tol))
 
 
-def _corner_stationary(dyn: Dynamics, w: np.ndarray, tol: ToleranceConfig):
-    """Dimension of the block-compressed stationary space and its
-    time-average state (from the block-maximally-mixed state)."""
-    k = w.shape[1]
-    m = _corner_fixed_matrix(dyn.schrodinger, w, dyn.discrete)
-    kernel, range_ = _split_kernel_range(m, tol)
-    limit = unvec(_kernel_component(kernel, range_, vec(np.eye(k, dtype=complex) / k)), k)
-    return kernel.shape[1], _as_state(limit, tol)
+def _fixed_basis(dyn: Dynamics, tol: ToleranceConfig) -> list:
+    """Orthonormal Hermitian basis of the Heisenberg fixed points: the
+    left kernel of the split, since the Heisenberg form is the transpose."""
+    return [from_hermitian_coords(x, dyn.dim) for x in dyn.split(tol)[2].T]
 
 
 def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = None):
     """Stationary-space dimension and time-average state of the dynamics
-    compressed to the block ``p``; used to certify enclosure minimality."""
+    compressed to the block ``p``; used to certify enclosure minimality.
+
+    The state is in the coordinates of ``p.range_basis``.
+    """
     tol = _tol(tol)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
-    return _corner_stationary(_as_dynamics(obj), p.range_basis, tol)
+    return _mixed_limit(_corner(_as_dynamics(obj), p.range_basis, tol), tol)
 
 
 def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
@@ -351,13 +373,10 @@ def _cluster_eigenvalues(w: np.ndarray, scale: float):
     return groups
 
 
-def _canonical_order(projections):
-    def key(p: Projection):
-        diag = np.round(np.real(np.diag(p.matrix)), 6)
-        flat = np.round(np.real(p.matrix).ravel(), 6)
-        return (-p.rank, tuple(-diag), tuple(-flat))
-
-    return tuple(sorted(projections, key=key))
+def _canonical_key(p: Projection):
+    diag = np.round(np.real(np.diag(p.matrix)), 6)
+    flat = np.round(np.real(p.matrix).ravel(), 6)
+    return (-p.rank, tuple(-diag), tuple(-flat))
 
 
 @dataclass(frozen=True)
@@ -368,11 +387,16 @@ class EnclosureDecomposition:
     recurrent block is abelian; otherwise the family returned is one valid
     maximal orthogonal choice, deterministic for a given seed, and only the
     projection supremum of the family is basis independent.
+
+    ``certificates`` holds, for each projection, the stationary dimension
+    and time-average state of its compressed dynamics that certified it
+    minimal (what :func:`restricted_stationary_dim` returns for it).
     """
 
     minimal_projections: tuple
     is_unique: bool
     fixed_algebra_dim: int
+    certificates: tuple
 
 
 def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
@@ -388,31 +412,31 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
     r = stationary_support(dyn.space(tol), tol)
-    s_h = to_superoperator(dyn.model, HEISENBERG).matrix
+    top = np.eye(dyn.dim, dtype=complex) if r.rank == dyn.dim else r.range_basis
+    top_corner = _corner(dyn, top, tol)
 
-    top_fixed = _corner_fixed_basis(s_h, r.range_basis, dyn.discrete, tol)
+    top_fixed = _fixed_basis(top_corner, tol)
     fixed_algebra_dim = len(top_fixed)
     unique = _is_abelian(top_fixed, tol)
 
     final = []
-    # each entry is a block isometry and its fixed basis, when already known
-    queue = [(r.range_basis, top_fixed)]
+    # each entry is a block isometry and its corner dynamics, when already built
+    queue = [(top, top_corner)]
     guard = 0
     while queue:
         guard += 1
         if guard > 64 * dyn.dim:
             raise ConvergenceFailure("enclosure refinement failed to terminate")
-        w, fixed = queue.pop()
+        w, corner = queue.pop()
         k = w.shape[1]
-        if k == 1:
-            fixed = [np.eye(1, dtype=complex)]
-        elif fixed is None:
-            fixed = _corner_fixed_basis(s_h, w, dyn.discrete, tol)
+        if corner is None:
+            corner = _corner(dyn, w, tol)
+        fixed = _fixed_basis(corner, tol)
         if len(fixed) <= 1:
-            sdim, state = _corner_stationary(dyn, w, tol)
+            sdim, state = _mixed_limit(corner, tol)
             supp = support_projection(state.matrix, tol)
             if sdim == 1 and supp.rank == k:
-                final.append(Projection.from_range_basis(w))
+                final.append((Projection.from_range_basis(w), (sdim, state)))
             elif supp.rank < k:
                 # stationary mass misses part of the block; shrink and retry
                 queue.append((w @ supp.range_basis, None))
@@ -438,7 +462,8 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
         for idx in groups:
             queue.append((w @ vectors[:, idx], None))
 
-    projections = _canonical_order(final)
+    final.sort(key=lambda item: _canonical_key(item[0]))
+    projections = tuple(p for p, _ in final)
     for i, p in enumerate(projections):
         if not is_subharmonic(dyn.model, p, tol):
             raise InternalError(
@@ -447,7 +472,8 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
         for q in projections[i + 1:]:
             if opnorm(p.matrix @ q.matrix) > 10 * tol.atol:
                 raise InternalError("refined enclosures are not mutually orthogonal")
-    return EnclosureDecomposition(projections, unique, fixed_algebra_dim)
+    return EnclosureDecomposition(projections, unique, fixed_algebra_dim,
+                                  tuple(c for _, c in final))
 
 
 @dataclass(frozen=True)
@@ -557,10 +583,11 @@ def _matrix_unit_decay_tests(dyn: Dynamics, recurrent: Projection, horizon: floa
     ``E_0j .. E_(d-1)j``, all read off the one propagator.
     """
     d = dyn.dim
-    alpha = dyn.flow(horizon).matrix
+    alpha = dyn.flow(horizon).real
     row_norms = np.linalg.norm(recurrent.matrix, axis=1)
-    # vec(E_jj) is the unit vector at index j + j * d
-    return [_decay_result(float(row_norms[j]), opnorm(unvec(alpha[:, j * (d + 1)], d)),
+    # E_jj is the frame vector at index j + j * d
+    return [_decay_result(float(row_norms[j]),
+                          opnorm(from_hermitian_coords(alpha[:, j * (d + 1)], d)),
                           tol, decay_tol)
             for j in range(d)]
 
@@ -601,25 +628,24 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
     dyn = _as_dynamics(obj)
     if rho.dim != dyn.dim:
         raise DimMismatch("state dimension does not match the dynamics")
+    v = hermitian_coords(rho.matrix)
     if dyn.discrete:
         n = int(round(horizon))
         s = dyn.schrodinger
-        v = vec(rho.matrix)
         acc = np.zeros_like(v)
         for _ in range(n):
             acc += v
             v = s @ v
-        mean = unvec(acc / n, rho.dim)
+        mean = acc / n
     else:
-        step = propagator(dyn.model, horizon / grid_steps, SCHRODINGER).matrix
-        v = vec(rho.matrix)
+        step = _propagate(dyn.schrodinger, horizon / grid_steps, discrete=False)
         acc = 0.5 * v
         for _ in range(grid_steps - 1):
             v = step @ v
             acc += v
         acc += 0.5 * (step @ v)
-        mean = unvec(acc / grid_steps, rho.dim)
-    return _as_state(mean, tol)
+        mean = acc / grid_steps
+    return _as_state(from_hermitian_coords(mean, rho.dim), tol)
 
 
 @dataclass(frozen=True)

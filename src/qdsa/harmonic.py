@@ -35,6 +35,7 @@ import numpy as np
 from .channels import (
     LindbladGenerator,
     QuantumChannel,
+    _matrix_units,
     apply_heisenberg,
 )
 from .errors import DimMismatch, FamilyNotSubharmonic, NotFixedPoint, NotPSD, TheoremViolation
@@ -66,14 +67,6 @@ __all__ = [
     "subharmonic_closure",
     "fixed_point_support_check",
 ]
-
-
-def _matrix_units(dim: int):
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            yield unit
 
 
 @dataclass(frozen=True)

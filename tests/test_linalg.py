@@ -92,6 +92,16 @@ class TestMatrixExp:
             h = random_hermitian(4, rng)
             assert opnorm(matrix_exp(h) - hermitian_matrix_exp(h)) <= 1e-11
 
+    def test_real_input_stays_real(self):
+        # arguments where a degree-13 Pade core would be used without the
+        # pre-scaling; exp(+-4) to a few ulps
+        for x in (-30.0, -4.0, 4.0):
+            a = np.array([[x, 1e-3], [0.0, 0.0]])
+            e = matrix_exp(a)
+            assert e.dtype == float
+            assert abs(e[0, 0] - np.exp(x)) <= 4e-15 * np.exp(x)
+            assert abs(e[0, 1] - 1e-3 * np.expm1(x) / x) <= 4e-15 * abs(e[0, 1])
+
     def test_semigroup_law(self, rng):
         for _ in range(10):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
