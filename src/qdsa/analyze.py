@@ -23,7 +23,6 @@ from .asymptotics import (
     recurrent_projection,
 )
 from .errors import ValidationError
-from .harmonic import subharmonic_residual
 from .linalg import (
     Projection,
     ToleranceConfig,
@@ -228,11 +227,12 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     ortho = 0.0
     subharm = 0.0
     minimal_defect = 0.0
-    # the stationary dimension and state that certified each enclosure
-    certified = zip(decomposition.minimal_projections, decomposition.certificates)
-    for i, (p, (sdim, state)) in enumerate(certified):
-        subharm = max(subharm, subharmonic_residual(model, p))
-        supp_rank = support_projection(state.matrix, tol).rank
+    # each enclosure's sub-harmonic residual and the stationary dimension and
+    # support rank of the state that certified it, as minimal_enclosures found them
+    certified = zip(decomposition.minimal_projections, decomposition.subharmonic_residuals,
+                    decomposition.certificates, decomposition.certificate_ranks)
+    for i, (p, residual, (sdim, _), supp_rank) in enumerate(certified):
+        subharm = max(subharm, residual)
         minimal_defect = max(minimal_defect, float(abs(sdim - 1) + (p.rank - supp_rank)))
         for q in decomposition.minimal_projections[i + 1:]:
             ortho = max(ortho, opnorm(p.matrix @ q.matrix))

@@ -44,10 +44,10 @@ the horizon read as an iteration count.
 Every public function accepts either a bare model or a :class:`Dynamics`.
 A ``Dynamics`` wraps one model for the length of one top-level call and
 computes each derived object at most once: the real Schrodinger matrix, its
-kernel/range split and the stationary space (per tolerance), and the real
-propagator ``alpha_T`` (per horizon).  No Heisenberg superoperator is ever
-built.  A ``Dynamics`` is dropped with the call; nothing is cached on the
-model or globally.
+kernel/range split, the stationary space and its support (per tolerance),
+and the real propagator ``alpha_T`` (per horizon).  No Heisenberg
+superoperator is ever built.  A ``Dynamics`` is dropped with the call;
+nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .channels import (
     LindbladGenerator,
     QuantumChannel,
     Superoperator,
+    _iteration_count,
     _propagate,
     from_hermitian_coords,
     hermitian_coords,
@@ -78,7 +79,7 @@ from .errors import (
     NotUnital,
     TheoremViolation,
 )
-from .harmonic import is_subharmonic, subharmonic_residual
+from .harmonic import subharmonic_residual
 from .linalg import (
     Projection,
     ToleranceConfig,
@@ -192,13 +193,13 @@ class Dynamics:
     """One model and the objects derived from it, each built on first use.
 
     Holds the real form of the Schrodinger superoperator in the Hermitian
-    frame, its kernel/range split and the stationary space for each
-    tolerance, and the real Heisenberg propagator for each horizon asked
-    for (the Heisenberg form is the transpose of the Schrodinger one, so no
-    Heisenberg superoperator is built).  Build one per top-level call and
-    pass it to the functions of this module in place of the model; it is
-    dropped when the call returns, so the memory it holds never outlives
-    the analysis.  The corners of :func:`minimal_enclosures` are
+    frame, its kernel/range split, the stationary space and the stationary
+    support for each tolerance, and the real Heisenberg propagator for each
+    horizon asked for (the Heisenberg form is the transpose of the
+    Schrodinger one, so no Heisenberg superoperator is built).  Build one
+    per top-level call and pass it to the functions of this module in place
+    of the model; it is dropped when the call returns, so the memory it
+    holds never outlives the analysis.  The corners of :func:`minimal_enclosures` are
     ``Dynamics`` of compressed models.
     """
 
@@ -209,6 +210,7 @@ class Dynamics:
         self._flows = {}
         self._splits = {}
         self._spaces = {}
+        self._supports = {}
 
     @cached_property
     def schrodinger(self) -> np.ndarray:
@@ -233,6 +235,12 @@ class Dynamics:
         if tol not in self._spaces:
             self._spaces[tol] = stationary_space(self, tol)
         return self._spaces[tol]
+
+    def support(self, tol: ToleranceConfig) -> Projection:
+        """The stationary support :func:`stationary_support` of ``space(tol)``."""
+        if tol not in self._supports:
+            self._supports[tol] = stationary_support(self.space(tol), tol)
+        return self._supports[tol]
 
 
 def _as_dynamics(obj) -> Dynamics:
@@ -302,9 +310,9 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
     maximally mixed state, which dominates every stationary state.
     """
     tol = _tol(tol)
-    sup = proj_supremum([support_projection(s.matrix, tol) for s in space.states], tol)
-    base = support_projection(space.states[0].matrix, tol)
-    if not projections_equal(sup, base, tol, factor=100.0):
+    supports = [support_projection(s.matrix, tol) for s in space.states]
+    sup = proj_supremum(supports, tol)
+    if not projections_equal(sup, supports[0], tol, factor=100.0):
         raise InternalError("stationary support disagrees with the maximal-state support")
     return sup
 
@@ -390,13 +398,18 @@ class EnclosureDecomposition:
 
     ``certificates`` holds, for each projection, the stationary dimension
     and time-average state of its compressed dynamics that certified it
-    minimal (what :func:`restricted_stationary_dim` returns for it).
+    minimal (what :func:`restricted_stationary_dim` returns for it), and
+    ``certificate_ranks`` the rank of that state's support.
+    ``subharmonic_residuals`` holds each projection's
+    :func:`~qdsa.harmonic.subharmonic_residual`, checked against ``atol``.
     """
 
     minimal_projections: tuple
     is_unique: bool
     fixed_algebra_dim: int
     certificates: tuple
+    certificate_ranks: tuple
+    subharmonic_residuals: tuple
 
 
 def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
@@ -411,7 +424,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     tol = _tol(tol)
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
-    r = stationary_support(dyn.space(tol), tol)
+    r = dyn.support(tol)
     top = np.eye(dyn.dim, dtype=complex) if r.rank == dyn.dim else r.range_basis
     top_corner = _corner(dyn, top, tol)
 
@@ -436,7 +449,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             sdim, state = _mixed_limit(corner, tol)
             supp = support_projection(state.matrix, tol)
             if sdim == 1 and supp.rank == k:
-                final.append((Projection.from_range_basis(w), (sdim, state)))
+                final.append((Projection.from_range_basis(w), (sdim, state), supp.rank))
             elif supp.rank < k:
                 # stationary mass misses part of the block; shrink and retry
                 queue.append((w @ supp.range_basis, None))
@@ -463,17 +476,21 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             queue.append((w @ vectors[:, idx], None))
 
     final.sort(key=lambda item: _canonical_key(item[0]))
-    projections = tuple(p for p, _ in final)
+    projections = tuple(p for p, _, _ in final)
+    residuals = []
     for i, p in enumerate(projections):
-        if not is_subharmonic(dyn.model, p, tol):
+        residual = subharmonic_residual(dyn.model, p)
+        if not residual <= tol.atol:
             raise InternalError(
                 f"refined enclosure {i} fails the sub-harmonic test "
-                f"(residual {subharmonic_residual(dyn.model, p):.3e})")
+                f"(residual {residual:.3e})")
+        residuals.append(residual)
         for q in projections[i + 1:]:
             if opnorm(p.matrix @ q.matrix) > 10 * tol.atol:
                 raise InternalError("refined enclosures are not mutually orthogonal")
     return EnclosureDecomposition(projections, unique, fixed_algebra_dim,
-                                  tuple(c for _, c in final))
+                                  tuple(c for _, c, _ in final),
+                                  tuple(k for _, _, k in final), tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -509,7 +526,7 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     dyn = _as_dynamics(obj)
     decomposition = minimal_enclosures(dyn, tol, seed=seed)
     r_min = proj_supremum(decomposition.minimal_projections, tol)
-    r_stat = stationary_support(dyn.space(tol), tol)
+    r_stat = dyn.support(tol)
     prop = dyn.flow(horizon)
     estimate = hermitian_part(prop.apply(r_min.matrix))
     estimate.flags.writeable = False
@@ -617,7 +634,8 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
 
     For a generator this is the trapezoidal approximation of
     ``(1/T) integral_0^T nu_t(rho) dt`` on ``grid_steps`` intervals; for a
-    discrete channel it is the mean of the first ``n`` iterates.  On a
+    discrete channel it is the mean of the first ``n`` iterates, where the
+    horizon must be an integer ``n >= 1`` (else ValueError).  On a
     minimal face the distance to the unique stationary state is O(1/T).
     """
     tol = _tol(tol)
@@ -630,7 +648,9 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
         raise DimMismatch("state dimension does not match the dynamics")
     v = hermitian_coords(rho.matrix)
     if dyn.discrete:
-        n = int(round(horizon))
+        n = _iteration_count(horizon)
+        if n < 1:
+            raise ValueError(f"a channel's mean needs at least one iterate, got {horizon}")
         s = dyn.schrodinger
         acc = np.zeros_like(v)
         for _ in range(n):

@@ -347,7 +347,7 @@ class StinespringDilation:
 
     def represent(self, a) -> np.ndarray:
         """The dilated representation ``pi(a) = a kron 1_n``."""
-        return np.kron(as_complex_matrix(a), np.eye(self.multiplicity))
+        return _kron(as_complex_matrix(a), np.eye(self.multiplicity))
 
     def reconstruct(self, a) -> np.ndarray:
         """Evaluate ``V^dag pi(a) V``, which must reproduce the channel."""
@@ -407,14 +407,21 @@ def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.n
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast product (same bits,
+    without ``np.kron``'s generic shape handling)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _channel_superop_matrix(ch: QuantumChannel, picture: str) -> np.ndarray:
     d = ch.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     for v in ch.kraus_ops:
         if picture == HEISENBERG:
-            s += np.kron(v.T, v.conj().T)
+            s += _kron(v.T, v.conj().T)
         else:
-            s += np.kron(v.conj(), v)
+            s += _kron(v.conj(), v)
     return s
 
 
@@ -423,16 +430,16 @@ def _generator_superop_matrix(gen: LindbladGenerator, picture: str) -> np.ndarra
     eye = np.eye(d)
     h = gen.hamiltonian
     if picture == HEISENBERG:
-        s = 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        s = 1j * (_kron(eye, h) - _kron(h.T, eye))
     else:
-        s = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        s = -1j * (_kron(eye, h) - _kron(h.T, eye))
     for l in gen.lindblad_ops:
         k = l.conj().T @ l
         if picture == HEISENBERG:
-            s += np.kron(l.T, l.conj().T)
+            s += _kron(l.T, l.conj().T)
         else:
-            s += np.kron(l.conj(), l)
-        s -= 0.5 * (np.kron(eye, k) + np.kron(k.T, eye))
+            s += _kron(l.conj(), l)
+        s -= 0.5 * (_kron(eye, k) + _kron(k.T, eye))
     return s
 
 
@@ -446,16 +453,22 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
 
 
+def _iteration_count(t: float) -> int:
+    """The iteration count a discrete horizon ``t`` stands for; ``t`` must be
+    integral within 1e-9, else ValueError."""
+    n = int(round(t))
+    if abs(t - n) > 1e-9:
+        raise ValueError(f"discrete channels need an integer horizon, got {t}")
+    return n
+
+
 def _propagate(r: np.ndarray, t: float, discrete: bool) -> np.ndarray:
     """``r^n`` (``n = t`` iterations) for a channel, ``exp(t r)`` for a
     generator, on the real form ``r``."""
     if discrete:
         if t < 0:
             raise NegativeTime(f"iteration count must be nonnegative, got {t}")
-        n = int(round(t))
-        if abs(t - n) > 1e-9:
-            raise ValueError(f"discrete channels need an integer horizon, got {t}")
-        return np.linalg.matrix_power(r, n)
+        return np.linalg.matrix_power(r, _iteration_count(t))
     if t < 0:
         raise NegativeTime(f"evolution time must be nonnegative, got {t}")
     return matrix_exp(t * r)

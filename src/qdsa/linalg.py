@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimMismatch, NotHermitian, NotPSD, OutOfUnitInterval
 
@@ -102,8 +101,13 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def opnorm(m: np.ndarray) -> float:
-    """Spectral (largest singular value) norm."""
-    return float(np.linalg.norm(m, 2))
+    """Spectral (largest singular value) norm; 0.0 for an empty matrix.
+
+    The same LAPACK call as ``np.linalg.norm(m, 2)`` without its axis
+    bookkeeping; singular values come back in descending order.
+    """
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -164,7 +168,12 @@ def matrix_exp(a) -> np.ndarray:
     core is less accurate than its complex one (relative error 5e-13 on
     ``exp(-4)`` against 4e-15), so real input is scaled into the range of
     degree 9 or less and squared back here.
+
+    ``scipy.linalg`` is imported here, on first use, so that importing the
+    package (and starting the CLI) does not pay for it.
     """
+    import scipy.linalg
+
     m = np.asarray(a)
     if np.iscomplexobj(m):
         return scipy.linalg.expm(_check_square(m))

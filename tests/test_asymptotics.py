@@ -309,6 +309,17 @@ class TestCesaro:
         mean = cesaro_mean(adk, rho, 200, grid_steps=2)
         assert trace_norm(mean.matrix - ket_bra(2, 0, 0)) <= 0.05
 
+    @pytest.mark.parametrize("horizon", [0.3, 2.5])
+    def test_discrete_horizon_must_be_a_positive_integer(self, adk, horizon):
+        # 0.3 would round to zero iterates and 2.5 would silently become 2
+        rho = DensityMatrix(ket_bra(2, 1, 1))
+        with pytest.raises(ValueError):
+            cesaro_mean(adk, rho, horizon)
+
+    def test_discrete_single_iterate_is_the_state(self, adk):
+        rho = DensityMatrix(ket_bra(2, 1, 1))
+        assert_allclose(cesaro_mean(adk, rho, 1).matrix, rho.matrix, atol=1e-14)
+
     def test_exact_limit(self, m3):
         rho = DensityMatrix.pure(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
         limit = cesaro_limit(m3, rho)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import SRC, run_cli
 from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
 from qdsa.cli import main
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
@@ -159,6 +163,12 @@ class TestExamplesCommand:
         for name in ("AD", "ADK", "M3", "DFS3", "TH", "ID2", "ID3"):
             assert name in out
 
+    def test_list_matches_golden_text(self):
+        golden = Path(SRC).parent / "perfbench" / "golden" / "fixtures.json"
+        code, out, _ = run_cli("examples", "list")
+        assert code == 0
+        assert out == json.loads(golden.read_text(encoding="utf-8"))["examples_list"]
+
     def test_emit_and_analyze(self, tmp_path):
         out_path = tmp_path / "th.json"
         code, _, _ = run_cli("examples", "emit", "TH", "--output", str(out_path))
@@ -185,3 +195,14 @@ class TestMainFunction:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestColdStart:
+    def test_cli_import_does_not_load_scipy_linalg(self):
+        # scipy.linalg is only needed for matrix_exp and imported there
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        code = "import sys, qdsa.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "False"
