@@ -224,19 +224,17 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         "faithful-implies-full-recurrent",
         float(model.dim - r_min.rank) if report.faithful_family else 0.0, 0.5))
 
-    ortho = 0.0
     subharm = 0.0
     minimal_defect = 0.0
     # each enclosure's sub-harmonic residual and the stationary dimension and
     # support rank of the state that certified it, as minimal_enclosures found them
     certified = zip(decomposition.minimal_projections, decomposition.subharmonic_residuals,
                     decomposition.certificates, decomposition.certificate_ranks)
-    for i, (p, residual, (sdim, _), supp_rank) in enumerate(certified):
+    for p, residual, (sdim, _), supp_rank in certified:
         subharm = max(subharm, residual)
         minimal_defect = max(minimal_defect, float(abs(sdim - 1) + (p.rank - supp_rank)))
-        for q in decomposition.minimal_projections[i + 1:]:
-            ortho = max(ortho, opnorm(p.matrix @ q.matrix))
-    checks.append(CheckResult("enclosures-orthogonal", ortho, 10 * tol.atol))
+    checks.append(CheckResult("enclosures-orthogonal", decomposition.max_overlap,
+                              10 * tol.atol))
     checks.append(CheckResult("enclosures-subharmonic", subharm, 10 * tol.atol))
     checks.append(CheckResult("enclosures-minimal", minimal_defect, 0.5))
 

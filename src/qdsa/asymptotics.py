@@ -28,12 +28,17 @@ real and the Heisenberg one is its transpose.  The analysis pipeline is:
    support on the block; the same SVD of the compressed model gives its
    fixed algebra and its certificate.
 
-3. The minimal recurrent projection is the supremum of the minimal
+3. The minimal recurrent projection ``r`` is the supremum of the minimal
    enclosures.  At a finite horizon ``T`` the report records how far
-   ``alpha_T`` has pushed it towards the identity, how much of the
-   transient corner survives, and whether the decay ideal
+   ``alpha_T`` has pushed it towards the identity and how much of the
+   transient corner ``q = 1 - r`` survives.  Since ``r`` is sub-harmonic,
+   ``alpha`` maps ``qMq`` into itself, so ``alpha_T(q)`` is propagated by
+   the ``m^2 x m^2`` real matrix of that corner (``m = rank q``) and
+   ``alpha_T(r) = 1 - alpha_T(q)`` by unitality: both diagnostics come from
+   the corner and coincide in exact arithmetic.  Whether the decay ideal
    ``{a : alpha_t(a^dag a) -> 0}`` matches the left ideal of operators
-   annihilating the recurrent block from the right.
+   annihilating the recurrent block from the right is tested on the full
+   propagator.
 
 Oscillatory peripheral spectrum means plain limits of states may not
 exist, so state-level limits always go through Cesaro means, while the
@@ -65,6 +70,7 @@ from .channels import (
     LindbladGenerator,
     QuantumChannel,
     Superoperator,
+    _block_frame,
     _iteration_count,
     _propagate,
     from_hermitian_coords,
@@ -401,7 +407,9 @@ class EnclosureDecomposition:
     minimal (what :func:`restricted_stationary_dim` returns for it), and
     ``certificate_ranks`` the rank of that state's support.
     ``subharmonic_residuals`` holds each projection's
-    :func:`~qdsa.harmonic.subharmonic_residual`, checked against ``atol``.
+    :func:`~qdsa.harmonic.subharmonic_residual`, checked against ``atol``,
+    and ``max_overlap`` the largest ``|p q|`` over distinct pairs of
+    projections (0.0 for fewer than two), checked against ``10 atol``.
     """
 
     minimal_projections: tuple
@@ -410,6 +418,7 @@ class EnclosureDecomposition:
     certificates: tuple
     certificate_ranks: tuple
     subharmonic_residuals: tuple
+    max_overlap: float
 
 
 def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
@@ -478,6 +487,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     final.sort(key=lambda item: _canonical_key(item[0]))
     projections = tuple(p for p, _, _ in final)
     residuals = []
+    max_overlap = 0.0
     for i, p in enumerate(projections):
         residual = subharmonic_residual(dyn.model, p)
         if not residual <= tol.atol:
@@ -486,11 +496,14 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
                 f"(residual {residual:.3e})")
         residuals.append(residual)
         for q in projections[i + 1:]:
-            if opnorm(p.matrix @ q.matrix) > 10 * tol.atol:
+            overlap = opnorm(p.matrix @ q.matrix)
+            if overlap > 10 * tol.atol:
                 raise InternalError("refined enclosures are not mutually orthogonal")
+            max_overlap = max(max_overlap, overlap)
     return EnclosureDecomposition(projections, unique, fixed_algebra_dim,
                                   tuple(c for _, c, _ in final),
-                                  tuple(k for _, _, k in final), tuple(residuals))
+                                  tuple(k for _, _, k in final), tuple(residuals),
+                                  max_overlap)
 
 
 @dataclass(frozen=True)
@@ -502,8 +515,12 @@ class RecurrentReport:
     supports of the stationary states, which must coincide with it in
     finite dimension (``supports_match``).  ``sup_deviation`` measures how
     far ``alpha_T`` has carried the recurrent projection towards the
-    identity and ``transient_norm`` how much of its complement survives;
-    both are monotone non-increasing in the horizon.
+    identity and ``transient_norm`` how much of its complement ``q``
+    survives; both are monotone non-increasing in the horizon.  Both are
+    read off ``alpha_T(q)``, propagated on the transient corner
+    (:func:`_transient_corner`): ``limit_estimate`` is ``1 - alpha_T(q)``,
+    which equals ``alpha_T(r)`` by unitality, so the two coincide in exact
+    arithmetic.  They are exactly 0 when ``r`` is the identity.
     """
 
     recurrent: Projection
@@ -517,21 +534,51 @@ class RecurrentReport:
     enclosures: EnclosureDecomposition
 
 
+def _transient_corner(dyn: Dynamics, recurrent: Projection, tol: ToleranceConfig):
+    """Isometry ``W`` onto ``q = 1 - r`` and the real Schrodinger matrix
+    ``R_q = P^T R P`` of the transient corner, ``P`` the block frame of ``W``.
+
+    ``r`` must be sub-harmonic (else InternalError), and ``q`` nonzero.
+    Then ``alpha(q) <= q``, so the Heisenberg form ``R^T`` maps the
+    operators ``qMq`` (the range of ``P``) into themselves and
+    ``exp(T R^T) P = P exp(T R_q^T)``: ``R_q^T`` propagates them exactly.
+    """
+    residual = subharmonic_residual(dyn.model, recurrent)
+    if not residual <= tol.atol:
+        raise InternalError(
+            f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
+    w = recurrent.complement().range_basis
+    p = _block_frame(w)
+    return w, p.T @ dyn.schrodinger @ p
+
+
 def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
                          tol: ToleranceConfig | None = None, seed: int = 7) -> RecurrentReport:
-    """Compute the minimal recurrent projection and its horizon diagnostics."""
+    """Compute the minimal recurrent projection and its horizon diagnostics.
+
+    ``alpha_T`` is taken on the transient corner only; no ``d^2 x d^2``
+    propagator is built.
+    """
     tol = _tol(tol)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     dyn = _as_dynamics(obj)
+    if dyn.discrete:
+        _iteration_count(horizon)  # rejected even when no propagator runs
     decomposition = minimal_enclosures(dyn, tol, seed=seed)
     r_min = proj_supremum(decomposition.minimal_projections, tol)
     r_stat = dyn.support(tol)
-    prop = dyn.flow(horizon)
-    estimate = hermitian_part(prop.apply(r_min.matrix))
+    d = dyn.dim
+    transient = np.zeros((d, d), dtype=complex)
+    if r_min.rank < d:
+        w, r_q = _transient_corner(dyn, r_min, tol)
+        m = w.shape[1]
+        x = _propagate(r_q.T, horizon, dyn.discrete) @ hermitian_coords(np.eye(m))
+        transient = w @ from_hermitian_coords(x, m) @ w.conj().T
+    estimate = hermitian_part(np.eye(d) - transient)
     estimate.flags.writeable = False
-    sup_deviation = opnorm(estimate - np.eye(dyn.dim))
-    transient_norm = opnorm(prop.apply(r_min.complement().matrix))
+    sup_deviation = opnorm(estimate - np.eye(d))
+    transient_norm = opnorm(transient)
     matches = projections_equal(r_min, r_stat, tol, factor=100.0)
     faithful = r_stat.rank == dyn.dim
     return RecurrentReport(

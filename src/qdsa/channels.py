@@ -152,12 +152,22 @@ def from_hermitian_coords(x, dim: int) -> np.ndarray:
 def real_form(s: np.ndarray) -> np.ndarray:
     """``Q^dag S Q`` for a Hermiticity-preserving superoperator matrix ``S``.
 
-    The product is taken by index gathers, never as a dense product; the
-    imaginary part, zero up to rounding, is dropped.
+    ``S`` may map ``m x m`` to ``d x d`` matrices (shape ``d^2 x m^2``);
+    the frame on each side is that of its own dimension.  The product is
+    taken by index gathers, never as a dense product; the imaginary part,
+    zero up to rounding, is dropped.
     """
-    flip, own, other = _frame(int(round(np.sqrt(s.shape[0]))))
+    flip, own, other = _frame(int(round(np.sqrt(s.shape[1]))))
     t = s * own + s[:, flip] * other
+    flip, own, other = _frame(int(round(np.sqrt(s.shape[0]))))
     return (own.conj()[:, None] * t + other.conj()[:, None] * t[flip]).real
+
+
+def _block_frame(w: np.ndarray) -> np.ndarray:
+    """The real ``d^2 x m^2`` matrix ``P`` of ``Y -> W Y W^dag`` for a
+    ``d x m`` isometry ``W``: it maps the frame coordinates of ``Y`` to
+    those of ``W Y W^dag``, and has orthonormal columns."""
+    return real_form(_kron(w.conj(), w))
 
 
 def _complex_form(r: np.ndarray) -> np.ndarray:

@@ -61,26 +61,37 @@ def _counting(monkeypatch, owner, attr):
     return calls
 
 
+def _propagator_sizes(report) -> list:
+    """Sizes of the propagators one ``run_analyze`` may build, in call order:
+    the ``m^2 x m^2`` transient corner of ``recurrent_projection`` when the
+    transient rank ``m`` is nonzero, then the one ``d^2 x d^2`` propagator of
+    the decay-ideal columns."""
+    d = report.dim
+    m = d - report.recurrent.rank
+    return ([m * m] if m else []) + [d * d]
+
+
 class TestSharedObjects:
     @pytest.mark.parametrize("name", ["AD", "M3", "TH"])
     def test_generator_builds_one_exponential(self, monkeypatch, name):
         calls = _counting(monkeypatch, qdsa.channels, "matrix_exp")
-        run_analyze(model_spec_from_fixture(name), AnalysisOptions(seed=GOLDEN_SEED))
-        assert len(calls) == 1
+        report = run_analyze(model_spec_from_fixture(name), AnalysisOptions(seed=GOLDEN_SEED))
+        assert [args[0].shape[0] for args in calls] == _propagator_sizes(report)
 
     def test_ladder_generator_builds_one_exponential(self, monkeypatch):
         _, gen, _ = _ladder_models()[1]
         calls = _counting(monkeypatch, qdsa.channels, "matrix_exp")
-        run_analyze(gen, AnalysisOptions(seed=GOLDEN_SEED))
-        assert len(calls) == 1
+        report = run_analyze(gen, AnalysisOptions(seed=GOLDEN_SEED))
+        assert report.recurrent.rank < report.dim
+        assert [args[0].shape[0] for args in calls] == _propagator_sizes(report)
 
     @pytest.mark.parametrize("which", ["ADK", "ladder"])
     def test_channel_builds_one_matrix_power(self, monkeypatch, which):
         spec = (model_spec_from_fixture("ADK") if which == "ADK"
                 else _ladder_models()[2][1])
         calls = _counting(monkeypatch, np.linalg, "matrix_power")
-        run_analyze(spec, AnalysisOptions(seed=GOLDEN_SEED))
-        assert len(calls) == 1
+        report = run_analyze(spec, AnalysisOptions(seed=GOLDEN_SEED))
+        assert [args[0].shape[0] for args in calls] == _propagator_sizes(report)
 
     def test_stationary_space_computed_once(self, monkeypatch):
         calls = _counting(monkeypatch, qdsa.asymptotics, "stationary_space")

@@ -139,7 +139,15 @@ class TestComputedOnce:
         supports = _counting(monkeypatch, qdsa.asymptotics, "stationary_support")
         report = run_analyze(model, AnalysisOptions(horizon=horizon, seed=GOLDEN_SEED))
         assert len(supports) == 1
-        assert sum(len(c) for c in calls.values()) == len(report.enclosure_ranks)
+        # one residual per enclosure, then one for the recurrent projection
+        # before its transient corner is used (none when it is the identity)
+        tested = [args[1] for c in calls.values() for args in c]
+        expected = list(minimal_enclosures(model, seed=GOLDEN_SEED).minimal_projections)
+        if report.recurrent.rank < model.dim:
+            expected.append(report.recurrent)
+        assert len(tested) == len(expected)
+        for got, want in zip(tested, expected):
+            assert np.array_equal(got.matrix, want.matrix)
 
     def test_handed_over_values_match_explicit_calls(self, name, model, horizon):
         decomposition = minimal_enclosures(model, seed=GOLDEN_SEED)
@@ -151,6 +159,9 @@ class TestComputedOnce:
                 decomposition.certificates, decomposition.certificate_ranks):
             assert residual == subharmonic_residual(model, p)
             assert rank == support_projection(state.matrix, DEFAULT_TOL).rank
+        overlaps = [opnorm(p.matrix @ q.matrix)
+                    for i, p in enumerate(projections) for q in projections[i + 1:]]
+        assert decomposition.max_overlap == max(overlaps, default=0.0)
 
     def test_support_shared_by_the_dynamics(self, name, model, horizon):
         dyn = Dynamics(model)

@@ -1,0 +1,106 @@
+"""Horizon diagnostics on the transient corner.
+
+``recurrent_projection`` propagates only the transient corner ``qMq``,
+``q = 1 - r``, with the ``m^2 x m^2`` matrix ``R_q = P^T R P``.  The full
+``d^2 x d^2`` propagator of the same ``Dynamics`` is the reference.
+"""
+
+import numpy as np
+import pytest
+
+import qdsa.channels
+from qdsa.asymptotics import Dynamics, _transient_corner, recurrent_projection
+from qdsa.channels import _block_frame, _kron
+from qdsa.errors import InternalError
+from qdsa.linalg import DEFAULT_TOL, opnorm
+from qdsa.sampling import haar_unitary, transient_block_generator
+from test_dynamics import _all_models, _counting
+from test_frame import _dense_frame
+
+
+def _models():
+    """The fixtures, the seeded d = 4, 8, 12 generator and d = 8 channel rungs
+    of the analyze ladder, and the d = 24 generator rung of the structure
+    ladder."""
+    models = _all_models()
+    for d in (12, 24):
+        gen, _ = transient_block_generator(d // 2, d - d // 2, np.random.default_rng(1))
+        models.append((f"generator-d{d}", gen, 30.0))
+    return models
+
+
+MODELS = _models()
+IDS = [name for name, _, _ in MODELS]
+TRANSIENT = [m for m in MODELS if m[0] not in ("ID2", "ID3", "TH", "channel-d8")]
+FULL_RANK = [m for m in MODELS if m[0] in ("ID2", "ID3", "TH", "channel-d8")]
+
+
+@pytest.mark.parametrize("name,model,horizon", MODELS, ids=IDS)
+class TestCornerFlow:
+    def test_transient_flow_matches_full_propagator(self, name, model, horizon):
+        dyn = Dynamics(model)
+        report = recurrent_projection(dyn, horizon=horizon)
+        q = report.recurrent.complement()
+        corner = np.eye(model.dim) - report.limit_estimate
+        assert opnorm(corner - dyn.flow(horizon).apply(q.matrix)) <= 1e-12
+
+    def test_limit_estimate_matches_full_recurrent_flow(self, name, model, horizon):
+        dyn = Dynamics(model)
+        report = recurrent_projection(dyn, horizon=horizon)
+        full = dyn.flow(horizon).apply(report.recurrent.matrix)
+        assert opnorm(report.limit_estimate - full) <= 1e-12
+
+    def test_no_full_propagator(self, monkeypatch, name, model, horizon):
+        exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
+        powers = _counting(monkeypatch, np.linalg, "matrix_power")
+        report = recurrent_projection(model, horizon=horizon)
+        m = model.dim - report.recurrent.rank
+        shapes = [args[0].shape for args in exps + powers]
+        assert shapes == ([(m * m, m * m)] if m else [])
+
+
+@pytest.mark.parametrize("name,model,horizon", FULL_RANK, ids=[m[0] for m in FULL_RANK])
+def test_full_rank_recurrent_projection_has_no_transient(name, model, horizon):
+    report = recurrent_projection(model, horizon=horizon)
+    assert report.recurrent.rank == model.dim
+    assert report.transient_norm == 0.0
+    assert report.sup_deviation == 0.0
+    assert np.array_equal(report.limit_estimate, np.eye(model.dim))
+
+
+@pytest.mark.parametrize("horizon", [2.5, 0.3])
+def test_channel_horizon_checked_without_a_propagator(horizon):
+    channel = next(model for name, model, _ in FULL_RANK if name == "channel-d8")
+    with pytest.raises(ValueError, match="integer horizon"):
+        recurrent_projection(channel, horizon=horizon)
+
+
+@pytest.mark.parametrize("name,model,horizon", TRANSIENT, ids=[m[0] for m in TRANSIENT])
+class TestTransientCorner:
+    def test_rejects_a_projection_that_is_not_subharmonic(self, name, model, horizon):
+        report = recurrent_projection(model, horizon=horizon)
+        with pytest.raises(InternalError, match="sub-harmonic"):
+            _transient_corner(Dynamics(model), report.recurrent.complement(), DEFAULT_TOL)
+
+    def test_corner_is_the_compressed_real_form(self, name, model, horizon):
+        dyn = Dynamics(model)
+        recurrent = recurrent_projection(dyn, horizon=horizon).recurrent
+        w, r_q = _transient_corner(dyn, recurrent, DEFAULT_TOL)
+        m = w.shape[1]
+        assert m == model.dim - recurrent.rank
+        assert r_q.shape == (m * m, m * m)
+        p = _block_frame(w)
+        # R^T maps the corner into itself, so R^T P = P R_q^T
+        scale = max(1.0, opnorm(dyn.schrodinger))
+        assert opnorm(dyn.schrodinger.T @ p - p @ r_q.T) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (3, 1), (3, 2), (5, 3), (4, 4)])
+def test_block_frame_equals_dense_product(d, m, rng):
+    w = haar_unitary(d, rng)[:, :m]
+    dense = _dense_frame(d).conj().T @ _kron(w.conj(), w) @ _dense_frame(m)
+    p = _block_frame(w)
+    assert p.dtype == float and p.shape == (d * d, m * m)
+    assert np.max(np.abs(p - dense.real)) <= 1e-14
+    assert np.max(np.abs(dense.imag)) <= 1e-14
+    assert opnorm(p.T @ p - np.eye(m * m)) <= 1e-14
