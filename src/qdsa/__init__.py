@@ -30,7 +30,6 @@ from .linalg import (
     ToleranceConfig,
     as_complex_matrix,
     hermitian_eig,
-    hermitian_matrix_exp,
     is_psd,
     matrix_exp,
     opnorm,
@@ -54,7 +53,6 @@ from .channels import (
     apply_heisenberg,
     apply_schrodinger,
     check_structure,
-    compose_channels,
     evolve,
     generator_to_channel,
     lindblad_apply,

@@ -224,15 +224,19 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         "faithful-implies-full-recurrent",
         float(model.dim - r_min.rank) if report.faithful_family else 0.0, 0.5))
 
-    subharm = 0.0
-    minimal_defect = 0.0
-    # each enclosure's sub-harmonic residual and the stationary dimension and
-    # support rank of the state that certified it, as minimal_enclosures found them
-    certified = zip(decomposition.minimal_projections, decomposition.subharmonic_residuals,
-                    decomposition.certificates, decomposition.certificate_ranks)
-    for p, residual, (sdim, _), supp_rank in certified:
-        subharm = max(subharm, residual)
-        minimal_defect = max(minimal_defect, float(abs(sdim - 1) + (p.rank - supp_rank)))
+    subharm = max(decomposition.subharmonic_residuals, default=0.0)
+    projections = decomposition.minimal_projections
+    if decomposition.is_unique:
+        # an abelian fixed algebra of dimension k has exactly k minimal
+        # projections, so a merged or a missing block shows here
+        minimal_defect = float(abs(len(projections) - decomposition.fixed_algebra_dim))
+    else:
+        # the stationary dimension and support rank of the state that
+        # certified each enclosure, as minimal_enclosures found them
+        certified = zip(projections, decomposition.certificates,
+                        decomposition.certificate_ranks)
+        minimal_defect = max((float(abs(sdim - 1) + (p.rank - supp_rank))
+                              for p, (sdim, _), supp_rank in certified), default=0.0)
     checks.append(CheckResult("enclosures-orthogonal", decomposition.max_overlap,
                               10 * tol.atol))
     checks.append(CheckResult("enclosures-subharmonic", subharm, 10 * tol.atol))

@@ -4,21 +4,30 @@ Every superoperator here is real: the maps preserve Hermiticity, so in the
 Hermitian frame of :mod:`qdsa.channels` the Schrodinger matrix ``R`` is
 real and the Heisenberg one is its transpose.  The analysis pipeline is:
 
-1. One real SVD of the fixed-point matrix (``R``, or ``R - 1`` for a
-   channel) gives the stationary space as its right kernel (the kernel
-   columns are already an orthonormal Hermitian basis), the Heisenberg
-   fixed points as its left kernel, and the range.  A maximal-support
-   stationary state is the exact time-average limit of the maximally mixed
-   state, i.e. the component of ``1/d`` in the kernel along the range.  In
-   finite dimension the peripheral spectrum of a CP trace-preserving
-   semigroup is semisimple, so that component is precisely the long-time
-   Cesaro limit.
+1. The recurrent block is guessed before any SVD: the support of
+   ``(s (s - F)^-1)^3 (1/d)`` for the fixed-point matrix ``F`` (``R``, or
+   ``R - 1`` for a channel) and a small shift ``s``, from one LU.  A guess
+   ``r`` below 1 is certified exactly, with no horizon: ``r`` is
+   sub-harmonic, its compressed model has a faithful stationary state, and
+   the fixed-point matrix of the transient corner ``1 - r`` is nonsingular.
+   Every stationary state lives under the recurrent block, so the
+   stationary space is then that of the compressed model, embedded.  Any
+   other outcome is the block ``r = 1``, i.e. the whole model.  One real
+   SVD of the block's fixed-point matrix gives the stationary space as its
+   right kernel (the kernel columns are already an orthonormal Hermitian
+   basis) and the Heisenberg fixed points as its left kernel.  A
+   maximal-support stationary state is the exact time-average limit of the
+   maximally mixed state: its oblique projection onto the kernel along the
+   range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
+   spectrum of a CP trace-preserving semigroup is semisimple, so that
+   component is precisely the long-time Cesaro limit.
 
 2. The supremum of the supports of the stationary states gives the maximal
    recurrent block ``r``.  Every block the refinement visits is
    sub-harmonic, so the dynamics compressed to it is again a model:
    ``(W^dag H W, {W^dag L_i W})`` or ``{W^dag V_i W}`` for the block
-   isometry ``W``; when ``r`` is the whole space the model itself.  The
+   isometry ``W``; when ``r`` is the whole space the model itself, and when
+   it is the certified guess the corner built in step 1.  The
    Heisenberg fixed points of the compressed model form a *-algebra (it
    has a faithful stationary state); splitting along the spectral
    projections of a generic Hermitian fixed element and recursing yields an
@@ -49,10 +58,10 @@ the horizon read as an iteration count.
 Every public function accepts either a bare model or a :class:`Dynamics`.
 A ``Dynamics`` wraps one model for the length of one top-level call and
 computes each derived object at most once: the real Schrodinger matrix, its
-kernel/range split, the stationary space and its support (per tolerance),
-and the real propagator ``alpha_T`` (per horizon).  No Heisenberg
-superoperator is ever built.  A ``Dynamics`` is dropped with the call;
-nothing is cached on the model or globally.
+kernel split, the certified guess of the recurrent block, the stationary
+space and its support (per tolerance), and the real propagator ``alpha_T``
+(per horizon).  No Heisenberg superoperator is ever built.  A ``Dynamics``
+is dropped with the call; nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
@@ -90,6 +99,7 @@ from .linalg import (
     Projection,
     ToleranceConfig,
     _decisive,
+    _fix_phases,
     _tol,
     as_complex_matrix,
     hermitian_part,
@@ -143,8 +153,8 @@ def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarra
 
 
 def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
-    """Orthonormal bases of the numerical kernel, range and left kernel of
-    the fixed-point matrix ``m``, from one SVD.
+    """Orthonormal bases of the numerical kernel and the left kernel of the
+    fixed-point matrix ``m``, from one SVD.
 
     For the real Schrodinger form the kernel holds the stationary states
     and the left kernel the Heisenberg fixed points.  The kernel of a
@@ -160,34 +170,38 @@ def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
         raise InternalError(
             f"numerical fixed-point kernel is empty (smallest singular value "
             f"{s[-1]:.3e}, cutoff {cutoff:.3e})")
-    kernel = vh[null_mask].conj().T
-    range_ = u[:, ~null_mask]
-    return kernel, range_, u[:, null_mask]
+    return vh[null_mask].conj().T, u[:, null_mask]
 
 
-def _kernel_component(kernel: np.ndarray, range_: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Component of ``v`` in span(kernel) along span(range_).
+def _kernel_component(kernel: np.ndarray, left: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component of ``v`` in span(kernel) along the range: the oblique
+    projection ``K (L^T K)^-1 L^T v``.
 
-    With ``kernel, range_`` from :func:`_split_kernel_range` of a
-    fixed-point matrix whose zero (or peripheral unit) eigenvalue is
-    semisimple, the two subspaces are complementary and this component is
-    the exact infinite Cesaro limit of the flow applied to ``v``.
+    With ``kernel, left`` from :func:`_split_kernel_range` of a fixed-point
+    matrix whose zero (or peripheral unit) eigenvalue is semisimple, the
+    range is the annihilator of the left kernel, ``L^T K`` is invertible and
+    this component is the exact infinite Cesaro limit of the flow applied to
+    ``v``.  A singular ``L^T K`` (a defective zero eigenvalue) is an
+    InternalError.
     """
-    basis = np.hstack([kernel, range_])
-    if basis.shape[0] != basis.shape[1]:
-        raise InternalError("kernel and range do not decompose the space")
-    coeff = np.linalg.solve(basis, v)
-    return kernel @ coeff[:kernel.shape[1]]
+    try:
+        coeff = np.linalg.solve(left.T @ kernel, left.T @ v)
+    except np.linalg.LinAlgError as exc:
+        raise InternalError("left and right fixed-point kernels are not "
+                            "complementary (defective zero eigenvalue)") from exc
+    return kernel @ coeff
 
 
 @dataclass(frozen=True)
 class StationarySpace:
     """Hermitian basis and generating states of the fixed-point space.
 
-    ``states[0]`` is the time-average limit of the maximally mixed state
-    and has maximal support among all stationary states; the remaining
-    states perturb it along each basis direction so that support
-    computations do not depend on a single null-space vector.
+    ``states[0]`` has maximal support among all stationary states: it is
+    the time-average limit of the maximally mixed state or, when
+    :meth:`Dynamics.guess` certified the recurrent block, that of the
+    block's maximally mixed state under the compressed dynamics, embedded.
+    The remaining states perturb it along each basis direction so that
+    support computations do not depend on a single null-space vector.
     """
 
     basis: tuple
@@ -199,24 +213,30 @@ class Dynamics:
     """One model and the objects derived from it, each built on first use.
 
     Holds the real form of the Schrodinger superoperator in the Hermitian
-    frame, its kernel/range split, the stationary space and the stationary
+    frame, its kernel split, the certified guess of the recurrent block
+    (:func:`_certified_guess`), the stationary space and the stationary
     support for each tolerance, and the real Heisenberg propagator for each
     horizon asked for (the Heisenberg form is the transpose of the
-    Schrodinger one, so no Heisenberg superoperator is built).  Build one
-    per top-level call and pass it to the functions of this module in place
-    of the model; it is dropped when the call returns, so the memory it
-    holds never outlives the analysis.  The corners of :func:`minimal_enclosures` are
-    ``Dynamics`` of compressed models.
+    Schrodinger one, so no Heisenberg superoperator is built).  When the
+    guess is certified, the stationary space is that of the guessed block's
+    corner and the kernel split of the whole model is never formed.  Build
+    one per top-level call and pass it to the functions of this module in
+    place of the model; it is dropped when the call returns, so the memory
+    it holds never outlives the analysis.  The corners of
+    :func:`minimal_enclosures` are ``Dynamics`` of compressed models.
     """
 
     def __init__(self, model):
         self.discrete = _is_discrete(model)
         self.model = model
         self.dim = model.dim
-        self._flows = {}
-        self._splits = {}
-        self._spaces = {}
-        self._supports = {}
+        self._cache = {}
+
+    def _cached(self, key, build):
+        """``build()``, computed on the first call for ``key`` only."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @cached_property
     def schrodinger(self) -> np.ndarray:
@@ -225,28 +245,43 @@ class Dynamics:
 
     def flow(self, horizon: float) -> Superoperator:
         """The Heisenberg propagator ``alpha_T`` at ``horizon``."""
-        if horizon not in self._flows:
-            real = _propagate(self.schrodinger.T, horizon, self.discrete)
-            self._flows[horizon] = Superoperator.from_real(real, HEISENBERG)
-        return self._flows[horizon]
+        return self._cached(("flow", horizon), lambda: Superoperator.from_real(
+            _propagate(self.schrodinger.T, horizon, self.discrete), HEISENBERG))
 
     def split(self, tol: ToleranceConfig):
-        """Kernel, range and left kernel of the fixed-point matrix."""
-        if tol not in self._splits:
-            m = _fixed_point_matrix(self.schrodinger, self.discrete)
-            self._splits[tol] = _split_kernel_range(m, tol)
-        return self._splits[tol]
+        """Kernel and left kernel of the fixed-point matrix."""
+        return self._cached(("split", tol), lambda: _split_kernel_range(
+            _fixed_point_matrix(self.schrodinger, self.discrete), tol))
+
+    def limit(self, tol: ToleranceConfig):
+        """Stationary dimension and the time-average limit of the maximally
+        mixed state (:func:`_mixed_limit`)."""
+        return self._cached(("limit", tol), lambda: _mixed_limit(self, tol))
+
+    def limit_support(self, tol: ToleranceConfig) -> Projection:
+        """Support of the state of :meth:`limit`."""
+        return self._cached(("limit_support", tol),
+                            lambda: support_projection(self.limit(tol)[1].matrix, tol))
+
+    def guess(self, tol: ToleranceConfig) -> "_Guess":
+        """The recurrent block guessed and certified by :func:`_certified_guess`."""
+        return self._cached(("guess", tol), lambda: _certified_guess(self, tol))
+
+    def block(self, tol: ToleranceConfig):
+        """Isometry onto the block certified by :meth:`guess` and the
+        block's dynamics: the identity and, through :func:`_corner`, this
+        ``Dynamics`` itself when no block is certified."""
+        guess = self.guess(tol)
+        w = guess.projection.range_basis
+        return w, guess.corner if guess.corner is not None else _corner(self, w, tol)
 
     def space(self, tol: ToleranceConfig) -> StationarySpace:
-        if tol not in self._spaces:
-            self._spaces[tol] = stationary_space(self, tol)
-        return self._spaces[tol]
+        return self._cached(("space", tol), lambda: stationary_space(self, tol))
 
     def support(self, tol: ToleranceConfig) -> Projection:
         """The stationary support :func:`stationary_support` of ``space(tol)``."""
-        if tol not in self._supports:
-            self._supports[tol] = stationary_support(self.space(tol), tol)
-        return self._supports[tol]
+        return self._cached(("support", tol),
+                            lambda: stationary_support(self.space(tol), tol))
 
 
 def _as_dynamics(obj) -> Dynamics:
@@ -266,36 +301,42 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
 def _mixed_limit(dyn: Dynamics, tol: ToleranceConfig):
     """Stationary dimension and the time-average limit of the maximally
     mixed state."""
-    kernel, range_, _ = dyn.split(tol)
+    kernel, left = dyn.split(tol)
     d = dyn.dim
     mixed = hermitian_coords(np.eye(d) / d)
     return kernel.shape[1], _as_state(
-        from_hermitian_coords(_kernel_component(kernel, range_, mixed), d), tol)
+        from_hermitian_coords(_kernel_component(kernel, left, mixed), d), tol)
 
 
 def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) -> DensityMatrix:
     """Exact long-time Cesaro limit of a state under the predual flow."""
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
-    kernel, range_, _ = dyn.split(tol)
-    limit = _kernel_component(kernel, range_, hermitian_coords(rho.matrix))
+    kernel, left = dyn.split(tol)
+    limit = _kernel_component(kernel, left, hermitian_coords(rho.matrix))
     return _as_state(from_hermitian_coords(limit, rho.dim), tol)
 
 
 def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace:
     """Fixed-point space of the predual flow with generating states.
 
+    Every stationary state is supported under the recurrent block, so when
+    :meth:`Dynamics.guess` certifies a block ``r`` with isometry ``W`` the
+    space is that of the compressed ``r``-model embedded by ``W . W^dag``,
+    and ``states[0]`` is the embedded time-average limit of the corner's
+    maximally mixed state.  Otherwise it comes from the kernel split of the
+    whole model.  Either way one split gives both the basis and that limit.
     An empty stationary space is impossible in finite dimension; if the
-    numerical null space comes out empty, InternalError is raised.  One
-    kernel/range split gives both the basis and the time-average limit of
-    the maximally mixed state.
+    numerical null space comes out empty, InternalError is raised.
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
-    d = dyn.dim
-    kernel = dyn.split(tol)[0]
-    basis = [from_hermitian_coords(x, d) for x in kernel.T]
-    _, omega = _mixed_limit(dyn, tol)
+    iso, corner = dyn.block(tol)
+    basis = [from_hermitian_coords(x, corner.dim) for x in corner.split(tol)[0].T]
+    _, omega = corner.limit(tol)
+    if corner is not dyn:
+        basis = [iso @ b @ iso.conj().T for b in basis]
+        omega = DensityMatrix(iso @ omega.matrix @ iso.conj().T, tol)
 
     w = np.linalg.eigvalsh(omega.matrix)
     lam_max = float(w[-1])
@@ -349,10 +390,124 @@ def _corner(dyn: Dynamics, w: np.ndarray, tol: ToleranceConfig) -> Dynamics:
     return Dynamics(_compress(dyn.model, w, tol))
 
 
+def _corner_matrix(dyn: Dynamics, w: np.ndarray) -> np.ndarray:
+    """The real Schrodinger matrix ``P^T R P`` of the block spanned by the
+    isometry ``w``, ``P`` its block frame."""
+    p = _block_frame(w)
+    return p.T @ dyn.schrodinger @ p
+
+
+# The resolvent guess uses the shift s = _GUESS_SHIFT * |F|_1.  Its
+# normalized eigenvalues are cut at sqrt(_GUESS_SHIFT), with the decisive
+# band of :func:`~qdsa.linalg._decisive` above the cut.
+_GUESS_SHIFT = 1e-6
+
+
+class _Guess(NamedTuple):
+    """Outcome of :meth:`Dynamics.guess`.
+
+    ``projection`` is the certified recurrent block, or the identity when no
+    block was certified; ``corner`` is its compressed dynamics and
+    ``transient`` the isometry onto its complement with the real matrix of
+    that corner (both None for the identity, so that a ``Dynamics`` never
+    holds a reference to itself).  ``outcome`` is ``"certified"``,
+    ``"none"`` (no decisive guess, or ``F = 0``), ``"whole"`` (a guess of
+    1), or the certificate that failed: ``"not-subharmonic"`` (a),
+    ``"not-faithful"`` (b) or ``"no-decay"`` (c).
+    """
+
+    projection: Projection
+    corner: Dynamics | None
+    transient: tuple | None
+    outcome: str
+
+
+def _resolvent_guess(dyn: Dynamics) -> Projection | None:
+    """Support of ``rho = (s (s - F)^-1)^3 (1/d)``, ``F`` the real
+    fixed-point matrix and ``s = _GUESS_SHIFT |F|_1``: one LU, three solves.
+
+    The resolvent is trace preserving and keeps the stationary states, and
+    it damps a transient eigenvalue ``mu`` of ``F`` by ``(s/|mu|)^3``, so
+    ``rho`` is close to the time-average limit of ``1/d``, whose support is
+    the recurrent block.  Eigenvalues of ``rho / lambda_max`` above
+    ``sqrt(_GUESS_SHIFT)`` are kept; any eigenvalue inside the decisive band
+    makes the guess indecisive.  Returns None when ``F = 0`` or the guess
+    is indecisive.
+    """
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    d = dyn.dim
+    a = -dyn.schrodinger  # -F, the one n x n copy
+    diagonal = slice(None, None, d * d + 1)
+    if dyn.discrete:
+        a.flat[diagonal] += 1.0
+    norm = float(np.abs(a).sum(axis=0).max())
+    if norm == 0.0:
+        return None
+    shift = _GUESS_SHIFT * norm
+    a.flat[diagonal] += shift
+    # factor (s - F)^T in place (its Fortran-ordered view) and solve transposed
+    lu, piv, info = dgetrf(a.T, overwrite_a=True)
+    if info != 0:
+        return None
+    x = hermitian_coords(np.eye(d) / d)
+    for _ in range(3):
+        x, info = dgetrs(lu, piv, x, trans=1)
+        x *= shift
+    # rho has unit trace (the resolvent preserves it), so lambda_max > 0
+    lam, vec = np.linalg.eigh(from_hermitian_coords(x, d))
+    ratios = lam / lam[-1]
+    cut = np.sqrt(_GUESS_SHIFT)
+    if not all(_decisive(float(t), cut) for t in ratios):
+        return None
+    return Projection.from_range_basis(_fix_phases(vec[:, ratios > cut]), d)
+
+
+def _certified_guess(dyn: Dynamics, tol: ToleranceConfig) -> _Guess:
+    """Guess the recurrent block ``r_o`` with :func:`_resolvent_guess` and
+    certify it, with no SVD of the whole fixed-point matrix.
+
+    A guess ``r`` below 1 is ``r_o`` exactly when
+    (a) it is sub-harmonic (residual at most ``atol``);
+    (b) its compressed model has a faithful stationary state, which is then
+        stationary for the whole model, so ``r <= r_o``;
+    (c) the fixed-point matrix of the transient corner ``q = 1 - r`` has no
+        numerical kernel (smallest singular value at least ten times the
+        kernel cutoff ``max(rank_rtol sigma_max, atol)``).  The spectral
+        bound of the positive semigroup on ``qMq`` is an eigenvalue, so then
+        ``alpha_t(q) -> 0`` and ``alpha_t(r) -> 1``; ``r_o`` is the smallest
+        projection with that property, so ``r >= r_o``.
+    (c) needs no horizon.  Any other outcome is the identity block, whose
+    corner is ``dyn`` itself (:meth:`Dynamics.block`): the stationary space
+    then comes from the whole model's split.  Nothing built for a rejected
+    guess is kept.
+    """
+    guess = _resolvent_guess(dyn)
+
+    def whole(outcome: str) -> _Guess:
+        return _Guess(Projection.identity(dyn.dim), None, None, outcome)
+
+    if guess is None:
+        return whole("none")
+    if guess.rank == dyn.dim:
+        return whole("whole")
+    if not subharmonic_residual(dyn.model, guess) <= tol.atol:
+        return whole("not-subharmonic")
+    corner = _corner(dyn, guess.range_basis, tol)
+    if corner.limit_support(tol).rank < guess.rank:
+        return whole("not-faithful")
+    w = guess.complement().range_basis
+    r_q = _corner_matrix(dyn, w)
+    sv = np.linalg.svd(_fixed_point_matrix(r_q, dyn.discrete), compute_uv=False)
+    if not sv[-1] >= 10 * max(tol.rank_rtol * sv[0], tol.atol):
+        return whole("no-decay")
+    return _Guess(guess, corner, (w, r_q), "certified")
+
+
 def _fixed_basis(dyn: Dynamics, tol: ToleranceConfig) -> list:
     """Orthonormal Hermitian basis of the Heisenberg fixed points: the
     left kernel of the split, since the Heisenberg form is the transpose."""
-    return [from_hermitian_coords(x, dyn.dim) for x in dyn.split(tol)[2].T]
+    return [from_hermitian_coords(x, dyn.dim) for x in dyn.split(tol)[1].T]
 
 
 def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = None):
@@ -364,7 +519,7 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     tol = _tol(tol)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
-    return _mixed_limit(_corner(_as_dynamics(obj), p.range_basis, tol), tol)
+    return _corner(_as_dynamics(obj), p.range_basis, tol).limit(tol)
 
 
 def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
@@ -434,8 +589,11 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
     r = dyn.support(tol)
-    top = np.eye(dyn.dim, dtype=complex) if r.rank == dyn.dim else r.range_basis
-    top_corner = _corner(dyn, top, tol)
+    top, top_corner = dyn.block(tol)
+    if r.rank != top.shape[1]:
+        # no certified block, and the stationary support is not the identity
+        top = r.range_basis
+        top_corner = _corner(dyn, top, tol)
 
     top_fixed = _fixed_basis(top_corner, tol)
     fixed_algebra_dim = len(top_fixed)
@@ -455,8 +613,8 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             corner = _corner(dyn, w, tol)
         fixed = _fixed_basis(corner, tol)
         if len(fixed) <= 1:
-            sdim, state = _mixed_limit(corner, tol)
-            supp = support_projection(state.matrix, tol)
+            sdim, state = corner.limit(tol)
+            supp = corner.limit_support(tol)
             if sdim == 1 and supp.rank == k:
                 final.append((Projection.from_range_basis(w), (sdim, state), supp.rank))
             elif supp.rank < k:
@@ -548,8 +706,7 @@ def _transient_corner(dyn: Dynamics, recurrent: Projection, tol: ToleranceConfig
         raise InternalError(
             f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
     w = recurrent.complement().range_basis
-    p = _block_frame(w)
-    return w, p.T @ dyn.schrodinger @ p
+    return w, _corner_matrix(dyn, w)
 
 
 def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
@@ -571,7 +728,11 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     d = dyn.dim
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
-        w, r_q = _transient_corner(dyn, r_min, tol)
+        guess = dyn.guess(tol)
+        if guess.transient is not None and projections_equal(r_min, guess.projection, tol):
+            w, r_q = guess.transient  # certified: sub-harmonic, corner built
+        else:
+            w, r_q = _transient_corner(dyn, r_min, tol)
         m = w.shape[1]
         x = _propagate(r_q.T, horizon, dyn.discrete) @ hermitian_coords(np.eye(m))
         transient = w @ from_hermitian_coords(x, m) @ w.conj().T

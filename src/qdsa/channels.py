@@ -68,7 +68,6 @@ __all__ = [
     "to_superoperator",
     "evolve",
     "propagator",
-    "compose_channels",
     "generator_to_channel",
     "stinespring_dilate",
     "check_structure",
@@ -509,15 +508,6 @@ def propagator(obj, t: float, picture: str = HEISENBERG) -> Superoperator:
         r = real_form(_channel_superop_matrix(obj, picture))
         return Superoperator.from_real(_propagate(r, t, discrete=True), picture)
     raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
-
-
-def compose_channels(first: QuantumChannel, second: QuantumChannel,
-                     tol: ToleranceConfig | None = None) -> QuantumChannel:
-    """Composition ``rho -> second(first(rho))`` with Kraus family of products."""
-    if first.dim != second.dim:
-        raise DimMismatch("cannot compose channels of different dimensions")
-    ops = [w @ v for w in second.kraus_ops for v in first.kraus_ops]
-    return QuantumChannel(ops, tol)
 
 
 def generator_to_channel(gen: LindbladGenerator, t: float,

@@ -32,9 +32,7 @@ __all__ = [
     "hermitian_part",
     "hermitian_eig",
     "matrix_exp",
-    "hermitian_matrix_exp",
     "is_psd",
-    "min_eigenvalue",
     "order_leq",
     "support_projection",
     "proj_infimum",
@@ -186,27 +184,12 @@ def matrix_exp(a) -> np.ndarray:
     return e
 
 
-def hermitian_matrix_exp(a, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix through its spectral form.
-
-    Used as an independent cross-check of :func:`matrix_exp`.
-    """
-    w, v = hermitian_eig(a, tol)
-    return (v * np.exp(w)) @ v.conj().T
-
-
-def min_eigenvalue(a, tol: ToleranceConfig | None = None) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    tol = _tol(tol)
-    m = as_complex_matrix(a)
-    _check_hermitian(m, tol)
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def is_psd(a, tol: ToleranceConfig | None = None) -> bool:
     """True when the Hermitian matrix ``a`` has min eigenvalue >= -psd_tol."""
     tol = _tol(tol)
-    return min_eigenvalue(a, tol) >= -tol.psd_tol
+    m = as_complex_matrix(a)
+    _check_hermitian(m, tol)
+    return float(np.linalg.eigvalsh(m)[0]) >= -tol.psd_tol
 
 
 def order_leq(a, b, tol: ToleranceConfig | None = None) -> bool:

@@ -303,10 +303,10 @@ def _check_monotone_orbit(rng, trials, dims, tol):
 def _cesaro_projected_fixed_point(ch, rng, tol):
     """PSD Heisenberg fixed point: time-average projection of a random PSD element."""
     m = _fixed_point_matrix(real_form(to_superoperator(ch, HEISENBERG).matrix), discrete=True)
-    kernel, range_, _ = _split_kernel_range(m, tol)
+    kernel, left = _split_kernel_range(m, tol)
     g = rng.standard_normal((ch.dim, ch.dim)) + 1j * rng.standard_normal((ch.dim, ch.dim))
     a = g @ g.conj().T
-    x = from_hermitian_coords(_kernel_component(kernel, range_, hermitian_coords(a)), ch.dim)
+    x = from_hermitian_coords(_kernel_component(kernel, left, hermitian_coords(a)), ch.dim)
     w, v = np.linalg.eigh(x)
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 

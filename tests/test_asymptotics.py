@@ -4,6 +4,10 @@ from numpy.testing import assert_allclose
 
 from conftest import ket_bra
 from qdsa.asymptotics import (
+    Dynamics,
+    _fixed_point_matrix,
+    _kernel_component,
+    _split_kernel_range,
     asymptotic_equivalence_check,
     cesaro_limit,
     cesaro_mean,
@@ -21,7 +25,9 @@ from qdsa.channels import (
     propagator,
 )
 from qdsa.harmonic import is_subharmonic
+from qdsa.errors import InternalError
 from qdsa.linalg import (
+    DEFAULT_TOL,
     Projection,
     hermitian_part,
     opnorm,
@@ -331,6 +337,29 @@ class TestCesaro:
             cesaro_mean(ad, rho, -1.0)
         with pytest.raises(ValueError):
             cesaro_mean(ad, rho, 1.0, grid_steps=1)
+
+
+class TestObliqueComponent:
+    """``K (L^T K)^-1 L^T v`` against the ``[kernel, range]`` solve it replaced."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_matches_kernel_range_solve(self, name, rng):
+        dyn = Dynamics(build_fixture(name))
+        m = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
+        kernel, left = _split_kernel_range(m, DEFAULT_TOL)
+        u, sv, _ = np.linalg.svd(m)
+        range_ = u[:, sv > max(DEFAULT_TOL.rank_rtol * sv[0], DEFAULT_TOL.atol)]
+        basis = np.hstack([kernel, range_])
+        for _ in range(3):
+            v = rng.standard_normal(m.shape[0])
+            old = kernel @ np.linalg.solve(basis, v)[:kernel.shape[1]]
+            assert np.linalg.norm(_kernel_component(kernel, left, v) - old) <= 1e-12
+
+    def test_defective_zero_eigenvalue_is_internal_error(self):
+        # a nilpotent block: the kernel e_0 and left kernel e_1 are orthogonal
+        kernel, left = _split_kernel_range(np.array([[0.0, 1.0], [0.0, 0.0]]), DEFAULT_TOL)
+        with pytest.raises(InternalError, match="defective"):
+            _kernel_component(kernel, left, np.ones(2))
 
 
 class TestMinimalityCertificate:

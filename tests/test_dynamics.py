@@ -1,11 +1,13 @@
 """One ``Dynamics`` per analysis: shared derived objects and their contract."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdsa.analyze
 import qdsa.asymptotics
 import qdsa.channels
 from conftest import run_cli
@@ -179,6 +181,38 @@ def test_fixture_report_matches_golden(name):
     diffs = []
     _compare(json.loads(report.to_json()), golden, name, diffs)
     assert not diffs, diffs
+
+
+class TestEnclosuresMinimalCheck:
+    """With an abelian fixed algebra of dimension k the check counts the
+    enclosures against k, so a merged block fails it."""
+
+    @pytest.mark.parametrize("name", ["AD", "ADK", "M3", "TH"])
+    def test_unique_fixtures_pass(self, name):
+        report = run_analyze(model_spec_from_fixture(name), AnalysisOptions(seed=GOLDEN_SEED))
+        check = next(c for c in report.checks if c.name == "enclosures-minimal")
+        assert report.is_unique
+        assert check.residual == 0.0 and check.tolerance == 0.5
+
+    def test_merged_enclosures_fail(self, monkeypatch):
+        original = qdsa.analyze.recurrent_projection
+
+        def merged(*args, **kwargs):
+            report = original(*args, **kwargs)
+            enclosures = report.enclosures
+            whole = (report.recurrent,)
+            return dataclasses.replace(report, enclosures=dataclasses.replace(
+                enclosures, minimal_projections=whole,
+                certificates=enclosures.certificates[:1],
+                certificate_ranks=(report.recurrent.rank,),
+                subharmonic_residuals=enclosures.subharmonic_residuals[:1]))
+
+        monkeypatch.setattr(qdsa.analyze, "recurrent_projection", merged)
+        report = run_analyze(model_spec_from_fixture("M3"), AnalysisOptions(seed=GOLDEN_SEED))
+        check = next(c for c in report.checks if c.name == "enclosures-minimal")
+        assert report.fixed_algebra_dim == 2
+        assert check.residual == 1.0
+        assert not check.passed
 
 
 class TestStiffModel:

@@ -7,7 +7,6 @@ from qdsa.linalg import (
     Projection,
     ToleranceConfig,
     hermitian_eig,
-    hermitian_matrix_exp,
     is_psd,
     matrix_exp,
     opnorm,
@@ -88,9 +87,11 @@ class TestMatrixExp:
             assert opnorm(matrix_exp(a) - series) <= 1e-12 * max(1.0, opnorm(series))
 
     def test_hermitian_spectral_cross_check(self, rng):
+        # independent oracle: the exponential through the spectral form
         for _ in range(10):
             h = random_hermitian(4, rng)
-            assert opnorm(matrix_exp(h) - hermitian_matrix_exp(h)) <= 1e-11
+            w, v = hermitian_eig(h)
+            assert opnorm(matrix_exp(h) - (v * np.exp(w)) @ v.conj().T) <= 1e-11
 
     def test_real_input_stays_real(self):
         # arguments where a degree-13 Pade core would be used without the
