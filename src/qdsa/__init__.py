@@ -53,7 +53,6 @@ from .channels import (
     apply_heisenberg,
     apply_schrodinger,
     check_structure,
-    evolve,
     generator_to_channel,
     lindblad_apply,
     propagator,

@@ -55,13 +55,14 @@ recurrence checks use ``alpha_T`` on projections where monotone
 convergence is guaranteed.  Discrete channels reuse every operation with
 the horizon read as an iteration count.
 
-Every public function accepts either a bare model or a :class:`Dynamics`.
-A ``Dynamics`` wraps one model for the length of one top-level call and
-computes each derived object at most once: the real Schrodinger matrix, its
-kernel split, the certified guess of the recurrent block, the stationary
-space and its support (per tolerance), and the real propagator ``alpha_T``
-(per horizon).  No Heisenberg superoperator is ever built.  A ``Dynamics``
-is dropped with the call; nothing is cached on the model or globally.
+Every public function accepts either a bare model or a :class:`Dynamics`.  A
+``Dynamics`` wraps one model for the length of one top-level call and
+computes each derived object at most once: the real Schrodinger matrix of
+:func:`to_superoperator`, its kernel split, the certified guess of the
+recurrent block, the stationary space and its support (per tolerance), and
+the real propagator ``alpha_T`` (per horizon) on its transpose.  No complex
+superoperator is ever formed.  A ``Dynamics`` is dropped with the call;
+nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from .channels import (
     _propagate,
     from_hermitian_coords,
     hermitian_coords,
-    real_form,
     to_superoperator,
 )
 from .errors import (
@@ -212,18 +212,18 @@ class StationarySpace:
 class Dynamics:
     """One model and the objects derived from it, each built on first use.
 
-    Holds the real form of the Schrodinger superoperator in the Hermitian
-    frame, its kernel split, the certified guess of the recurrent block
+    Holds the real Schrodinger form that :func:`to_superoperator` builds,
+    its kernel split, the certified guess of the recurrent block
     (:func:`_certified_guess`), the stationary space and the stationary
     support for each tolerance, and the real Heisenberg propagator for each
-    horizon asked for (the Heisenberg form is the transpose of the
-    Schrodinger one, so no Heisenberg superoperator is built).  When the
-    guess is certified, the stationary space is that of the guessed block's
-    corner and the kernel split of the whole model is never formed.  Build
-    one per top-level call and pass it to the functions of this module in
-    place of the model; it is dropped when the call returns, so the memory
-    it holds never outlives the analysis.  The corners of
-    :func:`minimal_enclosures` are ``Dynamics`` of compressed models.
+    horizon asked for, taken on the transpose (the Heisenberg form), so no
+    second superoperator is built.  When the guess is certified, the
+    stationary space is that of the guessed block's corner and the kernel
+    split of the whole model is never formed.  Build one per top-level call
+    and pass it to the functions of this module in place of the model; it is
+    dropped when the call returns, so the memory it holds never outlives the
+    analysis.  The corners of :func:`minimal_enclosures` are ``Dynamics`` of
+    compressed models.
     """
 
     def __init__(self, model):
@@ -241,11 +241,11 @@ class Dynamics:
     @cached_property
     def schrodinger(self) -> np.ndarray:
         """Real form of the Schrodinger superoperator."""
-        return real_form(to_superoperator(self.model, SCHRODINGER).matrix)
+        return to_superoperator(self.model, SCHRODINGER).real
 
     def flow(self, horizon: float) -> Superoperator:
         """The Heisenberg propagator ``alpha_T`` at ``horizon``."""
-        return self._cached(("flow", horizon), lambda: Superoperator.from_real(
+        return self._cached(("flow", horizon), lambda: Superoperator(
             _propagate(self.schrodinger.T, horizon, self.discrete), HEISENBERG))
 
     def split(self, tol: ToleranceConfig):

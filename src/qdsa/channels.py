@@ -23,8 +23,10 @@ frame vector at vec index ``n`` of the entry ``(j, k)`` is ``E_jj`` on the
 diagonal, the symmetric one above it and the antisymmetric one of the pair
 below it, so each column of ``Q`` has at most two nonzeros and
 :func:`real_form` ``Q^dag S Q`` is built in ``O(d^4)`` by index gathers.
-The real Heisenberg form is the transpose of the real Schrodinger form.
-Propagators are computed on the real form, which costs a quarter of the
+The real Heisenberg form is the transpose of the real Schrodinger form, so
+:func:`to_superoperator` assembles the Schrodinger matrix alone and reads
+the Heisenberg map off it.  A :class:`Superoperator` holds only its real
+form; propagators are computed on it, which costs a quarter of the
 floating-point work of the complex one.
 """
 
@@ -66,7 +68,6 @@ __all__ = [
     "apply_schrodinger",
     "lindblad_apply",
     "to_superoperator",
-    "evolve",
     "propagator",
     "generator_to_channel",
     "stinespring_dilate",
@@ -281,34 +282,23 @@ def _superoperator_dim(m: np.ndarray) -> int:
 
 
 class Superoperator:
-    """A ``d^2 x d^2`` matrix acting on vectorized operators, tagged by picture.
+    """A map on ``d x d`` matrices, tagged by picture.
 
-    ``matrix`` is the complex matrix on column-stacked operators.  A map
-    built by :meth:`from_real` also keeps ``real``, its real form in the
-    Hermitian frame; it acts through that, and ``matrix`` is formed from it
-    on first use.  ``real`` is None for a map given by a complex matrix.
+    ``real`` is its ``d^2 x d^2`` real form in the Hermitian frame, the one
+    representation it holds and acts through.  ``matrix``, the complex
+    matrix on column-stacked operators, is formed from ``real`` on first
+    use; the library itself never asks for it.
     """
 
-    def __init__(self, matrix, picture: str):
+    def __init__(self, real, picture: str):
         _check_picture(picture)
-        m = np.array(matrix, dtype=complex)
-        self.dim = _superoperator_dim(m)
-        m.flags.writeable = False
-        self.matrix = m
-        self.real = None
-        self.picture = picture
-
-    @classmethod
-    def from_real(cls, real, picture: str) -> "Superoperator":
-        """The map whose real form in the Hermitian frame is ``real``."""
-        _check_picture(picture)
+        if np.iscomplexobj(real):
+            raise TypeError("a Superoperator is built from its real form in the Hermitian frame")
         r = np.asarray(real, dtype=float)
-        op = cls.__new__(cls)
-        op.dim = _superoperator_dim(r)
+        self.dim = _superoperator_dim(r)
         r.flags.writeable = False
-        op.real = r
-        op.picture = picture
-        return op
+        self.real = r
+        self.picture = picture
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -321,8 +311,6 @@ class Superoperator:
         m = as_complex_matrix(a)
         if m.shape[0] != self.dim:
             raise DimMismatch("operand dimension does not match the superoperator")
-        if self.real is None:
-            return unvec(self.matrix @ vec(m), self.dim)
         x = _coords(m)
         if not x.imag.any():
             return from_hermitian_coords(self.real @ x.real, self.dim)
@@ -423,48 +411,39 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _channel_superop_matrix(ch: QuantumChannel, picture: str) -> np.ndarray:
-    d = ch.dim
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for v in ch.kraus_ops:
-        if picture == HEISENBERG:
-            s += _kron(v.T, v.conj().T)
-        else:
-            s += _kron(v.conj(), v)
-    return s
-
-
-def _generator_superop_matrix(gen: LindbladGenerator, picture: str) -> np.ndarray:
-    d = gen.dim
-    eye = np.eye(d)
-    h = gen.hamiltonian
-    if picture == HEISENBERG:
-        s = 1j * (_kron(eye, h) - _kron(h.T, eye))
-    else:
-        s = -1j * (_kron(eye, h) - _kron(h.T, eye))
-    for l in gen.lindblad_ops:
-        k = l.conj().T @ l
-        if picture == HEISENBERG:
-            s += _kron(l.T, l.conj().T)
-        else:
-            s += _kron(l.conj(), l)
-        s -= 0.5 * (_kron(eye, k) + _kron(k.T, eye))
-    return s
-
-
 def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
-    """Vectorized matrix form of a channel or generator in the given picture."""
+    """The map of a channel or generator in the given picture.
+
+    The Schrodinger matrix is summed from Kronecker products (one per Kraus
+    operator; the Hamiltonian, jump and anticommutator terms of a generator)
+    and put in the Hermitian frame by :func:`real_form`; the Heisenberg map
+    is its transpose.  This is the only place a superoperator is assembled.
+    """
     _check_picture(picture)
+    if not isinstance(obj, (QuantumChannel, LindbladGenerator)):
+        raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+    d = obj.dim
     if isinstance(obj, QuantumChannel):
-        return Superoperator(_channel_superop_matrix(obj, picture), picture)
-    if isinstance(obj, LindbladGenerator):
-        return Superoperator(_generator_superop_matrix(obj, picture), picture)
-    raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+        s = np.zeros((d * d, d * d), dtype=complex)
+        for v in obj.kraus_ops:
+            s += _kron(v.conj(), v)
+    else:
+        eye = np.eye(d)
+        h = obj.hamiltonian
+        s = -1j * (_kron(eye, h) - _kron(h.T, eye))
+        for l in obj.lindblad_ops:
+            k = l.conj().T @ l
+            s += _kron(l.conj(), l)
+            s -= 0.5 * (_kron(eye, k) + _kron(k.T, eye))
+    r = real_form(s)
+    return Superoperator(r.T if picture == HEISENBERG else r, picture)
 
 
 def _iteration_count(t: float) -> int:
     """The iteration count a discrete horizon ``t`` stands for; ``t`` must be
-    integral within 1e-9, else ValueError."""
+    finite and integral within 1e-9, else ValueError."""
+    if not np.isfinite(t):
+        raise ValueError(f"discrete channels need a finite horizon, got {t}")
     n = int(round(t))
     if abs(t - n) > 1e-9:
         raise ValueError(f"discrete channels need an integer horizon, got {t}")
@@ -483,31 +462,16 @@ def _propagate(r: np.ndarray, t: float, discrete: bool) -> np.ndarray:
     return matrix_exp(t * r)
 
 
-def evolve(gen: LindbladGenerator, t: float, picture: str = HEISENBERG) -> Superoperator:
-    """The semigroup element ``exp(t L)`` as a superoperator.
-
-    Time evolution always goes through the ``d^2 x d^2`` exponential, taken
-    on the real form; there are no step integrators and hence no step-size
-    decisions.
-    """
-    _check_picture(picture)
-    r = real_form(_generator_superop_matrix(gen, picture))
-    return Superoperator.from_real(_propagate(r, t, discrete=False), picture)
-
-
 def propagator(obj, t: float, picture: str = HEISENBERG) -> Superoperator:
     """Evolution to time ``t``: ``exp(t L)`` for generators, ``S^n`` for channels.
 
     Discrete channels take integer horizons (an iteration count); ``t`` must
-    then be integral within 1e-9.
+    then be integral within 1e-9.  The power or exponential is taken on the
+    real form; there are no step integrators and hence no step-size
+    decisions.
     """
-    _check_picture(picture)
-    if isinstance(obj, LindbladGenerator):
-        return evolve(obj, t, picture)
-    if isinstance(obj, QuantumChannel):
-        r = real_form(_channel_superop_matrix(obj, picture))
-        return Superoperator.from_real(_propagate(r, t, discrete=True), picture)
-    raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+    r = to_superoperator(obj, picture).real
+    return Superoperator(_propagate(r, t, isinstance(obj, QuantumChannel)), picture)
 
 
 def generator_to_channel(gen: LindbladGenerator, t: float,

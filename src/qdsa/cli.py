@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .analyze import AnalysisOptions, default_seed, run_analyze
@@ -104,8 +105,8 @@ def _emit(text: str, output):
 
 
 def _cmd_analyze(args) -> int:
-    if args.horizon is not None and args.horizon <= 0:
-        raise ValidationError(f"--horizon must be positive, got {args.horizon}")
+    if args.horizon is not None and not 0 < args.horizon < math.inf:
+        raise ValidationError(f"--horizon must be positive and finite, got {args.horizon}")
     spec = parse_model(args.model)
     options = AnalysisOptions(horizon=args.horizon,
                               tol=_tolerances_from_flag(args.tol),
@@ -151,8 +152,8 @@ def _cmd_evolve(args) -> int:
         raise ValidationError(f"bad --times value {args.times!r}") from exc
     if not times:
         raise ValidationError("--times must list at least one time")
-    if any(t < 0 for t in times):
-        raise ValidationError("times must be nonnegative")
+    if any(not 0 <= t < math.inf for t in times):
+        raise ValidationError(f"times must be nonnegative and finite, got {args.times!r}")
     states = []
     for t in times:
         if spec.is_channel and abs(t - round(t)) > 1e-9:

@@ -170,8 +170,8 @@ def _as_model_spec(data, where: str) -> ModelSpec:
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise ParseError(f"{where}: 'horizon' must be a number")
         horizon = float(raw)
-        if horizon <= 0:
-            raise ValidationError(f"{where}: 'horizon' must be positive, got {horizon}")
+        if not 0 < horizon < np.inf:
+            raise ValidationError(f"{where}: 'horizon' must be positive and finite, got {horizon}")
 
     spec = ModelSpec(dim, label, hamiltonian, lindblad_ops, kraus_ops, tolerances, horizon)
     spec.build()  # surface semantic problems (hermiticity, unitality) now

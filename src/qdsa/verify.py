@@ -15,9 +15,7 @@ import numpy as np
 from .asymptotics import (
     DEFAULT_DECAY_TOL,
     Dynamics,
-    _fixed_point_matrix,
     _kernel_component,
-    _split_kernel_range,
     decay_ideal_test,
     recurrent_projection,
 )
@@ -28,9 +26,7 @@ from .channels import (
     from_hermitian_coords,
     hermitian_coords,
     propagator,
-    real_form,
     stinespring_dilate,
-    to_superoperator,
 )
 from .errors import TheoremViolation, ValidationError
 from .harmonic import (
@@ -302,11 +298,11 @@ def _check_monotone_orbit(rng, trials, dims, tol):
 
 def _cesaro_projected_fixed_point(ch, rng, tol):
     """PSD Heisenberg fixed point: time-average projection of a random PSD element."""
-    m = _fixed_point_matrix(real_form(to_superoperator(ch, HEISENBERG).matrix), discrete=True)
-    kernel, left = _split_kernel_range(m, tol)
+    kernel, left = Dynamics(ch).split(tol)
     g = rng.standard_normal((ch.dim, ch.dim)) + 1j * rng.standard_normal((ch.dim, ch.dim))
     a = g @ g.conj().T
-    x = from_hermitian_coords(_kernel_component(kernel, left, hermitian_coords(a)), ch.dim)
+    # The Heisenberg fixed points are the left kernel of the Schrodinger split.
+    x = from_hermitian_coords(_kernel_component(left, kernel, hermitian_coords(a)), ch.dim)
     w, v = np.linalg.eigh(x)
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 

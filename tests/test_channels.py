@@ -9,10 +9,10 @@ from qdsa.channels import (
     DensityMatrix,
     LindbladGenerator,
     QuantumChannel,
+    Superoperator,
     apply_heisenberg,
     apply_schrodinger,
     check_structure,
-    evolve,
     generator_to_channel,
     lindblad_apply,
     propagator,
@@ -198,13 +198,21 @@ class TestSuperoperator:
         assert opnorm(squared - composed) <= 1e-10
 
 
+    def test_built_from_the_real_form_only(self, adk):
+        r = to_superoperator(adk, SCHRODINGER).real
+        with pytest.raises(TypeError):
+            Superoperator(r.astype(complex), SCHRODINGER)
+        assert np.array_equal(Superoperator(r, SCHRODINGER).matrix,
+                              to_superoperator(adk, SCHRODINGER).matrix)
+
+
 class TestEvolve:
     def test_half_life(self, ad):
-        s = evolve(ad, np.log(2.0), HEISENBERG)
+        s = propagator(ad, np.log(2.0), HEISENBERG)
         assert_allclose(s.apply(ket_bra(2, 1, 1)), 0.5 * ket_bra(2, 1, 1), atol=1e-12)
 
     def test_time_zero(self, m3):
-        s = evolve(m3, 0.0, SCHRODINGER)
+        s = propagator(m3, 0.0, SCHRODINGER)
         assert_allclose(s.matrix, np.eye(9), atol=1e-15)
 
     def test_m3_transient_closed_form(self, m3):
@@ -213,31 +221,36 @@ class TestEvolve:
         from qdsa.linalg import matrix_exp
 
         t = 1.0
-        s = evolve(m3, t, HEISENBERG)
+        s = propagator(m3, t, HEISENBERG)
         assert_allclose(s.apply(ket_bra(3, 2, 2)), np.exp(-2 * t) * ket_bra(3, 2, 2),
                         atol=1e-12)
         assert opnorm(s.matrix - matrix_exp(t * to_superoperator(m3, HEISENBERG).matrix)) <= 1e-12
 
     def test_negative_time_rejected(self, ad):
         with pytest.raises(NegativeTime):
-            evolve(ad, -0.1)
+            propagator(ad, -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_iteration_count_rejected(self, adk, t):
+        with pytest.raises(ValueError, match="finite"):
+            propagator(adk, t)
 
     def test_semigroup_law(self, m3, rng):
         for _ in range(5):
             s, t = rng.uniform(0, 1, size=2)
-            left = evolve(m3, s + t, HEISENBERG).matrix
-            right = evolve(m3, s, HEISENBERG).matrix @ evolve(m3, t, HEISENBERG).matrix
+            left = propagator(m3, s + t, HEISENBERG).matrix
+            right = propagator(m3, s, HEISENBERG).matrix @ propagator(m3, t, HEISENBERG).matrix
             assert opnorm(left - right) <= 1e-9
 
     def test_heisenberg_evolution_preserves_identity(self, m3, th):
         for gen in (m3, th):
             for t in (0.3, 2.0, 15.0):
-                out = evolve(gen, t, HEISENBERG).apply(np.eye(gen.dim))
+                out = propagator(gen, t, HEISENBERG).apply(np.eye(gen.dim))
                 assert opnorm(out - np.eye(gen.dim)) <= 1e-10
 
     def test_first_order_consistency(self, m3):
         t = 1e-4
-        s_t = evolve(m3, t, SCHRODINGER).matrix
+        s_t = propagator(m3, t, SCHRODINGER).matrix
         s_gen = to_superoperator(m3, SCHRODINGER).matrix
         assert opnorm((s_t - np.eye(9)) / t - s_gen) <= 1e-3
 

@@ -156,6 +156,33 @@ class TestEvolveCommand:
         assert "integer" in err
 
 
+@pytest.mark.parametrize("fixture", ["ADK", "AD"])
+class TestNonFiniteValues:
+    """A non-finite horizon or time is a validation error naming the flag,
+    on a channel (iteration counts) and on a generator alike."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_horizon_flag(self, tmp_path, fixture, value):
+        path = emit_fixture(tmp_path, fixture)
+        code, out, err = run_cli("analyze", "--model", str(path), "--horizon", value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "--horizon" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_evolve_times(self, tmp_path, fixture, value):
+        model = emit_fixture(tmp_path, fixture)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(
+            {"dim": 2, "matrix": matrix_to_json(np.diag([0.5, 0.5]))}),
+            encoding="utf-8")
+        code, out, err = run_cli("evolve", "--model", str(model),
+                                 "--state", str(state), "--times", f"1,{value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "times" in err
+        assert "Traceback" not in err
+
+
 class TestExamplesCommand:
     def test_list(self):
         code, out, _ = run_cli("examples", "list")

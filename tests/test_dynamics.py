@@ -95,6 +95,17 @@ class TestSharedObjects:
         report = run_analyze(spec, AnalysisOptions(seed=GOLDEN_SEED))
         assert [args[0].shape[0] for args in calls] == _propagator_sizes(report)
 
+    @pytest.mark.parametrize("name,model,horizon", _all_models(),
+                             ids=[name for name, _, _ in _all_models()])
+    def test_no_complex_superoperator(self, monkeypatch, name, model, horizon):
+        # the analysis works on real forms only; the complex view is for callers
+        def forbidden(r):
+            raise AssertionError(f"complex superoperator of size {r.shape[0]} formed")
+
+        monkeypatch.setattr(qdsa.channels, "_complex_form", forbidden)
+        report = run_analyze(model, AnalysisOptions(horizon=horizon, seed=GOLDEN_SEED))
+        assert report.dim == model.dim
+
     def test_stationary_space_computed_once(self, monkeypatch):
         calls = _counting(monkeypatch, qdsa.asymptotics, "stationary_space")
         run_analyze(model_spec_from_fixture("M3"), AnalysisOptions(seed=GOLDEN_SEED))

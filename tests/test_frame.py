@@ -29,6 +29,7 @@ from qdsa.channels import (
 from qdsa.linalg import DEFAULT_TOL, opnorm
 from qdsa.sampling import random_hermitian
 from test_dynamics import _all_models, _ladder_models
+from test_small_models import _reference_superop
 
 MODELS = _all_models()
 IDS = [name for name, _, _ in MODELS]
@@ -76,23 +77,23 @@ class TestFrame:
 
     @pytest.mark.parametrize("picture", [HEISENBERG, SCHRODINGER])
     def test_real_form_equals_dense_product(self, name, model, horizon, picture):
-        s = to_superoperator(model, picture).matrix
+        s = _reference_superop(model, picture)
         q = _dense_frame(model.dim)
         dense = q.conj().T @ s @ q
         scale = max(1.0, opnorm(s))
         assert np.max(np.abs(dense.imag)) <= 1e-13 * scale
         assert np.max(np.abs(real_form(s) - dense.real)) <= 1e-13 * scale
-        assert opnorm(Superoperator.from_real(real_form(s), picture).matrix - s) <= 1e-13 * scale
+        assert opnorm(Superoperator(real_form(s), picture).matrix - s) <= 1e-13 * scale
 
     def test_heisenberg_form_is_transpose(self, name, model, horizon):
-        r_h = real_form(to_superoperator(model, HEISENBERG).matrix)
-        r_s = real_form(to_superoperator(model, SCHRODINGER).matrix)
+        r_h = real_form(_reference_superop(model, HEISENBERG))
+        r_s = real_form(_reference_superop(model, SCHRODINGER))
         assert np.max(np.abs(r_h - r_s.T)) <= 1e-13 * max(1.0, opnorm(r_s))
 
     def test_propagator_matches_complex_exponential(self, name, model, horizon):
         # the complex superoperator power or exponential, as computed before
         # propagators moved to the real form
-        s = to_superoperator(model, HEISENBERG).matrix
+        s = _reference_superop(model, HEISENBERG)
         if hasattr(model, "kraus_ops"):
             ref = np.linalg.matrix_power(s, int(round(horizon)))
         else:
@@ -136,7 +137,7 @@ def _visited_blocks(monkeypatch, model):
 @pytest.mark.parametrize("name,model,horizon", MODELS, ids=IDS)
 class TestCompressedCorners:
     def test_model_matches_kronecker_embedding(self, monkeypatch, name, model, horizon):
-        s_full = to_superoperator(model, SCHRODINGER).matrix
+        s_full = _reference_superop(model, SCHRODINGER)
         scale = max(1.0, opnorm(s_full))
         for w in _visited_blocks(monkeypatch, model):
             old = _old_corner(s_full, w, discrete=False)
@@ -146,7 +147,7 @@ class TestCompressedCorners:
     def test_left_kernel_spans_heisenberg_corner_kernel(self, monkeypatch, name, model,
                                                         horizon):
         discrete = hasattr(model, "kraus_ops")
-        s_heis = to_superoperator(model, HEISENBERG).matrix
+        s_heis = _reference_superop(model, HEISENBERG)
         for w in _visited_blocks(monkeypatch, model):
             old = _old_split_kernel(_old_corner(s_heis, w, discrete))
             fixed = _fixed_basis(_corner(Dynamics(model), w, DEFAULT_TOL), DEFAULT_TOL)

@@ -106,6 +106,15 @@ class TestParseModel:
         with pytest.raises(ValidationError):
             parse_model(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_horizon(self, tmp_path, value):
+        # Python's json writes and reads NaN and Infinity
+        spec = model_spec_from_fixture("AD").to_json_dict()
+        spec["horizon"] = value
+        path = write_json(tmp_path, "hz.json", spec)
+        with pytest.raises(ValidationError, match="horizon"):
+            parse_model(path)
+
     def test_tolerance_overrides(self, tmp_path):
         spec = model_spec_from_fixture("AD").to_json_dict()
         spec["tolerances"] = {"atol": 1e-8}

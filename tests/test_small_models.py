@@ -17,8 +17,6 @@ from qdsa.channels import (
     HEISENBERG,
     SCHRODINGER,
     QuantumChannel,
-    _channel_superop_matrix,
-    _generator_superop_matrix,
     _kron,
     real_form,
     to_superoperator,
@@ -46,19 +44,16 @@ def _model_matrices(model):
 
 
 def _builder_operands(model):
-    """Every ``(a, b)`` pair the superoperator builders take a Kronecker
-    product of, in both pictures."""
+    """Every ``(a, b)`` pair the superoperator builder takes a Kronecker
+    product of (the Schrodinger terms)."""
     if isinstance(model, QuantumChannel):
-        pairs = []
-        for v in model.kraus_ops:
-            pairs += [(v.T, v.conj().T), (v.conj(), v)]
-        return pairs
+        return [(v.conj(), v) for v in model.kraus_ops]
     eye = np.eye(model.dim)
     h = model.hamiltonian
     pairs = [(eye, h), (h.T, eye)]
     for l in model.lindblad_ops:
         k = l.conj().T @ l
-        pairs += [(l.T, l.conj().T), (l.conj(), l), (eye, k), (k.T, eye)]
+        pairs += [(l.conj(), l), (eye, k), (k.T, eye)]
     return pairs
 
 
@@ -122,10 +117,10 @@ class TestKron:
             assert np.array_equal(got, want)
 
     def test_superoperators_unchanged(self, name, model, horizon):
-        build = (_channel_superop_matrix if isinstance(model, QuantumChannel)
-                 else _generator_superop_matrix)
-        for picture in (HEISENBERG, SCHRODINGER):
-            assert np.array_equal(build(model, picture), _reference_superop(model, picture))
+        schrodinger = to_superoperator(model, SCHRODINGER).real
+        want = real_form(_reference_superop(model, SCHRODINGER))
+        assert np.array_equal(schrodinger, want)
+        assert np.array_equal(to_superoperator(model, HEISENBERG).real, schrodinger.T)
 
 
 @pytest.mark.parametrize("name,model,horizon", MODELS, ids=IDS)
