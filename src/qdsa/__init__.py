@@ -82,7 +82,6 @@ from .asymptotics import (
     MinimalityReport,
     RecurrentReport,
     StationarySpace,
-    asymptotic_equivalence_check,
     cesaro_limit,
     cesaro_mean,
     decay_ideal_test,

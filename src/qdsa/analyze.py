@@ -10,8 +10,9 @@ stored as rank plus range basis and re-validate on load.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .asymptotics import (
     _matrix_unit_decay_tests,
     recurrent_projection,
 )
+from .channels import QuantumChannel, _iteration_count
 from .errors import ValidationError
 from .linalg import (
     Projection,
@@ -59,7 +61,6 @@ class AnalysisOptions:
     horizon: float | None = None
     tol: ToleranceConfig | None = None
     seed: int | None = None
-    decay_tol: float = DEFAULT_DECAY_TOL
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,10 @@ def _projection_from_json(data, dim: int) -> Projection:
     return Projection.from_matrix(p.matrix)  # re-validate on load
 
 
+# the report fields serialized by _projection_to_json
+_PROJECTIONS = ("recurrent", "stationary_support")
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     label: str
@@ -121,51 +126,26 @@ class AnalysisReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "kind": self.kind,
-            "horizon": self.horizon,
-            "stationary_dim": self.stationary_dim,
-            "enclosure_ranks": list(self.enclosure_ranks),
-            "is_unique": self.is_unique,
-            "fixed_algebra_dim": self.fixed_algebra_dim,
-            "recurrent": _projection_to_json(self.recurrent),
-            "stationary_support": _projection_to_json(self.stationary_support),
-            "sup_deviation": self.sup_deviation,
-            "transient_norm": self.transient_norm,
-            "decay_ideal_rank": self.decay_ideal_rank,
-            "faithful_family": self.faithful_family,
-            "supports_match": self.supports_match,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "passed": self.passed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["enclosure_ranks"] = list(self.enclosure_ranks)
+        for name in _PROJECTIONS:
+            out[name] = _projection_to_json(out[name])
+        out["checks"] = [c.to_json_dict() for c in self.checks]
+        out["passed"] = self.passed
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalysisReport":
-        dim = data["dim"]
-        return cls(
-            label=data["label"],
-            dim=dim,
-            kind=data["kind"],
-            horizon=data["horizon"],
-            stationary_dim=data["stationary_dim"],
-            enclosure_ranks=tuple(data["enclosure_ranks"]),
-            is_unique=data["is_unique"],
-            fixed_algebra_dim=data["fixed_algebra_dim"],
-            recurrent=_projection_from_json(data["recurrent"], dim),
-            stationary_support=_projection_from_json(data["stationary_support"], dim),
-            sup_deviation=data["sup_deviation"],
-            transient_norm=data["transient_norm"],
-            decay_ideal_rank=data["decay_ideal_rank"],
-            faithful_family=data["faithful_family"],
-            supports_match=data["supports_match"],
-            checks=tuple(CheckResult(c["name"], c["residual"], c["tolerance"])
-                         for c in data["checks"]),
-        )
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["enclosure_ranks"] = tuple(values["enclosure_ranks"])
+        for name in _PROJECTIONS:
+            values[name] = _projection_from_json(values[name], values["dim"])
+        values["checks"] = tuple(CheckResult(c["name"], c["residual"], c["tolerance"])
+                                 for c in values["checks"])
+        return cls(**values)
 
     def pretty(self) -> str:
         lines = [
@@ -195,19 +175,28 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     CLI maps an overall failure to a nonzero exit code.
     """
     options = options or AnalysisOptions()
+    horizon = options.horizon
     if isinstance(spec, ModelSpec):
         model = spec.build()
         label = spec.label
-        horizon = options.horizon or spec.horizon or DEFAULT_HORIZON
+        if horizon is None:
+            horizon = spec.horizon
         tol = options.tol or spec.tolerances
     else:
         model = spec
         label = type(spec).__name__
-        horizon = options.horizon or DEFAULT_HORIZON
         tol = options.tol
+    if horizon is None:
+        horizon = DEFAULT_HORIZON
+    try:
+        if not 0 < horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        if isinstance(model, QuantumChannel):
+            _iteration_count(horizon)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     tol = tol or ToleranceConfig()
     seed = options.seed if options.seed is not None else default_seed()
-    decay_tol = options.decay_tol
 
     dyn = Dynamics(model)
     report = recurrent_projection(dyn, horizon=horizon, tol=tol, seed=seed)
@@ -215,8 +204,8 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     r_min = report.recurrent
 
     checks = []
-    checks.append(CheckResult("recurrent-limit-identity", report.sup_deviation, decay_tol))
-    checks.append(CheckResult("transient-decay", report.transient_norm, decay_tol))
+    checks.append(CheckResult("recurrent-limit-identity", report.sup_deviation, DEFAULT_DECAY_TOL))
+    checks.append(CheckResult("transient-decay", report.transient_norm, DEFAULT_DECAY_TOL))
     checks.append(CheckResult(
         "supports-match",
         opnorm(r_min.matrix - report.stationary_support.matrix), 100 * tol.atol))
@@ -244,8 +233,8 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
 
     # each column result stands for the d matrix units E_ij of its column
     disagreements = model.dim * sum(
-        result.decisively_disagrees(tol.atol, decay_tol)
-        for result in _matrix_unit_decay_tests(dyn, r_min, horizon, tol, decay_tol))
+        result.decisively_disagrees(tol.atol, DEFAULT_DECAY_TOL)
+        for result in _matrix_unit_decay_tests(dyn, r_min, horizon, tol, DEFAULT_DECAY_TOL))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
     limit_support = support_projection(hermitian_part(report.limit_estimate), tol)
@@ -255,7 +244,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     return AnalysisReport(
         label=label,
         dim=model.dim,
-        kind="channel" if hasattr(model, "kraus_ops") else "generator",
+        kind="channel" if isinstance(model, QuantumChannel) else "generator",
         horizon=horizon,
         stationary_dim=dyn.space(tol).dim,
         enclosure_ranks=tuple(p.rank for p in decomposition.minimal_projections),

@@ -100,6 +100,7 @@ from .linalg import (
     ToleranceConfig,
     _decisive,
     _fix_phases,
+    _hermitian_spectrum,
     _tol,
     as_complex_matrix,
     hermitian_part,
@@ -128,7 +129,6 @@ __all__ = [
     "minimal_enclosures",
     "recurrent_projection",
     "decay_ideal_test",
-    "asymptotic_equivalence_check",
     "minimality_certificate",
     "restricted_stationary_dim",
 ]
@@ -163,8 +163,7 @@ def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
     therefore an InternalError.
     """
     u, s, vh = np.linalg.svd(m)
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = max(tol.rank_rtol * smax, tol.atol)
+    cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
     null_mask = s <= cutoff
     if not null_mask.any():
         raise InternalError(
@@ -339,9 +338,7 @@ def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace
         omega = DensityMatrix(iso @ omega.matrix @ iso.conj().T, tol)
 
     w = np.linalg.eigvalsh(omega.matrix)
-    lam_max = float(w[-1])
-    cutoff = max(tol.rank_rtol * lam_max, tol.atol)
-    lam_plus = float(np.min(w[w > cutoff]))
+    lam_plus = float(np.min(w[w > tol.cutoff(float(w[-1]))]))
 
     states = [omega]
     for b in basis:
@@ -473,7 +470,7 @@ def _certified_guess(dyn: Dynamics, tol: ToleranceConfig) -> _Guess:
         stationary for the whole model, so ``r <= r_o``;
     (c) the fixed-point matrix of the transient corner ``q = 1 - r`` has no
         numerical kernel (smallest singular value at least ten times the
-        kernel cutoff ``max(rank_rtol sigma_max, atol)``).  The spectral
+        kernel cutoff ``tol.cutoff(sigma_max)``).  The spectral
         bound of the positive semigroup on ``qMq`` is an eigenvalue, so then
         ``alpha_t(q) -> 0`` and ``alpha_t(r) -> 1``; ``r_o`` is the smallest
         projection with that property, so ``r >= r_o``.
@@ -499,7 +496,7 @@ def _certified_guess(dyn: Dynamics, tol: ToleranceConfig) -> _Guess:
     w = guess.complement().range_basis
     r_q = _corner_matrix(dyn, w)
     sv = np.linalg.svd(_fixed_point_matrix(r_q, dyn.discrete), compute_uv=False)
-    if not sv[-1] >= 10 * max(tol.rank_rtol * sv[0], tol.atol):
+    if not sv[-1] >= 10 * tol.cutoff(sv[0]):
         return whole("no-decay")
     return _Guess(guess, corner, (w, r_q), "certified")
 
@@ -817,25 +814,6 @@ def _matrix_unit_decay_tests(dyn: Dynamics, recurrent: Projection, horizon: floa
             for j in range(d)]
 
 
-def asymptotic_equivalence_check(obj, a, recurrent: Projection,
-                                 horizon: float = DEFAULT_HORIZON,
-                                 tol: ToleranceConfig | None = None) -> float:
-    """Distance ``|alpha_T(a) - alpha_T(r a r)|`` at the horizon.
-
-    The compression to the recurrent block is asymptotically equivalent to
-    the full observable; the returned distance decreases monotonically in
-    the horizon and must vanish in the limit.
-    """
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
-    am = as_complex_matrix(a)
-    if am.shape[0] != dyn.dim:
-        raise DimMismatch("operand dimension does not match the dynamics")
-    rm = recurrent.matrix
-    prop = dyn.flow(horizon)
-    return opnorm(prop.apply(am) - prop.apply(rm @ am @ rm))
-
-
 def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
                 grid_steps: int = 200, tol: ToleranceConfig | None = None) -> DensityMatrix:
     """Finite-horizon time average of the predual flow.
@@ -897,16 +875,15 @@ class MinimalityReport:
 def minimality_certificate(obj, recurrent: Projection,
                            decomposition: EnclosureDecomposition,
                            trials: int = 200, horizon: float = DEFAULT_HORIZON,
-                           tol: ToleranceConfig | None = None, seed: int = 11,
-                           limit_tol: float = DEFAULT_DECAY_TOL,
-                           gap_margin: float = 0.25) -> MinimalityReport:
+                           tol: ToleranceConfig | None = None,
+                           seed: int = 11) -> MinimalityReport:
     """Certify that no projection strictly below the recurrent one reaches 1.
 
     Part (a): for each minimal enclosure ``q``, exhibit an eigenvalue of
-    ``alpha_T(r - q)`` bounded away from one (so the limit cannot be the
-    identity).  Part (b): sweep random projections; any ``p`` with
-    ``|alpha_T(p) - 1| <= limit_tol`` must dominate the recurrent
-    projection, else TheoremViolation is raised.
+    ``alpha_T(r - q)`` bounded away from one, at most 0.75 (so the limit
+    cannot be the identity).  Part (b): sweep random projections; any ``p``
+    with ``|alpha_T(p) - 1| <= DEFAULT_DECAY_TOL`` must dominate the
+    recurrent projection, else TheoremViolation is raised.
 
     Smallness of ``|alpha_T(p) - 1|`` is never used to infer that ``p`` is
     sub-harmonic; the two notions are distinct and the sweep only checks
@@ -922,16 +899,16 @@ def minimality_certificate(obj, recurrent: Projection,
     gaps = []
     for q in decomposition.minimal_projections:
         rest = recurrent.matrix - q.matrix
-        w = np.linalg.eigvalsh(hermitian_part(prop.apply(rest)))
+        w = _hermitian_spectrum(prop.apply(rest))
         w.flags.writeable = False
-        gaps.append(EnclosureLimitGap(q, w, bool(w[0] <= 1.0 - gap_margin)))
+        gaps.append(EnclosureLimitGap(q, w, bool(w[0] <= 0.75)))
 
     near = 0
     for _ in range(trials):
         rank = int(rng.integers(1, d + 1))
         p = random_projection(d, rank, rng)
         deviation = opnorm(hermitian_part(prop.apply(p.matrix)) - eye)
-        if deviation <= limit_tol:
+        if deviation <= DEFAULT_DECAY_TOL:
             near += 1
             if not order_leq(recurrent.matrix, p.matrix, tol):
                 raise TheoremViolation(

@@ -294,7 +294,8 @@ class Superoperator:
         _check_picture(picture)
         if np.iscomplexobj(real):
             raise TypeError("a Superoperator is built from its real form in the Hermitian frame")
-        r = np.asarray(real, dtype=float)
+        # a frozen view, so that the caller's array stays writeable
+        r = np.asarray(real, dtype=float).view()
         self.dim = _superoperator_dim(r)
         r.flags.writeable = False
         self.real = r
@@ -357,28 +358,28 @@ def _check_dim(obj_dim: int, a: np.ndarray):
         raise DimMismatch(f"operand dimension {a.shape[0]} does not match {obj_dim}")
 
 
+def _heisenberg_action(ops, m: np.ndarray) -> np.ndarray:
+    """``sum_i V_i^dag m V_i`` over the Kraus family ``ops``, unchecked."""
+    return sum(v.conj().T @ m @ v for v in ops)
+
+
+def _schrodinger_action(ops, m: np.ndarray) -> np.ndarray:
+    """``sum_i V_i m V_i^dag`` over the Kraus family ``ops``, unchecked."""
+    return sum(v @ m @ v.conj().T for v in ops)
+
+
 def apply_heisenberg(ch: QuantumChannel, a) -> np.ndarray:
     """Heisenberg action ``sum_i V_i^dag a V_i`` on an observable."""
     m = as_complex_matrix(a)
     _check_dim(ch.dim, m)
-    out = np.zeros_like(m)
-    for v in ch.kraus_ops:
-        out += v.conj().T @ m @ v
-    return out
-
-
-def _schrodinger_action(ch: QuantumChannel, m: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(m)
-    for v in ch.kraus_ops:
-        out += v @ m @ v.conj().T
-    return out
+    return _heisenberg_action(ch.kraus_ops, m)
 
 
 def apply_schrodinger(ch: QuantumChannel, rho: DensityMatrix,
                       tol: ToleranceConfig | None = None) -> DensityMatrix:
     """Predual action ``sum_i V_i rho V_i^dag`` on a state."""
     _check_dim(ch.dim, rho.matrix)
-    return DensityMatrix(_schrodinger_action(ch, rho.matrix), tol)
+    return DensityMatrix(_schrodinger_action(ch.kraus_ops, rho.matrix), tol)
 
 
 def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.ndarray:
@@ -492,7 +493,7 @@ def generator_to_channel(gen: LindbladGenerator, t: float,
         c1, c2 = divmod(n, d)
         choi[c1 * d:(c1 + 1) * d, c2 * d:(c2 + 1) * d] = s.apply(unit)
     w, v = np.linalg.eigh(hermitian_part(choi))
-    cutoff = max(tol.rank_rtol * float(w[-1]), tol.atol)
+    cutoff = tol.cutoff(float(w[-1]))
     ops = [unvec(np.sqrt(w[j]) * v[:, j], d) for j in range(len(w)) if w[j] > cutoff]
     return QuantumChannel(ops, tol)
 
@@ -531,17 +532,6 @@ class StructureReport:
         return worst <= tol.atol
 
 
-def _random_state_matrix(dim: int, rng) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m)
-
-
-def _random_hermitian_matrix(dim: int, rng) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(g)
-
-
 def check_structure(obj, tol: ToleranceConfig | None = None,
                     rng=None, trials: int = 20) -> StructureReport:
     """Report unitality, trace-preservation, Hermiticity and duality residuals.
@@ -549,6 +539,8 @@ def check_structure(obj, tol: ToleranceConfig | None = None,
     ``obj`` may be a validated channel or generator, or a bare sequence of
     Kraus matrices (which is how a non-unital family gets diagnosed).
     """
+    from .sampling import random_density_matrix, random_hermitian  # sampling imports this module
+
     if rng is None:
         rng = np.random.default_rng(0)
     if isinstance(obj, LindbladGenerator):
@@ -558,8 +550,8 @@ def check_structure(obj, tol: ToleranceConfig | None = None,
         trace = 0.0
         dual = 0.0
         for _ in range(trials):
-            rho = _random_state_matrix(obj.dim, rng)
-            a = _random_hermitian_matrix(obj.dim, rng)
+            rho = random_density_matrix(obj.dim, rng)
+            a = random_hermitian(obj.dim, rng)
             drho = lindblad_apply(obj, rho, SCHRODINGER)
             trace = max(trace, abs(complex(np.trace(drho))))
             dual = max(dual, abs(complex(np.trace(drho @ a))
@@ -580,10 +572,10 @@ def check_structure(obj, tol: ToleranceConfig | None = None,
     trace = 0.0
     dual = 0.0
     for _ in range(trials):
-        rho = _random_state_matrix(dim, rng)
-        a = _random_hermitian_matrix(dim, rng)
-        nu = sum(v @ rho @ v.conj().T for v in ops)
-        al = sum(v.conj().T @ a @ v for v in ops)
+        rho = random_density_matrix(dim, rng)
+        a = random_hermitian(dim, rng)
+        nu = _schrodinger_action(ops, rho)
+        al = _heisenberg_action(ops, a)
         trace = max(trace, abs(complex(np.trace(nu)) - complex(np.trace(rho))))
         dual = max(dual, abs(complex(np.trace(nu @ a)) - complex(np.trace(rho @ al))))
     return StructureReport(kind, dim, unital, trace, 0.0, dual)

@@ -36,6 +36,7 @@ from .channels import (
     LindbladGenerator,
     QuantumChannel,
     _matrix_units,
+    _schrodinger_action,
     apply_heisenberg,
 )
 from .errors import DimMismatch, FamilyNotSubharmonic, NotFixedPoint, NotPSD, TheoremViolation
@@ -43,10 +44,10 @@ from .linalg import (
     ConditionCheck,
     Projection,
     ToleranceConfig,
+    _psd_defect,
     _statuses_consistent,
     _tol,
     as_complex_matrix,
-    hermitian_part,
     is_psd,
     opnorm,
     order_leq,
@@ -54,6 +55,7 @@ from .linalg import (
     proj_supremum,
     support_projection,
 )
+from .sampling import _ginibre
 
 __all__ = [
     "HarmonicityReport",
@@ -109,7 +111,7 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     pc = np.eye(ch.dim) - pm
 
     alpha_p = apply_heisenberg(ch, pm)
-    order_defect = max(0.0, -float(np.linalg.eigvalsh(hermitian_part(alpha_p - pm))[0]))
+    order_defect = _psd_defect(alpha_p - pm)
 
     comp = 0.0
     corner = 0.0
@@ -122,11 +124,11 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     face = 0.0
     if p.rank > 0:
         for _ in range(trials):
-            g = rng.standard_normal((ch.dim, ch.dim)) + 1j * rng.standard_normal((ch.dim, ch.dim))
+            g = _ginibre(ch.dim, ch.dim, rng)
             sigma = g @ g.conj().T
             compressed = pm @ sigma @ pm
             rho = compressed / np.trace(compressed)
-            nu = sum(v @ rho @ v.conj().T for v in ch.kraus_ops)
+            nu = _schrodinger_action(ch.kraus_ops, rho)
             face = max(face, abs(complex(np.trace(nu @ pm)) - 1.0))
 
     a = tol.atol
@@ -250,7 +252,7 @@ def fixed_point_support_check(ch: QuantumChannel, x,
         raise NotFixedPoint(f"alpha(x) deviates from x by {residual:.3e}")
     s = support_projection(xm, tol)
     alpha_s = apply_heisenberg(ch, s.matrix)
-    defect = max(0.0, -float(np.linalg.eigvalsh(hermitian_part(s.matrix - alpha_s))[0]))
+    defect = _psd_defect(s.matrix - alpha_s)
     if defect > tol.atol:
         raise TheoremViolation(
             f"support of a fixed point failed the super-harmonic check "

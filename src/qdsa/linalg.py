@@ -49,7 +49,7 @@ class ToleranceConfig:
     atol: absolute residual tolerance for equality and invariant checks.
     rank_rtol: relative eigenvalue/singular-value threshold for rank and
         support decisions (relative to the largest value, with an absolute
-        floor of ``atol``).
+        floor of ``atol``; see :meth:`cutoff`).
     psd_tol: slack allowed on the minimum eigenvalue in positivity checks.
     """
 
@@ -62,6 +62,12 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (0.0 < value < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
+
+    def cutoff(self, top):
+        """The rank and support cutoff below ``top``, the largest eigenvalue
+        or singular value: ``rank_rtol`` relative, with ``atol`` as floor.
+        Every rank and support decision of the package uses it."""
+        return max(self.rank_rtol * top, self.atol)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -115,6 +121,16 @@ def trace_norm(m: np.ndarray) -> float:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
+
+
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``m``."""
+    return np.linalg.eigvalsh(hermitian_part(m))
+
+
+def _psd_defect(m: np.ndarray) -> float:
+    """How far ``m`` is from ``m >= 0``: ``max(0, -lambda_min(herm(m)))``."""
+    return max(0.0, -float(_hermitian_spectrum(m)[0]))
 
 
 def _check_hermitian(m: np.ndarray, tol: ToleranceConfig, what: str = "matrix"):
@@ -274,7 +290,7 @@ def projections_equal(p: Projection, q: Projection,
 def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:
     """Smallest projection ``P`` with ``x P = P x = x`` for PSD ``x``.
 
-    Eigenvalues above ``max(rank_rtol * lambda_max, atol)`` count as nonzero;
+    Eigenvalues above ``tol.cutoff(lambda_max)`` count as nonzero;
     the relative cutoff with an absolute floor keeps support decisions stable
     when eigenvalues span many orders of magnitude after long evolutions.
     The zero matrix has the zero projection as its support.
@@ -285,9 +301,7 @@ def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:
     w, v = np.linalg.eigh(hermitian_part(m))
     if w[0] < -tol.psd_tol:
         raise NotPSD(f"support of a non-PSD matrix (min eigenvalue {w[0]:.3e})")
-    lam_max = float(w[-1]) if w.size else 0.0
-    cutoff = max(tol.rank_rtol * lam_max, tol.atol)
-    keep = w > cutoff
+    keep = w > tol.cutoff(float(w[-1]) if w.size else 0.0)
     return Projection.from_range_basis(_fix_phases(v[:, keep]), m.shape[0])
 
 
@@ -315,8 +329,7 @@ def proj_infimum(family, tol: ToleranceConfig | None = None) -> Projection:
     for p in family:
         s = s + p.matrix
     w, v = np.linalg.eigh(hermitian_part(s))
-    cutoff = max(tol.rank_rtol * n, tol.atol)
-    keep = w >= n - cutoff
+    keep = w >= n - tol.cutoff(n)
     return Projection.from_range_basis(_fix_phases(v[:, keep]), dim)
 
 
@@ -396,7 +409,7 @@ def projection_order_diagnostic(x, p: Projection,
     tol = _tol(tol)
     xm = as_complex_matrix(x)
     _check_hermitian(xm, tol, "order diagnostic argument")
-    w = np.linalg.eigvalsh(hermitian_part(xm))
+    w = _hermitian_spectrum(xm)
     if w[0] < -tol.psd_tol or w[-1] > 1.0 + tol.psd_tol:
         raise OutOfUnitInterval(
             f"eigenvalues must lie in [0, 1], got range [{w[0]:.3e}, {w[-1]:.3e}]")
@@ -404,20 +417,16 @@ def projection_order_diagnostic(x, p: Projection,
     if pm.shape != xm.shape:
         raise DimMismatch("x and p have different dimensions")
     pc = np.eye(p.dim) - pm
-
-    def psd_defect(m):
-        return max(0.0, -float(np.linalg.eigvalsh(hermitian_part(m))[0]))
-
     a = tol.atol
     geq = (
-        ConditionCheck("x - p is psd", psd_defect(xm - pm), a),
+        ConditionCheck("x - p is psd", _psd_defect(xm - pm), a),
         ConditionCheck("p x p = p", opnorm(pm @ xm @ pm - pm), a),
         ConditionCheck("x = p + (1-p) x (1-p)", opnorm(xm - pm - pc @ xm @ pc), a),
         ConditionCheck("x p = p", opnorm(xm @ pm - pm), a),
         ConditionCheck("p x = p", opnorm(pm @ xm - pm), a),
     )
     leq = (
-        ConditionCheck("p - x is psd", psd_defect(pm - xm), a),
+        ConditionCheck("p - x is psd", _psd_defect(pm - xm), a),
         ConditionCheck("p x p = x", opnorm(pm @ xm @ pm - xm), a),
         ConditionCheck("x p = x", opnorm(xm @ pm - xm), a),
         ConditionCheck("p x = x", opnorm(pm @ xm - xm), a),

@@ -62,6 +62,21 @@ def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _square(m: np.ndarray, name: str, dim: int, where: str) -> np.ndarray:
+    if m.shape != (dim, dim):
+        raise ValidationError(f"{where}: {name} has shape {m.shape}, expected ({dim}, {dim})")
+    return m
+
+
+def _operators(raw, key: str, dim: int, where: str, nonempty: bool) -> tuple:
+    """Parse and shape-check the operator list ``raw`` stored under ``key``."""
+    if not isinstance(raw, list) or (nonempty and not raw):
+        article = "a nonempty" if nonempty else "an"
+        raise ParseError(f"{where}: '{key}' must be {article} array of matrices")
+    ops = tuple(matrix_from_json(v, f"{key}[{i}]") for i, v in enumerate(raw))
+    return tuple(_square(v, f"{key}[{i}]", dim, where) for i, v in enumerate(ops))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A validated model description: exactly one of the two generator forms."""
@@ -130,26 +145,14 @@ def _as_model_spec(data, where: str) -> ModelSpec:
     lindblad_ops = None
     kraus_ops = None
     if has_channel:
-        raw = data["kraus_ops"]
-        if not isinstance(raw, list) or not raw:
-            raise ParseError(f"{where}: 'kraus_ops' must be a nonempty array of matrices")
-        kraus_ops = tuple(matrix_from_json(v, f"kraus_ops[{i}]") for i, v in enumerate(raw))
-        for i, v in enumerate(kraus_ops):
-            if v.shape != (dim, dim):
-                raise ValidationError(f"{where}: kraus_ops[{i}] has shape {v.shape}, expected ({dim}, {dim})")
+        kraus_ops = _operators(data["kraus_ops"], "kraus_ops", dim, where, nonempty=True)
     else:
         if "hamiltonian" not in data:
             raise ValidationError(f"{where}: generator form requires 'hamiltonian'")
-        hamiltonian = matrix_from_json(data["hamiltonian"], "hamiltonian")
-        if hamiltonian.shape != (dim, dim):
-            raise ValidationError(f"{where}: hamiltonian has shape {hamiltonian.shape}, expected ({dim}, {dim})")
-        raw = data.get("lindblad_ops", [])
-        if not isinstance(raw, list):
-            raise ParseError(f"{where}: 'lindblad_ops' must be an array of matrices")
-        lindblad_ops = tuple(matrix_from_json(v, f"lindblad_ops[{i}]") for i, v in enumerate(raw))
-        for i, v in enumerate(lindblad_ops):
-            if v.shape != (dim, dim):
-                raise ValidationError(f"{where}: lindblad_ops[{i}] has shape {v.shape}, expected ({dim}, {dim})")
+        hamiltonian = _square(matrix_from_json(data["hamiltonian"], "hamiltonian"),
+                              "hamiltonian", dim, where)
+        lindblad_ops = _operators(data.get("lindblad_ops", []), "lindblad_ops", dim, where,
+                                  nonempty=False)
 
     tolerances = None
     if "tolerances" in data:
@@ -178,6 +181,18 @@ def _as_model_spec(data, where: str) -> ModelSpec:
     return spec
 
 
+def _load_json(path):
+    """The JSON document in the file at ``path``; ParseError when it cannot
+    be read or is not valid JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def parse_model(path) -> ModelSpec:
     """Read and validate a model file.
 
@@ -186,14 +201,7 @@ def parse_model(path) -> ModelSpec:
     mismatches, a non-Hermitian Hamiltonian, a non-unital Kraus family,
     both or neither generator forms present).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return _as_model_spec(data, str(path))
+    return _as_model_spec(_load_json(path), str(path))
 
 
 def model_spec_from_fixture(name: str) -> ModelSpec:
@@ -211,13 +219,7 @@ def model_spec_from_fixture(name: str) -> ModelSpec:
 
 def parse_state(path, dim: int | None = None) -> DensityMatrix:
     """Read a density-matrix file: a JSON object with 'dim' and 'matrix'."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     unknown = set(data) - _STATE_KEYS

@@ -36,8 +36,8 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(dim: int, rng, scale: float = 1.0) -> np.ndarray:
-    return scale * hermitian_part(_ginibre(dim, dim, rng))
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    return hermitian_part(_ginibre(dim, dim, rng))
 
 
 def random_unit_interval_hermitian(dim: int, rng) -> np.ndarray:
@@ -69,14 +69,14 @@ def haar_random_channel(dim: int, n_kraus: int, rng) -> QuantumChannel:
     return QuantumChannel([q[i * dim:(i + 1) * dim, :] for i in range(n_kraus)])
 
 
-def random_generator(dim: int, n_ops: int, rng, scale: float = 1.0) -> LindbladGenerator:
-    h = random_hermitian(dim, rng, scale)
-    ops = [scale * _ginibre(dim, dim, rng) / np.sqrt(dim) for _ in range(n_ops)]
+def random_generator(dim: int, n_ops: int, rng) -> LindbladGenerator:
+    h = random_hermitian(dim, rng)
+    ops = [_ginibre(dim, dim, rng) / np.sqrt(dim) for _ in range(n_ops)]
     return LindbladGenerator(h, ops)
 
 
-def block_diagonal_channel(block_dims, n_kraus: int, rng, rotate: bool = True):
-    """Channel whose Kraus family is block diagonal in a common (rotated) basis.
+def block_diagonal_channel(block_dims, n_kraus: int, rng):
+    """Channel whose Kraus family is block diagonal in a common Haar-rotated basis.
 
     Returns ``(channel, block_projections)`` where each projection onto a
     union of blocks is an exactly invariant subspace; callers build
@@ -94,34 +94,31 @@ def block_diagonal_channel(block_dims, n_kraus: int, rng, rotate: bool = True):
         q, _ = np.linalg.qr(_ginibre(b * n_kraus, b, rng))
         for i in range(n_kraus):
             ops[i][lo:hi, lo:hi] = q[i * b:(i + 1) * b, :]
-    u = haar_unitary(dim, rng) if rotate else np.eye(dim, dtype=complex)
+    u = haar_unitary(dim, rng)
     channel = QuantumChannel([u @ v @ u.conj().T for v in ops])
     blocks = [Projection.from_range_basis(u[:, lo:hi], dim) for (lo, hi) in slices]
     return channel, blocks
 
 
-def transient_block_generator(recurrent_dim: int, transient_dim: int, rng,
-                              n_internal: int = 1, rotate: bool = True):
+def transient_block_generator(recurrent_dim: int, transient_dim: int, rng):
     """Generator with a transient block decaying into a recurrent one.
 
     In the construction basis the leading ``recurrent_dim`` levels form an
     exactly invariant subspace: jump operators either act inside it or map
     the transient block into the whole space with no flow back, and the
-    Hamiltonian is block diagonal.  Returns ``(generator, recurrent_block)``.
+    Hamiltonian is block diagonal; a Haar unitary then rotates the basis.
+    Returns ``(generator, recurrent_block)``.
     """
     k, m = recurrent_dim, transient_dim
     dim = k + m
     h = np.zeros((dim, dim), dtype=complex)
     h[:k, :k] = random_hermitian(k, rng)
     h[k:, k:] = random_hermitian(m, rng)
-    ops = []
-    for _ in range(n_internal):
-        l = np.zeros((dim, dim), dtype=complex)
-        l[:k, :k] = _ginibre(k, k, rng) / np.sqrt(k)
-        ops.append(l)
+    internal = np.zeros((dim, dim), dtype=complex)
+    internal[:k, :k] = _ginibre(k, k, rng) / np.sqrt(k)
     leak = np.zeros((dim, dim), dtype=complex)
     leak[:, k:] = _ginibre(dim, m, rng) / np.sqrt(m)
-    ops.append(leak)
-    u = haar_unitary(dim, rng) if rotate else np.eye(dim, dtype=complex)
+    ops = [internal, leak]
+    u = haar_unitary(dim, rng)
     gen = LindbladGenerator(u @ h @ u.conj().T, [u @ l @ u.conj().T for l in ops])
     return gen, Projection.from_range_basis(u[:, :k], dim)

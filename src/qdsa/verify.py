@@ -1,8 +1,9 @@
 """Randomized property harness behind the ``verify`` subcommand.
 
-Each property draws its inputs from one explicit seed and reports a trial
-count, a failure count and the worst observed defect (a property-specific
-residual that is zero for a clean pass).  The summary is deterministic for
+Each property draws its inputs from one explicit seed and yields, per
+trial, a defect (a property-specific residual that is zero for a clean
+pass) and a failure count; :func:`_tally` reduces them to a trial count, a
+failure count and the worst observed defect.  The summary is deterministic for
 a fixed seed: running twice produces byte-identical output.
 """
 
@@ -22,6 +23,7 @@ from .asymptotics import (
 from .channels import (
     HEISENBERG,
     _matrix_units,
+    _schrodinger_action,
     apply_heisenberg,
     from_hermitian_coords,
     hermitian_coords,
@@ -39,9 +41,10 @@ from .harmonic import (
     subharmonic_residual,
 )
 from .linalg import (
+    DEFAULT_TOL,
     Projection,
-    ToleranceConfig,
     _decisive,
+    _psd_defect,
     hermitian_part,
     opnorm,
     order_leq,
@@ -52,6 +55,7 @@ from .linalg import (
 )
 from .models import fixture_names
 from .sampling import (
+    _ginibre,
     block_diagonal_channel,
     haar_random_channel,
     random_density_matrix,
@@ -89,63 +93,52 @@ class VerifySummary:
         return all(r.passed for r in self.results)
 
 
-def _indicator(bad: bool) -> float:
-    return 1.0 if bad else 0.0
+def _tally(name: str, outcomes) -> PropertyResult:
+    """Trial count, failure count and worst defect of one property;
+    ``outcomes`` yields one ``(defect, failures)`` pair per trial."""
+    count = 0
+    failures = 0
+    worst = 0.0
+    for defect, failed in outcomes:
+        count += 1
+        failures += failed
+        worst = max(worst, defect)
+    return PropertyResult(name, count, failures, worst)
 
 
 def _random_channel(dim, rng):
     return haar_random_channel(dim, int(rng.integers(1, 5)), rng)
 
 
-def _check_order_diagnostic(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _order_diagnostic(rng, trials, dims, tol):
     for dim in dims:
         for _ in range(trials):
-            count += 1
             x = random_unit_interval_hermitian(dim, rng)
             p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
-            diag = projection_order_diagnostic(x, p, tol)
-            bad = not diag.consistent()
-            failures += bad
-            worst = max(worst, _indicator(bad))
-    return PropertyResult("order-diagnostic-agreement", count, failures, worst)
+            bad = not projection_order_diagnostic(x, p, tol).consistent()
+            yield float(bad), bad
 
 
-def _check_duality(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _duality(rng, trials, dims):
     for dim in dims:
         for _ in range(trials):
-            count += 1
             ch = _random_channel(dim, rng)
             rho = random_density_matrix(dim, rng)
             a = random_hermitian(dim, rng)
-            nu = sum(v @ rho @ v.conj().T for v in ch.kraus_ops)
+            nu = _schrodinger_action(ch.kraus_ops, rho)
             defect = abs(complex(np.trace(nu @ a))
                          - complex(np.trace(rho @ apply_heisenberg(ch, a))))
-            worst = max(worst, defect)
-            failures += defect > 1e-10
-    return PropertyResult("heisenberg-schrodinger-duality", count, failures, worst)
+            yield defect, defect > 1e-10
 
 
-def _check_kadison_schwarz(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _kadison_schwarz(rng, trials, dims, tol):
     for dim in dims:
         for _ in range(trials):
-            count += 1
             ch = _random_channel(dim, rng)
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            g = _ginibre(dim, dim, rng)
             lhs = apply_heisenberg(ch, g).conj().T @ apply_heisenberg(ch, g)
-            rhs = apply_heisenberg(ch, g.conj().T @ g)
-            defect = max(0.0, -float(np.linalg.eigvalsh(hermitian_part(rhs - lhs))[0]))
-            worst = max(worst, defect)
-            failures += defect > tol.atol
-    return PropertyResult("kadison-schwarz", count, failures, worst)
+            defect = _psd_defect(apply_heisenberg(ch, g.conj().T @ g) - lhs)
+            yield defect, defect > tol.atol
 
 
 def _invariant_and_random_projections(ch, blocks, rng):
@@ -162,10 +155,7 @@ def _invariant_and_random_projections(ch, blocks, rng):
     return out
 
 
-def _check_subharmonic_agreement(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _subharmonic_agreement(rng, trials, dims, tol):
     for dim in dims:
         for t in range(trials):
             if t % 2 == 0:
@@ -175,13 +165,10 @@ def _check_subharmonic_agreement(rng, trials, dims, tol):
                 parts = _random_partition(dim, rng)
                 ch, blocks = block_diagonal_channel(parts, int(rng.integers(1, 4)), rng)
             for p in _invariant_and_random_projections(ch, blocks, rng):
-                count += 1
                 report = subharmonic_report(ch, p, trials=8, tol=tol, rng=rng)
                 bad = not report.consistent()
                 bad = bad or (kraus_invariance_test(ch, p, tol) != report.verdict)
-                failures += bad
-                worst = max(worst, _indicator(bad))
-    return PropertyResult("subharmonic-conditions-agree", count, failures, worst)
+                yield float(bad), bad
 
 
 def _random_partition(dim, rng):
@@ -194,10 +181,7 @@ def _random_partition(dim, rng):
     return parts
 
 
-def _check_generator_criterion(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _generator_criterion(rng, trials, dims, tol):
     times = (0.1, 1.0, 10.0)
     for dim in dims:
         if dim < 2:
@@ -207,36 +191,24 @@ def _check_generator_criterion(rng, trials, dims, tol):
             gen, block = transient_block_generator(k, dim - k, rng)
             flows = [propagator(gen, t, HEISENBERG) for t in times]
             for p in (block, random_projection(dim, int(rng.integers(1, dim + 1)), rng)):
-                count += 1
                 algebraic = is_subharmonic_generator(gen, p, tol)
                 orbit = all(order_leq(p.matrix, hermitian_part(flow.apply(p.matrix)), tol)
                             for flow in flows)
                 residual = subharmonic_residual(gen, p)
                 bad = _decisive(residual, tol.atol) and (algebraic != orbit)
-                failures += bad
-                worst = max(worst, _indicator(bad))
-    return PropertyResult("generator-criterion-matches-orbit", count, failures, worst)
+                yield float(bad), bad
 
 
-def _check_complement_duality(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _complement_duality(rng, trials, dims, tol):
     for dim in dims:
         for _ in range(trials):
-            count += 1
             ch = _random_channel(dim, rng)
             p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
             bad = is_subharmonic(ch, p, tol) != is_superharmonic(ch, p.complement(), tol)
-            failures += bad
-            worst = max(worst, _indicator(bad))
-    return PropertyResult("complement-duality", count, failures, worst)
+            yield float(bad), bad
 
 
-def _check_lattice_closure(rng, trials, dims, tol, super_side: bool):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _lattice_closure(rng, trials, dims, tol, super_side: bool):
     for dim in dims:
         if dim < 2:
             continue
@@ -257,7 +229,6 @@ def _check_lattice_closure(rng, trials, dims, tol, super_side: bool):
                 family.append(member.complement() if super_side else member)
             if len(family) < 2:
                 continue
-            count += 1
             inf = proj_infimum(family, tol)
             sup = proj_supremum(family, tol)
             if super_side:
@@ -266,16 +237,10 @@ def _check_lattice_closure(rng, trials, dims, tol, super_side: bool):
             else:
                 residual = max(subharmonic_residual(ch, inf),
                                subharmonic_residual(ch, sup))
-            worst = max(worst, residual)
-            failures += residual > 1e-8
-    name = "lattice-closure-superharmonic" if super_side else "lattice-closure-subharmonic"
-    return PropertyResult(name, count, failures, worst)
+            yield residual, residual > 1e-8
 
 
-def _check_monotone_orbit(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _monotone_orbit(rng, trials, dims, tol):
     grid = (0.0, 0.25, 1.0, 4.0)
     for dim in dims:
         if dim < 2:
@@ -283,23 +248,19 @@ def _check_monotone_orbit(rng, trials, dims, tol):
         for _ in range(max(1, trials // 4)):
             k = int(rng.integers(1, dim))
             gen, block = transient_block_generator(k, dim - k, rng)
-            count += 1
             previous = block.matrix
             defect = 0.0
             for s, t in zip(grid, grid[1:]):
                 current = hermitian_part(propagator(gen, t, HEISENBERG).apply(block.matrix))
-                defect = max(defect, max(
-                    0.0, -float(np.linalg.eigvalsh(hermitian_part(current - previous))[0])))
+                defect = max(defect, _psd_defect(current - previous))
                 previous = current
-            worst = max(worst, defect)
-            failures += defect > 10 * tol.atol
-    return PropertyResult("monotone-orbit", count, failures, worst)
+            yield defect, defect > 10 * tol.atol
 
 
 def _cesaro_projected_fixed_point(ch, rng, tol):
     """PSD Heisenberg fixed point: time-average projection of a random PSD element."""
     kernel, left = Dynamics(ch).split(tol)
-    g = rng.standard_normal((ch.dim, ch.dim)) + 1j * rng.standard_normal((ch.dim, ch.dim))
+    g = _ginibre(ch.dim, ch.dim, rng)
     a = g @ g.conj().T
     # The Heisenberg fixed points are the left kernel of the Schrodinger split.
     x = from_hermitian_coords(_kernel_component(left, kernel, hermitian_coords(a)), ch.dim)
@@ -307,44 +268,30 @@ def _cesaro_projected_fixed_point(ch, rng, tol):
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def _check_fixed_point_support(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _fixed_point_support(rng, trials, dims, tol):
     for dim in dims:
         for _ in range(trials):
-            count += 1
             ch = _random_channel(dim, rng)
             x = _cesaro_projected_fixed_point(ch, rng, tol)
             try:
                 s, _ = fixed_point_support_check(ch, x, tol)
-                alpha_s = apply_heisenberg(ch, s.matrix)
-                defect = max(0.0, -float(
-                    np.linalg.eigvalsh(hermitian_part(s.matrix - alpha_s))[0]))
             except TheoremViolation:
-                failures += 1
-                defect = 1.0
-            worst = max(worst, defect)
-            failures += defect > 1e-8
-    return PropertyResult("fixed-point-support-superharmonic", count, failures, worst)
+                yield 1.0, True
+                continue
+            defect = _psd_defect(s.matrix - apply_heisenberg(ch, s.matrix))
+            yield defect, defect > 1e-8
 
 
-def _check_stinespring(rng, trials, dims, tol):
-    failures = 0
-    worst = 0.0
-    count = 0
+def _stinespring(rng, trials, dims, tol):
     for dim in dims:
         for _ in range(max(1, trials // 2)):
-            count += 1
             ch = _random_channel(dim, rng)
             dil = stinespring_dilate(ch, tol)
             residual = 0.0
             for unit in _matrix_units(dim):
                 residual = max(residual, opnorm(
                     apply_heisenberg(ch, unit) - dil.reconstruct(unit)))
-            worst = max(worst, residual)
-            failures += residual > 1e-12
-    return PropertyResult("stinespring-reconstruction", count, failures, worst)
+            yield residual, residual > 1e-12
 
 
 def _structured_models(rng, trials, dims):
@@ -362,34 +309,27 @@ def _structured_models(rng, trials, dims):
     return models
 
 
-def _check_recurrent_structure(rng, trials, dims, tol, horizon):
-    sup_failures = 0
-    match_failures = 0
-    decay_failures = 0
-    worst_match = 0.0
-    count = 0
+def _check_recurrent_structure(rng, trials, dims, tol):
+    """Three properties of each structured model's recurrent projection,
+    from one pass: the limit estimate has full support, the recurrent and
+    stationary supports agree, and the decay-ideal verdicts agree."""
+    outcomes = []
     for model in _structured_models(rng, trials, dims):
-        count += 1
         dyn = Dynamics(model)
-        report = recurrent_projection(dyn, horizon=horizon, tol=tol,
-                                      seed=int(rng.integers(0, 2**31)))
+        report = recurrent_projection(dyn, tol=tol, seed=int(rng.integers(0, 2**31)))
         limit_support = support_projection(hermitian_part(report.limit_estimate), tol)
-        sup_failures += limit_support.rank != model.dim
+        partial = limit_support.rank != model.dim
         mismatch = opnorm(report.recurrent.matrix - report.stationary_support.matrix)
-        worst_match = max(worst_match, mismatch)
-        match_failures += not report.supports_match
+        disagreements = 0
         for unit in _basis_sample(model.dim, rng, 4):
-            result = decay_ideal_test(dyn, unit, report.recurrent,
-                                      horizon=horizon, tol=tol)
-            decay_failures += result.decisively_disagrees(tol.atol, DEFAULT_DECAY_TOL)
-    return [
-        PropertyResult("recurrent-limit-support-full", count, sup_failures,
-                       float(sup_failures > 0)),
-        PropertyResult("recurrent-equals-stationary-support", count, match_failures,
-                       worst_match),
-        PropertyResult("decay-ideal-agreement", count, decay_failures,
-                       float(decay_failures > 0)),
-    ]
+            result = decay_ideal_test(dyn, unit, report.recurrent, tol=tol)
+            disagreements += result.decisively_disagrees(tol.atol, DEFAULT_DECAY_TOL)
+        outcomes.append(((float(partial), partial),
+                         (mismatch, not report.supports_match),
+                         (float(disagreements > 0), disagreements)))
+    names = ("recurrent-limit-support-full", "recurrent-equals-stationary-support",
+             "decay-ideal-agreement")
+    return [_tally(name, [o[i] for o in outcomes]) for i, name in enumerate(names)]
 
 
 def _basis_sample(dim, rng, n):
@@ -400,51 +340,44 @@ def _basis_sample(dim, rng, n):
         yield units[i * dim + j]
 
 
-def _check_fixtures(tol):
+def _fixtures(tol):
     """Fixture models must pass their own structural report end to end."""
     from .analyze import AnalysisOptions, run_analyze
     from .modelio import model_spec_from_fixture
 
-    failures = 0
-    worst = 0.0
-    count = 0
     for name in fixture_names():
-        count += 1
         report = run_analyze(model_spec_from_fixture(name),
                              AnalysisOptions(tol=tol, seed=7))
         bad = not report.passed
-        failures += bad
-        worst = max(worst, _indicator(bad))
-    return PropertyResult("fixture-analyses-pass", count, failures, worst)
+        yield float(bad), bad
 
 
-def run_verify(seed: int = 42, trials: int = 100, dims=(2, 3, 4),
-               tol: ToleranceConfig | None = None,
-               horizon: float = 30.0) -> VerifySummary:
+def run_verify(seed: int = 42, trials: int = 100, dims=(2, 3, 4)) -> VerifySummary:
     """Run every property suite; deterministic for a fixed seed."""
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 or d > 16 for d in dims):
         raise ValidationError(f"dims must be within 1..16, got {dims}")
-    tol = tol or ToleranceConfig()
+    tol = DEFAULT_TOL
     rng = np.random.default_rng(seed)
-
+    # each property draws from rng when it is tallied, so the order is fixed
     results = [
-        _check_order_diagnostic(rng, trials, dims, tol),
-        _check_duality(rng, trials, dims, tol),
-        _check_kadison_schwarz(rng, trials, dims, tol),
-        _check_subharmonic_agreement(rng, max(1, trials // 2), dims, tol),
-        _check_generator_criterion(rng, trials, dims, tol),
-        _check_complement_duality(rng, trials, dims, tol),
-        _check_lattice_closure(rng, trials, dims, tol, super_side=False),
-        _check_lattice_closure(rng, trials, dims, tol, super_side=True),
-        _check_monotone_orbit(rng, trials, dims, tol),
-        _check_fixed_point_support(rng, trials, dims, tol),
-        _check_stinespring(rng, trials, dims, tol),
+        _tally("order-diagnostic-agreement", _order_diagnostic(rng, trials, dims, tol)),
+        _tally("heisenberg-schrodinger-duality", _duality(rng, trials, dims)),
+        _tally("kadison-schwarz", _kadison_schwarz(rng, trials, dims, tol)),
+        _tally("subharmonic-conditions-agree",
+               _subharmonic_agreement(rng, max(1, trials // 2), dims, tol)),
+        _tally("generator-criterion-matches-orbit", _generator_criterion(rng, trials, dims, tol)),
+        _tally("complement-duality", _complement_duality(rng, trials, dims, tol)),
+        _tally("lattice-closure-subharmonic", _lattice_closure(rng, trials, dims, tol, False)),
+        _tally("lattice-closure-superharmonic", _lattice_closure(rng, trials, dims, tol, True)),
+        _tally("monotone-orbit", _monotone_orbit(rng, trials, dims, tol)),
+        _tally("fixed-point-support-superharmonic", _fixed_point_support(rng, trials, dims, tol)),
+        _tally("stinespring-reconstruction", _stinespring(rng, trials, dims, tol)),
+        *_check_recurrent_structure(rng, trials, dims, tol),
+        _tally("fixture-analyses-pass", _fixtures(tol)),
     ]
-    results.extend(_check_recurrent_structure(rng, trials, dims, tol, horizon))
-    results.append(_check_fixtures(tol))
     return VerifySummary(seed, trials, dims, tuple(results))
 
 

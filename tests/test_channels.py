@@ -198,6 +198,15 @@ class TestSuperoperator:
         assert opnorm(squared - composed) <= 1e-10
 
 
+    def test_freezes_a_view_not_the_callers_array(self):
+        r = np.eye(4)
+        s = Superoperator(r, SCHRODINGER)
+        assert r.flags.writeable
+        r[0, 0] = 1.0  # the caller's array takes writes ...
+        assert not s.real.flags.writeable
+        with pytest.raises(ValueError):
+            s.real[0, 0] = 1.0  # ... the superoperator's does not
+
     def test_built_from_the_real_form_only(self, adk):
         r = to_superoperator(adk, SCHRODINGER).real
         with pytest.raises(TypeError):

@@ -10,7 +10,9 @@ import pytest
 from conftest import SRC, run_cli
 from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
 from qdsa.cli import main
+from qdsa.errors import ValidationError
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
+from qdsa.models import build_fixture
 
 
 def emit_fixture(tmp_path, name):
@@ -181,6 +183,36 @@ class TestNonFiniteValues:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "times" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture", ["ADK", "AD"])
+@pytest.mark.parametrize("as_spec", [True, False])
+class TestLibraryHorizon:
+    """``run_analyze`` rejects a horizon outside (0, inf) with a
+    ValidationError naming it, for a ModelSpec and for a bare model."""
+
+    @staticmethod
+    def model(fixture, as_spec):
+        return model_spec_from_fixture(fixture) if as_spec else build_fixture(fixture)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejected(self, fixture, as_spec, value):
+        with pytest.raises(ValidationError, match=f"horizon must be positive and finite, "
+                                                  f"got {value}"):
+            run_analyze(self.model(fixture, as_spec), AnalysisOptions(horizon=value))
+
+    def test_small_horizon_is_kept(self, fixture, as_spec):
+        report = run_analyze(self.model(fixture, as_spec), AnalysisOptions(horizon=1.0))
+        assert report.horizon == 1.0
+
+
+def test_channel_horizon_must_be_an_iteration_count(tmp_path):
+    with pytest.raises(ValidationError, match="integer horizon, got 2.5"):
+        run_analyze(model_spec_from_fixture("ADK"), AnalysisOptions(horizon=2.5))
+    path = emit_fixture(tmp_path, "ADK")
+    code, out, err = run_cli("analyze", "--model", str(path), "--horizon", "2.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestExamplesCommand:

@@ -195,8 +195,8 @@ def test_generator_criterion_builds_each_propagator_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(qdsa.verify, "propagator", counted)
-    result = qdsa.verify._check_generator_criterion(
-        np.random.default_rng(3), 4, (2, 3), DEFAULT_TOL)
+    result = qdsa.verify._tally("generator-criterion", qdsa.verify._generator_criterion(
+        np.random.default_rng(3), 4, (2, 3), DEFAULT_TOL))
     assert result.trials == 4          # one generator per dim, two projections each
     assert len(calls) == 6             # three times per generator
     assert len({(id(gen), t) for gen, t, *_ in calls}) == 6

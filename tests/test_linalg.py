@@ -6,6 +6,7 @@ from qdsa.errors import DimMismatch, NotHermitian, NotPSD, OutOfUnitInterval
 from qdsa.linalg import (
     Projection,
     ToleranceConfig,
+    _psd_defect,
     hermitian_eig,
     is_psd,
     matrix_exp,
@@ -30,6 +31,20 @@ def test_tolerance_config_bounds():
         ToleranceConfig(atol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(rank_rtol=0.5)
+
+
+def test_cutoff_is_relative_with_an_absolute_floor():
+    tol = ToleranceConfig(atol=1e-9, rank_rtol=1e-8)
+    assert tol.cutoff(10.0) == 1e-8 * 10.0
+    assert tol.cutoff(1e-3) == 1e-9
+    assert tol.cutoff(0.0) == 1e-9
+
+
+def test_psd_defect_is_the_negative_part_of_the_lowest_eigenvalue():
+    assert _psd_defect(np.diag([2.0, 0.5])) == 0.0
+    assert _psd_defect(np.diag([2.0, -0.5])) == 0.5
+    # only the Hermitian part counts
+    assert _psd_defect(np.array([[1.0, 4.0], [-4.0, 1.0]])) == 0.0
 
 
 class TestHermitianEig:

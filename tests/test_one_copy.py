@@ -1,0 +1,42 @@
+"""Each repeated numerical primitive has one definition in ``src/qdsa``.
+
+The tests count tell-tale source fragments over the package: a second
+hand-written copy of a primitive shows up as a second occurrence.
+"""
+
+import inspect
+from pathlib import Path
+
+from qdsa.linalg import ToleranceConfig
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qdsa"
+
+
+def occurrences(fragment: str) -> dict:
+    """``{file name: count}`` of ``fragment`` over the package sources,
+    for the files where it occurs."""
+    counts = {path.name: path.read_text(encoding="utf-8").count(fragment)
+              for path in sorted(PACKAGE.glob("*.py"))}
+    return {name: n for name, n in counts.items() if n}
+
+
+def test_hermitian_spectrum_is_taken_in_one_place():
+    # the order defect max(0, -lambda_min(herm(m))) is built on it
+    assert occurrences("eigvalsh(hermitian_part(") == {"linalg.py": 1}
+
+
+def test_gaussian_draws_live_in_sampling():
+    assert set(occurrences("standard_normal((")) == {"sampling.py"}
+
+
+def test_rank_cutoff_lives_in_tolerance_config():
+    assert occurrences("rank_rtol *") == {"linalg.py": 1}
+    assert "rank_rtol *" in inspect.getsource(ToleranceConfig.cutoff)
+
+
+def test_verify_keeps_one_failure_counter():
+    assert occurrences("failures = 0").get("verify.py", 0) <= 1
+
+
+def test_model_files_are_read_in_one_place():
+    assert occurrences("json.load(").get("modelio.py", 0) == 1
