@@ -10,7 +10,6 @@ stored as rank plus range basis and re-validate on load.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, fields
 
@@ -20,10 +19,11 @@ from .asymptotics import (
     DEFAULT_DECAY_TOL,
     DEFAULT_HORIZON,
     Dynamics,
-    _matrix_unit_decay_tests,
+    _check_horizon,
+    decay_ideal_test,
     recurrent_projection,
 )
-from .channels import QuantumChannel, _iteration_count
+from .channels import QuantumChannel
 from .errors import ValidationError
 from .linalg import (
     Projection,
@@ -189,10 +189,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     if horizon is None:
         horizon = DEFAULT_HORIZON
     try:
-        if not 0 < horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {horizon}")
-        if isinstance(model, QuantumChannel):
-            _iteration_count(horizon)
+        _check_horizon(horizon, isinstance(model, QuantumChannel))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     tol = tol or ToleranceConfig()
@@ -231,10 +228,11 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     checks.append(CheckResult("enclosures-subharmonic", subharm, 10 * tol.atol))
     checks.append(CheckResult("enclosures-minimal", minimal_defect, 0.5))
 
-    # each column result stands for the d matrix units E_ij of its column
+    # E_jj stands for the d matrix units E_ij of its column: E_ij r holds
+    # row j of r, and E_ij^dag E_ij = E_jj
     disagreements = model.dim * sum(
-        result.decisively_disagrees(tol.atol, DEFAULT_DECAY_TOL)
-        for result in _matrix_unit_decay_tests(dyn, r_min, horizon, tol, DEFAULT_DECAY_TOL))
+        decay_ideal_test(dyn, np.outer(e, e), r_min, horizon, tol).decisively_disagrees(tol.atol)
+        for e in np.eye(model.dim))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
     limit_support = support_projection(hermitian_part(report.limit_estimate), tol)

@@ -22,9 +22,12 @@ real and the Heisenberg one is its transpose.  The analysis pipeline is:
    spectrum of a CP trace-preserving semigroup is semisimple, so that
    component is precisely the long-time Cesaro limit.
 
-2. The supremum of the supports of the stationary states gives the maximal
-   recurrent block ``r``.  Every block the refinement visits is
-   sub-harmonic, so the dynamics compressed to it is again a model:
+2. The support of that maximal-support state gives the maximal recurrent
+   block ``r``: the state dominates every stationary state, so its support
+   is the supremum of all stationary supports, and every basis element of
+   the stationary space is checked to lie under it.  Every block the
+   refinement visits is sub-harmonic, so the dynamics compressed to it is
+   again a model:
    ``(W^dag H W, {W^dag L_i W})`` or ``{W^dag V_i W}`` for the block
    isometry ``W``; when ``r`` is the whole space the model itself, and when
    it is the certified guess the corner built in step 1.  The
@@ -67,6 +70,7 @@ nothing is cached on the model or globally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -193,18 +197,17 @@ def _kernel_component(kernel: np.ndarray, left: np.ndarray, v: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class StationarySpace:
-    """Hermitian basis and generating states of the fixed-point space.
+    """Hermitian basis of the fixed-point space and its maximal-support state.
 
-    ``states[0]`` has maximal support among all stationary states: it is
-    the time-average limit of the maximally mixed state or, when
+    ``state`` has maximal support among all stationary states: it is the
+    time-average limit of the maximally mixed state or, when
     :meth:`Dynamics.guess` certified the recurrent block, that of the
     block's maximally mixed state under the compressed dynamics, embedded.
-    The remaining states perturb it along each basis direction so that
-    support computations do not depend on a single null-space vector.
+    Its support is the supremum of the supports of all stationary states.
     """
 
     basis: tuple
-    states: tuple
+    state: DensityMatrix
     dim: int
 
 
@@ -213,10 +216,11 @@ class Dynamics:
 
     Holds the real Schrodinger form that :func:`to_superoperator` builds,
     its kernel split, the certified guess of the recurrent block
-    (:func:`_certified_guess`), the stationary space and the stationary
-    support for each tolerance, and the real Heisenberg propagator for each
-    horizon asked for, taken on the transpose (the Heisenberg form), so no
-    second superoperator is built.  When the guess is certified, the
+    (:func:`_certified_guess`), the stationary space and its support (that
+    of its maximal-support state, :func:`stationary_support`) for each
+    tolerance, and the real Heisenberg propagator for each horizon asked
+    for, taken on the transpose (the Heisenberg form), so no second
+    superoperator is built.  When the guess is certified, the
     stationary space is that of the guessed block's corner and the kernel
     split of the whole model is never formed.  Build one per top-level call
     and pass it to the functions of this module in place of the model; it is
@@ -297,6 +301,15 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m), tol)
 
 
+def _check_horizon(horizon: float, discrete: bool) -> None:
+    """ValueError unless ``0 < horizon < inf`` and, for a channel
+    (``discrete``), the horizon is an iteration count."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if discrete:
+        _iteration_count(horizon)
+
+
 def _mixed_limit(dyn: Dynamics, tol: ToleranceConfig):
     """Stationary dimension and the time-average limit of the maximally
     mixed state."""
@@ -317,12 +330,12 @@ def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) ->
 
 
 def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace:
-    """Fixed-point space of the predual flow with generating states.
+    """Fixed-point space of the predual flow with its maximal-support state.
 
     Every stationary state is supported under the recurrent block, so when
     :meth:`Dynamics.guess` certifies a block ``r`` with isometry ``W`` the
     space is that of the compressed ``r``-model embedded by ``W . W^dag``,
-    and ``states[0]`` is the embedded time-average limit of the corner's
+    and ``state`` is the embedded time-average limit of the corner's
     maximally mixed state.  Otherwise it comes from the kernel split of the
     whole model.  Either way one split gives both the basis and that limit.
     An empty stationary space is impossible in finite dimension; if the
@@ -336,29 +349,22 @@ def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace
     if corner is not dyn:
         basis = [iso @ b @ iso.conj().T for b in basis]
         omega = DensityMatrix(iso @ omega.matrix @ iso.conj().T, tol)
-
-    w = np.linalg.eigvalsh(omega.matrix)
-    lam_plus = float(np.min(w[w > tol.cutoff(float(w[-1]))]))
-
-    states = [omega]
-    for b in basis:
-        eps = 0.45 * lam_plus / max(opnorm(b), 1e-30)
-        states.append(_as_state(omega.matrix + eps * b, tol))
-    return StationarySpace(tuple(basis), tuple(states), len(basis))
+    return StationarySpace(tuple(basis), omega, len(basis))
 
 
 def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = None) -> Projection:
-    """Supremum of the supports of the generating stationary states.
+    """Support ``P`` of the maximal-support stationary state, the supremum
+    of the supports of all stationary states.
 
-    Cross-checked against the support of the time-average limit of the
-    maximally mixed state, which dominates every stationary state.
+    Checked directly: every basis element ``b`` of the space must satisfy
+    ``|(1 - P) b| <= atol |b|``, else InternalError.
     """
     tol = _tol(tol)
-    supports = [support_projection(s.matrix, tol) for s in space.states]
-    sup = proj_supremum(supports, tol)
-    if not projections_equal(sup, supports[0], tol, factor=100.0):
+    support = support_projection(space.state.matrix, tol)
+    outside = support.complement().matrix
+    if any(opnorm(outside @ b) > tol.atol * opnorm(b) for b in space.basis):
         raise InternalError("stationary support disagrees with the maximal-state support")
-    return sup
+    return support
 
 
 def _compress(model, w: np.ndarray, tol: ToleranceConfig):
@@ -666,8 +672,8 @@ class RecurrentReport:
     """Recurrent structure at a finite horizon.
 
     ``recurrent`` is the minimal recurrent projection (supremum of the
-    minimal enclosures); ``stationary_support`` is the supremum of the
-    supports of the stationary states, which must coincide with it in
+    minimal enclosures); ``stationary_support`` is the support of the
+    maximal-support stationary state, which must coincide with it in
     finite dimension (``supports_match``).  ``sup_deviation`` measures how
     far ``alpha_T`` has carried the recurrent projection towards the
     identity and ``transient_norm`` how much of its complement ``q``
@@ -714,11 +720,8 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     propagator is built.
     """
     tol = _tol(tol)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     dyn = _as_dynamics(obj)
-    if dyn.discrete:
-        _iteration_count(horizon)  # rejected even when no propagator runs
+    _check_horizon(horizon, dyn.discrete)  # rejected even when no propagator runs
     decomposition = minimal_enclosures(dyn, tol, seed=seed)
     r_min = proj_supremum(decomposition.minimal_projections, tol)
     r_stat = dyn.support(tol)
@@ -758,32 +761,21 @@ class DecayIdealResult(NamedTuple):
     algebraic_residual: float
     dynamic_residual: float
 
-    def decisively_disagrees(self, atol: float, decay_tol: float) -> bool:
+    def decisively_disagrees(self, atol: float) -> bool:
         """True when both residuals are decisive and the verdicts differ."""
         return (_decisive(self.algebraic_residual, atol)
-                and _decisive(self.dynamic_residual, decay_tol)
+                and _decisive(self.dynamic_residual, DEFAULT_DECAY_TOL)
                 and self.in_ideal_algebraic != self.in_ideal_dynamic)
 
 
-def _decay_result(algebraic_residual: float, dynamic_residual: float,
-                  tol: ToleranceConfig, decay_tol: float) -> DecayIdealResult:
-    return DecayIdealResult(
-        in_ideal_algebraic=algebraic_residual <= tol.atol,
-        in_ideal_dynamic=dynamic_residual <= decay_tol,
-        algebraic_residual=algebraic_residual,
-        dynamic_residual=dynamic_residual,
-    )
-
-
 def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HORIZON,
-                     tol: ToleranceConfig | None = None,
-                     decay_tol: float = DEFAULT_DECAY_TOL) -> DecayIdealResult:
+                     tol: ToleranceConfig | None = None) -> DecayIdealResult:
     """Membership of ``a`` in the decay ideal, tested two independent ways.
 
     Algebraically ``a`` belongs to the ideal when ``a r = 0`` (it lives in
     ``M r^perp``); dynamically when ``alpha_T(a^dag a)`` has decayed below
-    ``decay_tol``.  The two verdicts must agree whenever the residuals are
-    decisive.
+    ``DEFAULT_DECAY_TOL``.  The two verdicts must agree whenever the
+    residuals are decisive.
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
@@ -792,26 +784,12 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
         raise DimMismatch("operand dimension does not match the dynamics")
     algebraic_residual = opnorm(am @ recurrent.matrix)
     dynamic_residual = opnorm(dyn.flow(horizon).apply(am.conj().T @ am))
-    return _decay_result(algebraic_residual, dynamic_residual, tol, decay_tol)
-
-
-def _matrix_unit_decay_tests(dyn: Dynamics, recurrent: Projection, horizon: float,
-                             tol: ToleranceConfig, decay_tol: float) -> list:
-    """:func:`decay_ideal_test` on the matrix units, one result per column.
-
-    Both residuals of ``E_ij`` depend only on ``j``: ``E_ij r`` holds row
-    ``j`` of ``r`` (so its operator norm is that row's length) and
-    ``E_ij^dag E_ij = E_jj``.  Entry ``j`` stands for the ``d`` units
-    ``E_0j .. E_(d-1)j``, all read off the one propagator.
-    """
-    d = dyn.dim
-    alpha = dyn.flow(horizon).real
-    row_norms = np.linalg.norm(recurrent.matrix, axis=1)
-    # E_jj is the frame vector at index j + j * d
-    return [_decay_result(float(row_norms[j]),
-                          opnorm(from_hermitian_coords(alpha[:, j * (d + 1)], d)),
-                          tol, decay_tol)
-            for j in range(d)]
+    return DecayIdealResult(
+        in_ideal_algebraic=algebraic_residual <= tol.atol,
+        in_ideal_dynamic=dynamic_residual <= DEFAULT_DECAY_TOL,
+        algebraic_residual=algebraic_residual,
+        dynamic_residual=dynamic_residual,
+    )
 
 
 def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
@@ -825,11 +803,10 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
     minimal face the distance to the unique stationary state is O(1/T).
     """
     tol = _tol(tol)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     if grid_steps < 2:
         raise ValueError(f"grid_steps must be at least 2, got {grid_steps}")
     dyn = _as_dynamics(obj)
+    _check_horizon(horizon, dyn.discrete)
     if rho.dim != dyn.dim:
         raise DimMismatch("state dimension does not match the dynamics")
     v = hermitian_coords(rho.matrix)

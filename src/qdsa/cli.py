@@ -26,7 +26,7 @@ import math
 import sys
 
 from .analyze import AnalysisOptions, default_seed, run_analyze
-from .channels import SCHRODINGER, DensityMatrix, propagator
+from .channels import SCHRODINGER, DensityMatrix, _iteration_count, propagator
 from .errors import (
     ConvergenceFailure,
     InternalError,
@@ -156,9 +156,11 @@ def _cmd_evolve(args) -> int:
         raise ValidationError(f"times must be nonnegative and finite, got {args.times!r}")
     states = []
     for t in times:
-        if spec.is_channel and abs(t - round(t)) > 1e-9:
-            raise ValidationError(
-                f"channel models evolve by iteration counts; {t} is not an integer")
+        if spec.is_channel:
+            try:
+                _iteration_count(t)
+            except ValueError as exc:
+                raise ValidationError(f"channel models evolve by iteration counts: {exc}") from exc
         evolved = propagator(model, t, SCHRODINGER).apply(state.matrix)
         states.append(matrix_to_json(DensityMatrix(evolved).matrix))
     payload = {"label": spec.label, "times": times, "states": states}

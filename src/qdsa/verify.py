@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
-    DEFAULT_DECAY_TOL,
     Dynamics,
     _kernel_component,
     decay_ideal_test,
@@ -323,7 +322,7 @@ def _check_recurrent_structure(rng, trials, dims, tol):
         disagreements = 0
         for unit in _basis_sample(model.dim, rng, 4):
             result = decay_ideal_test(dyn, unit, report.recurrent, tol=tol)
-            disagreements += result.decisively_disagrees(tol.atol, DEFAULT_DECAY_TOL)
+            disagreements += result.decisively_disagrees(tol.atol)
         outcomes.append(((float(partial), partial),
                          (mismatch, not report.supports_match),
                          (float(disagreements > 0), disagreements)))

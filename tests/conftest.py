@@ -1,6 +1,8 @@
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +14,18 @@ from qdsa.models import (
     identity_model,
     thermal_qubit,
 )
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of the source under test on disk even
+    # with no example database; keep that cache out of the working tree
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

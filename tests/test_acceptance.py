@@ -202,8 +202,9 @@ def test_criterion_6_faithful_family_rule():
         report = recurrent_projection(th, horizon=30.0)
         assert report.faithful_family
         assert report.recurrent.rank == 2
-        state = stationary_space(th).states[0]
-        assert opnorm(state.matrix - np.diag([2.0, 1.0]) / 3.0) <= 1e-10
+        space = stationary_space(th)
+        for x in (space.state.matrix, *(b / np.trace(b) for b in space.basis)):
+            assert opnorm(x - np.diag([2.0, 1.0]) / 3.0) <= 1e-10
 
 
 def test_criterion_7_stationary_support_equals_recurrent():

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import ket_bra
 from qdsa.asymptotics import (
     Dynamics,
+    StationarySpace,
     _fixed_point_matrix,
     _kernel_component,
     _split_kernel_range,
@@ -32,6 +33,7 @@ from qdsa.linalg import (
     opnorm,
     order_leq,
     proj_supremum,
+    support_projection,
     trace_norm,
 )
 from qdsa.models import build_fixture, fixture_horizon, fixture_names
@@ -50,13 +52,17 @@ class TestStationarySpace:
 
         space = stationary_space(ad)
         assert space.dim == 1
-        assert_allclose(space.states[0].matrix, ket_bra(2, 0, 0), atol=1e-10)
+        assert_allclose(space.state.matrix, ket_bra(2, 0, 0), atol=1e-10)
+        for b in space.basis:
+            assert_allclose(b / np.trace(b), ket_bra(2, 0, 0), atol=1e-10)
 
     def test_th_detailed_balance(self, th):
         # oracle: p0 * gamma_up = p1 * gamma_down with rates (2, 1)
         space = stationary_space(th)
         assert space.dim == 1
-        assert_allclose(space.states[0].matrix, np.diag([2.0, 1.0]) / 3.0, atol=1e-10)
+        assert_allclose(space.state.matrix, np.diag([2.0, 1.0]) / 3.0, atol=1e-10)
+        for b in space.basis:
+            assert_allclose(b / np.trace(b), np.diag([2.0, 1.0]) / 3.0, atol=1e-10)
 
     def test_dfs3_full_block(self, dfs3):
         space = stationary_space(dfs3)
@@ -71,8 +77,8 @@ class TestStationarySpace:
             space = stationary_space(model)
             for t in (1.0 if hasattr(model, "hamiltonian") else 1, 7.0 if hasattr(model, "hamiltonian") else 7):
                 prop = propagator(model, t, "schrodinger")
-                for state in space.states:
-                    assert opnorm(prop.apply(state.matrix) - state.matrix) <= 1e-9
+                for x in (space.state.matrix, *space.basis):
+                    assert opnorm(prop.apply(x) - x) <= 1e-9
 
 
 class TestStationarySupport:
@@ -87,6 +93,15 @@ class TestStationarySupport:
     def test_th_faithful(self, th):
         r = stationary_support(stationary_space(th))
         assert r.rank == 2
+
+    def test_hand_built_space(self):
+        # the support of the state must hold every basis element
+        ground, excited = ket_bra(2, 0, 0), ket_bra(2, 1, 1)
+        state = DensityMatrix(ground)
+        with pytest.raises(InternalError, match="maximal-state support"):
+            stationary_support(StationarySpace((excited,), state, 1))
+        r = stationary_support(StationarySpace((ground,), state, 1))
+        assert_allclose(r.matrix, ground, atol=1e-12)
 
 
 class TestMinimalEnclosures:
@@ -193,8 +208,11 @@ class TestRecurrentProjection:
         for name in fixture_names():
             model = build_fixture(name)
             report = recurrent_projection(model, horizon=fixture_horizon(name))
-            for state in stationary_space(model).states:
-                assert order_leq(state.support().matrix, report.recurrent.matrix)
+            space = stationary_space(model)
+            assert order_leq(space.state.support().matrix, report.recurrent.matrix)
+            for b in space.basis:
+                supp = support_projection(b @ b.conj().T)
+                assert order_leq(supp.matrix, report.recurrent.matrix)
 
 
 class TestDecayIdeal:
@@ -340,6 +358,21 @@ class TestCesaro:
             cesaro_mean(ad, rho, -1.0)
         with pytest.raises(ValueError):
             cesaro_mean(ad, rho, 1.0, grid_steps=1)
+
+
+@pytest.mark.parametrize("name", ["TH", "AD", "ADK"])
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
+class TestHorizonRule:
+    """A horizon is accepted only when ``0 < T < inf``."""
+
+    def test_recurrent_projection(self, name, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            recurrent_projection(build_fixture(name), horizon=horizon)
+
+    def test_cesaro_mean(self, name, horizon):
+        model = build_fixture(name)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            cesaro_mean(model, DensityMatrix.maximally_mixed(model.dim), horizon)
 
 
 class TestObliqueComponent:

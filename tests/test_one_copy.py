@@ -40,3 +40,11 @@ def test_verify_keeps_one_failure_counter():
 
 def test_model_files_are_read_in_one_place():
     assert occurrences("json.load(").get("modelio.py", 0) == 1
+
+
+def test_channel_iteration_count_rule_lives_in_channels():
+    assert occurrences("round(t)") == {"channels.py": 1}
+
+
+def test_library_horizon_rule_lives_in_asymptotics():
+    assert occurrences("0 < horizon < math.inf") == {"asymptotics.py": 1}

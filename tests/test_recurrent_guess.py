@@ -202,8 +202,8 @@ def test_certified_space_matches_the_full_split(d):
     basis = np.column_stack([hermitian_coords(b) for b in space.basis])
     assert basis.shape == kernel.shape
     assert opnorm(basis @ basis.T - kernel @ kernel.T) <= 1e-8
-    for state in space.states:
-        assert np.linalg.norm(dyn.schrodinger @ hermitian_coords(state.matrix)) <= 1e-10
+    for x in (space.state.matrix, *space.basis):
+        assert np.linalg.norm(dyn.schrodinger @ hermitian_coords(x)) <= 1e-10
     assert projections_equal(dyn.support(DEFAULT_TOL), block)
 
 
