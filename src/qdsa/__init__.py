@@ -29,7 +29,6 @@ from .linalg import (
     Projection,
     ToleranceConfig,
     as_complex_matrix,
-    hermitian_eig,
     is_psd,
     matrix_exp,
     opnorm,
@@ -48,11 +47,8 @@ from .channels import (
     LindbladGenerator,
     QuantumChannel,
     StinespringDilation,
-    StructureReport,
     Superoperator,
     apply_heisenberg,
-    apply_schrodinger,
-    check_structure,
     generator_to_channel,
     lindblad_apply,
     propagator,

@@ -32,7 +32,7 @@ from .linalg import (
     opnorm,
     support_projection,
 )
-from .modelio import ModelSpec
+from .modelio import ModelSpec, matrix_from_json, matrix_to_json
 
 __all__ = [
     "AnalysisOptions",
@@ -79,21 +79,16 @@ class CheckResult:
 
 
 def _projection_to_json(p: Projection) -> dict:
-    return {"rank": p.rank,
-            "range_basis": [[[float(v.real), float(v.imag)] for v in p.range_basis[:, j]]
-                            for j in range(p.rank)]}
+    return {"rank": p.rank, "range_basis": matrix_to_json(p.range_basis.T)}
 
 
 def _projection_from_json(data, dim: int) -> Projection:
-    rank = data["rank"]
     cols = data["range_basis"]
-    if len(cols) != rank:
-        raise ValidationError("projection rank does not match its basis")
-    basis = np.zeros((dim, rank), dtype=complex)
-    for j, col in enumerate(cols):
-        if len(col) != dim:
-            raise ValidationError("projection basis column has wrong length")
-        basis[:, j] = [complex(re, im) for re, im in col]
+    basis = (np.zeros((dim, 0), dtype=complex) if cols == []
+             else matrix_from_json(cols, "range_basis").T)
+    if basis.shape != (dim, data["rank"]):
+        raise ValidationError(f"projection basis has shape {basis.shape}, "
+                              f"expected ({dim}, {data['rank']})")
     p = Projection.from_range_basis(basis, dim)
     return Projection.from_matrix(p.matrix)  # re-validate on load
 

@@ -63,7 +63,8 @@ Every public function accepts either a bare model or a :class:`Dynamics`.  A
 computes each derived object at most once: the real Schrodinger matrix of
 :func:`to_superoperator`, its kernel split, the certified guess of the
 recurrent block, the stationary space and its support (per tolerance), and
-the real propagator ``alpha_T`` (per horizon) on its transpose.  No complex
+the real propagator (per horizon and picture): ``alpha_T`` on its transpose,
+``nu_T`` on the matrix itself.  No complex
 superoperator is ever formed.  A ``Dynamics`` is dropped with the call;
 nothing is cached on the model or globally.
 """
@@ -218,8 +219,8 @@ class Dynamics:
     its kernel split, the certified guess of the recurrent block
     (:func:`_certified_guess`), the stationary space and its support (that
     of its maximal-support state, :func:`stationary_support`) for each
-    tolerance, and the real Heisenberg propagator for each horizon asked
-    for, taken on the transpose (the Heisenberg form), so no second
+    tolerance, and the real propagator for each horizon and picture asked
+    for, the Heisenberg one taken on the transpose, so no second
     superoperator is built.  When the guess is certified, the
     stationary space is that of the guessed block's corner and the kernel
     split of the whole model is never formed.  Build one per top-level call
@@ -246,10 +247,12 @@ class Dynamics:
         """Real form of the Schrodinger superoperator."""
         return to_superoperator(self.model, SCHRODINGER).real
 
-    def flow(self, horizon: float) -> Superoperator:
-        """The Heisenberg propagator ``alpha_T`` at ``horizon``."""
-        return self._cached(("flow", horizon), lambda: Superoperator(
-            _propagate(self.schrodinger.T, horizon, self.discrete), HEISENBERG))
+    def flow(self, horizon: float, picture: str = HEISENBERG) -> Superoperator:
+        """The propagator at ``horizon``: ``alpha_T`` in the Heisenberg
+        picture, ``nu_T`` (on the Schrodinger form itself) in the other."""
+        r = self.schrodinger.T if picture == HEISENBERG else self.schrodinger
+        return self._cached(("flow", horizon, picture), lambda: Superoperator(
+            _propagate(r, horizon, self.discrete), picture))
 
     def split(self, tol: ToleranceConfig):
         """Kernel and left kernel of the fixed-point matrix."""
@@ -303,11 +306,17 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
 
 def _check_horizon(horizon: float, discrete: bool) -> None:
     """ValueError unless ``0 < horizon < inf`` and, for a channel
-    (``discrete``), the horizon is an iteration count."""
+    (``discrete``), the horizon is an iteration count of at least 1."""
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if discrete:
-        _iteration_count(horizon)
+    if discrete and _iteration_count(horizon) < 1:
+        raise ValueError(f"a channel's horizon is at least one iteration, got {horizon}")
+
+
+def _check_operand(dyn: Dynamics, dim: int) -> None:
+    """DimMismatch unless an operand of dimension ``dim`` fits ``dyn``."""
+    if dim != dyn.dim:
+        raise DimMismatch(f"operand dimension {dim} does not match the dynamics ({dyn.dim})")
 
 
 def _mixed_limit(dyn: Dynamics, tol: ToleranceConfig):
@@ -324,6 +333,7 @@ def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) ->
     """Exact long-time Cesaro limit of a state under the predual flow."""
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
+    _check_operand(dyn, rho.dim)
     kernel, left = dyn.split(tol)
     limit = _kernel_component(kernel, left, hermitian_coords(rho.matrix))
     return _as_state(from_hermitian_coords(limit, rho.dim), tol)
@@ -520,9 +530,11 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     The state is in the coordinates of ``p.range_basis``.
     """
     tol = _tol(tol)
+    dyn = _as_dynamics(obj)
+    _check_operand(dyn, p.dim)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
-    return _corner(_as_dynamics(obj), p.range_basis, tol).limit(tol)
+    return _corner(dyn, p.range_basis, tol).limit(tol)
 
 
 def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
@@ -780,8 +792,8 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
     am = as_complex_matrix(a)
-    if am.shape[0] != dyn.dim:
-        raise DimMismatch("operand dimension does not match the dynamics")
+    _check_operand(dyn, am.shape[0])
+    _check_operand(dyn, recurrent.dim)
     algebraic_residual = opnorm(am @ recurrent.matrix)
     dynamic_residual = opnorm(dyn.flow(horizon).apply(am.conj().T @ am))
     return DecayIdealResult(
@@ -793,41 +805,30 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
 
 
 def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
-                grid_steps: int = 200, tol: ToleranceConfig | None = None) -> DensityMatrix:
-    """Finite-horizon time average of the predual flow.
+                tol: ToleranceConfig | None = None) -> DensityMatrix:
+    """Finite-horizon time average of the predual flow, exact.
 
-    For a generator this is the trapezoidal approximation of
-    ``(1/T) integral_0^T nu_t(rho) dt`` on ``grid_steps`` intervals; for a
-    discrete channel it is the mean of the first ``n`` iterates, where the
-    horizon must be an integer ``n >= 1`` (else ValueError).  On a
-    minimal face the distance to the unique stationary state is O(1/T).
+    For a generator this is ``(1/T) integral_0^T nu_t(rho) dt``; for a
+    channel the mean of the first ``n`` iterates ``nu^k(rho)``, ``k < n``,
+    where the horizon must be an iteration count ``n >= 1`` (else
+    ValueError).  Both come from one propagation of the augmented real
+    matrix ``A = [[R, v], [0, c]]`` (``R`` the Schrodinger form, ``v`` the
+    frame coordinates of ``rho``, ``c = 1`` for a channel and 0 for a
+    generator): the last column of ``A^n`` holds ``sum_{k<n} R^k v`` and
+    that of ``exp(T A)`` holds ``integral_0^T exp(tR) v dt`` (Van Loan, IEEE
+    TAC 23, 1978).  On a minimal face the distance to the unique stationary
+    state is O(1/T).
     """
     tol = _tol(tol)
-    if grid_steps < 2:
-        raise ValueError(f"grid_steps must be at least 2, got {grid_steps}")
     dyn = _as_dynamics(obj)
     _check_horizon(horizon, dyn.discrete)
-    if rho.dim != dyn.dim:
-        raise DimMismatch("state dimension does not match the dynamics")
-    v = hermitian_coords(rho.matrix)
-    if dyn.discrete:
-        n = _iteration_count(horizon)
-        if n < 1:
-            raise ValueError(f"a channel's mean needs at least one iterate, got {horizon}")
-        s = dyn.schrodinger
-        acc = np.zeros_like(v)
-        for _ in range(n):
-            acc += v
-            v = s @ v
-        mean = acc / n
-    else:
-        step = _propagate(dyn.schrodinger, horizon / grid_steps, discrete=False)
-        acc = 0.5 * v
-        for _ in range(grid_steps - 1):
-            v = step @ v
-            acc += v
-        acc += 0.5 * (step @ v)
-        mean = acc / grid_steps
+    _check_operand(dyn, rho.dim)
+    n = dyn.schrodinger.shape[0]
+    augmented = np.zeros((n + 1, n + 1))
+    augmented[:n, :n] = dyn.schrodinger
+    augmented[:n, n] = hermitian_coords(rho.matrix)
+    augmented[n, n] = float(dyn.discrete)
+    mean = _propagate(augmented, horizon, dyn.discrete)[:n, n] / horizon
     return _as_state(from_hermitian_coords(mean, rho.dim), tol)
 
 
@@ -869,6 +870,8 @@ def minimality_certificate(obj, recurrent: Projection,
     tol = _tol(tol)
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
+    for p in (recurrent, *decomposition.minimal_projections):
+        _check_operand(dyn, p.dim)
     prop = dyn.flow(horizon)
     d = dyn.dim
     eye = np.eye(d)

@@ -5,7 +5,12 @@ family ``{V_i}`` acting in the Heisenberg picture as
 ``alpha(a) = sum_i V_i^dag a V_i`` (the predual acts on states as
 ``nu(rho) = sum_i V_i rho V_i^dag``), and a :class:`LindbladGenerator`
 holds a Hamiltonian ``H`` and jump operators ``{L_i}`` generating the
-norm-continuous semigroup ``alpha_t = exp(t L)``.
+norm-continuous semigroup ``alpha_t = exp(t L)``.  The one structural
+axiom a Kraus family can fail is unitality: :class:`QuantumChannel` raises
+NotUnital with the residual ``|sum_i V_i^dag V_i - 1|``.  Trace
+preservation of the predual is the same condition, duality holds by
+cyclicity of the trace, and a generator with Hermitian ``H`` has
+``L(1) = 0`` by construction, so no separate structure check exists.
 
 Superoperators use the column-stacking vectorization convention
 
@@ -32,7 +37,6 @@ floating-point work of the complex one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -58,20 +62,17 @@ __all__ = [
     "DensityMatrix",
     "Superoperator",
     "StinespringDilation",
-    "StructureReport",
     "vec",
     "unvec",
     "hermitian_coords",
     "from_hermitian_coords",
     "real_form",
     "apply_heisenberg",
-    "apply_schrodinger",
     "lindblad_apply",
     "to_superoperator",
     "propagator",
     "generator_to_channel",
     "stinespring_dilate",
-    "check_structure",
 ]
 
 HEISENBERG = "heisenberg"
@@ -358,11 +359,6 @@ def _check_dim(obj_dim: int, a: np.ndarray):
         raise DimMismatch(f"operand dimension {a.shape[0]} does not match {obj_dim}")
 
 
-def _heisenberg_action(ops, m: np.ndarray) -> np.ndarray:
-    """``sum_i V_i^dag m V_i`` over the Kraus family ``ops``, unchecked."""
-    return sum(v.conj().T @ m @ v for v in ops)
-
-
 def _schrodinger_action(ops, m: np.ndarray) -> np.ndarray:
     """``sum_i V_i m V_i^dag`` over the Kraus family ``ops``, unchecked."""
     return sum(v @ m @ v.conj().T for v in ops)
@@ -372,14 +368,7 @@ def apply_heisenberg(ch: QuantumChannel, a) -> np.ndarray:
     """Heisenberg action ``sum_i V_i^dag a V_i`` on an observable."""
     m = as_complex_matrix(a)
     _check_dim(ch.dim, m)
-    return _heisenberg_action(ch.kraus_ops, m)
-
-
-def apply_schrodinger(ch: QuantumChannel, rho: DensityMatrix,
-                      tol: ToleranceConfig | None = None) -> DensityMatrix:
-    """Predual action ``sum_i V_i rho V_i^dag`` on a state."""
-    _check_dim(ch.dim, rho.matrix)
-    return DensityMatrix(_schrodinger_action(ch.kraus_ops, rho.matrix), tol)
+    return sum(v.conj().T @ m @ v for v in ch.kraus_ops)
 
 
 def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.ndarray:
@@ -484,8 +473,6 @@ def generator_to_channel(gen: LindbladGenerator, t: float,
     are dropped.
     """
     tol = _tol(tol)
-    if t < 0:
-        raise NegativeTime(f"evolution time must be nonnegative, got {t}")
     d = gen.dim
     s = propagator(gen, t, SCHRODINGER)
     choi = np.zeros((d * d, d * d), dtype=complex)
@@ -508,74 +495,3 @@ def stinespring_dilate(ch: QuantumChannel,
     for i, k in enumerate(ch.kraus_ops):
         v[i::n, :] = k
     return StinespringDilation(v, n, tol)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Residuals of the structural axioms of a map or generator.
-
-    Accepts raw, unvalidated Kraus families so that broken inputs can be
-    diagnosed; failures are carried in the residuals, never raised.
-    """
-
-    kind: str
-    dim: int
-    unitality_residual: float
-    trace_residual: float
-    hamiltonian_residual: float
-    duality_residual: float
-
-    def ok(self, tol: ToleranceConfig | None = None) -> bool:
-        tol = _tol(tol)
-        worst = max(self.unitality_residual, self.trace_residual,
-                    self.hamiltonian_residual, self.duality_residual)
-        return worst <= tol.atol
-
-
-def check_structure(obj, tol: ToleranceConfig | None = None,
-                    rng=None, trials: int = 20) -> StructureReport:
-    """Report unitality, trace-preservation, Hermiticity and duality residuals.
-
-    ``obj`` may be a validated channel or generator, or a bare sequence of
-    Kraus matrices (which is how a non-unital family gets diagnosed).
-    """
-    from .sampling import random_density_matrix, random_hermitian  # sampling imports this module
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if isinstance(obj, LindbladGenerator):
-        h = obj.hamiltonian
-        herm = opnorm(h - h.conj().T)
-        unital = opnorm(lindblad_apply(obj, np.eye(obj.dim), HEISENBERG))
-        trace = 0.0
-        dual = 0.0
-        for _ in range(trials):
-            rho = random_density_matrix(obj.dim, rng)
-            a = random_hermitian(obj.dim, rng)
-            drho = lindblad_apply(obj, rho, SCHRODINGER)
-            trace = max(trace, abs(complex(np.trace(drho))))
-            dual = max(dual, abs(complex(np.trace(drho @ a))
-                                 - complex(np.trace(rho @ lindblad_apply(obj, a, HEISENBERG)))))
-        return StructureReport("generator", obj.dim, unital, trace, herm, dual)
-
-    if isinstance(obj, QuantumChannel):
-        ops = obj.kraus_ops
-        kind = "channel"
-    else:
-        ops = tuple(as_complex_matrix(v) for v in obj)
-        if not ops:
-            raise ValueError("empty Kraus family")
-        kind = "kraus"
-    dim = ops[0].shape[0]
-    gram = sum(v.conj().T @ v for v in ops)
-    unital = opnorm(gram - np.eye(dim))
-    trace = 0.0
-    dual = 0.0
-    for _ in range(trials):
-        rho = random_density_matrix(dim, rng)
-        a = random_hermitian(dim, rng)
-        nu = _schrodinger_action(ops, rho)
-        al = _heisenberg_action(ops, a)
-        trace = max(trace, abs(complex(np.trace(nu)) - complex(np.trace(rho))))
-        dual = max(dual, abs(complex(np.trace(nu @ a)) - complex(np.trace(rho @ al))))
-    return StructureReport(kind, dim, unital, trace, 0.0, dual)

@@ -21,12 +21,14 @@ environment variable ``QDS_SEED`` provides the fallback seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .analyze import AnalysisOptions, default_seed, run_analyze
-from .channels import SCHRODINGER, DensityMatrix, _iteration_count, propagator
+from .asymptotics import Dynamics
+from .channels import SCHRODINGER, DensityMatrix, _iteration_count
 from .errors import (
     ConvergenceFailure,
     InternalError,
@@ -127,15 +129,7 @@ def _cmd_verify(args) -> int:
     summary = run_verify(seed=seed, trials=args.trials, dims=dims)
     print(format_summary(summary))
     if args.output:
-        payload = {
-            "seed": summary.seed,
-            "trials": summary.trials,
-            "dims": list(summary.dims),
-            "passed": summary.passed,
-            "results": [{"name": r.name, "trials": r.trials,
-                         "failures": r.failures, "worst": r.worst}
-                        for r in summary.results],
-        }
+        payload = {**dataclasses.asdict(summary), "passed": summary.passed}
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -154,6 +148,7 @@ def _cmd_evolve(args) -> int:
         raise ValidationError("--times must list at least one time")
     if any(not 0 <= t < math.inf for t in times):
         raise ValidationError(f"times must be nonnegative and finite, got {args.times!r}")
+    dyn = Dynamics(model)
     states = []
     for t in times:
         if spec.is_channel:
@@ -161,7 +156,7 @@ def _cmd_evolve(args) -> int:
                 _iteration_count(t)
             except ValueError as exc:
                 raise ValidationError(f"channel models evolve by iteration counts: {exc}") from exc
-        evolved = propagator(model, t, SCHRODINGER).apply(state.matrix)
+        evolved = dyn.flow(t, SCHRODINGER).apply(state.matrix)
         states.append(matrix_to_json(DensityMatrix(evolved).matrix))
     payload = {"label": spec.label, "times": times, "states": states}
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)

@@ -151,9 +151,7 @@ def kraus_invariance_test(ch: QuantumChannel, p: Projection,
                           tol: ToleranceConfig | None = None) -> bool:
     """Exact algebraic sub-harmonicity test: ``(1-p) V_i p = 0`` for all i."""
     tol = _tol(tol)
-    if p.dim != ch.dim:
-        raise DimMismatch("projection dimension does not match the channel")
-    return _kraus_residual(ch, p) <= tol.atol
+    return subharmonic_residual(ch, p) <= tol.atol
 
 
 def _generator_residual(gen: LindbladGenerator, p: Projection) -> float:
@@ -177,18 +175,21 @@ def is_subharmonic_generator(gen: LindbladGenerator, p: Projection,
     beyond tolerance is a test failure rather than something resolved here.
     """
     tol = _tol(tol)
-    if p.dim != gen.dim:
-        raise DimMismatch("projection dimension does not match the generator")
-    return _generator_residual(gen, p) <= tol.atol
+    return subharmonic_residual(gen, p) <= tol.atol
 
 
 def subharmonic_residual(obj, p: Projection) -> float:
-    """The algebraic invariance residual (zero exactly when sub-harmonic)."""
+    """The algebraic invariance residual (zero exactly when sub-harmonic).
+
+    DimMismatch when ``p`` and the model differ in dimension.
+    """
+    if not isinstance(obj, (QuantumChannel, LindbladGenerator)):
+        raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+    if p.dim != obj.dim:
+        raise DimMismatch(f"projection dimension {p.dim} does not match the model ({obj.dim})")
     if isinstance(obj, QuantumChannel):
         return _kraus_residual(obj, p)
-    if isinstance(obj, LindbladGenerator):
-        return _generator_residual(obj, p)
-    raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+    return _generator_residual(obj, p)
 
 
 def is_subharmonic(obj, p: Projection, tol: ToleranceConfig | None = None) -> bool:

@@ -30,7 +30,6 @@ __all__ = [
     "opnorm",
     "trace_norm",
     "hermitian_part",
-    "hermitian_eig",
     "matrix_exp",
     "is_psd",
     "order_leq",
@@ -152,21 +151,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
         if abs(pivot) > 0.0:
             out[:, j] = col * (abs(pivot) / pivot)
     return out
-
-
-def hermitian_eig(a, tol: ToleranceConfig | None = None):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
-    ascending and eigenvectors as orthonormal columns with fixed phases.
-
-    Raises NotHermitian if the input is not Hermitian within ``tol.atol``.
-    """
-    tol = _tol(tol)
-    m = as_complex_matrix(a)
-    _check_hermitian(m, tol)
-    w, v = np.linalg.eigh(m)
-    return w, _fix_phases(v)
 
 
 # Largest 1-norm for which scipy's expm picks a Pade degree of 9 or less
@@ -371,11 +355,6 @@ class ConditionCheck:
     @property
     def decisive(self) -> bool:
         return _decisive(self.residual, self.atol)
-
-    @property
-    def status(self) -> bool | None:
-        """True/False when decisive, None in the indecisive band."""
-        return self.holds if self.decisive else None
 
 
 def _statuses_consistent(checks) -> bool:

@@ -20,13 +20,11 @@ from .asymptotics import (
     recurrent_projection,
 )
 from .channels import (
-    HEISENBERG,
     _matrix_units,
     _schrodinger_action,
     apply_heisenberg,
     from_hermitian_coords,
     hermitian_coords,
-    propagator,
     stinespring_dilate,
 )
 from .errors import TheoremViolation, ValidationError
@@ -188,7 +186,8 @@ def _generator_criterion(rng, trials, dims, tol):
         for _ in range(max(1, trials // 4)):
             k = int(rng.integers(1, dim))
             gen, block = transient_block_generator(k, dim - k, rng)
-            flows = [propagator(gen, t, HEISENBERG) for t in times]
+            dyn = Dynamics(gen)
+            flows = [dyn.flow(t) for t in times]
             for p in (block, random_projection(dim, int(rng.integers(1, dim + 1)), rng)):
                 algebraic = is_subharmonic_generator(gen, p, tol)
                 orbit = all(order_leq(p.matrix, hermitian_part(flow.apply(p.matrix)), tol)
@@ -247,10 +246,11 @@ def _monotone_orbit(rng, trials, dims, tol):
         for _ in range(max(1, trials // 4)):
             k = int(rng.integers(1, dim))
             gen, block = transient_block_generator(k, dim - k, rng)
+            dyn = Dynamics(gen)
             previous = block.matrix
             defect = 0.0
             for s, t in zip(grid, grid[1:]):
-                current = hermitian_part(propagator(gen, t, HEISENBERG).apply(block.matrix))
+                current = hermitian_part(dyn.flow(t).apply(block.matrix))
                 defect = max(defect, _psd_defect(current - previous))
                 previous = current
             yield defect, defect > 10 * tol.atol

@@ -276,7 +276,7 @@ def test_criterion_9_cesaro_rate():
         target = ket_bra(2, 0, 0)
 
         def error(horizon):
-            mean = cesaro_mean(ad, rho, horizon, grid_steps=int(40 * horizon))
+            mean = cesaro_mean(ad, rho, horizon)
             return trace_norm(mean.matrix - target)
 
         for horizon in (10.0, 20.0):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qdsa.asymptotics
 from conftest import ket_bra
 from qdsa.asymptotics import (
     Dynamics,
@@ -21,11 +22,18 @@ from qdsa.asymptotics import (
 )
 from qdsa.channels import (
     HEISENBERG,
+    SCHRODINGER,
     DensityMatrix,
     propagator,
 )
-from qdsa.harmonic import is_subharmonic
-from qdsa.errors import InternalError
+from qdsa.harmonic import (
+    is_subharmonic,
+    is_subharmonic_generator,
+    is_superharmonic,
+    kraus_invariance_test,
+    subharmonic_residual,
+)
+from qdsa.errors import DimMismatch, InternalError
 from qdsa.linalg import (
     DEFAULT_TOL,
     Projection,
@@ -296,7 +304,7 @@ class TestAsymptoticEquivalence:
 class TestCesaro:
     def test_identity_flow(self, id2, rng):
         rho = DensityMatrix(np.diag([0.3, 0.7]))
-        out = cesaro_mean(id2, rho, 5.0, grid_steps=50)
+        out = cesaro_mean(id2, rho, 5.0)
         assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_ad_closed_form(self, ad):
@@ -304,17 +312,17 @@ class TestCesaro:
         rho = DensityMatrix(ket_bra(2, 1, 1))
         target = ket_bra(2, 0, 0)
         for horizon in (10.0, 20.0):
-            mean = cesaro_mean(ad, rho, horizon, grid_steps=int(40 * horizon))
+            mean = cesaro_mean(ad, rho, horizon)
             err = trace_norm(mean.matrix - target)
             exact = 2.0 * (1.0 - np.exp(-horizon)) / horizon
-            assert abs(err - exact) <= 2e-3 * exact
+            assert abs(err - exact) <= 1e-12 * exact
 
     def test_rate_is_one_over_t(self, ad):
         rho = DensityMatrix(ket_bra(2, 1, 1))
         target = ket_bra(2, 0, 0)
 
         def error(horizon):
-            mean = cesaro_mean(ad, rho, horizon, grid_steps=int(40 * horizon))
+            mean = cesaro_mean(ad, rho, horizon)
             return trace_norm(mean.matrix - target)
 
         for horizon in (10.0, 20.0):
@@ -326,19 +334,20 @@ class TestCesaro:
         # rotates as exp(it) and averages down at the O(1/T) rate
         rho = DensityMatrix.pure(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
         horizon = 50.0
-        mean = cesaro_mean(m3, rho, horizon, grid_steps=2000)
-        assert_allclose(np.diag(mean.matrix).real, [0.5, 0.5, 0.0], atol=1e-6)
+        mean = cesaro_mean(m3, rho, horizon)
+        assert_allclose(np.diag(mean.matrix).real, [0.5, 0.5, 0.0], atol=1e-12)
         exact = abs(np.exp(1j * horizon) - 1.0) / (2.0 * horizon)
-        assert abs(abs(mean.matrix[0, 1]) - exact) <= 1e-4
+        assert abs(abs(mean.matrix[0, 1]) - exact) <= 1e-12
 
     def test_discrete_channel_mean(self, adk):
         rho = DensityMatrix(ket_bra(2, 1, 1))
-        mean = cesaro_mean(adk, rho, 200, grid_steps=2)
+        mean = cesaro_mean(adk, rho, 200)
         assert trace_norm(mean.matrix - ket_bra(2, 0, 0)) <= 0.05
 
-    @pytest.mark.parametrize("horizon", [0.3, 2.5])
+    @pytest.mark.parametrize("horizon", [0.3, 2.5, 1e-10])
     def test_discrete_horizon_must_be_a_positive_integer(self, adk, horizon):
-        # 0.3 would round to zero iterates and 2.5 would silently become 2
+        # 0.3 would round to zero iterates and 2.5 would silently become 2;
+        # 1e-10 is within the integrality slack of zero iterates
         rho = DensityMatrix(ket_bra(2, 1, 1))
         with pytest.raises(ValueError):
             cesaro_mean(adk, rho, horizon)
@@ -346,6 +355,29 @@ class TestCesaro:
     def test_discrete_single_iterate_is_the_state(self, adk):
         rho = DensityMatrix(ket_bra(2, 1, 1))
         assert_allclose(cesaro_mean(adk, rho, 1).matrix, rho.matrix, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_discrete_mean_matches_the_iterates(self, adk, n):
+        rho = DensityMatrix(np.array([[0.4, 0.3j], [-0.3j, 0.6]]))
+        step = propagator(adk, 1, SCHRODINGER)
+        state, total = rho.matrix, np.zeros((2, 2), dtype=complex)
+        for _ in range(n):
+            total += state
+            state = step.apply(state)
+        assert opnorm(cesaro_mean(adk, rho, n).matrix - total / n) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["AD", "ADK"])
+    def test_one_propagation(self, monkeypatch, name):
+        calls = []
+        original = qdsa.asymptotics._propagate
+
+        def counted(r, t, discrete):
+            calls.append(r.shape)
+            return original(r, t, discrete)
+
+        monkeypatch.setattr(qdsa.asymptotics, "_propagate", counted)
+        cesaro_mean(build_fixture(name), DensityMatrix.maximally_mixed(2), 20)
+        assert calls == [(5, 5)]  # the 4 x 4 real form and one augmented row
 
     def test_exact_limit(self, m3):
         rho = DensityMatrix.pure(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
@@ -356,8 +388,6 @@ class TestCesaro:
         rho = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError):
             cesaro_mean(ad, rho, -1.0)
-        with pytest.raises(ValueError):
-            cesaro_mean(ad, rho, 1.0, grid_steps=1)
 
 
 @pytest.mark.parametrize("name", ["TH", "AD", "ADK"])
@@ -373,6 +403,37 @@ class TestHorizonRule:
         model = build_fixture(name)
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             cesaro_mean(model, DensityMatrix.maximally_mixed(model.dim), horizon)
+
+
+_WRONG_DIM = {
+    "subharmonic_residual": lambda m, p, rho: subharmonic_residual(m, p),
+    "is_subharmonic": lambda m, p, rho: is_subharmonic(m, p),
+    "is_superharmonic": lambda m, p, rho: is_superharmonic(m, p),
+    "decay_ideal_test": lambda m, p, rho: decay_ideal_test(m, np.eye(2), p),
+    "minimality_certificate": lambda m, p, rho: minimality_certificate(
+        m, p, minimal_enclosures(m), trials=1),
+    "restricted_stationary_dim": lambda m, p, rho: restricted_stationary_dim(m, p),
+    "cesaro_limit": lambda m, p, rho: cesaro_limit(m, rho),
+    "cesaro_mean": lambda m, p, rho: cesaro_mean(m, rho, 5),
+}
+
+
+@pytest.mark.parametrize("name", ["AD", "ADK"])
+@pytest.mark.parametrize("call", sorted(_WRONG_DIM))
+def test_operand_of_the_wrong_dimension_is_dim_mismatch(name, call):
+    # a 3 x 3 projection or state against a qubit model
+    p = Projection.from_range_basis(np.eye(3)[:, :2], 3)
+    with pytest.raises(DimMismatch):
+        _WRONG_DIM[call](build_fixture(name), p, DensityMatrix.maximally_mixed(3))
+
+
+def test_exact_subharmonic_tests_check_the_dimension():
+    # both now take the check from subharmonic_residual
+    p = Projection.from_range_basis(np.eye(3)[:, :2], 3)
+    with pytest.raises(DimMismatch):
+        kraus_invariance_test(build_fixture("ADK"), p)
+    with pytest.raises(DimMismatch):
+        is_subharmonic_generator(build_fixture("AD"), p)
 
 
 class TestObliqueComponent:

@@ -10,7 +10,7 @@ import pytest
 from conftest import SRC, run_cli
 from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
 from qdsa.cli import main
-from qdsa.errors import ValidationError
+from qdsa.errors import ParseError, ValidationError
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
 from qdsa.models import build_fixture
 
@@ -89,6 +89,17 @@ class TestAnalyzeCommand:
         assert report.recurrent.rank == 2
         assert report.passed
 
+    @pytest.mark.parametrize("column", [
+        [[1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],   # a three-element entry
+        ["10", [0.0, 0.0], [0.0, 0.0]],               # a string entry
+        5.0,                                          # a column that is not an array
+    ])
+    def test_malformed_projection_is_a_parse_error(self, column):
+        data = json.loads(run_analyze(build_fixture("M3")).to_json())
+        data["recurrent"]["range_basis"][0] = column
+        with pytest.raises(ParseError):
+            AnalysisReport.from_json_dict(data)
+
     def test_file_analysis_matches_in_memory(self, tmp_path):
         # emit -> parse -> analyze must equal analyzing the fixture directly,
         # bit for bit, given the same seed
@@ -145,6 +156,27 @@ class TestEvolveCommand:
         # closed form: excited population decays as exp(-t)
         for t, mat in zip(payload["times"], payload["states"]):
             assert abs(mat[1][1][0] - np.exp(-t)) <= 1e-10
+
+    def test_assembles_one_superoperator_for_all_times(self, tmp_path, monkeypatch, capsys):
+        import qdsa.asymptotics
+
+        assembled = []
+        original = qdsa.asymptotics.to_superoperator
+
+        def counted(model, picture):
+            assembled.append(picture)
+            return original(model, picture)
+
+        monkeypatch.setattr(qdsa.asymptotics, "to_superoperator", counted)
+        model = emit_fixture(tmp_path, "AD")
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(
+            {"dim": 2, "matrix": matrix_to_json(np.diag([0.0, 1.0]))}),
+            encoding="utf-8")
+        assert main(["evolve", "--model", str(model), "--state", str(state),
+                     "--times", "0,1,2,5"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["states"]) == 4
+        assert len(assembled) == 1
 
     def test_channel_needs_integer_times(self, tmp_path):
         model = emit_fixture(tmp_path, "ADK")

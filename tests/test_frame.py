@@ -187,16 +187,24 @@ def test_channel_d8_runs_one_full_size_svd(monkeypatch):
 
 
 def test_generator_criterion_builds_each_propagator_once(monkeypatch):
-    calls = []
-    original = qdsa.verify.propagator
+    assembled = []
+    propagated = []
+    assemble, propagate = qdsa.asymptotics.to_superoperator, qdsa.asymptotics._propagate
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted_assembly(model, picture):
+        assembled.append(model)
+        return assemble(model, picture)
 
-    monkeypatch.setattr(qdsa.verify, "propagator", counted)
+    def counted_propagation(r, t, discrete):
+        propagated.append((r.tobytes(), t))
+        return propagate(r, t, discrete)
+
+    monkeypatch.setattr(qdsa.asymptotics, "to_superoperator", counted_assembly)
+    monkeypatch.setattr(qdsa.asymptotics, "_propagate", counted_propagation)
     result = qdsa.verify._tally("generator-criterion", qdsa.verify._generator_criterion(
         np.random.default_rng(3), 4, (2, 3), DEFAULT_TOL))
     assert result.trials == 4          # one generator per dim, two projections each
-    assert len(calls) == 6             # three times per generator
-    assert len({(id(gen), t) for gen, t, *_ in calls}) == 6
+    assert len(assembled) == 2         # one superoperator per generator
+    assert len({id(model) for model in assembled}) == 2
+    assert len(propagated) == 6        # three times per generator
+    assert len(set(propagated)) == 6

@@ -6,8 +6,8 @@ from qdsa.errors import DimMismatch, NotHermitian, NotPSD, OutOfUnitInterval
 from qdsa.linalg import (
     Projection,
     ToleranceConfig,
+    _fix_phases,
     _psd_defect,
-    hermitian_eig,
     is_psd,
     matrix_exp,
     opnorm,
@@ -47,35 +47,22 @@ def test_psd_defect_is_the_negative_part_of_the_lowest_eigenvalue():
     assert _psd_defect(np.array([[1.0, 4.0], [-4.0, 1.0]])) == 0.0
 
 
-class TestHermitianEig:
+class TestFixPhases:
     def test_diagonal(self):
-        w, v = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
+        w, v = np.linalg.eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        v = _fix_phases(v)
         assert_allclose(w, [1.0, 2.0, 3.0])
         # permutation eigenvectors, phases fixed real positive
         assert_allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
         assert_allclose(v, np.abs(v), atol=1e-12)
 
-    def test_identity(self):
-        w, _ = hermitian_eig(np.eye(2))
-        assert_allclose(w, [1.0, 1.0])
-
     def test_pauli_x(self):
-        w, v = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w, v = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        v = _fix_phases(v)
         assert_allclose(w, [-1.0, 1.0])
         s = 1 / np.sqrt(2)
         assert_allclose(v[:, 0], [s, -s], atol=1e-12)
         assert_allclose(v[:, 1], [s, s], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_reconstruction_residual(self, rng):
-        for dim in (2, 5, 16):
-            for _ in range(10):
-                h = random_hermitian(dim, rng)
-                w, v = hermitian_eig(h)
-                assert opnorm((v * w) @ v.conj().T - h) <= 1e-8
 
 
 class TestMatrixExp:
@@ -105,7 +92,7 @@ class TestMatrixExp:
         # independent oracle: the exponential through the spectral form
         for _ in range(10):
             h = random_hermitian(4, rng)
-            w, v = hermitian_eig(h)
+            w, v = np.linalg.eigh(h)
             assert opnorm(matrix_exp(h) - (v * np.exp(w)) @ v.conj().T) <= 1e-11
 
     def test_real_input_stays_real(self):
