@@ -4,7 +4,8 @@
 enclosures, recurrent projection, decay ideal) and re-validates every
 structural law it relies on, recording each as a named check with its
 residual and tolerance.  The report serializes to JSON; projections are
-stored as rank plus range basis and re-validate on load.
+stored as rank plus range basis, and a loaded basis is kept as stored after
+an orthonormality check.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def _projection_from_json(data, dim: int) -> Projection:
     if basis.shape != (dim, data["rank"]):
         raise ValidationError(f"projection basis has shape {basis.shape}, "
                               f"expected ({dim}, {data['rank']})")
-    p = Projection.from_range_basis(basis, dim)
-    return Projection.from_matrix(p.matrix)  # re-validate on load
+    # the stored basis is kept, so a report reloads to the same JSON; it is
+    # checked orthonormal
+    return Projection.from_range_basis(basis, dim)
 
 
 # the report fields serialized by _projection_to_json

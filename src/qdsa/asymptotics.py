@@ -2,20 +2,17 @@
 
 Every superoperator here is real: the maps preserve Hermiticity, so in the
 Hermitian frame of :mod:`qdsa.channels` the Schrodinger matrix ``R`` is
-real and the Heisenberg one is its transpose.  The analysis pipeline is:
+real and the Heisenberg one is its transpose.  The analysis pipeline is one
+path:
 
-1. The recurrent block is guessed before any SVD: the support of
-   ``(s (s - F)^-1)^3 (1/d)`` for the fixed-point matrix ``F`` (``R``, or
-   ``R - 1`` for a channel) and a small shift ``s``, from one LU.  A guess
-   ``r`` below 1 is certified exactly, with no horizon: ``r`` is
-   sub-harmonic, its compressed model has a faithful stationary state, and
-   the fixed-point matrix of the transient corner ``1 - r`` is nonsingular.
-   Every stationary state lives under the recurrent block, so the
-   stationary space is then that of the compressed model, embedded.  Any
-   other outcome is the block ``r = 1``, i.e. the whole model.  One real
-   SVD of the block's fixed-point matrix gives the stationary space as its
-   right kernel (the kernel columns are already an orthonormal Hermitian
-   basis) and the Heisenberg fixed points as its left kernel.  A
+1. One split of the fixed-point matrix ``F`` (``R``, or ``R - 1`` for a
+   channel) gives the stationary space as its right kernel and the
+   Heisenberg fixed points as its left kernel, both as orthonormal
+   Hermitian bases (:func:`_split_kernel_range`).  Below ``_LU_MIN_SIZE``
+   unknowns the split is one real SVD; from there on it is one LU of
+   ``s - F`` for a small shift ``s``, through which a fixed-seed random
+   block is pushed and read off an ordered real Schur form, with the SVD
+   as the fallback whenever that route cannot vouch for its kernels.  A
    maximal-support stationary state is the exact time-average limit of the
    maximally mixed state: its oblique projection onto the kernel along the
    range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
@@ -29,15 +26,14 @@ real and the Heisenberg one is its transpose.  The analysis pipeline is:
    refinement visits is sub-harmonic, so the dynamics compressed to it is
    again a model:
    ``(W^dag H W, {W^dag L_i W})`` or ``{W^dag V_i W}`` for the block
-   isometry ``W``; when ``r`` is the whole space the model itself, and when
-   it is the certified guess the corner built in step 1.  The
+   isometry ``W``, and the model itself when ``r`` is the whole space.  The
    Heisenberg fixed points of the compressed model form a *-algebra (it
    has a faithful stationary state); splitting along the spectral
    projections of a generic Hermitian fixed element and recursing yields an
    orthogonal family of minimal enclosures, i.e. supports of the minimal
    invariant faces.  Each emitted block is certified by its compressed
    model having a one-dimensional stationary space whose state has full
-   support on the block; the same SVD of the compressed model gives its
+   support on the block; the same split of the compressed model gives its
    fixed algebra and its certificate.
 
 3. The minimal recurrent projection ``r`` is the supremum of the minimal
@@ -61,12 +57,11 @@ the horizon read as an iteration count.
 Every public function accepts either a bare model or a :class:`Dynamics`.  A
 ``Dynamics`` wraps one model for the length of one top-level call and
 computes each derived object at most once: the real Schrodinger matrix of
-:func:`to_superoperator`, its kernel split, the certified guess of the
-recurrent block, the stationary space and its support (per tolerance), and
-the real propagator (per horizon and picture): ``alpha_T`` on its transpose,
-``nu_T`` on the matrix itself.  No complex
-superoperator is ever formed.  A ``Dynamics`` is dropped with the call;
-nothing is cached on the model or globally.
+:func:`to_superoperator`, its kernel split, the stationary space and its
+support (per tolerance), and the real propagator (per horizon and
+picture): ``alpha_T`` on its transpose, ``nu_T`` on the matrix itself.  No
+complex superoperator is ever formed.  A ``Dynamics`` is dropped with the
+call; nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
@@ -86,6 +81,7 @@ from .channels import (
     QuantumChannel,
     Superoperator,
     _block_frame,
+    _is_channel,
     _iteration_count,
     _propagate,
     from_hermitian_coords,
@@ -104,7 +100,6 @@ from .linalg import (
     Projection,
     ToleranceConfig,
     _decisive,
-    _fix_phases,
     _hermitian_spectrum,
     _tol,
     as_complex_matrix,
@@ -115,7 +110,7 @@ from .linalg import (
     projections_equal,
     support_projection,
 )
-from .sampling import random_projection
+from .sampling import _gaussian, random_projection
 
 __all__ = [
     "Dynamics",
@@ -142,14 +137,6 @@ DEFAULT_HORIZON = 30.0
 DEFAULT_DECAY_TOL = 1e-8
 
 
-def _is_discrete(obj) -> bool:
-    if isinstance(obj, QuantumChannel):
-        return True
-    if isinstance(obj, LindbladGenerator):
-        return False
-    raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
-
-
 def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarray:
     """Matrix whose kernel is the fixed-point space of the dynamics."""
     if discrete:
@@ -157,9 +144,24 @@ def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarra
     return superop_matrix
 
 
+# The split runs one SVD below _LU_MIN_SIZE unknowns (d^2) and the
+# resolvent route of _resolvent_split from there on, where its one LU is a
+# fraction of the SVD's cost.  That route shifts by s = _SHIFT * |F|_1,
+# applies (s - F)^-1 _SOLVES times to a random block drawn from seed
+# _SPLIT_SEED with at least _OVERSAMPLE columns beyond the kernel dimension,
+# and cuts at tol.cutoff(|F|_1).
+_LU_MIN_SIZE = 256
+_SHIFT = 1e-6
+_SOLVES = 4
+_OVERSAMPLE = 8
+_SPLIT_SEED = 0
+
+
 def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
     """Orthonormal bases of the numerical kernel and the left kernel of the
-    fixed-point matrix ``m``, from one SVD.
+    fixed-point matrix ``m``: from :func:`_resolvent_split` from
+    ``_LU_MIN_SIZE`` unknowns on, else (or when that route declines) from
+    one SVD, cut at ``tol.cutoff`` of the largest singular value.
 
     For the real Schrodinger form the kernel holds the stationary states
     and the left kernel the Heisenberg fixed points.  The kernel of a
@@ -167,6 +169,10 @@ def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
     or a stationary state (Schrodinger).  An empty numerical kernel is
     therefore an InternalError.
     """
+    if m.shape[0] >= _LU_MIN_SIZE:
+        split = _resolvent_split(m, tol)
+        if split is not None:
+            return split
     u, s, vh = np.linalg.svd(m)
     cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
     null_mask = s <= cutoff
@@ -175,6 +181,79 @@ def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
             f"numerical fixed-point kernel is empty (smallest singular value "
             f"{s[-1]:.3e}, cutoff {cutoff:.3e})")
     return vh[null_mask].conj().T, u[:, null_mask]
+
+
+def _resolvent_split(m: np.ndarray, tol: ToleranceConfig):
+    """Kernel and left kernel of the fixed-point matrix ``m`` from one LU of
+    ``s - m``, or None when this route cannot vouch for them.
+
+    ``(s - F)^-1`` scales a kernel vector by ``1/s`` and an eigenvector of
+    eigenvalue ``mu`` by ``1/|s - mu|``, so after ``_SOLVES`` applications
+    a random block spans the kernel up to ``(s/|mu|)^_SOLVES``.  The kernel
+    is the invariant subspace of the block's Ritz values at most the cutoff,
+    read off the ordered real Schur form of its compression ``Q^T F Q``
+    (:func:`_block_kernel`); the left kernel comes from transposed solves.
+    The block doubles until the kernel leaves ``_OVERSAMPLE`` columns spare.
+    None when ``F = 0``, the LU is singular, a Ritz value lies in the
+    indecisive band above the cutoff, the block reaches half the size, the
+    two kernels differ in dimension or are empty, or ``|F K|`` or
+    ``|F^T L|`` exceeds the cutoff.
+    """
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    n = m.shape[0]
+    norm = float(np.abs(m).sum(axis=0).max())
+    if norm == 0.0:
+        return None
+    cutoff = tol.cutoff(norm)
+    a = -m
+    a.flat[::n + 1] += _SHIFT * norm
+    # factor (s - F)^T in place (its Fortran-ordered view): trans=1 solves
+    # with s - F, trans=0 with its transpose
+    lu, piv, info = dgetrf(a.T, overwrite_a=True)
+    if info != 0:
+        return None
+
+    def solve(trans):
+        return lambda x: dgetrs(lu, piv, x, trans=trans)[0]
+
+    rng = np.random.default_rng(_SPLIT_SEED)
+    p = 2 * _OVERSAMPLE
+    while p <= n // 2:
+        block = _gaussian((n, p), rng)
+        kernel = _block_kernel(m, solve(1), block, cutoff)
+        left = _block_kernel(m.T, solve(0), block, cutoff)
+        if kernel is None or left is None or kernel.shape != left.shape:
+            return None
+        if kernel.shape[1] + _OVERSAMPLE <= p:
+            break
+        p *= 2
+    else:
+        return None
+    if kernel.shape[1] and opnorm(m @ kernel) <= cutoff and opnorm(m.T @ left) <= cutoff:
+        return kernel, left
+    return None
+
+
+def _block_kernel(f: np.ndarray, solve, block: np.ndarray, cutoff: float):
+    """Orthonormal basis of the kernel of ``f`` found in the span of
+    ``solve^_SOLVES (block)``: the Schur vectors of the Ritz values at most
+    ``cutoff``.  None when a Ritz value is indecisive against ``cutoff`` or
+    the Schur form cannot be reordered."""
+    import scipy.linalg
+
+    q = block
+    for _ in range(_SOLVES):
+        q, _ = np.linalg.qr(solve(q))
+    h = q.T @ f @ q
+    if not all(_decisive(abs(complex(x)), cutoff) for x in np.linalg.eigvals(h)):
+        return None
+    try:
+        _, z, k = scipy.linalg.schur(h, output="real",
+                                     sort=lambda re, im: math.hypot(re, im) <= cutoff)
+    except np.linalg.LinAlgError:
+        return None
+    return q @ z[:, :k]
 
 
 def _kernel_component(kernel: np.ndarray, left: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -200,11 +279,11 @@ def _kernel_component(kernel: np.ndarray, left: np.ndarray, v: np.ndarray) -> np
 class StationarySpace:
     """Hermitian basis of the fixed-point space and its maximal-support state.
 
-    ``state`` has maximal support among all stationary states: it is the
-    time-average limit of the maximally mixed state or, when
-    :meth:`Dynamics.guess` certified the recurrent block, that of the
-    block's maximally mixed state under the compressed dynamics, embedded.
-    Its support is the supremum of the supports of all stationary states.
+    ``basis`` is the right kernel of the fixed-point matrix from
+    :meth:`Dynamics.split`.  ``state`` has maximal support among all
+    stationary states: it is the time-average limit of the maximally mixed
+    state.  Its support is the supremum of the supports of all stationary
+    states.
     """
 
     basis: tuple
@@ -216,14 +295,11 @@ class Dynamics:
     """One model and the objects derived from it, each built on first use.
 
     Holds the real Schrodinger form that :func:`to_superoperator` builds,
-    its kernel split, the certified guess of the recurrent block
-    (:func:`_certified_guess`), the stationary space and its support (that
-    of its maximal-support state, :func:`stationary_support`) for each
-    tolerance, and the real propagator for each horizon and picture asked
-    for, the Heisenberg one taken on the transpose, so no second
-    superoperator is built.  When the guess is certified, the
-    stationary space is that of the guessed block's corner and the kernel
-    split of the whole model is never formed.  Build one per top-level call
+    its one kernel split (:func:`_split_kernel_range`), the stationary
+    space and its support (that of its maximal-support state,
+    :func:`stationary_support`) for each tolerance, and the real propagator
+    for each horizon and picture asked for, the Heisenberg one taken on the
+    transpose, so no second superoperator is built.  Build one per top-level call
     and pass it to the functions of this module in place of the model; it is
     dropped when the call returns, so the memory it holds never outlives the
     analysis.  The corners of :func:`minimal_enclosures` are ``Dynamics`` of
@@ -231,7 +307,7 @@ class Dynamics:
     """
 
     def __init__(self, model):
-        self.discrete = _is_discrete(model)
+        self.discrete = _is_channel(model)
         self.model = model
         self.dim = model.dim
         self._cache = {}
@@ -255,7 +331,8 @@ class Dynamics:
             _propagate(r, horizon, self.discrete), picture))
 
     def split(self, tol: ToleranceConfig):
-        """Kernel and left kernel of the fixed-point matrix."""
+        """Kernel and left kernel of the fixed-point matrix, from
+        :func:`_split_kernel_range`."""
         return self._cached(("split", tol), lambda: _split_kernel_range(
             _fixed_point_matrix(self.schrodinger, self.discrete), tol))
 
@@ -268,18 +345,6 @@ class Dynamics:
         """Support of the state of :meth:`limit`."""
         return self._cached(("limit_support", tol),
                             lambda: support_projection(self.limit(tol)[1].matrix, tol))
-
-    def guess(self, tol: ToleranceConfig) -> "_Guess":
-        """The recurrent block guessed and certified by :func:`_certified_guess`."""
-        return self._cached(("guess", tol), lambda: _certified_guess(self, tol))
-
-    def block(self, tol: ToleranceConfig):
-        """Isometry onto the block certified by :meth:`guess` and the
-        block's dynamics: the identity and, through :func:`_corner`, this
-        ``Dynamics`` itself when no block is certified."""
-        guess = self.guess(tol)
-        w = guess.projection.range_basis
-        return w, guess.corner if guess.corner is not None else _corner(self, w, tol)
 
     def space(self, tol: ToleranceConfig) -> StationarySpace:
         return self._cached(("space", tol), lambda: stationary_space(self, tol))
@@ -342,24 +407,16 @@ def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) ->
 def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace:
     """Fixed-point space of the predual flow with its maximal-support state.
 
-    Every stationary state is supported under the recurrent block, so when
-    :meth:`Dynamics.guess` certifies a block ``r`` with isometry ``W`` the
-    space is that of the compressed ``r``-model embedded by ``W . W^dag``,
-    and ``state`` is the embedded time-average limit of the corner's
-    maximally mixed state.  Otherwise it comes from the kernel split of the
-    whole model.  Either way one split gives both the basis and that limit.
-    An empty stationary space is impossible in finite dimension; if the
-    numerical null space comes out empty, InternalError is raised.
+    One kernel split of the whole model (:meth:`Dynamics.split`) gives both
+    the basis, its right kernel, and the state, the time-average limit of
+    the maximally mixed state.  An empty stationary space is impossible in
+    finite dimension; if the numerical null space comes out empty,
+    InternalError is raised.
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
-    iso, corner = dyn.block(tol)
-    basis = [from_hermitian_coords(x, corner.dim) for x in corner.split(tol)[0].T]
-    _, omega = corner.limit(tol)
-    if corner is not dyn:
-        basis = [iso @ b @ iso.conj().T for b in basis]
-        omega = DensityMatrix(iso @ omega.matrix @ iso.conj().T, tol)
-    return StationarySpace(tuple(basis), omega, len(basis))
+    basis = tuple(from_hermitian_coords(x, dyn.dim) for x in dyn.split(tol)[0].T)
+    return StationarySpace(basis, dyn.limit(tol)[1], len(basis))
 
 
 def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = None) -> Projection:
@@ -401,120 +458,6 @@ def _corner(dyn: Dynamics, w: np.ndarray, tol: ToleranceConfig) -> Dynamics:
     if w.shape[1] == dyn.dim and np.array_equal(w, np.eye(dyn.dim)):
         return dyn
     return Dynamics(_compress(dyn.model, w, tol))
-
-
-def _corner_matrix(dyn: Dynamics, w: np.ndarray) -> np.ndarray:
-    """The real Schrodinger matrix ``P^T R P`` of the block spanned by the
-    isometry ``w``, ``P`` its block frame."""
-    p = _block_frame(w)
-    return p.T @ dyn.schrodinger @ p
-
-
-# The resolvent guess uses the shift s = _GUESS_SHIFT * |F|_1.  Its
-# normalized eigenvalues are cut at sqrt(_GUESS_SHIFT), with the decisive
-# band of :func:`~qdsa.linalg._decisive` above the cut.
-_GUESS_SHIFT = 1e-6
-
-
-class _Guess(NamedTuple):
-    """Outcome of :meth:`Dynamics.guess`.
-
-    ``projection`` is the certified recurrent block, or the identity when no
-    block was certified; ``corner`` is its compressed dynamics and
-    ``transient`` the isometry onto its complement with the real matrix of
-    that corner (both None for the identity, so that a ``Dynamics`` never
-    holds a reference to itself).  ``outcome`` is ``"certified"``,
-    ``"none"`` (no decisive guess, or ``F = 0``), ``"whole"`` (a guess of
-    1), or the certificate that failed: ``"not-subharmonic"`` (a),
-    ``"not-faithful"`` (b) or ``"no-decay"`` (c).
-    """
-
-    projection: Projection
-    corner: Dynamics | None
-    transient: tuple | None
-    outcome: str
-
-
-def _resolvent_guess(dyn: Dynamics) -> Projection | None:
-    """Support of ``rho = (s (s - F)^-1)^3 (1/d)``, ``F`` the real
-    fixed-point matrix and ``s = _GUESS_SHIFT |F|_1``: one LU, three solves.
-
-    The resolvent is trace preserving and keeps the stationary states, and
-    it damps a transient eigenvalue ``mu`` of ``F`` by ``(s/|mu|)^3``, so
-    ``rho`` is close to the time-average limit of ``1/d``, whose support is
-    the recurrent block.  Eigenvalues of ``rho / lambda_max`` above
-    ``sqrt(_GUESS_SHIFT)`` are kept; any eigenvalue inside the decisive band
-    makes the guess indecisive.  Returns None when ``F = 0`` or the guess
-    is indecisive.
-    """
-    from scipy.linalg.lapack import dgetrf, dgetrs
-
-    d = dyn.dim
-    a = -dyn.schrodinger  # -F, the one n x n copy
-    diagonal = slice(None, None, d * d + 1)
-    if dyn.discrete:
-        a.flat[diagonal] += 1.0
-    norm = float(np.abs(a).sum(axis=0).max())
-    if norm == 0.0:
-        return None
-    shift = _GUESS_SHIFT * norm
-    a.flat[diagonal] += shift
-    # factor (s - F)^T in place (its Fortran-ordered view) and solve transposed
-    lu, piv, info = dgetrf(a.T, overwrite_a=True)
-    if info != 0:
-        return None
-    x = hermitian_coords(np.eye(d) / d)
-    for _ in range(3):
-        x, info = dgetrs(lu, piv, x, trans=1)
-        x *= shift
-    # rho has unit trace (the resolvent preserves it), so lambda_max > 0
-    lam, vec = np.linalg.eigh(from_hermitian_coords(x, d))
-    ratios = lam / lam[-1]
-    cut = np.sqrt(_GUESS_SHIFT)
-    if not all(_decisive(float(t), cut) for t in ratios):
-        return None
-    return Projection.from_range_basis(_fix_phases(vec[:, ratios > cut]), d)
-
-
-def _certified_guess(dyn: Dynamics, tol: ToleranceConfig) -> _Guess:
-    """Guess the recurrent block ``r_o`` with :func:`_resolvent_guess` and
-    certify it, with no SVD of the whole fixed-point matrix.
-
-    A guess ``r`` below 1 is ``r_o`` exactly when
-    (a) it is sub-harmonic (residual at most ``atol``);
-    (b) its compressed model has a faithful stationary state, which is then
-        stationary for the whole model, so ``r <= r_o``;
-    (c) the fixed-point matrix of the transient corner ``q = 1 - r`` has no
-        numerical kernel (smallest singular value at least ten times the
-        kernel cutoff ``tol.cutoff(sigma_max)``).  The spectral
-        bound of the positive semigroup on ``qMq`` is an eigenvalue, so then
-        ``alpha_t(q) -> 0`` and ``alpha_t(r) -> 1``; ``r_o`` is the smallest
-        projection with that property, so ``r >= r_o``.
-    (c) needs no horizon.  Any other outcome is the identity block, whose
-    corner is ``dyn`` itself (:meth:`Dynamics.block`): the stationary space
-    then comes from the whole model's split.  Nothing built for a rejected
-    guess is kept.
-    """
-    guess = _resolvent_guess(dyn)
-
-    def whole(outcome: str) -> _Guess:
-        return _Guess(Projection.identity(dyn.dim), None, None, outcome)
-
-    if guess is None:
-        return whole("none")
-    if guess.rank == dyn.dim:
-        return whole("whole")
-    if not subharmonic_residual(dyn.model, guess) <= tol.atol:
-        return whole("not-subharmonic")
-    corner = _corner(dyn, guess.range_basis, tol)
-    if corner.limit_support(tol).rank < guess.rank:
-        return whole("not-faithful")
-    w = guess.complement().range_basis
-    r_q = _corner_matrix(dyn, w)
-    sv = np.linalg.svd(_fixed_point_matrix(r_q, dyn.discrete), compute_uv=False)
-    if not sv[-1] >= 10 * tol.cutoff(sv[0]):
-        return whole("no-decay")
-    return _Guess(guess, corner, (w, r_q), "certified")
 
 
 def _fixed_basis(dyn: Dynamics, tol: ToleranceConfig) -> list:
@@ -604,11 +547,9 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
     r = dyn.support(tol)
-    top, top_corner = dyn.block(tol)
-    if r.rank != top.shape[1]:
-        # no certified block, and the stationary support is not the identity
-        top = r.range_basis
-        top_corner = _corner(dyn, top, tol)
+    # the recurrent corner: the dynamics itself when r is the identity
+    top = np.eye(dyn.dim, dtype=complex) if r.rank == dyn.dim else r.range_basis
+    top_corner = _corner(dyn, top, tol)
 
     top_fixed = _fixed_basis(top_corner, tol)
     fixed_algebra_dim = len(top_fixed)
@@ -643,7 +584,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
         groups = None
         vectors = None
         for _ in range(8):
-            coeffs = rng.standard_normal(len(fixed))
+            coeffs = _gaussian(len(fixed), rng)
             h = hermitian_part(sum(c * b for c, b in zip(coeffs, fixed)))
             w_eig, v_eig = np.linalg.eigh(h)
             candidate = _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0]))
@@ -721,7 +662,8 @@ def _transient_corner(dyn: Dynamics, recurrent: Projection, tol: ToleranceConfig
         raise InternalError(
             f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
     w = recurrent.complement().range_basis
-    return w, _corner_matrix(dyn, w)
+    p = _block_frame(w)
+    return w, p.T @ dyn.schrodinger @ p
 
 
 def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
@@ -740,11 +682,7 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     d = dyn.dim
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
-        guess = dyn.guess(tol)
-        if guess.transient is not None and projections_equal(r_min, guess.projection, tol):
-            w, r_q = guess.transient  # certified: sub-harmonic, corner built
-        else:
-            w, r_q = _transient_corner(dyn, r_min, tol)
+        w, r_q = _transient_corner(dyn, r_min, tol)
         m = w.shape[1]
         x = _propagate(r_q.T, horizon, dyn.discrete) @ hermitian_coords(np.eye(m))
         transient = w @ from_hermitian_coords(x, m) @ w.conj().T

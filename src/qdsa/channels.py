@@ -401,6 +401,15 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+def _is_channel(obj) -> bool:
+    """True for a channel, False for a generator, TypeError for anything else."""
+    if isinstance(obj, QuantumChannel):
+        return True
+    if isinstance(obj, LindbladGenerator):
+        return False
+    raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+
+
 def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     """The map of a channel or generator in the given picture.
 
@@ -410,10 +419,9 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     is its transpose.  This is the only place a superoperator is assembled.
     """
     _check_picture(picture)
-    if not isinstance(obj, (QuantumChannel, LindbladGenerator)):
-        raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+    channel = _is_channel(obj)
     d = obj.dim
-    if isinstance(obj, QuantumChannel):
+    if channel:
         s = np.zeros((d * d, d * d), dtype=complex)
         for v in obj.kraus_ops:
             s += _kron(v.conj(), v)

@@ -35,6 +35,7 @@ import numpy as np
 from .channels import (
     LindbladGenerator,
     QuantumChannel,
+    _is_channel,
     _matrix_units,
     _schrodinger_action,
     apply_heisenberg,
@@ -183,11 +184,10 @@ def subharmonic_residual(obj, p: Projection) -> float:
 
     DimMismatch when ``p`` and the model differ in dimension.
     """
-    if not isinstance(obj, (QuantumChannel, LindbladGenerator)):
-        raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
+    channel = _is_channel(obj)
     if p.dim != obj.dim:
         raise DimMismatch(f"projection dimension {p.dim} does not match the model ({obj.dim})")
-    if isinstance(obj, QuantumChannel):
+    if channel:
         return _kraus_residual(obj, p)
     return _generator_residual(obj, p)
 

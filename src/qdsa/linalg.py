@@ -289,11 +289,20 @@ def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:
     return Projection.from_range_basis(_fix_phases(v[:, keep]), m.shape[0])
 
 
-def _common_dim(family) -> int:
+def _family_sum(family):
+    """Sum of the members of a nonempty projection family of one dimension,
+    and the number of members."""
+    family = list(family)
+    if not family:
+        raise DimMismatch("projection family must be nonempty")
     dims = {p.dim for p in family}
     if len(dims) != 1:
         raise DimMismatch(f"projection family mixes dimensions {sorted(dims)}")
-    return dims.pop()
+    dim = dims.pop()
+    s = np.zeros((dim, dim), dtype=complex)
+    for p in family:
+        s = s + p.matrix
+    return s, len(family)
 
 
 def proj_infimum(family, tol: ToleranceConfig | None = None) -> Projection:
@@ -303,18 +312,10 @@ def proj_infimum(family, tol: ToleranceConfig | None = None) -> Projection:
     of the sum of the ``n`` family members.  Exact at this scale, with no
     iteration or convergence criterion.
     """
-    family = list(family)
-    if not family:
-        raise DimMismatch("projection family must be nonempty")
-    tol = _tol(tol)
-    dim = _common_dim(family)
-    n = len(family)
-    s = np.zeros((dim, dim), dtype=complex)
-    for p in family:
-        s = s + p.matrix
+    s, n = _family_sum(family)
     w, v = np.linalg.eigh(hermitian_part(s))
-    keep = w >= n - tol.cutoff(n)
-    return Projection.from_range_basis(_fix_phases(v[:, keep]), dim)
+    keep = w >= n - _tol(tol).cutoff(n)
+    return Projection.from_range_basis(_fix_phases(v[:, keep]), s.shape[0])
 
 
 def proj_supremum(family, tol: ToleranceConfig | None = None) -> Projection:
@@ -324,15 +325,7 @@ def proj_supremum(family, tol: ToleranceConfig | None = None) -> Projection:
     :func:`proj_infimum` is cross-checked in the test suite rather than used
     as the implementation.
     """
-    family = list(family)
-    if not family:
-        raise DimMismatch("projection family must be nonempty")
-    tol = _tol(tol)
-    dim = _common_dim(family)
-    s = np.zeros((dim, dim), dtype=complex)
-    for p in family:
-        s = s + p.matrix
-    return support_projection(s, tol)
+    return support_projection(_family_sum(family)[0], tol)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,14 @@ __all__ = [
 ]
 
 
+def _gaussian(shape, rng) -> np.ndarray:
+    """Real standard normal draws of the given shape: every Gaussian draw of
+    the package is taken here."""
+    return rng.standard_normal(shape)
+
+
 def _ginibre(rows: int, cols: int, rng) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return _gaussian((rows, cols), rng) + 1j * _gaussian((rows, cols), rng)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

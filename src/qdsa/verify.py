@@ -138,16 +138,18 @@ def _kadison_schwarz(rng, trials, dims, tol):
             yield defect, defect > tol.atol
 
 
+def _block_union(blocks, dim, rng):
+    """Projection onto the union of a random subset of ``blocks`` (one 0/1
+    draw per block), or None when the draw picks no block."""
+    mask = rng.integers(0, 2, size=len(blocks))
+    chosen = [p.range_basis for p, keep in zip(blocks, mask) if keep]
+    return Projection.from_range_basis(np.hstack(chosen), dim) if chosen else None
+
+
 def _invariant_and_random_projections(ch, blocks, rng):
     """Mix of known-invariant block unions and Haar-random projections."""
-    out = []
-    n = len(blocks)
-    for _ in range(2):
-        mask = rng.integers(0, 2, size=n)
-        chosen = [blocks[i] for i in range(n) if mask[i]]
-        if chosen:
-            basis = np.hstack([p.range_basis for p in chosen])
-            out.append(Projection.from_range_basis(basis, ch.dim))
+    unions = [_block_union(blocks, ch.dim, rng) for _ in range(2)]
+    out = [p for p in unions if p is not None]
     out.append(random_projection(ch.dim, int(rng.integers(0, ch.dim + 1)), rng))
     return out
 
@@ -215,16 +217,11 @@ def _lattice_closure(rng, trials, dims, tol, super_side: bool):
             if len(parts) < 2:
                 continue
             ch, blocks = block_diagonal_channel(parts, int(rng.integers(1, 4)), rng)
-            n = len(blocks)
             family = []
             for _ in range(int(rng.integers(2, 5))):
-                mask = rng.integers(0, 2, size=n)
-                chosen = [blocks[i] for i in range(n) if mask[i]]
-                if not chosen:
-                    continue
-                basis = np.hstack([p.range_basis for p in chosen])
-                member = Projection.from_range_basis(basis, dim)
-                family.append(member.complement() if super_side else member)
+                member = _block_union(blocks, dim, rng)
+                if member is not None:
+                    family.append(member.complement() if super_side else member)
             if len(family) < 2:
                 continue
             inf = proj_infimum(family, tol)

@@ -12,7 +12,7 @@ from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
 from qdsa.cli import main
 from qdsa.errors import ParseError, ValidationError
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
-from qdsa.models import build_fixture
+from qdsa.models import build_fixture, fixture_names
 
 
 def emit_fixture(tmp_path, name):
@@ -88,6 +88,12 @@ class TestAnalyzeCommand:
         report = AnalysisReport.from_json_dict(json.loads(out))
         assert report.recurrent.rank == 2
         assert report.passed
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_report_json_round_trip_is_identical(self, name, seed):
+        text = run_analyze(model_spec_from_fixture(name), AnalysisOptions(seed=seed)).to_json()
+        assert AnalysisReport.from_json_dict(json.loads(text)).to_json() == text
 
     @pytest.mark.parametrize("column", [
         [[1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],   # a three-element entry

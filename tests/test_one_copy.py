@@ -7,7 +7,13 @@ hand-written copy of a primitive shows up as a second occurrence.
 import inspect
 from pathlib import Path
 
-from qdsa.linalg import ToleranceConfig
+import numpy as np
+import pytest
+
+from qdsa.asymptotics import Dynamics
+from qdsa.channels import to_superoperator
+from qdsa.harmonic import subharmonic_residual
+from qdsa.linalg import Projection, ToleranceConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qdsa"
 
@@ -26,7 +32,25 @@ def test_hermitian_spectrum_is_taken_in_one_place():
 
 
 def test_gaussian_draws_live_in_sampling():
-    assert set(occurrences("standard_normal((")) == {"sampling.py"}
+    assert occurrences("standard_normal(") == {"sampling.py": 1}
+
+
+def test_one_lu_factorization():
+    assert occurrences("dgetrf(") == {"asymptotics.py": 1}
+
+
+def test_model_kind_is_checked_in_one_place():
+    assert occurrences("expected QuantumChannel or LindbladGenerator") == {"channels.py": 1}
+
+
+@pytest.mark.parametrize("call", [
+    to_superoperator,
+    lambda obj: subharmonic_residual(obj, Projection.identity(2)),
+    Dynamics,
+], ids=["to_superoperator", "subharmonic_residual", "Dynamics"])
+def test_every_caller_rejects_a_non_model(call):
+    with pytest.raises(TypeError, match="expected QuantumChannel or LindbladGenerator"):
+        call(np.eye(2))
 
 
 def test_rank_cutoff_lives_in_tolerance_config():

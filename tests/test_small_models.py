@@ -134,15 +134,11 @@ class TestComputedOnce:
         supports = _counting(monkeypatch, qdsa.asymptotics, "stationary_support")
         report = run_analyze(model, AnalysisOptions(horizon=horizon, seed=GOLDEN_SEED))
         assert len(supports) == 1
-        # one residual for a guessed block below 1 (certificate (a)), one per
-        # enclosure, then one for the recurrent projection before its
-        # transient corner is used (none when it is the identity, or the
-        # certified guess whose residual is reused)
+        # one residual per enclosure, then one for the recurrent projection
+        # before its transient corner is used (none when it is the identity)
         tested = [args[1] for c in calls.values() for args in c]
-        guess = Dynamics(model).guess(DEFAULT_TOL)
-        expected = [guess.projection] if guess.outcome not in ("none", "whole") else []
-        expected += minimal_enclosures(model, seed=GOLDEN_SEED).minimal_projections
-        if report.recurrent.rank < model.dim and guess.outcome != "certified":
+        expected = list(minimal_enclosures(model, seed=GOLDEN_SEED).minimal_projections)
+        if report.recurrent.rank < model.dim:
             expected.append(report.recurrent)
         assert len(tested) == len(expected)
         for got, want in zip(tested, expected):
