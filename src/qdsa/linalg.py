@@ -64,8 +64,9 @@ class ToleranceConfig:
 
     def cutoff(self, top):
         """The rank and support cutoff below ``top``, the largest eigenvalue
-        or singular value: ``rank_rtol`` relative, with ``atol`` as floor.
-        Every rank and support decision of the package uses it."""
+        or singular value (the 1-norm for the Ritz values of the LU kernel
+        route): ``rank_rtol`` relative, with ``atol`` as floor.  Every rank
+        and support decision of the package uses it."""
         return max(self.rank_rtol * top, self.atol)
 
 

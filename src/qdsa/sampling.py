@@ -24,17 +24,27 @@ __all__ = [
     "random_generator",
     "block_diagonal_channel",
     "transient_block_generator",
+    "gaussian_block",
+    "random_combination",
 ]
 
 
-def _gaussian(shape, rng) -> np.ndarray:
-    """Real standard normal draws of the given shape: every Gaussian draw of
-    the package is taken here."""
-    return rng.standard_normal(shape)
-
-
 def _ginibre(rows: int, cols: int, rng) -> np.ndarray:
-    return _gaussian((rows, cols), rng) + 1j * _gaussian((rows, cols), rng)
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def gaussian_block(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Real standard normal ``rows x cols`` block from its own generator
+    seeded with ``seed``: the same block on every call, whatever other
+    draws were taken."""
+    return np.random.default_rng(seed).standard_normal((rows, cols))
+
+
+def random_combination(elements, rng):
+    """A generic element of the real span of ``elements``: their sum with
+    independent standard normal coefficients."""
+    coeffs = rng.standard_normal(len(elements))
+    return sum(c * b for c, b in zip(coeffs, elements))
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

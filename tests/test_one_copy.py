@@ -32,7 +32,7 @@ def test_hermitian_spectrum_is_taken_in_one_place():
 
 
 def test_gaussian_draws_live_in_sampling():
-    assert occurrences("standard_normal(") == {"sampling.py": 1}
+    assert set(occurrences("standard_normal(")) == {"sampling.py"}
 
 
 def test_one_lu_factorization():
