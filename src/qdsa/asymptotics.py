@@ -59,9 +59,11 @@ Every public function accepts either a bare model or a :class:`Dynamics`.  A
 computes each derived object at most once: the real Schrodinger matrix of
 :func:`to_superoperator`, its kernel split, the stationary space and its
 support (per tolerance), and the real propagator (per horizon and
-picture): ``alpha_T`` on its transpose, ``nu_T`` on the matrix itself.  No
-complex superoperator is ever formed.  A ``Dynamics`` is dropped with the
-call; nothing is cached on the model or globally.
+picture): ``alpha_T`` on its transpose, ``nu_T`` on the matrix itself.  The
+complex Schrodinger matrix is formed once, inside :func:`to_superoperator`,
+and overwritten by the real form's frame pass; every later step works on
+real matrices.  A ``Dynamics`` is dropped with the call; nothing is cached
+on the model or globally.
 """
 
 from __future__ import annotations
@@ -138,9 +140,13 @@ DEFAULT_DECAY_TOL = 1e-8
 
 
 def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarray:
-    """Matrix whose kernel is the fixed-point space of the dynamics."""
+    """Matrix whose kernel is the fixed-point space of the dynamics: ``R``
+    itself, or for a channel ``R - 1``, a copy with 1 subtracted on its
+    diagonal (the bits of subtracting the identity matrix)."""
     if discrete:
-        return superop_matrix - np.eye(superop_matrix.shape[0])
+        m = superop_matrix.copy()
+        m.flat[::m.shape[0] + 1] -= 1.0
+        return m
     return superop_matrix
 
 

@@ -26,17 +26,23 @@ the orthonormal basis ``Q`` of Hermitian matrices ``E_jj``,
 ``(E_jk + E_kj)/sqrt 2`` and ``i(E_jk - E_kj)/sqrt 2`` for ``j < k``.  The
 frame vector at vec index ``n`` of the entry ``(j, k)`` is ``E_jj`` on the
 diagonal, the symmetric one above it and the antisymmetric one of the pair
-below it, so each column of ``Q`` has at most two nonzeros and
-:func:`real_form` ``Q^dag S Q`` is built in ``O(d^4)`` by index gathers.
-The real Heisenberg form is the transpose of the real Schrodinger form, so
-:func:`to_superoperator` assembles the Schrodinger matrix alone and reads
-the Heisenberg map off it.  A :class:`Superoperator` holds only its real
-form; propagators are computed on it, which costs a quarter of the
-floating-point work of the complex one.
+below it, so each column of ``Q`` has at most two nonzeros.  The real
+Heisenberg form is the transpose of the real Schrodinger form, so
+:func:`to_superoperator` forms the complex Schrodinger matrix ``S`` alone,
+once: only its Kraus or jump terms ``conj(V) kron V`` are dense, and a
+generator's identity-factor terms are applied only on their ``2 d^3``
+nonzeros.  The frame pass ``Q^dag S Q`` (:func:`_frame_pass`) is then two
+real products and a sum per entry, the operations of the complex index
+gathers it replaced minus their products by exact zeros.  So the real form
+keeps the bits of the dense complex sum, and the assembly holds at most 4
+times the real form's bytes from d = 24 on.  A :class:`Superoperator` holds
+only its real form, an owned float64 array; propagators are computed on it,
+which costs a quarter of the floating-point work of the complex one.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -137,7 +143,10 @@ def _coords(a: np.ndarray) -> np.ndarray:
 
 def hermitian_coords(a) -> np.ndarray:
     """Real frame coordinates of the Hermitian part of ``a``."""
-    return _coords(np.asarray(a)).real
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+    return _coords(a).real
 
 
 def from_hermitian_coords(x, dim: int) -> np.ndarray:
@@ -150,25 +159,107 @@ def from_hermitian_coords(x, dim: int) -> np.ndarray:
     return unvec(own * x + other[flip] * x[flip], dim)
 
 
+# The assembly and the frame pass work on blocks of whole rows of at most
+# _BLOCK entries, so that their temporaries stay a small fraction of the
+# d^2 x d^2 matrices they fill (at small d one block is the whole matrix).
+_BLOCK = 1 << 15
+
+
+@cache
+def _row_blocks(n: int, width: int) -> tuple:
+    """Consecutive slices of ``range(n)`` of at most ``_BLOCK // width``
+    indices each (at least one): blocks of rows of ``width`` entries."""
+    step = max(1, _BLOCK // width)
+    return tuple(slice(i, i + step) for i in range(0, n, step))
+
+
+def _frame_side(n: int) -> int:
+    """The dimension ``m`` of a side of ``n = m^2`` vec indices."""
+    m = math.isqrt(n)
+    if m * m != n:
+        raise DimMismatch(f"superoperator side {n} is not a perfect square")
+    return m
+
+
+@cache
+def _frame_terms(dim: int):
+    """Gather indices and coefficients of the two real terms of each frame
+    coordinate in dimension ``dim``, for :func:`_frame_pass`.  With primes
+    at the transposed vec index and ``r = sqrt(1/2)``::
+
+        vec entry   re (S Q)        im (S Q)        Q^dag T
+        diagonal    sr 1 + sr 0     si 1 + si 0     tr 1 + tr 0
+        row < col   sr r + s'r r    si r + s'i r    tr r + t'r r
+        row > col   si r - s'i r    s'r r - sr r    t'i r - ti r
+
+    Column indices address a row of ``S`` as interleaved (re, im) pairs;
+    ``T`` is planar: its row ``2n + k`` is part ``k`` of row ``n``.
+    """
+    n = np.arange(dim * dim)
+    row, col = n % dim, n // dim
+    f = _frame(dim)[0]
+    anti = row > col
+    r = np.sqrt(0.5)
+    coef = np.array([np.where(row == col, 1.0, r),
+                     np.where(row == col, 0.0, np.where(anti, -r, r))])
+    col_index = np.array([np.where(anti, [2 * n + 1, 2 * f], [2 * n, 2 * n + 1]),
+                          np.where(anti, [2 * f + 1, 2 * n], [2 * f, 2 * f + 1])])
+    row_index = np.array([np.where(anti, 2 * f + 1, 2 * n), np.where(anti, 2 * n + 1, 2 * f)])
+    terms = (col_index.reshape(2, -1), np.tile(coef, 2), row_index, coef[:, :, None])
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
+def _frame_pass(s: np.ndarray) -> np.ndarray:
+    """``Q^dag S Q`` of a C-contiguous complex ``S`` as a new C-contiguous
+    float64 array; ``T = S Q`` is written over ``S``, a block of rows at a
+    time.
+
+    Each entry of ``T`` and of ``Q^dag T`` is the sum of two real products
+    (:func:`_frame_terms`): the operations of the complex gathers ``S Q``
+    and ``Q^dag T`` minus their products by exact zeros, so every nonzero
+    entry has the same bits.  Only the sign of a zero entry can differ, for
+    patterns of signed zeros in ``S`` that no fixture or ladder model has.
+    """
+    rows, cols = s.shape
+    col_index, col_coef, _, _ = _frame_terms(_frame_side(cols))
+    _, _, row_index, row_coef = _frame_terms(_frame_side(rows))
+    blocks = _row_blocks(rows, 2 * cols)
+    z = s.view(float)
+    for blk in blocks:
+        terms = z[blk, col_index]
+        terms *= col_coef
+        np.add(terms[:, 0], terms[:, 1], out=z[blk])
+    t = z.reshape(2 * rows, cols)
+    out = np.empty((rows, cols))
+    for blk in blocks:
+        terms = t[row_index[:, blk]]
+        terms *= row_coef[:, blk]
+        np.add(terms[0], terms[1], out=out[blk])
+    return out
+
+
 def real_form(s: np.ndarray) -> np.ndarray:
     """``Q^dag S Q`` for a Hermiticity-preserving superoperator matrix ``S``.
 
     ``S`` may map ``m x m`` to ``d x d`` matrices (shape ``d^2 x m^2``);
     the frame on each side is that of its own dimension.  The product is
-    taken by index gathers, never as a dense product; the imaginary part,
-    zero up to rounding, is dropped.
+    taken in real arithmetic on a copy of ``S`` (:func:`_frame_pass`),
+    never as a dense product; the imaginary part, zero up to rounding, is
+    dropped.  DimMismatch unless ``S`` is a matrix with square sides.
     """
-    flip, own, other = _frame(int(round(np.sqrt(s.shape[1]))))
-    t = s * own + s[:, flip] * other
-    flip, own, other = _frame(int(round(np.sqrt(s.shape[0]))))
-    return (own.conj()[:, None] * t + other.conj()[:, None] * t[flip]).real
+    s = np.array(s, dtype=complex, order="C")
+    if s.ndim != 2:
+        raise DimMismatch(f"expected a superoperator matrix, got shape {s.shape}")
+    return _frame_pass(s)
 
 
 def _block_frame(w: np.ndarray) -> np.ndarray:
     """The real ``d^2 x m^2`` matrix ``P`` of ``Y -> W Y W^dag`` for a
     ``d x m`` isometry ``W``: it maps the frame coordinates of ``Y`` to
     those of ``W Y W^dag``, and has orthonormal columns."""
-    return real_form(_kron(w.conj(), w))
+    return _frame_pass(_kron(w.conj(), w))
 
 
 def _complex_form(r: np.ndarray) -> np.ndarray:
@@ -276,10 +367,7 @@ class DensityMatrix:
 def _superoperator_dim(m: np.ndarray) -> int:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch("superoperator matrix must be square")
-    dim = int(round(np.sqrt(m.shape[0])))
-    if dim * dim != m.shape[0]:
-        raise DimMismatch("superoperator size must be a perfect square")
-    return dim
+    return _frame_side(m.shape[0])
 
 
 class Superoperator:
@@ -410,30 +498,67 @@ def _is_channel(obj) -> bool:
     raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
 
 
+@cache
+def _identity_factors(dim: int):
+    """The complex identity and ``(1 - identity) / 2`` in dimension
+    ``dim``, read-only."""
+    eye = np.eye(dim, dtype=complex)
+    factors = (eye, 0.5 * (1.0 - eye))
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
+def _add_kron(s4: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``S += kron(a, b)`` on the 4-index view ``s4[i, j, k, l]`` of ``S``,
+    a block of first indices ``i`` at a time (the products and sums of the
+    whole :func:`_kron`)."""
+    b = b[None, :, None, :]
+    for blk in _row_blocks(a.shape[0], a.shape[1] * b.size):
+        s4[blk] += a[blk, None, :, None] * b
+
+
 def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     """The map of a channel or generator in the given picture.
 
-    The Schrodinger matrix is summed from Kronecker products (one per Kraus
-    operator; the Hamiltonian, jump and anticommutator terms of a generator)
-    and put in the Hermitian frame by :func:`real_form`; the Heisenberg map
-    is its transpose.  This is the only place a superoperator is assembled.
+    The complex Schrodinger matrix ``S`` sums ``conj(V) kron V`` over the
+    Kraus operators, or for a generator ``-i (1 kron H - H^T kron 1)`` and,
+    per jump ``L`` with ``K = L^dag L``, ``conj(L) kron L - (1 kron K + K^T
+    kron 1) / 2``.  The ``conj(V) kron V`` terms are dense, added a block of
+    rows at a time; an identity-factor term is applied only on its ``2 d^3``
+    nonzeros (``i = k`` or ``j = l`` in ``S[(i, j), (k, l)]``), each entry in
+    the order of the dense sum.  :func:`_frame_pass` then takes ``S`` to the
+    Hermitian frame in real arithmetic, over ``S`` itself, with the bits of
+    the complex gathers.  The assembly thus holds ``S``, the real form and
+    block-sized temporaries: at most 4 times the real form's bytes from
+    d = 24 on.  The Heisenberg map is the transpose.  This is the only
+    place a superoperator is assembled.
     """
     _check_picture(picture)
     channel = _is_channel(obj)
     d = obj.dim
+    s = np.zeros((d * d, d * d), dtype=complex)
+    s4 = s.reshape(d, d, d, d)
     if channel:
-        s = np.zeros((d * d, d * d), dtype=complex)
         for v in obj.kraus_ops:
-            s += _kron(v.conj(), v)
+            _add_kron(s4, v.conj(), v)
     else:
-        eye = np.eye(d)
+        # views of S[(i, j), (k, l)]: left[i, j, l] at i = k, where 1 kron X
+        # lands, and right[j, i, k] at j = l, where X^T kron 1 lands; the
+        # entries with both are written through right
+        e = s.itemsize
+        left = np.ndarray((d, d, d), complex, s, strides=((d ** 3 + d) * e, d * d * e, e))
+        right = np.ndarray((d, d, d), complex, s, strides=((d * d + 1) * e, d ** 3 * e, d * e))
+        eye, off_half = _identity_factors(d)
         h = obj.hamiltonian
-        s = -1j * (_kron(eye, h) - _kron(h.T, eye))
+        left[:] = -1j * h
+        right[:] = -1j * (h.diagonal()[:, None, None] * eye - h.T)
         for l in obj.lindblad_ops:
             k = l.conj().T @ l
-            s += _kron(l.conj(), l)
-            s -= 0.5 * (_kron(eye, k) + _kron(k.T, eye))
-    r = real_form(s)
+            _add_kron(s4, l.conj(), l)
+            left -= k * off_half
+            right -= 0.5 * (k.diagonal()[:, None, None] * eye + k.T)
+    r = _frame_pass(s)
     return Superoperator(r.T if picture == HEISENBERG else r, picture)
 
 

@@ -1,0 +1,75 @@
+"""Memory of the superoperator assembly: the real form owns its buffer, and
+building it (or a whole structure analysis) holds at most four times its
+bytes at once."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qdsa.asymptotics import Dynamics, _fixed_point_matrix, recurrent_projection
+from qdsa.channels import HEISENBERG, SCHRODINGER, to_superoperator
+from qdsa.models import build_fixture
+from qdsa.sampling import block_diagonal_channel, transient_block_generator
+
+PEAK_FACTOR = 4.0
+
+
+def _model(kind: str, d: int):
+    rng = np.random.default_rng(1)
+    if kind == "generator":
+        return transient_block_generator(d // 2, d - d // 2, rng)[0]
+    return block_diagonal_channel([4] * (d // 4), 2, rng)[0]
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced while ``fn(*args)`` runs, over what was held before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("kind", ["generator", "channel"])
+class TestPeak:
+    def test_assembly(self, kind):
+        model = _model(kind, 24)
+        out_bytes = to_superoperator(model, SCHRODINGER).real.nbytes
+        assert _traced_peak(to_superoperator, model, SCHRODINGER) <= PEAK_FACTOR * out_bytes
+
+    def test_recurrent_projection(self, kind):
+        model = _model(kind, 24)
+        out_bytes = (24 ** 2) ** 2 * 8
+        recurrent_projection(model)  # frame tables and lazy imports on a first call
+        assert _traced_peak(recurrent_projection, model) <= PEAK_FACTOR * out_bytes
+
+
+@pytest.mark.parametrize("name", ["AD", "ADK", "M3"])
+class TestOwnedRealForm:
+    def test_superoperator_owns_a_float_buffer(self, name):
+        for picture in (HEISENBERG, SCHRODINGER):
+            r = to_superoperator(build_fixture(name), picture).real
+            root = _root(r)
+            assert root.dtype == np.float64 and root.nbytes == r.nbytes
+        assert to_superoperator(build_fixture(name), SCHRODINGER).real.flags.c_contiguous
+
+    def test_dynamics_holds_a_contiguous_float_matrix(self, name):
+        r = Dynamics(build_fixture(name)).schrodinger
+        assert r.flags.c_contiguous and _root(r).dtype == np.float64
+
+    def test_fixed_point_matrix_has_the_bits_of_subtracting_the_identity(self, name):
+        r = to_superoperator(build_fixture(name), SCHRODINGER).real
+        got = _fixed_point_matrix(r, discrete=True)
+        want = r - np.eye(r.shape[0])
+        assert got.tobytes() == want.tobytes()
+        assert _fixed_point_matrix(r, discrete=False) is r

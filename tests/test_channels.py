@@ -12,8 +12,10 @@ from qdsa.channels import (
     Superoperator,
     apply_heisenberg,
     generator_to_channel,
+    hermitian_coords,
     lindblad_apply,
     propagator,
+    real_form,
     stinespring_dilate,
     to_superoperator,
     unvec,
@@ -62,6 +64,30 @@ class TestConstructors:
             DensityMatrix(np.diag([1.5, -0.5]))
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6]))
+
+
+class TestFrameErrors:
+    @pytest.mark.parametrize("shape", [(16,), (4, 4, 1), ()])
+    def test_real_form_of_a_non_matrix(self, shape):
+        with pytest.raises(DimMismatch):
+            real_form(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (8, 8)])
+    def test_real_form_side_not_a_square(self, shape):
+        with pytest.raises(DimMismatch):
+            real_form(np.zeros(shape, dtype=complex))
+
+    def test_real_form_of_a_rectangular_map(self):
+        assert real_form(np.zeros((9, 4), dtype=complex)).shape == (9, 4)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_hermitian_coords_of_a_non_square(self, shape):
+        with pytest.raises(DimMismatch):
+            hermitian_coords(np.zeros(shape))
+
+    def test_superoperator_size_not_a_square(self):
+        with pytest.raises(DimMismatch):
+            Superoperator(np.zeros((8, 8)), SCHRODINGER)
 
 
 class TestKrausAction:

@@ -1,5 +1,6 @@
-"""Small-model fast paths: one-call ``opnorm``, broadcast ``_kron``, and each
-stationary support and enclosure residual computed once per analysis.
+"""Small-model fast paths: one-call ``opnorm``, broadcast ``_kron``, the
+slice-wise superoperator assembly and real frame pass, and each stationary
+support and enclosure residual computed once per analysis.
 
 Every fast path must give the same bits as the code it replaces; the
 references below are the replaced expressions themselves.
@@ -16,13 +17,17 @@ from qdsa.asymptotics import Dynamics, minimal_enclosures, recurrent_projection
 from qdsa.channels import (
     HEISENBERG,
     SCHRODINGER,
+    LindbladGenerator,
     QuantumChannel,
+    _block_frame,
+    _frame,
     _kron,
     real_form,
     to_superoperator,
 )
 from qdsa.harmonic import subharmonic_residual
 from qdsa.linalg import DEFAULT_TOL, opnorm, support_projection
+from qdsa.sampling import block_diagonal_channel, random_hermitian, transient_block_generator
 from test_dynamics import GOLDEN_SEED, _all_models, _counting
 
 MODELS = _all_models()
@@ -76,6 +81,46 @@ def _reference_superop(model, picture):
     return s
 
 
+def _reference_real_form(s):
+    """``Q^dag S Q`` as it was written: complex index gathers, real part."""
+    flip, own, other = _frame(int(round(np.sqrt(s.shape[1]))))
+    t = s * own + s[:, flip] * other
+    flip, own, other = _frame(int(round(np.sqrt(s.shape[0]))))
+    return (own.conj()[:, None] * t + other.conj()[:, None] * t[flip]).real
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    # down to the sign of every zero entry
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _ladder_rungs():
+    """The nine seed-1 rungs of the benchmark's analyze and structure ladders."""
+    rungs = []
+    for kind, d in (("generator", 4), ("generator", 8), ("generator", 12), ("channel", 8),
+                    ("channel", 16), ("generator", 24), ("generator", 32), ("channel", 24),
+                    ("channel", 32)):
+        rng = np.random.default_rng(1)
+        if kind == "generator":
+            model, _ = transient_block_generator(d // 2, d - d // 2, rng)
+        else:
+            model, _ = block_diagonal_channel([4] * (d // 4), 2, rng)
+        rungs.append(pytest.param(model, id=f"{kind}-d{d}"))
+    return rungs
+
+
+def _almost_hermitian_generator():
+    """A generator whose ``H`` is Hermitian only to ``atol``: ``H^T`` and
+    ``conj(H)`` differ, and the identity-factor terms must use ``H^T``."""
+    rng = np.random.default_rng(3)
+    h = random_hermitian(3, rng) + 1e-10 * (rng.standard_normal((3, 3))
+                                            + 1j * rng.standard_normal((3, 3)))
+    jumps = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))]
+    return LindbladGenerator(h, jumps)
+
+
 class TestOpnorm:
     @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -118,9 +163,36 @@ class TestKron:
 
     def test_superoperators_unchanged(self, name, model, horizon):
         schrodinger = to_superoperator(model, SCHRODINGER).real
-        want = real_form(_reference_superop(model, SCHRODINGER))
-        assert np.array_equal(schrodinger, want)
+        _assert_same_bits(schrodinger, _reference_real_form(_reference_superop(model, SCHRODINGER)))
         assert np.array_equal(to_superoperator(model, HEISENBERG).real, schrodinger.T)
+
+
+class TestAssemblyBits:
+    """The slice-wise assembly and the real frame pass against the dense
+    complex sum and the complex gathers they replace."""
+
+    @pytest.mark.parametrize("model", _ladder_rungs() + [
+        pytest.param(QuantumChannel([np.array([[np.exp(0.7j)]])]), id="channel-d1"),
+        pytest.param(LindbladGenerator(random_hermitian(3, np.random.default_rng(5))),
+                     id="generator-no-jumps"),
+        pytest.param(_almost_hermitian_generator(), id="generator-almost-hermitian"),
+    ])
+    def test_superoperator_unchanged(self, model):
+        _assert_same_bits(to_superoperator(model, SCHRODINGER).real,
+                          _reference_real_form(_reference_superop(model, SCHRODINGER)))
+
+    @pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (5, 3), (8, 5), (24, 7)])
+    def test_block_frame_of_a_rectangular_isometry(self, d, m):
+        rng = np.random.default_rng(d * m)
+        w, _ = np.linalg.qr(rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
+        _assert_same_bits(_block_frame(w), _reference_real_form(np.kron(w.conj(), w)))
+
+    def test_real_form_leaves_its_argument(self):
+        s = _reference_superop(MODELS[0][1], SCHRODINGER)
+        before = s.copy()
+        _assert_same_bits(real_form(s), _reference_real_form(before))
+        assert s.tobytes() == before.tobytes()
+        _assert_same_bits(real_form(np.asfortranarray(s)), _reference_real_form(before))
 
 
 @pytest.mark.parametrize("name,model,horizon", MODELS, ids=IDS)
