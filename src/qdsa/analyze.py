@@ -24,7 +24,7 @@ from .asymptotics import (
     decay_ideal_test,
     recurrent_projection,
 )
-from .channels import QuantumChannel
+from .channels import _is_channel
 from .errors import ValidationError
 from .linalg import (
     Projection,
@@ -186,7 +186,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     if horizon is None:
         horizon = DEFAULT_HORIZON
     try:
-        _check_horizon(horizon, isinstance(model, QuantumChannel))
+        _check_horizon(horizon, _is_channel(model))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     tol = tol or ToleranceConfig()
@@ -239,7 +239,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     return AnalysisReport(
         label=label,
         dim=model.dim,
-        kind="channel" if isinstance(model, QuantumChannel) else "generator",
+        kind="channel" if dyn.discrete else "generator",
         horizon=horizon,
         stationary_dim=dyn.space(tol).dim,
         enclosure_ranks=tuple(p.rank for p in decomposition.minimal_projections),

@@ -23,18 +23,18 @@ path:
    block ``r``: the state dominates every stationary state, so its support
    is the supremum of all stationary supports, and every basis element of
    the stationary space is checked to lie under it.  Every block the
-   refinement visits is sub-harmonic, so the dynamics compressed to it is
+   split yields is sub-harmonic, so the dynamics compressed to it is
    again a model:
    ``(W^dag H W, {W^dag L_i W})`` or ``{W^dag V_i W}`` for the block
    isometry ``W``, and the model itself when ``r`` is the whole space.  The
    Heisenberg fixed points of the compressed model form a *-algebra (it
-   has a faithful stationary state); splitting along the spectral
-   projections of a generic Hermitian fixed element and recursing yields an
-   orthogonal family of minimal enclosures, i.e. supports of the minimal
-   invariant faces.  Each emitted block is certified by its compressed
-   model having a one-dimensional stationary space whose state has full
-   support on the block; the same split of the compressed model gives its
-   fixed algebra and its certificate.
+   has a faithful stationary state), so one split along the spectral
+   projections of a generic Hermitian fixed element yields an orthogonal
+   family of minimal enclosures, i.e. supports of the minimal invariant
+   faces.  Each block is certified by its compressed model having a
+   one-dimensional stationary space whose state has full support on the
+   block; a block with a larger one means the draw merged two blocks, and
+   the split is redrawn.
 
 3. The minimal recurrent projection ``r`` is the supremum of the minimal
    enclosures.  At a finite horizon ``T`` the report records how far
@@ -101,6 +101,7 @@ from .harmonic import subharmonic_residual
 from .linalg import (
     Projection,
     ToleranceConfig,
+    _check_operand,
     _decisive,
     _hermitian_spectrum,
     _tol,
@@ -347,11 +348,6 @@ class Dynamics:
         mixed state (:func:`_mixed_limit`)."""
         return self._cached(("limit", tol), lambda: _mixed_limit(self, tol))
 
-    def limit_support(self, tol: ToleranceConfig) -> Projection:
-        """Support of the state of :meth:`limit`."""
-        return self._cached(("limit_support", tol),
-                            lambda: support_projection(self.limit(tol)[1].matrix, tol))
-
     def space(self, tol: ToleranceConfig) -> StationarySpace:
         return self._cached(("space", tol), lambda: stationary_space(self, tol))
 
@@ -384,12 +380,6 @@ def _check_horizon(horizon: float, discrete: bool) -> None:
         raise ValueError(f"a channel's horizon is at least one iteration, got {horizon}")
 
 
-def _check_operand(dyn: Dynamics, dim: int) -> None:
-    """DimMismatch unless an operand of dimension ``dim`` fits ``dyn``."""
-    if dim != dyn.dim:
-        raise DimMismatch(f"operand dimension {dim} does not match the dynamics ({dyn.dim})")
-
-
 def _mixed_limit(dyn: Dynamics, tol: ToleranceConfig):
     """Stationary dimension and the time-average limit of the maximally
     mixed state."""
@@ -404,7 +394,7 @@ def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) ->
     """Exact long-time Cesaro limit of a state under the predual flow."""
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
-    _check_operand(dyn, rho.dim)
+    _check_operand(rho.dim, dyn.dim)
     kernel, left = dyn.split(tol)
     limit = _kernel_component(kernel, left, hermitian_coords(rho.matrix))
     return _as_state(from_hermitian_coords(limit, rho.dim), tol)
@@ -449,7 +439,7 @@ def _compress(model, w: np.ndarray, tol: ToleranceConfig):
     block is invariant, so a failed unitality check is an InternalError.
     """
     wh = w.conj().T
-    if isinstance(model, QuantumChannel):
+    if _is_channel(model):
         try:
             return QuantumChannel([wh @ v @ w for v in model.kraus_ops], tol)
         except NotUnital as exc:
@@ -480,7 +470,7 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
-    _check_operand(dyn, p.dim)
+    _check_operand(p.dim, dyn.dim)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
     return _corner(dyn, p.range_basis, tol).limit(tol)
@@ -544,10 +534,16 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
                        seed: int = 7) -> EnclosureDecomposition:
     """Decompose the recurrent block into minimal sub-harmonic projections.
 
-    Splits the recurrent corner along spectral projections of a generic
-    Hermitian fixed element and recurses; a genericity failure (accidental
-    eigenvalue degeneracy) is retried with a fresh draw at most 8 times
-    before ConvergenceFailure.
+    The Heisenberg fixed points of the recurrent corner form a *-algebra
+    ``sum_k M_{n_k} (x) 1_{m_k}`` (the corner has a faithful stationary
+    state), so the spectral projections of one generic Hermitian fixed
+    element are minimal projections of it: the minimal enclosures.  The
+    corner is split once along such an element, and each block is certified
+    on its own corner by a one-dimensional stationary space whose state has
+    full support.  A block with more than one stationary state means the
+    draw merged two eigenvalue clusters; the split is then redrawn, at most
+    8 draws in all before ConvergenceFailure.  A block whose stationary
+    state misses part of it is a ConvergenceFailure too.
     """
     tol = _tol(tol)
     rng = np.random.default_rng(seed)
@@ -556,52 +552,33 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     # the recurrent corner: the dynamics itself when r is the identity
     top = np.eye(dyn.dim, dtype=complex) if r.rank == dyn.dim else r.range_basis
     top_corner = _corner(dyn, top, tol)
+    fixed = _fixed_basis(top_corner, tol)
+    unique = _is_abelian(fixed, tol)
 
-    top_fixed = _fixed_basis(top_corner, tol)
-    fixed_algebra_dim = len(top_fixed)
-    unique = _is_abelian(top_fixed, tol)
+    for _ in range(8):
+        if len(fixed) == 1:
+            blocks = [(top, top_corner)]
+        else:
+            w_eig, v_eig = np.linalg.eigh(hermitian_part(random_combination(fixed, rng)))
+            blocks = [(w, _corner(dyn, w, tol)) for w in (
+                top @ v_eig[:, idx]
+                for idx in _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0])))]
+        limits = [corner.limit(tol) for _, corner in blocks]
+        if all(sdim == 1 for sdim, _ in limits):
+            break
+    else:
+        raise ConvergenceFailure(
+            f"no generic fixed element split the recurrent block of size {top.shape[1]} "
+            f"(fixed space dimension {len(fixed)}) into blocks of one stationary state")
 
     final = []
-    # each entry is a block isometry and its corner dynamics, when already built
-    queue = [(top, top_corner)]
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 64 * dyn.dim:
-            raise ConvergenceFailure("enclosure refinement failed to terminate")
-        w, corner = queue.pop()
-        k = w.shape[1]
-        if corner is None:
-            corner = _corner(dyn, w, tol)
-        fixed = _fixed_basis(corner, tol)
-        if len(fixed) <= 1:
-            sdim, state = corner.limit(tol)
-            supp = corner.limit_support(tol)
-            if sdim == 1 and supp.rank == k:
-                final.append((Projection.from_range_basis(w), (sdim, state), supp.rank))
-            elif supp.rank < k:
-                # stationary mass misses part of the block; shrink and retry
-                queue.append((w @ supp.range_basis, None))
-            else:
-                raise ConvergenceFailure(
-                    f"block of size {k} has stationary dimension {sdim} "
-                    "but no fixed element to split along")
-            continue
-        groups = None
-        vectors = None
-        for _ in range(8):
-            h = hermitian_part(random_combination(fixed, rng))
-            w_eig, v_eig = np.linalg.eigh(h)
-            candidate = _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0]))
-            if len(candidate) >= 2:
-                groups, vectors = candidate, v_eig
-                break
-        if groups is None:
+    for (w, _), certificate in zip(blocks, limits):
+        rank = support_projection(certificate[1].matrix, tol).rank
+        if rank < w.shape[1]:
             raise ConvergenceFailure(
-                f"no generic fixed element split a block of size {k} "
-                f"with fixed space dimension {len(fixed)}")
-        for idx in groups:
-            queue.append((w @ vectors[:, idx], None))
+                f"the stationary state of a block of size {w.shape[1]} has support "
+                f"of rank {rank} only")
+        final.append((Projection.from_range_basis(w), certificate, rank))
 
     final.sort(key=lambda item: _canonical_key(item[0]))
     projections = tuple(p for p, _, _ in final)
@@ -619,7 +596,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             if overlap > 10 * tol.atol:
                 raise InternalError("refined enclosures are not mutually orthogonal")
             max_overlap = max(max_overlap, overlap)
-    return EnclosureDecomposition(projections, unique, fixed_algebra_dim,
+    return EnclosureDecomposition(projections, unique, len(fixed),
                                   tuple(c for _, c, _ in final),
                                   tuple(k for _, _, k in final), tuple(residuals),
                                   max_overlap)
@@ -734,9 +711,10 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
+    _check_horizon(horizon, dyn.discrete)
     am = as_complex_matrix(a)
-    _check_operand(dyn, am.shape[0])
-    _check_operand(dyn, recurrent.dim)
+    _check_operand(am.shape[0], dyn.dim)
+    _check_operand(recurrent.dim, dyn.dim)
     algebraic_residual = opnorm(am @ recurrent.matrix)
     dynamic_residual = opnorm(dyn.flow(horizon).apply(am.conj().T @ am))
     return DecayIdealResult(
@@ -765,7 +743,7 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
     _check_horizon(horizon, dyn.discrete)
-    _check_operand(dyn, rho.dim)
+    _check_operand(rho.dim, dyn.dim)
     n = dyn.schrodinger.shape[0]
     augmented = np.zeros((n + 1, n + 1))
     augmented[:n, :n] = dyn.schrodinger
@@ -813,8 +791,9 @@ def minimality_certificate(obj, recurrent: Projection,
     tol = _tol(tol)
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
+    _check_horizon(horizon, dyn.discrete)
     for p in (recurrent, *decomposition.minimal_projections):
-        _check_operand(dyn, p.dim)
+        _check_operand(p.dim, dyn.dim)
     prop = dyn.flow(horizon)
     d = dyn.dim
     eye = np.eye(d)

@@ -51,6 +51,7 @@ from .errors import DimMismatch, NegativeTime, NotHermitian, NotPSD, NotUnital
 from .linalg import (
     Projection,
     ToleranceConfig,
+    _check_operand,
     _tol,
     as_complex_matrix,
     hermitian_part,
@@ -183,29 +184,27 @@ def _frame_side(n: int) -> int:
 
 @cache
 def _frame_terms(dim: int):
-    """Gather indices and coefficients of the two real terms of each frame
-    coordinate in dimension ``dim``, for :func:`_frame_pass`.  With primes
-    at the transposed vec index and ``r = sqrt(1/2)``::
-
-        vec entry   re (S Q)        im (S Q)        Q^dag T
-        diagonal    sr 1 + sr 0     si 1 + si 0     tr 1 + tr 0
-        row < col   sr r + s'r r    si r + s'i r    tr r + t'r r
-        row > col   si r - s'i r    s'r r - sr r    t'i r - ti r
+    """Gather indices and real factors of the two terms of each frame
+    coordinate in dimension ``dim``, for :func:`_frame_pass`, read off
+    :func:`_frame`: the own term at the entry itself, the other at the
+    transposed one.  Every coefficient ``c`` of ``Q`` is real or imaginary,
+    so part ``k`` (0 real, 1 imaginary) of ``c s`` is one part of ``s``
+    times a real number: ``re(c) s_k``, or ``(2k - 1) im(c) s_(1-k)``.
+    ``S Q`` takes both parts; ``Q^dag T`` only the real part, with
+    ``conj(c)``.
 
     Column indices address a row of ``S`` as interleaved (re, im) pairs;
     ``T`` is planar: its row ``2n + k`` is part ``k`` of row ``n``.
     """
-    n = np.arange(dim * dim)
-    row, col = n % dim, n // dim
-    f = _frame(dim)[0]
-    anti = row > col
-    r = np.sqrt(0.5)
-    coef = np.array([np.where(row == col, 1.0, r),
-                     np.where(row == col, 0.0, np.where(anti, -r, r))])
-    col_index = np.array([np.where(anti, [2 * n + 1, 2 * f], [2 * n, 2 * n + 1]),
-                          np.where(anti, [2 * f + 1, 2 * n], [2 * f, 2 * f + 1])])
-    row_index = np.array([np.where(anti, 2 * f + 1, 2 * n), np.where(anti, 2 * n + 1, 2 * f)])
-    terms = (col_index.reshape(2, -1), np.tile(coef, 2), row_index, coef[:, :, None])
+    flip, own, other = _frame(dim)
+    at = 2 * np.array([np.arange(dim * dim), flip])
+    c = np.array([own, other])
+    imag = c.imag != 0
+    k = np.array([0, 1])[:, None]
+    col_index = at[:, None] + (k ^ imag[:, None])
+    col_coef = np.where(imag[:, None], (2 * k - 1) * c.imag[:, None], c.real[:, None])
+    terms = (col_index.reshape(2, -1), col_coef.reshape(2, -1), at + imag,
+             np.where(imag, c.imag, c.real)[:, :, None])
     for a in terms:
         a.flags.writeable = False
     return terms
@@ -264,7 +263,7 @@ def _block_frame(w: np.ndarray) -> np.ndarray:
 
 def _complex_form(r: np.ndarray) -> np.ndarray:
     """``Q R Q^dag``, the inverse of :func:`real_form`."""
-    flip, own, other = _frame(int(round(np.sqrt(r.shape[0]))))
+    flip, own, other = _frame(_frame_side(r.shape[0]))
     u = own[:, None] * r + other[flip][:, None] * r[flip]
     return u * own.conj() + u[:, flip] * other[flip].conj()
 
@@ -399,8 +398,7 @@ class Superoperator:
     def apply(self, a) -> np.ndarray:
         """Act on a ``d x d`` matrix."""
         m = as_complex_matrix(a)
-        if m.shape[0] != self.dim:
-            raise DimMismatch("operand dimension does not match the superoperator")
+        _check_operand(m.shape[0], self.dim)
         x = _coords(m)
         if not x.imag.any():
             return from_hermitian_coords(self.real @ x.real, self.dim)
@@ -442,11 +440,6 @@ class StinespringDilation:
         return v.conj().T @ self.represent(a) @ v
 
 
-def _check_dim(obj_dim: int, a: np.ndarray):
-    if a.shape[0] != obj_dim:
-        raise DimMismatch(f"operand dimension {a.shape[0]} does not match {obj_dim}")
-
-
 def _schrodinger_action(ops, m: np.ndarray) -> np.ndarray:
     """``sum_i V_i m V_i^dag`` over the Kraus family ``ops``, unchecked."""
     return sum(v @ m @ v.conj().T for v in ops)
@@ -455,7 +448,7 @@ def _schrodinger_action(ops, m: np.ndarray) -> np.ndarray:
 def apply_heisenberg(ch: QuantumChannel, a) -> np.ndarray:
     """Heisenberg action ``sum_i V_i^dag a V_i`` on an observable."""
     m = as_complex_matrix(a)
-    _check_dim(ch.dim, m)
+    _check_operand(m.shape[0], ch.dim)
     return sum(v.conj().T @ m @ v for v in ch.kraus_ops)
 
 
@@ -467,7 +460,7 @@ def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.n
     """
     _check_picture(picture)
     m = as_complex_matrix(a)
-    _check_dim(gen.dim, m)
+    _check_operand(m.shape[0], gen.dim)
     h = gen.hamiltonian
     if picture == HEISENBERG:
         out = 1j * (h @ m - m @ h)
@@ -575,13 +568,16 @@ def _iteration_count(t: float) -> int:
 
 def _propagate(r: np.ndarray, t: float, discrete: bool) -> np.ndarray:
     """``r^n`` (``n = t`` iterations) for a channel, ``exp(t r)`` for a
-    generator, on the real form ``r``."""
+    generator, on the real form ``r``; NegativeTime for ``t < 0`` and
+    ValueError for a non-finite ``t``."""
     if discrete:
         if t < 0:
             raise NegativeTime(f"iteration count must be nonnegative, got {t}")
         return np.linalg.matrix_power(r, _iteration_count(t))
     if t < 0:
         raise NegativeTime(f"evolution time must be nonnegative, got {t}")
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     return matrix_exp(t * r)
 
 
@@ -594,7 +590,7 @@ def propagator(obj, t: float, picture: str = HEISENBERG) -> Superoperator:
     decisions.
     """
     r = to_superoperator(obj, picture).real
-    return Superoperator(_propagate(r, t, isinstance(obj, QuantumChannel)), picture)
+    return Superoperator(_propagate(r, t, _is_channel(obj)), picture)
 
 
 def generator_to_channel(gen: LindbladGenerator, t: float,

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--pretty", action="store_true",
                          help="also print a readable table to stderr")
     analyze.add_argument("--seed", type=int, default=None,
-                         help="seed for the enclosure refinement (default QDS_SEED or 42)")
+                         help="seed for the enclosure split (default QDS_SEED or 42)")
 
     verify = sub.add_parser("verify", help="run the randomized property suites")
     verify.add_argument("--seed", type=int, default=None)

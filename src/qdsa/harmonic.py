@@ -40,11 +40,12 @@ from .channels import (
     _schrodinger_action,
     apply_heisenberg,
 )
-from .errors import DimMismatch, FamilyNotSubharmonic, NotFixedPoint, NotPSD, TheoremViolation
+from .errors import FamilyNotSubharmonic, NotFixedPoint, NotPSD, TheoremViolation
 from .linalg import (
     ConditionCheck,
     Projection,
     ToleranceConfig,
+    _check_operand,
     _psd_defect,
     _statuses_consistent,
     _tol,
@@ -104,8 +105,7 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     with ``sigma`` random and full rank.
     """
     tol = _tol(tol)
-    if p.dim != ch.dim:
-        raise DimMismatch("projection dimension does not match the channel")
+    _check_operand(p.dim, ch.dim)
     if rng is None:
         rng = np.random.default_rng(0)
     pm = p.matrix
@@ -185,8 +185,7 @@ def subharmonic_residual(obj, p: Projection) -> float:
     DimMismatch when ``p`` and the model differ in dimension.
     """
     channel = _is_channel(obj)
-    if p.dim != obj.dim:
-        raise DimMismatch(f"projection dimension {p.dim} does not match the model ({obj.dim})")
+    _check_operand(p.dim, obj.dim)
     if channel:
         return _kraus_residual(obj, p)
     return _generator_residual(obj, p)
@@ -244,8 +243,7 @@ def fixed_point_support_check(ch: QuantumChannel, x,
     """
     tol = _tol(tol)
     xm = as_complex_matrix(x)
-    if xm.shape[0] != ch.dim:
-        raise DimMismatch("operand dimension does not match the channel")
+    _check_operand(xm.shape[0], ch.dim)
     if not is_psd(xm, tol):
         raise NotPSD("fixed point candidate is not positive semidefinite")
     residual = opnorm(apply_heisenberg(ch, xm) - xm)

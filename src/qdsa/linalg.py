@@ -99,6 +99,13 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _check_operand(dim: int, model_dim: int) -> None:
+    """DimMismatch unless an operand of dimension ``dim`` fits a model or map
+    of dimension ``model_dim``."""
+    if dim != model_dim:
+        raise DimMismatch(f"operand dimension {dim} does not match the model ({model_dim})")
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a square complex matrix with finite entries."""
     return _check_square(np.array(a, dtype=complex))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LindbladGenerator, QuantumChannel, DensityMatrix
+from .channels import DensityMatrix, LindbladGenerator, QuantumChannel, _is_channel
 from .errors import NotHermitian, NotPSD, NotUnital, ParseError, ValidationError
 from .linalg import DimMismatch, ToleranceConfig
 from .models import FIXTURES, build_fixture
@@ -211,7 +211,7 @@ def model_spec_from_fixture(name: str) -> ModelSpec:
             f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}")
     model = build_fixture(name)
     fixture = FIXTURES[name]
-    if isinstance(model, QuantumChannel):
+    if _is_channel(model):
         return ModelSpec(model.dim, name, None, None, model.kraus_ops, None, fixture.horizon)
     return ModelSpec(model.dim, name, model.hamiltonian, model.lindblad_ops, None,
                      None, fixture.horizon)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -33,7 +35,8 @@ from qdsa.harmonic import (
     kraus_invariance_test,
     subharmonic_residual,
 )
-from qdsa.errors import DimMismatch, InternalError
+from qdsa.analyze import run_analyze
+from qdsa.errors import ConvergenceFailure, DimMismatch, InternalError
 from qdsa.linalg import (
     DEFAULT_TOL,
     Projection,
@@ -45,7 +48,7 @@ from qdsa.linalg import (
     trace_norm,
 )
 from qdsa.models import build_fixture, fixture_horizon, fixture_names
-from qdsa.sampling import random_generator, transient_block_generator
+from qdsa.sampling import block_diagonal_channel, random_generator, transient_block_generator
 
 
 class TestStationarySpace:
@@ -157,6 +160,73 @@ class TestMinimalEnclosures:
         second = minimal_enclosures(dfs3, seed=5)
         for p, q in zip(first.minimal_projections, second.minimal_projections):
             assert opnorm(p.matrix - q.matrix) == 0.0
+
+
+def _analyze_ladder():
+    """The seed-1 rungs of the benchmark's analyze ladder."""
+    rng = np.random.default_rng
+    return ([transient_block_generator(d // 2, d - d // 2, rng(1))[0] for d in (4, 8, 12)]
+            + [block_diagonal_channel([4] * (d // 4), 2, rng(1))[0] for d in (8, 16)])
+
+
+class TestSingleSplit:
+    """The recurrent corner is split once; a split that merged two clusters
+    is redrawn whole."""
+
+    @staticmethod
+    def _merged_draws(monkeypatch, merged):
+        """Count the draws; the first ``merged`` of them are ``diag(1, 1, 2)``."""
+        draws = []
+        original = qdsa.asymptotics.random_combination
+
+        def drawn(elements, rng):
+            draws.append(len(elements))
+            if len(draws) <= merged:
+                return np.diag([1.0, 1.0, 2.0]).astype(complex)
+            return original(elements, rng)
+
+        monkeypatch.setattr(qdsa.asymptotics, "random_combination", drawn)
+        return draws
+
+    def test_merged_draw_is_redrawn(self, monkeypatch):
+        model = build_fixture("ID3")
+        draws = self._merged_draws(monkeypatch, 1)
+        decomposition = minimal_enclosures(model)
+        assert len(draws) == 2
+        assert [p.rank for p in decomposition.minimal_projections] == [1, 1, 1]
+        draws.clear()
+        assert run_analyze(model).passed
+        assert len(draws) == 2
+
+    def test_always_merged_draws_fail_after_eight(self, monkeypatch):
+        draws = self._merged_draws(monkeypatch, math.inf)
+        with pytest.raises(ConvergenceFailure, match="no generic fixed element"):
+            minimal_enclosures(build_fixture("ID3"))
+        assert len(draws) == 8
+
+    def test_failed_block_certificate_is_convergence_failure(self, monkeypatch):
+        # a corner whose one stationary state misses half of its block
+        damped = Dynamics(build_fixture("AD"))
+        monkeypatch.setattr(qdsa.asymptotics, "_corner", lambda dyn, w, tol: damped)
+        with pytest.raises(ConvergenceFailure, match="support of rank 1"):
+            minimal_enclosures(build_fixture("TH"))
+
+    @pytest.mark.parametrize("model", [build_fixture(name) for name in fixture_names()]
+                             + _analyze_ladder())
+    def test_clusters_once_per_draw_on_the_top_corner(self, monkeypatch, model):
+        clustered = []
+        original = qdsa.asymptotics._cluster_eigenvalues
+
+        def recording(w, scale):
+            clustered.append(len(w))
+            return original(w, scale)
+
+        monkeypatch.setattr(qdsa.asymptotics, "_cluster_eigenvalues", recording)
+        draws = self._merged_draws(monkeypatch, 0)
+        dyn = Dynamics(model)
+        decomposition = minimal_enclosures(dyn)
+        assert len(clustered) == len(draws) == (decomposition.fixed_algebra_dim > 1)
+        assert set(clustered) <= {dyn.support(DEFAULT_TOL).rank}
 
 
 class TestRecurrentProjection:
@@ -403,6 +473,17 @@ class TestHorizonRule:
         model = build_fixture(name)
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             cesaro_mean(model, DensityMatrix.maximally_mixed(model.dim), horizon)
+
+    def test_decay_ideal_test(self, name, horizon):
+        model = build_fixture(name)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            decay_ideal_test(model, np.eye(model.dim), Projection.identity(model.dim), horizon)
+
+    def test_minimality_certificate(self, name, horizon):
+        model = build_fixture(name)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            minimality_certificate(model, Projection.identity(model.dim),
+                                   minimal_enclosures(model), trials=1, horizon=horizon)
 
 
 _WRONG_DIM = {

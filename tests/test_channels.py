@@ -266,9 +266,11 @@ class TestEvolve:
             propagator(ad, -0.1)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
-    def test_non_finite_iteration_count_rejected(self, adk, t):
-        with pytest.raises(ValueError, match="finite"):
-            propagator(adk, t)
+    def test_non_finite_iteration_count_rejected(self, adk, ad, t):
+        for call in (lambda: propagator(adk, t), lambda: propagator(ad, t),
+                     lambda: generator_to_channel(ad, t)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
     def test_semigroup_law(self, m3, rng):
         for _ in range(5):

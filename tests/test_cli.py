@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qdsa.asymptotics
 from conftest import SRC, run_cli
 from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
+from qdsa.asymptotics import Dynamics
 from qdsa.cli import main
 from qdsa.errors import ParseError, ValidationError
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
@@ -23,6 +25,13 @@ def emit_fixture(tmp_path, name):
 
 
 class TestAnalyzeCommand:
+    def test_failed_enclosure_certificate_exits_3(self, monkeypatch, tmp_path, capsys):
+        # every corner is replaced by one whose stationary state misses half of TH
+        damped = Dynamics(build_fixture("AD"))
+        monkeypatch.setattr(qdsa.asymptotics, "_corner", lambda dyn, w, tol: damped)
+        assert main(["analyze", "--model", str(emit_fixture(tmp_path, "TH"))]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_m3_report(self, tmp_path):
         path = emit_fixture(tmp_path, "M3")
         code, out, _ = run_cli("analyze", "--model", str(path))

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from qdsa.asymptotics import Dynamics
-from qdsa.channels import to_superoperator
-from qdsa.harmonic import subharmonic_residual
+from qdsa.channels import apply_heisenberg, lindblad_apply, to_superoperator
+from qdsa.errors import DimMismatch
+from qdsa.harmonic import fixed_point_support_check, subharmonic_report, subharmonic_residual
 from qdsa.linalg import Projection, ToleranceConfig
+from qdsa.models import build_fixture
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qdsa"
 
@@ -41,6 +43,24 @@ def test_one_lu_factorization():
 
 def test_model_kind_is_checked_in_one_place():
     assert occurrences("expected QuantumChannel or LindbladGenerator") == {"channels.py": 1}
+    assert occurrences(", QuantumChannel)") == {"channels.py": 1}
+
+
+def test_operand_dimension_rule_lives_in_linalg():
+    assert occurrences("operand dimension") == {"linalg.py": 1}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: to_superoperator(build_fixture("AD")).apply(np.eye(3)),
+    lambda: apply_heisenberg(build_fixture("ADK"), np.eye(3)),
+    lambda: lindblad_apply(build_fixture("AD"), np.eye(3)),
+    lambda: subharmonic_report(build_fixture("ADK"), Projection.identity(3)),
+    lambda: fixed_point_support_check(build_fixture("ADK"), np.eye(3)),
+], ids=["Superoperator.apply", "apply_heisenberg", "lindblad_apply", "subharmonic_report",
+        "fixed_point_support_check"])
+def test_every_operand_is_checked_by_the_one_rule(call):
+    with pytest.raises(DimMismatch, match=r"operand dimension 3 does not match the model \(2\)"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
