@@ -31,13 +31,13 @@ Heisenberg form is the transpose of the real Schrodinger form, so
 :func:`to_superoperator` forms the complex Schrodinger matrix ``S`` alone,
 once: only its Kraus or jump terms ``conj(V) kron V`` are dense, and a
 generator's identity-factor terms are applied only on their ``2 d^3``
-nonzeros.  The frame pass ``Q^dag S Q`` (:func:`_frame_pass`) is then two
-real products and a sum per entry, the operations of the complex index
-gathers it replaced minus their products by exact zeros.  So the real form
-keeps the bits of the dense complex sum, and the assembly holds at most 4
-times the real form's bytes from d = 24 on.  A :class:`Superoperator` holds
-only its real form, an owned float64 array; propagators are computed on it,
-which costs a quarter of the floating-point work of the complex one.
+nonzeros.  The frame pass (:func:`_frame_pass`) is then the reference
+expression ``Re(Q^dag (S Q))`` itself, its two complex index gathers run
+a block of rows at a time over ``S``, so it has that expression's bits.
+The assembly holds at most 4 times the real form's bytes from d = 24 on.
+A :class:`Superoperator` holds only its real form, an owned float64 array;
+propagators are computed on it, which costs a quarter of the
+floating-point work of the complex one.
 """
 
 from __future__ import annotations
@@ -97,14 +97,21 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).flatten(order="F")
 
 
+def _square_side(n: int, dim: int | None = None) -> int:
+    """The side ``m`` of a square matrix of ``n = m^2`` entries, which must
+    be ``dim`` when given; DimMismatch otherwise."""
+    m = math.isqrt(n)
+    if m * m != n or dim not in (None, m):
+        shape = "square" if dim is None else f"{dim} x {dim}"
+        raise DimMismatch(f"length {n} is not the vec of a {shape} matrix")
+    return m
+
+
 def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Inverse of :func:`vec` for square matrices."""
     v = np.asarray(v)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise DimMismatch(f"cannot reshape length-{v.size} vector to a square matrix")
-    return v.reshape((dim, dim), order="F")
+    m = _square_side(v.size, dim)
+    return v.reshape((m, m), order="F")
 
 
 def _matrix_units(dim: int):
@@ -154,9 +161,7 @@ def from_hermitian_coords(x, dim: int) -> np.ndarray:
     """The ``dim x dim`` matrix with frame coordinates ``x``; Hermitian when
     ``x`` is real."""
     x = np.asarray(x)
-    if dim * dim != x.size:
-        raise DimMismatch(f"cannot reshape length-{x.size} vector to a square matrix")
-    flip, own, other = _frame(dim)
+    flip, own, other = _frame(_square_side(x.size, dim))
     return unvec(own * x + other[flip] * x[flip], dim)
 
 
@@ -174,68 +179,27 @@ def _row_blocks(n: int, width: int) -> tuple:
     return tuple(slice(i, i + step) for i in range(0, n, step))
 
 
-def _frame_side(n: int) -> int:
-    """The dimension ``m`` of a side of ``n = m^2`` vec indices."""
-    m = math.isqrt(n)
-    if m * m != n:
-        raise DimMismatch(f"superoperator side {n} is not a perfect square")
-    return m
-
-
-@cache
-def _frame_terms(dim: int):
-    """Gather indices and real factors of the two terms of each frame
-    coordinate in dimension ``dim``, for :func:`_frame_pass`, read off
-    :func:`_frame`: the own term at the entry itself, the other at the
-    transposed one.  Every coefficient ``c`` of ``Q`` is real or imaginary,
-    so part ``k`` (0 real, 1 imaginary) of ``c s`` is one part of ``s``
-    times a real number: ``re(c) s_k``, or ``(2k - 1) im(c) s_(1-k)``.
-    ``S Q`` takes both parts; ``Q^dag T`` only the real part, with
-    ``conj(c)``.
-
-    Column indices address a row of ``S`` as interleaved (re, im) pairs;
-    ``T`` is planar: its row ``2n + k`` is part ``k`` of row ``n``.
-    """
-    flip, own, other = _frame(dim)
-    at = 2 * np.array([np.arange(dim * dim), flip])
-    c = np.array([own, other])
-    imag = c.imag != 0
-    k = np.array([0, 1])[:, None]
-    col_index = at[:, None] + (k ^ imag[:, None])
-    col_coef = np.where(imag[:, None], (2 * k - 1) * c.imag[:, None], c.real[:, None])
-    terms = (col_index.reshape(2, -1), col_coef.reshape(2, -1), at + imag,
-             np.where(imag, c.imag, c.real)[:, :, None])
-    for a in terms:
-        a.flags.writeable = False
-    return terms
-
-
 def _frame_pass(s: np.ndarray) -> np.ndarray:
-    """``Q^dag S Q`` of a C-contiguous complex ``S`` as a new C-contiguous
-    float64 array; ``T = S Q`` is written over ``S``, a block of rows at a
-    time.
+    """``Re(Q^dag S Q)`` of a C-contiguous complex ``S`` as a new C-contiguous
+    float64 array: the complex gathers ``T = S Q`` and ``Re(Q^dag T)`` of
+    :func:`_frame`, a block of rows at a time, with ``T`` written over ``S``.
 
-    Each entry of ``T`` and of ``Q^dag T`` is the sum of two real products
-    (:func:`_frame_terms`): the operations of the complex gathers ``S Q``
-    and ``Q^dag T`` minus their products by exact zeros, so every nonzero
-    entry has the same bits.  Only the sign of a zero entry can differ, for
-    patterns of signed zeros in ``S`` that no fixture or ladder model has.
+    Every coefficient of ``Q`` has an exactly zero real or imaginary part,
+    so each complex product is rounded once whether or not it is fused, and
+    every entry, zero signs included, has the bits of the whole-matrix
+    expression.
     """
     rows, cols = s.shape
-    col_index, col_coef, _, _ = _frame_terms(_frame_side(cols))
-    _, _, row_index, row_coef = _frame_terms(_frame_side(rows))
     blocks = _row_blocks(rows, 2 * cols)
-    z = s.view(float)
+    flip, own, other = _frame(_square_side(cols))
     for blk in blocks:
-        terms = z[blk, col_index]
-        terms *= col_coef
-        np.add(terms[:, 0], terms[:, 1], out=z[blk])
-    t = z.reshape(2 * rows, cols)
+        b = s[blk]
+        s[blk] = b * own + b[:, flip] * other
+    flip, own, other = _frame(_square_side(rows))
     out = np.empty((rows, cols))
     for blk in blocks:
-        terms = t[row_index[:, blk]]
-        terms *= row_coef[:, blk]
-        np.add(terms[0], terms[1], out=out[blk])
+        out[blk] = (own[blk, None].conj() * s[blk]
+                    + other[blk, None].conj() * s[flip[blk]]).real
     return out
 
 
@@ -244,9 +208,10 @@ def real_form(s: np.ndarray) -> np.ndarray:
 
     ``S`` may map ``m x m`` to ``d x d`` matrices (shape ``d^2 x m^2``);
     the frame on each side is that of its own dimension.  The product is
-    taken in real arithmetic on a copy of ``S`` (:func:`_frame_pass`),
-    never as a dense product; the imaginary part, zero up to rounding, is
-    dropped.  DimMismatch unless ``S`` is a matrix with square sides.
+    taken by the index gathers of :func:`_frame_pass` on a copy of ``S``,
+    a block of rows at a time, never as a dense product; the imaginary
+    part, zero up to rounding, is dropped.  DimMismatch unless ``S`` is a
+    matrix with square sides.
     """
     s = np.array(s, dtype=complex, order="C")
     if s.ndim != 2:
@@ -263,7 +228,7 @@ def _block_frame(w: np.ndarray) -> np.ndarray:
 
 def _complex_form(r: np.ndarray) -> np.ndarray:
     """``Q R Q^dag``, the inverse of :func:`real_form`."""
-    flip, own, other = _frame(_frame_side(r.shape[0]))
+    flip, own, other = _frame(_square_side(r.shape[0]))
     u = own[:, None] * r + other[flip][:, None] * r[flip]
     return u * own.conj() + u[:, flip] * other[flip].conj()
 
@@ -366,7 +331,7 @@ class DensityMatrix:
 def _superoperator_dim(m: np.ndarray) -> int:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch("superoperator matrix must be square")
-    return _frame_side(m.shape[0])
+    return _square_side(m.shape[0])
 
 
 class Superoperator:
@@ -521,11 +486,11 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     rows at a time; an identity-factor term is applied only on its ``2 d^3``
     nonzeros (``i = k`` or ``j = l`` in ``S[(i, j), (k, l)]``), each entry in
     the order of the dense sum.  :func:`_frame_pass` then takes ``S`` to the
-    Hermitian frame in real arithmetic, over ``S`` itself, with the bits of
-    the complex gathers.  The assembly thus holds ``S``, the real form and
-    block-sized temporaries: at most 4 times the real form's bytes from
-    d = 24 on.  The Heisenberg map is the transpose.  This is the only
-    place a superoperator is assembled.
+    Hermitian frame by the reference gathers ``Re(Q^dag (S Q))``, a block of
+    rows at a time, over ``S`` itself.  The assembly thus holds ``S``, the
+    real form and block-sized temporaries: at most 4 times the real form's
+    bytes from d = 24 on.  The Heisenberg map is the transpose.  This is the
+    only place a superoperator is assembled.
     """
     _check_picture(picture)
     channel = _is_channel(obj)

@@ -237,9 +237,7 @@ class Projection:
         idem = opnorm(p @ p - p)
         if idem > tol.atol:
             raise NotPSD(f"matrix is not idempotent (residual {idem:.3e})")
-        w, v = np.linalg.eigh(hermitian_part(p))
-        keep = w > 0.5
-        return cls.from_range_basis(_fix_phases(v[:, keep]), p.shape[0])
+        return _spectral_projection(p, lambda w: w > 0.5)
 
     @classmethod
     def from_range_basis(cls, basis, dim: int | None = None) -> "Projection":
@@ -266,8 +264,15 @@ class Projection:
         return cls.from_range_basis(np.eye(dim, dtype=complex), dim)
 
     def complement(self) -> "Projection":
-        w, v = np.linalg.eigh(hermitian_part(np.eye(self.dim) - self.matrix))
-        return Projection.from_range_basis(_fix_phases(v[:, w > 0.5]), self.dim)
+        return _spectral_projection(np.eye(self.dim) - self.matrix, lambda w: w > 0.5)
+
+
+def _spectral_projection(m: np.ndarray, keep) -> Projection:
+    """The projection onto the eigenvectors of ``hermitian_part(m)`` whose
+    ascending eigenvalues ``w`` the mask ``keep(w)`` selects, each column's
+    phase fixed by :func:`_fix_phases`."""
+    w, v = np.linalg.eigh(hermitian_part(m))
+    return Projection.from_range_basis(_fix_phases(v[:, keep(w)]), m.shape[0])
 
 
 def projections_equal(p: Projection, q: Projection,
@@ -290,11 +295,13 @@ def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:
     tol = _tol(tol)
     m = as_complex_matrix(x)
     _check_hermitian(m, tol, "support argument")
-    w, v = np.linalg.eigh(hermitian_part(m))
-    if w[0] < -tol.psd_tol:
-        raise NotPSD(f"support of a non-PSD matrix (min eigenvalue {w[0]:.3e})")
-    keep = w > tol.cutoff(float(w[-1]) if w.size else 0.0)
-    return Projection.from_range_basis(_fix_phases(v[:, keep]), m.shape[0])
+
+    def keep(w):
+        if w[0] < -tol.psd_tol:
+            raise NotPSD(f"support of a non-PSD matrix (min eigenvalue {w[0]:.3e})")
+        return w > tol.cutoff(float(w[-1]) if w.size else 0.0)
+
+    return _spectral_projection(m, keep)
 
 
 def _family_sum(family):
@@ -321,9 +328,7 @@ def proj_infimum(family, tol: ToleranceConfig | None = None) -> Projection:
     iteration or convergence criterion.
     """
     s, n = _family_sum(family)
-    w, v = np.linalg.eigh(hermitian_part(s))
-    keep = w >= n - _tol(tol).cutoff(n)
-    return Projection.from_range_basis(_fix_phases(v[:, keep]), s.shape[0])
+    return _spectral_projection(s, lambda w: w >= n - _tol(tol).cutoff(n))
 
 
 def proj_supremum(family, tol: ToleranceConfig | None = None) -> Projection:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import LindbladGenerator, QuantumChannel
+from .errors import DimMismatch
 from .linalg import Projection, hermitian_part
 
 __all__ = [
@@ -67,6 +68,10 @@ def random_unit_interval_hermitian(dim: int, rng) -> np.ndarray:
 
 
 def random_projection(dim: int, rank: int, rng) -> Projection:
+    """A Haar-random projection of the given rank; DimMismatch unless
+    ``0 <= rank <= dim``."""
+    if not 0 <= rank <= dim:
+        raise DimMismatch(f"a projection of rank {rank} does not fit dimension {dim}")
     if rank == 0:
         return Projection.zero(dim)
     u = haar_unitary(dim, rng)

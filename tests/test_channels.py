@@ -11,6 +11,7 @@ from qdsa.channels import (
     QuantumChannel,
     Superoperator,
     apply_heisenberg,
+    from_hermitian_coords,
     generator_to_channel,
     hermitian_coords,
     lindblad_apply,
@@ -32,6 +33,20 @@ class TestVectorization:
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
         assert list(vec(m)) == [1.0, 2.0, 3.0, 4.0]
         assert_allclose(unvec(vec(m)), m)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: unvec(np.arange(6)), "length 6 is not the vec of a square matrix"),
+        (lambda: unvec(np.arange(4), 3), "length 4 is not the vec of a 3 x 3 matrix"),
+        (lambda: from_hermitian_coords(np.zeros(4), 3),
+         "length 4 is not the vec of a 3 x 3 matrix"),
+        (lambda: from_hermitian_coords(np.zeros(5), 2),
+         "length 5 is not the vec of a 2 x 2 matrix"),
+        (lambda: real_form(np.zeros((4, 5))), "length 5 is not the vec of a square matrix"),
+    ], ids=["unvec", "unvec-dim", "from_hermitian_coords", "from_hermitian_coords-square",
+            "real_form"])
+    def test_one_perfect_square_rule(self, call, message):
+        with pytest.raises(DimMismatch, match=message):
+            call()
 
     def test_sandwich_identity(self, rng):
         # vec(A B C) = (C^T kron A) vec(B)

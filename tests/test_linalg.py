@@ -235,6 +235,18 @@ class TestProjectionType:
         assert c.rank == 2
         assert opnorm(p.matrix + c.matrix - np.eye(4)) <= 1e-12
 
+    @pytest.mark.parametrize("dim,rank", [(3, 4), (3, -1), (1, 2), (0, -1)])
+    def test_random_projection_rejects_a_rank_out_of_range(self, rng, dim, rank):
+        with pytest.raises(DimMismatch, match=f"rank {rank} does not fit dimension {dim}"):
+            random_projection(dim, rank, rng)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_random_projection_at_both_ends(self, rng, dim):
+        assert random_projection(dim, 0, rng).rank == 0
+        full = random_projection(dim, dim, rng)
+        assert full.rank == dim
+        assert opnorm(full.matrix - np.eye(dim)) <= 1e-12
+
     def test_matrices_are_read_only(self):
         p = Projection.identity(2)
         with pytest.raises(ValueError):

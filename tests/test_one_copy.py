@@ -92,3 +92,12 @@ def test_channel_iteration_count_rule_lives_in_channels():
 
 def test_library_horizon_rule_lives_in_asymptotics():
     assert occurrences("0 < horizon < math.inf") == {"asymptotics.py": 1}
+
+
+def test_one_perfect_square_rule():
+    assert occurrences("isqrt(") == {"channels.py": 1}
+    assert occurrences("np.sqrt(v.size)") == {}
+
+
+def test_one_hermitian_spectral_cut():
+    assert occurrences("_fix_phases(v[:, ") == {"linalg.py": 1}

@@ -1,5 +1,5 @@
 """Small-model fast paths: one-call ``opnorm``, broadcast ``_kron``, the
-slice-wise superoperator assembly and real frame pass, and each stationary
+slice-wise superoperator assembly and blocked frame pass, and each stationary
 support and enclosure residual computed once per analysis.
 
 Every fast path must give the same bits as the code it replaces; the
@@ -21,7 +21,9 @@ from qdsa.channels import (
     QuantumChannel,
     _block_frame,
     _frame,
+    _frame_pass,
     _kron,
+    _row_blocks,
     real_form,
     to_superoperator,
 )
@@ -121,6 +123,50 @@ def _almost_hermitian_generator():
     return LindbladGenerator(h, jumps)
 
 
+def _signed_sparse(shape, rng) -> np.ndarray:
+    """A complex matrix whose real and imaginary parts are each Gaussian with
+    probability 0.4, else a zero of random sign."""
+    parts = rng.standard_normal((2, *shape)) * (rng.random((2, *shape)) < 0.4)
+    parts = np.where(parts == 0, np.where(rng.random(parts.shape) < 0.5, -0.0, 0.0), parts)
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = parts
+    return m
+
+
+def _sparse_hermitian(d: int, rng) -> np.ndarray:
+    """A sparse Hermitian matrix with zeros of both signs among its parts."""
+    h = _signed_sparse((d, d), rng)
+    lower = np.tril_indices(d, -1)
+    h[lower] = h.T.conj()[lower]
+    h.imag[np.diag_indices(d)] = np.where(rng.random(d) < 0.5, -0.0, 0.0)
+    return h
+
+
+def _signed_permutation(d: int, rng) -> np.ndarray:
+    """A unitary with one nonzero per row, a power of ``1j`` or a random
+    phase, and zeros of random sign elsewhere."""
+    u = _signed_sparse((d, d), rng) * 0.0
+    phases = np.where(rng.random(d) < 0.5, 1j ** rng.integers(0, 4, d),
+                      np.exp(2j * np.pi * rng.random(d)))
+    u[np.arange(d), rng.permutation(d)] = phases
+    return u
+
+
+def _sparse_model(d: int, rng):
+    """A generator or channel in dimension ``d`` whose operators have zeros
+    of both signs among their entries' parts."""
+    if rng.random() < 0.5:
+        jumps = [_signed_sparse((d, d), rng) for _ in range(rng.integers(0, 3))]
+        return LindbladGenerator(_sparse_hermitian(d, rng), jumps)
+    weights = rng.dirichlet(np.ones(rng.integers(1, 4)))
+    return QuantumChannel([np.sqrt(w) * _signed_permutation(d, rng) for w in weights])
+
+
+def _assert_frame_pass_is_the_reference(s):
+    want = _reference_real_form(s).tobytes()
+    assert _frame_pass(s.copy()).tobytes() == want
+
+
 class TestOpnorm:
     @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -168,8 +214,8 @@ class TestKron:
 
 
 class TestAssemblyBits:
-    """The slice-wise assembly and the real frame pass against the dense
-    complex sum and the complex gathers they replace."""
+    """The slice-wise assembly and the blocked frame pass against the dense
+    complex sum and the whole-matrix complex gathers."""
 
     @pytest.mark.parametrize("model", _ladder_rungs() + [
         pytest.param(QuantumChannel([np.array([[np.exp(0.7j)]])]), id="channel-d1"),
@@ -186,6 +232,31 @@ class TestAssemblyBits:
         rng = np.random.default_rng(d * m)
         w, _ = np.linalg.qr(rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
         _assert_same_bits(_block_frame(w), _reference_real_form(np.kron(w.conj(), w)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_frame_pass_on_sparse_models_with_signed_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        differ = []
+        for n in range(100):
+            s = _reference_superop(_sparse_model(int(rng.integers(1, 6)), rng), SCHRODINGER)
+            if _frame_pass(s.copy()).tobytes() != _reference_real_form(s).tobytes():
+                differ.append(n)
+        assert differ == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_frame_pass_on_rectangular_isometries(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in range(1, 6):
+            for m in range(1, d + 1):
+                u = _signed_permutation(d, rng)
+                q, _ = np.linalg.qr(rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
+                for w in (u[:, :m], q):
+                    _assert_frame_pass_is_the_reference(_kron(w.conj(), w))
+
+    def test_frame_pass_over_several_row_blocks(self):
+        s = _reference_superop(_sparse_model(24, np.random.default_rng(24)), SCHRODINGER)
+        assert len(_row_blocks(*s.shape)) > 1
+        _assert_frame_pass_is_the_reference(s)
 
     def test_real_form_leaves_its_argument(self):
         s = _reference_superop(MODELS[0][1], SCHRODINGER)
