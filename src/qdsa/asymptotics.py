@@ -12,7 +12,10 @@ path:
    unknowns the split is one real SVD; from there on it is one LU of
    ``s - F`` for a small shift ``s``, through which a fixed-seed random
    block is pushed and read off an ordered real Schur form, with the SVD
-   as the fallback whenever that route cannot vouch for its kernels.  A
+   as the fallback whenever that route cannot vouch for its kernels.  That
+   route forms ``s - F`` straight from ``R`` and takes ``|F|_1`` and every
+   product with ``F`` from ``R``, so a channel's ``R - 1`` is formed only
+   for the SVD.  A
    maximal-support stationary state is the exact time-average limit of the
    maximally mixed state: its oblique projection onto the kernel along the
    range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
@@ -41,7 +44,8 @@ path:
    ``alpha_T`` has pushed it towards the identity and how much of the
    transient corner ``q = 1 - r`` survives.  Since ``r`` is sub-harmonic,
    ``alpha`` maps ``qMq`` into itself, so ``alpha_T(q)`` is propagated by
-   the ``m^2 x m^2`` real matrix of that corner (``m = rank q``) and
+   the ``m^2 x m^2`` real matrix of that corner (``m = rank q``), assembled
+   from the compressed operators ``W^dag X W`` of the model's terms, and
    ``alpha_T(r) = 1 - alpha_T(q)`` by unitality: both diagnostics come from
    the corner and coincide in exact arithmetic.  Whether the decay ideal
    ``{a : alpha_t(a^dag a) -> 0}`` matches the left ideal of operators
@@ -60,10 +64,12 @@ computes each derived object at most once: the real Schrodinger matrix of
 :func:`to_superoperator`, its kernel split, the stationary space and its
 support (per tolerance), and the real propagator (per horizon and
 picture): ``alpha_T`` on its transpose, ``nu_T`` on the matrix itself.  The
-complex Schrodinger matrix is formed once, inside :func:`to_superoperator`,
-and overwritten by the real form's frame pass; every later step works on
-real matrices.  A ``Dynamics`` is dropped with the call; nothing is cached
-on the model or globally.
+complex Schrodinger matrix is never formed whole: :func:`to_superoperator`
+sums it into the real form a chunk of rows at a time, and every later step
+works on real matrices.  A structure analysis thus holds at most two
+``d^2 x d^2`` matrices at once: the cached real form and the LU copy of its
+split.  A ``Dynamics`` is dropped with the call; nothing is cached on the
+model or globally.
 """
 
 from __future__ import annotations
@@ -82,10 +88,12 @@ from .channels import (
     LindbladGenerator,
     QuantumChannel,
     Superoperator,
-    _block_frame,
+    _BLOCK,
     _is_channel,
     _iteration_count,
     _propagate,
+    _real_schrodinger,
+    _terms,
     from_hermitian_coords,
     hermitian_coords,
     to_superoperator,
@@ -151,6 +159,22 @@ def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarra
     return superop_matrix
 
 
+def _fixed_point_norm(r: np.ndarray, discrete: bool) -> float:
+    """``|F|_1`` of the fixed-point matrix ``F`` of the real form ``r``, a
+    block of columns at a time, with the bits of ``np.abs(F).sum(axis=0)
+    .max()`` and without forming ``F``."""
+    n = r.shape[0]
+    step = max(1, _BLOCK // n)
+    sums = np.empty(n)
+    for j in range(0, n, step):
+        block = np.abs(r[:, j:j + step])
+        if discrete:
+            i = np.arange(j, min(j + step, n))
+            block[i, i - j] = np.abs(r[i, i] - 1.0)
+        sums[j:j + step] = block.sum(axis=0)
+    return float(sums.max())
+
+
 # The split runs one SVD below _LU_MIN_SIZE unknowns (d^2) and the
 # resolvent route of _resolvent_split from there on, where its one LU is a
 # fraction of the SVD's cost.  That route shifts by s = _SHIFT * |F|_1,
@@ -166,11 +190,13 @@ _SPLIT_SEED = 0
 _KERNEL_ERROR = 1e-4
 
 
-def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
+def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     """Orthonormal bases of the numerical kernel and the left kernel of the
-    fixed-point matrix ``m``: from :func:`_resolvent_split` from
+    fixed-point matrix ``F`` of the real form ``r`` (``r - 1`` for a channel,
+    ``discrete``, else ``r``): from :func:`_resolvent_split` from
     ``_LU_MIN_SIZE`` unknowns on, else (or when that route declines) from
-    one SVD, cut at ``tol.cutoff`` of the largest singular value.
+    one SVD of ``F``, cut at ``tol.cutoff`` of the largest singular value.
+    ``F`` is formed for the SVD only.
 
     For the real Schrodinger form the kernel holds the stationary states
     and the left kernel the Heisenberg fixed points.  The kernel of a
@@ -178,11 +204,11 @@ def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
     or a stationary state (Schrodinger).  An empty numerical kernel is
     therefore an InternalError.
     """
-    if m.shape[0] >= _LU_MIN_SIZE:
-        split = _resolvent_split(m, tol)
+    if r.shape[0] >= _LU_MIN_SIZE:
+        split = _resolvent_split(r, discrete, tol)
         if split is not None:
             return split
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(_fixed_point_matrix(r, discrete))
     cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
     null_mask = s <= cutoff
     if not null_mask.any():
@@ -192,25 +218,30 @@ def _split_kernel_range(m: np.ndarray, tol: ToleranceConfig):
     return vh[null_mask].conj().T, u[:, null_mask]
 
 
-def _resolvent_split(m: np.ndarray, tol: ToleranceConfig):
-    """Kernel and left kernel of the fixed-point matrix ``m`` from one LU of
-    ``s - m``, or None when this route cannot vouch for them.
+def _resolvent_split(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
+    """Kernel and left kernel of the fixed-point matrix ``F`` of the real
+    form ``r`` from one LU of ``s - F``, or None when this route cannot
+    vouch for them.
 
-    ``(s - F)^-1`` scales a kernel vector by ``1/s`` and an eigenvector of
-    eigenvalue ``mu`` by ``1/|s - mu|``, so after ``_SOLVES`` applications
-    a random block spans the kernel up to ``(s/|mu|)^_SOLVES``.  The kernel
-    is read off the block by :func:`_block_kernel`; the left kernel comes
-    from transposed solves.  None when ``F = 0``, the LU is singular,
-    :func:`_block_kernel` declines either kernel, or the two kernels differ
-    in dimension.
+    ``s - F`` is formed straight from ``r``: ``-r``, then ``+1`` for a
+    channel and ``+s`` on the diagonal, the bits of ``s - F``; it is the one
+    copy of ``r`` the route holds.  ``(s - F)^-1`` scales a kernel vector by
+    ``1/s`` and an eigenvector of eigenvalue ``mu`` by ``1/|s - mu|``, so
+    after ``_SOLVES`` applications a random block spans the kernel up to
+    ``(s/|mu|)^_SOLVES``.  The kernel is read off the block by
+    :func:`_block_kernel`; the left kernel comes from transposed solves.
+    None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
+    either kernel, or the two kernels differ in dimension.
     """
     from scipy.linalg.lapack import dgetrf, dgetrs
 
-    n = m.shape[0]
-    norm = float(np.abs(m).sum(axis=0).max())
+    n = r.shape[0]
+    norm = _fixed_point_norm(r, discrete)
     if norm == 0.0:
         return None
-    a = -m
+    a = -r
+    if discrete:
+        a.flat[::n + 1] += 1.0
     a.flat[::n + 1] += _SHIFT * norm
     # factor (s - F)^T in place (its Fortran-ordered view): trans=1 solves
     # with s - F, trans=0 with its transpose
@@ -220,18 +251,23 @@ def _resolvent_split(m: np.ndarray, tol: ToleranceConfig):
     block = gaussian_block(n, 2 * _OVERSAMPLE, _SPLIT_SEED)
     cutoff = tol.cutoff(norm)
     bound = _KERNEL_ERROR * tol.atol
-    kernel = _block_kernel(m, lambda x: dgetrs(lu, piv, x, trans=1)[0], block, cutoff, bound)
-    left = _block_kernel(m.T, lambda x: dgetrs(lu, piv, x, trans=0)[0], block, cutoff, bound)
+    kernel = _block_kernel(r, discrete, lambda x: dgetrs(lu, piv, x, trans=1)[0], block,
+                           cutoff, bound)
+    left = _block_kernel(r.T, discrete, lambda x: dgetrs(lu, piv, x, trans=0)[0], block,
+                         cutoff, bound)
     if kernel is None or left is None or kernel.shape != left.shape:
         return None
     return kernel, left
 
 
-def _block_kernel(f: np.ndarray, solve, block: np.ndarray, cutoff: float, bound: float):
-    """Orthonormal basis of the kernel of ``f`` found in the span of
-    ``solve^_SOLVES (block)``: the Schur vectors of the Ritz values of its
-    compression ``Q^T f Q`` at most ``cutoff``, from an ordered real Schur
-    form.
+def _block_kernel(r: np.ndarray, discrete: bool, solve, block: np.ndarray, cutoff: float,
+                  bound: float):
+    """Orthonormal basis of the kernel of ``f = r - 1`` (a channel,
+    ``discrete``) or ``f = r``, found in the span of ``solve^_SOLVES
+    (block)``: the Schur vectors of the Ritz values of its compression
+    ``Q^T f Q`` at most ``cutoff``, from an ordered real Schur form.  The
+    products with ``f`` are taken on ``r``, with ``Q^T Q`` or the operand
+    subtracted for a channel.
 
     None when a Ritz value is indecisive against ``cutoff``, the kernel is
     empty or leaves fewer than ``_OVERSAMPLE`` columns of the block spare,
@@ -246,7 +282,9 @@ def _block_kernel(f: np.ndarray, solve, block: np.ndarray, cutoff: float, bound:
     q = block
     for _ in range(_SOLVES):
         q, _ = np.linalg.qr(solve(q))
-    h = q.T @ f @ q
+    h = q.T @ r @ q
+    if discrete:
+        h -= q.T @ q
     ritz = np.abs(np.linalg.eigvals(h))
     if not all(_decisive(x, cutoff) for x in ritz):
         return None
@@ -258,7 +296,10 @@ def _block_kernel(f: np.ndarray, solve, block: np.ndarray, cutoff: float, bound:
     if not 0 < k <= q.shape[1] - _OVERSAMPLE:
         return None
     kernel = q @ z[:, :k]
-    if opnorm(f @ kernel) > bound * float(ritz[ritz > cutoff].min()):
+    residual = r @ kernel
+    if discrete:
+        residual -= kernel
+    if opnorm(residual) > bound * float(ritz[ritz > cutoff].min()):
         return None
     return kernel
 
@@ -341,7 +382,7 @@ class Dynamics:
         """Kernel and left kernel of the fixed-point matrix, from
         :func:`_split_kernel_range`."""
         return self._cached(("split", tol), lambda: _split_kernel_range(
-            _fixed_point_matrix(self.schrodinger, self.discrete), tol))
+            self.schrodinger, self.discrete, tol))
 
     def limit(self, tol: ToleranceConfig):
         """Stationary dimension and the time-average limit of the maximally
@@ -632,20 +673,30 @@ class RecurrentReport:
 
 def _transient_corner(dyn: Dynamics, recurrent: Projection, tol: ToleranceConfig):
     """Isometry ``W`` onto ``q = 1 - r`` and the real Schrodinger matrix
-    ``R_q = P^T R P`` of the transient corner, ``P`` the block frame of ``W``.
+    ``R_q`` of the transient corner, assembled from the compressed terms.
 
     ``r`` must be sub-harmonic (else InternalError), and ``q`` nonzero.
-    Then ``alpha(q) <= q``, so the Heisenberg form ``R^T`` maps the
-    operators ``qMq`` (the range of ``P``) into themselves and
-    ``exp(T R^T) P = P exp(T R_q^T)``: ``R_q^T`` propagates them exactly.
+    Then ``alpha(q) <= q``, so the Heisenberg map sends the operators
+    ``qMq = W M_m W^dag`` into themselves and its corner is ``y -> W^dag
+    alpha(W y W^dag) W``.  Since ``W^dag W = 1`` that is the map of the
+    compressed terms (:func:`_terms`): ``W^dag V_i W`` for a channel; for a
+    generator ``W^dag H W`` and each ``W^dag L_i W`` with ``W^dag L_i^dag
+    L_i W``, which give the compressed ``G = -iH - sum_i L_i^dag L_i / 2``.
+    So ``R_q`` is ``P^T R P`` for the block frame ``P`` of ``W``, and
+    ``exp(T R^T) P = P exp(T R_q^T)``: ``R_q^T`` propagates the corner
+    exactly, at a cost of ``O(K m^4)``.
     """
     residual = subharmonic_residual(dyn.model, recurrent)
     if not residual <= tol.atol:
         raise InternalError(
             f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
     w = recurrent.complement().range_basis
-    p = _block_frame(w)
-    return w, p.T @ dyn.schrodinger @ p
+    wh = w.conj().T
+    h, ops = _terms(dyn.model)
+    if h is not None:
+        h = wh @ h @ w
+    ops = tuple(tuple(wh @ x @ w for x in op) for op in ops)
+    return w, _real_schrodinger(h, ops, w.shape[1])
 
 
 def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,

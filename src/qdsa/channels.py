@@ -28,14 +28,14 @@ frame vector at vec index ``n`` of the entry ``(j, k)`` is ``E_jj`` on the
 diagonal, the symmetric one above it and the antisymmetric one of the pair
 below it, so each column of ``Q`` has at most two nonzeros.  The real
 Heisenberg form is the transpose of the real Schrodinger form, so
-:func:`to_superoperator` forms the complex Schrodinger matrix ``S`` alone,
-once: only its Kraus or jump terms ``conj(V) kron V`` are dense, and a
-generator's identity-factor terms are applied only on their ``2 d^3``
-nonzeros.  The frame pass (:func:`_frame_pass`) is then the reference
-expression ``Re(Q^dag (S Q))`` itself, its two complex index gathers run
-a block of rows at a time over ``S``, so it has that expression's bits.
-The assembly holds at most 4 times the real form's bytes from d = 24 on.
-A :class:`Superoperator` holds only its real form, an owned float64 array;
+:func:`to_superoperator` builds the real Schrodinger form alone, and never
+forms the complex Schrodinger matrix ``S`` whole: it sums ``S`` one chunk of
+rows at a time, a row and its flip (the row of the transposed entry) in
+the same chunk, and takes each chunk to the frame by the reference gathers
+``Re(Q^dag (S Q))`` (:func:`_frame_chunks`), which have that expression's
+bits.  The assembly holds the real form and chunk-sized temporaries: at
+most 1.75 times the real form's bytes from d = 24 on.  A
+:class:`Superoperator` holds only its real form, an owned float64 array;
 propagators are computed on it, which costs a quarter of the
 floating-point work of the complex one.
 """
@@ -165,42 +165,64 @@ def from_hermitian_coords(x, dim: int) -> np.ndarray:
     return unvec(own * x + other[flip] * x[flip], dim)
 
 
-# The assembly and the frame pass work on blocks of whole rows of at most
-# _BLOCK entries, so that their temporaries stay a small fraction of the
-# d^2 x d^2 matrices they fill (at small d one block is the whole matrix).
+# The assembly and the frame pass work on chunks of rows of at most _BLOCK
+# entries, so that their temporaries stay a small fraction of the d^2 x d^2
+# matrices they fill (at small d one chunk is the whole matrix).
 _BLOCK = 1 << 15
 
 
 @cache
-def _row_blocks(n: int, width: int) -> tuple:
-    """Consecutive slices of ``range(n)`` of at most ``_BLOCK // width``
-    indices each (at least one): blocks of rows of ``width`` entries."""
-    step = max(1, _BLOCK // width)
-    return tuple(slice(i, i + step) for i in range(0, n, step))
+def _row_blocks(rows: int, cols: int) -> tuple:
+    """Index blocks that cut a ``rows x cols`` matrix into chunks of rows.
+
+    Row ``n = a d + b`` (``rows = d^2``) is named ``(a, b)``; its flip, the
+    row of the transposed entry, is ``(b, a)``.  For blocks ``A <= B`` the
+    chunk is the rows ``(a, b)`` with ``a`` in ``A`` and ``b`` in ``B``
+    together with their flips, at most ``_BLOCK`` entries (blocks of at
+    least one index).
+    """
+    step = max(1, int(math.sqrt(_BLOCK // max(1, 2 * cols))))
+    return tuple(slice(i, i + step) for i in range(0, _square_side(rows), step))
+
+
+def _frame_chunks(chunk, rows: int, cols: int) -> np.ndarray:
+    """``Re(Q^dag S Q)`` as a new C-contiguous float64 array, read from ``S``
+    a chunk of rows at a time: ``chunk(A, B)`` is the ``|A| x |B| x cols``
+    complex array of the rows ``(a, b)`` of :func:`_row_blocks`.
+
+    Each chunk and its partner ``chunk(B, A)``, which holds the flips of its
+    rows, go through the complex gathers of :func:`_frame`, ``T = S Q`` on
+    their columns and ``Re(Q^dag T)`` on their rows.  Every coefficient of
+    ``Q`` has an exactly zero real or imaginary part, so each complex product
+    is rounded once whether or not it is fused, and every entry, zero signs
+    included, has the bits of the whole-matrix expression.
+    """
+    flip, own, other = _frame(_square_side(cols))
+    d = _square_side(rows)
+    own_row, other_row = (x.conj().reshape(d, d, 1) for x in _frame(d)[1:])
+    out = np.empty((rows, cols))
+    out3 = out.reshape(d, d, cols)
+    blocks = _row_blocks(rows, cols)
+    for i, a in enumerate(blocks):
+        for b in blocks[i:]:
+            t = chunk(a, b)
+            t = t * own + t[..., flip] * other
+            u = t
+            if b != a:
+                u = chunk(b, a)
+                u = u * own + u[..., flip] * other
+                out3[b, a] = (own_row[b, a] * u + other_row[b, a] * t.swapaxes(0, 1)).real
+            out3[a, b] = (own_row[a, b] * t + other_row[a, b] * u.swapaxes(0, 1)).real
+    return out
 
 
 def _frame_pass(s: np.ndarray) -> np.ndarray:
-    """``Re(Q^dag S Q)`` of a C-contiguous complex ``S`` as a new C-contiguous
-    float64 array: the complex gathers ``T = S Q`` and ``Re(Q^dag T)`` of
-    :func:`_frame`, a block of rows at a time, with ``T`` written over ``S``.
-
-    Every coefficient of ``Q`` has an exactly zero real or imaginary part,
-    so each complex product is rounded once whether or not it is fused, and
-    every entry, zero signs included, has the bits of the whole-matrix
-    expression.
-    """
+    """``Re(Q^dag S Q)`` of a complex matrix ``S`` with square sides, by
+    :func:`_frame_chunks` on views of its rows; ``S`` is left as it is."""
     rows, cols = s.shape
-    blocks = _row_blocks(rows, 2 * cols)
-    flip, own, other = _frame(_square_side(cols))
-    for blk in blocks:
-        b = s[blk]
-        s[blk] = b * own + b[:, flip] * other
-    flip, own, other = _frame(_square_side(rows))
-    out = np.empty((rows, cols))
-    for blk in blocks:
-        out[blk] = (own[blk, None].conj() * s[blk]
-                    + other[blk, None].conj() * s[flip[blk]]).real
-    return out
+    d = _square_side(rows)
+    s3 = s.reshape(d, d, cols)
+    return _frame_chunks(lambda a, b: s3[a, b], rows, cols)
 
 
 def real_form(s: np.ndarray) -> np.ndarray:
@@ -208,22 +230,15 @@ def real_form(s: np.ndarray) -> np.ndarray:
 
     ``S`` may map ``m x m`` to ``d x d`` matrices (shape ``d^2 x m^2``);
     the frame on each side is that of its own dimension.  The product is
-    taken by the index gathers of :func:`_frame_pass` on a copy of ``S``,
-    a block of rows at a time, never as a dense product; the imaginary
-    part, zero up to rounding, is dropped.  DimMismatch unless ``S`` is a
-    matrix with square sides.
+    taken by the index gathers of :func:`_frame_pass`, a chunk of rows at a
+    time, never as a dense product; the imaginary part, zero up to
+    rounding, is dropped.  DimMismatch unless ``S`` is a matrix with square
+    sides.
     """
-    s = np.array(s, dtype=complex, order="C")
+    s = np.asarray(s, dtype=complex)
     if s.ndim != 2:
         raise DimMismatch(f"expected a superoperator matrix, got shape {s.shape}")
     return _frame_pass(s)
-
-
-def _block_frame(w: np.ndarray) -> np.ndarray:
-    """The real ``d^2 x m^2`` matrix ``P`` of ``Y -> W Y W^dag`` for a
-    ``d x m`` isometry ``W``: it maps the frame coordinates of ``Y`` to
-    those of ``W Y W^dag``, and has orthonormal columns."""
-    return _frame_pass(_kron(w.conj(), w))
 
 
 def _complex_form(r: np.ndarray) -> np.ndarray:
@@ -467,13 +482,48 @@ def _identity_factors(dim: int):
     return factors
 
 
-def _add_kron(s4: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """``S += kron(a, b)`` on the 4-index view ``s4[i, j, k, l]`` of ``S``,
-    a block of first indices ``i`` at a time (the products and sums of the
-    whole :func:`_kron`)."""
-    b = b[None, :, None, :]
-    for blk in _row_blocks(a.shape[0], a.shape[1] * b.size):
-        s4[blk] += a[blk, None, :, None] * b
+def _terms(obj):
+    """The operators ``S`` is summed from, each in a tuple: ``(None,
+    ((V,), ...))`` for a channel's Kraus family, ``(H, ((L, L^dag L), ...))``
+    for a generator."""
+    if _is_channel(obj):
+        return None, tuple((v,) for v in obj.kraus_ops)
+    return obj.hamiltonian, tuple((l, l.conj().T @ l) for l in obj.lindblad_ops)
+
+
+def _schrodinger_rows(h, ops, dim: int, a: slice, b: slice) -> np.ndarray:
+    """The rows ``(i, j)`` of the complex Schrodinger matrix summed from the
+    terms :func:`_terms`, for ``i`` in the slice ``a`` and ``j`` in ``b``,
+    as an ``|a| x |b| x dim^2`` array (see :func:`to_superoperator`)."""
+    na, nb = len(range(dim)[a]), len(range(dim)[b])
+    c = np.zeros((na, nb, dim, dim), dtype=complex)
+    if h is None:
+        for (v,) in ops:
+            c += v.conj()[a, None, :, None] * v[None, b, None, :]
+        return c.reshape(na, nb, -1)
+    # views of c[i, j, k, l]: left[i, j, l] at k = i, where 1 kron X lands,
+    # and right[i, j, k] at l = j, where X^T kron 1 lands; the entries with
+    # both are written through right
+    e = c.itemsize
+    left = np.ndarray((na, nb, dim), complex, c, a.start * dim * e,
+                      ((nb * dim + 1) * dim * e, dim * dim * e, e))
+    right = np.ndarray((na, nb, dim), complex, c, b.start * e,
+                       (nb * dim * dim * e, (dim * dim + 1) * e, dim * e))
+    eye, off_half = _identity_factors(dim)
+    left[:] = -1j * h[b]
+    right[:] = -1j * (h.diagonal()[b, None] * eye[a, None] - h.T[a, None])
+    for l, k in ops:
+        c += l.conj()[a, None, :, None] * l[None, b, None, :]
+        left -= (k * off_half)[b]
+        right -= 0.5 * (k.diagonal()[b, None] * eye[a, None] + k.T[a, None])
+    return c.reshape(na, nb, -1)
+
+
+def _real_schrodinger(h, ops, dim: int) -> np.ndarray:
+    """The real Schrodinger form summed from the terms :func:`_terms` in
+    dimension ``dim``, a chunk of rows of ``S`` at a time."""
+    return _frame_chunks(lambda a, b: _schrodinger_rows(h, ops, dim, a, b),
+                         dim * dim, dim * dim)
 
 
 def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
@@ -482,41 +532,20 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     The complex Schrodinger matrix ``S`` sums ``conj(V) kron V`` over the
     Kraus operators, or for a generator ``-i (1 kron H - H^T kron 1)`` and,
     per jump ``L`` with ``K = L^dag L``, ``conj(L) kron L - (1 kron K + K^T
-    kron 1) / 2``.  The ``conj(V) kron V`` terms are dense, added a block of
-    rows at a time; an identity-factor term is applied only on its ``2 d^3``
-    nonzeros (``i = k`` or ``j = l`` in ``S[(i, j), (k, l)]``), each entry in
-    the order of the dense sum.  :func:`_frame_pass` then takes ``S`` to the
-    Hermitian frame by the reference gathers ``Re(Q^dag (S Q))``, a block of
-    rows at a time, over ``S`` itself.  The assembly thus holds ``S``, the
-    real form and block-sized temporaries: at most 4 times the real form's
-    bytes from d = 24 on.  The Heisenberg map is the transpose.  This is the
-    only place a superoperator is assembled.
+    kron 1) / 2``.  ``S`` is never formed whole: :func:`_frame_chunks` asks
+    for it a chunk of rows at a time (:func:`_schrodinger_rows`) and takes
+    each chunk to the Hermitian frame.  In a chunk the ``conj(V) kron V``
+    terms are dense and added to zeros in order; an identity-factor term is
+    applied only on its nonzeros (``i = k`` or ``j = l`` in ``S[(i, j), (k,
+    l)]``), through two strided views of the chunk.  Every entry thus has
+    the value of the dense sum, and its bits except the sign of a part that
+    is exactly zero, which can depend on the skipped additions of zeros.
+    The assembly holds the real form and chunk-sized temporaries: at most
+    1.75 times the real form's bytes from d = 24 on.  The Heisenberg map is
+    the transpose.  This is the only place a superoperator is assembled.
     """
     _check_picture(picture)
-    channel = _is_channel(obj)
-    d = obj.dim
-    s = np.zeros((d * d, d * d), dtype=complex)
-    s4 = s.reshape(d, d, d, d)
-    if channel:
-        for v in obj.kraus_ops:
-            _add_kron(s4, v.conj(), v)
-    else:
-        # views of S[(i, j), (k, l)]: left[i, j, l] at i = k, where 1 kron X
-        # lands, and right[j, i, k] at j = l, where X^T kron 1 lands; the
-        # entries with both are written through right
-        e = s.itemsize
-        left = np.ndarray((d, d, d), complex, s, strides=((d ** 3 + d) * e, d * d * e, e))
-        right = np.ndarray((d, d, d), complex, s, strides=((d * d + 1) * e, d ** 3 * e, d * e))
-        eye, off_half = _identity_factors(d)
-        h = obj.hamiltonian
-        left[:] = -1j * h
-        right[:] = -1j * (h.diagonal()[:, None, None] * eye - h.T)
-        for l in obj.lindblad_ops:
-            k = l.conj().T @ l
-            _add_kron(s4, l.conj(), l)
-            left -= k * off_half
-            right -= 0.5 * (k.diagonal()[:, None, None] * eye + k.T)
-    r = _frame_pass(s)
+    r = _real_schrodinger(*_terms(obj), obj.dim)
     return Superoperator(r.T if picture == HEISENBERG else r, picture)
 
 

@@ -1,6 +1,9 @@
-"""Memory of the superoperator assembly: the real form owns its buffer, and
-building it (or a whole structure analysis) holds at most four times its
-bytes at once."""
+"""Memory of the superoperator assembly: the real form owns its buffer,
+building it holds at most 1.75 times its bytes at once, and a whole
+structure analysis at most 2.25 times: the cached real form and the one LU
+copy of the kernel split, with no complex Schrodinger matrix, no copy of the
+channel's ``R - 1`` and no ``d^2 x m^2`` block frame of the transient
+corner."""
 
 import tracemalloc
 
@@ -12,7 +15,8 @@ from qdsa.channels import HEISENBERG, SCHRODINGER, to_superoperator
 from qdsa.models import build_fixture
 from qdsa.sampling import block_diagonal_channel, transient_block_generator
 
-PEAK_FACTOR = 4.0
+ASSEMBLY_FACTOR = 1.75
+ANALYSIS_FACTOR = 2.25
 
 
 def _model(kind: str, d: int):
@@ -40,18 +44,19 @@ def _root(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@pytest.mark.parametrize("d", [24, 32])
 @pytest.mark.parametrize("kind", ["generator", "channel"])
 class TestPeak:
-    def test_assembly(self, kind):
-        model = _model(kind, 24)
+    def test_assembly(self, kind, d):
+        model = _model(kind, d)
         out_bytes = to_superoperator(model, SCHRODINGER).real.nbytes
-        assert _traced_peak(to_superoperator, model, SCHRODINGER) <= PEAK_FACTOR * out_bytes
+        assert _traced_peak(to_superoperator, model, SCHRODINGER) <= ASSEMBLY_FACTOR * out_bytes
 
-    def test_recurrent_projection(self, kind):
-        model = _model(kind, 24)
-        out_bytes = (24 ** 2) ** 2 * 8
+    def test_recurrent_projection(self, kind, d):
+        model = _model(kind, d)
+        out_bytes = (d ** 2) ** 2 * 8
         recurrent_projection(model)  # frame tables and lazy imports on a first call
-        assert _traced_peak(recurrent_projection, model) <= PEAK_FACTOR * out_bytes
+        assert _traced_peak(recurrent_projection, model) <= ANALYSIS_FACTOR * out_bytes
 
 
 @pytest.mark.parametrize("name", ["AD", "ADK", "M3"])

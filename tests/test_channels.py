@@ -95,6 +95,10 @@ class TestFrameErrors:
     def test_real_form_of_a_rectangular_map(self):
         assert real_form(np.zeros((9, 4), dtype=complex)).shape == (9, 4)
 
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0)])
+    def test_real_form_with_an_empty_side(self, shape):
+        assert real_form(np.zeros(shape, dtype=complex)).shape == shape
+
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
     def test_hermitian_coords_of_a_non_square(self, shape):
         with pytest.raises(DimMismatch):

@@ -30,7 +30,7 @@ from qdsa.channels import LindbladGenerator, QuantumChannel
 from qdsa.linalg import DEFAULT_TOL, Projection, opnorm, projections_equal
 from qdsa.models import build_fixture, identity_model
 from qdsa.sampling import block_diagonal_channel, transient_block_generator
-from test_dynamics import GOLDEN_SEED, _compare
+from test_dynamics import GOLDEN_SEED, _compare, _counting
 
 STRUCTURE_RUNGS = [(kind, d, seed) for seed in (1, 2) for kind in ("generator", "channel")
                    for d in (24, 32)]
@@ -93,13 +93,45 @@ def _projector_distance(a: np.ndarray, b: np.ndarray) -> float:
                          ids=[f"{k}-d{d}-s{s}" for k, d, s in STRUCTURE_RUNGS])
 def test_lu_kernels_match_the_svd(monkeypatch, kind, d, seed):
     dyn = Dynamics(_rung(kind, d, seed)[0])
-    f = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
-    kernel, left = _split_kernel_range(f, DEFAULT_TOL)
+    kernel, left = _split_kernel_range(dyn.schrodinger, dyn.discrete, DEFAULT_TOL)
     _by_svd(monkeypatch)
-    want_kernel, want_left = _split_kernel_range(f, DEFAULT_TOL)
+    want_kernel, want_left = _split_kernel_range(dyn.schrodinger, dyn.discrete, DEFAULT_TOL)
     assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
     assert _projector_distance(kernel, want_kernel) <= 1e-10
     assert _projector_distance(left, want_left) <= 1e-10
+
+
+@pytest.mark.parametrize("kind,d", [("generator", 24), ("channel", 24), ("channel", 8)])
+def test_split_leaves_the_real_form(kind, d):
+    # s - F, and F on the SVD route, are formed from copies: R keeps its bytes
+    dyn = Dynamics(_rung(kind, d, 1)[0])
+    before = dyn.schrodinger.tobytes()
+    dyn.split(DEFAULT_TOL)
+    assert dyn.schrodinger.tobytes() == before
+    recurrent_projection(dyn)
+    assert dyn.schrodinger.tobytes() == before
+
+
+@pytest.mark.parametrize("kind,d", [("generator", 24), ("channel", 24), ("channel", 32)])
+def test_fixed_point_norm_has_the_bits_of_the_dense_norm(kind, d):
+    # |F|_1 sets the LU route's shift and cutoff; taken a block of columns
+    # at a time, it keeps the bits of the norm of the whole F
+    dyn = Dynamics(_rung(kind, d, 1)[0])
+    f = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
+    assert (qdsa.asymptotics._fixed_point_norm(dyn.schrodinger, dyn.discrete)
+            == float(np.abs(f).sum(axis=0).max()))
+
+
+def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):
+    # a channel's LU route takes |F|_1, the shifted copy s - F and every
+    # product with F from R: its one d^2 x d^2 copy is the LU's
+    dyn = Dynamics(_rung("channel", 24, 1)[0])
+    formed = _counting(monkeypatch, qdsa.asymptotics, "_fixed_point_matrix")
+    svds = _svd_shapes(monkeypatch)
+    lus = _lu_shapes(monkeypatch)
+    dyn.split(DEFAULT_TOL)
+    assert lus == [(576, 576)] and svds == []
+    assert formed == []
 
 
 def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
@@ -107,11 +139,10 @@ def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
     # block's columns spare, so the route declines and the SVD runs
     channel, _ = block_diagonal_channel([2] * 10, 2, np.random.default_rng(3))
     dyn = Dynamics(channel)
-    f = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
     assert 10 + qdsa.asymptotics._OVERSAMPLE > 2 * qdsa.asymptotics._OVERSAMPLE
-    assert qdsa.asymptotics._resolvent_split(f, DEFAULT_TOL) is None
+    assert qdsa.asymptotics._resolvent_split(dyn.schrodinger, True, DEFAULT_TOL) is None
     svds = _svd_shapes(monkeypatch)
-    kernel, left = _split_kernel_range(f, DEFAULT_TOL)
+    kernel, left = _split_kernel_range(dyn.schrodinger, True, DEFAULT_TOL)
     assert svds == [(400, 400)]
     assert kernel.shape == left.shape == (400, 10)
 

@@ -1,8 +1,10 @@
 """Horizon diagnostics on the transient corner.
 
 ``recurrent_projection`` propagates only the transient corner ``qMq``,
-``q = 1 - r``, with the ``m^2 x m^2`` matrix ``R_q = P^T R P``.  The full
-``d^2 x d^2`` propagator of the same ``Dynamics`` is the reference.
+``q = 1 - r``, with the ``m^2 x m^2`` matrix ``R_q`` assembled from the
+compressed operators ``W^dag X W`` of the model's terms.  The full
+``d^2 x d^2`` propagator of the same ``Dynamics`` is the reference, and so
+is ``P^T R P`` for the block frame ``P`` of ``W``, which ``R_q`` equals.
 """
 
 import numpy as np
@@ -10,12 +12,13 @@ import pytest
 
 import qdsa.channels
 from qdsa.asymptotics import Dynamics, _transient_corner, recurrent_projection
-from qdsa.channels import _block_frame, _kron
+from qdsa.channels import _kron
 from qdsa.errors import InternalError
 from qdsa.linalg import DEFAULT_TOL, opnorm
 from qdsa.sampling import haar_unitary, transient_block_generator
 from test_dynamics import _all_models, _counting
 from test_frame import _dense_frame
+from test_small_models import _block_frame
 
 
 def _models():
