@@ -25,29 +25,29 @@ path:
 2. The support of that maximal-support state gives the maximal recurrent
    block ``r``: the state dominates every stationary state, so its support
    is the supremum of all stationary supports, and every basis element of
-   the stationary space is checked to lie under it.  Every block the
-   split yields is sub-harmonic, so the dynamics compressed to it is
-   again a model:
-   ``(W^dag H W, {W^dag L_i W})`` or ``{W^dag V_i W}`` for the block
-   isometry ``W``, and the model itself when ``r`` is the whole space.  The
-   Heisenberg fixed points of the compressed model form a *-algebra (it
+   the stationary space is checked to lie under it.  Every block is a
+   corner (:func:`_corner`): the :class:`Dynamics` of the terms compressed
+   by the block isometry ``W``, which give ``y -> W^dag alpha(W y W^dag)
+   W`` exactly, a semigroup again for a sub- or super-harmonic block (the
+   enclosures of Baumgartner and Narnhofer, Rev. Math. Phys. 24, 2012).
+   The Heisenberg fixed points of the recurrent corner form a *-algebra (it
    has a faithful stationary state), so one split along the spectral
    projections of a generic Hermitian fixed element yields an orthogonal
    family of minimal enclosures, i.e. supports of the minimal invariant
-   faces.  Each block is certified by its compressed model having a
-   one-dimensional stationary space whose state has full support on the
-   block; a block with a larger one means the draw merged two blocks, and
-   the split is redrawn.
+   faces.  Each block is certified by its corner having a one-dimensional
+   stationary space whose state has full support on the block; a block
+   with a larger one means the draw merged two blocks, and the split is
+   redrawn.
 
 3. The minimal recurrent projection ``r`` is the supremum of the minimal
    enclosures.  At a finite horizon ``T`` the report records how far
    ``alpha_T`` has pushed it towards the identity and how much of the
    transient corner ``q = 1 - r`` survives.  Since ``r`` is sub-harmonic,
-   ``alpha`` maps ``qMq`` into itself, so ``alpha_T(q)`` is propagated by
-   the ``m^2 x m^2`` real matrix of that corner (``m = rank q``), assembled
-   from the compressed operators ``W^dag X W`` of the model's terms, and
-   ``alpha_T(r) = 1 - alpha_T(q)`` by unitality: both diagnostics come from
-   the corner and coincide in exact arithmetic.  Whether the decay ideal
+   ``alpha`` maps ``qMq`` into itself, so ``alpha_T(q)`` is the flow of
+   the corner of ``q`` applied to its identity, an ``m^2 x m^2`` real
+   propagator (``m = rank q``), and ``alpha_T(r) = 1 - alpha_T(q)`` by
+   unitality: both diagnostics come from the corner and coincide in exact
+   arithmetic.  Whether the decay ideal
    ``{a : alpha_t(a^dag a) -> 0}`` matches the left ideal of operators
    annihilating the recurrent block from the right is tested on the full
    propagator.
@@ -60,12 +60,13 @@ the horizon read as an iteration count.
 
 Every public function accepts either a bare model or a :class:`Dynamics`.  A
 ``Dynamics`` wraps one model for the length of one top-level call and
-computes each derived object at most once: the real Schrodinger matrix of
-:func:`to_superoperator`, its kernel split, the stationary space and its
-support (per tolerance), and the real propagator (per horizon and
-picture): ``alpha_T`` on its transpose, ``nu_T`` on the matrix itself.  The
-complex Schrodinger matrix is never formed whole: :func:`to_superoperator`
-sums it into the real form a chunk of rows at a time, and every later step
+computes each derived object at most once: the real Schrodinger matrix,
+its kernel split, the stationary space and its support (per tolerance),
+and the real propagator (per horizon and picture): ``alpha_T`` on its
+transpose, ``nu_T`` on the matrix itself.  The top level and every corner
+share one assembly, :func:`~qdsa.channels._real_schrodinger` of their
+terms, which never forms the complex Schrodinger matrix whole: it sums it
+into the real form a chunk of rows at a time, and every later step
 works on real matrices.  A structure analysis thus holds at most two
 ``d^2 x d^2`` matrices at once: the cached real form and the LU copy of its
 split.  A ``Dynamics`` is dropped with the call; nothing is cached on the
@@ -83,10 +84,7 @@ import numpy as np
 
 from .channels import (
     HEISENBERG,
-    SCHRODINGER,
     DensityMatrix,
-    LindbladGenerator,
-    QuantumChannel,
     Superoperator,
     _BLOCK,
     _is_channel,
@@ -96,13 +94,11 @@ from .channels import (
     _terms,
     from_hermitian_coords,
     hermitian_coords,
-    to_superoperator,
 )
 from .errors import (
     ConvergenceFailure,
     DimMismatch,
     InternalError,
-    NotUnital,
     TheoremViolation,
 )
 from .harmonic import subharmonic_residual
@@ -340,24 +336,30 @@ class StationarySpace:
 
 
 class Dynamics:
-    """One model and the objects derived from it, each built on first use.
+    """One model, or one corner of it, and the objects derived from it,
+    each built on first use.
 
-    Holds the real Schrodinger form that :func:`to_superoperator` builds,
-    its one kernel split (:func:`_split_kernel_range`), the stationary
+    Holds the terms of the map (:func:`~qdsa.channels._terms`), the real
+    Schrodinger form :func:`~qdsa.channels._real_schrodinger` sums from
+    them, its one kernel split (:func:`_split_kernel_range`), the stationary
     space and its support (that of its maximal-support state,
     :func:`stationary_support`) for each tolerance, and the real propagator
     for each horizon and picture asked for, the Heisenberg one taken on the
-    transpose, so no second superoperator is built.  Build one per top-level call
-    and pass it to the functions of this module in place of the model; it is
-    dropped when the call returns, so the memory it holds never outlives the
-    analysis.  The corners of :func:`minimal_enclosures` are ``Dynamics`` of
-    compressed models.
+    transpose, so no second superoperator is built.  Build one per
+    top-level call and pass it to the functions of this module in place of
+    the model; it is dropped when the call returns, so the memory it holds
+    never outlives the analysis.  Every block of the analysis is a
+    ``Dynamics`` of compressed terms with no model (:func:`_corner`).
     """
 
     def __init__(self, model):
-        self.discrete = _is_channel(model)
+        self._hold(model, _is_channel(model), _terms(model), model.dim)
+
+    def _hold(self, model, discrete: bool, terms, dim: int):
         self.model = model
-        self.dim = model.dim
+        self.discrete = discrete
+        self.terms = terms
+        self.dim = dim
         self._cache = {}
 
     def _cached(self, key, build):
@@ -368,8 +370,10 @@ class Dynamics:
 
     @cached_property
     def schrodinger(self) -> np.ndarray:
-        """Real form of the Schrodinger superoperator."""
-        return to_superoperator(self.model, SCHRODINGER).real
+        """Real form of the Schrodinger superoperator, read-only."""
+        r = _real_schrodinger(*self.terms, self.dim)
+        r.flags.writeable = False
+        return r
 
     def flow(self, horizon: float, picture: str = HEISENBERG) -> Superoperator:
         """The propagator at ``horizon``: ``alpha_T`` in the Heisenberg
@@ -471,30 +475,28 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
     return support
 
 
-def _compress(model, w: np.ndarray, tol: ToleranceConfig):
-    """The model compressed to the block spanned by the isometry ``w``.
+def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
+    """The corner ``y -> W^dag alpha(W y W^dag) W`` of the isometry ``w``:
+    a Dynamics of the compressed terms, with no model and no validation;
+    ``dyn`` itself when ``w`` is the identity, so the top-level split is
+    reused.
 
-    On a sub-harmonic block the compressed generator ``(W^dag H W,
-    {W^dag L_i W})`` and the compressed channel ``{W^dag V_i W}`` act as
-    ``y -> W^dag S(W y W^dag) W``; the channel is unital exactly when the
-    block is invariant, so a failed unitality check is an InternalError.
+    Since ``W^dag W = 1`` the compressed terms give that map exactly for
+    every isometry: ``W^dag V_i W`` for a channel; for a generator ``W^dag
+    H W`` and each ``W^dag L_i W`` with ``W^dag L_i^dag L_i W``, which give
+    the compressed ``G = -iH - sum_i L_i^dag L_i / 2``.  So its real form is
+    ``P^T R P`` for the frame ``P`` of ``y -> W y W^dag``, at a cost of
+    ``O(K m^4)`` for ``m`` columns.
     """
-    wh = w.conj().T
-    if _is_channel(model):
-        try:
-            return QuantumChannel([wh @ v @ w for v in model.kraus_ops], tol)
-        except NotUnital as exc:
-            raise InternalError(f"block of size {w.shape[1]} is not invariant: {exc}") from exc
-    return LindbladGenerator(wh @ model.hamiltonian @ w,
-                             [wh @ l @ w for l in model.lindblad_ops], tol)
-
-
-def _corner(dyn: Dynamics, w: np.ndarray, tol: ToleranceConfig) -> Dynamics:
-    """Dynamics of the block spanned by ``w``; ``dyn`` itself when ``w`` is
-    the identity, so the top-level split is reused."""
     if w.shape[1] == dyn.dim and np.array_equal(w, np.eye(dyn.dim)):
         return dyn
-    return Dynamics(_compress(dyn.model, w, tol))
+    wh = w.conj().T
+    h, ops = dyn.terms
+    h = None if h is None else wh @ h @ w
+    ops = tuple(tuple(wh @ x @ w for x in op) for op in ops)
+    corner = Dynamics.__new__(Dynamics)
+    corner._hold(None, dyn.discrete, (h, ops), w.shape[1])
+    return corner
 
 
 def _fixed_basis(dyn: Dynamics, tol: ToleranceConfig) -> list:
@@ -504,8 +506,8 @@ def _fixed_basis(dyn: Dynamics, tol: ToleranceConfig) -> list:
 
 
 def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = None):
-    """Stationary-space dimension and time-average state of the dynamics
-    compressed to the block ``p``; used to certify enclosure minimality.
+    """Stationary-space dimension and time-average state of the corner of
+    the block ``p`` (:func:`_corner`); used to certify enclosure minimality.
 
     The state is in the coordinates of ``p.range_basis``.
     """
@@ -514,7 +516,7 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     _check_operand(p.dim, dyn.dim)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
-    return _corner(dyn, p.range_basis, tol).limit(tol)
+    return _corner(dyn, p.range_basis).limit(tol)
 
 
 def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
@@ -553,8 +555,8 @@ class EnclosureDecomposition:
     projection supremum of the family is basis independent.
 
     ``certificates`` holds, for each projection, the stationary dimension
-    and time-average state of its compressed dynamics that certified it
-    minimal (what :func:`restricted_stationary_dim` returns for it), and
+    and time-average state of its corner (:func:`_corner`) that certified
+    it minimal (what :func:`restricted_stationary_dim` returns for it), and
     ``certificate_ranks`` the rank of that state's support.
     ``subharmonic_residuals`` holds each projection's
     :func:`~qdsa.harmonic.subharmonic_residual`, checked against ``atol``,
@@ -592,7 +594,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     r = dyn.support(tol)
     # the recurrent corner: the dynamics itself when r is the identity
     top = np.eye(dyn.dim, dtype=complex) if r.rank == dyn.dim else r.range_basis
-    top_corner = _corner(dyn, top, tol)
+    top_corner = _corner(dyn, top)
     fixed = _fixed_basis(top_corner, tol)
     unique = _is_abelian(fixed, tol)
 
@@ -601,7 +603,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             blocks = [(top, top_corner)]
         else:
             w_eig, v_eig = np.linalg.eigh(hermitian_part(random_combination(fixed, rng)))
-            blocks = [(w, _corner(dyn, w, tol)) for w in (
+            blocks = [(w, _corner(dyn, w)) for w in (
                 top @ v_eig[:, idx]
                 for idx in _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0])))]
         limits = [corner.limit(tol) for _, corner in blocks]
@@ -654,8 +656,8 @@ class RecurrentReport:
     far ``alpha_T`` has carried the recurrent projection towards the
     identity and ``transient_norm`` how much of its complement ``q``
     survives; both are monotone non-increasing in the horizon.  Both are
-    read off ``alpha_T(q)``, propagated on the transient corner
-    (:func:`_transient_corner`): ``limit_estimate`` is ``1 - alpha_T(q)``,
+    read off ``alpha_T(q)``, the flow of the corner of ``q`` (:func:`_corner`)
+    applied to its identity: ``limit_estimate`` is ``1 - alpha_T(q)``,
     which equals ``alpha_T(r)`` by unitality, so the two coincide in exact
     arithmetic.  They are exactly 0 when ``r`` is the identity.
     """
@@ -671,40 +673,13 @@ class RecurrentReport:
     enclosures: EnclosureDecomposition
 
 
-def _transient_corner(dyn: Dynamics, recurrent: Projection, tol: ToleranceConfig):
-    """Isometry ``W`` onto ``q = 1 - r`` and the real Schrodinger matrix
-    ``R_q`` of the transient corner, assembled from the compressed terms.
-
-    ``r`` must be sub-harmonic (else InternalError), and ``q`` nonzero.
-    Then ``alpha(q) <= q``, so the Heisenberg map sends the operators
-    ``qMq = W M_m W^dag`` into themselves and its corner is ``y -> W^dag
-    alpha(W y W^dag) W``.  Since ``W^dag W = 1`` that is the map of the
-    compressed terms (:func:`_terms`): ``W^dag V_i W`` for a channel; for a
-    generator ``W^dag H W`` and each ``W^dag L_i W`` with ``W^dag L_i^dag
-    L_i W``, which give the compressed ``G = -iH - sum_i L_i^dag L_i / 2``.
-    So ``R_q`` is ``P^T R P`` for the block frame ``P`` of ``W``, and
-    ``exp(T R^T) P = P exp(T R_q^T)``: ``R_q^T`` propagates the corner
-    exactly, at a cost of ``O(K m^4)``.
-    """
-    residual = subharmonic_residual(dyn.model, recurrent)
-    if not residual <= tol.atol:
-        raise InternalError(
-            f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
-    w = recurrent.complement().range_basis
-    wh = w.conj().T
-    h, ops = _terms(dyn.model)
-    if h is not None:
-        h = wh @ h @ w
-    ops = tuple(tuple(wh @ x @ w for x in op) for op in ops)
-    return w, _real_schrodinger(h, ops, w.shape[1])
-
-
 def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
                          tol: ToleranceConfig | None = None, seed: int = 7) -> RecurrentReport:
     """Compute the minimal recurrent projection and its horizon diagnostics.
 
     ``alpha_T`` is taken on the transient corner only; no ``d^2 x d^2``
-    propagator is built.
+    propagator is built.  That corner is a semigroup only for a sub-harmonic
+    ``r``, so an ``r`` that fails the sub-harmonic test is an InternalError.
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
@@ -715,10 +690,12 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     d = dyn.dim
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
-        w, r_q = _transient_corner(dyn, r_min, tol)
-        m = w.shape[1]
-        x = _propagate(r_q.T, horizon, dyn.discrete) @ hermitian_coords(np.eye(m))
-        transient = w @ from_hermitian_coords(x, m) @ w.conj().T
+        residual = subharmonic_residual(dyn.model, r_min)
+        if not residual <= tol.atol:
+            raise InternalError(
+                f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
+        w = r_min.complement().range_basis
+        transient = w @ _corner(dyn, w).flow(horizon).apply(np.eye(w.shape[1])) @ w.conj().T
     estimate = hermitian_part(np.eye(d) - transient)
     estimate.flags.writeable = False
     sup_deviation = opnorm(estimate - np.eye(d))

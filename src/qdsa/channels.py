@@ -73,7 +73,6 @@ __all__ = [
     "unvec",
     "hermitian_coords",
     "from_hermitian_coords",
-    "real_form",
     "apply_heisenberg",
     "lindblad_apply",
     "to_superoperator",
@@ -216,33 +215,9 @@ def _frame_chunks(chunk, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _frame_pass(s: np.ndarray) -> np.ndarray:
-    """``Re(Q^dag S Q)`` of a complex matrix ``S`` with square sides, by
-    :func:`_frame_chunks` on views of its rows; ``S`` is left as it is."""
-    rows, cols = s.shape
-    d = _square_side(rows)
-    s3 = s.reshape(d, d, cols)
-    return _frame_chunks(lambda a, b: s3[a, b], rows, cols)
-
-
-def real_form(s: np.ndarray) -> np.ndarray:
-    """``Q^dag S Q`` for a Hermiticity-preserving superoperator matrix ``S``.
-
-    ``S`` may map ``m x m`` to ``d x d`` matrices (shape ``d^2 x m^2``);
-    the frame on each side is that of its own dimension.  The product is
-    taken by the index gathers of :func:`_frame_pass`, a chunk of rows at a
-    time, never as a dense product; the imaginary part, zero up to
-    rounding, is dropped.  DimMismatch unless ``S`` is a matrix with square
-    sides.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 2:
-        raise DimMismatch(f"expected a superoperator matrix, got shape {s.shape}")
-    return _frame_pass(s)
-
-
 def _complex_form(r: np.ndarray) -> np.ndarray:
-    """``Q R Q^dag``, the inverse of :func:`real_form`."""
+    """``Q R Q^dag``: the complex matrix of the real form ``R``, the inverse
+    of ``Re(Q^dag S Q)``."""
     flip, own, other = _frame(_square_side(r.shape[0]))
     u = own[:, None] * r + other[flip][:, None] * r[flip]
     return u * own.conj() + u[:, flip] * other[flip].conj()
@@ -542,7 +517,8 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     is exactly zero, which can depend on the skipped additions of zeros.
     The assembly holds the real form and chunk-sized temporaries: at most
     1.75 times the real form's bytes from d = 24 on.  The Heisenberg map is
-    the transpose.  This is the only place a superoperator is assembled.
+    the transpose.  :func:`_real_schrodinger` is the one assembly, which
+    ``asymptotics.Dynamics`` also runs on a model's or a corner's terms.
     """
     _check_picture(picture)
     r = _real_schrodinger(*_terms(obj), obj.dim)

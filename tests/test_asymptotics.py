@@ -207,9 +207,18 @@ class TestSingleSplit:
     def test_failed_block_certificate_is_convergence_failure(self, monkeypatch):
         # a corner whose one stationary state misses half of its block
         damped = Dynamics(build_fixture("AD"))
-        monkeypatch.setattr(qdsa.asymptotics, "_corner", lambda dyn, w, tol: damped)
+        monkeypatch.setattr(qdsa.asymptotics, "_corner", lambda dyn, w: damped)
         with pytest.raises(ConvergenceFailure, match="support of rank 1"):
             minimal_enclosures(build_fixture("TH"))
+
+    @pytest.mark.parametrize("name", ["AD", "ADK"])
+    def test_non_invariant_recurrent_block_is_internal_error(self, name):
+        # |1><1| decays into |0><0|, so it is not invariant: its corner, the
+        # exact compression, leaks and has no stationary state
+        dyn = Dynamics(build_fixture(name))
+        dyn._cache[("support", DEFAULT_TOL)] = Projection.from_matrix(ket_bra(2, 1, 1))
+        with pytest.raises(InternalError, match="fixed-point kernel is empty"):
+            recurrent_projection(dyn)
 
     @pytest.mark.parametrize("model", [build_fixture(name) for name in fixture_names()]
                              + _analyze_ladder())

@@ -16,7 +16,6 @@ from qdsa.channels import (
     hermitian_coords,
     lindblad_apply,
     propagator,
-    real_form,
     stinespring_dilate,
     to_superoperator,
     unvec,
@@ -41,9 +40,7 @@ class TestVectorization:
          "length 4 is not the vec of a 3 x 3 matrix"),
         (lambda: from_hermitian_coords(np.zeros(5), 2),
          "length 5 is not the vec of a 2 x 2 matrix"),
-        (lambda: real_form(np.zeros((4, 5))), "length 5 is not the vec of a square matrix"),
-    ], ids=["unvec", "unvec-dim", "from_hermitian_coords", "from_hermitian_coords-square",
-            "real_form"])
+    ], ids=["unvec", "unvec-dim", "from_hermitian_coords", "from_hermitian_coords-square"])
     def test_one_perfect_square_rule(self, call, message):
         with pytest.raises(DimMismatch, match=message):
             call()
@@ -82,23 +79,6 @@ class TestConstructors:
 
 
 class TestFrameErrors:
-    @pytest.mark.parametrize("shape", [(16,), (4, 4, 1), ()])
-    def test_real_form_of_a_non_matrix(self, shape):
-        with pytest.raises(DimMismatch):
-            real_form(np.zeros(shape, dtype=complex))
-
-    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (8, 8)])
-    def test_real_form_side_not_a_square(self, shape):
-        with pytest.raises(DimMismatch):
-            real_form(np.zeros(shape, dtype=complex))
-
-    def test_real_form_of_a_rectangular_map(self):
-        assert real_form(np.zeros((9, 4), dtype=complex)).shape == (9, 4)
-
-    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0)])
-    def test_real_form_with_an_empty_side(self, shape):
-        assert real_form(np.zeros(shape, dtype=complex)).shape == shape
-
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
     def test_hermitian_coords_of_a_non_square(self, shape):
         with pytest.raises(DimMismatch):

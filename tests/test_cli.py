@@ -13,6 +13,7 @@ from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
 from qdsa.asymptotics import Dynamics
 from qdsa.cli import main
 from qdsa.errors import ParseError, ValidationError
+from qdsa.linalg import Projection
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
 from qdsa.models import build_fixture, fixture_names
 
@@ -28,8 +29,16 @@ class TestAnalyzeCommand:
     def test_failed_enclosure_certificate_exits_3(self, monkeypatch, tmp_path, capsys):
         # every corner is replaced by one whose stationary state misses half of TH
         damped = Dynamics(build_fixture("AD"))
-        monkeypatch.setattr(qdsa.asymptotics, "_corner", lambda dyn, w, tol: damped)
+        monkeypatch.setattr(qdsa.asymptotics, "_corner", lambda dyn, w: damped)
         assert main(["analyze", "--model", str(emit_fixture(tmp_path, "TH"))]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["AD", "ADK"])
+    def test_non_invariant_recurrent_block_exits_3(self, monkeypatch, tmp_path, capsys, name):
+        # the stationary support forced onto |1><1|, which decays into |0><0|
+        excited = Projection.from_matrix(np.diag([0.0, 1.0]))
+        monkeypatch.setattr(Dynamics, "support", lambda dyn, tol: excited)
+        assert main(["analyze", "--model", str(emit_fixture(tmp_path, name))]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
     def test_m3_report(self, tmp_path):
@@ -176,13 +185,13 @@ class TestEvolveCommand:
         import qdsa.asymptotics
 
         assembled = []
-        original = qdsa.asymptotics.to_superoperator
+        original = qdsa.asymptotics._real_schrodinger
 
-        def counted(model, picture):
-            assembled.append(picture)
-            return original(model, picture)
+        def counted(h, ops, dim):
+            assembled.append(dim)
+            return original(h, ops, dim)
 
-        monkeypatch.setattr(qdsa.asymptotics, "to_superoperator", counted)
+        monkeypatch.setattr(qdsa.asymptotics, "_real_schrodinger", counted)
         model = emit_fixture(tmp_path, "AD")
         state = tmp_path / "state.json"
         state.write_text(json.dumps(

@@ -1,4 +1,4 @@
-"""The Hermitian frame: real superoperators and compressed corner models."""
+"""The Hermitian frame: real superoperators and the corners of compressed terms."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ import qdsa.asymptotics
 import qdsa.verify
 from qdsa.asymptotics import (
     Dynamics,
-    _compress,
     _corner,
     _fixed_basis,
     minimal_enclosures,
@@ -19,17 +18,18 @@ from qdsa.channels import (
     HEISENBERG,
     SCHRODINGER,
     Superoperator,
+    apply_heisenberg,
     from_hermitian_coords,
     hermitian_coords,
+    lindblad_apply,
     propagator,
-    real_form,
-    to_superoperator,
     vec,
 )
-from qdsa.linalg import DEFAULT_TOL, opnorm
-from qdsa.sampling import random_hermitian
+from qdsa.harmonic import subharmonic_residual
+from qdsa.linalg import DEFAULT_TOL, Projection, opnorm
+from qdsa.sampling import haar_random_channel, haar_unitary, random_generator, random_hermitian
 from test_dynamics import _all_models, _ladder_models
-from test_small_models import _reference_superop
+from test_small_models import _reference_superop, real_form
 
 MODELS = _all_models()
 IDS = [name for name, _, _ in MODELS]
@@ -123,9 +123,9 @@ def _visited_blocks(monkeypatch, model):
     blocks = []
     original = qdsa.asymptotics._corner
 
-    def recording(dyn, w, tol):
+    def recording(dyn, w):
         blocks.append(np.array(w))
-        return original(dyn, w, tol)
+        return original(dyn, w)
 
     monkeypatch.setattr(qdsa.asymptotics, "_corner", recording)
     minimal_enclosures(model)
@@ -136,12 +136,12 @@ def _visited_blocks(monkeypatch, model):
 
 @pytest.mark.parametrize("name,model,horizon", MODELS, ids=IDS)
 class TestCompressedCorners:
-    def test_model_matches_kronecker_embedding(self, monkeypatch, name, model, horizon):
+    def test_corner_matches_kronecker_embedding(self, monkeypatch, name, model, horizon):
         s_full = _reference_superop(model, SCHRODINGER)
         scale = max(1.0, opnorm(s_full))
         for w in _visited_blocks(monkeypatch, model):
             old = _old_corner(s_full, w, discrete=False)
-            new = to_superoperator(_compress(model, w, DEFAULT_TOL), SCHRODINGER).matrix
+            new = Superoperator(_corner(Dynamics(model), w).schrodinger, SCHRODINGER).matrix
             assert opnorm(new - old) <= 1e-12 * scale, (name, w.shape)
 
     def test_left_kernel_spans_heisenberg_corner_kernel(self, monkeypatch, name, model,
@@ -150,7 +150,7 @@ class TestCompressedCorners:
         s_heis = _reference_superop(model, HEISENBERG)
         for w in _visited_blocks(monkeypatch, model):
             old = _old_split_kernel(_old_corner(s_heis, w, discrete))
-            fixed = _fixed_basis(_corner(Dynamics(model), w, DEFAULT_TOL), DEFAULT_TOL)
+            fixed = _fixed_basis(_corner(Dynamics(model), w), DEFAULT_TOL)
             assert len(fixed) == old.shape[1], (name, w.shape)
             for f in fixed:
                 assert np.array_equal(f, f.conj().T)
@@ -167,6 +167,35 @@ class TestCompressedCorners:
             assert sdim == ref_dim == 1
             assert np.array_equal(state.matrix, ref_state.matrix), name
             assert state.support().rank == p.rank
+
+
+@pytest.mark.parametrize("kind", ["generator", "channel"])
+@pytest.mark.parametrize("d,m", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)])
+def test_corner_is_the_compressed_map_off_invariant_blocks(kind, d, m):
+    # the compressed terms give y -> W^dag alpha(W y W^dag) W for every
+    # isometry W, here one onto a block that is not invariant
+    rng = np.random.default_rng(10 * d + m)
+    w = haar_unitary(d, rng)[:, :m]
+    if kind == "generator":
+        model = random_generator(d, 2, rng)
+        heisenberg = lambda a: lindblad_apply(model, a)
+    else:
+        model = haar_random_channel(d, 3, rng)
+        heisenberg = lambda a: apply_heisenberg(model, a)
+    assert subharmonic_residual(model, Projection.from_range_basis(w)) > 1e-3
+    corner = _corner(Dynamics(model), w)
+    action = Superoperator(corner.schrodinger.T, HEISENBERG)
+    assert corner.model is None and corner.dim == m
+    for _ in range(3):
+        y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        want = w.conj().T @ heisenberg(w @ y @ w.conj().T) @ w
+        assert np.max(np.abs(action.apply(y) - want)) <= 1e-13
+
+
+def test_identity_corner_is_the_dynamics_itself(m3):
+    dyn = Dynamics(m3)
+    assert _corner(dyn, np.eye(3, dtype=complex)) is dyn
+    assert _corner(dyn, np.eye(3)[:, [1, 0, 2]]) is not dyn
 
 
 def test_channel_d8_runs_one_full_size_svd(monkeypatch):
@@ -189,22 +218,22 @@ def test_channel_d8_runs_one_full_size_svd(monkeypatch):
 def test_generator_criterion_builds_each_propagator_once(monkeypatch):
     assembled = []
     propagated = []
-    assemble, propagate = qdsa.asymptotics.to_superoperator, qdsa.asymptotics._propagate
+    assemble, propagate = qdsa.asymptotics._real_schrodinger, qdsa.asymptotics._propagate
 
-    def counted_assembly(model, picture):
-        assembled.append(model)
-        return assemble(model, picture)
+    def counted_assembly(h, ops, dim):
+        assembled.append(h)
+        return assemble(h, ops, dim)
 
     def counted_propagation(r, t, discrete):
         propagated.append((r.tobytes(), t))
         return propagate(r, t, discrete)
 
-    monkeypatch.setattr(qdsa.asymptotics, "to_superoperator", counted_assembly)
+    monkeypatch.setattr(qdsa.asymptotics, "_real_schrodinger", counted_assembly)
     monkeypatch.setattr(qdsa.asymptotics, "_propagate", counted_propagation)
     result = qdsa.verify._tally("generator-criterion", qdsa.verify._generator_criterion(
         np.random.default_rng(3), 4, (2, 3), DEFAULT_TOL))
     assert result.trials == 4          # one generator per dim, two projections each
     assert len(assembled) == 2         # one superoperator per generator
-    assert len({id(model) for model in assembled}) == 2
+    assert len({id(h) for h in assembled}) == 2
     assert len(propagated) == 6        # three times per generator
     assert len(set(propagated)) == 6

@@ -3,7 +3,9 @@ chunked superoperator assembly and frame pass, and each stationary support
 and enclosure residual computed once per analysis.
 
 Every fast path must give the same bits as the code it replaces; the
-references below are the replaced expressions themselves.
+references below are the replaced expressions themselves.  ``real_form``
+and ``_frame_pass``, the frame pass of a whole complex matrix, live here:
+the library only ever takes its own chunks to the frame.
 """
 
 import numpy as np
@@ -20,10 +22,10 @@ from qdsa.channels import (
     LindbladGenerator,
     QuantumChannel,
     _frame,
-    _frame_pass,
+    _frame_chunks,
     _kron,
     _row_blocks,
-    real_form,
+    _square_side,
     to_superoperator,
 )
 from qdsa.harmonic import subharmonic_residual
@@ -88,6 +90,23 @@ def _reference_real_form(s):
     t = s * own + s[:, flip] * other
     flip, own, other = _frame(int(round(np.sqrt(s.shape[0]))))
     return (own.conj()[:, None] * t + other.conj()[:, None] * t[flip]).real
+
+
+def _frame_pass(s: np.ndarray) -> np.ndarray:
+    """``Re(Q^dag S Q)`` of a complex matrix ``S`` with square sides, by the
+    library's chunked frame pass :func:`~qdsa.channels._frame_chunks` on
+    views of its rows; ``S`` is left as it is."""
+    rows, cols = s.shape
+    d = _square_side(rows)
+    s3 = s.reshape(d, d, cols)
+    return _frame_chunks(lambda a, b: s3[a, b], rows, cols)
+
+
+def real_form(s) -> np.ndarray:
+    """``Q^dag S Q`` for a Hermiticity-preserving superoperator matrix ``S``,
+    which may map ``m x m`` to ``d x d`` matrices (shape ``d^2 x m^2``), by
+    :func:`_frame_pass`."""
+    return _frame_pass(np.asarray(s, dtype=complex))
 
 
 def _block_frame(w: np.ndarray) -> np.ndarray:

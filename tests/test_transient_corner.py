@@ -1,8 +1,9 @@
 """Horizon diagnostics on the transient corner.
 
 ``recurrent_projection`` propagates only the transient corner ``qMq``,
-``q = 1 - r``, with the ``m^2 x m^2`` matrix ``R_q`` assembled from the
-compressed operators ``W^dag X W`` of the model's terms.  The full
+``q = 1 - r``: the flow of ``_corner`` for an isometry ``W`` onto ``q``,
+whose ``m^2 x m^2`` matrix ``R_q`` is assembled from the compressed
+operators ``W^dag X W`` of the model's terms.  The full
 ``d^2 x d^2`` propagator of the same ``Dynamics`` is the reference, and so
 is ``P^T R P`` for the block frame ``P`` of ``W``, which ``R_q`` equals.
 """
@@ -10,11 +11,12 @@ is ``P^T R P`` for the block frame ``P`` of ``W``, which ``R_q`` equals.
 import numpy as np
 import pytest
 
+import qdsa.asymptotics
 import qdsa.channels
-from qdsa.asymptotics import Dynamics, _transient_corner, recurrent_projection
+from qdsa.asymptotics import Dynamics, _corner, recurrent_projection
 from qdsa.channels import _kron
 from qdsa.errors import InternalError
-from qdsa.linalg import DEFAULT_TOL, opnorm
+from qdsa.linalg import opnorm
 from qdsa.sampling import haar_unitary, transient_block_generator
 from test_dynamics import _all_models, _counting
 from test_frame import _dense_frame
@@ -80,22 +82,27 @@ def test_channel_horizon_checked_without_a_propagator(horizon):
 
 @pytest.mark.parametrize("name,model,horizon", TRANSIENT, ids=[m[0] for m in TRANSIENT])
 class TestTransientCorner:
-    def test_rejects_a_projection_that_is_not_subharmonic(self, name, model, horizon):
-        report = recurrent_projection(model, horizon=horizon)
-        with pytest.raises(InternalError, match="sub-harmonic"):
-            _transient_corner(Dynamics(model), report.recurrent.complement(), DEFAULT_TOL)
+    def test_rejects_a_projection_that_is_not_subharmonic(self, monkeypatch, name, model,
+                                                          horizon):
+        # the supremum of the enclosures replaced by its complement
+        complement = recurrent_projection(model, horizon=horizon).recurrent.complement()
+        monkeypatch.setattr(qdsa.asymptotics, "proj_supremum", lambda ps, tol: complement)
+        with pytest.raises(InternalError, match="recurrent projection fails the sub-harmonic"):
+            recurrent_projection(model, horizon=horizon)
 
     def test_corner_is_the_compressed_real_form(self, name, model, horizon):
         dyn = Dynamics(model)
         recurrent = recurrent_projection(dyn, horizon=horizon).recurrent
-        w, r_q = _transient_corner(dyn, recurrent, DEFAULT_TOL)
+        w = recurrent.complement().range_basis
+        r_q = _corner(dyn, w).schrodinger
         m = w.shape[1]
         assert m == model.dim - recurrent.rank
         assert r_q.shape == (m * m, m * m)
         p = _block_frame(w)
-        # R^T maps the corner into itself, so R^T P = P R_q^T
+        # R^T maps the corner into itself, so R^T P = P R_q^T and R_q = P^T R P
         scale = max(1.0, opnorm(dyn.schrodinger))
         assert opnorm(dyn.schrodinger.T @ p - p @ r_q.T) <= 1e-12 * scale
+        assert opnorm(p.T @ dyn.schrodinger @ p - r_q) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("d,m", [(1, 1), (3, 1), (3, 2), (5, 3), (4, 4)])
