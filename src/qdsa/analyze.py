@@ -24,7 +24,6 @@ from .asymptotics import (
     decay_ideal_test,
     recurrent_projection,
 )
-from .channels import _is_channel
 from .errors import ValidationError
 from .linalg import (
     Projection,
@@ -174,25 +173,24 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     options = options or AnalysisOptions()
     horizon = options.horizon
     if isinstance(spec, ModelSpec):
-        model = spec.build()
+        dyn = Dynamics(spec.build())
         label = spec.label
         if horizon is None:
             horizon = spec.horizon
         tol = options.tol or spec.tolerances
     else:
-        model = spec
+        dyn = Dynamics(spec)
         label = type(spec).__name__
         tol = options.tol
     if horizon is None:
         horizon = DEFAULT_HORIZON
     try:
-        _check_horizon(horizon, _is_channel(model))
+        _check_horizon(horizon, dyn.discrete)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     tol = tol or ToleranceConfig()
     seed = options.seed if options.seed is not None else default_seed()
 
-    dyn = Dynamics(model)
     report = recurrent_projection(dyn, horizon=horizon, tol=tol, seed=seed)
     decomposition = report.enclosures
     r_min = report.recurrent
@@ -205,7 +203,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         opnorm(r_min.matrix - report.stationary_support.matrix), 100 * tol.atol))
     checks.append(CheckResult(
         "faithful-implies-full-recurrent",
-        float(model.dim - r_min.rank) if report.faithful_family else 0.0, 0.5))
+        float(dyn.dim - r_min.rank) if report.faithful_family else 0.0, 0.5))
 
     subharm = max(decomposition.subharmonic_residuals, default=0.0)
     projections = decomposition.minimal_projections
@@ -227,18 +225,18 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
 
     # E_jj stands for the d matrix units E_ij of its column: E_ij r holds
     # row j of r, and E_ij^dag E_ij = E_jj
-    disagreements = model.dim * sum(
+    disagreements = dyn.dim * sum(
         decay_ideal_test(dyn, np.outer(e, e), r_min, horizon, tol).decisively_disagrees(tol.atol)
-        for e in np.eye(model.dim))
+        for e in np.eye(dyn.dim))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
     limit_support = support_projection(hermitian_part(report.limit_estimate), tol)
     checks.append(CheckResult("limit-support-full",
-                              float(model.dim - limit_support.rank), 0.5))
+                              float(dyn.dim - limit_support.rank), 0.5))
 
     return AnalysisReport(
         label=label,
-        dim=model.dim,
+        dim=dyn.dim,
         kind="channel" if dyn.discrete else "generator",
         horizon=horizon,
         stationary_dim=dyn.space(tol).dim,
@@ -249,7 +247,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         stationary_support=report.stationary_support,
         sup_deviation=report.sup_deviation,
         transient_norm=report.transient_norm,
-        decay_ideal_rank=model.dim - r_min.rank,
+        decay_ideal_rank=dyn.dim - r_min.rank,
         faithful_family=report.faithful_family,
         supports_match=report.supports_match,
         checks=tuple(checks),

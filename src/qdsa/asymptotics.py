@@ -30,6 +30,7 @@ path:
    by the block isometry ``W``, which give ``y -> W^dag alpha(W y W^dag)
    W`` exactly, a semigroup again for a sub- or super-harmonic block (the
    enclosures of Baumgartner and Narnhofer, Rev. Math. Phys. 24, 2012).
+   Residuals are read off the terms too, so every function runs on a corner.
    The Heisenberg fixed points of the recurrent corner form a *-algebra (it
    has a faithful stationary state), so one split along the spectral
    projections of a generic Hermitian fixed element yields an orthogonal
@@ -87,7 +88,6 @@ from .channels import (
     DensityMatrix,
     Superoperator,
     _BLOCK,
-    _is_channel,
     _iteration_count,
     _propagate,
     _real_schrodinger,
@@ -98,10 +98,11 @@ from .channels import (
 from .errors import (
     ConvergenceFailure,
     DimMismatch,
+    FamilyNotSubharmonic,
     InternalError,
     TheoremViolation,
 )
-from .harmonic import subharmonic_residual
+from .harmonic import _residual
 from .linalg import (
     Projection,
     ToleranceConfig,
@@ -348,17 +349,16 @@ class Dynamics:
     transpose, so no second superoperator is built.  Build one per
     top-level call and pass it to the functions of this module in place of
     the model; it is dropped when the call returns, so the memory it holds
-    never outlives the analysis.  Every block of the analysis is a
-    ``Dynamics`` of compressed terms with no model (:func:`_corner`).
+    never outlives the analysis.  It keeps no model, only the terms, so a
+    corner (:func:`_corner`) is a ``Dynamics`` like any other.
     """
 
     def __init__(self, model):
-        self._hold(model, _is_channel(model), _terms(model), model.dim)
+        self._hold(_terms(model), model.dim)
 
-    def _hold(self, model, discrete: bool, terms, dim: int):
-        self.model = model
-        self.discrete = discrete
+    def _hold(self, terms, dim: int):
         self.terms = terms
+        self.discrete = terms[0] is None
         self.dim = dim
         self._cache = {}
 
@@ -477,16 +477,17 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
 
 def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
     """The corner ``y -> W^dag alpha(W y W^dag) W`` of the isometry ``w``:
-    a Dynamics of the compressed terms, with no model and no validation;
-    ``dyn`` itself when ``w`` is the identity, so the top-level split is
-    reused.
+    a Dynamics of the compressed terms, with no validation; ``dyn`` itself
+    when ``w`` is the identity, so the top-level split is reused.
 
     Since ``W^dag W = 1`` the compressed terms give that map exactly for
     every isometry: ``W^dag V_i W`` for a channel; for a generator ``W^dag
     H W`` and each ``W^dag L_i W`` with ``W^dag L_i^dag L_i W``, which give
     the compressed ``G = -iH - sum_i L_i^dag L_i / 2``.  So its real form is
     ``P^T R P`` for the frame ``P`` of ``y -> W y W^dag``, at a cost of
-    ``O(K m^4)`` for ``m`` columns.
+    ``O(K m^4)`` for ``m`` columns.  Residuals on a corner are those of its
+    terms, so on an invariant block every function here gives what it gives
+    on the model built from them.
     """
     if w.shape[1] == dyn.dim and np.array_equal(w, np.eye(dyn.dim)):
         return dyn
@@ -495,7 +496,7 @@ def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
     h = None if h is None else wh @ h @ w
     ops = tuple(tuple(wh @ x @ w for x in op) for op in ops)
     corner = Dynamics.__new__(Dynamics)
-    corner._hold(None, dyn.discrete, (h, ops), w.shape[1])
+    corner._hold((h, ops), w.shape[1])
     return corner
 
 
@@ -509,13 +510,18 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     """Stationary-space dimension and time-average state of the corner of
     the block ``p`` (:func:`_corner`); used to certify enclosure minimality.
 
-    The state is in the coordinates of ``p.range_basis``.
+    The state is in the coordinates of ``p.range_basis``.  A leaking block
+    (:func:`~qdsa.harmonic._residual` above ``atol``) is FamilyNotSubharmonic.
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
     _check_operand(p.dim, dyn.dim)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
+    residual = _residual(dyn.terms, p)
+    if not residual <= tol.atol:
+        raise FamilyNotSubharmonic(
+            f"block fails the sub-harmonic test (residual {residual:.3e})")
     return _corner(dyn, p.range_basis).limit(tol)
 
 
@@ -558,8 +564,8 @@ class EnclosureDecomposition:
     and time-average state of its corner (:func:`_corner`) that certified
     it minimal (what :func:`restricted_stationary_dim` returns for it), and
     ``certificate_ranks`` the rank of that state's support.
-    ``subharmonic_residuals`` holds each projection's
-    :func:`~qdsa.harmonic.subharmonic_residual`, checked against ``atol``,
+    ``subharmonic_residuals`` holds each projection's residual on the
+    terms, :func:`~qdsa.harmonic._residual`, checked against ``atol``,
     and ``max_overlap`` the largest ``|p q|`` over distinct pairs of
     projections (0.0 for fewer than two), checked against ``10 atol``.
     """
@@ -628,7 +634,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     residuals = []
     max_overlap = 0.0
     for i, p in enumerate(projections):
-        residual = subharmonic_residual(dyn.model, p)
+        residual = _residual(dyn.terms, p)
         if not residual <= tol.atol:
             raise InternalError(
                 f"refined enclosure {i} fails the sub-harmonic test "
@@ -690,7 +696,7 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     d = dyn.dim
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
-        residual = subharmonic_residual(dyn.model, r_min)
+        residual = _residual(dyn.terms, r_min)
         if not residual <= tol.atol:
             raise InternalError(
                 f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")

@@ -15,8 +15,9 @@ Exact algebraic reductions are preferred wherever available: for a Kraus
 family the order condition is equivalent to ``p' V_i p = 0`` for every i
 (via ``p alpha(p') p = sum_i (p' V_i p)^dag (p' V_i p)``), and for a
 generator to ``p' L_i p = 0`` together with ``p' G p = 0`` where
-``G = -iH - (1/2) sum_i L_i^dag L_i``.  Both reductions are cross-validated
-against the time-sampled order condition in the test suite.
+``G = -iH - (1/2) sum_i L_i^dag L_i``.  Both are one residual on the terms
+of the map (:func:`_residual`), a corner's compressed terms too, and are
+cross-validated against the time-sampled order condition in the test suite.
 
 Sub-harmonic and super-harmonic projections each form a complete lattice;
 :func:`subharmonic_closure` checks closure of a family under infimum and
@@ -35,9 +36,9 @@ import numpy as np
 from .channels import (
     LindbladGenerator,
     QuantumChannel,
-    _is_channel,
     _matrix_units,
     _schrodinger_action,
+    _terms,
     apply_heisenberg,
 )
 from .errors import FamilyNotSubharmonic, NotFixedPoint, NotPSD, TheoremViolation
@@ -143,27 +144,25 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     )
 
 
-def _kraus_residual(ch: QuantumChannel, p: Projection) -> float:
-    pc = np.eye(ch.dim) - p.matrix
-    return max(opnorm(pc @ v @ p.matrix) for v in ch.kraus_ops)
+def _residual(terms, p: Projection) -> float:
+    """``max |(1-p) X p|`` over the Kraus operators of the terms (``_terms``),
+    or the jumps and ``G = -iH - sum_i K_i / 2``: 0 exactly when sub-harmonic."""
+    h, ops = terms
+    pm = p.matrix
+    pc = np.eye(p.dim) - pm
+    xs = [op[0] for op in ops]
+    if h is not None:
+        g = -1j * h
+        for _, k in ops:
+            g = g - 0.5 * k
+        xs.append(g)
+    return max(opnorm(pc @ x @ pm) for x in xs)
 
 
 def kraus_invariance_test(ch: QuantumChannel, p: Projection,
                           tol: ToleranceConfig | None = None) -> bool:
     """Exact algebraic sub-harmonicity test: ``(1-p) V_i p = 0`` for all i."""
-    tol = _tol(tol)
-    return subharmonic_residual(ch, p) <= tol.atol
-
-
-def _generator_residual(gen: LindbladGenerator, p: Projection) -> float:
-    pm = p.matrix
-    pc = np.eye(gen.dim) - pm
-    g = -1j * gen.hamiltonian
-    worst = 0.0
-    for l in gen.lindblad_ops:
-        worst = max(worst, opnorm(pc @ l @ pm))
-        g = g - 0.5 * (l.conj().T @ l)
-    return max(worst, opnorm(pc @ g @ pm))
+    return is_subharmonic(ch, p, tol)
 
 
 def is_subharmonic_generator(gen: LindbladGenerator, p: Projection,
@@ -175,24 +174,22 @@ def is_subharmonic_generator(gen: LindbladGenerator, p: Projection,
     ``alpha_t(p) >= p`` sampled at several times, and any disagreement
     beyond tolerance is a test failure rather than something resolved here.
     """
-    tol = _tol(tol)
-    return subharmonic_residual(gen, p) <= tol.atol
+    return is_subharmonic(gen, p, tol)
 
 
 def subharmonic_residual(obj, p: Projection) -> float:
-    """The algebraic invariance residual (zero exactly when sub-harmonic).
+    """The invariance residual :func:`_residual` of the model's terms.
 
-    DimMismatch when ``p`` and the model differ in dimension.
+    TypeError for a non-model, then DimMismatch when ``p`` and the model
+    differ in dimension.
     """
-    channel = _is_channel(obj)
+    terms = _terms(obj)
     _check_operand(p.dim, obj.dim)
-    if channel:
-        return _kraus_residual(obj, p)
-    return _generator_residual(obj, p)
+    return _residual(terms, p)
 
 
 def is_subharmonic(obj, p: Projection, tol: ToleranceConfig | None = None) -> bool:
-    """Dispatch to the exact Kraus-level or generator-level test."""
+    """The exact test for either model: :func:`subharmonic_residual` <= ``atol``."""
     tol = _tol(tol)
     return subharmonic_residual(obj, p) <= tol.atol
 

@@ -162,9 +162,11 @@ def _as_model_spec(data, where: str) -> ModelSpec:
         unknown = set(raw) - _TOL_KEYS
         if unknown:
             raise ParseError(f"{where}: unknown tolerance keys {sorted(unknown)}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw.values()):
+            raise ParseError(f"{where}: tolerance values must be numbers")
         try:
             tolerances = ToleranceConfig(**{k: float(raw[k]) for k in raw})
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"{where}: bad tolerances: {exc}") from exc
 
     horizon = None

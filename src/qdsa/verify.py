@@ -226,12 +226,8 @@ def _lattice_closure(rng, trials, dims, tol, super_side: bool):
                 continue
             inf = proj_infimum(family, tol)
             sup = proj_supremum(family, tol)
-            if super_side:
-                residual = max(subharmonic_residual(ch, inf.complement()),
-                               subharmonic_residual(ch, sup.complement()))
-            else:
-                residual = max(subharmonic_residual(ch, inf),
-                               subharmonic_residual(ch, sup))
+            pair = (inf.complement(), sup.complement()) if super_side else (inf, sup)
+            residual = max(subharmonic_residual(ch, p) for p in pair)
             yield residual, residual > 1e-8
 
 

@@ -26,6 +26,7 @@ from qdsa.channels import (
     HEISENBERG,
     SCHRODINGER,
     DensityMatrix,
+    LindbladGenerator,
     propagator,
 )
 from qdsa.harmonic import (
@@ -36,7 +37,7 @@ from qdsa.harmonic import (
     subharmonic_residual,
 )
 from qdsa.analyze import run_analyze
-from qdsa.errors import ConvergenceFailure, DimMismatch, InternalError
+from qdsa.errors import ConvergenceFailure, DimMismatch, FamilyNotSubharmonic, InternalError
 from qdsa.linalg import (
     DEFAULT_TOL,
     Projection,
@@ -154,6 +155,15 @@ class TestMinimalEnclosures:
                 sdim, state = restricted_stationary_dim(model, p)
                 assert sdim == 1
                 assert state.support().rank == p.rank
+
+    def test_leaking_block_is_not_certified(self):
+        # L = |0><2| carries the block |1>, |2> out of itself (residual 1.0);
+        # its corner is no semigroup and once read as a certificate (1, |1><1|)
+        gen = LindbladGenerator(np.zeros((3, 3)), [ket_bra(3, 0, 2)])
+        p = Projection.from_range_basis(np.eye(3)[:, 1:], 3)
+        assert subharmonic_residual(gen, p) == 1.0
+        with pytest.raises(FamilyNotSubharmonic, match=r"residual 1\.000e\+00"):
+            restricted_stationary_dim(gen, p)
 
     def test_deterministic_for_seed(self, dfs3):
         first = minimal_enclosures(dfs3, seed=5)

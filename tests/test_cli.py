@@ -82,6 +82,16 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("value", ["1e-9", True, [1e-9]], ids=["string", "bool", "array"])
+    def test_non_numeric_tolerance_exits_1(self, tmp_path, value):
+        spec = model_spec_from_fixture("AD").to_json_dict()
+        spec["tolerances"] = {"atol": value}
+        path = tmp_path / "tols.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, _, err = run_cli("analyze", "--model", str(path))
+        assert code == 1
+        assert "tolerance values must be numbers" in err
+
     def test_bad_horizon_flag(self, tmp_path):
         path = emit_fixture(tmp_path, "AD")
         code, _, err = run_cli("analyze", "--model", str(path), "--horizon", "-2")

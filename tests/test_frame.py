@@ -13,10 +13,13 @@ from qdsa.asymptotics import (
     minimal_enclosures,
     recurrent_projection,
     restricted_stationary_dim,
+    stationary_space,
 )
 from qdsa.channels import (
     HEISENBERG,
     SCHRODINGER,
+    LindbladGenerator,
+    QuantumChannel,
     Superoperator,
     apply_heisenberg,
     from_hermitian_coords,
@@ -27,7 +30,15 @@ from qdsa.channels import (
 )
 from qdsa.harmonic import subharmonic_residual
 from qdsa.linalg import DEFAULT_TOL, Projection, opnorm
-from qdsa.sampling import haar_random_channel, haar_unitary, random_generator, random_hermitian
+from qdsa.models import build_fixture
+from qdsa.sampling import (
+    block_diagonal_channel,
+    haar_random_channel,
+    haar_unitary,
+    random_generator,
+    random_hermitian,
+    transient_block_generator,
+)
 from test_dynamics import _all_models, _ladder_models
 from test_small_models import _reference_superop, real_form
 
@@ -183,13 +194,61 @@ def test_corner_is_the_compressed_map_off_invariant_blocks(kind, d, m):
         model = haar_random_channel(d, 3, rng)
         heisenberg = lambda a: apply_heisenberg(model, a)
     assert subharmonic_residual(model, Projection.from_range_basis(w)) > 1e-3
-    corner = _corner(Dynamics(model), w)
+    top = Dynamics(model)
+    corner = _corner(top, w)
+    # a corner is a Dynamics like the top level: the same attributes, its
+    # own terms, and no model
+    assert vars(corner).keys() == vars(top).keys() == {"terms", "discrete", "dim", "_cache"}
+    assert corner.dim == m and corner.discrete == top.discrete
     action = Superoperator(corner.schrodinger.T, HEISENBERG)
-    assert corner.model is None and corner.dim == m
     for _ in range(3):
         y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         want = w.conj().T @ heisenberg(w @ y @ w.conj().T) @ w
         assert np.max(np.abs(action.apply(y) - want)) <= 1e-13
+
+
+def _compressed_model(model, w):
+    """The model built from the terms compressed by ``w``: ``W^dag V_i W``,
+    or ``W^dag H W`` and ``W^dag L_i W``, exact on an invariant block."""
+    wh = w.conj().T
+    if isinstance(model, QuantumChannel):
+        return QuantumChannel([wh @ v @ w for v in model.kraus_ops])
+    return LindbladGenerator(wh @ model.hamiltonian @ w, [wh @ l @ w for l in model.lindblad_ops])
+
+
+def _invariant_blocks():
+    channel, blocks = block_diagonal_channel([2, 2], 2, np.random.default_rng(5))
+    generator, recurrent = transient_block_generator(2, 2, np.random.default_rng(6))
+    return [("M3-stable", build_fixture("M3"), np.eye(3, dtype=complex)[:, :2]),
+            ("channel-block", channel, blocks[0].range_basis),
+            ("generator-recurrent", generator, recurrent.range_basis)]
+
+
+@pytest.mark.parametrize("name,model,w", _invariant_blocks(),
+                         ids=[name for name, _, _ in _invariant_blocks()])
+def test_pipeline_runs_on_the_corner_of_an_invariant_block(name, model, w):
+    # a corner answers "is p sub-harmonic?" from its compressed terms, so the
+    # pipeline runs on it and gives what it gives on the compressed model
+    assert subharmonic_residual(model, Projection.from_range_basis(w)) <= DEFAULT_TOL.atol
+    corner = _corner(Dynamics(model), w)
+    compressed = _compressed_model(model, w)
+
+    space, want_space = stationary_space(corner), stationary_space(compressed)
+    assert space.dim == want_space.dim
+    assert opnorm(space.state.matrix - want_space.state.matrix) <= 1e-10
+
+    got, want = minimal_enclosures(corner), minimal_enclosures(compressed)
+    assert [p.rank for p in got.minimal_projections] == [
+        p.rank for p in want.minimal_projections]
+    assert (got.is_unique, got.fixed_algebra_dim) == (want.is_unique, want.fixed_algebra_dim)
+    for p, q in zip(got.minimal_projections, want.minimal_projections):
+        assert opnorm(p.matrix - q.matrix) <= 1e-10
+    assert max(got.subharmonic_residuals) <= DEFAULT_TOL.atol
+
+    got, want = recurrent_projection(corner), recurrent_projection(compressed)
+    assert got.recurrent.rank == want.recurrent.rank
+    assert opnorm(got.recurrent.matrix - want.recurrent.matrix) <= 1e-10
+    assert opnorm(got.limit_estimate - want.limit_estimate) <= 1e-10
 
 
 def test_identity_corner_is_the_dynamics_itself(m3):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import ket_bra
 from qdsa.channels import (
     HEISENBERG,
+    LindbladGenerator,
     QuantumChannel,
     apply_heisenberg,
     generator_to_channel,
@@ -19,6 +20,7 @@ from qdsa.harmonic import (
     kraus_invariance_test,
     subharmonic_closure,
     subharmonic_report,
+    subharmonic_residual,
 )
 from qdsa.linalg import (
     Projection,
@@ -27,9 +29,12 @@ from qdsa.linalg import (
     order_leq,
     projections_equal,
 )
+from qdsa.models import build_fixture, fixture_names
 from qdsa.sampling import (
     block_diagonal_channel,
     haar_random_channel,
+    random_generator,
+    random_hermitian,
     random_projection,
     transient_block_generator,
 )
@@ -37,6 +42,53 @@ from qdsa.sampling import (
 
 def proj(m):
     return Projection.from_matrix(np.asarray(m, dtype=complex))
+
+
+def _kraus_residual(ch: QuantumChannel, p: Projection) -> float:
+    pc = np.eye(ch.dim) - p.matrix
+    return max(opnorm(pc @ v @ p.matrix) for v in ch.kraus_ops)
+
+
+def _generator_residual(gen: LindbladGenerator, p: Projection) -> float:
+    pm = p.matrix
+    pc = np.eye(gen.dim) - pm
+    g = -1j * gen.hamiltonian
+    worst = 0.0
+    for l in gen.lindblad_ops:
+        worst = max(worst, opnorm(pc @ l @ pm))
+        g = g - 0.5 * (l.conj().T @ l)
+    return max(worst, opnorm(pc @ g @ pm))
+
+
+def _assert_reference_residual(model, rng, extra=()):
+    """The one residual on the terms has the bits of the residual computed
+    straight from the model, on a projection of every rank and on ``extra``."""
+    reference = _kraus_residual if isinstance(model, QuantumChannel) else _generator_residual
+    projections = [random_projection(model.dim, k, rng) for k in range(model.dim + 1)]
+    for p in (*projections, *extra):
+        assert subharmonic_residual(model, p) == reference(model, p), (model.dim, p.rank)
+
+
+class TestOneResidual:
+    def test_fixtures(self):
+        rng = np.random.default_rng(3)
+        for name in fixture_names():
+            model = build_fixture(name)
+            # the coordinate blocks hold the fixtures' invariant ones
+            blocks = [Projection.from_range_basis(np.eye(model.dim)[:, :k], model.dim)
+                      for k in range(model.dim + 1)]
+            _assert_reference_residual(model, rng, blocks)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_models(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in range(1, 7):
+            _assert_reference_residual(haar_random_channel(d, int(rng.integers(1, 4)), rng), rng)
+            _assert_reference_residual(random_generator(d, int(rng.integers(1, 4)), rng), rng)
+
+    def test_generator_without_jumps(self):
+        rng = np.random.default_rng(4)
+        _assert_reference_residual(LindbladGenerator(random_hermitian(4, rng), []), rng)
 
 
 class TestSubharmonicReport:

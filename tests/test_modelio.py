@@ -126,6 +126,16 @@ class TestParseModel:
         with pytest.raises(ParseError):
             parse_model(path)
 
+    @pytest.mark.parametrize("value", ["1e-9", True, [1e-9]], ids=["string", "bool", "array"])
+    def test_tolerance_values_must_be_json_numbers(self, tmp_path, value):
+        # a string once parsed as its number and a bool as 1.0, like nothing
+        # else in a model file; the horizon already rejected both
+        spec = model_spec_from_fixture("AD").to_json_dict()
+        spec["tolerances"] = {"atol": value}
+        path = write_json(tmp_path, "tols.json", spec)
+        with pytest.raises(ParseError, match="tolerance values must be numbers"):
+            parse_model(path)
+
 
 class TestParseState:
     def test_valid_state(self, tmp_path):

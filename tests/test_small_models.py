@@ -308,10 +308,12 @@ class TestAssemblyBits:
 class TestComputedOnce:
     def test_one_support_and_one_residual_per_enclosure(self, monkeypatch, name, model,
                                                         horizon):
+        # every residual of the analysis is the one helper on the terms,
+        # counted wherever a module binds it
         calls = {}
         for module in (qdsa.harmonic, qdsa.asymptotics, qdsa.analyze):
-            if hasattr(module, "subharmonic_residual"):
-                calls[module] = _counting(monkeypatch, module, "subharmonic_residual")
+            if hasattr(module, "_residual"):
+                calls[module] = _counting(monkeypatch, module, "_residual")
         supports = _counting(monkeypatch, qdsa.asymptotics, "stationary_support")
         report = run_analyze(model, AnalysisOptions(horizon=horizon, seed=GOLDEN_SEED))
         assert len(supports) == 1
