@@ -13,9 +13,9 @@ path:
    ``s - F`` for a small shift ``s``, through which a fixed-seed random
    block is pushed and read off an ordered real Schur form, with the SVD
    as the fallback whenever that route cannot vouch for its kernels.  That
-   route forms ``s - F`` straight from ``R`` and takes ``|F|_1`` and every
-   product with ``F`` from ``R``, so a channel's ``R - 1`` is formed only
-   for the SVD.  A
+   route forms ``s - F`` straight from ``R``, reads ``|F|_1`` off that copy
+   before the shift and takes every product with ``F`` from ``R``, so a
+   channel's ``R - 1`` is formed only for the SVD.  A
    maximal-support stationary state is the exact time-average limit of the
    maximally mixed state: its oblique projection onto the kernel along the
    range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
@@ -87,7 +87,6 @@ from .channels import (
     HEISENBERG,
     DensityMatrix,
     Superoperator,
-    _BLOCK,
     _iteration_count,
     _propagate,
     _real_schrodinger,
@@ -156,22 +155,6 @@ def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarra
     return superop_matrix
 
 
-def _fixed_point_norm(r: np.ndarray, discrete: bool) -> float:
-    """``|F|_1`` of the fixed-point matrix ``F`` of the real form ``r``, a
-    block of columns at a time, with the bits of ``np.abs(F).sum(axis=0)
-    .max()`` and without forming ``F``."""
-    n = r.shape[0]
-    step = max(1, _BLOCK // n)
-    sums = np.empty(n)
-    for j in range(0, n, step):
-        block = np.abs(r[:, j:j + step])
-        if discrete:
-            i = np.arange(j, min(j + step, n))
-            block[i, i - j] = np.abs(r[i, i] - 1.0)
-        sums[j:j + step] = block.sum(axis=0)
-    return float(sums.max())
-
-
 # The split runs one SVD below _LU_MIN_SIZE unknowns (d^2) and the
 # resolvent route of _resolvent_split from there on, where its one LU is a
 # fraction of the SVD's cost.  That route shifts by s = _SHIFT * |F|_1,
@@ -221,8 +204,9 @@ def _resolvent_split(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     vouch for them.
 
     ``s - F`` is formed straight from ``r``: ``-r``, then ``+1`` for a
-    channel and ``+s`` on the diagonal, the bits of ``s - F``; it is the one
-    copy of ``r`` the route holds.  ``(s - F)^-1`` scales a kernel vector by
+    channel and, once ``|F|_1`` is read off that ``-F``, ``+s`` on the
+    diagonal, the bits of ``s - F``; it is the one copy of ``r`` the route
+    holds.  ``(s - F)^-1`` scales a kernel vector by
     ``1/s`` and an eigenvector of eigenvalue ``mu`` by ``1/|s - mu|``, so
     after ``_SOLVES`` applications a random block spans the kernel up to
     ``(s/|mu|)^_SOLVES``.  The kernel is read off the block by
@@ -230,15 +214,16 @@ def _resolvent_split(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
     either kernel, or the two kernels differ in dimension.
     """
-    from scipy.linalg.lapack import dgetrf, dgetrs
+    from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
     n = r.shape[0]
-    norm = _fixed_point_norm(r, discrete)
-    if norm == 0.0:
-        return None
     a = -r
     if discrete:
         a.flat[::n + 1] += 1.0
+    # |F|_1 = |-F|_1, the infinity norm of the Fortran-ordered view of -F
+    norm = dlange("I", a.T)
+    if norm == 0.0:
+        return None
     a.flat[::n + 1] += _SHIFT * norm
     # factor (s - F)^T in place (its Fortran-ordered view): trans=1 solves
     # with s - F, trans=0 with its transpose

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian, NotPSD, OutOfUnitInterval
+from .errors import DimMismatch, NotHermitian, NotPSD, OutOfUnitInterval, ValidationError
 
 __all__ = [
     "ToleranceConfig",
@@ -95,7 +95,7 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise DimMismatch("matrix contains non-finite entries")
+        raise ValidationError("matrix contains non-finite entries")
     return m
 
 

@@ -238,5 +238,5 @@ def parse_state(path, dim: int | None = None) -> DensityMatrix:
         raise ValidationError(f"{path}: state dimension {data['dim']} does not match model dimension {dim}")
     try:
         return DensityMatrix(m)
-    except (NotPSD, ValueError, DimMismatch) as exc:
+    except (NotPSD, ValueError, DimMismatch, ValidationError) as exc:
         raise ValidationError(f"{path}: not a density matrix: {exc}") from exc

@@ -5,6 +5,10 @@ trial, a defect (a property-specific residual that is zero for a clean
 pass) and a failure count; :func:`_tally` reduces them to a trial count, a
 failure count and the worst observed defect.  The summary is deterministic for
 a fixed seed: running twice produces byte-identical output.
+
+The recurrent properties are ``run_analyze``'s own checks (limit support,
+supports match, decay ideal) on seeded structured models, so each of those
+laws is coded once, in :mod:`qdsa.analyze`.
 """
 
 from __future__ import annotations
@@ -13,12 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (
-    Dynamics,
-    _kernel_component,
-    decay_ideal_test,
-    recurrent_projection,
-)
+from .analyze import AnalysisOptions, run_analyze
+from .asymptotics import Dynamics, _kernel_component
 from .channels import (
     _matrix_units,
     _schrodinger_action,
@@ -31,7 +31,6 @@ from .errors import TheoremViolation, ValidationError
 from .harmonic import (
     fixed_point_support_check,
     is_subharmonic,
-    is_subharmonic_generator,
     is_superharmonic,
     kraus_invariance_test,
     subharmonic_report,
@@ -48,8 +47,8 @@ from .linalg import (
     proj_infimum,
     proj_supremum,
     projection_order_diagnostic,
-    support_projection,
 )
+from .modelio import model_spec_from_fixture
 from .models import fixture_names
 from .sampling import (
     _ginibre,
@@ -191,10 +190,10 @@ def _generator_criterion(rng, trials, dims, tol):
             dyn = Dynamics(gen)
             flows = [dyn.flow(t) for t in times]
             for p in (block, random_projection(dim, int(rng.integers(1, dim + 1)), rng)):
-                algebraic = is_subharmonic_generator(gen, p, tol)
+                residual = subharmonic_residual(gen, p)
+                algebraic = residual <= tol.atol
                 orbit = all(order_leq(p.matrix, hermitian_part(flow.apply(p.matrix)), tol)
                             for flow in flows)
-                residual = subharmonic_residual(gen, p)
                 bad = _decisive(residual, tol.atol) and (algebraic != orbit)
                 yield float(bad), bad
 
@@ -301,42 +300,25 @@ def _structured_models(rng, trials, dims):
     return models
 
 
+# each verify property and the run_analyze check it tallies
+_RECURRENT_CHECKS = (("recurrent-limit-support-full", "limit-support-full"),
+                     ("recurrent-equals-stationary-support", "supports-match"),
+                     ("decay-ideal-agreement", "decay-ideal-agreement"))
+
+
 def _check_recurrent_structure(rng, trials, dims, tol):
-    """Three properties of each structured model's recurrent projection,
-    from one pass: the limit estimate has full support, the recurrent and
+    """``run_analyze``'s checks of each structured model's recurrent
+    projection: the limit estimate has full support, the recurrent and
     stationary supports agree, and the decay-ideal verdicts agree."""
-    outcomes = []
-    for model in _structured_models(rng, trials, dims):
-        dyn = Dynamics(model)
-        report = recurrent_projection(dyn, tol=tol, seed=int(rng.integers(0, 2**31)))
-        limit_support = support_projection(hermitian_part(report.limit_estimate), tol)
-        partial = limit_support.rank != model.dim
-        mismatch = opnorm(report.recurrent.matrix - report.stationary_support.matrix)
-        disagreements = 0
-        for unit in _basis_sample(model.dim, rng, 4):
-            result = decay_ideal_test(dyn, unit, report.recurrent, tol=tol)
-            disagreements += result.decisively_disagrees(tol.atol)
-        outcomes.append(((float(partial), partial),
-                         (mismatch, not report.supports_match),
-                         (float(disagreements > 0), disagreements)))
-    names = ("recurrent-limit-support-full", "recurrent-equals-stationary-support",
-             "decay-ideal-agreement")
-    return [_tally(name, [o[i] for o in outcomes]) for i, name in enumerate(names)]
-
-
-def _basis_sample(dim, rng, n):
-    units = tuple(_matrix_units(dim))
-    for _ in range(n):
-        i = int(rng.integers(0, dim))
-        j = int(rng.integers(0, dim))
-        yield units[i * dim + j]
+    reports = [run_analyze(model, AnalysisOptions(tol=tol, seed=int(rng.integers(0, 2**31))))
+               for model in _structured_models(rng, trials, dims)]
+    checks = [{c.name: c for c in report.checks} for report in reports]
+    return [_tally(name, [(c[check].residual, not c[check].passed) for c in checks])
+            for name, check in _RECURRENT_CHECKS]
 
 
 def _fixtures(tol):
     """Fixture models must pass their own structural report end to end."""
-    from .analyze import AnalysisOptions, run_analyze
-    from .modelio import model_spec_from_fixture
-
     for name in fixture_names():
         report = run_analyze(model_spec_from_fixture(name),
                              AnalysisOptions(tol=tol, seed=7))

@@ -21,7 +21,14 @@ from qdsa.channels import (
     unvec,
     vec,
 )
-from qdsa.errors import DimMismatch, NegativeTime, NotHermitian, NotPSD, NotUnital
+from qdsa.errors import (
+    DimMismatch,
+    NegativeTime,
+    NotHermitian,
+    NotPSD,
+    NotUnital,
+    ValidationError,
+)
 from qdsa.linalg import hermitian_part, is_psd, opnorm
 from qdsa.models import build_fixture, fixture_names
 from qdsa.sampling import haar_random_channel, random_density_matrix, random_hermitian
@@ -76,6 +83,19 @@ class TestConstructors:
             DensityMatrix(np.diag([1.5, -0.5]))
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_are_a_validation_error(self, value):
+        # a bad value is not a shape error: DimMismatch stays for shapes
+        bad = np.diag([value, 0.0])
+        builders = (lambda: QuantumChannel([bad]),
+                    lambda: LindbladGenerator(np.zeros((2, 2)), [bad]),
+                    lambda: LindbladGenerator(bad),
+                    lambda: DensityMatrix(bad))
+        for build in builders:
+            with pytest.raises(ValidationError, match="non-finite") as info:
+                build()
+            assert not isinstance(info.value, DimMismatch)
 
 
 class TestFrameErrors:

@@ -252,6 +252,19 @@ class TestNonFiniteValues:
 
 
 @pytest.mark.parametrize("fixture", ["ADK", "AD"])
+def test_non_finite_model_entry_exits_1(tmp_path, fixture):
+    """A JSON NaN in a Kraus or jump operator is a validation error."""
+    spec = model_spec_from_fixture(fixture).to_json_dict()
+    key = "kraus_ops" if "kraus_ops" in spec else "lindblad_ops"
+    spec[key][0][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli("analyze", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: matrix contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("fixture", ["ADK", "AD"])
 @pytest.mark.parametrize("as_spec", [True, False])
 class TestLibraryHorizon:
     """``run_analyze`` rejects a horizon outside (0, inf) with a

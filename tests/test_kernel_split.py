@@ -113,13 +113,23 @@ def test_split_leaves_the_real_form(kind, d):
 
 
 @pytest.mark.parametrize("kind,d", [("generator", 24), ("channel", 24), ("channel", 32)])
-def test_fixed_point_norm_has_the_bits_of_the_dense_norm(kind, d):
-    # |F|_1 sets the LU route's shift and cutoff; taken a block of columns
-    # at a time, it keeps the bits of the norm of the whole F
+def test_fixed_point_norm_has_the_bits_of_the_dense_norm(monkeypatch, kind, d):
+    # |F|_1 sets the LU route's shift and cutoff; read off the route's copy
+    # -F, it keeps the bits of the norm of the whole F, so the factored
+    # matrix's diagonal is -diag(F) + _SHIFT |F|_1 to the bit
     dyn = Dynamics(_rung(kind, d, 1)[0])
     f = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
-    assert (qdsa.asymptotics._fixed_point_norm(dyn.schrodinger, dyn.discrete)
-            == float(np.abs(f).sum(axis=0).max()))
+    norms, factored = [], []
+    dlange, dgetrf = scipy.linalg.lapack.dlange, scipy.linalg.lapack.dgetrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dlange",
+                        lambda *args: norms.append(dlange(*args)) or norms[-1])
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf",
+                        lambda a, **kwargs: factored.append(a.T.copy()) or dgetrf(a, **kwargs))
+    dyn.split(DEFAULT_TOL)
+    dense = float(np.abs(f).sum(axis=0).max())
+    assert norms == [dense] and len(factored) == 1
+    shift = qdsa.asymptotics._SHIFT * dense
+    assert np.diag(factored[0]).tobytes() == (-np.diag(f) + shift).tobytes()
 
 
 def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):

@@ -156,6 +156,12 @@ class TestParseState:
         with pytest.raises(ValidationError):
             parse_state(path, 2)
 
+    def test_non_finite_entry_is_not_a_density_matrix(self, tmp_path):
+        payload = {"dim": 2, "matrix": matrix_to_json(np.diag([float("nan"), 0.5]))}
+        path = write_json(tmp_path, "nan.json", payload)
+        with pytest.raises(ValidationError, match="not a density matrix: matrix contains non-finite"):
+            parse_state(path, 2)
+
     def test_unknown_keys(self, tmp_path):
         payload = {"dim": 2, "matrix": matrix_to_json(np.eye(2) / 2), "extra": 1}
         path = write_json(tmp_path, "extra.json", payload)
