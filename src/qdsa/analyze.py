@@ -24,7 +24,7 @@ from .asymptotics import (
     decay_ideal_test,
     recurrent_projection,
 )
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .linalg import (
     Projection,
     ToleranceConfig,
@@ -56,6 +56,13 @@ def default_seed() -> int:
         raise ValidationError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
 
 
+def _check_seed(seed) -> int:
+    """``seed``; ValidationError unless it is a nonnegative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
     horizon: float | None = None
@@ -82,13 +89,23 @@ def _projection_to_json(p: Projection) -> dict:
     return {"rank": p.rank, "range_basis": matrix_to_json(p.range_basis.T)}
 
 
+def _key(data, key: str, where: str):
+    """``data[key]``; ParseError naming ``key`` when ``data`` has no such key."""
+    if not isinstance(data, dict) or key not in data:
+        raise ParseError(f"{where}: missing key {key!r}")
+    return data[key]
+
+
 def _projection_from_json(data, dim: int) -> Projection:
-    cols = data["range_basis"]
+    cols = _key(data, "range_basis", "projection")
+    rank = _key(data, "rank", "projection")
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ParseError(f"projection: 'rank' must be an integer, got {rank!r}")
     basis = (np.zeros((dim, 0), dtype=complex) if cols == []
              else matrix_from_json(cols, "range_basis").T)
-    if basis.shape != (dim, data["rank"]):
+    if basis.shape != (dim, rank):
         raise ValidationError(f"projection basis has shape {basis.shape}, "
-                              f"expected ({dim}, {data['rank']})")
+                              f"expected ({dim}, {rank})")
     # the stored basis is kept, so a report reloads to the same JSON; it is
     # checked orthonormal
     return Projection.from_range_basis(basis, dim)
@@ -135,11 +152,12 @@ class AnalysisReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalysisReport":
-        values = {f.name: data[f.name] for f in fields(cls)}
+        values = {f.name: _key(data, f.name, "report") for f in fields(cls)}
         values["enclosure_ranks"] = tuple(values["enclosure_ranks"])
         for name in _PROJECTIONS:
             values[name] = _projection_from_json(values[name], values["dim"])
-        values["checks"] = tuple(CheckResult(c["name"], c["residual"], c["tolerance"])
+        values["checks"] = tuple(CheckResult(*(_key(c, k, "check") for k in
+                                               ("name", "residual", "tolerance")))
                                  for c in values["checks"])
         return cls(**values)
 
@@ -173,7 +191,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     options = options or AnalysisOptions()
     horizon = options.horizon
     if isinstance(spec, ModelSpec):
-        dyn = Dynamics(spec.build())
+        dyn = Dynamics(spec.model)
         label = spec.label
         if horizon is None:
             horizon = spec.horizon
@@ -184,12 +202,9 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         tol = options.tol
     if horizon is None:
         horizon = DEFAULT_HORIZON
-    try:
-        _check_horizon(horizon, dyn.discrete)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    _check_horizon(horizon, dyn.discrete)
     tol = tol or ToleranceConfig()
-    seed = options.seed if options.seed is not None else default_seed()
+    seed = _check_seed(options.seed if options.seed is not None else default_seed())
 
     report = recurrent_projection(dyn, horizon=horizon, tol=tol, seed=seed)
     decomposition = report.enclosures

@@ -100,6 +100,7 @@ from .errors import (
     FamilyNotSubharmonic,
     InternalError,
     TheoremViolation,
+    ValidationError,
 )
 from .harmonic import _residual
 from .linalg import (
@@ -375,8 +376,9 @@ class Dynamics:
 
     def limit(self, tol: ToleranceConfig):
         """Stationary dimension and the time-average limit of the maximally
-        mixed state (:func:`_mixed_limit`)."""
-        return self._cached(("limit", tol), lambda: _mixed_limit(self, tol))
+        mixed state (:func:`_limit`)."""
+        return self._cached(("limit", tol), lambda: (
+            self.split(tol)[0].shape[1], _limit(self, np.eye(self.dim) / self.dim, tol)))
 
     def space(self, tol: ToleranceConfig) -> StationarySpace:
         return self._cached(("space", tol), lambda: stationary_space(self, tol))
@@ -402,22 +404,19 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
 
 
 def _check_horizon(horizon: float, discrete: bool) -> None:
-    """ValueError unless ``0 < horizon < inf`` and, for a channel
+    """ValidationError unless ``0 < horizon < inf`` and, for a channel
     (``discrete``), the horizon is an iteration count of at least 1."""
     if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
     if discrete and _iteration_count(horizon) < 1:
-        raise ValueError(f"a channel's horizon is at least one iteration, got {horizon}")
+        raise ValidationError(f"a channel's horizon is at least one iteration, got {horizon}")
 
 
-def _mixed_limit(dyn: Dynamics, tol: ToleranceConfig):
-    """Stationary dimension and the time-average limit of the maximally
-    mixed state."""
+def _limit(dyn: Dynamics, a: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
+    """The time-average limit of the state ``a`` under the predual flow."""
     kernel, left = dyn.split(tol)
-    d = dyn.dim
-    mixed = hermitian_coords(np.eye(d) / d)
-    return kernel.shape[1], _as_state(
-        from_hermitian_coords(_kernel_component(kernel, left, mixed), d), tol)
+    limit = _kernel_component(kernel, left, hermitian_coords(a))
+    return _as_state(from_hermitian_coords(limit, dyn.dim), tol)
 
 
 def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) -> DensityMatrix:
@@ -425,9 +424,7 @@ def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) ->
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
     _check_operand(rho.dim, dyn.dim)
-    kernel, left = dyn.split(tol)
-    limit = _kernel_component(kernel, left, hermitian_coords(rho.matrix))
-    return _as_state(from_hermitian_coords(limit, rho.dim), tol)
+    return _limit(dyn, rho.matrix, tol)
 
 
 def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace:
@@ -751,7 +748,7 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
     For a generator this is ``(1/T) integral_0^T nu_t(rho) dt``; for a
     channel the mean of the first ``n`` iterates ``nu^k(rho)``, ``k < n``,
     where the horizon must be an iteration count ``n >= 1`` (else
-    ValueError).  Both come from one propagation of the augmented real
+    ValidationError).  Both come from one propagation of the augmented real
     matrix ``A = [[R, v], [0, c]]`` (``R`` the Schrodinger form, ``v`` the
     frame coordinates of ``rho``, ``c = 1`` for a channel and 0 for a
     generator): the last column of ``A^n`` holds ``sum_{k<n} R^k v`` and

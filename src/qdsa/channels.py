@@ -47,7 +47,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, NegativeTime, NotHermitian, NotPSD, NotUnital
+from .errors import DimMismatch, NegativeTime, NotHermitian, NotPSD, NotUnital, ValidationError
 from .linalg import (
     Projection,
     ToleranceConfig,
@@ -527,19 +527,19 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
 
 def _iteration_count(t: float) -> int:
     """The iteration count a discrete horizon ``t`` stands for; ``t`` must be
-    finite and integral within 1e-9, else ValueError."""
+    finite and integral within 1e-9, else ValidationError."""
     if not np.isfinite(t):
-        raise ValueError(f"discrete channels need a finite horizon, got {t}")
+        raise ValidationError(f"discrete channels need a finite horizon, got {t}")
     n = int(round(t))
     if abs(t - n) > 1e-9:
-        raise ValueError(f"discrete channels need an integer horizon, got {t}")
+        raise ValidationError(f"discrete channels need an integer horizon, got {t}")
     return n
 
 
 def _propagate(r: np.ndarray, t: float, discrete: bool) -> np.ndarray:
     """``r^n`` (``n = t`` iterations) for a channel, ``exp(t r)`` for a
     generator, on the real form ``r``; NegativeTime for ``t < 0`` and
-    ValueError for a non-finite ``t``."""
+    ValidationError for a non-finite ``t``."""
     if discrete:
         if t < 0:
             raise NegativeTime(f"iteration count must be nonnegative, got {t}")
@@ -547,7 +547,7 @@ def _propagate(r: np.ndarray, t: float, discrete: bool) -> np.ndarray:
     if t < 0:
         raise NegativeTime(f"evolution time must be nonnegative, got {t}")
     if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
+        raise ValidationError(f"evolution time must be finite, got {t}")
     return matrix_exp(t * r)
 
 

@@ -28,7 +28,7 @@ import sys
 
 from .analyze import AnalysisOptions, default_seed, run_analyze
 from .asymptotics import Dynamics
-from .channels import SCHRODINGER, DensityMatrix, _iteration_count
+from .channels import SCHRODINGER, DensityMatrix
 from .errors import (
     ConvergenceFailure,
     InternalError,
@@ -138,7 +138,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_evolve(args) -> int:
     spec = parse_model(args.model)
-    model = spec.build()
     state = parse_state(args.state, spec.dim)
     try:
         times = [float(t) for t in args.times.split(",") if t.strip()]
@@ -148,14 +147,9 @@ def _cmd_evolve(args) -> int:
         raise ValidationError("--times must list at least one time")
     if any(not 0 <= t < math.inf for t in times):
         raise ValidationError(f"times must be nonnegative and finite, got {args.times!r}")
-    dyn = Dynamics(model)
+    dyn = Dynamics(spec.model)
     states = []
     for t in times:
-        if spec.is_channel:
-            try:
-                _iteration_count(t)
-            except ValueError as exc:
-                raise ValidationError(f"channel models evolve by iteration counts: {exc}") from exc
         evolved = dyn.flow(t, SCHRODINGER).apply(state.matrix)
         states.append(matrix_to_json(DensityMatrix(evolved).matrix))
     payload = {"label": spec.label, "times": times, "states": states}

@@ -74,5 +74,6 @@ class ParseError(QdsaError):
     """A model or state file is structurally malformed."""
 
 
-class ValidationError(QdsaError):
-    """A parsed object violates a semantic constraint."""
+class ValidationError(QdsaError, ValueError):
+    """A parsed object or an argument violates a semantic constraint; also
+    a ValueError."""

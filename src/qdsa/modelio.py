@@ -79,37 +79,29 @@ def _operators(raw, key: str, dim: int, where: str, nonempty: bool) -> tuple:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A validated model description: exactly one of the two generator forms."""
+    """A parsed model: its label, the validated channel or generator, and
+    the file's optional tolerances and horizon."""
 
-    dim: int
     label: str
-    hamiltonian: np.ndarray | None
-    lindblad_ops: tuple | None
-    kraus_ops: tuple | None
+    model: QuantumChannel | LindbladGenerator
     tolerances: ToleranceConfig | None
     horizon: float | None
 
     @property
-    def is_channel(self) -> bool:
-        return self.kraus_ops is not None
+    def dim(self) -> int:
+        return self.model.dim
 
-    def build(self):
-        """Construct the validated channel or generator."""
-        tol = self.tolerances
-        try:
-            if self.is_channel:
-                return QuantumChannel(self.kraus_ops, tol)
-            return LindbladGenerator(self.hamiltonian, self.lindblad_ops or (), tol)
-        except (NotUnital, NotHermitian, DimMismatch) as exc:
-            raise ValidationError(str(exc)) from exc
+    @property
+    def is_channel(self) -> bool:
+        return _is_channel(self.model)
 
     def to_json_dict(self) -> dict:
         out: dict = {"dim": self.dim, "label": self.label}
         if self.is_channel:
-            out["kraus_ops"] = [matrix_to_json(v) for v in self.kraus_ops]
+            out["kraus_ops"] = [matrix_to_json(v) for v in self.model.kraus_ops]
         else:
-            out["hamiltonian"] = matrix_to_json(self.hamiltonian)
-            out["lindblad_ops"] = [matrix_to_json(v) for v in self.lindblad_ops]
+            out["hamiltonian"] = matrix_to_json(self.model.hamiltonian)
+            out["lindblad_ops"] = [matrix_to_json(v) for v in self.model.lindblad_ops]
         if self.tolerances is not None:
             out["tolerances"] = {"atol": self.tolerances.atol,
                                  "rank_rtol": self.tolerances.rank_rtol,
@@ -141,18 +133,17 @@ def _as_model_spec(data, where: str) -> ModelSpec:
     if not has_generator and not has_channel:
         raise ValidationError(f"{where}: one of hamiltonian/lindblad_ops or kraus_ops is required")
 
-    hamiltonian = None
-    lindblad_ops = None
-    kraus_ops = None
     if has_channel:
-        kraus_ops = _operators(data["kraus_ops"], "kraus_ops", dim, where, nonempty=True)
+        kind = QuantumChannel
+        operators = (_operators(data["kraus_ops"], "kraus_ops", dim, where, nonempty=True),)
     else:
         if "hamiltonian" not in data:
             raise ValidationError(f"{where}: generator form requires 'hamiltonian'")
-        hamiltonian = _square(matrix_from_json(data["hamiltonian"], "hamiltonian"),
-                              "hamiltonian", dim, where)
-        lindblad_ops = _operators(data.get("lindblad_ops", []), "lindblad_ops", dim, where,
-                                  nonempty=False)
+        kind = LindbladGenerator
+        operators = (_square(matrix_from_json(data["hamiltonian"], "hamiltonian"),
+                             "hamiltonian", dim, where),
+                     _operators(data.get("lindblad_ops", []), "lindblad_ops", dim, where,
+                                nonempty=False))
 
     tolerances = None
     if "tolerances" in data:
@@ -178,9 +169,11 @@ def _as_model_spec(data, where: str) -> ModelSpec:
         if not 0 < horizon < np.inf:
             raise ValidationError(f"{where}: 'horizon' must be positive and finite, got {horizon}")
 
-    spec = ModelSpec(dim, label, hamiltonian, lindblad_ops, kraus_ops, tolerances, horizon)
-    spec.build()  # surface semantic problems (hermiticity, unitality) now
-    return spec
+    try:
+        model = kind(*operators, tolerances)
+    except (NotUnital, NotHermitian, DimMismatch) as exc:
+        raise ValidationError(str(exc)) from exc
+    return ModelSpec(label, model, tolerances, horizon)
 
 
 def _load_json(path):
@@ -211,12 +204,7 @@ def model_spec_from_fixture(name: str) -> ModelSpec:
     if name not in FIXTURES:
         raise ValidationError(
             f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}")
-    model = build_fixture(name)
-    fixture = FIXTURES[name]
-    if _is_channel(model):
-        return ModelSpec(model.dim, name, None, None, model.kraus_ops, None, fixture.horizon)
-    return ModelSpec(model.dim, name, model.hamiltonian, model.lindblad_ops, None,
-                     None, fixture.horizon)
+    return ModelSpec(name, build_fixture(name), None, FIXTURES[name].horizon)
 
 
 def parse_state(path, dim: int | None = None) -> DensityMatrix:
@@ -238,5 +226,5 @@ def parse_state(path, dim: int | None = None) -> DensityMatrix:
         raise ValidationError(f"{path}: state dimension {data['dim']} does not match model dimension {dim}")
     try:
         return DensityMatrix(m)
-    except (NotPSD, ValueError, DimMismatch, ValidationError) as exc:
+    except (NotPSD, ValueError, DimMismatch) as exc:
         raise ValidationError(f"{path}: not a density matrix: {exc}") from exc

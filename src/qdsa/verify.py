@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import AnalysisOptions, run_analyze
+from .analyze import AnalysisOptions, _check_seed, run_analyze
 from .asymptotics import Dynamics, _kernel_component
 from .channels import (
     _matrix_units,
@@ -328,6 +328,7 @@ def _fixtures(tol):
 
 def run_verify(seed: int = 42, trials: int = 100, dims=(2, 3, 4)) -> VerifySummary:
     """Run every property suite; deterministic for a fixed seed."""
+    _check_seed(seed)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     dims = tuple(int(d) for d in dims)

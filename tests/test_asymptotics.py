@@ -27,6 +27,7 @@ from qdsa.channels import (
     SCHRODINGER,
     DensityMatrix,
     LindbladGenerator,
+    generator_to_channel,
     propagator,
 )
 from qdsa.harmonic import (
@@ -37,7 +38,13 @@ from qdsa.harmonic import (
     subharmonic_residual,
 )
 from qdsa.analyze import run_analyze
-from qdsa.errors import ConvergenceFailure, DimMismatch, FamilyNotSubharmonic, InternalError
+from qdsa.errors import (
+    ConvergenceFailure,
+    DimMismatch,
+    FamilyNotSubharmonic,
+    InternalError,
+    ValidationError,
+)
 from qdsa.linalg import (
     DEFAULT_TOL,
     Projection,
@@ -482,27 +489,45 @@ class TestCesaro:
 @pytest.mark.parametrize("name", ["TH", "AD", "ADK"])
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
 class TestHorizonRule:
-    """A horizon is accepted only when ``0 < T < inf``."""
+    """A horizon is accepted only when ``0 < T < inf``; the error is a
+    ValidationError, which is also a ValueError
+    (:func:`test_every_horizon_error_is_typed`)."""
 
     def test_recurrent_projection(self, name, horizon):
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             recurrent_projection(build_fixture(name), horizon=horizon)
 
     def test_cesaro_mean(self, name, horizon):
         model = build_fixture(name)
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             cesaro_mean(model, DensityMatrix.maximally_mixed(model.dim), horizon)
 
     def test_decay_ideal_test(self, name, horizon):
         model = build_fixture(name)
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             decay_ideal_test(model, np.eye(model.dim), Projection.identity(model.dim), horizon)
 
     def test_minimality_certificate(self, name, horizon):
         model = build_fixture(name)
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             minimality_certificate(model, Projection.identity(model.dim),
                                    minimal_enclosures(model), trials=1, horizon=horizon)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: propagator(build_fixture("ADK"), 2.5),
+    lambda: propagator(build_fixture("ADK"), np.nan),
+    lambda: propagator(build_fixture("AD"), np.inf),
+    lambda: generator_to_channel(build_fixture("AD"), np.nan),
+    lambda: cesaro_mean(build_fixture("ADK"), DensityMatrix.maximally_mixed(2), 0.3),
+    lambda: decay_ideal_test(build_fixture("ADK"), np.eye(2), Projection.identity(2), 2.5),
+], ids=["channel-fraction", "channel-nan", "generator-inf", "to-channel-nan",
+        "mean-zero-iterates", "decay-fraction"])
+def test_every_horizon_error_is_typed(call):
+    """No horizon or time the library rejects is a bare ValueError."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 _WRONG_DIM = {

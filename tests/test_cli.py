@@ -11,6 +11,7 @@ import qdsa.asymptotics
 from conftest import SRC, run_cli
 from qdsa.analyze import AnalysisOptions, AnalysisReport, run_analyze
 from qdsa.asymptotics import Dynamics
+from qdsa.channels import LindbladGenerator, QuantumChannel
 from qdsa.cli import main
 from qdsa.errors import ParseError, ValidationError
 from qdsa.linalg import Projection
@@ -134,6 +135,35 @@ class TestAnalyzeCommand:
         with pytest.raises(ParseError):
             AnalysisReport.from_json_dict(data)
 
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda d: d.pop("stationary_dim"), "report: missing key 'stationary_dim'"),
+        (lambda d: d["checks"][0].pop("residual"), "check: missing key 'residual'"),
+        (lambda d: d["recurrent"].pop("rank"), "projection: missing key 'rank'"),
+        (lambda d: d["recurrent"].update(rank="2"), "'rank' must be an integer, got '2'"),
+        (lambda d: d["stationary_support"].update(rank=2.0), "'rank' must be an integer"),
+        (lambda d: d.update(recurrent=[]), "projection: missing key 'range_basis'"),
+    ], ids=["top-level-key", "check-key", "rank-key", "string-rank", "float-rank",
+            "projection-not-an-object"])
+    def test_malformed_report_is_a_parse_error(self, mutate, match):
+        data = json.loads(run_analyze(build_fixture("M3")).to_json())
+        mutate(data)
+        with pytest.raises(ParseError, match=match):
+            AnalysisReport.from_json_dict(data)
+
+    def test_builds_the_model_once(self, tmp_path, monkeypatch, capsys):
+        """Parsing validates the model; the analysis uses the parsed one."""
+        paths = [str(emit_fixture(tmp_path, name)) for name in ("M3", "ADK")]
+        built = []
+        for cls in (QuantumChannel, LindbladGenerator):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        for path in paths:
+            assert main(["analyze", "--model", path]) == 0
+        capsys.readouterr()
+        assert built == ["LindbladGenerator", "QuantumChannel"]
+
     def test_file_analysis_matches_in_memory(self, tmp_path):
         # emit -> parse -> analyze must equal analyzing the fixture directly,
         # bit for bit, given the same seed
@@ -221,7 +251,7 @@ class TestEvolveCommand:
         code, _, err = run_cli("evolve", "--model", str(model),
                                "--state", str(state), "--times", "1.5")
         assert code == 1
-        assert "integer" in err
+        assert err == "error: discrete channels need an integer horizon, got 1.5\n"
 
 
 @pytest.mark.parametrize("fixture", ["ADK", "AD"])
@@ -249,6 +279,20 @@ class TestNonFiniteValues:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "times" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,env", [
+    (["analyze", "--seed", "-1"], None),
+    (["verify", "--seed", "-1", "--trials", "1"], None),
+    (["analyze"], {"QDS_SEED": "-3"}),
+], ids=["analyze-flag", "verify-flag", "analyze-env"])
+def test_negative_seed_exits_1(tmp_path, command, env):
+    if command[0] == "analyze":
+        command = [*command, "--model", str(emit_fixture(tmp_path, "M3"))]
+    code, out, err = run_cli(*command, env=env)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: seed must be a nonnegative integer, got -")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fixture", ["ADK", "AD"])

@@ -231,9 +231,7 @@ class TestStiffModel:
         assert isinstance(info.value, InternalError)
 
     def test_cli_exit_code_three(self, tmp_path):
-        model = thermal_qubit(1e4, 1e-4)
-        spec = ModelSpec(model.dim, "stiff", model.hamiltonian, model.lindblad_ops,
-                         None, None, None)
+        spec = ModelSpec("stiff", thermal_qubit(1e4, 1e-4), None, None)
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(spec.to_json_dict()), encoding="utf-8")
         code, _, err = run_cli("analyze", "--model", str(path))

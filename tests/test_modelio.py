@@ -40,9 +40,8 @@ class TestParseModel:
         parsed = parse_model(path)
         assert parsed.dim == 2
         assert parsed.label == "AD"
-        assert len(parsed.lindblad_ops) == 1
-        model = parsed.build()
-        assert isinstance(model, LindbladGenerator)
+        assert len(parsed.model.lindblad_ops) == 1
+        assert isinstance(parsed.model, LindbladGenerator)
 
     def test_channel_fixture_round_trip(self, tmp_path):
         spec = model_spec_from_fixture("ADK")
@@ -50,7 +49,7 @@ class TestParseModel:
         parsed = parse_model(path)
         assert parsed.is_channel
         assert parsed.horizon == 100.0
-        assert isinstance(parsed.build(), QuantumChannel)
+        assert isinstance(parsed.model, QuantumChannel)
 
     def test_non_hermitian_hamiltonian(self, tmp_path):
         spec = model_spec_from_fixture("AD").to_json_dict()

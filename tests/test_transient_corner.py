@@ -15,7 +15,7 @@ import qdsa.asymptotics
 import qdsa.channels
 from qdsa.asymptotics import Dynamics, _corner, recurrent_projection
 from qdsa.channels import _kron
-from qdsa.errors import InternalError
+from qdsa.errors import InternalError, ValidationError
 from qdsa.linalg import opnorm
 from qdsa.sampling import haar_unitary, transient_block_generator
 from test_dynamics import _all_models, _counting
@@ -76,8 +76,9 @@ def test_full_rank_recurrent_projection_has_no_transient(name, model, horizon):
 @pytest.mark.parametrize("horizon", [2.5, 0.3])
 def test_channel_horizon_checked_without_a_propagator(horizon):
     channel = next(model for name, model, _ in FULL_RANK if name == "channel-d8")
-    with pytest.raises(ValueError, match="integer horizon"):
+    with pytest.raises(ValidationError, match="integer horizon") as info:
         recurrent_projection(channel, horizon=horizon)
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("name,model,horizon", TRANSIENT, ids=[m[0] for m in TRANSIENT])
