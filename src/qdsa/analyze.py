@@ -20,7 +20,6 @@ from .asymptotics import (
     DEFAULT_DECAY_TOL,
     DEFAULT_HORIZON,
     Dynamics,
-    _check_horizon,
     decay_ideal_test,
     recurrent_projection,
 )
@@ -189,21 +188,13 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     CLI maps an overall failure to a nonzero exit code.
     """
     options = options or AnalysisOptions()
-    horizon = options.horizon
-    if isinstance(spec, ModelSpec):
-        dyn = Dynamics(spec.model)
-        label = spec.label
-        if horizon is None:
-            horizon = spec.horizon
-        tol = options.tol or spec.tolerances
-    else:
-        dyn = Dynamics(spec)
-        label = type(spec).__name__
-        tol = options.tol
+    if not isinstance(spec, ModelSpec):
+        spec = ModelSpec(type(spec).__name__, spec, None, None)
+    dyn = Dynamics(spec.model)
+    horizon = spec.horizon if options.horizon is None else options.horizon
     if horizon is None:
         horizon = DEFAULT_HORIZON
-    _check_horizon(horizon, dyn.discrete)
-    tol = tol or ToleranceConfig()
+    tol = options.tol or spec.tolerances or ToleranceConfig()
     seed = _check_seed(options.seed if options.seed is not None else default_seed())
 
     report = recurrent_projection(dyn, horizon=horizon, tol=tol, seed=seed)
@@ -250,7 +241,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
                               float(dyn.dim - limit_support.rank), 0.5))
 
     return AnalysisReport(
-        label=label,
+        label=spec.label,
         dim=dyn.dim,
         kind="channel" if dyn.discrete else "generator",
         horizon=horizon,

@@ -47,10 +47,11 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, NegativeTime, NotHermitian, NotPSD, NotUnital, ValidationError
+from .errors import DimMismatch, NegativeTime, NotPSD, NotUnital, ValidationError
 from .linalg import (
     Projection,
     ToleranceConfig,
+    _check_hermitian,
     _check_operand,
     _tol,
     as_complex_matrix,
@@ -88,7 +89,7 @@ _PICTURES = (HEISENBERG, SCHRODINGER)
 
 def _check_picture(picture: str):
     if picture not in _PICTURES:
-        raise ValueError(f"picture must be one of {_PICTURES}, got {picture!r}")
+        raise ValidationError(f"picture must be one of {_PICTURES}, got {picture!r}")
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -235,7 +236,7 @@ class QuantumChannel:
         tol = _tol(tol)
         ops = tuple(as_complex_matrix(v) for v in kraus_ops)
         if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
+            raise ValidationError("a channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
         for v in ops:
             if v.shape != (dim, dim):
@@ -263,9 +264,7 @@ class LindbladGenerator:
     def __init__(self, hamiltonian, lindblad_ops=(), tol: ToleranceConfig | None = None):
         tol = _tol(tol)
         h = as_complex_matrix(hamiltonian)
-        residual = opnorm(h - h.conj().T)
-        if residual > tol.atol:
-            raise NotHermitian(f"Hamiltonian is not Hermitian (residual {residual:.3e})")
+        _check_hermitian(h, tol, "Hamiltonian")
         dim = h.shape[0]
         ops = tuple(as_complex_matrix(l) for l in lindblad_ops)
         for l in ops:
@@ -292,7 +291,7 @@ class DensityMatrix:
             raise NotPSD("density matrix is not positive semidefinite")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol.atol:
-            raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
+            raise ValidationError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
         m = hermitian_part(m)
         m.flags.writeable = False
         self.matrix = m
@@ -307,7 +306,7 @@ class DensityMatrix:
         v = np.asarray(state_vector, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
         if n == 0:
-            raise ValueError("cannot build a pure state from the zero vector")
+            raise ValidationError("cannot build a pure state from the zero vector")
         v = v / n
         return cls(np.outer(v, v.conj()))
 

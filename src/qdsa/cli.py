@@ -32,7 +32,6 @@ from .channels import SCHRODINGER, DensityMatrix
 from .errors import (
     ConvergenceFailure,
     InternalError,
-    ParseError,
     QdsaError,
     TheoremViolation,
     ValidationError,
@@ -89,15 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances_from_flag(value) -> ToleranceConfig | None:
-    if value is None:
-        return None
-    try:
-        return ToleranceConfig(atol=value, psd_tol=value)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _emit(text: str, output):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -110,10 +100,8 @@ def _cmd_analyze(args) -> int:
     if args.horizon is not None and not 0 < args.horizon < math.inf:
         raise ValidationError(f"--horizon must be positive and finite, got {args.horizon}")
     spec = parse_model(args.model)
-    options = AnalysisOptions(horizon=args.horizon,
-                              tol=_tolerances_from_flag(args.tol),
-                              seed=args.seed)
-    report = run_analyze(spec, options)
+    tol = None if args.tol is None else ToleranceConfig(atol=args.tol, psd_tol=args.tol)
+    report = run_analyze(spec, AnalysisOptions(horizon=args.horizon, tol=tol, seed=args.seed))
     _emit(report.to_json(), args.output)
     if args.pretty:
         print(report.pretty(), file=sys.stderr)
@@ -187,9 +175,6 @@ def main(argv=None) -> int:
         if args.command == "examples":
             return _cmd_examples(args)
         raise InternalError(f"unknown command {args.command!r}")
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except TheoremViolation as exc:
         print(f"structural failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

@@ -22,15 +22,21 @@ class QdsaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimMismatch(QdsaError):
+class ValidationError(QdsaError, ValueError):
+    """An input (a parsed object or an argument) violates a semantic
+    constraint; also a ValueError.  DimMismatch, NotHermitian, NotPSD and
+    NotUnital are its named rules."""
+
+
+class DimMismatch(ValidationError):
     """Operands have incompatible shapes or an invalid dimension."""
 
 
-class NotHermitian(QdsaError):
+class NotHermitian(ValidationError):
     """A matrix expected to be Hermitian is not, within tolerance."""
 
 
-class NotPSD(QdsaError):
+class NotPSD(ValidationError):
     """A matrix expected to be positive semidefinite is not."""
 
 
@@ -38,7 +44,7 @@ class OutOfUnitInterval(QdsaError):
     """An operator expected to satisfy 0 <= x <= 1 violates the bound."""
 
 
-class NotUnital(QdsaError):
+class NotUnital(ValidationError):
     """A Kraus family fails the unitality (trace-preservation) condition."""
 
 
@@ -72,8 +78,3 @@ class InternalError(QdsaError):
 
 class ParseError(QdsaError):
     """A model or state file is structurally malformed."""
-
-
-class ValidationError(QdsaError, ValueError):
-    """A parsed object or an argument violates a semantic constraint; also
-    a ValueError."""

@@ -60,7 +60,7 @@ class ToleranceConfig:
         for name in ("atol", "rank_rtol", "psd_tol"):
             value = getattr(self, name)
             if not (0.0 < value < 1e-2):
-                raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
+                raise ValidationError(f"{name} must lie in (0, 1e-2), got {value!r}")
 
     def cutoff(self, top):
         """The rank and support cutoff below ``top``, the largest eigenvalue

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import _check_horizon
 from .channels import DensityMatrix, LindbladGenerator, QuantumChannel, _is_channel
-from .errors import NotHermitian, NotPSD, NotUnital, ParseError, ValidationError
-from .linalg import DimMismatch, ToleranceConfig
-from .models import FIXTURES, build_fixture
+from .errors import ParseError, ValidationError
+from .linalg import ToleranceConfig
+from .models import build_fixture, fixture_horizon
 
 __all__ = [
     "ModelSpec",
@@ -157,7 +158,7 @@ def _as_model_spec(data, where: str) -> ModelSpec:
             raise ParseError(f"{where}: tolerance values must be numbers")
         try:
             tolerances = ToleranceConfig(**{k: float(raw[k]) for k in raw})
-        except ValueError as exc:
+        except ValidationError as exc:
             raise ValidationError(f"{where}: bad tolerances: {exc}") from exc
 
     horizon = None
@@ -166,13 +167,13 @@ def _as_model_spec(data, where: str) -> ModelSpec:
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise ParseError(f"{where}: 'horizon' must be a number")
         horizon = float(raw)
-        if not 0 < horizon < np.inf:
-            raise ValidationError(f"{where}: 'horizon' must be positive and finite, got {horizon}")
 
-    try:
-        model = kind(*operators, tolerances)
-    except (NotUnital, NotHermitian, DimMismatch) as exc:
-        raise ValidationError(str(exc)) from exc
+    model = kind(*operators, tolerances)
+    if horizon is not None:
+        try:
+            _check_horizon(horizon, _is_channel(model))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
     return ModelSpec(label, model, tolerances, horizon)
 
 
@@ -192,19 +193,17 @@ def parse_model(path) -> ModelSpec:
     """Read and validate a model file.
 
     ParseError covers malformed structure (bad JSON, unknown keys, wrong
-    entry shapes); ValidationError covers semantic violations (dimension
-    mismatches, a non-Hermitian Hamiltonian, a non-unital Kraus family,
-    both or neither generator forms present).
+    entry shapes); ValidationError, or its DimMismatch, NotHermitian and
+    NotUnital, covers semantic violations (dimension mismatches, a
+    non-Hermitian Hamiltonian, a non-unital Kraus family, both or neither
+    generator forms present, a horizon the model kind does not accept).
     """
     return _as_model_spec(_load_json(path), str(path))
 
 
 def model_spec_from_fixture(name: str) -> ModelSpec:
     """ModelSpec for a named fixture (what ``examples emit`` writes)."""
-    if name not in FIXTURES:
-        raise ValidationError(
-            f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}")
-    return ModelSpec(name, build_fixture(name), None, FIXTURES[name].horizon)
+    return ModelSpec(name, build_fixture(name), None, fixture_horizon(name))
 
 
 def parse_state(path, dim: int | None = None) -> DensityMatrix:
@@ -226,5 +225,5 @@ def parse_state(path, dim: int | None = None) -> DensityMatrix:
         raise ValidationError(f"{path}: state dimension {data['dim']} does not match model dimension {dim}")
     try:
         return DensityMatrix(m)
-    except (NotPSD, ValueError, DimMismatch) as exc:
+    except ValidationError as exc:
         raise ValidationError(f"{path}: not a density matrix: {exc}") from exc

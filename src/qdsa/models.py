@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LindbladGenerator, QuantumChannel
+from .errors import ValidationError
 
 __all__ = [
     "identity_model",
@@ -103,13 +104,15 @@ def fixture_names():
     return sorted(FIXTURES)
 
 
-def build_fixture(name: str):
+def _fixture(name: str) -> Fixture:
     if name not in FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
-    return FIXTURES[name].build()
+        raise ValidationError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
+    return FIXTURES[name]
+
+
+def build_fixture(name: str):
+    return _fixture(name).build()
 
 
 def fixture_horizon(name: str) -> float:
-    if name not in FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
-    return FIXTURES[name].horizon
+    return _fixture(name).horizon

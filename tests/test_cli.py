@@ -338,6 +338,23 @@ def test_channel_horizon_must_be_an_iteration_count(tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_fractional_channel_horizon_in_a_model_file_exits_1(tmp_path, command):
+    """A channel file's horizon is checked as an iteration count when the
+    file is parsed, so evolve, which never uses it, rejects it too."""
+    spec = model_spec_from_fixture("ADK").to_json_dict()
+    spec["horizon"] = 2.5
+    path = tmp_path / "adk.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dim": 2, "matrix": matrix_to_json(np.eye(2) / 2)}),
+                     encoding="utf-8")
+    extra = ["--state", str(state), "--times", "1"] if command == "evolve" else []
+    code, out, err = run_cli(command, "--model", str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: discrete channels need an integer horizon, got 2.5\n"
+
+
 class TestExamplesCommand:
     def test_list(self):
         code, out, _ = run_cli("examples", "list")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestParseModel:
         path = write_json(tmp_path, "hz.json", spec)
         with pytest.raises(ValidationError, match="horizon"):
             parse_model(path)
+
+    def test_channel_horizon_is_an_iteration_count(self, tmp_path):
+        spec = model_spec_from_fixture("ADK").to_json_dict()
+        spec["horizon"] = 5
+        assert parse_model(write_json(tmp_path, "adk5.json", spec)).horizon == 5.0
+        spec["horizon"] = 2.5
+        path = write_json(tmp_path, "adk.json", spec)
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: discrete channels need an integer "
+                                 f"horizon, got 2.5$"):
+            parse_model(path)
+        spec = model_spec_from_fixture("AD").to_json_dict()
+        spec["horizon"] = 2.5
+        assert parse_model(write_json(tmp_path, "ad.json", spec)).horizon == 2.5
 
     def test_tolerance_overrides(self, tmp_path):
         spec = model_spec_from_fixture("AD").to_json_dict()

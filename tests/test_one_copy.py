@@ -92,6 +92,20 @@ def test_channel_iteration_count_rule_lives_in_channels():
 
 def test_library_horizon_rule_lives_in_asymptotics():
     assert occurrences("0 < horizon < math.inf") == {"asymptotics.py": 1}
+    assert set(occurrences("horizon < np.inf")) <= {"asymptotics.py"}
+
+
+def test_input_errors_are_raised_typed():
+    assert occurrences("raise ValueError(") == {}
+    assert occurrences("raise KeyError(") == {}
+
+
+def test_fixture_lookup_lives_in_models():
+    assert occurrences("unknown fixture") == {"models.py": 1}
+
+
+def test_hermitian_rule_lives_in_linalg():
+    assert occurrences("is not Hermitian") == {"linalg.py": 1}
 
 
 def test_one_perfect_square_rule():
