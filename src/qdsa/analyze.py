@@ -27,7 +27,6 @@ from .errors import ParseError, ValidationError
 from .linalg import (
     Projection,
     ToleranceConfig,
-    hermitian_part,
     opnorm,
     support_projection,
 )
@@ -236,7 +235,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         for e in np.eye(dyn.dim))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
-    limit_support = support_projection(hermitian_part(report.limit_estimate), tol)
+    limit_support = support_projection(report.limit_estimate, tol)
     checks.append(CheckResult("limit-support-full",
                               float(dyn.dim - limit_support.rank), 0.5))
 

@@ -87,7 +87,7 @@ from .channels import (
     HEISENBERG,
     DensityMatrix,
     Superoperator,
-    _iteration_count,
+    _check_horizon,
     _propagate,
     _real_schrodinger,
     _terms,
@@ -100,7 +100,6 @@ from .errors import (
     FamilyNotSubharmonic,
     InternalError,
     TheoremViolation,
-    ValidationError,
 )
 from .harmonic import _residual
 from .linalg import (
@@ -401,15 +400,6 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
     w = np.clip(w, 0.0, None)
     m = (v * w) @ v.conj().T
     return DensityMatrix(m / np.trace(m), tol)
-
-
-def _check_horizon(horizon: float, discrete: bool) -> None:
-    """ValidationError unless ``0 < horizon < inf`` and, for a channel
-    (``discrete``), the horizon is an iteration count of at least 1."""
-    if not 0 < horizon < math.inf:
-        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
-    if discrete and _iteration_count(horizon) < 1:
-        raise ValidationError(f"a channel's horizon is at least one iteration, got {horizon}")
 
 
 def _limit(dyn: Dynamics, a: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:

@@ -524,30 +524,36 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     return Superoperator(r.T if picture == HEISENBERG else r, picture)
 
 
-def _iteration_count(t: float) -> int:
-    """The iteration count a discrete horizon ``t`` stands for; ``t`` must be
-    finite and integral within 1e-9, else ValidationError."""
-    if not np.isfinite(t):
-        raise ValidationError(f"discrete channels need a finite horizon, got {t}")
+def _check_time(t: float, discrete: bool) -> float:
+    """The one time rule: a time is nonnegative and finite (NegativeTime
+    below 0, else ValidationError), and a channel's (``discrete``) is an
+    iteration count, integral within 1e-9 (ValidationError).  Returns ``t``
+    for a generator and the iteration count for a channel."""
+    if not 0 <= t < math.inf:
+        raise (NegativeTime if t < 0 else ValidationError)(
+            f"time must be nonnegative and finite, got {t}")
+    if not discrete:
+        return t
     n = int(round(t))
     if abs(t - n) > 1e-9:
         raise ValidationError(f"discrete channels need an integer horizon, got {t}")
     return n
 
 
+def _check_horizon(horizon: float, discrete: bool) -> None:
+    """ValidationError unless ``horizon`` is a time (:func:`_check_time`)
+    that is positive and, for a channel, at least one iteration."""
+    if not 0 < horizon < math.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
+    if discrete and _check_time(horizon, discrete) < 1:
+        raise ValidationError(f"a channel's horizon is at least one iteration, got {horizon}")
+
+
 def _propagate(r: np.ndarray, t: float, discrete: bool) -> np.ndarray:
     """``r^n`` (``n = t`` iterations) for a channel, ``exp(t r)`` for a
-    generator, on the real form ``r``; NegativeTime for ``t < 0`` and
-    ValidationError for a non-finite ``t``."""
-    if discrete:
-        if t < 0:
-            raise NegativeTime(f"iteration count must be nonnegative, got {t}")
-        return np.linalg.matrix_power(r, _iteration_count(t))
-    if t < 0:
-        raise NegativeTime(f"evolution time must be nonnegative, got {t}")
-    if not np.isfinite(t):
-        raise ValidationError(f"evolution time must be finite, got {t}")
-    return matrix_exp(t * r)
+    generator, on the real form ``r``; ``t`` must pass :func:`_check_time`."""
+    t = _check_time(t, discrete)
+    return np.linalg.matrix_power(r, t) if discrete else matrix_exp(t * r)
 
 
 def propagator(obj, t: float, picture: str = HEISENBERG) -> Superoperator:

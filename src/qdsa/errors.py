@@ -24,8 +24,8 @@ class QdsaError(Exception):
 
 class ValidationError(QdsaError, ValueError):
     """An input (a parsed object or an argument) violates a semantic
-    constraint; also a ValueError.  DimMismatch, NotHermitian, NotPSD and
-    NotUnital are its named rules."""
+    constraint; also a ValueError.  DimMismatch, NotHermitian, NotPSD,
+    OutOfUnitInterval, NotUnital and NegativeTime are its named rules."""
 
 
 class DimMismatch(ValidationError):
@@ -40,7 +40,7 @@ class NotPSD(ValidationError):
     """A matrix expected to be positive semidefinite is not."""
 
 
-class OutOfUnitInterval(QdsaError):
+class OutOfUnitInterval(ValidationError):
     """An operator expected to satisfy 0 <= x <= 1 violates the bound."""
 
 
@@ -48,7 +48,7 @@ class NotUnital(ValidationError):
     """A Kraus family fails the unitality (trace-preservation) condition."""
 
 
-class NegativeTime(QdsaError):
+class NegativeTime(ValidationError):
     """Evolution was requested for a negative time."""
 
 

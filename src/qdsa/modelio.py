@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _check_horizon
-from .channels import DensityMatrix, LindbladGenerator, QuantumChannel, _is_channel
+from .channels import DensityMatrix, LindbladGenerator, QuantumChannel, _check_horizon, _is_channel
 from .errors import ParseError, ValidationError
 from .linalg import ToleranceConfig
 from .models import build_fixture, fixture_horizon

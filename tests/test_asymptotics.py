@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ from qdsa.harmonic import (
     kraus_invariance_test,
     subharmonic_residual,
 )
-from qdsa.analyze import run_analyze
+from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.errors import (
     ConvergenceFailure,
     DimMismatch,
@@ -55,6 +56,7 @@ from qdsa.linalg import (
     support_projection,
     trace_norm,
 )
+from qdsa.modelio import ModelSpec, parse_model
 from qdsa.models import build_fixture, fixture_horizon, fixture_names
 from qdsa.sampling import block_diagonal_channel, random_generator, transient_block_generator
 
@@ -486,32 +488,79 @@ class TestCesaro:
             cesaro_mean(ad, rho, -1.0)
 
 
-@pytest.mark.parametrize("name", ["TH", "AD", "ADK"])
-@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
-class TestHorizonRule:
-    """A horizon is accepted only when ``0 < T < inf``; the error is a
-    ValidationError, which is also a ValueError
-    (:func:`test_every_horizon_error_is_typed`)."""
+def _parse_with_horizon(model, horizon, tmp_path):
+    """``parse_model`` on a file holding ``model`` and ``horizon``."""
+    data = {**ModelSpec("model", model, None, None).to_json_dict(), "horizon": horizon}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")  # NaN and Infinity as json writes them
+    return parse_model(path)
 
+
+_HORIZON_RULE = "horizon must be positive and finite"
+_TIME_RULE = "time must be nonnegative and finite"
+
+# every entry point that takes a horizon or a time, and the rule it applies
+_ENTRY_POINTS = {
+    "propagator": (_TIME_RULE, lambda m, t, tmp: propagator(m, t)),
+    "generator_to_channel": (_TIME_RULE, lambda m, t, tmp: generator_to_channel(m, t)),
+    "Dynamics.flow": (_TIME_RULE, lambda m, t, tmp: Dynamics(m).flow(t)),
+    "cesaro_mean": (_HORIZON_RULE, lambda m, t, tmp: cesaro_mean(
+        m, DensityMatrix.maximally_mixed(m.dim), t)),
+    "recurrent_projection": (_HORIZON_RULE, lambda m, t, tmp: recurrent_projection(
+        m, horizon=t)),
+    "decay_ideal_test": (_HORIZON_RULE, lambda m, t, tmp: decay_ideal_test(
+        m, np.eye(m.dim), Projection.identity(m.dim), t)),
+    "minimality_certificate": (_HORIZON_RULE, lambda m, t, tmp: minimality_certificate(
+        m, Projection.identity(m.dim), minimal_enclosures(m), trials=1, horizon=t)),
+    "run_analyze": (_HORIZON_RULE, lambda m, t, tmp: run_analyze(
+        m, AnalysisOptions(horizon=t))),
+    "model-file": (_HORIZON_RULE, _parse_with_horizon),
+}
+
+
+@pytest.mark.parametrize("name", ["TH", "AD", "ADK"])
+class TestHorizonRule:
+    """A time must be ``0 <= t < inf`` and a horizon ``0 < T < inf``; on a
+    channel either is an iteration count, of at least 1 for a horizon.  The
+    one rule sits in ``channels`` and its error is a ValidationError, which
+    is also a ValueError."""
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
     def test_recurrent_projection(self, name, horizon):
         with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             recurrent_projection(build_fixture(name), horizon=horizon)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
     def test_cesaro_mean(self, name, horizon):
         model = build_fixture(name)
         with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             cesaro_mean(model, DensityMatrix.maximally_mixed(model.dim), horizon)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
     def test_decay_ideal_test(self, name, horizon):
         model = build_fixture(name)
         with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             decay_ideal_test(model, np.eye(model.dim), Projection.identity(model.dim), horizon)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
     def test_minimality_certificate(self, name, horizon):
         model = build_fixture(name)
         with pytest.raises(ValidationError, match="horizon must be positive and finite"):
             minimality_certificate(model, Projection.identity(model.dim),
                                    minimal_enclosures(model), trials=1, horizon=horizon)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, 2.5])
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_every_entry_point(self, name, entry, value, tmp_path):
+        rule, call = _ENTRY_POINTS[entry]
+        model = build_fixture(name)
+        if (value == 0.0 and rule == _TIME_RULE) or (value == 2.5 and name != "ADK"):
+            call(model, value, tmp_path)  # a time may be 0; a generator's need not be whole
+            return
+        message = "discrete channels need an integer horizon" if value == 2.5 else rule
+        with pytest.raises(ValidationError, match=f"{message}, got {value}$") as info:
+            call(model, value, tmp_path)
+        assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("call", [

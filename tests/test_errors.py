@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from qdsa.channels import DensityMatrix, LindbladGenerator, QuantumChannel, propagator
-from qdsa.errors import DimMismatch, NotHermitian, NotPSD, NotUnital, ValidationError
-from qdsa.linalg import ToleranceConfig
+from qdsa.errors import (
+    DimMismatch,
+    NegativeTime,
+    NotHermitian,
+    NotPSD,
+    NotUnital,
+    OutOfUnitInterval,
+    ValidationError,
+)
+from qdsa.linalg import Projection, ToleranceConfig, projection_order_diagnostic
 from qdsa.models import build_fixture, fixture_horizon
 
 
@@ -30,7 +38,12 @@ def test_input_errors_are_validation_errors(call, message):
     (NotHermitian, lambda: LindbladGenerator(np.array([[0.0, 1.0], [0.0, 0.0]]))),
     (NotPSD, lambda: DensityMatrix(np.diag([1.5, -0.5]))),
     (NotUnital, lambda: QuantumChannel([2 * np.eye(2)])),
-], ids=["DimMismatch", "NotHermitian", "NotPSD", "NotUnital"])
+    (OutOfUnitInterval, lambda: projection_order_diagnostic(np.diag([1.5, 0.0]),
+                                                            Projection.identity(2))),
+    (NegativeTime, lambda: propagator(build_fixture("AD"), -1.0)),
+    (NegativeTime, lambda: propagator(build_fixture("ADK"), -1.0)),
+], ids=["DimMismatch", "NotHermitian", "NotPSD", "NotUnital", "OutOfUnitInterval",
+        "NegativeTime-generator", "NegativeTime-channel"])
 def test_input_rules_are_validation_errors(rule, call):
     assert issubclass(rule, ValidationError)
     with pytest.raises(rule) as info:

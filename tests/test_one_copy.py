@@ -90,9 +90,13 @@ def test_channel_iteration_count_rule_lives_in_channels():
     assert occurrences("round(t)") == {"channels.py": 1}
 
 
-def test_library_horizon_rule_lives_in_asymptotics():
-    assert occurrences("0 < horizon < math.inf") == {"asymptotics.py": 1}
-    assert set(occurrences("horizon < np.inf")) <= {"asymptotics.py"}
+def test_library_horizon_rule_lives_in_channels():
+    assert occurrences("0 < horizon < math.inf") == {"channels.py": 1}
+    assert set(occurrences("horizon < np.inf")) <= {"channels.py"}
+    assert occurrences("0 <= t < math.inf") == {"channels.py": 1}
+    # the CLI hands --horizon and --times to that rule unchecked
+    assert "math.inf" not in (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "from .asymptotics import" not in (PACKAGE / "modelio.py").read_text(encoding="utf-8")
 
 
 def test_input_errors_are_raised_typed():
