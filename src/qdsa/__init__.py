@@ -81,6 +81,7 @@ from .asymptotics import (
     cesaro_limit,
     cesaro_mean,
     decay_ideal_test,
+    decay_ideal_units,
     minimal_enclosures,
     minimality_certificate,
     recurrent_projection,

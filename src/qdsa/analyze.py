@@ -20,7 +20,7 @@ from .asymptotics import (
     DEFAULT_DECAY_TOL,
     DEFAULT_HORIZON,
     Dynamics,
-    decay_ideal_test,
+    decay_ideal_units,
     recurrent_projection,
 )
 from .errors import ParseError, ValidationError
@@ -230,9 +230,8 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
 
     # E_jj stands for the d matrix units E_ij of its column: E_ij r holds
     # row j of r, and E_ij^dag E_ij = E_jj
-    disagreements = dyn.dim * sum(
-        decay_ideal_test(dyn, np.outer(e, e), r_min, horizon, tol).decisively_disagrees(tol.atol)
-        for e in np.eye(dyn.dim))
+    disagreements = dyn.dim * sum(unit.decisively_disagrees(tol.atol)
+                                  for unit in decay_ideal_units(dyn, report, tol))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
     limit_support = support_projection(report.limit_estimate, tol)

@@ -47,11 +47,9 @@ path:
    ``alpha`` maps ``qMq`` into itself, so ``alpha_T(q)`` is the flow of
    the corner of ``q`` applied to its identity, an ``m^2 x m^2`` real
    propagator (``m = rank q``), and ``alpha_T(r) = 1 - alpha_T(q)`` by
-   unitality: both diagnostics come from the corner and coincide in exact
-   arithmetic.  Whether the decay ideal
-   ``{a : alpha_t(a^dag a) -> 0}`` matches the left ideal of operators
-   annihilating the recurrent block from the right is tested on the full
-   propagator.
+   unitality.  Whether the decay ideal ``{a : alpha_t(a^dag a) -> 0}`` is
+   the left ideal of operators annihilating ``r`` from the right is read
+   off that flow and the stationary state (:func:`decay_ideal_units`).
 
 Oscillatory peripheral spectrum means plain limits of states may not
 exist, so state-level limits always go through Cesaro means, while the
@@ -116,6 +114,7 @@ from .linalg import (
     proj_supremum,
     projections_equal,
     support_projection,
+    trace_norm,
 )
 from .sampling import gaussian_block, random_combination, random_projection
 
@@ -136,6 +135,7 @@ __all__ = [
     "minimal_enclosures",
     "recurrent_projection",
     "decay_ideal_test",
+    "decay_ideal_units",
     "minimality_certificate",
     "restricted_stationary_dim",
 ]
@@ -329,9 +329,10 @@ class Dynamics:
     Schrodinger form :func:`~qdsa.channels._real_schrodinger` sums from
     them, its one kernel split (:func:`_split_kernel_range`), the stationary
     space and its support (that of its maximal-support state,
-    :func:`stationary_support`) for each tolerance, and the real propagator
-    for each horizon and picture asked for, the Heisenberg one taken on the
-    transpose, so no second superoperator is built.  Build one per
+    :func:`stationary_support`) for each tolerance, the real propagator for
+    each horizon and picture asked for (the Heisenberg one on the transpose,
+    so no second superoperator is built) and that of a transient corner
+    (:meth:`transient`).  Build one per
     top-level call and pass it to the functions of this module in place of
     the model; it is dropped when the call returns, so the memory it holds
     never outlives the analysis.  It keeps no model, only the terms, so a
@@ -366,6 +367,13 @@ class Dynamics:
         r = self.schrodinger.T if picture == HEISENBERG else self.schrodinger
         return self._cached(("flow", horizon, picture), lambda: Superoperator(
             _propagate(r, horizon, self.discrete), picture))
+
+    def transient(self, r: Projection, horizon: float):
+        """An isometry ``W`` onto ``1 - r`` and its corner's propagator."""
+        def build():
+            w = r.complement().range_basis
+            return w, _corner(self, w).flow(horizon)
+        return self._cached(("transient", horizon, r.matrix.tobytes()), build)
 
     def split(self, tol: ToleranceConfig):
         """Kernel and left kernel of the fixed-point matrix, from
@@ -672,8 +680,8 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
         if not residual <= tol.atol:
             raise InternalError(
                 f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
-        w = r_min.complement().range_basis
-        transient = w @ _corner(dyn, w).flow(horizon).apply(np.eye(w.shape[1])) @ w.conj().T
+        w, flow = dyn.transient(r_min, horizon)
+        transient = w @ flow.apply(np.eye(w.shape[1])) @ w.conj().T
     estimate = hermitian_part(np.eye(d) - transient)
     estimate.flags.writeable = False
     sup_deviation = opnorm(estimate - np.eye(d))
@@ -713,7 +721,7 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
     Algebraically ``a`` belongs to the ideal when ``a r = 0`` (it lives in
     ``M r^perp``); dynamically when ``alpha_T(a^dag a)`` has decayed below
     ``DEFAULT_DECAY_TOL``.  The two verdicts must agree whenever the
-    residuals are decisive.
+    residuals are decisive.  :func:`decay_ideal_units` is the fast path.
     """
     tol = _tol(tol)
     dyn = _as_dynamics(obj)
@@ -729,6 +737,38 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
         algebraic_residual=algebraic_residual,
         dynamic_residual=dynamic_residual,
     )
+
+
+def decay_ideal_units(obj, report: RecurrentReport,
+                      tol: ToleranceConfig | None = None) -> tuple:
+    """:func:`decay_ideal_test`'s verdicts on each ``E_jj`` at the horizon ``T``
+    of ``report``, from the first step that decides (README, Conventions): (1)
+    ``eps = |E_jj r|``, a row norm of ``r``; (2) if ``eps >= 10 atol``, the
+    bound ``|alpha_T(E_jj)| >= sigma_jj - T |F sigma|_1`` (``sigma`` stationary,
+    ``F`` the fixed-point matrix), decisive from ``10 DEFAULT_DECAY_TOL``; (3) if
+    ``eps <= atol``, the transient corner's ``|alpha_T(q E_jj q)|``, within ``2
+    eps``; (4) else decay_ideal_test.  ``dynamic_residual`` is what was read.
+    """
+    tol = _tol(tol)
+    dyn = _as_dynamics(obj)
+    r, horizon = report.recurrent, report.horizon
+    sigma = dyn.space(tol).state.matrix
+    x = hermitian_coords(sigma)
+    slack = horizon * trace_norm(from_hermitian_coords(
+        dyn.schrodinger @ x - dyn.discrete * x, dyn.dim))
+    def verdict(j, eps):
+        bound = float(sigma[j, j].real) - slack
+        if eps >= 10 * tol.atol and bound >= 10 * DEFAULT_DECAY_TOL:
+            return DecayIdealResult(False, False, eps, bound)
+        if eps <= tol.atol:
+            w, flow = dyn.transient(r, horizon)
+            value = opnorm(flow.apply(np.outer(w[j].conj(), w[j])))
+            low, high = ((v <= DEFAULT_DECAY_TOL, _decisive(v, DEFAULT_DECAY_TOL))
+                         for v in (value - 2 * eps, value + 2 * eps))
+            if low == high:
+                return DecayIdealResult(True, low[0], eps, value)
+        return decay_ideal_test(dyn, np.diag(np.eye(dyn.dim)[j]), r, horizon, tol)
+    return tuple(verdict(j, eps) for j, eps in enumerate(np.linalg.norm(r.matrix, axis=1)))
 
 
 def cesaro_mean(obj, rho: DensityMatrix, horizon: float,

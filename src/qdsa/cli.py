@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .analyze import AnalysisOptions, default_seed, run_analyze
@@ -161,15 +162,14 @@ def main(argv=None) -> int:
         # latter onto the validation exit code.
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "evolve":
-            return _cmd_evolve(args)
-        if args.command == "examples":
-            return _cmd_examples(args)
-        raise InternalError(f"unknown command {args.command!r}")
+        code = {"analyze": _cmd_analyze, "verify": _cmd_verify, "evolve": _cmd_evolve,
+                "examples": _cmd_examples}[args.command](args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # a closed reader: stdout to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
     except TheoremViolation as exc:
         print(f"structural failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

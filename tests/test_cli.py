@@ -418,3 +418,22 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
         assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["analyze", "examples"])
+def test_closed_reader_exits_1_without_traceback(tmp_path, command):
+    # the read end is closed before the call starts, so its first write
+    # meets a broken pipe
+    args = (["analyze", "--model", str(emit_fixture(tmp_path, "AD"))] if command == "analyze"
+            else ["examples", "list"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qdsa.cli", *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

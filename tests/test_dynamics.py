@@ -10,12 +10,13 @@ import pytest
 import qdsa.analyze
 import qdsa.asymptotics
 import qdsa.channels
-from conftest import run_cli
+from conftest import ket_bra, run_cli
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     DEFAULT_HORIZON,
     Dynamics,
     decay_ideal_test,
+    decay_ideal_units,
     recurrent_projection,
     stationary_space,
 )
@@ -62,13 +63,12 @@ def _counting(monkeypatch, owner, attr):
 
 
 def _propagator_sizes(report) -> list:
-    """Sizes of the propagators one ``run_analyze`` may build, in call order:
+    """Sizes of the propagators one ``run_analyze`` builds on these models:
     the ``m^2 x m^2`` transient corner of ``recurrent_projection`` when the
-    transient rank ``m`` is nonzero, then the one ``d^2 x d^2`` propagator of
-    the decay-ideal columns."""
-    d = report.dim
-    m = d - report.recurrent.rank
-    return ([m * m] if m else []) + [d * d]
+    transient rank ``m`` is nonzero, else none; ``decay_ideal_units`` decides
+    every matrix unit without the ``d^2 x d^2`` propagator."""
+    m = report.dim - report.recurrent.rank
+    return [m * m] if m else []
 
 
 class TestSharedObjects:
@@ -127,6 +127,76 @@ class TestSharedObjects:
             assert np.array_equal(bare.recurrent.matrix, shared.recurrent.matrix), name
             assert bare.sup_deviation == shared.sup_deviation, name
             assert stationary_space(model).dim == stationary_space(Dynamics(model)).dim
+
+
+def _analyze_ladder():
+    """The benchmark's analyze-ladder rungs at seeds 1-3."""
+    rungs = []
+    for seed in (1, 2, 3):
+        for kind, d in (("generator", 4), ("generator", 8), ("generator", 12),
+                        ("channel", 8), ("channel", 16)):
+            rng = np.random.default_rng(seed)
+            model = (transient_block_generator(d // 2, d - d // 2, rng)[0] if kind == "generator"
+                     else block_diagonal_channel([4] * (d // 4), 2, rng)[0])
+            rungs.append((f"{kind}-d{d}-s{seed}", model, DEFAULT_HORIZON))
+    return rungs
+
+
+UNIT_MODELS = ([(name, build_fixture(name), fixture_horizon(name)) for name in fixture_names()]
+               + _analyze_ladder())
+
+
+def _verdicts(result) -> tuple:
+    return (result.in_ideal_algebraic, result.in_ideal_dynamic,
+            result.decisively_disagrees(DEFAULT_TOL.atol))
+
+
+class TestDecayIdealUnits:
+    """``decay_ideal_units`` gives ``decay_ideal_test``'s verdicts on every
+    ``E_jj``, and builds the full propagator only for a unit that neither
+    the stationary bound nor the transient corner decides."""
+
+    @pytest.mark.parametrize("name,model,horizon", UNIT_MODELS,
+                             ids=[name for name, _, _ in UNIT_MODELS])
+    def test_verdicts_match_decay_ideal_test(self, name, model, horizon):
+        dyn = Dynamics(model)
+        report = recurrent_projection(dyn, horizon=horizon, seed=GOLDEN_SEED)
+        units = decay_ideal_units(dyn, report, DEFAULT_TOL)
+        assert len(units) == model.dim
+        for j, got in enumerate(units):
+            ref = decay_ideal_test(model, ket_bra(model.dim, j, j), report.recurrent, horizon)
+            assert _verdicts(got) == _verdicts(ref), f"{name} E_{j}{j}"
+
+    def test_indecisive_bound_takes_the_full_flow(self, monkeypatch):
+        # sigma_11 is about 5e-8, below the bound's 1e-7, and E_11 r != 0
+        model = thermal_qubit(1.0, 5e-8)
+        dyn = Dynamics(model)
+        report = recurrent_projection(dyn, seed=GOLDEN_SEED)
+        calls = _counting(monkeypatch, qdsa.asymptotics, "_propagate")
+        units = decay_ideal_units(dyn, report, DEFAULT_TOL)
+        assert [args[0].shape[0] for args in calls] == [4]
+        assert units[1] == decay_ideal_test(dyn, ket_bra(2, 1, 1), report.recurrent)
+
+    def test_m3_transient_unit_reads_the_corner(self, monkeypatch, m3):
+        horizon = fixture_horizon("M3")
+        dyn = Dynamics(m3)
+        report = recurrent_projection(dyn, horizon=horizon, seed=GOLDEN_SEED)
+        calls = _counting(monkeypatch, qdsa.asymptotics, "_propagate")
+        got = decay_ideal_units(dyn, report, DEFAULT_TOL)[2]
+        assert calls == []
+        eps = got.algebraic_residual
+        assert eps <= DEFAULT_TOL.atol
+        ref = decay_ideal_test(m3, ket_bra(3, 2, 2), report.recurrent, horizon)
+        # within 2 eps, up to the rounding of two routes to the same value
+        assert got.dynamic_residual == pytest.approx(ref.dynamic_residual, rel=1e-12, abs=2 * eps)
+        assert _verdicts(got) == _verdicts(ref)
+
+    def test_faithful_channel_propagates_nothing(self, monkeypatch):
+        channel = _ladder_models()[2][1]
+        calls = _counting(monkeypatch, qdsa.asymptotics, "_propagate")
+        report = run_analyze(channel, AnalysisOptions(seed=GOLDEN_SEED))
+        assert report.recurrent.rank == channel.dim
+        assert calls == []
 
 
 class TestMatrixUnitDecay:
