@@ -27,6 +27,7 @@ from .errors import ParseError, ValidationError
 from .linalg import (
     Projection,
     ToleranceConfig,
+    _is_integer,
     opnorm,
     support_projection,
 )
@@ -55,8 +56,9 @@ def default_seed() -> int:
 
 
 def _check_seed(seed) -> int:
-    """``seed``; ValidationError unless it is a nonnegative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """``seed``; ValidationError unless it is a nonnegative integer (a bool
+    is not)."""
+    if not _is_integer(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     return seed
 
@@ -97,7 +99,7 @@ def _key(data, key: str, where: str):
 def _projection_from_json(data, dim: int) -> Projection:
     cols = _key(data, "range_basis", "projection")
     rank = _key(data, "rank", "projection")
-    if not isinstance(rank, int) or isinstance(rank, bool):
+    if not _is_integer(rank):
         raise ParseError(f"projection: 'rank' must be an integer, got {rank!r}")
     basis = (np.zeros((dim, 0), dtype=complex) if cols == []
              else matrix_from_json(cols, "range_basis").T)

@@ -106,6 +106,7 @@ from .linalg import (
     _check_operand,
     _decisive,
     _hermitian_spectrum,
+    _norm_exceeds,
     _tol,
     as_complex_matrix,
     hermitian_part,
@@ -281,7 +282,7 @@ def _block_kernel(r: np.ndarray, discrete: bool, solve, block: np.ndarray, cutof
     residual = r @ kernel
     if discrete:
         residual -= kernel
-    if opnorm(residual) > bound * float(ritz[ritz > cutoff].min()):
+    if _norm_exceeds(residual, bound * float(ritz[ritz > cutoff].min())):
         return None
     return kernel
 
@@ -450,7 +451,7 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
     tol = _tol(tol)
     support = support_projection(space.state.matrix, tol)
     outside = support.complement().matrix
-    if any(opnorm(outside @ b) > tol.atol * opnorm(b) for b in space.basis):
+    if any(_norm_exceeds(outside @ b, tol.atol * opnorm(b)) for b in space.basis):
         raise InternalError("stationary support disagrees with the maximal-state support")
     return support
 
@@ -508,7 +509,7 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
 def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
     for i, a in enumerate(hermitian_basis):
         for b in hermitian_basis[i + 1:]:
-            if opnorm(a @ b - b @ a) > 10 * tol.atol:
+            if _norm_exceeds(a @ b - b @ a, 10 * tol.atol):
                 return False
     return True
 

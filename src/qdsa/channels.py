@@ -53,6 +53,7 @@ from .linalg import (
     ToleranceConfig,
     _check_hermitian,
     _check_operand,
+    _norm_exceeds,
     _tol,
     as_complex_matrix,
     hermitian_part,
@@ -114,13 +115,12 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape((m, m), order="F")
 
 
-def _matrix_units(dim: int):
-    """The matrix units ``E_ij``, row by row."""
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            yield unit
+def _matrix_units(dim: int) -> np.ndarray:
+    """The read-only ``(dim^2, dim, dim)`` stack of the matrix units
+    ``E_ij``, row by row: ``E_ij`` is at ``i * dim + j``."""
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    units.flags.writeable = False
+    return units
 
 
 @cache
@@ -241,10 +241,9 @@ class QuantumChannel:
         for v in ops:
             if v.shape != (dim, dim):
                 raise DimMismatch("Kraus operators must share one square shape")
-        gram = sum(v.conj().T @ v for v in ops)
-        residual = opnorm(gram - np.eye(dim))
-        if residual > tol.atol:
-            raise NotUnital(f"sum V^dag V deviates from identity by {residual:.3e}")
+        defect = sum(v.conj().T @ v for v in ops) - np.eye(dim)
+        if _norm_exceeds(defect, tol.atol):
+            raise NotUnital(f"sum V^dag V deviates from identity by {opnorm(defect):.3e}")
         for v in ops:
             v.flags.writeable = False
         self.dim = dim
@@ -376,9 +375,9 @@ class StinespringDilation:
         if v.ndim != 2 or multiplicity < 1 or v.shape[0] != v.shape[1] * multiplicity:
             raise DimMismatch("isometry must have shape (d*n, d)")
         dim = v.shape[1]
-        residual = opnorm(v.conj().T @ v - np.eye(dim))
-        if residual > tol.atol:
-            raise NotUnital(f"V^dag V deviates from identity by {residual:.3e}")
+        defect = v.conj().T @ v - np.eye(dim)
+        if _norm_exceeds(defect, tol.atol):
+            raise NotUnital(f"V^dag V deviates from identity by {opnorm(defect):.3e}")
         v.flags.writeable = False
         self.isometry = v
         self.multiplicity = multiplicity
@@ -390,8 +389,13 @@ class StinespringDilation:
 
     def reconstruct(self, a) -> np.ndarray:
         """Evaluate ``V^dag pi(a) V``, which must reproduce the channel."""
+        return self._reconstruct(as_complex_matrix(a))
+
+    def _reconstruct(self, a: np.ndarray) -> np.ndarray:
+        """``V^dag (a kron 1_n) V``, unchecked; broadcast over the leading
+        axes of a stack ``a``."""
         v = self.isometry
-        return v.conj().T @ self.represent(a) @ v
+        return v.conj().T @ _kron(a, np.eye(self.multiplicity)) @ v
 
 
 def _schrodinger_action(ops, m: np.ndarray) -> np.ndarray:
@@ -399,11 +403,18 @@ def _schrodinger_action(ops, m: np.ndarray) -> np.ndarray:
     return sum(v @ m @ v.conj().T for v in ops)
 
 
+def _heisenberg_action(ops, m: np.ndarray) -> np.ndarray:
+    """``sum_i V_i^dag m V_i`` over the Kraus family ``ops``, unchecked;
+    broadcast over the leading axes of a stack ``m``, each matrix of the
+    stack with the bits of its own sum."""
+    return sum(v.conj().T @ m @ v for v in ops)
+
+
 def apply_heisenberg(ch: QuantumChannel, a) -> np.ndarray:
     """Heisenberg action ``sum_i V_i^dag a V_i`` on an observable."""
     m = as_complex_matrix(a)
     _check_operand(m.shape[0], ch.dim)
-    return sum(v.conj().T @ m @ v for v in ch.kraus_ops)
+    return _heisenberg_action(ch.kraus_ops, m)
 
 
 def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.ndarray:
@@ -431,9 +442,10 @@ def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.n
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices as one broadcast product (same bits,
-    without ``np.kron``'s generic shape handling)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    without ``np.kron``'s generic shape handling); of each matrix of a
+    stack ``a`` with ``b``."""
+    return (a[..., :, None, :, None] * b[None, :, None, :]).reshape(
+        *a.shape[:-2], a.shape[-2] * b.shape[0], a.shape[-1] * b.shape[1])
 
 
 def _is_channel(obj) -> bool:

@@ -106,19 +106,46 @@ def _check_operand(dim: int, model_dim: int) -> None:
         raise DimMismatch(f"operand dimension {dim} does not match the model ({model_dim})")
 
 
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a square complex matrix with finite entries."""
     return _check_square(np.array(a, dtype=complex))
 
 
 def opnorm(m: np.ndarray) -> float:
-    """Spectral (largest singular value) norm; 0.0 for an empty matrix.
+    """Spectral (largest singular value) norm; 0.0 for an empty matrix.  Of
+    a stack of matrices (leading axes), the largest norm in the stack, from
+    one stacked SVD.
 
     The same LAPACK call as ``np.linalg.norm(m, 2)`` without its axis
     bookkeeping; singular values come back in descending order.
     """
     s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    if not s.size:
+        return 0.0
+    return float(s[0] if s.ndim == 1 else s[..., 0].max())
+
+
+# Below this bound the squares summed into the Frobenius norm may underflow,
+# so _norm_exceeds always takes the SVD.
+_FROBENIUS_FLOOR = 1e-100
+
+
+def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
+    """``opnorm(m) > bound``, for a norm that is compared and not reported.
+
+    The Frobenius norm bounds the spectral norm from above, so when it is at
+    most ``bound / 2`` the answer is False without an SVD; the factor 2
+    covers the rounding of both norms, so the decision is always that of
+    ``opnorm(m) > bound``.  Otherwise the SVD decides.
+    """
+    if bound >= _FROBENIUS_FLOOR and math.sqrt(np.vdot(m, m).real) <= bound / 2:
+        return False
+    return opnorm(m) > bound
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -141,9 +168,9 @@ def _psd_defect(m: np.ndarray) -> float:
 
 
 def _check_hermitian(m: np.ndarray, tol: ToleranceConfig, what: str = "matrix"):
-    residual = opnorm(m - m.conj().T)
-    if residual > tol.atol:
-        raise NotHermitian(f"{what} is not Hermitian (residual {residual:.3e})")
+    skew = m - m.conj().T
+    if _norm_exceeds(skew, tol.atol):
+        raise NotHermitian(f"{what} is not Hermitian (residual {opnorm(skew):.3e})")
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -234,9 +261,9 @@ class Projection:
         tol = _tol(tol)
         p = as_complex_matrix(m)
         _check_hermitian(p, tol, "projection")
-        idem = opnorm(p @ p - p)
-        if idem > tol.atol:
-            raise NotPSD(f"matrix is not idempotent (residual {idem:.3e})")
+        idem = p @ p - p
+        if _norm_exceeds(idem, tol.atol):
+            raise NotPSD(f"matrix is not idempotent (residual {opnorm(idem):.3e})")
         return _spectral_projection(p, lambda w: w > 0.5)
 
     @classmethod
@@ -250,7 +277,7 @@ class Projection:
         if b.shape[0] != dim:
             raise DimMismatch("range basis has wrong ambient dimension")
         k = b.shape[1]
-        if k and opnorm(b.conj().T @ b - np.eye(k)) > 1e-6:
+        if k and _norm_exceeds(b.conj().T @ b - np.eye(k), 1e-6):
             raise DimMismatch("range basis columns are not orthonormal")
         p = b @ b.conj().T if k else np.zeros((dim, dim), dtype=complex)
         return cls(hermitian_part(p), k, b)
@@ -281,7 +308,7 @@ def projections_equal(p: Projection, q: Projection,
     tol = _tol(tol)
     if p.dim != q.dim:
         raise DimMismatch("projections live on different spaces")
-    return opnorm(p.matrix - q.matrix) <= factor * tol.atol
+    return not _norm_exceeds(p.matrix - q.matrix, factor * tol.atol)
 
 
 def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:

@@ -20,6 +20,7 @@ import numpy as np
 from .analyze import AnalysisOptions, _check_seed, run_analyze
 from .asymptotics import Dynamics, _kernel_component
 from .channels import (
+    _heisenberg_action,
     _matrix_units,
     _schrodinger_action,
     apply_heisenberg,
@@ -40,6 +41,7 @@ from .linalg import (
     DEFAULT_TOL,
     Projection,
     _decisive,
+    _is_integer,
     _psd_defect,
     hermitian_part,
     opnorm,
@@ -274,14 +276,14 @@ def _fixed_point_support(rng, trials, dims, tol):
 
 
 def _stinespring(rng, trials, dims, tol):
+    """The dilation reconstructs the channel on every matrix unit, in one
+    pass over the stack of units."""
     for dim in dims:
+        units = _matrix_units(dim)
         for _ in range(max(1, trials // 2)):
             ch = _random_channel(dim, rng)
             dil = stinespring_dilate(ch, tol)
-            residual = 0.0
-            for unit in _matrix_units(dim):
-                residual = max(residual, opnorm(
-                    apply_heisenberg(ch, unit) - dil.reconstruct(unit)))
+            residual = opnorm(_heisenberg_action(ch.kraus_ops, units) - dil._reconstruct(units))
             yield residual, residual > 1e-12
 
 
@@ -329,8 +331,13 @@ def _fixtures(tol):
 def run_verify(seed: int = 42, trials: int = 100, dims=(2, 3, 4)) -> VerifySummary:
     """Run every property suite; deterministic for a fixed seed."""
     _check_seed(seed)
+    if not _is_integer(trials):
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
+    dims = tuple(dims)
+    if not all(_is_integer(d) for d in dims):
+        raise ValidationError(f"dims must be integers, got {dims}")
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 or d > 16 for d in dims):
         raise ValidationError(f"dims must be within 1..16, got {dims}")

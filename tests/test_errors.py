@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.channels import DensityMatrix, LindbladGenerator, QuantumChannel, propagator
 from qdsa.errors import (
     DimMismatch,
@@ -13,8 +14,10 @@ from qdsa.errors import (
     OutOfUnitInterval,
     ValidationError,
 )
+from qdsa.harmonic import subharmonic_report
 from qdsa.linalg import Projection, ToleranceConfig, projection_order_diagnostic
 from qdsa.models import build_fixture, fixture_horizon
+from qdsa.verify import run_verify
 
 
 @pytest.mark.parametrize("call,message", [
@@ -25,8 +28,16 @@ from qdsa.models import build_fixture, fixture_horizon
     (lambda: propagator(build_fixture("AD"), 1.0, "bogus"), "picture must be one of"),
     (lambda: build_fixture("NOPE"), "unknown fixture 'NOPE'; known: AD, ADK,"),
     (lambda: fixture_horizon("NOPE"), "unknown fixture 'NOPE'; known: AD, ADK,"),
+    (lambda: run_verify(1, 5, (2.5,)), r"dims must be integers, got \(2.5,\)"),
+    (lambda: run_verify(1, 2.5), "trials must be an integer, got 2.5"),
+    (lambda: subharmonic_report(build_fixture("ADK"), Projection.identity(2), trials=-3),
+     "trials must be a nonnegative integer, got -3"),
+    (lambda: run_verify(True, 2), "seed must be a nonnegative integer, got True"),
+    (lambda: run_analyze(build_fixture("AD"), AnalysisOptions(seed=True)),
+     "seed must be a nonnegative integer, got True"),
 ], ids=["empty-kraus-family", "trace", "zero-vector", "tolerance-range", "picture",
-        "build_fixture", "fixture_horizon"])
+        "build_fixture", "fixture_horizon", "verify-fractional-dim", "verify-fractional-trials",
+        "report-negative-trials", "verify-bool-seed", "analyze-bool-seed"])
 def test_input_errors_are_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message) as info:
         call()

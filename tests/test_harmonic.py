@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qdsa.verify
 from conftest import ket_bra
 from qdsa.channels import (
     HEISENBERG,
@@ -10,6 +11,7 @@ from qdsa.channels import (
     apply_heisenberg,
     generator_to_channel,
     propagator,
+    stinespring_dilate,
 )
 from qdsa.errors import FamilyNotSubharmonic, NotFixedPoint, NotPSD
 from qdsa.harmonic import (
@@ -23,6 +25,7 @@ from qdsa.harmonic import (
     subharmonic_residual,
 )
 from qdsa.linalg import (
+    DEFAULT_TOL,
     Projection,
     hermitian_part,
     opnorm,
@@ -38,6 +41,8 @@ from qdsa.sampling import (
     random_projection,
     transient_block_generator,
 )
+from qdsa.verify import _random_channel, _stinespring
+from test_dynamics import _counting
 
 
 def proj(m):
@@ -118,6 +123,100 @@ class TestSubharmonicReport:
         report = subharmonic_report(ch, Projection.zero(2))
         assert report.verdict
         assert report.face_invariance.residual == 0.0
+
+
+def _reference_sweeps(ch: QuantumChannel, p: Projection):
+    """Conditions 3 and 4 of ``subharmonic_report`` one matrix unit at a time."""
+    pm = p.matrix
+    pc = np.eye(ch.dim) - pm
+    comp = 0.0
+    corner = 0.0
+    for i in range(ch.dim):
+        for j in range(ch.dim):
+            unit = ket_bra(ch.dim, i, j)
+            comp = max(comp, opnorm(pm @ apply_heisenberg(ch, unit) @ pm
+                                    - pm @ apply_heisenberg(ch, pm @ unit @ pm) @ pm))
+            inside = apply_heisenberg(ch, pc @ unit @ pc)
+            corner = max(corner, opnorm(inside - pc @ inside @ pc))
+    return comp, corner
+
+
+def _reference_stinespring(ch: QuantumChannel) -> float:
+    """Verify's Stinespring residual one matrix unit at a time."""
+    dil = stinespring_dilate(ch)
+    residual = 0.0
+    for i in range(ch.dim):
+        for j in range(ch.dim):
+            unit = ket_bra(ch.dim, i, j)
+            residual = max(residual, opnorm(apply_heisenberg(ch, unit) - dil.reconstruct(unit)))
+    return residual
+
+
+def _fixture_channels():
+    """The channel fixtures, and each generator fixture's channel at t = 1."""
+    models = [build_fixture(name) for name in fixture_names()]
+    return [m if isinstance(m, QuantumChannel) else generator_to_channel(m, 1.0)
+            for m in models]
+
+
+class TestStackedSweeps:
+    """The one-pass sweeps over the stack of matrix units have the bits of
+    the per-unit loops they replaced."""
+
+    def _assert_sweeps(self, ch, rng, extra=()):
+        projections = [random_projection(ch.dim, k, rng) for k in range(ch.dim + 1)]
+        for p in (*projections, *extra):
+            report = subharmonic_report(ch, p, trials=1, rng=rng)
+            comp, corner = _reference_sweeps(ch, p)
+            assert report.compression.residual == comp, (ch.dim, p.rank)
+            assert report.corner.residual == corner, (ch.dim, p.rank)
+
+    def test_fixture_channels(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        channels = _fixture_channels()
+        for ch in channels:
+            blocks = [Projection.from_range_basis(np.eye(ch.dim)[:, :k], ch.dim)
+                      for k in range(ch.dim + 1)]
+            self._assert_sweeps(ch, rng, blocks)
+        # the Stinespring property with its channel draws replaced by the
+        # fixture channels: one trial per entry of dims
+        draws = iter(channels)
+        monkeypatch.setattr(qdsa.verify, "_random_channel", lambda dim, rng: next(draws))
+        outcomes = _stinespring(rng, 2, tuple(ch.dim for ch in channels), DEFAULT_TOL)
+        assert [residual for residual, _ in outcomes] == [
+            _reference_stinespring(ch) for ch in channels]
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_haar_channels(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for n_kraus in range(1, 5):
+            self._assert_sweeps(haar_random_channel(dim, n_kraus, rng), rng)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_stinespring_property(self, dim):
+        # the property draws 4 channels of 1..4 Kraus operators from its rng;
+        # replaying the draws gives the same channels
+        outcomes = list(_stinespring(np.random.default_rng(dim), 8, (dim,), DEFAULT_TOL))
+        replay = np.random.default_rng(dim)
+        channels = [_random_channel(dim, replay) for _ in outcomes]
+        assert [residual for residual, _ in outcomes] == [
+            _reference_stinespring(ch) for ch in channels]
+
+    def test_svd_calls_do_not_grow_with_dim(self, monkeypatch):
+        # a per-unit loop would make d^2 SVDs: 4 at d = 2, 36 at d = 6
+        calls = _counting(monkeypatch, np.linalg, "svd")
+        counts = []
+        for dim in (2, 6):
+            rng = np.random.default_rng(dim)
+            ch = haar_random_channel(dim, 3, rng)
+            calls.clear()
+            subharmonic_report(ch, random_projection(dim, dim // 2, rng), rng=rng)
+            report = len(calls)
+            calls.clear()
+            list(_stinespring(rng, 2, (dim,), DEFAULT_TOL))
+            counts.append((report, len(calls)))
+        assert counts[0] == counts[1]
+        assert min(counts[0]) >= 1
 
 
 class TestKrausInvariance:

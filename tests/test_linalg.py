@@ -1,12 +1,26 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qdsa.errors import DimMismatch, NotHermitian, NotPSD, OutOfUnitInterval
+from qdsa.channels import LindbladGenerator, QuantumChannel, StinespringDilation, apply_heisenberg
+from qdsa.errors import (
+    DimMismatch,
+    NotFixedPoint,
+    NotHermitian,
+    NotPSD,
+    NotUnital,
+    OutOfUnitInterval,
+)
+from qdsa.harmonic import fixed_point_support_check
 from qdsa.linalg import (
     Projection,
     ToleranceConfig,
     _fix_phases,
+    _norm_exceeds,
     _psd_defect,
     is_psd,
     matrix_exp,
@@ -288,3 +302,88 @@ class TestOrderDiagnostic:
                 x = random_unit_interval_hermitian(dim, rng)
                 p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
                 assert projection_order_diagnostic(x, p).consistent()
+
+
+_SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def _exceeds_like_opnorm(m, bound):
+    assert _norm_exceeds(m, bound) == (opnorm(m) > bound), (opnorm(m), bound)
+
+
+class TestNormExceeds:
+    """``_norm_exceeds`` decides exactly like ``opnorm(m) > bound``."""
+
+    @_SWEEP
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+           ratio=st.floats(0.25, 4.0), scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]))
+    def test_random_matrices(self, seed, dim, ratio, scale):
+        # opnorm / bound is ratio: the Frobenius shortcut decides some of
+        # them (ratio <= 1/2) and the SVD the rest
+        rng = np.random.default_rng(seed)
+        m = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        _exceeds_like_opnorm(m, opnorm(m) / ratio)
+
+    @_SWEEP
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+           scale=st.sampled_from([1e-9, 1.0, 1e3]))
+    def test_rank_one_one_ulp_either_side(self, seed, dim, scale):
+        # the Frobenius norm of a rank-1 matrix is its spectral norm, so both
+        # the decision at the bound and the shortcut's edge at twice the
+        # norm are met one ulp away
+        rng = np.random.default_rng(seed)
+        u, v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
+        m = scale * np.outer(u, v.conj())
+        norm = opnorm(m)
+        for edge in (norm, 2 * norm):
+            for bound in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                _exceeds_like_opnorm(m, float(bound))
+
+    @pytest.mark.parametrize("bound", [0.0, 1e-300, 1e-9, 1.0])
+    def test_zero_matrix(self, bound):
+        for dim in (1, 3):
+            assert not _norm_exceeds(np.zeros((dim, dim), dtype=complex), bound)
+            _exceeds_like_opnorm(np.zeros((dim, dim), dtype=complex), bound)
+
+    def test_squares_below_the_smallest_normal_take_the_svd(self):
+        # the squares of 1e-170 underflow to 0, so a Frobenius norm taken
+        # from them would read 0 while the spectral norm is above the bound
+        m = 1e-170 * np.eye(2, dtype=complex)
+        assert _norm_exceeds(m, 1e-171)
+        _exceeds_like_opnorm(m, 1e-171)
+
+
+class TestResidualMessages:
+    """A check that raises reports the exact spectral residual, not the
+    Frobenius bound it may have been decided by."""
+
+    def test_not_hermitian(self):
+        h = np.array([[0.0, 1.0], [0.0, 0.0]])
+        residual = opnorm(h - h.T)  # 1, where the Frobenius norm is sqrt(2)
+        with pytest.raises(NotHermitian, match=re.escape(f"residual {residual:.3e}")):
+            LindbladGenerator(h)
+
+    def test_not_idempotent(self):
+        p = np.diag([1.0, 0.5, 0.5])
+        residual = opnorm(p @ p - p)
+        with pytest.raises(NotPSD, match=re.escape(f"not idempotent (residual {residual:.3e})")):
+            Projection.from_matrix(p)
+
+    def test_channel_not_unital(self):
+        ops = [np.diag([1.0, 1.5, 1.5])]
+        residual = opnorm(ops[0].T @ ops[0] - np.eye(3))
+        with pytest.raises(NotUnital, match=re.escape(f"by {residual:.3e}")):
+            QuantumChannel(ops)
+
+    def test_dilation_not_isometric(self):
+        v = np.vstack([np.diag([1.0, 1.5, 1.5]), np.zeros((3, 3))])
+        residual = opnorm(v.T @ v - np.eye(3))
+        with pytest.raises(NotUnital, match=re.escape(f"by {residual:.3e}")):
+            StinespringDilation(v, 2)
+
+    def test_not_fixed_point(self):
+        ch = QuantumChannel([np.roll(np.eye(3), 1, axis=0)])
+        x = np.diag([1.0, 2.0, 3.0])
+        residual = opnorm(apply_heisenberg(ch, x) - x)
+        with pytest.raises(NotFixedPoint, match=re.escape(f"by {residual:.3e}")):
+            fixed_point_support_check(ch, x)
