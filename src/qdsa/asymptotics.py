@@ -326,18 +326,19 @@ class Dynamics:
     """One model, or one corner of it, and the objects derived from it,
     each built on first use.
 
-    Holds the terms of the map (:func:`~qdsa.channels._terms`), the real
-    Schrodinger form :func:`~qdsa.channels._real_schrodinger` sums from
-    them, its one kernel split (:func:`_split_kernel_range`), the stationary
-    space and its support (that of its maximal-support state,
-    :func:`stationary_support`) for each tolerance, the real propagator for
-    each horizon and picture asked for (the Heisenberg one on the transpose,
-    so no second superoperator is built) and that of a transient corner
-    (:meth:`transient`).  Build one per
-    top-level call and pass it to the functions of this module in place of
-    the model; it is dropped when the call returns, so the memory it holds
-    never outlives the analysis.  It keeps no model, only the terms, so a
-    corner (:func:`_corner`) is a ``Dynamics`` like any other.
+    Holds the terms of the map, its standard form ``(G, {L_i})``
+    (:func:`~qdsa.channels._terms`), the real Schrodinger form
+    :func:`~qdsa.channels._real_schrodinger` sums from them, its one kernel
+    split (:func:`_split_kernel_range`), the stationary space and its
+    support (that of its maximal-support state, :func:`stationary_support`)
+    for each tolerance, the real propagator for each horizon and picture
+    asked for (the Heisenberg one on the transpose, so no second
+    superoperator is built) and that of a transient corner
+    (:meth:`transient`).  Build one per top-level call and pass it to the
+    functions of this module in place of the model; it is dropped when the
+    call returns, so the memory it holds never outlives the analysis.  It
+    keeps no model, only the terms, so a corner (:func:`_corner`) is a
+    ``Dynamics`` like any other.
     """
 
     def __init__(self, model):
@@ -348,6 +349,7 @@ class Dynamics:
         self.discrete = terms[0] is None
         self.dim = dim
         self._cache = {}
+        return self
 
     def _cached(self, key, build):
         """``build()``, computed on the first call for ``key`` only."""
@@ -461,24 +463,29 @@ def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
     a Dynamics of the compressed terms, with no validation; ``dyn`` itself
     when ``w`` is the identity, so the top-level split is reused.
 
-    Since ``W^dag W = 1`` the compressed terms give that map exactly for
-    every isometry: ``W^dag V_i W`` for a channel; for a generator ``W^dag
-    H W`` and each ``W^dag L_i W`` with ``W^dag L_i^dag L_i W``, which give
-    the compressed ``G = -iH - sum_i L_i^dag L_i / 2``.  So its real form is
-    ``P^T R P`` for the frame ``P`` of ``y -> W y W^dag``, at a cost of
-    ``O(K m^4)`` for ``m`` columns.  Residuals on a corner are those of its
-    terms, so on an invariant block every function here gives what it gives
-    on the model built from them.
+    Since ``W^dag W = 1`` the compressed standard form ``(W^dag G W,
+    {W^dag L_i W})`` gives that map exactly for every isometry, with
+    ``W^dag G W`` the corner's own ``G`` (a channel has none).  So its real
+    form is ``P^T R P`` for the frame ``P`` of ``y -> W y W^dag``, at a cost
+    of ``O(K m^4)`` for ``m`` columns.  Residuals on a corner are those of
+    its terms, so on an invariant block every function here gives what it
+    gives on the model built from them.
     """
     if w.shape[1] == dyn.dim and np.array_equal(w, np.eye(dyn.dim)):
         return dyn
     wh = w.conj().T
-    h, ops = dyn.terms
-    h = None if h is None else wh @ h @ w
-    ops = tuple(tuple(wh @ x @ w for x in op) for op in ops)
-    corner = Dynamics.__new__(Dynamics)
-    corner._hold((h, ops), w.shape[1])
-    return corner
+    g, ops = dyn.terms
+    return Dynamics.__new__(Dynamics)._hold(
+        (None if g is None else wh @ g @ w, tuple(wh @ x @ w for x in ops)), w.shape[1])
+
+
+def _checked_residual(dyn: Dynamics, p: Projection, tol: ToleranceConfig, error, what: str):
+    """:func:`~qdsa.harmonic._residual` of ``p`` on the terms; ``error``
+    naming ``what`` when it exceeds ``atol``."""
+    residual = _residual(dyn.terms, p)
+    if not residual <= tol.atol:
+        raise error(f"{what} fails the sub-harmonic test (residual {residual:.3e})")
+    return residual
 
 
 def _fixed_basis(dyn: Dynamics, tol: ToleranceConfig) -> list:
@@ -499,10 +506,7 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     _check_operand(p.dim, dyn.dim)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
-    residual = _residual(dyn.terms, p)
-    if not residual <= tol.atol:
-        raise FamilyNotSubharmonic(
-            f"block fails the sub-harmonic test (residual {residual:.3e})")
+    _checked_residual(dyn, p, tol, FamilyNotSubharmonic, "block")
     return _corner(dyn, p.range_basis).limit(tol)
 
 
@@ -615,12 +619,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     residuals = []
     max_overlap = 0.0
     for i, p in enumerate(projections):
-        residual = _residual(dyn.terms, p)
-        if not residual <= tol.atol:
-            raise InternalError(
-                f"refined enclosure {i} fails the sub-harmonic test "
-                f"(residual {residual:.3e})")
-        residuals.append(residual)
+        residuals.append(_checked_residual(dyn, p, tol, InternalError, f"refined enclosure {i}"))
         for q in projections[i + 1:]:
             overlap = opnorm(p.matrix @ q.matrix)
             if overlap > 10 * tol.atol:
@@ -677,10 +676,7 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     d = dyn.dim
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
-        residual = _residual(dyn.terms, r_min)
-        if not residual <= tol.atol:
-            raise InternalError(
-                f"recurrent projection fails the sub-harmonic test (residual {residual:.3e})")
+        _checked_residual(dyn, r_min, tol, InternalError, "recurrent projection")
         w, flow = dyn.transient(r_min, horizon)
         transient = w @ flow.apply(np.eye(w.shape[1])) @ w.conj().T
     estimate = hermitian_part(np.eye(d) - transient)

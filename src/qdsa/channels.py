@@ -5,12 +5,15 @@ family ``{V_i}`` acting in the Heisenberg picture as
 ``alpha(a) = sum_i V_i^dag a V_i`` (the predual acts on states as
 ``nu(rho) = sum_i V_i rho V_i^dag``), and a :class:`LindbladGenerator`
 holds a Hamiltonian ``H`` and jump operators ``{L_i}`` generating the
-norm-continuous semigroup ``alpha_t = exp(t L)``.  The one structural
-axiom a Kraus family can fail is unitality: :class:`QuantumChannel` raises
-NotUnital with the residual ``|sum_i V_i^dag V_i - 1|``.  Trace
-preservation of the predual is the same condition, duality holds by
-cyclicity of the trace, and a generator with Hermitian ``H`` has
-``L(1) = 0`` by construction, so no separate structure check exists.
+norm-continuous semigroup ``alpha_t = exp(t L)``, computed from the
+standard form ``(G, {L_i})`` (:func:`_terms`): ``L(x) = G^dag x + x G +
+sum_i L_i^dag x L_i`` with ``G = -iH - sum_i L_i^dag L_i / 2``.  The one
+structural axiom a Kraus family can fail is unitality:
+:class:`QuantumChannel` raises NotUnital with the residual ``|sum_i V_i^dag
+V_i - 1|``.  Trace preservation of the predual is the same condition,
+duality holds by cyclicity of the trace, and a generator with Hermitian
+``H`` has ``L(1) = 0`` by construction, so no separate structure check
+exists.
 
 Superoperators use the column-stacking vectorization convention
 
@@ -418,26 +421,19 @@ def apply_heisenberg(ch: QuantumChannel, a) -> np.ndarray:
 
 
 def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.ndarray:
-    """Apply the generator to an operator in the requested picture.
+    """Apply the generator to an operator in the requested picture, from
+    :func:`_terms`; Schrodinger is Heisenberg of ``(G^dag, {L_i^dag})``.
 
-    Heisenberg:  i [H, a] + sum_i (L_i^dag a L_i - (1/2){L_i^dag L_i, a})
-    Schrodinger: -i [H, rho] + sum_i (L_i rho L_i^dag - (1/2){L_i^dag L_i, rho})
+    Heisenberg:  G^dag a + a G + sum_i L_i^dag a L_i
+    Schrodinger: G rho + rho G^dag + sum_i L_i rho L_i^dag
     """
     _check_picture(picture)
     m = as_complex_matrix(a)
     _check_operand(m.shape[0], gen.dim)
-    h = gen.hamiltonian
-    if picture == HEISENBERG:
-        out = 1j * (h @ m - m @ h)
-        for l in gen.lindblad_ops:
-            k = l.conj().T @ l
-            out += l.conj().T @ m @ l - 0.5 * (k @ m + m @ k)
-    else:
-        out = -1j * (h @ m - m @ h)
-        for l in gen.lindblad_ops:
-            k = l.conj().T @ l
-            out += l @ m @ l.conj().T - 0.5 * (k @ m + m @ k)
-    return out
+    g, ops = _terms(gen)
+    if picture == SCHRODINGER:
+        g, ops = g.conj().T, tuple(l.conj().T for l in ops)
+    return g.conj().T @ m + m @ g + _heisenberg_action(ops, m)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -457,79 +453,65 @@ def _is_channel(obj) -> bool:
     raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
 
 
-@cache
-def _identity_factors(dim: int):
-    """The complex identity and ``(1 - identity) / 2`` in dimension
-    ``dim``, read-only."""
-    eye = np.eye(dim, dtype=complex)
-    factors = (eye, 0.5 * (1.0 - eye))
-    for a in factors:
-        a.flags.writeable = False
-    return factors
-
-
 def _terms(obj):
-    """The operators ``S`` is summed from, each in a tuple: ``(None,
-    ((V,), ...))`` for a channel's Kraus family, ``(H, ((L, L^dag L), ...))``
-    for a generator."""
+    """The model in standard form ``(G, (L_1, ...))``, the one place that
+    reads the model format: the map is ``x -> G^dag x + x G + sum_i L_i^dag
+    x L_i``, with ``G = -iH - sum_i L_i^dag L_i / 2`` formed here once and
+    read-only, and a channel's is ``(None, (V_1, ...))``, its Kraus family."""
     if _is_channel(obj):
-        return None, tuple((v,) for v in obj.kraus_ops)
-    return obj.hamiltonian, tuple((l, l.conj().T @ l) for l in obj.lindblad_ops)
+        return None, obj.kraus_ops
+    g = -1j * obj.hamiltonian
+    for l in obj.lindblad_ops:
+        g = g - 0.5 * (l.conj().T @ l)
+    g.flags.writeable = False
+    return g, obj.lindblad_ops
 
 
-def _schrodinger_rows(h, ops, dim: int, a: slice, b: slice) -> np.ndarray:
+def _schrodinger_rows(g, ops, dim: int, a: slice, b: slice) -> np.ndarray:
     """The rows ``(i, j)`` of the complex Schrodinger matrix summed from the
     terms :func:`_terms`, for ``i`` in the slice ``a`` and ``j`` in ``b``,
     as an ``|a| x |b| x dim^2`` array (see :func:`to_superoperator`)."""
     na, nb = len(range(dim)[a]), len(range(dim)[b])
     c = np.zeros((na, nb, dim, dim), dtype=complex)
-    if h is None:
-        for (v,) in ops:
-            c += v.conj()[a, None, :, None] * v[None, b, None, :]
-        return c.reshape(na, nb, -1)
-    # views of c[i, j, k, l]: left[i, j, l] at k = i, where 1 kron X lands,
-    # and right[i, j, k] at l = j, where X^T kron 1 lands; the entries with
-    # both are written through right
-    e = c.itemsize
-    left = np.ndarray((na, nb, dim), complex, c, a.start * dim * e,
-                      ((nb * dim + 1) * dim * e, dim * dim * e, e))
-    right = np.ndarray((na, nb, dim), complex, c, b.start * e,
-                       (nb * dim * dim * e, (dim * dim + 1) * e, dim * e))
-    eye, off_half = _identity_factors(dim)
-    left[:] = -1j * h[b]
-    right[:] = -1j * (h.diagonal()[b, None] * eye[a, None] - h.T[a, None])
-    for l, k in ops:
-        c += l.conj()[a, None, :, None] * l[None, b, None, :]
-        left -= (k * off_half)[b]
-        right -= 0.5 * (k.diagonal()[b, None] * eye[a, None] + k.T[a, None])
+    for x in ops:
+        c += x.conj()[a, None, :, None] * x[None, b, None, :]
+    if g is not None:
+        # views of c[i, j, k, l]: left[i, j, l] at k = i, where 1 kron G
+        # lands, and right[i, j, k] at l = j, where conj(G) kron 1 lands
+        e = c.itemsize
+        left = np.ndarray((na, nb, dim), complex, c, a.start * dim * e,
+                          ((nb * dim + 1) * dim * e, dim * dim * e, e))
+        right = np.ndarray((na, nb, dim), complex, c, b.start * e,
+                           (nb * dim * dim * e, (dim * dim + 1) * e, dim * e))
+        left += g[b]
+        right += g.conj()[a, None]
     return c.reshape(na, nb, -1)
 
 
-def _real_schrodinger(h, ops, dim: int) -> np.ndarray:
+def _real_schrodinger(g, ops, dim: int) -> np.ndarray:
     """The real Schrodinger form summed from the terms :func:`_terms` in
     dimension ``dim``, a chunk of rows of ``S`` at a time."""
-    return _frame_chunks(lambda a, b: _schrodinger_rows(h, ops, dim, a, b),
+    return _frame_chunks(lambda a, b: _schrodinger_rows(g, ops, dim, a, b),
                          dim * dim, dim * dim)
 
 
 def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     """The map of a channel or generator in the given picture.
 
-    The complex Schrodinger matrix ``S`` sums ``conj(V) kron V`` over the
-    Kraus operators, or for a generator ``-i (1 kron H - H^T kron 1)`` and,
-    per jump ``L`` with ``K = L^dag L``, ``conj(L) kron L - (1 kron K + K^T
-    kron 1) / 2``.  ``S`` is never formed whole: :func:`_frame_chunks` asks
-    for it a chunk of rows at a time (:func:`_schrodinger_rows`) and takes
-    each chunk to the Hermitian frame.  In a chunk the ``conj(V) kron V``
-    terms are dense and added to zeros in order; an identity-factor term is
-    applied only on its nonzeros (``i = k`` or ``j = l`` in ``S[(i, j), (k,
-    l)]``), through two strided views of the chunk.  Every entry thus has
-    the value of the dense sum, and its bits except the sign of a part that
-    is exactly zero, which can depend on the skipped additions of zeros.
-    The assembly holds the real form and chunk-sized temporaries: at most
-    1.75 times the real form's bytes from d = 24 on.  The Heisenberg map is
-    the transpose.  :func:`_real_schrodinger` is the one assembly, which
-    ``asymptotics.Dynamics`` also runs on a model's or a corner's terms.
+    The complex Schrodinger matrix ``S`` of the terms ``(G, {L_i})``
+    (:func:`_terms`) sums ``conj(L_i) kron L_i`` over the Kraus operators or
+    jumps, then ``1 kron G`` and ``conj(G) kron 1``.  ``S`` is never formed
+    whole: :func:`_frame_chunks` asks for it a chunk of rows at a time
+    (:func:`_schrodinger_rows`) and takes each chunk to the Hermitian frame.
+    In a chunk the ``conj(L_i) kron L_i`` terms are dense and added to zeros
+    in order; ``G`` and ``conj(G)`` are added only where their identity
+    factor is nonzero (``i = k`` or ``j = l`` in ``S[(i, j), (k, l)]``),
+    through two strided views of the chunk.  Every entry thus has the value
+    of the dense sum, and its bits except the sign of a part that is exactly
+    zero, which can depend on the skipped additions of zeros.  The
+    Heisenberg map is the transpose.  :func:`_real_schrodinger` is the one
+    assembly, which ``asymptotics.Dynamics`` also runs on a model's or a
+    corner's terms.
     """
     _check_picture(picture)
     r = _real_schrodinger(*_terms(obj), obj.dim)

@@ -94,7 +94,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _check_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix contains non-finite entries")
     return m
 

@@ -67,11 +67,31 @@ def _generator_residual(gen: LindbladGenerator, p: Projection) -> float:
 
 def _assert_reference_residual(model, rng, extra=()):
     """The one residual on the terms has the bits of the residual computed
-    straight from the model, on a projection of every rank and on ``extra``."""
+    straight from the model, and the bound-only test its verdict, on a
+    projection of every rank and on ``extra``."""
     reference = _kraus_residual if isinstance(model, QuantumChannel) else _generator_residual
     projections = [random_projection(model.dim, k, rng) for k in range(model.dim + 1)]
     for p in (*projections, *extra):
-        assert subharmonic_residual(model, p) == reference(model, p), (model.dim, p.rank)
+        want = reference(model, p)
+        assert subharmonic_residual(model, p) == want, (model.dim, p.rank)
+        assert is_subharmonic(model, p) == (want <= DEFAULT_TOL.atol), (model.dim, p.rank)
+
+
+def _leaking_models(p: Projection, leak: float):
+    """A channel and a generator whose leak out of ``p`` is ``leak F``
+    (to rounding), ``F = f e^dag`` for isometries ``e`` into ``p`` and ``f``
+    out of it with ``k = min(rank p, rank (1-p))`` columns, so that
+    ``|F| = 1`` and its Frobenius norm is ``sqrt k``: the Kraus pair
+    ``sqrt(1 - leak^2) 1, leak U`` with ``U`` the unitary that swaps the
+    columns of ``e`` and ``f``, and the one jump ``leak F``, whose
+    ``G = -leak^2 e e^dag / 2`` does not leak."""
+    k = min(p.rank, p.dim - p.rank)
+    e = p.range_basis[:, :k]
+    f = p.complement().range_basis[:, :k]
+    swap = (np.eye(p.dim) - e @ e.conj().T - f @ f.conj().T
+            + f @ e.conj().T + e @ f.conj().T)
+    channel = QuantumChannel([np.sqrt(1 - leak ** 2) * np.eye(p.dim), leak * swap])
+    return channel, LindbladGenerator(np.zeros((p.dim, p.dim)), [leak * f @ e.conj().T])
 
 
 class TestOneResidual:
@@ -94,6 +114,30 @@ class TestOneResidual:
     def test_generator_without_jumps(self):
         rng = np.random.default_rng(4)
         _assert_reference_residual(LindbladGenerator(random_hermitian(4, rng), []), rng)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_leaks_on_either_side_of_atol(self, seed):
+        # leaks in (atol/2, atol] and (atol, 2 atol], where the Frobenius
+        # bound cannot decide and the SVD must; of rank up to 2 at d = 4, 5,
+        # whose Frobenius norm exceeds atol while the spectral one does not
+        rng = np.random.default_rng(seed)
+        atol = DEFAULT_TOL.atol
+        verdicts = set()
+        for d in range(2, 6):
+            for k in range(1, d):
+                p = random_projection(d, k, rng)
+                for low in (atol / 2, atol):
+                    leak = low + (1.0 - rng.random()) * atol / 2
+                    for model in _leaking_models(p, leak):
+                        assert subharmonic_residual(model, p) == pytest.approx(leak, rel=1e-12)
+                        _assert_reference_residual(model, rng, [p])
+                        verdicts.add(is_subharmonic(model, p))
+        assert verdicts == {True, False}
+
+    def test_clear_pass_takes_no_svd(self, monkeypatch, adk):
+        calls = _counting(monkeypatch, np.linalg, "svd")
+        assert is_subharmonic(adk, proj(np.diag([1.0, 0.0])))
+        assert calls == []
 
 
 class TestSubharmonicReport:

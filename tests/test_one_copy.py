@@ -46,6 +46,11 @@ def test_model_kind_is_checked_in_one_place():
     assert occurrences(", QuantumChannel)") == {"channels.py": 1}
 
 
+def test_generator_standard_form_is_formed_in_one_place():
+    # G = -iH - sum_i L_i^dag L_i / 2 is summed in channels._terms alone
+    assert occurrences("l.conj().T @ l") == {"channels.py": 1}
+
+
 def test_operand_dimension_rule_lives_in_linalg():
     assert occurrences("operand dimension") == {"linalg.py": 1}
 

@@ -52,21 +52,45 @@ def _model_matrices(model):
 
 
 def _builder_operands(model):
-    """Every ``(a, b)`` pair the superoperator builder takes a Kronecker
-    product of (the Schrodinger terms)."""
+    """Every ``(a, b)`` pair of the standard-form Schrodinger terms
+    (:func:`_standard_superop`) that the library takes a Kronecker product
+    of."""
     if isinstance(model, QuantumChannel):
         return [(v.conj(), v) for v in model.kraus_ops]
     eye = np.eye(model.dim)
-    h = model.hamiltonian
-    pairs = [(eye, h), (h.T, eye)]
-    for l in model.lindblad_ops:
-        k = l.conj().T @ l
-        pairs += [(l.conj(), l), (eye, k), (k.T, eye)]
-    return pairs
+    g = _standard_g(model)
+    return [(l.conj(), l) for l in model.lindblad_ops] + [(eye, g), (g.conj(), eye)]
+
+
+def _standard_g(gen):
+    """``G = -iH - sum_i L_i^dag L_i / 2`` of a generator, summed jump by
+    jump."""
+    g = -1j * gen.hamiltonian
+    for l in gen.lindblad_ops:
+        g = g - 0.5 * (l.conj().T @ l)
+    return g
+
+
+def _standard_superop(model, picture):
+    """The builder of the standard form ``(G, {L_i})`` with ``np.kron``:
+    ``conj(L_i) kron L_i`` per Kraus operator or jump, then for a generator
+    ``1 kron G`` and ``conj(G) kron 1``; transposed for Heisenberg."""
+    d = model.dim
+    s = np.zeros((d * d, d * d), dtype=complex)
+    channel = isinstance(model, QuantumChannel)
+    for l in model.kraus_ops if channel else model.lindblad_ops:
+        s += np.kron(l.conj(), l)
+    if not channel:
+        g = _standard_g(model)
+        s += np.kron(np.eye(d), g)
+        s += np.kron(g.conj(), np.eye(d))
+    return s.T if picture == HEISENBERG else s
 
 
 def _reference_superop(model, picture):
-    """The builders as they were written with ``np.kron``."""
+    """The builders as they were written with ``np.kron`` from ``H`` and
+    ``K_i = L_i^dag L_i``: equal to :func:`_standard_superop` up to
+    rounding."""
     d = model.dim
     if isinstance(model, QuantumChannel):
         s = np.zeros((d * d, d * d), dtype=complex)
@@ -140,8 +164,9 @@ def _ladder_rungs():
 
 
 def _almost_hermitian_generator():
-    """A generator whose ``H`` is Hermitian only to ``atol``: ``H^T`` and
-    ``conj(H)`` differ, and the identity-factor terms must use ``H^T``."""
+    """A generator whose ``H`` is Hermitian only to ``atol``: ``conj(G)``
+    differs from ``i H^T - K^T / 2``, and the assembly must add ``conj(G)``
+    itself."""
     rng = np.random.default_rng(3)
     h = random_hermitian(3, rng) + 1e-10 * (rng.standard_normal((3, 3))
                                             + 1j * rng.standard_normal((3, 3)))
@@ -235,7 +260,7 @@ class TestKron:
 
     def test_superoperators_unchanged(self, name, model, horizon):
         schrodinger = to_superoperator(model, SCHRODINGER).real
-        _assert_same_bits(schrodinger, _reference_real_form(_reference_superop(model, SCHRODINGER)))
+        _assert_same_bits(schrodinger, _reference_real_form(_standard_superop(model, SCHRODINGER)))
         assert np.array_equal(to_superoperator(model, HEISENBERG).real, schrodinger.T)
 
 
@@ -251,7 +276,16 @@ class TestAssemblyBits:
     ])
     def test_superoperator_unchanged(self, model):
         _assert_same_bits(to_superoperator(model, SCHRODINGER).real,
-                          _reference_real_form(_reference_superop(model, SCHRODINGER)))
+                          _reference_real_form(_standard_superop(model, SCHRODINGER)))
+
+    @pytest.mark.parametrize("model", [pytest.param(model, id=name) for name, model, _ in MODELS]
+                             + _ladder_rungs())
+    def test_standard_form_is_the_hk_form_to_rounding(self, model):
+        # the assembly from (G, {L_i}) against the one from H and K_i
+        got = to_superoperator(model, SCHRODINGER).real
+        want = _reference_real_form(_reference_superop(model, SCHRODINGER))
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (5, 3), (8, 5), (24, 7)])
     def test_block_frame_of_a_rectangular_isometry(self, d, m):
@@ -264,7 +298,7 @@ class TestAssemblyBits:
         rng = np.random.default_rng(seed)
         differ = []
         for n in range(100):
-            s = _reference_superop(_sparse_model(int(rng.integers(1, 6)), rng), SCHRODINGER)
+            s = _standard_superop(_sparse_model(int(rng.integers(1, 6)), rng), SCHRODINGER)
             if _frame_pass(s.copy()).tobytes() != _reference_real_form(s).tobytes():
                 differ.append(n)
         assert differ == []
@@ -278,7 +312,7 @@ class TestAssemblyBits:
         rng = np.random.default_rng(seed)
         for _ in range(100):
             model = _sparse_model(int(rng.integers(1, 6)), rng)
-            want = _reference_real_form(_reference_superop(model, SCHRODINGER))
+            want = _reference_real_form(_standard_superop(model, SCHRODINGER))
             assert np.array_equal(to_superoperator(model, SCHRODINGER).real, want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -292,12 +326,12 @@ class TestAssemblyBits:
                     _assert_frame_pass_is_the_reference(_kron(w.conj(), w))
 
     def test_frame_pass_over_several_row_blocks(self):
-        s = _reference_superop(_sparse_model(24, np.random.default_rng(24)), SCHRODINGER)
+        s = _standard_superop(_sparse_model(24, np.random.default_rng(24)), SCHRODINGER)
         assert len(_row_blocks(*s.shape)) > 1
         _assert_frame_pass_is_the_reference(s)
 
     def test_real_form_leaves_its_argument(self):
-        s = _reference_superop(MODELS[0][1], SCHRODINGER)
+        s = _standard_superop(MODELS[0][1], SCHRODINGER)
         before = s.copy()
         _assert_same_bits(real_form(s), _reference_real_form(before))
         assert s.tobytes() == before.tobytes()
