@@ -153,6 +153,9 @@ class AnalysisReport:
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalysisReport":
         values = {f.name: _key(data, f.name, "report") for f in fields(cls)}
+        for key in ("enclosure_ranks", "checks"):
+            if not isinstance(values[key], list):
+                raise ParseError(f"report: {key!r} must be an array, got {values[key]!r}")
         values["enclosure_ranks"] = tuple(values["enclosure_ranks"])
         for name in _PROJECTIONS:
             values[name] = _projection_from_json(values[name], values["dim"])

@@ -7,7 +7,9 @@ family ``{V_i}`` acting in the Heisenberg picture as
 holds a Hamiltonian ``H`` and jump operators ``{L_i}`` generating the
 norm-continuous semigroup ``alpha_t = exp(t L)``, computed from the
 standard form ``(G, {L_i})`` (:func:`_terms`): ``L(x) = G^dag x + x G +
-sum_i L_i^dag x L_i`` with ``G = -iH - sum_i L_i^dag L_i / 2``.  The one
+sum_i L_i^dag x L_i`` with ``G = -iH - sum_i L_i^dag L_i / 2``.
+:func:`_act` is the one action of the standard form on an operator or a
+stack of them, in either picture, for both kinds of model.  The one
 structural axiom a Kraus family can fail is unitality:
 :class:`QuantumChannel` raises NotUnital with the residual ``|sum_i V_i^dag
 V_i - 1|``.  Trace preservation of the predual is the same condition,
@@ -331,7 +333,7 @@ class Superoperator:
     ``real`` is its ``d^2 x d^2`` real form in the Hermitian frame, the one
     representation it holds and acts through.  ``matrix``, the complex
     matrix on column-stacked operators, is formed from ``real`` on first
-    use; the library itself never asks for it.
+    use; only :func:`generator_to_channel` asks for it.
     """
 
     def __init__(self, real, picture: str):
@@ -401,39 +403,38 @@ class StinespringDilation:
         return v.conj().T @ _kron(a, np.eye(self.multiplicity)) @ v
 
 
-def _schrodinger_action(ops, m: np.ndarray) -> np.ndarray:
-    """``sum_i V_i m V_i^dag`` over the Kraus family ``ops``, unchecked."""
-    return sum(v @ m @ v.conj().T for v in ops)
-
-
-def _heisenberg_action(ops, m: np.ndarray) -> np.ndarray:
-    """``sum_i V_i^dag m V_i`` over the Kraus family ``ops``, unchecked;
-    broadcast over the leading axes of a stack ``m``, each matrix of the
-    stack with the bits of its own sum."""
-    return sum(v.conj().T @ m @ v for v in ops)
+def _act(terms, m: np.ndarray, picture: str = HEISENBERG) -> np.ndarray:
+    """``sum_i X_i^dag m X_i``, plus ``G^dag m + m G`` for a generator, of
+    the terms ``(G, {X_i})`` of :func:`_terms`, unchecked; broadcast over a
+    stack ``m``, each matrix with the bits of its own sum.  The Schrodinger
+    picture is the same form of ``(G^dag, {X_i^dag})``."""
+    g, ops = terms
+    if picture == SCHRODINGER:
+        g, ops = None if g is None else g.conj().T, tuple(x.conj().T for x in ops)
+    out = sum(x.conj().T @ m @ x for x in ops)
+    return out if g is None else g.conj().T @ m + m @ g + out
 
 
 def apply_heisenberg(ch: QuantumChannel, a) -> np.ndarray:
     """Heisenberg action ``sum_i V_i^dag a V_i`` on an observable."""
+    terms = _terms(ch, channel=True)
     m = as_complex_matrix(a)
     _check_operand(m.shape[0], ch.dim)
-    return _heisenberg_action(ch.kraus_ops, m)
+    return _act(terms, m)
 
 
 def lindblad_apply(gen: LindbladGenerator, a, picture: str = HEISENBERG) -> np.ndarray:
-    """Apply the generator to an operator in the requested picture, from
-    :func:`_terms`; Schrodinger is Heisenberg of ``(G^dag, {L_i^dag})``.
+    """Apply the generator to an operator in the requested picture by
+    :func:`_act`.
 
     Heisenberg:  G^dag a + a G + sum_i L_i^dag a L_i
     Schrodinger: G rho + rho G^dag + sum_i L_i rho L_i^dag
     """
     _check_picture(picture)
+    terms = _terms(gen, channel=False)
     m = as_complex_matrix(a)
     _check_operand(m.shape[0], gen.dim)
-    g, ops = _terms(gen)
-    if picture == SCHRODINGER:
-        g, ops = g.conj().T, tuple(l.conj().T for l in ops)
-    return g.conj().T @ m + m @ g + _heisenberg_action(ops, m)
+    return _act(terms, m, picture)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -453,12 +454,17 @@ def _is_channel(obj) -> bool:
     raise TypeError(f"expected QuantumChannel or LindbladGenerator, got {type(obj)!r}")
 
 
-def _terms(obj):
+def _terms(obj, channel: bool | None = None):
     """The model in standard form ``(G, (L_1, ...))``, the one place that
     reads the model format: the map is ``x -> G^dag x + x G + sum_i L_i^dag
     x L_i``, with ``G = -iH - sum_i L_i^dag L_i / 2`` formed here once and
-    read-only, and a channel's is ``(None, (V_1, ...))``, its Kraus family."""
-    if _is_channel(obj):
+    read-only, and a channel's is ``(None, (V_1, ...))``, its Kraus family.
+    ``channel`` True or False demands that kind (TypeError naming it)."""
+    kind = _is_channel(obj)
+    if channel is not None and kind != channel:
+        raise TypeError(f"expected a {'QuantumChannel' if channel else 'LindbladGenerator'}, "
+                        f"got a {type(obj).__name__}")
+    if kind:
         return None, obj.kraus_ops
     g = -1j * obj.hamiltonian
     for l in obj.lindblad_ops:
@@ -476,15 +482,10 @@ def _schrodinger_rows(g, ops, dim: int, a: slice, b: slice) -> np.ndarray:
     for x in ops:
         c += x.conj()[a, None, :, None] * x[None, b, None, :]
     if g is not None:
-        # views of c[i, j, k, l]: left[i, j, l] at k = i, where 1 kron G
-        # lands, and right[i, j, k] at l = j, where conj(G) kron 1 lands
-        e = c.itemsize
-        left = np.ndarray((na, nb, dim), complex, c, a.start * dim * e,
-                          ((nb * dim + 1) * dim * e, dim * dim * e, e))
-        right = np.ndarray((na, nb, dim), complex, c, b.start * e,
-                           (nb * dim * dim * e, (dim * dim + 1) * e, dim * e))
-        left += g[b]
-        right += g.conj()[a, None]
+        # in c[i, j, k, l], 1 kron G lands at k = i and conj(G) kron 1 at l = j
+        i, j = np.arange(na), np.arange(nb)
+        c[i, :, a.start + i, :] += g[b]
+        c[:, j, :, b.start + j] += g.conj()[a]
     return c.reshape(na, nb, -1)
 
 
@@ -506,7 +507,7 @@ def to_superoperator(obj, picture: str = HEISENBERG) -> Superoperator:
     In a chunk the ``conj(L_i) kron L_i`` terms are dense and added to zeros
     in order; ``G`` and ``conj(G)`` are added only where their identity
     factor is nonzero (``i = k`` or ``j = l`` in ``S[(i, j), (k, l)]``),
-    through two strided views of the chunk.  Every entry thus has the value
+    by integer-array indexing of the chunk.  Every entry thus has the value
     of the dense sum, and its bits except the sign of a part that is exactly
     zero, which can depend on the skipped additions of zeros.  The
     Heisenberg map is the transpose.  :func:`_real_schrodinger` is the one
@@ -566,17 +567,15 @@ def generator_to_channel(gen: LindbladGenerator, t: float,
                          tol: ToleranceConfig | None = None) -> QuantumChannel:
     """Kraus form of the CP map ``exp(t L)`` via its Choi matrix.
 
-    The Choi matrix is assembled block-wise from the predual action on
-    matrix units and eigendecomposed; eigenvalues below the support cutoff
-    are dropped.
+    The Choi matrix, whose block ``(c1, c2)`` is the predual's image of the
+    matrix unit ``E_{c1 c2}``, is a reshuffle of the complex Schrodinger
+    matrix of the propagator; it is eigendecomposed and eigenvalues below
+    the support cutoff are dropped.
     """
     tol = _tol(tol)
     d = gen.dim
-    s = propagator(gen, t, SCHRODINGER)
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for n, unit in enumerate(_matrix_units(d)):
-        c1, c2 = divmod(n, d)
-        choi[c1 * d:(c1 + 1) * d, c2 * d:(c2 + 1) * d] = s.apply(unit)
+    s = propagator(gen, t, SCHRODINGER).matrix
+    choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     w, v = np.linalg.eigh(hermitian_part(choi))
     cutoff = tol.cutoff(float(w[-1]))
     ops = [unvec(np.sqrt(w[j]) * v[:, j], d) for j in range(len(w)) if w[j] > cutoff]
@@ -587,9 +586,9 @@ def stinespring_dilate(ch: QuantumChannel,
                        tol: ToleranceConfig | None = None) -> StinespringDilation:
     """Stack the Kraus family into the canonical dilation isometry."""
     tol = _tol(tol)
-    d = ch.dim
-    n = len(ch.kraus_ops)
+    _, ops = _terms(ch, channel=True)
+    d, n = ch.dim, len(ops)
     v = np.zeros((d * n, d), dtype=complex)
-    for i, k in enumerate(ch.kraus_ops):
+    for i, k in enumerate(ops):
         v[i::n, :] = k
     return StinespringDilation(v, n, tol)

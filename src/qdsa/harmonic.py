@@ -35,13 +35,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
+    SCHRODINGER,
     LindbladGenerator,
     QuantumChannel,
-    _heisenberg_action,
+    _act,
     _matrix_units,
-    _schrodinger_action,
     _terms,
-    apply_heisenberg,
 )
 from .errors import FamilyNotSubharmonic, NotFixedPoint, NotPSD, TheoremViolation, ValidationError
 from .linalg import (
@@ -57,7 +56,6 @@ from .linalg import (
     as_complex_matrix,
     is_psd,
     opnorm,
-    order_leq,
     proj_infimum,
     proj_supremum,
     support_projection,
@@ -114,6 +112,7 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     random and full rank, drawn in turn from ``rng``.
     """
     tol = _tol(tol)
+    terms = _terms(ch, channel=True)
     _check_operand(p.dim, ch.dim)
     if not _is_integer(trials) or trials < 0:
         raise ValidationError(f"trials must be a nonnegative integer, got {trials!r}")
@@ -121,15 +120,12 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
         rng = np.random.default_rng(0)
     pm = p.matrix
     pc = np.eye(ch.dim) - pm
-    ops = ch.kraus_ops
 
-    alpha_p = apply_heisenberg(ch, pm)
-    order_defect = _psd_defect(alpha_p - pm)
+    order_defect = _psd_defect(_act(terms, pm) - pm)
 
     units = _matrix_units(ch.dim)
-    comp = opnorm(pm @ _heisenberg_action(ops, units) @ pm
-                  - pm @ _heisenberg_action(ops, pm @ units @ pm) @ pm)
-    inside = _heisenberg_action(ops, pc @ units @ pc)
+    comp = opnorm(pm @ _act(terms, units) @ pm - pm @ _act(terms, pm @ units @ pm) @ pm)
+    inside = _act(terms, pc @ units @ pc)
     corner = opnorm(inside - pc @ inside @ pc)
 
     face = 0.0
@@ -139,7 +135,7 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
             sigma = g @ g.conj().T
             compressed = pm @ sigma @ pm
             rho = compressed / np.trace(compressed)
-            nu = _schrodinger_action(ch.kraus_ops, rho)
+            nu = _act(terms, rho, SCHRODINGER)
             face = max(face, abs(complex(np.trace(nu @ pm)) - 1.0))
 
     a = tol.atol
@@ -248,19 +244,18 @@ def fixed_point_support_check(ch: QuantumChannel, x,
     Returns ``(support, superharmonic)``.
     """
     tol = _tol(tol)
+    terms = _terms(ch, channel=True)
     xm = as_complex_matrix(x)
     _check_operand(xm.shape[0], ch.dim)
     if not is_psd(xm, tol):
         raise NotPSD("fixed point candidate is not positive semidefinite")
-    drift = apply_heisenberg(ch, xm) - xm
+    drift = _act(terms, xm) - xm
     if _norm_exceeds(drift, tol.atol):
         raise NotFixedPoint(f"alpha(x) deviates from x by {opnorm(drift):.3e}")
     s = support_projection(xm, tol)
-    alpha_s = apply_heisenberg(ch, s.matrix)
-    defect = _psd_defect(s.matrix - alpha_s)
+    defect = _psd_defect(s.matrix - _act(terms, s.matrix))
     if defect > tol.atol:
         raise TheoremViolation(
             f"support of a fixed point failed the super-harmonic check "
             f"(defect {defect:.3e}); this indicates numerical breakdown")
-    superharmonic = order_leq(alpha_s, s.matrix, tol)
-    return s, superharmonic
+    return s, defect <= tol.psd_tol

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import DensityMatrix, LindbladGenerator, QuantumChannel, _check_horizon, _is_channel
 from .errors import ParseError, ValidationError
-from .linalg import ToleranceConfig
+from .linalg import ToleranceConfig, _is_integer
 from .models import build_fixture, fixture_horizon
 
 __all__ = [
@@ -117,7 +117,7 @@ def _as_model_spec(data, where: str) -> ModelSpec:
     unknown = set(data) - _MODEL_KEYS
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
-    if "dim" not in data or not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
+    if "dim" not in data or not _is_integer(data["dim"]):
         raise ParseError(f"{where}: 'dim' must be an integer")
     dim = data["dim"]
     if dim < 1:
@@ -215,7 +215,7 @@ def parse_state(path, dim: int | None = None) -> DensityMatrix:
         raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
     if "dim" not in data or "matrix" not in data:
         raise ParseError(f"{path}: 'dim' and 'matrix' are required")
-    if not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
+    if not _is_integer(data["dim"]):
         raise ParseError(f"{path}: 'dim' must be an integer")
     m = matrix_from_json(data["matrix"], "matrix")
     if m.shape != (data["dim"], data["dim"]):

@@ -20,9 +20,10 @@ import numpy as np
 from .analyze import AnalysisOptions, _check_seed, run_analyze
 from .asymptotics import Dynamics, _kernel_component
 from .channels import (
-    _heisenberg_action,
+    SCHRODINGER,
+    _act,
     _matrix_units,
-    _schrodinger_action,
+    _terms,
     apply_heisenberg,
     from_hermitian_coords,
     hermitian_coords,
@@ -123,7 +124,7 @@ def _duality(rng, trials, dims):
             ch = _random_channel(dim, rng)
             rho = random_density_matrix(dim, rng)
             a = random_hermitian(dim, rng)
-            nu = _schrodinger_action(ch.kraus_ops, rho)
+            nu = _act(_terms(ch), rho, SCHRODINGER)
             defect = abs(complex(np.trace(nu @ a))
                          - complex(np.trace(rho @ apply_heisenberg(ch, a))))
             yield defect, defect > 1e-10
@@ -283,7 +284,7 @@ def _stinespring(rng, trials, dims, tol):
         for _ in range(max(1, trials // 2)):
             ch = _random_channel(dim, rng)
             dil = stinespring_dilate(ch, tol)
-            residual = opnorm(_heisenberg_action(ch.kraus_ops, units) - dil._reconstruct(units))
+            residual = opnorm(_act(_terms(ch), units) - dil._reconstruct(units))
             yield residual, residual > 1e-12
 
 

@@ -21,6 +21,7 @@ from qdsa.channels import (
     unvec,
     vec,
 )
+from qdsa.channels import _act, _matrix_units, _terms
 from qdsa.errors import (
     DimMismatch,
     NegativeTime,
@@ -29,9 +30,14 @@ from qdsa.errors import (
     NotUnital,
     ValidationError,
 )
-from qdsa.linalg import hermitian_part, is_psd, opnorm
+from qdsa.linalg import ToleranceConfig, hermitian_part, is_psd, opnorm
 from qdsa.models import build_fixture, fixture_names
-from qdsa.sampling import haar_random_channel, random_density_matrix, random_hermitian
+from qdsa.sampling import (
+    haar_random_channel,
+    random_density_matrix,
+    random_generator,
+    random_hermitian,
+)
 
 
 class TestVectorization:
@@ -373,3 +379,90 @@ class TestGeneratorToChannel:
         ch = generator_to_channel(ad, 0.0)
         assert_allclose(apply_heisenberg(ch, ket_bra(2, 0, 1)), ket_bra(2, 0, 1),
                         atol=1e-12)
+
+
+# The bodies that channels._act and the reshuffled Choi matrix of
+# generator_to_channel replaced, kept as references: the Kraus action in
+# each picture, the generator's action (its Schrodinger picture being the
+# Heisenberg form of (G^dag, {L_i^dag})), and the Choi matrix assembled
+# block by block from the predual's image of each matrix unit.
+
+def _reference_schrodinger(ops, m):
+    return sum(v @ m @ v.conj().T for v in ops)
+
+
+def _reference_heisenberg(ops, m):
+    return sum(v.conj().T @ m @ v for v in ops)
+
+
+def _reference_lindblad(gen, m, picture):
+    g, ops = _terms(gen)
+    if picture == SCHRODINGER:
+        g, ops = g.conj().T, tuple(l.conj().T for l in ops)
+    return g.conj().T @ m + m @ g + _reference_heisenberg(ops, m)
+
+
+def _reference_action(model, m, picture):
+    if isinstance(model, LindbladGenerator):
+        return _reference_lindblad(model, m, picture)
+    act = _reference_heisenberg if picture == HEISENBERG else _reference_schrodinger
+    return act(model.kraus_ops, m)
+
+
+def _reference_kraus(gen, t):
+    d = gen.dim
+    s = propagator(gen, t, SCHRODINGER)
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for n, unit in enumerate(_matrix_units(d)):
+        c1, c2 = divmod(n, d)
+        choi[c1 * d:(c1 + 1) * d, c2 * d:(c2 + 1) * d] = s.apply(unit)
+    w, v = np.linalg.eigh(hermitian_part(choi))
+    cutoff = ToleranceConfig().cutoff(float(w[-1]))
+    return [unvec(np.sqrt(w[j]) * v[:, j], d) for j in range(len(w)) if w[j] > cutoff]
+
+
+def _seeded(kind, d):
+    rng = np.random.default_rng(100 + d)
+    if kind == "channel":
+        return haar_random_channel(d, 1 + d % 3, rng)
+    return random_generator(d, d % 3, rng)
+
+
+ONE_ACTION_MODELS = ({name: build_fixture(name) for name in fixture_names()}
+                     | {f"{kind}-d{d}": _seeded(kind, d)
+                        for kind in ("channel", "generator") for d in range(1, 7)})
+ONE_ACTION_GENERATORS = [name for name, model in ONE_ACTION_MODELS.items()
+                         if isinstance(model, LindbladGenerator)]
+
+
+class TestOneAction:
+    """``_act`` and ``generator_to_channel`` have the bits of the bodies they
+    replaced, on single matrices and on stacks."""
+
+    @pytest.mark.parametrize("picture", [HEISENBERG, SCHRODINGER])
+    @pytest.mark.parametrize("name", ONE_ACTION_MODELS)
+    def test_act_is_the_reference_action(self, name, picture):
+        model = ONE_ACTION_MODELS[name]
+        d = model.dim
+        rng = np.random.default_rng(d)
+        stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        for m in (stack[0], stack, _matrix_units(d)):
+            got = _act(_terms(model), m, picture)
+            assert got.shape == m.shape
+            assert np.array_equal(got, _reference_action(model, m, picture))
+        if isinstance(model, LindbladGenerator):
+            public = lindblad_apply(model, stack[0], picture)
+        elif picture == HEISENBERG:
+            public = apply_heisenberg(model, stack[0])
+        else:
+            return
+        assert np.array_equal(public, _reference_action(model, stack[0], picture))
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("name", ONE_ACTION_GENERATORS)
+    def test_choi_reshuffle_is_the_unit_loop(self, name, t):
+        gen = ONE_ACTION_MODELS[name]
+        got = generator_to_channel(gen, t).kraus_ops
+        want = _reference_kraus(gen, t)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -142,8 +142,12 @@ class TestAnalyzeCommand:
         (lambda d: d["recurrent"].update(rank="2"), "'rank' must be an integer, got '2'"),
         (lambda d: d["stationary_support"].update(rank=2.0), "'rank' must be an integer"),
         (lambda d: d.update(recurrent=[]), "projection: missing key 'range_basis'"),
+        (lambda d: d.update(enclosure_ranks=5), "report: 'enclosure_ranks' must be an array, got 5"),
+        (lambda d: d.update(checks=5), "report: 'checks' must be an array, got 5"),
+        (lambda d: d.update(checks={"name": "x"}), "report: 'checks' must be an array"),
     ], ids=["top-level-key", "check-key", "rank-key", "string-rank", "float-rank",
-            "projection-not-an-object"])
+            "projection-not-an-object", "ranks-not-an-array", "checks-not-an-array",
+            "checks-an-object"])
     def test_malformed_report_is_a_parse_error(self, mutate, match):
         data = json.loads(run_analyze(build_fixture("M3")).to_json())
         mutate(data)

@@ -4,6 +4,7 @@ The tests count tell-tale source fragments over the package: a second
 hand-written copy of a primitive shows up as a second occurrence.
 """
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from qdsa.asymptotics import Dynamics
-from qdsa.channels import apply_heisenberg, lindblad_apply, to_superoperator
+from qdsa.channels import apply_heisenberg, lindblad_apply, stinespring_dilate, to_superoperator
 from qdsa.errors import DimMismatch
 from qdsa.harmonic import fixed_point_support_check, subharmonic_report, subharmonic_residual
 from qdsa.linalg import Projection, ToleranceConfig
@@ -51,6 +52,13 @@ def test_generator_standard_form_is_formed_in_one_place():
     assert occurrences("l.conj().T @ l") == {"channels.py": 1}
 
 
+def test_the_standard_form_acts_in_one_place():
+    # channels._act is the one action of (G, {L_i}); the assembly indexes
+    # its chunks and builds no hand-strided views
+    assert occurrences(".conj().T @ m @") == {"channels.py": 1}
+    assert occurrences("np.ndarray(") == {}
+
+
 def test_operand_dimension_rule_lives_in_linalg():
     assert occurrences("operand dimension") == {"linalg.py": 1}
 
@@ -76,6 +84,19 @@ def test_every_operand_is_checked_by_the_one_rule(call):
 def test_every_caller_rejects_a_non_model(call):
     with pytest.raises(TypeError, match="expected QuantumChannel or LindbladGenerator"):
         call(np.eye(2))
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda ch, gen: lindblad_apply(ch, np.eye(2)), "LindbladGenerator"),
+    (lambda ch, gen: apply_heisenberg(gen, np.eye(2)), "QuantumChannel"),
+    (lambda ch, gen: stinespring_dilate(gen), "QuantumChannel"),
+    (lambda ch, gen: subharmonic_report(gen, Projection.identity(2)), "QuantumChannel"),
+    (lambda ch, gen: fixed_point_support_check(gen, np.eye(2)), "QuantumChannel"),
+], ids=["lindblad_apply", "apply_heisenberg", "stinespring_dilate", "subharmonic_report",
+        "fixed_point_support_check"])
+def test_every_one_kind_entry_point_rejects_the_other_kind(call, expected):
+    with pytest.raises(TypeError, match=f"expected a {expected}, got a "):
+        call(build_fixture("ADK"), build_fixture("AD"))
 
 
 def test_rank_cutoff_lives_in_tolerance_config():
@@ -124,3 +145,29 @@ def test_one_perfect_square_rule():
 
 def test_one_hermitian_spectral_cut():
     assert occurrences("_fix_phases(v[:, ") == {"linalg.py": 1}
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names a module imports and never reads (``__future__`` aside)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports its names to re-export them
+    unused = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_unused_import_guard_sees_a_leftover():
+    tree = ast.parse("import numpy as np\nfrom .linalg import opnorm, order_leq\n"
+                     "x = np.eye(2)\ny = opnorm(x)\n")
+    assert _unused_imports(tree) == ["order_leq"]
