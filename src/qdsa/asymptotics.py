@@ -8,14 +8,16 @@ path:
 1. One split of the fixed-point matrix ``F`` (``R``, or ``R - 1`` for a
    channel) gives the stationary space as its right kernel and the
    Heisenberg fixed points as its left kernel, both as orthonormal
-   Hermitian bases (:func:`_split_kernel_range`).  Below ``_LU_MIN_SIZE``
-   unknowns the split is one real SVD; from there on it is one LU of
-   ``s - F`` for a small shift ``s``, through which a fixed-seed random
-   block is pushed and read off an ordered real Schur form, with the SVD
-   as the fallback whenever that route cannot vouch for its kernels.  That
-   route forms ``s - F`` straight from ``R``, reads ``|F|_1`` off that copy
-   before the shift and takes every product with ``F`` from ``R``, so a
-   channel's ``R - 1`` is formed only for the SVD.  A
+   Hermitian bases (:meth:`Dynamics.split`).  Below ``_LU_MIN_SIZE``
+   unknowns the split is one real SVD (:func:`_split_kernel_range`); from
+   there on it is one LU of ``s - F`` for a small shift ``s``, through
+   which a fixed-seed random block is pushed and read off an ordered real
+   Schur form, with the SVD as the fallback whenever that route cannot
+   vouch for its kernels.  That route assembles a real form of its own,
+   turns it into ``s - F`` and factors it in place, reading ``|F|_1`` off
+   ``-F`` before the shift, and takes every product with ``F`` from the
+   terms (:func:`~qdsa.channels._act`), so it holds no other ``d^2 x d^2``
+   matrix and a channel's ``R - 1`` is formed only for the SVD.  A
    maximal-support stationary state is the exact time-average limit of the
    maximally mixed state: its oblique projection onto the kernel along the
    range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
@@ -66,10 +68,11 @@ transpose, ``nu_T`` on the matrix itself.  The top level and every corner
 share one assembly, :func:`~qdsa.channels._real_schrodinger` of their
 terms, which never forms the complex Schrodinger matrix whole: it sums it
 into the real form a chunk of rows at a time, and every later step
-works on real matrices.  A structure analysis thus holds at most two
-``d^2 x d^2`` matrices at once: the cached real form and the LU copy of its
-split.  A ``Dynamics`` is dropped with the call; nothing is cached on the
-model or globally.
+works on real matrices.  From ``_LU_MIN_SIZE`` on, a structure analysis
+thus holds one ``d^2 x d^2`` matrix at once, the one its split factors; the
+cached real form is built only for the SVD fallback, a propagator or a
+Cesaro mean.  A ``Dynamics`` is dropped with the call; nothing is cached on
+the model or globally.
 """
 
 from __future__ import annotations
@@ -83,9 +86,12 @@ import numpy as np
 
 from .channels import (
     HEISENBERG,
+    SCHRODINGER,
     DensityMatrix,
     Superoperator,
+    _act,
     _check_horizon,
+    _coords,
     _propagate,
     _real_schrodinger,
     _terms,
@@ -174,10 +180,9 @@ _KERNEL_ERROR = 1e-4
 def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     """Orthonormal bases of the numerical kernel and the left kernel of the
     fixed-point matrix ``F`` of the real form ``r`` (``r - 1`` for a channel,
-    ``discrete``, else ``r``): from :func:`_resolvent_split` from
-    ``_LU_MIN_SIZE`` unknowns on, else (or when that route declines) from
-    one SVD of ``F``, cut at ``tol.cutoff`` of the largest singular value.
-    ``F`` is formed for the SVD only.
+    ``discrete``, else ``r``) from one SVD of ``F``, cut at ``tol.cutoff`` of
+    the largest singular value: the split below ``_LU_MIN_SIZE`` unknowns
+    and the fallback of :func:`_resolvent_split` (:meth:`Dynamics.split`).
 
     For the real Schrodinger form the kernel holds the stationary states
     and the left kernel the Heisenberg fixed points.  The kernel of a
@@ -185,10 +190,6 @@ def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     or a stationary state (Schrodinger).  An empty numerical kernel is
     therefore an InternalError.
     """
-    if r.shape[0] >= _LU_MIN_SIZE:
-        split = _resolvent_split(r, discrete, tol)
-        if split is not None:
-            return split
     u, s, vh = np.linalg.svd(_fixed_point_matrix(r, discrete))
     cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
     null_mask = s <= cutoff
@@ -199,15 +200,17 @@ def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     return vh[null_mask].conj().T, u[:, null_mask]
 
 
-def _resolvent_split(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
-    """Kernel and left kernel of the fixed-point matrix ``F`` of the real
-    form ``r`` from one LU of ``s - F``, or None when this route cannot
-    vouch for them.
+def _resolvent_split(dyn: Dynamics, tol: ToleranceConfig):
+    """Kernel and left kernel of the fixed-point matrix ``F`` of ``dyn``
+    from one LU of ``s - F``, or None when this route cannot vouch for them.
 
-    ``s - F`` is formed straight from ``r``: ``-r``, then ``+1`` for a
-    channel and, once ``|F|_1`` is read off that ``-F``, ``+s`` on the
-    diagonal, the bits of ``s - F``; it is the one copy of ``r`` the route
-    holds.  ``(s - F)^-1`` scales a kernel vector by
+    ``s - F`` is formed in a real form the route assembles for itself and
+    factors in place: ``-R``, then ``+1`` for a channel and, once ``|F|_1``
+    is read off that ``-F``, ``+s`` on the diagonal, the bits of ``s - F``;
+    it is the one ``d^2 x d^2`` matrix the route holds, freed when it
+    returns.  Products with ``F`` and ``F^T`` come from the terms, in the
+    Schrodinger and the Heisenberg picture (:func:`_fixed_point_product`).
+    ``(s - F)^-1`` scales a kernel vector by
     ``1/s`` and an eigenvector of eigenvalue ``mu`` by ``1/|s - mu|``, so
     after ``_SOLVES`` applications a random block spans the kernel up to
     ``(s/|mu|)^_SOLVES``.  The kernel is read off the block by
@@ -217,9 +220,10 @@ def _resolvent_split(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     """
     from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
-    n = r.shape[0]
-    a = -r
-    if discrete:
+    n = dyn.dim ** 2
+    a = _real_schrodinger(*dyn.terms, dyn.dim)
+    np.negative(a, out=a)
+    if dyn.discrete:
         a.flat[::n + 1] += 1.0
     # |F|_1 = |-F|_1, the infinity norm of the Fortran-ordered view of -F
     norm = dlange("I", a.T)
@@ -234,23 +238,32 @@ def _resolvent_split(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     block = gaussian_block(n, 2 * _OVERSAMPLE, _SPLIT_SEED)
     cutoff = tol.cutoff(norm)
     bound = _KERNEL_ERROR * tol.atol
-    kernel = _block_kernel(r, discrete, lambda x: dgetrs(lu, piv, x, trans=1)[0], block,
-                           cutoff, bound)
-    left = _block_kernel(r.T, discrete, lambda x: dgetrs(lu, piv, x, trans=0)[0], block,
-                         cutoff, bound)
+    kernel = _block_kernel(_fixed_point_product(dyn, SCHRODINGER),
+                           lambda x: dgetrs(lu, piv, x, trans=1)[0], block, cutoff, bound)
+    left = _block_kernel(_fixed_point_product(dyn, HEISENBERG),
+                         lambda x: dgetrs(lu, piv, x, trans=0)[0], block, cutoff, bound)
     if kernel is None or left is None or kernel.shape != left.shape:
         return None
     return kernel, left
 
 
-def _block_kernel(r: np.ndarray, discrete: bool, solve, block: np.ndarray, cutoff: float,
-                  bound: float):
-    """Orthonormal basis of the kernel of ``f = r - 1`` (a channel,
-    ``discrete``) or ``f = r``, found in the span of ``solve^_SOLVES
-    (block)``: the Schur vectors of the Ritz values of its compression
-    ``Q^T f Q`` at most ``cutoff``, from an ordered real Schur form.  The
-    products with ``f`` are taken on ``r``, with ``Q^T Q`` or the operand
-    subtracted for a channel.
+def _fixed_point_product(dyn: Dynamics, picture: str):
+    """``x -> F x`` (Schrodinger) or ``F^T x`` (Heisenberg) on a block of
+    frame coordinates, taken from the terms by :func:`~qdsa.channels._act`
+    on the stack of Hermitian matrices of its columns, with the operand
+    subtracted for a channel."""
+    def product(x: np.ndarray) -> np.ndarray:
+        y = _coords(_act(dyn.terms, from_hermitian_coords(x.T, dyn.dim), picture)).real.T
+        return y - x if dyn.discrete else y
+    return product
+
+
+def _block_kernel(product, solve, block: np.ndarray, cutoff: float, bound: float):
+    """Orthonormal basis of the kernel of ``f``, found in the span of
+    ``solve^_SOLVES (block)``: the Schur vectors of the Ritz values of its
+    compression ``Q^T f Q`` at most ``cutoff``, from an ordered real Schur
+    form.  ``product`` is ``x -> f x`` on a block; it is asked only for
+    ``f Q`` and ``f K``, blocks of at most ``2 * _OVERSAMPLE`` columns.
 
     None when a Ritz value is indecisive against ``cutoff``, the kernel is
     empty or leaves fewer than ``_OVERSAMPLE`` columns of the block spare,
@@ -265,9 +278,7 @@ def _block_kernel(r: np.ndarray, discrete: bool, solve, block: np.ndarray, cutof
     q = block
     for _ in range(_SOLVES):
         q, _ = np.linalg.qr(solve(q))
-    h = q.T @ r @ q
-    if discrete:
-        h -= q.T @ q
+    h = q.T @ product(q)
     ritz = np.abs(np.linalg.eigvals(h))
     if not all(_decisive(x, cutoff) for x in ritz):
         return None
@@ -279,10 +290,7 @@ def _block_kernel(r: np.ndarray, discrete: bool, solve, block: np.ndarray, cutof
     if not 0 < k <= q.shape[1] - _OVERSAMPLE:
         return None
     kernel = q @ z[:, :k]
-    residual = r @ kernel
-    if discrete:
-        residual -= kernel
-    if _norm_exceeds(residual, bound * float(ritz[ritz > cutoff].min())):
+    if _norm_exceeds(product(kernel), bound * float(ritz[ritz > cutoff].min())):
         return None
     return kernel
 
@@ -328,8 +336,10 @@ class Dynamics:
 
     Holds the terms of the map, its standard form ``(G, {L_i})``
     (:func:`~qdsa.channels._terms`), the real Schrodinger form
-    :func:`~qdsa.channels._real_schrodinger` sums from them, its one kernel
-    split (:func:`_split_kernel_range`), the stationary space and its
+    :func:`~qdsa.channels._real_schrodinger` sums from them (built only for
+    the SVD split, a propagator or a Cesaro mean: the LU route of the split
+    assembles and factors a form of its own), its one kernel split
+    (:meth:`split`), the stationary space and its
     support (that of its maximal-support state, :func:`stationary_support`)
     for each tolerance, the real propagator for each horizon and picture
     asked for (the Heisenberg one on the transpose, so no second
@@ -379,10 +389,17 @@ class Dynamics:
         return self._cached(("transient", horizon, r.matrix.tobytes()), build)
 
     def split(self, tol: ToleranceConfig):
-        """Kernel and left kernel of the fixed-point matrix, from
-        :func:`_split_kernel_range`."""
-        return self._cached(("split", tol), lambda: _split_kernel_range(
-            self.schrodinger, self.discrete, tol))
+        """Kernel and left kernel of the fixed-point matrix: from
+        :func:`_resolvent_split` from ``_LU_MIN_SIZE`` unknowns on, else
+        (or when that route declines) from :func:`_split_kernel_range` on
+        the cached real form."""
+        def build():
+            if self.dim ** 2 >= _LU_MIN_SIZE:
+                split = _resolvent_split(self, tol)
+                if split is not None:
+                    return split
+            return _split_kernel_range(self.schrodinger, self.discrete, tol)
+        return self._cached(("split", tol), build)
 
     def limit(self, tol: ToleranceConfig):
         """Stationary dimension and the time-average limit of the maximally
@@ -750,9 +767,7 @@ def decay_ideal_units(obj, report: RecurrentReport,
     dyn = _as_dynamics(obj)
     r, horizon = report.recurrent, report.horizon
     sigma = dyn.space(tol).state.matrix
-    x = hermitian_coords(sigma)
-    slack = horizon * trace_norm(from_hermitian_coords(
-        dyn.schrodinger @ x - dyn.discrete * x, dyn.dim))
+    slack = horizon * trace_norm(_act(dyn.terms, sigma, SCHRODINGER) - dyn.discrete * sigma)
     def verdict(j, eps):
         bound = float(sigma[j, j].real) - slack
         if eps >= 10 * tol.atol and bound >= 10 * DEFAULT_DECAY_TOL:

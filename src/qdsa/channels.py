@@ -149,9 +149,10 @@ def _frame(dim: int):
 def _coords(a: np.ndarray) -> np.ndarray:
     """``Q^dag vec(a)``: real and imaginary parts are the frame coordinates
     of the Hermitian and anti-Hermitian parts ``(a + a^dag)/2`` and
-    ``(a - a^dag)/2i``."""
-    _, own, other = _frame(a.shape[0])
-    return own.conj() * a.ravel(order="F") + other.conj() * a.ravel(order="C")
+    ``(a - a^dag)/2i``; of each matrix of a stack ``a``."""
+    flat = a.reshape(*a.shape[:-2], -1)
+    _, own, other = _frame(a.shape[-1])
+    return own.conj() * a.swapaxes(-1, -2).reshape(flat.shape) + other.conj() * flat
 
 
 def hermitian_coords(a) -> np.ndarray:
@@ -164,10 +165,11 @@ def hermitian_coords(a) -> np.ndarray:
 
 def from_hermitian_coords(x, dim: int) -> np.ndarray:
     """The ``dim x dim`` matrix with frame coordinates ``x``; Hermitian when
-    ``x`` is real."""
+    ``x`` is real.  A stack of them for the rows of a block ``x``."""
     x = np.asarray(x)
-    flip, own, other = _frame(_square_side(x.size, dim))
-    return unvec(own * x + other[flip] * x[flip], dim)
+    flip, own, other = _frame(_square_side(x.shape[-1], dim))
+    v = own * x + other[flip] * x[..., flip]
+    return v.reshape(*x.shape[:-1], dim, dim).swapaxes(-1, -2)
 
 
 # The assembly and the frame pass work on chunks of rows of at most _BLOCK
@@ -569,17 +571,18 @@ def generator_to_channel(gen: LindbladGenerator, t: float,
 
     The Choi matrix, whose block ``(c1, c2)`` is the predual's image of the
     matrix unit ``E_{c1 c2}``, is a reshuffle of the complex Schrodinger
-    matrix of the propagator; it is eigendecomposed and eigenvalues below
-    the support cutoff are dropped.
+    matrix of the propagator; it is eigendecomposed and its smallest
+    eigenvalues are dropped while their sum stays within ``atol / 2``.  That
+    sum bounds the unitality defect the dropped Kraus operators leave, so
+    the channel passes its own check with half of ``atol`` to spare.
     """
     tol = _tol(tol)
     d = gen.dim
     s = propagator(gen, t, SCHRODINGER).matrix
     choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     w, v = np.linalg.eigh(hermitian_part(choi))
-    cutoff = tol.cutoff(float(w[-1]))
-    ops = [unvec(np.sqrt(w[j]) * v[:, j], d) for j in range(len(w)) if w[j] > cutoff]
-    return QuantumChannel(ops, tol)
+    kept = np.flatnonzero(np.cumsum(w) > tol.atol / 2)
+    return QuantumChannel([unvec(np.sqrt(w[j]) * v[:, j], d) for j in kept], tol)
 
 
 def stinespring_dilate(ch: QuantumChannel,

@@ -66,7 +66,8 @@ class ToleranceConfig:
         """The rank and support cutoff below ``top``, the largest eigenvalue
         or singular value (the 1-norm for the Ritz values of the LU kernel
         route): ``rank_rtol`` relative, with ``atol`` as floor.  Every rank
-        and support decision of the package uses it."""
+        and support decision of the package uses it but the Choi cut of
+        ``generator_to_channel``, a mass budget."""
         return max(self.rank_rtol * top, self.atol)
 
 

@@ -37,6 +37,7 @@ from qdsa.sampling import (
     random_density_matrix,
     random_generator,
     random_hermitian,
+    transient_block_generator,
 )
 
 
@@ -379,6 +380,22 @@ class TestGeneratorToChannel:
         ch = generator_to_channel(ad, 0.0)
         assert_allclose(apply_heisenberg(ch, ket_bra(2, 0, 1)), ket_bra(2, 0, 1),
                         atol=1e-12)
+
+    # (d, seed, t) of transient_block_generator rungs on which a cut of the
+    # Choi spectrum at rank_rtol * lambda_max dropped between 5e-9 and 1.8e-7
+    # of Kraus weight, so the channel failed its own unitality check
+    @pytest.mark.parametrize("d,seed,t", [
+        (8, 1, 0.1), (8, 2, 0.1), (8, 3, 0.1), (12, 1, 0.1), (12, 1, 0.37),
+        (12, 2, 0.1), (12, 2, 10), (12, 3, 0.1), (16, 1, 0.1), (16, 1, 0.37),
+        (16, 2, 0.1), (16, 2, 0.37), (16, 3, 0.1), (16, 3, 0.37)])
+    def test_dropped_weight_stays_within_half_atol(self, d, seed, t):
+        gen = transient_block_generator(d // 2, d - d // 2, np.random.default_rng(seed))[0]
+        ch = generator_to_channel(gen, t)
+        atol = ToleranceConfig().atol
+        assert opnorm(sum(v.conj().T @ v for v in ch.kraus_ops) - np.eye(d)) <= atol / 2
+        s = propagator(gen, t, HEISENBERG)
+        units = _matrix_units(d)
+        assert opnorm(np.stack([s.apply(m) for m in units]) - _act(_terms(ch), units)) <= atol
 
 
 # The bodies that channels._act and the reshuffled Choi matrix of

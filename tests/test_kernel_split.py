@@ -1,11 +1,12 @@
 """The one route to the fixed-point kernels.
 
-``_split_kernel_range`` splits the fixed-point matrix ``F`` of a model by
-one SVD below ``_LU_MIN_SIZE`` unknowns and, from there on, by one LU of
-``s - F`` through which a random block is pushed; that route falls back to
-the SVD whenever it cannot vouch for its kernels.  Every pipeline function
-reads the stationary space, its support and the fixed algebra off this one
-split, whichever way it was found.
+``Dynamics.split`` splits the fixed-point matrix ``F`` of a model by one
+SVD below ``_LU_MIN_SIZE`` unknowns (``_split_kernel_range``) and, from
+there on, by one LU of ``s - F`` through which a random block is pushed
+(``_resolvent_split``); that route falls back to the SVD whenever it cannot
+vouch for its kernels.  Every pipeline function reads the stationary space,
+its support and the fixed algebra off this one split, whichever way it was
+found.
 """
 
 import gc
@@ -23,12 +24,12 @@ from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     Dynamics,
     _fixed_point_matrix,
-    _split_kernel_range,
+    _fixed_point_product,
     recurrent_projection,
 )
-from qdsa.channels import LindbladGenerator, QuantumChannel
+from qdsa.channels import HEISENBERG, SCHRODINGER, LindbladGenerator, QuantumChannel
 from qdsa.linalg import DEFAULT_TOL, Projection, opnorm, projections_equal
-from qdsa.models import build_fixture, identity_model
+from qdsa.models import build_fixture, fixture_names, identity_model
 from qdsa.sampling import block_diagonal_channel, transient_block_generator
 from test_dynamics import GOLDEN_SEED, _compare, _counting
 
@@ -92,10 +93,10 @@ def _projector_distance(a: np.ndarray, b: np.ndarray) -> float:
 @pytest.mark.parametrize("kind,d,seed", STRUCTURE_RUNGS,
                          ids=[f"{k}-d{d}-s{s}" for k, d, s in STRUCTURE_RUNGS])
 def test_lu_kernels_match_the_svd(monkeypatch, kind, d, seed):
-    dyn = Dynamics(_rung(kind, d, seed)[0])
-    kernel, left = _split_kernel_range(dyn.schrodinger, dyn.discrete, DEFAULT_TOL)
+    model = _rung(kind, d, seed)[0]
+    kernel, left = Dynamics(model).split(DEFAULT_TOL)
     _by_svd(monkeypatch)
-    want_kernel, want_left = _split_kernel_range(dyn.schrodinger, dyn.discrete, DEFAULT_TOL)
+    want_kernel, want_left = Dynamics(model).split(DEFAULT_TOL)
     assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
     assert _projector_distance(kernel, want_kernel) <= 1e-10
     assert _projector_distance(left, want_left) <= 1e-10
@@ -133,8 +134,8 @@ def test_fixed_point_norm_has_the_bits_of_the_dense_norm(monkeypatch, kind, d):
 
 
 def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):
-    # a channel's LU route takes |F|_1, the shifted copy s - F and every
-    # product with F from R: its one d^2 x d^2 copy is the LU's
+    # a channel's LU route takes |F|_1 and s - F from its own real form and
+    # every product with F from the terms: its one d^2 x d^2 array is the LU's
     dyn = Dynamics(_rung("channel", 24, 1)[0])
     formed = _counting(monkeypatch, qdsa.asymptotics, "_fixed_point_matrix")
     svds = _svd_shapes(monkeypatch)
@@ -144,15 +145,35 @@ def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):
     assert formed == []
 
 
+PRODUCT_MODELS = fixture_names() + [f"{kind}-d{d}" for kind in ("generator", "channel")
+                                    for d in (24, 32)]
+
+
+@pytest.mark.parametrize("columns", [1, 16])
+@pytest.mark.parametrize("name", PRODUCT_MODELS)
+def test_product_from_the_terms_is_the_real_form_product(name, columns):
+    # the LU route takes F q and F^T q from the terms, not from R: each
+    # entry within 2 eps |R|_1 max|q| of the dense product
+    kind, _, d = name.partition("-d")
+    dyn = Dynamics(_rung(kind, int(d), 1)[0] if d else build_fixture(name))
+    r = dyn.schrodinger
+    q = np.random.default_rng(columns).standard_normal((r.shape[0], columns))
+    unit = 2 * np.finfo(float).eps * float(np.abs(r).sum(axis=0).max()) * np.abs(q).max()
+    for picture, m in ((SCHRODINGER, r), (HEISENBERG, r.T)):
+        got = _fixed_point_product(dyn, picture)(q)
+        assert got.shape == q.shape
+        assert np.abs(got - (m @ q - dyn.discrete * q)).max() <= unit
+
+
 def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
     # ten invariant blocks: the kernel leaves fewer than _OVERSAMPLE of the
     # block's columns spare, so the route declines and the SVD runs
     channel, _ = block_diagonal_channel([2] * 10, 2, np.random.default_rng(3))
     dyn = Dynamics(channel)
     assert 10 + qdsa.asymptotics._OVERSAMPLE > 2 * qdsa.asymptotics._OVERSAMPLE
-    assert qdsa.asymptotics._resolvent_split(dyn.schrodinger, True, DEFAULT_TOL) is None
+    assert qdsa.asymptotics._resolvent_split(dyn, DEFAULT_TOL) is None
     svds = _svd_shapes(monkeypatch)
-    kernel, left = _split_kernel_range(dyn.schrodinger, True, DEFAULT_TOL)
+    kernel, left = dyn.split(DEFAULT_TOL)
     assert svds == [(400, 400)]
     assert kernel.shape == left.shape == (400, 10)
 
