@@ -13,11 +13,10 @@ path:
    there on it is one LU of ``s - F`` for a small shift ``s``, through
    which a fixed-seed random block is pushed and read off an ordered real
    Schur form, with the SVD as the fallback whenever that route cannot
-   vouch for its kernels.  That route assembles a real form of its own,
-   turns it into ``s - F`` and factors it in place, reading ``|F|_1`` off
-   ``-F`` before the shift, and takes every product with ``F`` from the
-   terms (:func:`~qdsa.channels._act`), so it holds no other ``d^2 x d^2``
-   matrix and a channel's ``R - 1`` is formed only for the SVD.  A
+   vouch for its kernels.  For a model with few terms that route factors
+   a real form of its own in place and takes its products with ``F`` from
+   the terms (:func:`~qdsa.channels._act`), so it holds no other
+   ``d^2 x d^2`` matrix.  A
    maximal-support stationary state is the exact time-average limit of the
    maximally mixed state: its oblique projection onto the kernel along the
    range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
@@ -68,11 +67,10 @@ transpose, ``nu_T`` on the matrix itself.  The top level and every corner
 share one assembly, :func:`~qdsa.channels._real_schrodinger` of their
 terms, which never forms the complex Schrodinger matrix whole: it sums it
 into the real form a chunk of rows at a time, and every later step
-works on real matrices.  From ``_LU_MIN_SIZE`` on, a structure analysis
-thus holds one ``d^2 x d^2`` matrix at once, the one its split factors; the
-cached real form is built only for the SVD fallback, a propagator or a
-Cesaro mean.  A ``Dynamics`` is dropped with the call; nothing is cached on
-the model or globally.
+works on real matrices.  A structure analysis holds at most two
+``d^2 x d^2`` matrices at once, and one from ``_LU_MIN_SIZE`` on when its
+split takes its products from the terms.  A ``Dynamics`` is dropped with
+the call; nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
@@ -204,24 +202,28 @@ def _resolvent_split(dyn: Dynamics, tol: ToleranceConfig):
     """Kernel and left kernel of the fixed-point matrix ``F`` of ``dyn``
     from one LU of ``s - F``, or None when this route cannot vouch for them.
 
-    ``s - F`` is formed in a real form the route assembles for itself and
-    factors in place: ``-R``, then ``+1`` for a channel and, once ``|F|_1``
-    is read off that ``-F``, ``+s`` on the diagonal, the bits of ``s - F``;
-    it is the one ``d^2 x d^2`` matrix the route holds, freed when it
-    returns.  Products with ``F`` and ``F^T`` come from the terms, in the
-    Schrodinger and the Heisenberg picture (:func:`_fixed_point_product`).
-    ``(s - F)^-1`` scales a kernel vector by
-    ``1/s`` and an eigenvector of eigenvalue ``mu`` by ``1/|s - mu|``, so
-    after ``_SOLVES`` applications a random block spans the kernel up to
-    ``(s/|mu|)^_SOLVES``.  The kernel is read off the block by
-    :func:`_block_kernel`; the left kernel comes from transposed solves.
+    ``s - F`` is formed in a real form the route owns and factors in
+    place: ``-R``, then ``+1`` for a channel and, once ``|F|_1`` is read
+    off that ``-F``, ``+s`` on the diagonal, the bits of ``s - F``.  That
+    form is assembled afresh when the products with ``F`` and ``F^T``
+    (:func:`_fixed_point_product`) are cheaper from the terms, else copied
+    from the cached ``R`` they are taken on.  ``(s - F)^-1`` scales a
+    kernel vector by ``1/s`` and an eigenvector of eigenvalue ``mu`` by
+    ``1/|s - mu|``, so after ``_SOLVES`` applications a random block spans
+    the kernel up to ``(s/|mu|)^_SOLVES``.  The kernel is read off the
+    block by :func:`_block_kernel`; the left kernel comes from transposed
+    solves.
     None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
     either kernel, or the two kernels differ in dimension.
     """
     from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
     n = dyn.dim ** 2
-    a = _real_schrodinger(*dyn.terms, dyn.dim)
+    # a product with F costs about 8 d^3 flops per complex d x d product of
+    # _act (two a term, two more for G) against 2 d^4 per column of R
+    g, ops = dyn.terms
+    r = None if 8 * (len(ops) + (g is not None)) <= dyn.dim else dyn.schrodinger
+    a = _real_schrodinger(*dyn.terms, dyn.dim) if r is None else r.copy()
     np.negative(a, out=a)
     if dyn.discrete:
         a.flat[::n + 1] += 1.0
@@ -238,22 +240,23 @@ def _resolvent_split(dyn: Dynamics, tol: ToleranceConfig):
     block = gaussian_block(n, 2 * _OVERSAMPLE, _SPLIT_SEED)
     cutoff = tol.cutoff(norm)
     bound = _KERNEL_ERROR * tol.atol
-    kernel = _block_kernel(_fixed_point_product(dyn, SCHRODINGER),
+    kernel = _block_kernel(_fixed_point_product(dyn, r, SCHRODINGER),
                            lambda x: dgetrs(lu, piv, x, trans=1)[0], block, cutoff, bound)
-    left = _block_kernel(_fixed_point_product(dyn, HEISENBERG),
+    left = _block_kernel(_fixed_point_product(dyn, r, HEISENBERG),
                          lambda x: dgetrs(lu, piv, x, trans=0)[0], block, cutoff, bound)
     if kernel is None or left is None or kernel.shape != left.shape:
         return None
     return kernel, left
 
 
-def _fixed_point_product(dyn: Dynamics, picture: str):
+def _fixed_point_product(dyn: Dynamics, r, picture: str):
     """``x -> F x`` (Schrodinger) or ``F^T x`` (Heisenberg) on a block of
-    frame coordinates, taken from the terms by :func:`~qdsa.channels._act`
-    on the stack of Hermitian matrices of its columns, with the operand
-    subtracted for a channel."""
+    frame coordinates: on the real form ``r``, or, when ``r`` is None, from
+    the terms by :func:`~qdsa.channels._act` on the stack of Hermitian
+    matrices of its columns; minus ``x`` for a channel."""
     def product(x: np.ndarray) -> np.ndarray:
-        y = _coords(_act(dyn.terms, from_hermitian_coords(x.T, dyn.dim), picture)).real.T
+        y = (_coords(_act(dyn.terms, from_hermitian_coords(x.T, dyn.dim), picture)).real.T
+             if r is None else (r if picture == SCHRODINGER else r.T) @ x)
         return y - x if dyn.discrete else y
     return product
 
@@ -336,9 +339,9 @@ class Dynamics:
 
     Holds the terms of the map, its standard form ``(G, {L_i})``
     (:func:`~qdsa.channels._terms`), the real Schrodinger form
-    :func:`~qdsa.channels._real_schrodinger` sums from them (built only for
-    the SVD split, a propagator or a Cesaro mean: the LU route of the split
-    assembles and factors a form of its own), its one kernel split
+    :func:`~qdsa.channels._real_schrodinger` sums from them (not built by
+    the LU route of the split for a model with few terms, which assembles
+    and factors a form of its own), its one kernel split
     (:meth:`split`), the stationary space and its
     support (that of its maximal-support state, :func:`stationary_support`)
     for each tolerance, the real propagator for each horizon and picture

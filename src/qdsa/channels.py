@@ -167,6 +167,8 @@ def from_hermitian_coords(x, dim: int) -> np.ndarray:
     """The ``dim x dim`` matrix with frame coordinates ``x``; Hermitian when
     ``x`` is real.  A stack of them for the rows of a block ``x``."""
     x = np.asarray(x)
+    if x.ndim == 0:
+        raise DimMismatch("frame coordinates must be a vector or a block of rows, got a scalar")
     flip, own, other = _frame(_square_side(x.shape[-1], dim))
     v = own * x + other[flip] * x[..., flip]
     return v.reshape(*x.shape[:-1], dim, dim).swapaxes(-1, -2)
@@ -571,17 +573,18 @@ def generator_to_channel(gen: LindbladGenerator, t: float,
 
     The Choi matrix, whose block ``(c1, c2)`` is the predual's image of the
     matrix unit ``E_{c1 c2}``, is a reshuffle of the complex Schrodinger
-    matrix of the propagator; it is eigendecomposed and its smallest
-    eigenvalues are dropped while their sum stays within ``atol / 2``.  That
-    sum bounds the unitality defect the dropped Kraus operators leave, so
-    the channel passes its own check with half of ``atol`` to spare.
+    matrix of the propagator; it is eigendecomposed, its negative
+    eigenvalues are dropped, and so are its smallest positive ones while
+    their sum stays within ``atol / 2``.  That sum bounds the unitality
+    defect the dropped Kraus operators leave, so the channel passes its own
+    check with half of ``atol`` to spare.
     """
     tol = _tol(tol)
     d = gen.dim
     s = propagator(gen, t, SCHRODINGER).matrix
     choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     w, v = np.linalg.eigh(hermitian_part(choi))
-    kept = np.flatnonzero(np.cumsum(w) > tol.atol / 2)
+    kept = np.flatnonzero(np.cumsum(np.maximum(w, 0.0)) > tol.atol / 2)
     return QuantumChannel([unvec(np.sqrt(w[j]) * v[:, j], d) for j in kept], tol)
 
 

@@ -1,9 +1,10 @@
 """Memory of the superoperator assembly: the real form owns its buffer,
 building it holds at most 1.75 times its bytes at once, and a whole
-structure analysis no more: its one ``d^2 x d^2`` array is the real form
-the kernel split assembles and factors in place, with no cached real form
-beside it, no complex Schrodinger matrix, no copy of the channel's
-``R - 1`` and no ``d^2 x m^2`` block frame of the transient corner."""
+structure analysis of a model with few terms no more: its one
+``d^2 x d^2`` array is the real form the kernel split assembles and factors
+in place, with no cached real form beside it, no complex Schrodinger
+matrix, no copy of the channel's ``R - 1`` and no ``d^2 x m^2`` block frame
+of the transient corner."""
 
 import tracemalloc
 

@@ -54,10 +54,25 @@ class TestVectorization:
          "length 4 is not the vec of a 3 x 3 matrix"),
         (lambda: from_hermitian_coords(np.zeros(5), 2),
          "length 5 is not the vec of a 2 x 2 matrix"),
-    ], ids=["unvec", "unvec-dim", "from_hermitian_coords", "from_hermitian_coords-square"])
+        (lambda: from_hermitian_coords(np.zeros((4, 1)), 2),
+         "length 1 is not the vec of a 2 x 2 matrix"),
+        (lambda: from_hermitian_coords(np.float64(1.0), 1),
+         "frame coordinates must be a vector or a block of rows, got a scalar"),
+    ], ids=["unvec", "unvec-dim", "from_hermitian_coords", "from_hermitian_coords-square",
+            "from_hermitian_coords-column", "from_hermitian_coords-scalar"])
     def test_one_perfect_square_rule(self, call, message):
         with pytest.raises(DimMismatch, match=message):
             call()
+
+    def test_coordinates_of_a_block_are_a_stack(self, rng):
+        # from_hermitian_coords maps each row of a block, so a (1, n) row is
+        # a stack of one matrix
+        x = rng.standard_normal((3, 4))
+        stack = from_hermitian_coords(x, 2)
+        assert stack.shape == (3, 2, 2)
+        for row, m in zip(x, stack):
+            assert from_hermitian_coords(row, 2).tobytes() == m.tobytes()
+        assert from_hermitian_coords(x[:1], 2).shape == (1, 2, 2)
 
     def test_sandwich_identity(self, rng):
         # vec(A B C) = (C^T kron A) vec(B)
@@ -396,6 +411,20 @@ class TestGeneratorToChannel:
         s = propagator(gen, t, HEISENBERG)
         units = _matrix_units(d)
         assert opnorm(np.stack([s.apply(m) for m in units]) - _act(_terms(ch), units)) <= atol
+
+    def test_negative_eigenvalues_spend_no_budget(self, monkeypatch):
+        # a Choi eigenvalue pushed to -atol is dropped without widening the
+        # budget: the positive weight dropped still stays within atol / 2
+        import qdsa.channels
+
+        atol = ToleranceConfig().atol
+        def shifted(m):
+            w, v = np.linalg.eigh(hermitian_part(m))
+            return hermitian_part(m) - (atol + w[0]) * np.outer(v[:, 0], v[:, 0].conj())
+        monkeypatch.setattr(qdsa.channels, "hermitian_part", shifted)
+        gen = transient_block_generator(4, 4, np.random.default_rng(2))[0]
+        ch = generator_to_channel(gen, 0.1)
+        assert opnorm(sum(v.conj().T @ v for v in ch.kraus_ops) - np.eye(8)) <= atol / 2
 
 
 # The bodies that channels._act and the reshuffled Choi matrix of

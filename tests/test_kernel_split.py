@@ -30,7 +30,12 @@ from qdsa.asymptotics import (
 from qdsa.channels import HEISENBERG, SCHRODINGER, LindbladGenerator, QuantumChannel
 from qdsa.linalg import DEFAULT_TOL, Projection, opnorm, projections_equal
 from qdsa.models import build_fixture, fixture_names, identity_model
-from qdsa.sampling import block_diagonal_channel, transient_block_generator
+from qdsa.sampling import (
+    block_diagonal_channel,
+    haar_random_channel,
+    random_generator,
+    transient_block_generator,
+)
 from test_dynamics import GOLDEN_SEED, _compare, _counting
 
 STRUCTURE_RUNGS = [(kind, d, seed) for seed in (1, 2) for kind in ("generator", "channel")
@@ -160,9 +165,52 @@ def test_product_from_the_terms_is_the_real_form_product(name, columns):
     q = np.random.default_rng(columns).standard_normal((r.shape[0], columns))
     unit = 2 * np.finfo(float).eps * float(np.abs(r).sum(axis=0).max()) * np.abs(q).max()
     for picture, m in ((SCHRODINGER, r), (HEISENBERG, r.T)):
-        got = _fixed_point_product(dyn, picture)(q)
+        want = m @ q - dyn.discrete * q
+        got = _fixed_point_product(dyn, None, picture)(q)
         assert got.shape == q.shape
-        assert np.abs(got - (m @ q - dyn.discrete * q)).max() <= unit
+        assert np.abs(got - want).max() <= unit
+        assert _fixed_point_product(dyn, r, picture)(q).tobytes() == want.tobytes()
+
+
+# (model, whether the LU route takes its products with F from the terms):
+# _act costs about 8 d^3 flops per complex d x d product, two a term and two
+# more for a generator's G, against 2 d^4 a column of R, so the terms win
+# while 8 (K + [generator]) <= d
+ROUTES = {
+    "channel-d24": True, "generator-d24": True, "channel-d32": True,
+    "haar-d16-k2": True, "haar-d16-k4": False, "haar-d24-k8": False,
+    "random-generator-d16-k2": False, "random-generator-d32-k3": True,
+}
+
+
+def _route_model(name: str):
+    kind, _, rest = name.rpartition("-d")
+    if "-k" not in rest:
+        return _rung(kind, int(rest), 1)[0]
+    d, k = (int(x) for x in rest.split("-k"))
+    rng = np.random.default_rng(1)
+    return haar_random_channel(d, k, rng) if kind == "haar" else random_generator(d, k, rng)
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_lu_route_takes_its_products_where_they_cost_less(monkeypatch, name):
+    # a model with many terms keeps the cached real form for the products and
+    # factors a copy of it; one with few factors its own form and never
+    # builds the cached one.  Either way one LU runs and the kernels are the
+    # SVD's
+    model = _route_model(name)
+    dyn = Dynamics(model)
+    acts = _counting(monkeypatch, qdsa.asymptotics, "_act")
+    lus = _lu_shapes(monkeypatch)
+    kernel, left = dyn.split(DEFAULT_TOL)
+    n = dyn.dim ** 2
+    assert lus == [(n, n)]
+    assert bool(acts) == ROUTES[name] == ("schrodinger" not in vars(dyn))
+    _by_svd(monkeypatch)
+    want_kernel, want_left = Dynamics(model).split(DEFAULT_TOL)
+    assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
+    assert _projector_distance(kernel, want_kernel) <= 1e-10
+    assert _projector_distance(left, want_left) <= 1e-10
 
 
 def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
