@@ -5,11 +5,22 @@ Hermitian frame of :mod:`qdsa.channels` the Schrodinger matrix ``R`` is
 real and the Heisenberg one is its transpose.  The analysis pipeline is one
 path:
 
-1. One split of the fixed-point matrix ``F`` (``R``, or ``R - 1`` for a
-   channel) gives the stationary space as its right kernel and the
-   Heisenberg fixed points as its left kernel, both as orthonormal
-   Hermitian bases (:meth:`Dynamics.split`).  Below ``_LU_MIN_SIZE``
-   unknowns the split is one real SVD (:func:`_split_kernel_range`); from
+1. From ``_LU_MIN_SIZE`` unknowns on, the model is first reduced to its
+   recurrent corner (:meth:`Dynamics.reduction`), at ``O(K d^3)`` cost and
+   before any ``d^2 x d^2`` work: the recurrent block is guessed in
+   Hilbert space from the eigenvectors of one generic combination of the
+   terms (:func:`_recurrent_guess`), and used only when it is sub-harmonic
+   and a Lyapunov solve on the corner of its complement certifies that
+   corner transient (:func:`_certify`), so that it holds the support of
+   every stationary state.  A certified model's stationary space is then
+   that of the recurrent corner, embedded, and its transient flow that of
+   the certificate's corner; an uncertified one is its own recurrent
+   corner.  One split of the fixed-point matrix ``F`` (``R``, or ``R - 1``
+   for a channel) of that corner gives the stationary space as its right
+   kernel and the Heisenberg fixed points as its left kernel, both as
+   orthonormal Hermitian bases (:meth:`Dynamics.split`).  Below
+   ``_LU_MIN_SIZE`` unknowns the split is one real SVD
+   (:func:`_split_kernel_range`); from
    there on it is one LU of ``s - F`` for a small shift ``s``, through
    which a fixed-seed random block is pushed and read off an ordered real
    Schur form, with the SVD as the fallback whenever that route cannot
@@ -67,9 +78,12 @@ transpose, ``nu_T`` on the matrix itself.  The top level and every corner
 share one assembly, :func:`~qdsa.channels._real_schrodinger` of their
 terms, which never forms the complex Schrodinger matrix whole: it sums it
 into the real form a chunk of rows at a time, and every later step
-works on real matrices.  A structure analysis holds at most two
-``d^2 x d^2`` matrices at once, and one from ``_LU_MIN_SIZE`` on when its
-split takes its products from the terms.  A ``Dynamics`` is dropped with
+works on real matrices.  Per corner a structure analysis holds at most two
+``n x n`` matrices at once (``n`` the square of the corner's dimension),
+and one from ``_LU_MIN_SIZE`` on when its split takes its products from
+the terms; a certified model's largest arrays are those of its recurrent
+and transient corners, never ``d^2 x d^2``, and each corner is built,
+assembled and split once (:func:`_corner`).  A ``Dynamics`` is dropped with
 the call; nothing is cached on the model or globally.
 """
 
@@ -174,6 +188,13 @@ _OVERSAMPLE = 8
 _SPLIT_SEED = 0
 _KERNEL_ERROR = 1e-4
 
+# From _LU_MIN_SIZE unknowns on the recurrent block is first guessed from
+# the eigenvectors of one combination of the terms, its coefficients drawn
+# from seed _GUESS_SEED, with an eigenvector matrix of condition at most
+# _GUESS_COND (_recurrent_guess), and used only once certified (_certify).
+_GUESS_SEED = 0
+_GUESS_COND = 1e8
+
 
 def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     """Orthonormal bases of the numerical kernel and the left kernel of the
@@ -216,7 +237,7 @@ def _resolvent_split(dyn: Dynamics, tol: ToleranceConfig):
     None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
     either kernel, or the two kernels differ in dimension.
     """
-    from scipy.linalg.lapack import dgetrf, dgetrs, dlange
+    from scipy.linalg.lapack import dlange
 
     n = dyn.dim ** 2
     # a product with F costs about 8 d^3 flops per complex d x d product of
@@ -232,21 +253,32 @@ def _resolvent_split(dyn: Dynamics, tol: ToleranceConfig):
     if norm == 0.0:
         return None
     a.flat[::n + 1] += _SHIFT * norm
-    # factor (s - F)^T in place (its Fortran-ordered view): trans=1 solves
-    # with s - F, trans=0 with its transpose
-    lu, piv, info = dgetrf(a.T, overwrite_a=True)
-    if info != 0:
+    solve = _lu(a)
+    if solve is None:
         return None
     block = gaussian_block(n, 2 * _OVERSAMPLE, _SPLIT_SEED)
     cutoff = tol.cutoff(norm)
     bound = _KERNEL_ERROR * tol.atol
     kernel = _block_kernel(_fixed_point_product(dyn, r, SCHRODINGER),
-                           lambda x: dgetrs(lu, piv, x, trans=1)[0], block, cutoff, bound)
+                           lambda x: solve(x, 1), block, cutoff, bound)
     left = _block_kernel(_fixed_point_product(dyn, r, HEISENBERG),
-                         lambda x: dgetrs(lu, piv, x, trans=0)[0], block, cutoff, bound)
+                         lambda x: solve(x, 0), block, cutoff, bound)
     if kernel is None or left is None or kernel.shape != left.shape:
         return None
     return kernel, left
+
+
+def _lu(a: np.ndarray):
+    """``solve(x, trans)`` from one LU of the C-contiguous real matrix
+    ``a``, factored in place as its transpose (its Fortran-ordered view):
+    ``trans=1`` solves with ``a``, ``trans=0`` with ``a^T``.  None when the
+    LU is singular."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    lu, piv, info = dgetrf(a.T, overwrite_a=True)
+    if info != 0:
+        return None
+    return lambda x, trans: dgetrs(lu, piv, x, trans=trans)[0]
 
 
 def _fixed_point_product(dyn: Dynamics, r, picture: str):
@@ -325,7 +357,11 @@ class StationarySpace:
     :meth:`Dynamics.split`.  ``state`` has maximal support among all
     stationary states: it is the time-average limit of the maximally mixed
     state.  Its support is the supremum of the supports of all stationary
-    states.
+    states.  For a model reduced to its certified recurrent corner
+    (:meth:`Dynamics.space`) both are the corner's, embedded by ``W y
+    W^dag``: the state is then the limit of the corner's maximally mixed
+    state, still of maximal support, and the same state whenever the
+    stationary space has dimension 1.
     """
 
     basis: tuple
@@ -347,11 +383,18 @@ class Dynamics:
     for each tolerance, the real propagator for each horizon and picture
     asked for (the Heisenberg one on the transpose, so no second
     superoperator is built) and that of a transient corner
-    (:meth:`transient`).  Build one per top-level call and pass it to the
-    functions of this module in place of the model; it is dropped when the
-    call returns, so the memory it holds never outlives the analysis.  It
-    keeps no model, only the terms, so a corner (:func:`_corner`) is a
-    ``Dynamics`` like any other.
+    (:meth:`transient`), its corners (:func:`_corner`) and, from
+    ``_LU_MIN_SIZE`` unknowns on, its certified recurrent corner
+    (:meth:`reduction`).  When that corner is certified, :meth:`space` and
+    :meth:`support` read its split, with the basis and time-average state
+    embedded by ``W y W^dag``, ``minimal_enclosures`` takes it as its top
+    corner and :meth:`transient` takes the certificate's corner of the
+    complement, so no ``d^2 x d^2`` array is built; the public
+    ``stationary_space`` and ``cesaro_limit`` still split the whole model.
+    Build one per top-level call and pass it to the functions of this
+    module in place of the model; it is dropped when the call returns, so
+    the memory it holds never outlives the analysis.  It keeps no model,
+    only the terms, so a corner is a ``Dynamics`` like any other.
     """
 
     def __init__(self, model):
@@ -384,12 +427,26 @@ class Dynamics:
         return self._cached(("flow", horizon, picture), lambda: Superoperator(
             _propagate(r, horizon, self.discrete), picture))
 
-    def transient(self, r: Projection, horizon: float):
-        """An isometry ``W`` onto ``1 - r`` and its corner's propagator."""
+    def transient(self, r: Projection, horizon: float, tol: ToleranceConfig):
+        """An isometry ``W`` onto ``1 - r`` and its corner's propagator: the
+        certificate's transient corner (:meth:`reduction`) when ``r`` is
+        the certified block."""
         def build():
-            w = r.complement().range_basis
-            return w, _corner(self, w).flow(horizon)
-        return self._cached(("transient", horizon, r.matrix.tobytes()), build)
+            w, wq = self.reduction(tol)
+            if wq is None or not projections_equal(r, Projection.from_range_basis(w), tol):
+                wq = r.complement().range_basis
+            return wq, _corner(self, wq).flow(horizon)
+        return self._cached(("transient", horizon, tol, r.matrix.tobytes()), build)
+
+    def reduction(self, tol: ToleranceConfig):
+        """Isometries ``(W, W_q)`` onto the certified recurrent block
+        (:func:`_recurrent_guess`, :func:`_certify`) and its complement,
+        tried from ``_LU_MIN_SIZE`` unknowns on; ``(1, None)`` when there
+        is none."""
+        def build():
+            guess = _recurrent_guess(self.terms) if self.dim ** 2 >= _LU_MIN_SIZE else None
+            return guess and _certify(self, *guess, tol)
+        return self._cached(("reduction", tol), build) or (np.eye(self.dim, dtype=complex), None)
 
     def split(self, tol: ToleranceConfig):
         """Kernel and left kernel of the fixed-point matrix: from
@@ -411,7 +468,17 @@ class Dynamics:
             self.split(tol)[0].shape[1], _limit(self, np.eye(self.dim) / self.dim, tol)))
 
     def space(self, tol: ToleranceConfig) -> StationarySpace:
-        return self._cached(("space", tol), lambda: stationary_space(self, tol))
+        """The stationary space of the recurrent corner of
+        :meth:`reduction`, its basis and state embedded by ``W y W^dag``."""
+        def build():
+            w, wq = self.reduction(tol)
+            if wq is None:
+                return stationary_space(self, tol)
+            space = stationary_space(_corner(self, w), tol)
+            wh = w.conj().T
+            return StationarySpace(tuple(w @ b @ wh for b in space.basis),
+                                   DensityMatrix(w @ space.state.matrix @ wh, tol), space.dim)
+        return self._cached(("space", tol), build)
 
     def support(self, tol: ToleranceConfig) -> Projection:
         """The stationary support :func:`stationary_support` of ``space(tol)``."""
@@ -480,8 +547,9 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
 
 def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
     """The corner ``y -> W^dag alpha(W y W^dag) W`` of the isometry ``w``:
-    a Dynamics of the compressed terms, with no validation; ``dyn`` itself
-    when ``w`` is the identity, so the top-level split is reused.
+    a Dynamics of the compressed terms, with no validation, built once per
+    isometry and kept by ``dyn``; ``dyn`` itself when ``w`` is the
+    identity, so the top-level split is reused.
 
     Since ``W^dag W = 1`` the compressed standard form ``(W^dag G W,
     {W^dag L_i W})`` gives that map exactly for every isometry, with
@@ -495,8 +563,110 @@ def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
         return dyn
     wh = w.conj().T
     g, ops = dyn.terms
-    return Dynamics.__new__(Dynamics)._hold(
-        (None if g is None else wh @ g @ w, tuple(wh @ x @ w for x in ops)), w.shape[1])
+    return dyn._cached(("corner", w.shape, w.tobytes()), lambda: Dynamics.__new__(Dynamics)._hold(
+        (None if g is None else wh @ g @ w, tuple(wh @ x @ w for x in ops)), w.shape[1]))
+
+
+def _recurrent_guess(terms):
+    """A unitary ``U`` and a rank ``k < d`` such that the first ``k``
+    columns of ``U`` span the guess of the recurrent block, the rest its
+    complement; None when there is no guess.
+
+    Every invariant subspace of the terms ``X`` (Kraus operators, or the
+    jumps and ``G``) is one of their generic combination ``Y``, so for a
+    ``Y`` of simple spectrum it is spanned by eigenvectors of ``Y``: those
+    of a set closed under the edges ``j -> l`` of the nonzero entries
+    ``(V^-1 X V)_lj`` (``V`` the eigenvectors), and the minimal ones, the
+    minimal enclosures, are the closed strongly connected classes.  The
+    guess spans these classes.  With ``cond(V)`` and the norms taken in the
+    Frobenius norm, which bounds the spectral one, an eigenvalue is trusted
+    to within ``err = d eps cond(V) |Y|`` and an eigenvector to ``err /
+    gap`` for the smallest eigenvalue gap, so an entry is zero or an edge
+    when it is decisive (:func:`~qdsa.linalg._decisive`) against ``cond(V)
+    |X| (d eps + err / gap)``.  None when ``cond(V)`` exceeds
+    ``_GUESS_COND``, the gap is not above ``10 err``, an entry is
+    indecisive, or every eigenvector is in a closed class.
+    """
+    g, ops = terms
+    xs = np.stack(ops if g is None else (g, *ops))
+    y = np.tensordot(gaussian_block(len(xs), 2, _GUESS_SEED) @ (1.0, 1j), xs, axes=1)
+    d = y.shape[0]
+    try:
+        w, v = np.linalg.eig(y)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    # Frobenius norms, which bound the spectral ones
+    norms = np.linalg.norm(np.concatenate([np.stack([v, v_inv, y]), xs]), axis=(1, 2))
+    cond = norms[0] * norms[1]
+    gap = np.abs(w[:, None] - w[None, :])[np.triu_indices(d, 1)].min()
+    err = d * np.finfo(float).eps * cond * norms[2]
+    if not (cond <= _GUESS_COND and gap > 10 * err):
+        return None
+    entries = np.abs(v_inv @ xs @ v)
+    floor = (cond * (d * np.finfo(float).eps + err / gap) * norms[3:])[:, None, None]
+    if not _decisive(entries, floor).all():
+        return None
+    # reach[l, j]: l is reached from j; j is in a closed class when every
+    # eigenvector it reaches reaches it back
+    reach = (entries > floor).any(axis=0) | np.eye(d, dtype=bool)
+    for _ in range(max(1, math.ceil(math.log2(d)))):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    closed = (~reach | reach.T).all(axis=0)
+    k = int(closed.sum())
+    if k == d:
+        return None
+    u, _ = np.linalg.qr(np.concatenate([v[:, closed], v[:, ~closed]], axis=1))
+    return u, k
+
+
+def _certify(dyn: Dynamics, u: np.ndarray, k: int, tol: ToleranceConfig):
+    """The isometries ``(W, W_q)`` of the first ``k`` and the other
+    columns of the unitary ``u`` when ``r = W W^dag`` is certified to hold
+    the support of every stationary state; else None.
+
+    (a) ``r`` is sub-harmonic: its residual on the terms is at most
+    ``atol``.  (b) ``q = 1 - r`` is transient: :func:`_transient_certified`
+    on the corner of ``q``.
+    """
+    w, wq = u[:, :k], u[:, k:]
+    if not _residual(dyn.terms, Projection.from_range_basis(w)) <= tol.atol:
+        return None
+    if not _transient_certified(_corner(dyn, wq)):
+        return None
+    return w, wq
+
+
+def _transient_certified(dyn: Dynamics) -> bool:
+    """Whether a solution ``Z`` of ``L(Z) = -1`` certifies that the flow
+    ``beta_t`` of ``dyn``, the corner of ``q``, has ``integral_0^inf
+    beta_t(1) dt`` finite, so that every stationary state ``sigma`` of the
+    model has ``tr(sigma q) = 0``.
+
+    ``L`` is the Heisenberg generator (``Phi - 1`` for a channel), the
+    transpose of the fixed-point matrix, solved by one LU (:func:`_lu`) of
+    a copy of the real form.  ``Z`` certifies when ``Z >= 0`` and ``-L(Z) >=
+    1/2``, with ``L(Z)`` recomputed from the terms, each by a margin of ten
+    times ``d eps |Z| (1 + sum_i |X_i|^2 + 2 |G|)``, its rounding: then
+    ``beta_T(Z) - Z <= -1/2 integral_0^T beta_t(1) dt`` and ``beta_T(Z) >=
+    0`` bound the integral by ``2 Z`` (Lyapunov); for a channel the same
+    holds for the sum over iterations.
+    """
+    m = dyn.dim
+    a = dyn.schrodinger.copy()
+    if dyn.discrete:
+        a.flat[::m * m + 1] -= 1.0
+    solve = _lu(a)
+    z = None if solve is None else solve(-hermitian_coords(np.eye(m))[:, None], 0)[:, 0]
+    if z is None or not np.isfinite(z).all():
+        return False
+    z = from_hermitian_coords(z, m)
+    g, ops = dyn.terms
+    weight = 1 + sum(opnorm(x) ** 2 for x in ops) + (0 if g is None else 2 * opnorm(g))
+    margin = 10 * m * np.finfo(float).eps * opnorm(z) * weight
+    decrease = dyn.discrete * z - _act(dyn.terms, z)
+    return bool(_hermitian_spectrum(z)[0] >= margin
+                and _hermitian_spectrum(decrease)[0] >= 0.5 + margin)
 
 
 def _checked_residual(dyn: Dynamics, p: Projection, tol: ToleranceConfig, error, what: str):
@@ -603,8 +773,11 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
     r = dyn.support(tol)
-    # the recurrent corner: the dynamics itself when r is the identity
-    top = np.eye(dyn.dim, dtype=complex) if r.rank == dyn.dim else r.range_basis
+    # the recurrent corner: that of the reduction (the dynamics itself when
+    # unreduced) when r fills it
+    top = dyn.reduction(tol)[0]
+    if r.rank < top.shape[1]:
+        top = r.range_basis
     top_corner = _corner(dyn, top)
     fixed = _fixed_basis(top_corner, tol)
     unique = _is_abelian(fixed, tol)
@@ -697,7 +870,7 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
         _checked_residual(dyn, r_min, tol, InternalError, "recurrent projection")
-        w, flow = dyn.transient(r_min, horizon)
+        w, flow = dyn.transient(r_min, horizon, tol)
         transient = w @ flow.apply(np.eye(w.shape[1])) @ w.conj().T
     estimate = hermitian_part(np.eye(d) - transient)
     estimate.flags.writeable = False
@@ -776,7 +949,7 @@ def decay_ideal_units(obj, report: RecurrentReport,
         if eps >= 10 * tol.atol and bound >= 10 * DEFAULT_DECAY_TOL:
             return DecayIdealResult(False, False, eps, bound)
         if eps <= tol.atol:
-            w, flow = dyn.transient(r, horizon)
+            w, flow = dyn.transient(r, horizon, tol)
             value = opnorm(flow.apply(np.outer(w[j].conj(), w[j])))
             low, high = ((v <= DEFAULT_DECAY_TOL, _decisive(v, DEFAULT_DECAY_TOL))
                          for v in (value - 2 * eps, value + 2 * eps))

@@ -83,8 +83,9 @@ def _decisive(residual: float, threshold: float) -> bool:
 
     A verdict ``residual <= threshold`` is trusted only when it is
     decisive; agreement checks between equivalent tests skip the band.
+    Elementwise for arrays.
     """
-    return residual <= threshold or residual >= 10.0 * threshold
+    return (residual <= threshold) | (residual >= 10.0 * threshold)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -243,15 +243,25 @@ def test_inaccurate_kernel_falls_back_to_the_svd(monkeypatch):
 @pytest.mark.parametrize("kind,d", [("generator", 24), ("generator", 32),
                                     ("channel", 24), ("channel", 32)])
 def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
+    # a channel rung is faithful and splits whole; a generator rung is
+    # reduced to its certified recurrent corner of size k = d/2: one LU of
+    # the transient corner's Lyapunov solve, then the recurrent corner's
+    # split, an LU from _LU_MIN_SIZE unknowns on and an SVD below
     model, block = _rung(kind, d, 1)
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     report = recurrent_projection(model)
     n = d * d
     assert (n, n) not in svds
-    assert lus.count((n, n)) == 1
-    assert report.recurrent.rank == (d if block is None else block.rank)
-    if block is not None:
+    if block is None:
+        assert lus.count((n, n)) == 1
+        assert report.recurrent.rank == d
+    else:
+        half = (d // 2) ** 2
+        lu_split = half >= qdsa.asymptotics._LU_MIN_SIZE
+        assert lus == [(half, half)] * (1 + lu_split)
+        assert svds == [(half, half)] * (not lu_split)
+        assert report.recurrent.rank == block.rank
         assert projections_equal(report.recurrent, block)
 
 
@@ -283,9 +293,16 @@ def test_stiff_model_falls_back_to_the_svd(monkeypatch, name):
     options = AnalysisOptions(seed=GOLDEN_SEED)
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
-    report = run_analyze(model, options)
+    # the whole split: the LU route declines, then the SVD runs
+    Dynamics(model).split(DEFAULT_TOL)
     assert lus == [(256, 256)]
     assert svds.count((256, 256)) == 1
+    # the analysis is reduced to its certified corner and splits neither
+    # at that size, and its report is the SVD route's
+    del lus[:], svds[:]
+    assert Dynamics(model).reduction(DEFAULT_TOL)[1] is not None
+    report = run_analyze(model, options)
+    assert (256, 256) not in lus + svds
     assert projections_equal(report.recurrent, block)
     _by_svd(monkeypatch)
     _same_report(report, run_analyze(model, options), name)
