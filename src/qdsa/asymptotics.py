@@ -5,19 +5,22 @@ Hermitian frame of :mod:`qdsa.channels` the Schrodinger matrix ``R`` is
 real and the Heisenberg one is its transpose.  The analysis pipeline is one
 path:
 
-1. From ``_LU_MIN_SIZE`` unknowns on, the model is first reduced to its
-   recurrent corner (:meth:`Dynamics.reduction`), at ``O(K d^3)`` cost and
-   before any ``d^2 x d^2`` work: the recurrent block is guessed in
-   Hilbert space from the eigenvectors of one generic combination of the
-   terms (:func:`_recurrent_guess`), and used only when it is sub-harmonic
-   and a Lyapunov solve on the corner of its complement certifies that
-   corner transient (:func:`_certify`), so that it holds the support of
-   every stationary state.  A certified model's stationary space is then
-   that of the recurrent corner, embedded, and its transient flow that of
-   the certificate's corner; an uncertified one is its own recurrent
-   corner.  One split of the fixed-point matrix ``F`` (``R``, or ``R - 1``
-   for a channel) of that corner gives the stationary space as its right
-   kernel and the Heisenberg fixed points as its left kernel, both as
+1. From ``_LU_MIN_SIZE`` unknowns on, the model is first reduced to the
+   corners of its closed classes (:meth:`Dynamics.reduction`), at ``O(K
+   d^3)`` cost and before any ``d^2 x d^2`` work: the minimal enclosures
+   are guessed in Hilbert space as the closed classes of the eigenvectors
+   of one generic combination of the terms (:func:`_recurrent_guess`), and
+   used only when each class is sub-harmonic, a Lyapunov solve on the
+   corner of the rest, if any is left, certifies that corner transient, so
+   that the classes hold the support of every stationary state, and no
+   fixed point couples two classes (:func:`_certify`).  A faithful model,
+   whose classes fill the space, is reduced too; one whose single class
+   fills it is not.  A certified model's stationary space is then the sum
+   of those of its class corners, embedded, and its transient flow that of
+   the certificate's corner; an uncertified one is its own single class.
+   One split of the fixed-point matrix ``F`` (``R``, or ``R - 1`` for a
+   channel) of each such corner gives its stationary space as its right
+   kernel and its Heisenberg fixed points as its left kernel, both as
    orthonormal Hermitian bases (:meth:`Dynamics.split`).  Below
    ``_LU_MIN_SIZE`` unknowns the split is one real SVD
    (:func:`_split_kernel_range`); from
@@ -43,14 +46,15 @@ path:
    W`` exactly, a semigroup again for a sub- or super-harmonic block (the
    enclosures of Baumgartner and Narnhofer, Rev. Math. Phys. 24, 2012).
    Residuals are read off the terms too, so every function runs on a corner.
-   The Heisenberg fixed points of the recurrent corner form a *-algebra (it
+   The Heisenberg fixed points of each class corner form a *-algebra (it
    has a faithful stationary state), so one split along the spectral
    projections of a generic Hermitian fixed element yields an orthogonal
    family of minimal enclosures, i.e. supports of the minimal invariant
-   faces.  Each block is certified by its corner having a one-dimensional
-   stationary space whose state has full support on the block; a block
-   with a larger one means the draw merged two blocks, and the split is
-   redrawn.
+   faces; a class whose fixed algebra is one-dimensional is one block,
+   with no draw.  Each block is certified by its corner having a
+   one-dimensional stationary space whose state has full support on the
+   block; a block with a larger one means the draw merged two blocks, and
+   the split is redrawn.
 
 3. The minimal recurrent projection ``r`` is the supremum of the minimal
    enclosures.  At a finite horizon ``T`` the report records how far
@@ -81,14 +85,16 @@ into the real form a chunk of rows at a time, and every later step
 works on real matrices.  Per corner a structure analysis holds at most two
 ``n x n`` matrices at once (``n`` the square of the corner's dimension),
 and one from ``_LU_MIN_SIZE`` on when its split takes its products from
-the terms; a certified model's largest arrays are those of its recurrent
-and transient corners, never ``d^2 x d^2``, and each corner is built,
-assembled and split once (:func:`_corner`).  A ``Dynamics`` is dropped with
+the terms; a certified model's largest arrays are those of its class and
+transient corners and the ``(d_i d_j)^2`` maps between pairs of classes,
+never ``d^2 x d^2``, and each corner is built, assembled and split once
+(:func:`_corner`).  A ``Dynamics`` is dropped with
 the call; nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,7 +123,7 @@ from .errors import (
     InternalError,
     TheoremViolation,
 )
-from .harmonic import _residual
+from .harmonic import _leak, _residual
 from .linalg import (
     Projection,
     ToleranceConfig,
@@ -188,7 +194,7 @@ _OVERSAMPLE = 8
 _SPLIT_SEED = 0
 _KERNEL_ERROR = 1e-4
 
-# From _LU_MIN_SIZE unknowns on the recurrent block is first guessed from
+# From _LU_MIN_SIZE unknowns on the closed classes are first guessed from
 # the eigenvectors of one combination of the terms, its coefficients drawn
 # from seed _GUESS_SEED, with an eigenvector matrix of condition at most
 # _GUESS_COND (_recurrent_guess), and used only once certified (_certify).
@@ -357,11 +363,12 @@ class StationarySpace:
     :meth:`Dynamics.split`.  ``state`` has maximal support among all
     stationary states: it is the time-average limit of the maximally mixed
     state.  Its support is the supremum of the supports of all stationary
-    states.  For a model reduced to its certified recurrent corner
-    (:meth:`Dynamics.space`) both are the corner's, embedded by ``W y
-    W^dag``: the state is then the limit of the corner's maximally mixed
-    state, still of maximal support, and the same state whenever the
-    stationary space has dimension 1.
+    states.  For a model reduced to its certified classes
+    (:meth:`Dynamics.space`) both are summed from the class corners',
+    embedded by ``W_i y W_i^dag``: the state is then the limit of the
+    maximally mixed state of the recurrent corner, the sum of the classes,
+    still of maximal support, and the same state whenever the stationary
+    space has dimension 1.
     """
 
     basis: tuple
@@ -384,13 +391,14 @@ class Dynamics:
     asked for (the Heisenberg one on the transpose, so no second
     superoperator is built) and that of a transient corner
     (:meth:`transient`), its corners (:func:`_corner`) and, from
-    ``_LU_MIN_SIZE`` unknowns on, its certified recurrent corner
-    (:meth:`reduction`).  When that corner is certified, :meth:`space` and
-    :meth:`support` read its split, with the basis and time-average state
-    embedded by ``W y W^dag``, ``minimal_enclosures`` takes it as its top
-    corner and :meth:`transient` takes the certificate's corner of the
-    complement, so no ``d^2 x d^2`` array is built; the public
-    ``stationary_space`` and ``cesaro_limit`` still split the whole model.
+    ``_LU_MIN_SIZE`` unknowns on, its certified closed classes
+    (:meth:`reduction`).  When they are certified, :meth:`space` and
+    :meth:`support` read the splits of the class corners, with the bases
+    and time-average states embedded by ``W_i y W_i^dag``,
+    ``minimal_enclosures`` takes the classes as its blocks and
+    :meth:`transient` takes the certificate's corner of the rest, so no
+    ``d^2 x d^2`` array is built; the public ``stationary_space`` and
+    ``cesaro_limit`` still split the whole model.
     Build one per top-level call and pass it to the functions of this
     module in place of the model; it is dropped when the call returns, so
     the memory it holds never outlives the analysis.  It keeps no model,
@@ -430,23 +438,24 @@ class Dynamics:
     def transient(self, r: Projection, horizon: float, tol: ToleranceConfig):
         """An isometry ``W`` onto ``1 - r`` and its corner's propagator: the
         certificate's transient corner (:meth:`reduction`) when ``r`` is
-        the certified block."""
+        the sum of the certified classes."""
         def build():
-            w, wq = self.reduction(tol)
-            if wq is None or not projections_equal(r, Projection.from_range_basis(w), tol):
+            ws, wq = self.reduction(tol)
+            if wq is None or not projections_equal(
+                    r, Projection.from_range_basis(np.concatenate(ws, axis=1)), tol):
                 wq = r.complement().range_basis
             return wq, _corner(self, wq).flow(horizon)
         return self._cached(("transient", horizon, tol, r.matrix.tobytes()), build)
 
     def reduction(self, tol: ToleranceConfig):
-        """Isometries ``(W, W_q)`` onto the certified recurrent block
-        (:func:`_recurrent_guess`, :func:`_certify`) and its complement,
-        tried from ``_LU_MIN_SIZE`` unknowns on; ``(1, None)`` when there
-        is none."""
+        """Isometries ``((W_1, ..., W_n), W_q)`` onto the certified closed
+        classes (:func:`_recurrent_guess`, :func:`_certify`) and onto the
+        rest, which has no columns for a faithful model, tried from
+        ``_LU_MIN_SIZE`` unknowns on; ``((1,), None)`` when there is none."""
         def build():
             guess = _recurrent_guess(self.terms) if self.dim ** 2 >= _LU_MIN_SIZE else None
             return guess and _certify(self, *guess, tol)
-        return self._cached(("reduction", tol), build) or (np.eye(self.dim, dtype=complex), None)
+        return self._cached(("reduction", tol), build) or ((np.eye(self.dim, dtype=complex),), None)
 
     def split(self, tol: ToleranceConfig):
         """Kernel and left kernel of the fixed-point matrix: from
@@ -468,16 +477,24 @@ class Dynamics:
             self.split(tol)[0].shape[1], _limit(self, np.eye(self.dim) / self.dim, tol)))
 
     def space(self, tol: ToleranceConfig) -> StationarySpace:
-        """The stationary space of the recurrent corner of
-        :meth:`reduction`, its basis and state embedded by ``W y W^dag``."""
+        """The stationary space; when :meth:`reduction` holds, the sum of
+        those of its class corners, each basis embedded by ``W_i y
+        W_i^dag``, with the state ``sum_i (d_i / k) W_i rho_i W_i^dag``
+        (``rho_i`` the state of class ``i``, of size ``d_i``, and ``k =
+        sum_i d_i``), the limit of the recurrent corner's maximally mixed
+        state."""
         def build():
-            w, wq = self.reduction(tol)
+            ws, wq = self.reduction(tol)
             if wq is None:
                 return stationary_space(self, tol)
-            space = stationary_space(_corner(self, w), tol)
-            wh = w.conj().T
-            return StationarySpace(tuple(w @ b @ wh for b in space.basis),
-                                   DensityMatrix(w @ space.state.matrix @ wh, tol), space.dim)
+            import scipy.linalg
+
+            spaces = [stationary_space(_corner(self, w), tol) for w in ws]
+            w = np.concatenate(ws, axis=1)
+            state = scipy.linalg.block_diag(*(x.shape[1] / w.shape[1] * space.state.matrix
+                                              for x, space in zip(ws, spaces)))
+            basis = tuple(x @ b @ x.conj().T for x, space in zip(ws, spaces) for b in space.basis)
+            return StationarySpace(basis, DensityMatrix(w @ state @ w.conj().T, tol), len(basis))
         return self._cached(("space", tol), build)
 
     def support(self, tol: ToleranceConfig) -> Projection:
@@ -568,9 +585,9 @@ def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
 
 
 def _recurrent_guess(terms):
-    """A unitary ``U`` and a rank ``k < d`` such that the first ``k``
-    columns of ``U`` span the guess of the recurrent block, the rest its
-    complement; None when there is no guess.
+    """A unitary ``U`` and the sizes of the closed classes its first
+    columns span, class by class, the rest spanning their complement; None
+    when there is no guess.
 
     Every invariant subspace of the terms ``X`` (Kraus operators, or the
     jumps and ``G``) is one of their generic combination ``Y``, so for a
@@ -578,14 +595,15 @@ def _recurrent_guess(terms):
     of a set closed under the edges ``j -> l`` of the nonzero entries
     ``(V^-1 X V)_lj`` (``V`` the eigenvectors), and the minimal ones, the
     minimal enclosures, are the closed strongly connected classes.  The
-    guess spans these classes.  With ``cond(V)`` and the norms taken in the
-    Frobenius norm, which bounds the spectral one, an eigenvalue is trusted
-    to within ``err = d eps cond(V) |Y|`` and an eigenvector to ``err /
-    gap`` for the smallest eigenvalue gap, so an entry is zero or an edge
-    when it is decisive (:func:`~qdsa.linalg._decisive`) against ``cond(V)
-    |X| (d eps + err / gap)``.  None when ``cond(V)`` exceeds
-    ``_GUESS_COND``, the gap is not above ``10 err``, an entry is
-    indecisive, or every eigenvector is in a closed class.
+    guess spans each class on columns of its own.  With ``cond(V)`` and the
+    norms taken in the Frobenius norm, which bounds the spectral one, an
+    eigenvalue is trusted to within ``err = d eps cond(V) |Y|`` and an
+    eigenvector to ``err / gap`` for the smallest eigenvalue gap, so an
+    entry is zero or an edge when it is decisive
+    (:func:`~qdsa.linalg._decisive`) against ``cond(V) |X| (d eps + err /
+    gap)``.  None when ``cond(V)`` exceeds ``_GUESS_COND``, the gap is not
+    above ``10 err``, an entry is indecisive, or a single class fills the
+    space.
     """
     g, ops = terms
     xs = np.stack(ops if g is None else (g, *ops))
@@ -608,33 +626,83 @@ def _recurrent_guess(terms):
     if not _decisive(entries, floor).all():
         return None
     # reach[l, j]: l is reached from j; j is in a closed class when every
-    # eigenvector it reaches reaches it back
+    # eigenvector it reaches reaches it back, and that class is what it reaches
     reach = (entries > floor).any(axis=0) | np.eye(d, dtype=bool)
     for _ in range(max(1, math.ceil(math.log2(d)))):
         reach = (reach.astype(float) @ reach.astype(float)) > 0
     closed = (~reach | reach.T).all(axis=0)
-    k = int(closed.sum())
-    if k == d:
+    classes = []
+    for j in np.flatnonzero(closed):
+        if not any(c[j] for c in classes):
+            classes.append(reach[:, j])
+    if len(classes) == 1 and closed.all():
         return None
-    u, _ = np.linalg.qr(np.concatenate([v[:, closed], v[:, ~closed]], axis=1))
-    return u, k
+    u, _ = np.linalg.qr(np.concatenate([v[:, c] for c in classes] + [v[:, ~closed]], axis=1))
+    return u, tuple(int(c.sum()) for c in classes)
 
 
-def _certify(dyn: Dynamics, u: np.ndarray, k: int, tol: ToleranceConfig):
-    """The isometries ``(W, W_q)`` of the first ``k`` and the other
-    columns of the unitary ``u`` when ``r = W W^dag`` is certified to hold
-    the support of every stationary state; else None.
+def _certify(dyn: Dynamics, u: np.ndarray, sizes: tuple, tol: ToleranceConfig):
+    """The isometries ``(W_1, ..., W_n)`` of the closed classes, the first
+    columns of the unitary ``u`` in blocks of ``sizes``, and ``W_q`` of the
+    other columns, when the classes are certified to carry the stationary
+    structure class by class; else None.
 
-    (a) ``r`` is sub-harmonic: its residual on the terms is at most
-    ``atol``.  (b) ``q = 1 - r`` is transient: :func:`_transient_certified`
-    on the corner of ``q``.
+    (a) Each ``p_i = W_i W_i^dag`` is sub-harmonic: its residual on the
+    terms is at most ``atol`` (:func:`~qdsa.linalg._norm_exceeds`, so a
+    clear pass takes no SVD).  (b) When columns are left, ``q = 1 - r``,
+    ``r = sum_i p_i``, is transient: :func:`_transient_certified` on the
+    corner of ``q``, so every stationary state lives on ``r``.  (c) No
+    fixed point couples two classes (:func:`_uncoupled`).  Sub-harmonic
+    projections that sum to ``r`` are harmonic on the corner of ``r``, so
+    every term is block diagonal there and the map preserves each ``p_i M
+    p_j``: with (c) its fixed points are the sum of those of the class
+    corners.
     """
-    w, wq = u[:, :k], u[:, k:]
-    if not _residual(dyn.terms, Projection.from_range_basis(w)) <= tol.atol:
+    *ws, wq = np.split(u, np.cumsum(sizes), axis=1)
+    if any(_norm_exceeds(_leak(dyn.terms, Projection.from_range_basis(w)), tol.atol) for w in ws):
         return None
-    if not _transient_certified(_corner(dyn, wq)):
+    if wq.shape[1] and not _transient_certified(_corner(dyn, wq)):
         return None
-    return w, wq
+    if not _uncoupled([_corner(dyn, w) for w in ws], tol):
+        return None
+    return tuple(ws), wq
+
+
+def _uncoupled(corners, tol: ToleranceConfig) -> bool:
+    """Whether, for each pair ``i < j`` of class corners (:func:`_corner`)
+    with terms ``(G_i, {A_a})`` and ``(G_j, {B_a})``, the map ``Y -> sum_a
+    A_a^dag Y B_a``, plus ``G_i^dag Y + Y G_j`` for a generator or minus
+    ``Y`` for a channel, is decisively nonsingular on ``d_i x d_j``
+    matrices: its smallest singular value is above ``tol.cutoff`` of its
+    largest, decisively (:func:`~qdsa.linalg._decisive`).  That map is the
+    Heisenberg generator on ``p_i M p_j``; the Schrodinger one there is its
+    adjoint, and that on ``p_j M p_i`` its conjugate by ``Y -> Y^dag``, so
+    then no fixed point of either picture has a block off the diagonal.
+
+    On row-major coordinates the map is ``sum_t kron(L_t^dag, R_t^T)`` over
+    the pairs ``(L_t, R_t)``: ``(A_a, B_a)``, then ``(G_i, 1), (1, G_j)``
+    or ``(-1, 1)``.  Its singular values are taken in one stacked SVD per
+    pair shape ``(d_i, d_j)``.
+    """
+    def factors(corner):
+        (g, ops), one = corner.terms, np.eye(corner.dim)
+        extra = ((-one, one),) if g is None else ((g, one), (one, g))
+        return (np.stack([*ops, *(left for left, _ in extra)]),
+                np.stack([*ops, *(right for _, right in extra)]))
+
+    lefts, rights = zip(*map(factors, corners))
+    groups = {}
+    for i, j in itertools.combinations(range(len(corners)), 2):
+        groups.setdefault((corners[i].dim, corners[j].dim), []).append((i, j))
+    for (di, dj), pairs in groups.items():
+        a = np.stack([lefts[i] for i, _ in pairs]).conj().swapaxes(-1, -2)
+        b = np.stack([rights[j] for _, j in pairs]).swapaxes(-1, -2)
+        maps = np.einsum("ptrx,ptsy->prsxy", a, b).reshape(len(pairs), di * dj, di * dj)
+        for s in np.linalg.svd(maps, compute_uv=False):
+            cutoff = tol.cutoff(float(s[0]))
+            if not (s[-1] > cutoff and _decisive(s[-1], cutoff)):
+                return False
+    return True
 
 
 def _transient_certified(dyn: Dynamics) -> bool:
@@ -758,45 +826,53 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
                        seed: int = 7) -> EnclosureDecomposition:
     """Decompose the recurrent block into minimal sub-harmonic projections.
 
-    The Heisenberg fixed points of the recurrent corner form a *-algebra
-    ``sum_k M_{n_k} (x) 1_{m_k}`` (the corner has a faithful stationary
-    state), so the spectral projections of one generic Hermitian fixed
-    element are minimal projections of it: the minimal enclosures.  The
-    corner is split once along such an element, and each block is certified
+    The recurrent block is taken class by class: the certified classes of
+    :meth:`Dynamics.reduction` when the stationary support fills them, else
+    the support as one class.  The Heisenberg fixed points of a class
+    corner form a *-algebra ``sum_k M_{n_k} (x) 1_{m_k}`` (the corner has a
+    faithful stationary state), so the spectral projections of one generic
+    Hermitian fixed element are minimal projections of it: the minimal
+    enclosures.  A class whose algebra is one-dimensional is one block;
+    any other is split once along such an element.  Each block is certified
     on its own corner by a one-dimensional stationary space whose state has
     full support.  A block with more than one stationary state means the
-    draw merged two eigenvalue clusters; the split is then redrawn, at most
+    draw merged two eigenvalue clusters; the class is then redrawn, at most
     8 draws in all before ConvergenceFailure.  A block whose stationary
-    state misses part of it is a ConvergenceFailure too.
+    state misses part of it is a ConvergenceFailure too.  The fixed algebra
+    is the sum of those of the classes, abelian when each is.
     """
     tol = _tol(tol)
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj)
     r = dyn.support(tol)
-    # the recurrent corner: that of the reduction (the dynamics itself when
-    # unreduced) when r fills it
-    top = dyn.reduction(tol)[0]
-    if r.rank < top.shape[1]:
-        top = r.range_basis
-    top_corner = _corner(dyn, top)
-    fixed = _fixed_basis(top_corner, tol)
-    unique = _is_abelian(fixed, tol)
-
-    for _ in range(8):
-        if len(fixed) == 1:
-            blocks = [(top, top_corner)]
+    # the classes of the reduction (the dynamics itself when unreduced)
+    # when r fills them, else r as one class
+    classes = dyn.reduction(tol)[0]
+    if r.rank < sum(w.shape[1] for w in classes):
+        classes = (r.range_basis,)
+    blocks, limits, unique, fixed_dim = [], [], True, 0
+    for top in classes:
+        top_corner = _corner(dyn, top)
+        fixed = _fixed_basis(top_corner, tol)
+        unique = unique and _is_abelian(fixed, tol)
+        fixed_dim += len(fixed)
+        for _ in range(8):
+            if len(fixed) == 1:
+                parts = [(top, top_corner)]
+            else:
+                w_eig, v_eig = np.linalg.eigh(hermitian_part(random_combination(fixed, rng)))
+                parts = [(w, _corner(dyn, w)) for w in (
+                    top @ v_eig[:, idx]
+                    for idx in _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0])))]
+            part_limits = [corner.limit(tol) for _, corner in parts]
+            if all(sdim == 1 for sdim, _ in part_limits):
+                break
         else:
-            w_eig, v_eig = np.linalg.eigh(hermitian_part(random_combination(fixed, rng)))
-            blocks = [(w, _corner(dyn, w)) for w in (
-                top @ v_eig[:, idx]
-                for idx in _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0])))]
-        limits = [corner.limit(tol) for _, corner in blocks]
-        if all(sdim == 1 for sdim, _ in limits):
-            break
-    else:
-        raise ConvergenceFailure(
-            f"no generic fixed element split the recurrent block of size {top.shape[1]} "
-            f"(fixed space dimension {len(fixed)}) into blocks of one stationary state")
+            raise ConvergenceFailure(
+                f"no generic fixed element split the recurrent block of size {top.shape[1]} "
+                f"(fixed space dimension {len(fixed)}) into blocks of one stationary state")
+        blocks += parts
+        limits += part_limits
 
     final = []
     for (w, _), certificate in zip(blocks, limits):
@@ -818,7 +894,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             if overlap > 10 * tol.atol:
                 raise InternalError("refined enclosures are not mutually orthogonal")
             max_overlap = max(max_overlap, overlap)
-    return EnclosureDecomposition(projections, unique, len(fixed),
+    return EnclosureDecomposition(projections, unique, fixed_dim,
                                   tuple(c for _, c, _ in final),
                                   tuple(k for _, _, k in final), tuple(residuals),
                                   max_overlap)

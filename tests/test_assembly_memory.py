@@ -72,10 +72,10 @@ def _assert_analysis_peak(analysis, kind: str, d: int):
 
 @pytest.mark.parametrize("kind", ["generator", "channel"])
 def test_analysis_assembles_the_top_level_form_once_and_caches_none(monkeypatch, kind):
-    # the split's own real form is the only top-level assembly: no product,
-    # slack or fallback reads the cached Dynamics.schrodinger; a generator
-    # rung is reduced to its certified corners of size 12 and assembles
-    # none at 24
+    # no product, slack or fallback reads the cached Dynamics.schrodinger:
+    # a generator rung is reduced to its certified corners of size 12, a
+    # channel rung to its six blocks of size 4, and neither assembles a
+    # form at 24
     sizes, made = [], []
     assemble = qdsa.asymptotics._real_schrodinger
     monkeypatch.setattr(qdsa.asymptotics, "_real_schrodinger",
@@ -88,9 +88,7 @@ def test_analysis_assembles_the_top_level_form_once_and_caches_none(monkeypatch,
 
     monkeypatch.setattr(qdsa.analyze, "Dynamics", Recorded)
     run_analyze(_model(kind, 24))
-    assert sizes.count(24) == (kind == "channel")
-    if kind == "generator":
-        assert sizes == [12, 12]
+    assert sizes == ([12, 12] if kind == "generator" else [4] * 6)
     assert len(made) == 1 and "schrodinger" not in vars(made[0])
 
 

@@ -63,6 +63,11 @@ def _by_svd(monkeypatch):
     monkeypatch.setattr(qdsa.asymptotics, "_LU_MIN_SIZE", sys.maxsize)
 
 
+def _without_reduction(monkeypatch):
+    """Switch the reduction off: every guess declines."""
+    monkeypatch.setattr(qdsa.asymptotics, "_recurrent_guess", lambda terms: None)
+
+
 def _svd_shapes(monkeypatch) -> list:
     """Shapes of the SVDs run outside ``opnorm``, in call order."""
     shapes = []
@@ -229,8 +234,10 @@ def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
 def test_inaccurate_kernel_falls_back_to_the_svd(monkeypatch):
     # three solves leave the kernels about 2.5e-12 from the SVD's, which
     # the enclosure refinement of this rung amplifies past atol; the error
-    # estimate declines them, so one SVD runs and the analysis succeeds
+    # estimate declines them, so one SVD runs and the analysis succeeds.
+    # The rung splits whole only when not reduced to its blocks
     model = _rung("channel", 32, 1)[0]
+    _without_reduction(monkeypatch)
     monkeypatch.setattr(qdsa.asymptotics, "_SOLVES", 3)
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
@@ -243,10 +250,12 @@ def test_inaccurate_kernel_falls_back_to_the_svd(monkeypatch):
 @pytest.mark.parametrize("kind,d", [("generator", 24), ("generator", 32),
                                     ("channel", 24), ("channel", 32)])
 def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
-    # a channel rung is faithful and splits whole; a generator rung is
-    # reduced to its certified recurrent corner of size k = d/2: one LU of
-    # the transient corner's Lyapunov solve, then the recurrent corner's
-    # split, an LU from _LU_MIN_SIZE unknowns on and an SVD below
+    # a generator rung is reduced to its certified recurrent corner of size
+    # k = d/2: one LU of the transient corner's Lyapunov solve, then the
+    # recurrent corner's split, an LU from _LU_MIN_SIZE unknowns on and an
+    # SVD below.  A channel rung is faithful and reduced to its d/4 blocks
+    # of size 4: one stacked SVD of the maps between pairs of blocks, then
+    # each block's split, an SVD of its 16 unknowns, and no LU
     model, block = _rung(kind, d, 1)
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
@@ -254,8 +263,11 @@ def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
     n = d * d
     assert (n, n) not in svds
     if block is None:
-        assert lus.count((n, n)) == 1
+        blocks = d // 4
+        assert lus == []
+        assert svds == [(blocks * (blocks - 1) // 2, 16, 16)] + [(16, 16)] * blocks
         assert report.recurrent.rank == d
+        assert [p.rank for p in report.enclosures.minimal_projections] == [4] * blocks
     else:
         half = (d // 2) ** 2
         lu_split = half >= qdsa.asymptotics._LU_MIN_SIZE

@@ -1,17 +1,19 @@
-"""The certified recurrent corner.
+"""The certified closed classes.
 
 From ``_LU_MIN_SIZE`` unknowns on, ``Dynamics.reduction`` guesses the
-recurrent block from the eigenvectors of one generic combination of the
-terms (``_recurrent_guess``) and keeps the guess only when (a) it is
-sub-harmonic and (b) a Lyapunov solve on the corner of its complement
-certifies that corner transient (``_certify``).  A certified model's
-stationary space, top enclosure corner and transient flow are read off the
-two corners, so no ``d^2 x d^2`` array is built; a declined guess leaves
-the analysis as it was.
+closed classes from the eigenvectors of one generic combination of the
+terms (``_recurrent_guess``) and keeps the guess only when (a) each class is
+sub-harmonic, (b) a Lyapunov solve on the corner of the rest, if any,
+certifies that corner transient and (c) no fixed point couples two classes
+(``_certify``).  A certified model's stationary space, enclosures and
+transient flow are read off the class corners and the rest's corner, so no
+``d^2 x d^2`` array is built; a declined guess leaves the analysis as it
+was.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,25 +25,22 @@ from qdsa.asymptotics import (
     _corner,
     _recurrent_guess,
     _transient_certified,
+    _uncoupled,
 )
-from qdsa.channels import LindbladGenerator, _terms
+from qdsa.channels import LindbladGenerator, QuantumChannel, _terms
 from qdsa.harmonic import _residual
 from qdsa.linalg import DEFAULT_TOL, Projection, projections_equal
 from qdsa.sampling import (
     block_diagonal_channel,
     haar_random_channel,
+    random_hermitian,
     transient_block_generator,
 )
 from test_dynamics import GOLDEN_SEED, PROJECTION_ATOL, _counting
-from test_kernel_split import _lu_shapes, _rung, _svd_shapes
+from test_kernel_split import _lu_shapes, _rung, _svd_shapes, _without_reduction
 
 OPTIONS = AnalysisOptions(seed=GOLDEN_SEED)
 CERTIFIED = [(d, seed) for d in (16, 24, 32, 48) for seed in (1, 2, 3)]
-
-
-def _without_reduction(monkeypatch):
-    """Switch the reduction off: every guess declines."""
-    monkeypatch.setattr(qdsa.asymptotics, "_recurrent_guess", lambda terms: None)
 
 
 def _assembly_sizes(monkeypatch) -> list:
@@ -72,8 +71,8 @@ def test_certified_block_is_the_constructed_one(monkeypatch, d, seed):
     # LU from _LU_MIN_SIZE unknowns on, an SVD below); the d x d SVD is
     # decay_ideal_units' trace norm
     model, block = _rung("generator", d, seed)
-    w, wq = Dynamics(model).reduction(DEFAULT_TOL)
-    assert wq is not None
+    (w,), wq = Dynamics(model).reduction(DEFAULT_TOL)
+    assert wq.shape == (d, d - block.rank)
     assert projections_equal(Projection.from_range_basis(w), block)
     k, m = block.rank, d - block.rank
     sizes = _assembly_sizes(monkeypatch)
@@ -88,21 +87,26 @@ def test_certified_block_is_the_constructed_one(monkeypatch, d, seed):
     assert projections_equal(report.recurrent, block)
 
 
-DECLINED = ["channel-d16", "channel-d24", "channel-d32", "haar-d16-k2", "doubled-generator-d12"]
+DECLINED = ["haar-d16-k2", "doubled-generator-d12", "doubled-channel-d8"]
+
+
+def _doubled_channel(d: int) -> QuantumChannel:
+    """``1_2 (x) channel-d``: two copies of a channel rung."""
+    return QuantumChannel([np.kron(np.eye(2), v) for v in _rung("channel", d, 1)[0].kraus_ops])
 
 
 def _declined_model(name: str):
     if name == "haar-d16-k2":
         return haar_random_channel(16, 2, np.random.default_rng(1))
-    if name == "doubled-generator-d12":
-        return _doubled(_rung("generator", 12, 1)[0])
-    return _rung("channel", int(name.rpartition("-d")[2]), 1)[0]
+    if name == "doubled-channel-d8":
+        return _doubled_channel(8)
+    return _doubled(_rung("generator", 12, 1)[0])
 
 
 @pytest.mark.parametrize("name", DECLINED)
 def test_declined_guess_leaves_the_report_as_it_was(monkeypatch, name):
-    # a faithful channel's classes are all closed (the guess would be the
-    # identity); the doubled generator has no simple spectrum
+    # a Haar channel's one class fills the space; the doubled models have
+    # no simple spectrum
     model = _declined_model(name)
     assert model.dim ** 2 >= qdsa.asymptotics._LU_MIN_SIZE
     assert _recurrent_guess(_terms(model)) is None
@@ -117,6 +121,50 @@ def test_doubled_generator_keeps_its_matrix_algebra():
     assert report.recurrent.rank == 12 and report.fixed_algebra_dim == 4
 
 
+FAITHFUL = [16, 24, 32, 48]
+
+
+@pytest.mark.parametrize("d", FAITHFUL, ids=[f"channel-d{d}" for d in FAITHFUL])
+def test_faithful_channel_splits_into_its_blocks(monkeypatch, d):
+    # every block of a channel rung is a closed class and nothing is left:
+    # run_analyze assembles and splits the n blocks of size 4 only (an SVD
+    # of 16 unknowns each), after one stacked SVD of the n (n - 1) / 2 maps
+    # between pairs of blocks; the d x d SVD is decay_ideal_units' trace
+    # norm, and no LU runs
+    model, blocks = block_diagonal_channel([4] * (d // 4), 2, np.random.default_rng(1))
+    ws, wq = Dynamics(model).reduction(DEFAULT_TOL)
+    assert wq.shape == (d, 0)
+    assert len(ws) == len(blocks)
+    for w in ws:
+        assert sum(projections_equal(Projection.from_range_basis(w), b) for b in blocks) == 1
+    n = len(blocks)
+    sizes = _assembly_sizes(monkeypatch)
+    svds = _svd_shapes(monkeypatch)
+    lus = _lu_shapes(monkeypatch)
+    report = run_analyze(model, OPTIONS)
+    assert sizes == [4] * n
+    assert lus == []
+    assert svds == [(n * (n - 1) // 2, 16, 16)] + [(16, 16)] * n + [(d, d)]
+    assert report.passed and report.is_unique
+    assert report.enclosure_ranks == (4,) * n and report.fixed_algebra_dim == n
+
+
+def test_coupled_copies_fail_the_pair_certificate():
+    # both copies of 1_2 (x) channel-d8 are sub-harmonic and nothing is left
+    # over, but the map between them fixes 1_8, which couples the copies:
+    # the fixed algebra is M_2 (x) 1_4 twice, not a sum over the copies
+    model = _doubled_channel(8)
+    dyn = Dynamics(model)
+    copies = np.eye(16, dtype=complex)
+    for w in (copies[:, :8], copies[:, 8:]):
+        assert _residual(dyn.terms, Projection.from_range_basis(w)) <= DEFAULT_TOL.atol
+    assert not _uncoupled([_corner(dyn, w) for w in (copies[:, :8], copies[:, 8:])], DEFAULT_TOL)
+    assert _certify(dyn, copies, (8, 8), DEFAULT_TOL) is None
+    report = run_analyze(model, OPTIONS)
+    assert report.passed and not report.is_unique
+    assert report.fixed_algebra_dim == 8 and report.stationary_dim == 8
+
+
 def test_non_invariant_block_fails_the_residual_certificate(monkeypatch):
     # the transient block of a rung leaks into the recurrent one
     model, block = _rung("generator", 16, 1)
@@ -124,7 +172,7 @@ def test_non_invariant_block_fails_the_residual_certificate(monkeypatch):
     transient = block.complement()
     assert _residual(dyn.terms, transient) > DEFAULT_TOL.atol
     lyapunov = _counting(monkeypatch, qdsa.asymptotics, "_transient_certified")
-    assert _certify(dyn, _unitary(transient.range_basis), transient.rank, DEFAULT_TOL) is None
+    assert _certify(dyn, _unitary(transient.range_basis), (transient.rank,), DEFAULT_TOL) is None
     assert lyapunov == []
 
 
@@ -136,7 +184,7 @@ def test_one_enclosure_fails_the_transience_certificate():
     u = _unitary(blocks[0].range_basis)
     assert _residual(dyn.terms, blocks[0]) <= DEFAULT_TOL.atol
     assert not _transient_certified(_corner(dyn, u[:, 4:]))
-    assert _certify(dyn, u, 4, DEFAULT_TOL) is None
+    assert _certify(dyn, u, (4,), DEFAULT_TOL) is None
 
 
 def test_constructed_block_passes_both_certificates():
@@ -144,12 +192,31 @@ def test_constructed_block_passes_both_certificates():
     dyn = Dynamics(model)
     u = _unitary(block.range_basis)
     assert _transient_certified(_corner(dyn, u[:, block.rank:]))
-    w, wq = _certify(dyn, u, block.rank, DEFAULT_TOL)
+    (w,), wq = _certify(dyn, u, (block.rank,), DEFAULT_TOL)
     assert projections_equal(Projection.from_range_basis(w), block)
 
 
 _DISCRETE = ("dim", "kind", "stationary_dim", "enclosure_ranks", "is_unique",
              "fixed_algebra_dim", "decay_ideal_rank", "faithful_family", "supports_match")
+
+
+def _assert_agrees_with_the_whole_split(model, block=None):
+    """``run_analyze`` reduced and with the reduction off give the same
+    discrete fields and check verdicts, and projections within
+    ``PROJECTION_ATOL`` (of each other, and of ``block`` when given)."""
+    reduced = run_analyze(model, OPTIONS)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _without_reduction(monkeypatch)
+        whole = run_analyze(model, OPTIONS)
+    for field in _DISCRETE:
+        assert getattr(reduced, field) == getattr(whole, field), field
+    assert ([(c.name, c.passed) for c in reduced.checks]
+            == [(c.name, c.passed) for c in whole.checks])
+    pairs = [(reduced.recurrent, whole.recurrent),
+             (reduced.stationary_support, whole.stationary_support)]
+    for p, q in pairs + ([] if block is None else [(reduced.recurrent, block)]):
+        assert p.rank == q.rank
+        assert np.abs(p.matrix - q.matrix).max() <= PROJECTION_ATOL
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=12)
@@ -159,15 +226,52 @@ def test_reduced_analysis_agrees_with_the_whole_split(sizes, seed):
     k, n = sizes
     model, block = transient_block_generator(k, n - k, np.random.default_rng(seed))
     assert Dynamics(model).reduction(DEFAULT_TOL)[1] is not None
-    reduced = run_analyze(model, OPTIONS)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _without_reduction(monkeypatch)
-        whole = run_analyze(model, OPTIONS)
-    for field in _DISCRETE:
-        assert getattr(reduced, field) == getattr(whole, field), field
-    assert ([(c.name, c.passed) for c in reduced.checks]
-            == [(c.name, c.passed) for c in whole.checks])
-    for p, q in ((reduced.recurrent, whole.recurrent),
-                 (reduced.stationary_support, whole.stationary_support), (reduced.recurrent, block)):
-        assert p.rank == q.rank
-        assert np.abs(p.matrix - q.matrix).max() <= PROJECTION_ATOL
+    _assert_agrees_with_the_whole_split(model, block)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=24)
+@given(st.lists(st.integers(1, 8), min_size=2, max_size=6).filter(lambda b: 16 <= sum(b) <= 24),
+       st.integers(1, 3), st.integers(0, 2 ** 16))
+def test_block_channel_analysis_agrees_with_the_whole_split(blocks, kraus, seed):
+    model, _ = block_diagonal_channel(blocks, kraus, np.random.default_rng(seed))
+    assert Dynamics(model).reduction(DEFAULT_TOL)[1] is not None
+    _assert_agrees_with_the_whole_split(model)
+
+
+def _side_by_side(first: LindbladGenerator, second: LindbladGenerator) -> LindbladGenerator:
+    """The direct sum of two generators, each jump acting on one summand."""
+    zero = [np.zeros((m.dim, m.dim)) for m in (first, second)]
+    return LindbladGenerator(
+        scipy.linalg.block_diag(first.hamiltonian, second.hamiltonian),
+        [scipy.linalg.block_diag(l, zero[1]) for l in first.lindblad_ops]
+        + [scipy.linalg.block_diag(zero[0], l) for l in second.lindblad_ops])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_fed_blocks_are_two_classes(seed):
+    # two transient_block_generator(4, 4) side by side: each transient half
+    # feeds its own recurrent block, so there are two closed classes of 4
+    # and a transient rest of 8
+    rng = np.random.default_rng(seed)
+    (first, p), (second, q) = (transient_block_generator(4, 4, rng) for _ in range(2))
+    model = _side_by_side(first, second)
+    blocks = [Projection.from_range_basis(np.vstack([p.range_basis, np.zeros((8, 4))])),
+              Projection.from_range_basis(np.vstack([np.zeros((8, 4)), q.range_basis]))]
+    ws, wq = Dynamics(model).reduction(DEFAULT_TOL)
+    assert wq.shape == (16, 8)
+    assert len(ws) == 2
+    for w in ws:
+        assert sum(projections_equal(Projection.from_range_basis(w), b) for b in blocks) == 1
+    report = run_analyze(model, OPTIONS)
+    assert report.enclosure_ranks == (4, 4) and report.stationary_dim == 2
+    _assert_agrees_with_the_whole_split(model, Projection.from_range_basis(
+        np.hstack([b.range_basis for b in blocks])))
+
+
+def test_hamiltonian_generator_splits_into_its_levels():
+    # with no jumps every eigenvector of H is a closed class of its own,
+    # and the map between two of them multiplies by i (h_i - h_j)
+    model = LindbladGenerator(random_hermitian(16, np.random.default_rng(1)), [])
+    ws, wq = Dynamics(model).reduction(DEFAULT_TOL)
+    assert [w.shape[1] for w in ws] == [1] * 16 and wq.shape == (16, 0)
+    _assert_agrees_with_the_whole_split(model)
