@@ -194,14 +194,14 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     options = options or AnalysisOptions()
     if not isinstance(spec, ModelSpec):
         spec = ModelSpec(type(spec).__name__, spec, None, None)
-    dyn = Dynamics(spec.model)
+    tol = options.tol or spec.tolerances or ToleranceConfig()
+    dyn = Dynamics(spec.model, tol)
     horizon = spec.horizon if options.horizon is None else options.horizon
     if horizon is None:
         horizon = DEFAULT_HORIZON
-    tol = options.tol or spec.tolerances or ToleranceConfig()
     seed = _check_seed(options.seed if options.seed is not None else default_seed())
 
-    report = recurrent_projection(dyn, horizon=horizon, tol=tol, seed=seed)
+    report = recurrent_projection(dyn, horizon=horizon, seed=seed)
     decomposition = report.enclosures
     r_min = report.recurrent
 
@@ -236,7 +236,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
     # E_jj stands for the d matrix units E_ij of its column: E_ij r holds
     # row j of r, and E_ij^dag E_ij = E_jj
     disagreements = dyn.dim * sum(unit.decisively_disagrees(tol.atol)
-                                  for unit in decay_ideal_units(dyn, report, tol))
+                                  for unit in decay_ideal_units(dyn, report))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
     limit_support = support_projection(report.limit_estimate, tol)
@@ -248,7 +248,7 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         dim=dyn.dim,
         kind="channel" if dyn.discrete else "generator",
         horizon=horizon,
-        stationary_dim=dyn.space(tol).dim,
+        stationary_dim=dyn.space.dim,
         enclosure_ranks=tuple(p.rank for p in decomposition.minimal_projections),
         is_unique=decomposition.is_unique,
         fixed_algebra_dim=decomposition.fixed_algebra_dim,

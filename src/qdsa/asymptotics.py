@@ -6,7 +6,7 @@ real and the Heisenberg one is its transpose.  The analysis pipeline is one
 path:
 
 1. From ``_LU_MIN_SIZE`` unknowns on, the model is first reduced to the
-   corners of its closed classes (:meth:`Dynamics.reduction`), at ``O(K
+   corners of its closed classes (:attr:`Dynamics.reduction`), at ``O(K
    d^3)`` cost and before any ``d^2 x d^2`` work: the minimal enclosures
    are guessed in Hilbert space as the closed classes of the eigenvectors
    of one generic combination of the terms (:func:`_recurrent_guess`), and
@@ -21,7 +21,7 @@ path:
    One split of the fixed-point matrix ``F`` (``R``, or ``R - 1`` for a
    channel) of each such corner gives its stationary space as its right
    kernel and its Heisenberg fixed points as its left kernel, both as
-   orthonormal Hermitian bases (:meth:`Dynamics.split`).  Below
+   orthonormal Hermitian bases (:attr:`Dynamics.split`).  Below
    ``_LU_MIN_SIZE`` unknowns the split is one real SVD
    (:func:`_split_kernel_range`); from
    there on it is one LU of ``s - F`` for a small shift ``s``, through
@@ -30,10 +30,10 @@ path:
    vouch for its kernels.  For a model with few terms that route factors
    a real form of its own in place and takes its products with ``F`` from
    the terms (:func:`~qdsa.channels._act`), so it holds no other
-   ``d^2 x d^2`` matrix.  A
-   maximal-support stationary state is the exact time-average limit of the
-   maximally mixed state: its oblique projection onto the kernel along the
-   range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
+   ``d^2 x d^2`` matrix.  A maximal-support stationary state is the exact
+   time-average limit of the maximally mixed state of the recurrent corner
+   (:class:`StationarySpace`): its oblique projection onto the kernel along
+   the range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
    spectrum of a CP trace-preserving semigroup is semisimple, so that
    component is precisely the long-time Cesaro limit.
 
@@ -73,23 +73,19 @@ recurrence checks use ``alpha_T`` on projections where monotone
 convergence is guaranteed.  Discrete channels reuse every operation with
 the horizon read as an iteration count.
 
-Every public function accepts either a bare model or a :class:`Dynamics`.  A
-``Dynamics`` wraps one model for the length of one top-level call and
-computes each derived object at most once: the real Schrodinger matrix,
-its kernel split, the stationary space and its support (per tolerance),
-and the real propagator (per horizon and picture): ``alpha_T`` on its
-transpose, ``nu_T`` on the matrix itself.  The top level and every corner
-share one assembly, :func:`~qdsa.channels._real_schrodinger` of their
-terms, which never forms the complex Schrodinger matrix whole: it sums it
-into the real form a chunk of rows at a time, and every later step
+Every public function accepts either a bare model or a :class:`Dynamics`,
+one analysis: one model at one tolerance, which computes each derived
+object at most once.  The top level and every corner share one assembly,
+:func:`~qdsa.channels._real_schrodinger` of their terms, which never forms
+the complex Schrodinger matrix whole: it sums it into the real form a
+chunk of rows at a time, and every later step
 works on real matrices.  Per corner a structure analysis holds at most two
 ``n x n`` matrices at once (``n`` the square of the corner's dimension),
 and one from ``_LU_MIN_SIZE`` on when its split takes its products from
 the terms; a certified model's largest arrays are those of its class and
 transient corners and the ``(d_i d_j)^2`` maps between pairs of classes,
 never ``d^2 x d^2``, and each corner is built, assembled and split once
-(:func:`_corner`).  A ``Dynamics`` is dropped with
-the call; nothing is cached on the model or globally.
+(:func:`_corner`).  Nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
@@ -122,6 +118,7 @@ from .errors import (
     FamilyNotSubharmonic,
     InternalError,
     TheoremViolation,
+    ValidationError,
 )
 from .harmonic import _leak, _residual
 from .linalg import (
@@ -207,7 +204,7 @@ def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     fixed-point matrix ``F`` of the real form ``r`` (``r - 1`` for a channel,
     ``discrete``, else ``r``) from one SVD of ``F``, cut at ``tol.cutoff`` of
     the largest singular value: the split below ``_LU_MIN_SIZE`` unknowns
-    and the fallback of :func:`_resolvent_split` (:meth:`Dynamics.split`).
+    and the fallback of :func:`_resolvent_split` (:attr:`Dynamics.split`).
 
     For the real Schrodinger form the kernel holds the stationary states
     and the left kernel the Heisenberg fixed points.  The kernel of a
@@ -225,7 +222,7 @@ def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
     return vh[null_mask].conj().T, u[:, null_mask]
 
 
-def _resolvent_split(dyn: Dynamics, tol: ToleranceConfig):
+def _resolvent_split(dyn: Dynamics):
     """Kernel and left kernel of the fixed-point matrix ``F`` of ``dyn``
     from one LU of ``s - F``, or None when this route cannot vouch for them.
 
@@ -263,8 +260,8 @@ def _resolvent_split(dyn: Dynamics, tol: ToleranceConfig):
     if solve is None:
         return None
     block = gaussian_block(n, 2 * _OVERSAMPLE, _SPLIT_SEED)
-    cutoff = tol.cutoff(norm)
-    bound = _KERNEL_ERROR * tol.atol
+    cutoff = dyn.tol.cutoff(norm)
+    bound = _KERNEL_ERROR * dyn.tol.atol
     kernel = _block_kernel(_fixed_point_product(dyn, r, SCHRODINGER),
                            lambda x: solve(x, 1), block, cutoff, bound)
     left = _block_kernel(_fixed_point_product(dyn, r, HEISENBERG),
@@ -360,15 +357,13 @@ class StationarySpace:
     """Hermitian basis of the fixed-point space and its maximal-support state.
 
     ``basis`` is the right kernel of the fixed-point matrix from
-    :meth:`Dynamics.split`.  ``state`` has maximal support among all
-    stationary states: it is the time-average limit of the maximally mixed
-    state.  Its support is the supremum of the supports of all stationary
-    states.  For a model reduced to its certified classes
-    (:meth:`Dynamics.space`) both are summed from the class corners',
-    embedded by ``W_i y W_i^dag``: the state is then the limit of the
-    maximally mixed state of the recurrent corner, the sum of the classes,
-    still of maximal support, and the same state whenever the stationary
-    space has dimension 1.
+    :attr:`Dynamics.split`.  ``state``, of maximal support among all
+    stationary states, is the time-average limit of the maximally mixed
+    state of the recurrent corner: the sum of the certified classes, whose
+    corners' spaces are summed (:attr:`Dynamics.space`), or else the whole
+    space.  That is the limit of ``1/d`` whenever the model is faithful or
+    its stationary space is one-dimensional; ``cesaro_limit(model,
+    maximally_mixed)`` always gives the limit of ``1/d``.
     """
 
     basis: tuple
@@ -377,41 +372,37 @@ class StationarySpace:
 
 
 class Dynamics:
-    """One model, or one corner of it, and the objects derived from it,
-    each built on first use.
+    """One analysis: one model, or one corner of it, at one tolerance
+    (``DEFAULT_TOL`` for None, shared by its corners), and the objects
+    derived from it, each built on first use.
 
     Holds the terms of the map, its standard form ``(G, {L_i})``
     (:func:`~qdsa.channels._terms`), the real Schrodinger form
     :func:`~qdsa.channels._real_schrodinger` sums from them (not built by
-    the LU route of the split for a model with few terms, which assembles
-    and factors a form of its own), its one kernel split
-    (:meth:`split`), the stationary space and its
-    support (that of its maximal-support state, :func:`stationary_support`)
-    for each tolerance, the real propagator for each horizon and picture
-    asked for (the Heisenberg one on the transpose, so no second
-    superoperator is built) and that of a transient corner
-    (:meth:`transient`), its corners (:func:`_corner`) and, from
-    ``_LU_MIN_SIZE`` unknowns on, its certified closed classes
-    (:meth:`reduction`).  When they are certified, :meth:`space` and
-    :meth:`support` read the splits of the class corners, with the bases
-    and time-average states embedded by ``W_i y W_i^dag``,
-    ``minimal_enclosures`` takes the classes as its blocks and
-    :meth:`transient` takes the certificate's corner of the rest, so no
-    ``d^2 x d^2`` array is built; the public ``stationary_space`` and
-    ``cesaro_limit`` still split the whole model.
-    Build one per top-level call and pass it to the functions of this
-    module in place of the model; it is dropped when the call returns, so
-    the memory it holds never outlives the analysis.  It keeps no model,
-    only the terms, so a corner is a ``Dynamics`` like any other.
+    the LU route of the split for a model with few terms), its one kernel
+    split (:attr:`split`), the stationary space and its support
+    (:func:`stationary_support`), the real propagator for each horizon and
+    picture asked for (the Heisenberg one on the transpose) and that of a
+    transient corner (:meth:`transient`), its corners (:func:`_corner`)
+    and, from ``_LU_MIN_SIZE`` unknowns on, its certified closed classes
+    (:attr:`reduction`).  When they are certified, :attr:`space` is summed
+    from the class corners', ``minimal_enclosures`` takes the classes as
+    its blocks and :meth:`transient` the certificate's corner of the rest,
+    so no ``d^2 x d^2`` array is built; only ``cesaro_limit`` splits the
+    whole model.  Build one per top-level call and pass it to the
+    functions of this module in place of the model, so the memory it holds
+    never outlives the analysis.  It keeps no model, only the terms, so a
+    corner is a ``Dynamics`` like any other.
     """
 
-    def __init__(self, model):
-        self._hold(_terms(model), model.dim)
+    def __init__(self, model, tol: ToleranceConfig | None = None):
+        self._hold(_terms(model), model.dim, _tol(tol))
 
-    def _hold(self, terms, dim: int):
+    def _hold(self, terms, dim: int, tol: ToleranceConfig):
         self.terms = terms
         self.discrete = terms[0] is None
         self.dim = dim
+        self.tol = tol
         self._cache = {}
         return self
 
@@ -435,76 +426,80 @@ class Dynamics:
         return self._cached(("flow", horizon, picture), lambda: Superoperator(
             _propagate(r, horizon, self.discrete), picture))
 
-    def transient(self, r: Projection, horizon: float, tol: ToleranceConfig):
+    def transient(self, r: Projection, horizon: float):
         """An isometry ``W`` onto ``1 - r`` and its corner's propagator: the
-        certificate's transient corner (:meth:`reduction`) when ``r`` is
+        certificate's transient corner (:attr:`reduction`) when ``r`` is
         the sum of the certified classes."""
         def build():
-            ws, wq = self.reduction(tol)
+            ws, wq = self.reduction
             if wq is None or not projections_equal(
-                    r, Projection.from_range_basis(np.concatenate(ws, axis=1)), tol):
+                    r, Projection.from_range_basis(np.concatenate(ws, axis=1)), self.tol):
                 wq = r.complement().range_basis
             return wq, _corner(self, wq).flow(horizon)
-        return self._cached(("transient", horizon, tol, r.matrix.tobytes()), build)
+        return self._cached(("transient", horizon, r.matrix.tobytes()), build)
 
-    def reduction(self, tol: ToleranceConfig):
+    @cached_property
+    def reduction(self):
         """Isometries ``((W_1, ..., W_n), W_q)`` onto the certified closed
         classes (:func:`_recurrent_guess`, :func:`_certify`) and onto the
         rest, which has no columns for a faithful model, tried from
         ``_LU_MIN_SIZE`` unknowns on; ``((1,), None)`` when there is none."""
-        def build():
-            guess = _recurrent_guess(self.terms) if self.dim ** 2 >= _LU_MIN_SIZE else None
-            return guess and _certify(self, *guess, tol)
-        return self._cached(("reduction", tol), build) or ((np.eye(self.dim, dtype=complex),), None)
+        guess = _recurrent_guess(self.terms) if self.dim ** 2 >= _LU_MIN_SIZE else None
+        return (guess and _certify(self, *guess)) or ((np.eye(self.dim, dtype=complex),), None)
 
-    def split(self, tol: ToleranceConfig):
+    @cached_property
+    def split(self):
         """Kernel and left kernel of the fixed-point matrix: from
         :func:`_resolvent_split` from ``_LU_MIN_SIZE`` unknowns on, else
         (or when that route declines) from :func:`_split_kernel_range` on
         the cached real form."""
-        def build():
-            if self.dim ** 2 >= _LU_MIN_SIZE:
-                split = _resolvent_split(self, tol)
-                if split is not None:
-                    return split
-            return _split_kernel_range(self.schrodinger, self.discrete, tol)
-        return self._cached(("split", tol), build)
+        if self.dim ** 2 >= _LU_MIN_SIZE:
+            split = _resolvent_split(self)
+            if split is not None:
+                return split
+        return _split_kernel_range(self.schrodinger, self.discrete, self.tol)
 
-    def limit(self, tol: ToleranceConfig):
+    @cached_property
+    def limit(self):
         """Stationary dimension and the time-average limit of the maximally
         mixed state (:func:`_limit`)."""
-        return self._cached(("limit", tol), lambda: (
-            self.split(tol)[0].shape[1], _limit(self, np.eye(self.dim) / self.dim, tol)))
+        return self.split[0].shape[1], _limit(self, np.eye(self.dim) / self.dim)
 
-    def space(self, tol: ToleranceConfig) -> StationarySpace:
-        """The stationary space; when :meth:`reduction` holds, the sum of
-        those of its class corners, each basis embedded by ``W_i y
-        W_i^dag``, with the state ``sum_i (d_i / k) W_i rho_i W_i^dag``
-        (``rho_i`` the state of class ``i``, of size ``d_i``, and ``k =
-        sum_i d_i``), the limit of the recurrent corner's maximally mixed
-        state."""
-        def build():
-            ws, wq = self.reduction(tol)
-            if wq is None:
-                return stationary_space(self, tol)
-            import scipy.linalg
+    @cached_property
+    def space(self) -> StationarySpace:
+        """The stationary space: the kernel of :attr:`split` and the state
+        of :attr:`limit`; when :attr:`reduction` holds, the sum of those of
+        its class corners, each basis embedded by ``W_i y W_i^dag``, with
+        the state ``sum_i (d_i / k) W_i rho_i W_i^dag`` (``rho_i`` the state
+        of class ``i``, of size ``d_i``, and ``k = sum_i d_i``), the limit of
+        the recurrent corner's maximally mixed state."""
+        ws, wq = self.reduction
+        corners = [_corner(self, w) for w in ws]
+        bases = [from_hermitian_coords(c.split[0].T, c.dim) for c in corners]
+        if wq is None:
+            return StationarySpace(tuple(bases[0]), self.limit[1], len(bases[0]))
+        import scipy.linalg
 
-            spaces = [stationary_space(_corner(self, w), tol) for w in ws]
-            w = np.concatenate(ws, axis=1)
-            state = scipy.linalg.block_diag(*(x.shape[1] / w.shape[1] * space.state.matrix
-                                              for x, space in zip(ws, spaces)))
-            basis = tuple(x @ b @ x.conj().T for x, space in zip(ws, spaces) for b in space.basis)
-            return StationarySpace(basis, DensityMatrix(w @ state @ w.conj().T, tol), len(basis))
-        return self._cached(("space", tol), build)
+        w = np.concatenate(ws, axis=1)
+        state = scipy.linalg.block_diag(*(x.shape[1] / w.shape[1] * c.limit[1].matrix
+                                          for x, c in zip(ws, corners)))
+        basis = tuple(x @ b @ x.conj().T for x, block in zip(ws, bases) for b in block)
+        return StationarySpace(basis, DensityMatrix(w @ state @ w.conj().T, self.tol), len(basis))
 
-    def support(self, tol: ToleranceConfig) -> Projection:
-        """The stationary support :func:`stationary_support` of ``space(tol)``."""
-        return self._cached(("support", tol),
-                            lambda: stationary_support(self.space(tol), tol))
+    @cached_property
+    def support(self) -> Projection:
+        """The stationary support :func:`stationary_support` of :attr:`space`."""
+        return stationary_support(self.space, self.tol)
 
 
-def _as_dynamics(obj) -> Dynamics:
-    return obj if isinstance(obj, Dynamics) else Dynamics(obj)
+def _as_dynamics(obj, tol: ToleranceConfig | None) -> Dynamics:
+    """A new :class:`Dynamics` of a model at ``tol``, or the ``Dynamics``
+    ``obj`` when ``tol`` is None or its own; else ValidationError."""
+    if not isinstance(obj, Dynamics):
+        return Dynamics(obj, tol)
+    if tol is not None and tol != obj.tol:
+        raise ValidationError(f"tolerance {tol} differs from the analysis's own, {obj.tol}")
+    return obj
 
 
 def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
@@ -517,34 +512,29 @@ def _as_state(matrix: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m), tol)
 
 
-def _limit(dyn: Dynamics, a: np.ndarray, tol: ToleranceConfig) -> DensityMatrix:
+def _limit(dyn: Dynamics, a: np.ndarray) -> DensityMatrix:
     """The time-average limit of the state ``a`` under the predual flow."""
-    kernel, left = dyn.split(tol)
+    kernel, left = dyn.split
     limit = _kernel_component(kernel, left, hermitian_coords(a))
-    return _as_state(from_hermitian_coords(limit, dyn.dim), tol)
+    return _as_state(from_hermitian_coords(limit, dyn.dim), dyn.tol)
 
 
 def cesaro_limit(obj, rho: DensityMatrix, tol: ToleranceConfig | None = None) -> DensityMatrix:
-    """Exact long-time Cesaro limit of a state under the predual flow."""
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
+    """Exact long-time Cesaro limit of a state under the predual flow, from
+    the whole model's split, not the reduction: an arbitrary state needs
+    the whole model's oblique projector."""
+    dyn = _as_dynamics(obj, tol)
     _check_operand(rho.dim, dyn.dim)
-    return _limit(dyn, rho.matrix, tol)
+    return _limit(dyn, rho.matrix)
 
 
 def stationary_space(obj, tol: ToleranceConfig | None = None) -> StationarySpace:
-    """Fixed-point space of the predual flow with its maximal-support state.
-
-    One kernel split of the whole model (:meth:`Dynamics.split`) gives both
-    the basis, its right kernel, and the state, the time-average limit of
-    the maximally mixed state.  An empty stationary space is impossible in
-    finite dimension; if the numerical null space comes out empty,
-    InternalError is raised.
+    """:attr:`Dynamics.space`: the fixed-point space of the predual flow and
+    the limit of the recurrent corner's maximally mixed state, summed from
+    the certified classes when the model reduces to them.  An empty
+    numerical null space is an InternalError.
     """
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
-    basis = tuple(from_hermitian_coords(x, dyn.dim) for x in dyn.split(tol)[0].T)
-    return StationarySpace(basis, dyn.limit(tol)[1], len(basis))
+    return _as_dynamics(obj, tol).space
 
 
 def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = None) -> Projection:
@@ -581,7 +571,7 @@ def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
     wh = w.conj().T
     g, ops = dyn.terms
     return dyn._cached(("corner", w.shape, w.tobytes()), lambda: Dynamics.__new__(Dynamics)._hold(
-        (None if g is None else wh @ g @ w, tuple(wh @ x @ w for x in ops)), w.shape[1]))
+        (None if g is None else wh @ g @ w, tuple(wh @ x @ w for x in ops)), w.shape[1], dyn.tol))
 
 
 def _recurrent_guess(terms):
@@ -641,7 +631,7 @@ def _recurrent_guess(terms):
     return u, tuple(int(c.sum()) for c in classes)
 
 
-def _certify(dyn: Dynamics, u: np.ndarray, sizes: tuple, tol: ToleranceConfig):
+def _certify(dyn: Dynamics, u: np.ndarray, sizes: tuple):
     """The isometries ``(W_1, ..., W_n)`` of the closed classes, the first
     columns of the unitary ``u`` in blocks of ``sizes``, and ``W_q`` of the
     other columns, when the classes are certified to carry the stationary
@@ -659,25 +649,27 @@ def _certify(dyn: Dynamics, u: np.ndarray, sizes: tuple, tol: ToleranceConfig):
     corners.
     """
     *ws, wq = np.split(u, np.cumsum(sizes), axis=1)
-    if any(_norm_exceeds(_leak(dyn.terms, Projection.from_range_basis(w)), tol.atol) for w in ws):
+    atol = dyn.tol.atol
+    if any(_norm_exceeds(_leak(dyn.terms, Projection.from_range_basis(w)), atol) for w in ws):
         return None
     if wq.shape[1] and not _transient_certified(_corner(dyn, wq)):
         return None
-    if not _uncoupled([_corner(dyn, w) for w in ws], tol):
+    if not _uncoupled(dyn, ws):
         return None
     return tuple(ws), wq
 
 
-def _uncoupled(corners, tol: ToleranceConfig) -> bool:
-    """Whether, for each pair ``i < j`` of class corners (:func:`_corner`)
-    with terms ``(G_i, {A_a})`` and ``(G_j, {B_a})``, the map ``Y -> sum_a
-    A_a^dag Y B_a``, plus ``G_i^dag Y + Y G_j`` for a generator or minus
-    ``Y`` for a channel, is decisively nonsingular on ``d_i x d_j``
-    matrices: its smallest singular value is above ``tol.cutoff`` of its
-    largest, decisively (:func:`~qdsa.linalg._decisive`).  That map is the
-    Heisenberg generator on ``p_i M p_j``; the Schrodinger one there is its
-    adjoint, and that on ``p_j M p_i`` its conjugate by ``Y -> Y^dag``, so
-    then no fixed point of either picture has a block off the diagonal.
+def _uncoupled(dyn: Dynamics, ws) -> bool:
+    """Whether, for each pair ``i < j`` of the corners (:func:`_corner`) of
+    ``dyn`` on the class isometries ``ws``, with terms ``(G_i, {A_a})`` and
+    ``(G_j, {B_a})``, the map ``Y -> sum_a A_a^dag Y B_a``, plus ``G_i^dag Y
+    + Y G_j`` for a generator or minus ``Y`` for a channel, is decisively
+    nonsingular on ``d_i x d_j`` matrices: its smallest singular value is
+    above ``dyn.tol.cutoff`` of its largest, decisively
+    (:func:`~qdsa.linalg._decisive`).  That map is the Heisenberg generator
+    on ``p_i M p_j``; the Schrodinger one there is its adjoint, and that on
+    ``p_j M p_i`` its conjugate by ``Y -> Y^dag``, so then no fixed point of
+    either picture has a block off the diagonal.
 
     On row-major coordinates the map is ``sum_t kron(L_t^dag, R_t^T)`` over
     the pairs ``(L_t, R_t)``: ``(A_a, B_a)``, then ``(G_i, 1), (1, G_j)``
@@ -690,6 +682,7 @@ def _uncoupled(corners, tol: ToleranceConfig) -> bool:
         return (np.stack([*ops, *(left for left, _ in extra)]),
                 np.stack([*ops, *(right for _, right in extra)]))
 
+    corners = [_corner(dyn, w) for w in ws]
     lefts, rights = zip(*map(factors, corners))
     groups = {}
     for i, j in itertools.combinations(range(len(corners)), 2):
@@ -699,7 +692,7 @@ def _uncoupled(corners, tol: ToleranceConfig) -> bool:
         b = np.stack([rights[j] for _, j in pairs]).swapaxes(-1, -2)
         maps = np.einsum("ptrx,ptsy->prsxy", a, b).reshape(len(pairs), di * dj, di * dj)
         for s in np.linalg.svd(maps, compute_uv=False):
-            cutoff = tol.cutoff(float(s[0]))
+            cutoff = dyn.tol.cutoff(float(s[0]))
             if not (s[-1] > cutoff and _decisive(s[-1], cutoff)):
                 return False
     return True
@@ -737,19 +730,19 @@ def _transient_certified(dyn: Dynamics) -> bool:
                 and _hermitian_spectrum(decrease)[0] >= 0.5 + margin)
 
 
-def _checked_residual(dyn: Dynamics, p: Projection, tol: ToleranceConfig, error, what: str):
+def _checked_residual(dyn: Dynamics, p: Projection, error, what: str):
     """:func:`~qdsa.harmonic._residual` of ``p`` on the terms; ``error``
     naming ``what`` when it exceeds ``atol``."""
     residual = _residual(dyn.terms, p)
-    if not residual <= tol.atol:
+    if not residual <= dyn.tol.atol:
         raise error(f"{what} fails the sub-harmonic test (residual {residual:.3e})")
     return residual
 
 
-def _fixed_basis(dyn: Dynamics, tol: ToleranceConfig) -> list:
+def _fixed_basis(dyn: Dynamics) -> list:
     """Orthonormal Hermitian basis of the Heisenberg fixed points: the
     left kernel of the split, since the Heisenberg form is the transpose."""
-    return [from_hermitian_coords(x, dyn.dim) for x in dyn.split(tol)[1].T]
+    return [from_hermitian_coords(x, dyn.dim) for x in dyn.split[1].T]
 
 
 def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = None):
@@ -759,13 +752,12 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
     The state is in the coordinates of ``p.range_basis``.  A leaking block
     (:func:`~qdsa.harmonic._residual` above ``atol``) is FamilyNotSubharmonic.
     """
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
+    dyn = _as_dynamics(obj, tol)
     _check_operand(p.dim, dyn.dim)
     if p.rank == 0:
         raise DimMismatch("cannot restrict to the zero block")
-    _checked_residual(dyn, p, tol, FamilyNotSubharmonic, "block")
-    return _corner(dyn, p.range_basis).limit(tol)
+    _checked_residual(dyn, p, FamilyNotSubharmonic, "block")
+    return _corner(dyn, p.range_basis).limit
 
 
 def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
@@ -827,7 +819,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     """Decompose the recurrent block into minimal sub-harmonic projections.
 
     The recurrent block is taken class by class: the certified classes of
-    :meth:`Dynamics.reduction` when the stationary support fills them, else
+    :attr:`Dynamics.reduction` when the stationary support fills them, else
     the support as one class.  The Heisenberg fixed points of a class
     corner form a *-algebra ``sum_k M_{n_k} (x) 1_{m_k}`` (the corner has a
     faithful stationary state), so the spectral projections of one generic
@@ -841,20 +833,19 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     state misses part of it is a ConvergenceFailure too.  The fixed algebra
     is the sum of those of the classes, abelian when each is.
     """
-    tol = _tol(tol)
     rng = np.random.default_rng(seed)
-    dyn = _as_dynamics(obj)
-    r = dyn.support(tol)
+    dyn = _as_dynamics(obj, tol)
+    r = dyn.support
     # the classes of the reduction (the dynamics itself when unreduced)
     # when r fills them, else r as one class
-    classes = dyn.reduction(tol)[0]
+    classes = dyn.reduction[0]
     if r.rank < sum(w.shape[1] for w in classes):
         classes = (r.range_basis,)
     blocks, limits, unique, fixed_dim = [], [], True, 0
     for top in classes:
         top_corner = _corner(dyn, top)
-        fixed = _fixed_basis(top_corner, tol)
-        unique = unique and _is_abelian(fixed, tol)
+        fixed = _fixed_basis(top_corner)
+        unique = unique and _is_abelian(fixed, dyn.tol)
         fixed_dim += len(fixed)
         for _ in range(8):
             if len(fixed) == 1:
@@ -864,7 +855,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
                 parts = [(w, _corner(dyn, w)) for w in (
                     top @ v_eig[:, idx]
                     for idx in _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0])))]
-            part_limits = [corner.limit(tol) for _, corner in parts]
+            part_limits = [corner.limit for _, corner in parts]
             if all(sdim == 1 for sdim, _ in part_limits):
                 break
         else:
@@ -876,7 +867,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
 
     final = []
     for (w, _), certificate in zip(blocks, limits):
-        rank = support_projection(certificate[1].matrix, tol).rank
+        rank = support_projection(certificate[1].matrix, dyn.tol).rank
         if rank < w.shape[1]:
             raise ConvergenceFailure(
                 f"the stationary state of a block of size {w.shape[1]} has support "
@@ -888,10 +879,10 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     residuals = []
     max_overlap = 0.0
     for i, p in enumerate(projections):
-        residuals.append(_checked_residual(dyn, p, tol, InternalError, f"refined enclosure {i}"))
+        residuals.append(_checked_residual(dyn, p, InternalError, f"refined enclosure {i}"))
         for q in projections[i + 1:]:
             overlap = opnorm(p.matrix @ q.matrix)
-            if overlap > 10 * tol.atol:
+            if overlap > 10 * dyn.tol.atol:
                 raise InternalError("refined enclosures are not mutually orthogonal")
             max_overlap = max(max_overlap, overlap)
     return EnclosureDecomposition(projections, unique, fixed_dim,
@@ -936,23 +927,22 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     propagator is built.  That corner is a semigroup only for a sub-harmonic
     ``r``, so an ``r`` that fails the sub-harmonic test is an InternalError.
     """
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
+    dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)  # rejected even when no propagator runs
-    decomposition = minimal_enclosures(dyn, tol, seed=seed)
-    r_min = proj_supremum(decomposition.minimal_projections, tol)
-    r_stat = dyn.support(tol)
+    decomposition = minimal_enclosures(dyn, seed=seed)
+    r_min = proj_supremum(decomposition.minimal_projections, dyn.tol)
+    r_stat = dyn.support
     d = dyn.dim
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
-        _checked_residual(dyn, r_min, tol, InternalError, "recurrent projection")
-        w, flow = dyn.transient(r_min, horizon, tol)
+        _checked_residual(dyn, r_min, InternalError, "recurrent projection")
+        w, flow = dyn.transient(r_min, horizon)
         transient = w @ flow.apply(np.eye(w.shape[1])) @ w.conj().T
     estimate = hermitian_part(np.eye(d) - transient)
     estimate.flags.writeable = False
     sup_deviation = opnorm(estimate - np.eye(d))
     transient_norm = opnorm(transient)
-    matches = projections_equal(r_min, r_stat, tol, factor=100.0)
+    matches = projections_equal(r_min, r_stat, dyn.tol, factor=100.0)
     faithful = r_stat.rank == dyn.dim
     return RecurrentReport(
         recurrent=r_min,
@@ -989,8 +979,7 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
     ``DEFAULT_DECAY_TOL``.  The two verdicts must agree whenever the
     residuals are decisive.  :func:`decay_ideal_units` is the fast path.
     """
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
+    dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)
     am = as_complex_matrix(a)
     _check_operand(am.shape[0], dyn.dim)
@@ -998,7 +987,7 @@ def decay_ideal_test(obj, a, recurrent: Projection, horizon: float = DEFAULT_HOR
     algebraic_residual = opnorm(am @ recurrent.matrix)
     dynamic_residual = opnorm(dyn.flow(horizon).apply(am.conj().T @ am))
     return DecayIdealResult(
-        in_ideal_algebraic=algebraic_residual <= tol.atol,
+        in_ideal_algebraic=algebraic_residual <= dyn.tol.atol,
         in_ideal_dynamic=dynamic_residual <= DEFAULT_DECAY_TOL,
         algebraic_residual=algebraic_residual,
         dynamic_residual=dynamic_residual,
@@ -1015,23 +1004,22 @@ def decay_ideal_units(obj, report: RecurrentReport,
     ``eps <= atol``, the transient corner's ``|alpha_T(q E_jj q)|``, within ``2
     eps``; (4) else decay_ideal_test.  ``dynamic_residual`` is what was read.
     """
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
+    dyn = _as_dynamics(obj, tol)
     r, horizon = report.recurrent, report.horizon
-    sigma = dyn.space(tol).state.matrix
+    sigma = dyn.space.state.matrix
     slack = horizon * trace_norm(_act(dyn.terms, sigma, SCHRODINGER) - dyn.discrete * sigma)
     def verdict(j, eps):
         bound = float(sigma[j, j].real) - slack
-        if eps >= 10 * tol.atol and bound >= 10 * DEFAULT_DECAY_TOL:
+        if eps >= 10 * dyn.tol.atol and bound >= 10 * DEFAULT_DECAY_TOL:
             return DecayIdealResult(False, False, eps, bound)
-        if eps <= tol.atol:
-            w, flow = dyn.transient(r, horizon, tol)
+        if eps <= dyn.tol.atol:
+            w, flow = dyn.transient(r, horizon)
             value = opnorm(flow.apply(np.outer(w[j].conj(), w[j])))
             low, high = ((v <= DEFAULT_DECAY_TOL, _decisive(v, DEFAULT_DECAY_TOL))
                          for v in (value - 2 * eps, value + 2 * eps))
             if low == high:
                 return DecayIdealResult(True, low[0], eps, value)
-        return decay_ideal_test(dyn, np.diag(np.eye(dyn.dim)[j]), r, horizon, tol)
+        return decay_ideal_test(dyn, np.diag(np.eye(dyn.dim)[j]), r, horizon)
     return tuple(verdict(j, eps) for j, eps in enumerate(np.linalg.norm(r.matrix, axis=1)))
 
 
@@ -1050,8 +1038,7 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
     TAC 23, 1978).  On a minimal face the distance to the unique stationary
     state is O(1/T).
     """
-    tol = _tol(tol)
-    dyn = _as_dynamics(obj)
+    dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)
     _check_operand(rho.dim, dyn.dim)
     n = dyn.schrodinger.shape[0]
@@ -1060,7 +1047,7 @@ def cesaro_mean(obj, rho: DensityMatrix, horizon: float,
     augmented[:n, n] = hermitian_coords(rho.matrix)
     augmented[n, n] = float(dyn.discrete)
     mean = _propagate(augmented, horizon, dyn.discrete)[:n, n] / horizon
-    return _as_state(from_hermitian_coords(mean, rho.dim), tol)
+    return _as_state(from_hermitian_coords(mean, rho.dim), dyn.tol)
 
 
 @dataclass(frozen=True)
@@ -1098,9 +1085,8 @@ def minimality_certificate(obj, recurrent: Projection,
     sub-harmonic; the two notions are distinct and the sweep only checks
     the minimality direction.
     """
-    tol = _tol(tol)
     rng = np.random.default_rng(seed)
-    dyn = _as_dynamics(obj)
+    dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)
     for p in (recurrent, *decomposition.minimal_projections):
         _check_operand(p.dim, dyn.dim)
@@ -1122,7 +1108,7 @@ def minimality_certificate(obj, recurrent: Projection,
         deviation = opnorm(hermitian_part(prop.apply(p.matrix)) - eye)
         if deviation <= DEFAULT_DECAY_TOL:
             near += 1
-            if not order_leq(recurrent.matrix, p.matrix, tol):
+            if not order_leq(recurrent.matrix, p.matrix, dyn.tol):
                 raise TheoremViolation(
                     f"random projection of rank {rank} reached the identity at "
                     f"horizon {horizon} (deviation {deviation:.3e}) without "

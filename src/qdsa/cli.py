@@ -89,11 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output):
-    if output:
+    """``text`` and a newline to the file ``output``, else to stdout; a file
+    that cannot be written is a ValidationError."""
+    if not output:
+        print(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
@@ -116,9 +121,7 @@ def _cmd_verify(args) -> int:
     print(format_summary(summary))
     if args.output:
         payload = {**dataclasses.asdict(summary), "passed": summary.passed}
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     return EXIT_OK if summary.passed else EXIT_PROPERTY
 
 

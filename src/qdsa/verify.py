@@ -253,7 +253,7 @@ def _monotone_orbit(rng, trials, dims, tol):
 
 def _cesaro_projected_fixed_point(ch, rng, tol):
     """PSD Heisenberg fixed point: time-average projection of a random PSD element."""
-    kernel, left = Dynamics(ch).split(tol)
+    kernel, left = Dynamics(ch, tol).split
     g = _ginibre(ch.dim, ch.dim, rng)
     a = g @ g.conj().T
     # The Heisenberg fixed points are the left kernel of the Schrodinger split.

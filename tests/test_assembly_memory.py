@@ -82,8 +82,8 @@ def test_analysis_assembles_the_top_level_form_once_and_caches_none(monkeypatch,
                         lambda g, ops, dim: sizes.append(dim) or assemble(g, ops, dim))
 
     class Recorded(Dynamics):
-        def __init__(self, model):
-            super().__init__(model)
+        def __init__(self, model, tol=None):
+            super().__init__(model, tol)
             made.append(self)
 
     monkeypatch.setattr(qdsa.analyze, "Dynamics", Recorded)

@@ -24,7 +24,6 @@ from qdsa.asymptotics import (
     stationary_support,
 )
 from qdsa.channels import (
-    HEISENBERG,
     SCHRODINGER,
     DensityMatrix,
     LindbladGenerator,
@@ -49,7 +48,6 @@ from qdsa.errors import (
 from qdsa.linalg import (
     DEFAULT_TOL,
     Projection,
-    hermitian_part,
     opnorm,
     order_leq,
     proj_supremum,
@@ -235,7 +233,7 @@ class TestSingleSplit:
         # |1><1| decays into |0><0|, so it is not invariant: its corner, the
         # exact compression, leaks and has no stationary state
         dyn = Dynamics(build_fixture(name))
-        dyn._cache[("support", DEFAULT_TOL)] = Projection.from_matrix(ket_bra(2, 1, 1))
+        dyn.support = Projection.from_matrix(ket_bra(2, 1, 1))
         with pytest.raises(InternalError, match="fixed-point kernel is empty"):
             recurrent_projection(dyn)
 
@@ -253,12 +251,12 @@ class TestSingleSplit:
         draws = self._merged_draws(monkeypatch, 0)
         dyn = Dynamics(model)
         decomposition = minimal_enclosures(dyn)
-        if dyn.reduction(DEFAULT_TOL)[1] is not None:
+        if dyn.reduction[1] is not None:
             # each certified class is a block of its own, with no draw
             assert clustered == draws == []
             return
         assert len(clustered) == len(draws) == (decomposition.fixed_algebra_dim > 1)
-        assert set(clustered) <= {dyn.support(DEFAULT_TOL).rank}
+        assert set(clustered) <= {dyn.support.rank}
 
 
 class TestRecurrentProjection:

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -17,6 +19,7 @@ from qdsa.errors import ParseError, ValidationError
 from qdsa.linalg import Projection
 from qdsa.modelio import matrix_to_json, model_spec_from_fixture
 from qdsa.models import build_fixture, fixture_names
+from qdsa.verify import run_verify
 
 
 def emit_fixture(tmp_path, name):
@@ -38,7 +41,7 @@ class TestAnalyzeCommand:
     def test_non_invariant_recurrent_block_exits_3(self, monkeypatch, tmp_path, capsys, name):
         # the stationary support forced onto |1><1|, which decays into |0><0|
         excited = Projection.from_matrix(np.diag([0.0, 1.0]))
-        monkeypatch.setattr(Dynamics, "support", lambda dyn, tol: excited)
+        monkeypatch.setattr(Dynamics, "support", property(lambda dyn: excited))
         assert main(["analyze", "--model", str(emit_fixture(tmp_path, name))]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -207,6 +210,20 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["passed"] is True
+
+
+    def test_json_summary_has_the_bytes_of_json_dump(self, tmp_path, capsys):
+        # the summary file is what json.dump with a trailing newline wrote
+        out_path = tmp_path / "summary.json"
+        assert main(["verify", "--seed", "3", "--trials", "3", "--dims", "2",
+                     "--output", str(out_path)]) == 0
+        capsys.readouterr()
+        summary = run_verify(seed=3, trials=3, dims=(2,))
+        want = io.StringIO()
+        json.dump({**dataclasses.asdict(summary), "passed": summary.passed}, want,
+                  indent=2, sort_keys=True)
+        want.write("\n")
+        assert out_path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 class TestEvolveCommand:
@@ -422,6 +439,23 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
         assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "evolve", "examples"])
+def test_unwritable_output_exits_1_without_traceback(tmp_path, command):
+    model = emit_fixture(tmp_path, "AD")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dim": 2, "matrix": matrix_to_json(np.eye(2) / 2)}),
+                     encoding="utf-8")
+    target = str(tmp_path / "missing" / "out.json")
+    args = {"analyze": ["analyze", "--model", str(model)],
+            "verify": ["verify", "--trials", "2", "--dims", "2"],
+            "evolve": ["evolve", "--model", str(model), "--state", str(state), "--times", "1"],
+            "examples": ["examples", "emit", "AD"]}[command]
+    code, _, err = run_cli(*args, "--output", target)
+    assert code == 1
+    assert f"error: cannot write {target}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "examples"])

@@ -15,13 +15,14 @@ from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     DEFAULT_HORIZON,
     Dynamics,
+    _corner,
     decay_ideal_test,
     decay_ideal_units,
     recurrent_projection,
     stationary_space,
 )
-from qdsa.errors import InternalError, QdsaError
-from qdsa.linalg import DEFAULT_TOL
+from qdsa.errors import InternalError, QdsaError, ValidationError
+from qdsa.linalg import DEFAULT_TOL, Projection, ToleranceConfig
 from qdsa.modelio import ModelSpec, model_spec_from_fixture
 from qdsa.models import build_fixture, fixture_horizon, fixture_names, thermal_qubit
 from qdsa.sampling import block_diagonal_channel, transient_block_generator
@@ -105,15 +106,20 @@ class TestSharedObjects:
         assert report.dim == model.dim
 
     def test_stationary_space_computed_once(self, monkeypatch):
-        calls = _counting(monkeypatch, qdsa.asymptotics, "stationary_space")
-        run_analyze(model_spec_from_fixture("M3"), AnalysisOptions(seed=GOLDEN_SEED))
-        assert len(calls) == 1
+        # one StationarySpace per analysis, unreduced (M3) or summed from the
+        # certified classes of a channel rung (d = 24, six blocks of 4)
+        built = _counting(monkeypatch, qdsa.asymptotics, "StationarySpace")
+        channel, _ = block_diagonal_channel([4] * 6, 2, np.random.default_rng(1))
+        for model in (model_spec_from_fixture("M3"), channel):
+            built.clear()
+            run_analyze(model, AnalysisOptions(seed=GOLDEN_SEED))
+            assert len(built) == 1
 
     def test_flow_cached_per_horizon(self, m3):
         dyn = Dynamics(m3)
         assert dyn.flow(5.0) is dyn.flow(5.0)
         assert dyn.flow(5.0) is not dyn.flow(6.0)
-        assert dyn.space(DEFAULT_TOL) is dyn.space(DEFAULT_TOL)
+        assert dyn.space is dyn.space
 
     def test_model_is_not_annotated(self, m3):
         before = dict(vars(m3))
@@ -127,6 +133,74 @@ class TestSharedObjects:
             assert np.array_equal(bare.recurrent.matrix, shared.recurrent.matrix), name
             assert bare.sup_deviation == shared.sup_deviation, name
             assert stationary_space(model).dim == stationary_space(Dynamics(model)).dim
+
+
+def _tolerance_keys(dyn, seen=None) -> list:
+    """The cache keys of ``dyn`` and of every corner it keeps that hold a
+    ToleranceConfig."""
+    seen = set() if seen is None else seen
+    seen.add(id(dyn))
+    keys = [key for key in dyn._cache
+            if any(isinstance(part, ToleranceConfig) for part in key)]
+    for value in dyn._cache.values():
+        if isinstance(value, Dynamics) and id(value) not in seen:
+            keys += _tolerance_keys(value, seen)
+    return keys
+
+
+class TestOneTolerance:
+    """A Dynamics is one analysis at one tolerance."""
+
+    LOOSE = ToleranceConfig(atol=1e-6, psd_tol=1e-6)
+
+    def test_public_functions_answer_for_its_tolerance(self, m3):
+        # |a r| = 1e-7 lies between the default atol and the loose one, so
+        # the algebraic verdict shows which tolerance was read
+        dyn = Dynamics(m3, self.LOOSE)
+        assert dyn.tol is self.LOOSE
+        r = recurrent_projection(dyn).recurrent
+        a = 1e-7 * r.matrix
+        assert decay_ideal_test(dyn, a, r).in_ideal_algebraic
+        equal = ToleranceConfig(atol=1e-6, psd_tol=1e-6)
+        assert decay_ideal_test(dyn, a, r, tol=equal).in_ideal_algebraic
+        assert not decay_ideal_test(Dynamics(m3), a, r).in_ideal_algebraic
+        assert not decay_ideal_test(m3, a, r).in_ideal_algebraic
+        assert decay_ideal_test(m3, a, r, tol=self.LOOSE).in_ideal_algebraic
+        assert stationary_space(dyn) is dyn.space
+        assert stationary_space(Dynamics(m3), ToleranceConfig()).dim == dyn.space.dim
+
+    def test_another_tolerance_is_a_validation_error(self, m3):
+        dyn = Dynamics(m3)
+        for call in (lambda: stationary_space(dyn, self.LOOSE),
+                     lambda: recurrent_projection(dyn, tol=self.LOOSE),
+                     lambda: decay_ideal_test(dyn, np.eye(3), Projection.from_matrix(np.eye(3)),
+                                              tol=self.LOOSE)):
+            with pytest.raises(ValidationError, match="tolerance"):
+                call()
+        # nothing was computed on the way
+        assert dyn._cache == {}
+        assert vars(dyn).keys() == {"terms", "discrete", "dim", "tol", "_cache"}
+
+    def test_corners_share_the_tolerance(self, m3):
+        dyn = Dynamics(m3, self.LOOSE)
+        assert _corner(dyn, np.eye(3, dtype=complex)[:, :2]).tol is dyn.tol
+
+    @pytest.mark.parametrize("model", [build_fixture("M3"), _ladder_models()[0][1],
+                                       block_diagonal_channel([4] * 6, 2,
+                                                              np.random.default_rng(1))[0]],
+                             ids=["M3", "generator-d4", "channel-d24"])
+    def test_no_cache_key_holds_a_tolerance(self, monkeypatch, model):
+        made = []
+
+        class Recorded(Dynamics):
+            def __init__(self, model, tol=None):
+                super().__init__(model, tol)
+                made.append(self)
+
+        monkeypatch.setattr(qdsa.analyze, "Dynamics", Recorded)
+        run_analyze(model, AnalysisOptions(seed=GOLDEN_SEED))
+        assert len(made) == 1 and made[0]._cache
+        assert _tolerance_keys(made[0]) == []
 
 
 def _analyze_ladder():

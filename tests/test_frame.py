@@ -161,7 +161,7 @@ class TestCompressedCorners:
         s_heis = _reference_superop(model, HEISENBERG)
         for w in _visited_blocks(monkeypatch, model):
             old = _old_split_kernel(_old_corner(s_heis, w, discrete))
-            fixed = _fixed_basis(_corner(Dynamics(model), w), DEFAULT_TOL)
+            fixed = _fixed_basis(_corner(Dynamics(model), w))
             assert len(fixed) == old.shape[1], (name, w.shape)
             for f in fixed:
                 assert np.array_equal(f, f.conj().T)
@@ -197,8 +197,9 @@ def test_corner_is_the_compressed_map_off_invariant_blocks(kind, d, m):
     top = Dynamics(model)
     corner = _corner(top, w)
     # a corner is a Dynamics like the top level: the same attributes, its
-    # own terms, and no model
-    assert vars(corner).keys() == vars(top).keys() == {"terms", "discrete", "dim", "_cache"}
+    # own terms, the top level's tolerance, and no model
+    assert vars(corner).keys() == vars(top).keys() == {"terms", "discrete", "dim", "tol", "_cache"}
+    assert corner.tol is top.tol
     assert corner.dim == m and corner.discrete == top.discrete
     action = Superoperator(corner.schrodinger.T, HEISENBERG)
     for _ in range(3):

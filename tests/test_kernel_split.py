@@ -28,7 +28,7 @@ from qdsa.asymptotics import (
     recurrent_projection,
 )
 from qdsa.channels import HEISENBERG, SCHRODINGER, LindbladGenerator, QuantumChannel
-from qdsa.linalg import DEFAULT_TOL, Projection, opnorm, projections_equal
+from qdsa.linalg import Projection, opnorm, projections_equal
 from qdsa.models import build_fixture, fixture_names, identity_model
 from qdsa.sampling import (
     block_diagonal_channel,
@@ -104,9 +104,9 @@ def _projector_distance(a: np.ndarray, b: np.ndarray) -> float:
                          ids=[f"{k}-d{d}-s{s}" for k, d, s in STRUCTURE_RUNGS])
 def test_lu_kernels_match_the_svd(monkeypatch, kind, d, seed):
     model = _rung(kind, d, seed)[0]
-    kernel, left = Dynamics(model).split(DEFAULT_TOL)
+    kernel, left = Dynamics(model).split
     _by_svd(monkeypatch)
-    want_kernel, want_left = Dynamics(model).split(DEFAULT_TOL)
+    want_kernel, want_left = Dynamics(model).split
     assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
     assert _projector_distance(kernel, want_kernel) <= 1e-10
     assert _projector_distance(left, want_left) <= 1e-10
@@ -117,7 +117,7 @@ def test_split_leaves_the_real_form(kind, d):
     # s - F, and F on the SVD route, are formed from copies: R keeps its bytes
     dyn = Dynamics(_rung(kind, d, 1)[0])
     before = dyn.schrodinger.tobytes()
-    dyn.split(DEFAULT_TOL)
+    dyn.split
     assert dyn.schrodinger.tobytes() == before
     recurrent_projection(dyn)
     assert dyn.schrodinger.tobytes() == before
@@ -136,7 +136,7 @@ def test_fixed_point_norm_has_the_bits_of_the_dense_norm(monkeypatch, kind, d):
                         lambda *args: norms.append(dlange(*args)) or norms[-1])
     monkeypatch.setattr(scipy.linalg.lapack, "dgetrf",
                         lambda a, **kwargs: factored.append(a.T.copy()) or dgetrf(a, **kwargs))
-    dyn.split(DEFAULT_TOL)
+    dyn.split
     dense = float(np.abs(f).sum(axis=0).max())
     assert norms == [dense] and len(factored) == 1
     shift = qdsa.asymptotics._SHIFT * dense
@@ -150,7 +150,7 @@ def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):
     formed = _counting(monkeypatch, qdsa.asymptotics, "_fixed_point_matrix")
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
-    dyn.split(DEFAULT_TOL)
+    dyn.split
     assert lus == [(576, 576)] and svds == []
     assert formed == []
 
@@ -207,12 +207,12 @@ def test_lu_route_takes_its_products_where_they_cost_less(monkeypatch, name):
     dyn = Dynamics(model)
     acts = _counting(monkeypatch, qdsa.asymptotics, "_act")
     lus = _lu_shapes(monkeypatch)
-    kernel, left = dyn.split(DEFAULT_TOL)
+    kernel, left = dyn.split
     n = dyn.dim ** 2
     assert lus == [(n, n)]
     assert bool(acts) == ROUTES[name] == ("schrodinger" not in vars(dyn))
     _by_svd(monkeypatch)
-    want_kernel, want_left = Dynamics(model).split(DEFAULT_TOL)
+    want_kernel, want_left = Dynamics(model).split
     assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
     assert _projector_distance(kernel, want_kernel) <= 1e-10
     assert _projector_distance(left, want_left) <= 1e-10
@@ -224,9 +224,9 @@ def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
     channel, _ = block_diagonal_channel([2] * 10, 2, np.random.default_rng(3))
     dyn = Dynamics(channel)
     assert 10 + qdsa.asymptotics._OVERSAMPLE > 2 * qdsa.asymptotics._OVERSAMPLE
-    assert qdsa.asymptotics._resolvent_split(dyn, DEFAULT_TOL) is None
+    assert qdsa.asymptotics._resolvent_split(dyn) is None
     svds = _svd_shapes(monkeypatch)
-    kernel, left = dyn.split(DEFAULT_TOL)
+    kernel, left = dyn.split
     assert svds == [(400, 400)]
     assert kernel.shape == left.shape == (400, 10)
 
@@ -306,13 +306,13 @@ def test_stiff_model_falls_back_to_the_svd(monkeypatch, name):
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     # the whole split: the LU route declines, then the SVD runs
-    Dynamics(model).split(DEFAULT_TOL)
+    Dynamics(model).split
     assert lus == [(256, 256)]
     assert svds.count((256, 256)) == 1
     # the analysis is reduced to its certified corner and splits neither
     # at that size, and its report is the SVD route's
     del lus[:], svds[:]
-    assert Dynamics(model).reduction(DEFAULT_TOL)[1] is not None
+    assert Dynamics(model).reduction[1] is not None
     report = run_analyze(model, options)
     assert (256, 256) not in lus + svds
     assert projections_equal(report.recurrent, block)
@@ -326,7 +326,7 @@ def test_stiff_gap_qubit_finds_its_ground_state():
     dyn = Dynamics(model)
     report = recurrent_projection(dyn)
     assert projections_equal(report.recurrent, Projection.from_range_basis(np.eye(2)[:, :1]))
-    assert dyn.space(DEFAULT_TOL).dim == 1
+    assert dyn.space.dim == 1
 
 
 @pytest.mark.parametrize("model", [identity_model(16), identity_model(1),
@@ -335,7 +335,7 @@ def test_stiff_gap_qubit_finds_its_ground_state():
                          ids=["generator-d16", "generator-d1", "channel-d1", "ID2", "ID3"])
 def test_zero_fixed_point_matrix_runs_no_lu(monkeypatch, model):
     lus = _lu_shapes(monkeypatch)
-    space = Dynamics(model).space(DEFAULT_TOL)
+    space = Dynamics(model).space
     report = run_analyze(model, AnalysisOptions(seed=GOLDEN_SEED))
     assert lus == []
     assert space.dim == model.dim ** 2

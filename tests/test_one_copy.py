@@ -161,9 +161,11 @@ def _unused_imports(tree: ast.Module) -> list:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__ imports its names to re-export them
+    # the package and its tests; __init__ imports its names to re-export them
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).resolve().parent.glob("*.py"))
     unused = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
-              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+              for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

@@ -26,6 +26,7 @@ from qdsa.asymptotics import (
     _recurrent_guess,
     _transient_certified,
     _uncoupled,
+    stationary_space,
 )
 from qdsa.channels import LindbladGenerator, QuantumChannel, _terms
 from qdsa.harmonic import _residual
@@ -71,7 +72,7 @@ def test_certified_block_is_the_constructed_one(monkeypatch, d, seed):
     # LU from _LU_MIN_SIZE unknowns on, an SVD below); the d x d SVD is
     # decay_ideal_units' trace norm
     model, block = _rung("generator", d, seed)
-    (w,), wq = Dynamics(model).reduction(DEFAULT_TOL)
+    (w,), wq = Dynamics(model).reduction
     assert wq.shape == (d, d - block.rank)
     assert projections_equal(Projection.from_range_basis(w), block)
     k, m = block.rank, d - block.rank
@@ -132,7 +133,7 @@ def test_faithful_channel_splits_into_its_blocks(monkeypatch, d):
     # between pairs of blocks; the d x d SVD is decay_ideal_units' trace
     # norm, and no LU runs
     model, blocks = block_diagonal_channel([4] * (d // 4), 2, np.random.default_rng(1))
-    ws, wq = Dynamics(model).reduction(DEFAULT_TOL)
+    ws, wq = Dynamics(model).reduction
     assert wq.shape == (d, 0)
     assert len(ws) == len(blocks)
     for w in ws:
@@ -158,8 +159,8 @@ def test_coupled_copies_fail_the_pair_certificate():
     copies = np.eye(16, dtype=complex)
     for w in (copies[:, :8], copies[:, 8:]):
         assert _residual(dyn.terms, Projection.from_range_basis(w)) <= DEFAULT_TOL.atol
-    assert not _uncoupled([_corner(dyn, w) for w in (copies[:, :8], copies[:, 8:])], DEFAULT_TOL)
-    assert _certify(dyn, copies, (8, 8), DEFAULT_TOL) is None
+    assert not _uncoupled(dyn, (copies[:, :8], copies[:, 8:]))
+    assert _certify(dyn, copies, (8, 8)) is None
     report = run_analyze(model, OPTIONS)
     assert report.passed and not report.is_unique
     assert report.fixed_algebra_dim == 8 and report.stationary_dim == 8
@@ -172,7 +173,7 @@ def test_non_invariant_block_fails_the_residual_certificate(monkeypatch):
     transient = block.complement()
     assert _residual(dyn.terms, transient) > DEFAULT_TOL.atol
     lyapunov = _counting(monkeypatch, qdsa.asymptotics, "_transient_certified")
-    assert _certify(dyn, _unitary(transient.range_basis), (transient.rank,), DEFAULT_TOL) is None
+    assert _certify(dyn, _unitary(transient.range_basis), (transient.rank,)) is None
     assert lyapunov == []
 
 
@@ -184,7 +185,7 @@ def test_one_enclosure_fails_the_transience_certificate():
     u = _unitary(blocks[0].range_basis)
     assert _residual(dyn.terms, blocks[0]) <= DEFAULT_TOL.atol
     assert not _transient_certified(_corner(dyn, u[:, 4:]))
-    assert _certify(dyn, u, (4,), DEFAULT_TOL) is None
+    assert _certify(dyn, u, (4,)) is None
 
 
 def test_constructed_block_passes_both_certificates():
@@ -192,7 +193,7 @@ def test_constructed_block_passes_both_certificates():
     dyn = Dynamics(model)
     u = _unitary(block.range_basis)
     assert _transient_certified(_corner(dyn, u[:, block.rank:]))
-    (w,), wq = _certify(dyn, u, (block.rank,), DEFAULT_TOL)
+    (w,), wq = _certify(dyn, u, (block.rank,))
     assert projections_equal(Projection.from_range_basis(w), block)
 
 
@@ -225,7 +226,7 @@ def _assert_agrees_with_the_whole_split(model, block=None):
 def test_reduced_analysis_agrees_with_the_whole_split(sizes, seed):
     k, n = sizes
     model, block = transient_block_generator(k, n - k, np.random.default_rng(seed))
-    assert Dynamics(model).reduction(DEFAULT_TOL)[1] is not None
+    assert Dynamics(model).reduction[1] is not None
     _assert_agrees_with_the_whole_split(model, block)
 
 
@@ -234,7 +235,7 @@ def test_reduced_analysis_agrees_with_the_whole_split(sizes, seed):
        st.integers(1, 3), st.integers(0, 2 ** 16))
 def test_block_channel_analysis_agrees_with_the_whole_split(blocks, kraus, seed):
     model, _ = block_diagonal_channel(blocks, kraus, np.random.default_rng(seed))
-    assert Dynamics(model).reduction(DEFAULT_TOL)[1] is not None
+    assert Dynamics(model).reduction[1] is not None
     _assert_agrees_with_the_whole_split(model)
 
 
@@ -257,7 +258,7 @@ def test_two_fed_blocks_are_two_classes(seed):
     model = _side_by_side(first, second)
     blocks = [Projection.from_range_basis(np.vstack([p.range_basis, np.zeros((8, 4))])),
               Projection.from_range_basis(np.vstack([np.zeros((8, 4)), q.range_basis]))]
-    ws, wq = Dynamics(model).reduction(DEFAULT_TOL)
+    ws, wq = Dynamics(model).reduction
     assert wq.shape == (16, 8)
     assert len(ws) == 2
     for w in ws:
@@ -272,6 +273,41 @@ def test_hamiltonian_generator_splits_into_its_levels():
     # with no jumps every eigenvector of H is a closed class of its own,
     # and the map between two of them multiplies by i (h_i - h_j)
     model = LindbladGenerator(random_hermitian(16, np.random.default_rng(1)), [])
-    ws, wq = Dynamics(model).reduction(DEFAULT_TOL)
+    ws, wq = Dynamics(model).reduction
     assert [w.shape[1] for w in ws] == [1] * 16 and wq.shape == (16, 0)
     _assert_agrees_with_the_whole_split(model)
+
+
+def _span_distance(space, other) -> float:
+    """The largest entry of the difference of the projectors onto the spans
+    of the two bases, whose vectorized matrices are orthonormal (the
+    Hermitian frame and the embeddings keep them so), a block of rows at a
+    time."""
+    a, b = (np.stack([x.ravel() for x in s.basis], axis=1) for s in (space, other))
+    return max(np.abs(a[rows] @ a.conj().T - b[rows] @ b.conj().T).max()
+               for rows in np.array_split(np.arange(a.shape[0]), 16))
+
+
+PUBLIC_SPACE = [(kind, d, seed) for kind, d in (("channel", 48), ("generator", 32))
+                for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kind,d,seed", PUBLIC_SPACE,
+                         ids=[f"{kind}-d{d}-s{seed}" for kind, d, seed in PUBLIC_SPACE])
+def test_public_stationary_space_reads_the_reduction(monkeypatch, kind, d, seed):
+    # the public stationary_space assembles and factors the class and rest
+    # corners only: no real form, LU or SVD with d^2 rows
+    model = _rung(kind, d, seed)[0]
+    sizes = _assembly_sizes(monkeypatch)
+    svds = _svd_shapes(monkeypatch)
+    lus = _lu_shapes(monkeypatch)
+    space = stationary_space(model)
+    assert sizes and max(sizes) < d
+    assert all(shape[-2] < d * d for shape in svds + lus)
+    # and it is the whole split's space: the same dimension, span and state
+    _without_reduction(monkeypatch)
+    whole = stationary_space(model)
+    assert sizes[-1] == d
+    assert space.dim == whole.dim
+    assert _span_distance(space, whole) <= 1e-14
+    assert np.abs(space.state.matrix - whole.state.matrix).max() <= 1e-14

@@ -378,4 +378,4 @@ class TestComputedOnce:
     def test_support_shared_by_the_dynamics(self, name, model, horizon):
         dyn = Dynamics(model)
         report = recurrent_projection(dyn, horizon=horizon)
-        assert dyn.support(DEFAULT_TOL) is report.stationary_support
+        assert dyn.support is report.stationary_support
