@@ -9,15 +9,17 @@ path:
    corners of its closed classes (:attr:`Dynamics.reduction`), at ``O(K
    d^3)`` cost and before any ``d^2 x d^2`` work: the minimal enclosures
    are guessed in Hilbert space as the closed classes of the eigenvectors
-   of one generic combination of the terms (:func:`_recurrent_guess`), and
-   used only when each class is sub-harmonic, a Lyapunov solve on the
-   corner of the rest, if any is left, certifies that corner transient, so
-   that the classes hold the support of every stationary state, and no
-   fixed point couples two classes (:func:`_certify`).  A faithful model,
-   whose classes fill the space, is reduced too; one whose single class
-   fills it is not.  A certified model's stationary space is then the sum
-   of those of its class corners, embedded, and its transient flow that of
-   the certificate's corner; an uncertified one is its own single class.
+   of one generic combination of the terms, their edges cut by the one
+   rank rule ``tol.cutoff`` (:func:`_recurrent_guess`).  The guess decides
+   nothing: it is used only when each class is sub-harmonic, no fixed
+   point couples two classes, and a Lyapunov solve on the corner of the
+   rest, if any is left, certifies that corner transient, so that the
+   classes hold the support of every stationary state (:func:`_certify`).
+   A faithful model, whose classes fill the space, is reduced too; one
+   whose single class fills it is not.  A certified model's stationary
+   space is then the sum of those of its class corners, embedded, and its
+   transient flow that of the certificate's corner; an uncertified one is
+   its own single class.
    One split of the fixed-point matrix ``F`` (``R``, or ``R - 1`` for a
    channel) of each such corner gives its stationary space as its right
    kernel and its Heisenberg fixed points as its left kernel, both as
@@ -193,10 +195,9 @@ _KERNEL_ERROR = 1e-4
 
 # From _LU_MIN_SIZE unknowns on the closed classes are first guessed from
 # the eigenvectors of one combination of the terms, its coefficients drawn
-# from seed _GUESS_SEED, with an eigenvector matrix of condition at most
-# _GUESS_COND (_recurrent_guess), and used only once certified (_certify).
+# from seed _GUESS_SEED (_recurrent_guess), and used only once certified
+# (_certify).
 _GUESS_SEED = 0
-_GUESS_COND = 1e8
 
 
 def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
@@ -444,7 +445,7 @@ class Dynamics:
         classes (:func:`_recurrent_guess`, :func:`_certify`) and onto the
         rest, which has no columns for a faithful model, tried from
         ``_LU_MIN_SIZE`` unknowns on; ``((1,), None)`` when there is none."""
-        guess = _recurrent_guess(self.terms) if self.dim ** 2 >= _LU_MIN_SIZE else None
+        guess = _recurrent_guess(self.terms, self.tol) if self.dim ** 2 >= _LU_MIN_SIZE else None
         return (guess and _certify(self, *guess)) or ((np.eye(self.dim, dtype=complex),), None)
 
     @cached_property
@@ -574,7 +575,7 @@ def _corner(dyn: Dynamics, w: np.ndarray) -> Dynamics:
         (None if g is None else wh @ g @ w, tuple(wh @ x @ w for x in ops)), w.shape[1], dyn.tol))
 
 
-def _recurrent_guess(terms):
+def _recurrent_guess(terms, tol: ToleranceConfig):
     """A unitary ``U`` and the sizes of the closed classes its first
     columns span, class by class, the rest spanning their complement; None
     when there is no guess.
@@ -585,36 +586,23 @@ def _recurrent_guess(terms):
     of a set closed under the edges ``j -> l`` of the nonzero entries
     ``(V^-1 X V)_lj`` (``V`` the eigenvectors), and the minimal ones, the
     minimal enclosures, are the closed strongly connected classes.  The
-    guess spans each class on columns of its own.  With ``cond(V)`` and the
-    norms taken in the Frobenius norm, which bounds the spectral one, an
-    eigenvalue is trusted to within ``err = d eps cond(V) |Y|`` and an
-    eigenvector to ``err / gap`` for the smallest eigenvalue gap, so an
-    entry is zero or an edge when it is decisive
-    (:func:`~qdsa.linalg._decisive`) against ``cond(V) |X| (d eps + err /
-    gap)``.  None when ``cond(V)`` exceeds ``_GUESS_COND``, the gap is not
-    above ``10 err``, an entry is indecisive, or a single class fills the
-    space.
+    guess spans each class on columns of its own.  An entry is an edge when
+    it exceeds ``tol.cutoff`` of the largest entry of its term, the one
+    rank rule.  The guess decides nothing: :func:`_certify` proves or
+    declines it, and a class that is coarser than the minimal enclosures
+    is split by :func:`minimal_enclosures`.  None when the eigensolve
+    fails, ``V`` is singular, or a single class fills the space.
     """
     g, ops = terms
     xs = np.stack(ops if g is None else (g, *ops))
     y = np.tensordot(gaussian_block(len(xs), 2, _GUESS_SEED) @ (1.0, 1j), xs, axes=1)
     d = y.shape[0]
     try:
-        w, v = np.linalg.eig(y)
-        v_inv = np.linalg.inv(v)
+        v = np.linalg.eig(y)[1]
+        entries = np.abs(np.linalg.inv(v) @ xs @ v)
     except np.linalg.LinAlgError:
         return None
-    # Frobenius norms, which bound the spectral ones
-    norms = np.linalg.norm(np.concatenate([np.stack([v, v_inv, y]), xs]), axis=(1, 2))
-    cond = norms[0] * norms[1]
-    gap = np.abs(w[:, None] - w[None, :])[np.triu_indices(d, 1)].min()
-    err = d * np.finfo(float).eps * cond * norms[2]
-    if not (cond <= _GUESS_COND and gap > 10 * err):
-        return None
-    entries = np.abs(v_inv @ xs @ v)
-    floor = (cond * (d * np.finfo(float).eps + err / gap) * norms[3:])[:, None, None]
-    if not _decisive(entries, floor).all():
-        return None
+    floor = np.array([tol.cutoff(top) for top in entries.max(axis=(1, 2))])[:, None, None]
     # reach[l, j]: l is reached from j; j is in a closed class when every
     # eigenvector it reaches reaches it back, and that class is what it reaches
     reach = (entries > floor).any(axis=0) | np.eye(d, dtype=bool)
@@ -639,22 +627,23 @@ def _certify(dyn: Dynamics, u: np.ndarray, sizes: tuple):
 
     (a) Each ``p_i = W_i W_i^dag`` is sub-harmonic: its residual on the
     terms is at most ``atol`` (:func:`~qdsa.linalg._norm_exceeds`, so a
-    clear pass takes no SVD).  (b) When columns are left, ``q = 1 - r``,
-    ``r = sum_i p_i``, is transient: :func:`_transient_certified` on the
-    corner of ``q``, so every stationary state lives on ``r``.  (c) No
-    fixed point couples two classes (:func:`_uncoupled`).  Sub-harmonic
-    projections that sum to ``r`` are harmonic on the corner of ``r``, so
-    every term is block diagonal there and the map preserves each ``p_i M
-    p_j``: with (c) its fixed points are the sum of those of the class
-    corners.
+    clear pass takes no SVD).  (c) No fixed point couples two classes
+    (:func:`_uncoupled`).  (b) When columns are left, ``q = 1 - r``, ``r =
+    sum_i p_i``, is transient: :func:`_transient_certified` on the corner
+    of ``q``, so every stationary state lives on ``r``.  They run
+    cheapest first: a guess that (a) or (c) declines factors no corner.
+    Sub-harmonic projections that sum to ``r`` are harmonic on the corner
+    of ``r``, so every term is block diagonal there and the map preserves
+    each ``p_i M p_j``: with (c) its fixed points are the sum of those of
+    the class corners.
     """
     *ws, wq = np.split(u, np.cumsum(sizes), axis=1)
     atol = dyn.tol.atol
     if any(_norm_exceeds(_leak(dyn.terms, Projection.from_range_basis(w)), atol) for w in ws):
         return None
-    if wq.shape[1] and not _transient_certified(_corner(dyn, wq)):
-        return None
     if not _uncoupled(dyn, ws):
+        return None
+    if wq.shape[1] and not _transient_certified(_corner(dyn, wq)):
         return None
     return tuple(ws), wq
 
@@ -876,19 +865,16 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
 
     final.sort(key=lambda item: _canonical_key(item[0]))
     projections = tuple(p for p, _, _ in final)
-    residuals = []
-    max_overlap = 0.0
-    for i, p in enumerate(projections):
-        residuals.append(_checked_residual(dyn, p, InternalError, f"refined enclosure {i}"))
-        for q in projections[i + 1:]:
-            overlap = opnorm(p.matrix @ q.matrix)
-            if overlap > 10 * dyn.tol.atol:
-                raise InternalError("refined enclosures are not mutually orthogonal")
-            max_overlap = max(max_overlap, overlap)
+    residuals = tuple(_checked_residual(dyn, p, InternalError, f"refined enclosure {i}")
+                      for i, p in enumerate(projections))
+    # every |p q| over distinct pairs in one stacked SVD
+    overlaps = [p.matrix @ q.matrix for p, q in itertools.combinations(projections, 2)]
+    max_overlap = opnorm(np.stack(overlaps)) if overlaps else 0.0
+    if max_overlap > 10 * dyn.tol.atol:
+        raise InternalError("refined enclosures are not mutually orthogonal")
     return EnclosureDecomposition(projections, unique, fixed_dim,
                                   tuple(c for _, c, _ in final),
-                                  tuple(k for _, _, k in final), tuple(residuals),
-                                  max_overlap)
+                                  tuple(k for _, _, k in final), residuals, max_overlap)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def _by_svd(monkeypatch):
 
 def _without_reduction(monkeypatch):
     """Switch the reduction off: every guess declines."""
-    monkeypatch.setattr(qdsa.asymptotics, "_recurrent_guess", lambda terms: None)
+    monkeypatch.setattr(qdsa.asymptotics, "_recurrent_guess", lambda terms, tol: None)
 
 
 def _svd_shapes(monkeypatch) -> list:

@@ -183,6 +183,65 @@ class TestParseState:
             parse_state(path, 2)
 
 
+def _model(**changes):
+    """The AD fixture's model file with ``changes``; None drops a key."""
+    spec = {**model_spec_from_fixture("AD").to_json_dict(), **changes}
+    return {key: value for key, value in spec.items() if value is not None}
+
+
+def _channel(kraus_ops):
+    return _model(hamiltonian=None, lindblad_ops=None, kraus_ops=kraus_ops)
+
+
+_STATE = {"dim": 2, "matrix": matrix_to_json(np.eye(2) / 2)}
+_RAGGED = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
+
+# (id, reader, file content, or None for a file that does not exist, the
+# error and a fragment of its message)
+REJECTIONS = [
+    ("model-top-level", parse_model, [1, 2], ParseError, "top level must be a JSON object"),
+    ("dim-float", parse_model, _model(dim=2.0), ParseError, "'dim' must be an integer"),
+    ("dim-string", parse_model, _model(dim="2"), ParseError, "'dim' must be an integer"),
+    ("dim-zero", parse_model, _model(dim=0), ValidationError, "'dim' must be positive, got 0"),
+    ("label", parse_model, _model(label=3), ParseError, "'label' must be a string"),
+    ("matrix-empty", parse_model, _model(hamiltonian=[]), ParseError,
+     "hamiltonian: expected a nonempty nested array"),
+    ("matrix-empty-row", parse_model, _model(hamiltonian=[[]]), ParseError,
+     "hamiltonian: row 0 is not a nonempty array"),
+    ("matrix-ragged", parse_model, _model(hamiltonian=_RAGGED), ParseError,
+     "hamiltonian: ragged rows"),
+    ("kraus-empty", parse_model, _channel([]), ParseError,
+     "'kraus_ops' must be a nonempty array of matrices"),
+    ("kraus-object", parse_model, _channel({}), ParseError,
+     "'kraus_ops' must be a nonempty array of matrices"),
+    ("jumps-without-hamiltonian", parse_model, _model(hamiltonian=None), ValidationError,
+     "generator form requires 'hamiltonian'"),
+    ("tolerances-array", parse_model, _model(tolerances=[1e-9]), ParseError,
+     "'tolerances' must be an object"),
+    ("tolerances-range", parse_model, _model(tolerances={"atol": 0.5}), ValidationError,
+     "bad tolerances: atol must lie in (0, 1e-2), got 0.5"),
+    ("horizon-string", parse_model, _model(horizon="30"), ParseError,
+     "'horizon' must be a number"),
+    ("model-unreadable", parse_model, None, ParseError, "cannot read"),
+    ("state-top-level", parse_state, [1], ParseError, "top level must be a JSON object"),
+    ("state-missing-matrix", parse_state, {"dim": 2}, ParseError,
+     "'dim' and 'matrix' are required"),
+    ("state-dim-float", parse_state, {**_STATE, "dim": 2.0}, ParseError,
+     "'dim' must be an integer"),
+    ("state-shape", parse_state, {**_STATE, "dim": 3}, ValidationError,
+     "matrix shape (2, 2) does not match dim 3"),
+]
+
+
+@pytest.mark.parametrize("reader,content,error,fragment", [case[1:] for case in REJECTIONS],
+                         ids=[case[0] for case in REJECTIONS])
+def test_every_rejection_names_its_cause(tmp_path, reader, content, error, fragment):
+    path = tmp_path / "missing.json" if content is None else write_json(tmp_path, "f.json", content)
+    with pytest.raises(error, match=re.escape(fragment)) as excinfo:
+        reader(path)
+    assert excinfo.type is error
+
+
 def test_unknown_fixture_rejected():
     with pytest.raises(ValidationError):
         model_spec_from_fixture("NOPE")

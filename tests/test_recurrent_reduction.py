@@ -5,11 +5,13 @@ closed classes from the eigenvectors of one generic combination of the
 terms (``_recurrent_guess``) and keeps the guess only when (a) each class is
 sub-harmonic, (b) a Lyapunov solve on the corner of the rest, if any,
 certifies that corner transient and (c) no fixed point couples two classes
-(``_certify``).  A certified model's stationary space, enclosures and
-transient flow are read off the class corners and the rest's corner, so no
-``d^2 x d^2`` array is built; a declined guess leaves the analysis as it
-was.
+(``_certify``, which runs (c) before (b)).  A certified model's stationary
+space, enclosures and transient flow are read off the class corners and
+the rest's corner, so no ``d^2 x d^2`` array is built; a declined guess
+leaves the analysis as it was.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -23,14 +25,14 @@ from qdsa.asymptotics import (
     Dynamics,
     _certify,
     _corner,
-    _recurrent_guess,
     _transient_certified,
     _uncoupled,
+    minimal_enclosures,
     stationary_space,
 )
-from qdsa.channels import LindbladGenerator, QuantumChannel, _terms
+from qdsa.channels import LindbladGenerator, QuantumChannel
 from qdsa.harmonic import _residual
-from qdsa.linalg import DEFAULT_TOL, Projection, projections_equal
+from qdsa.linalg import DEFAULT_TOL, Projection, opnorm, projections_equal
 from qdsa.sampling import (
     block_diagonal_channel,
     haar_random_channel,
@@ -41,7 +43,7 @@ from test_dynamics import GOLDEN_SEED, PROJECTION_ATOL, _counting
 from test_kernel_split import _lu_shapes, _rung, _svd_shapes, _without_reduction
 
 OPTIONS = AnalysisOptions(seed=GOLDEN_SEED)
-CERTIFIED = [(d, seed) for d in (16, 24, 32, 48) for seed in (1, 2, 3)]
+CERTIFIED = [(d, seed) for d in (16, 24, 32, 48, 64) for seed in (1, 2, 3)]
 
 
 def _assembly_sizes(monkeypatch) -> list:
@@ -106,14 +108,29 @@ def _declined_model(name: str):
 
 @pytest.mark.parametrize("name", DECLINED)
 def test_declined_guess_leaves_the_report_as_it_was(monkeypatch, name):
-    # a Haar channel's one class fills the space; the doubled models have
-    # no simple spectrum
+    # a Haar channel's one class fills the space; the doubled models split
+    # into their copies, which a fixed point couples (certificate (c))
     model = _declined_model(name)
     assert model.dim ** 2 >= qdsa.asymptotics._LU_MIN_SIZE
-    assert _recurrent_guess(_terms(model)) is None
+    assert Dynamics(model).reduction[1] is None
     report = run_analyze(model, OPTIONS)
     _without_reduction(monkeypatch)
     assert report.to_json() == run_analyze(model, OPTIONS).to_json()
+
+
+def test_coupled_classes_decline_before_the_lyapunov_solve(monkeypatch):
+    # the guess splits 1_2 (x) generator-d12 into its two copies of 6 and a
+    # transient rest of 12, but a fixed point couples the copies: (c)
+    # declines before (b) factors the rest's corner, so the one LU that
+    # runs is the whole split's
+    model = _doubled(_rung("generator", 12, 1)[0])
+    guesses = _counting(monkeypatch, qdsa.asymptotics, "_certify")
+    lyapunov = _counting(monkeypatch, qdsa.asymptotics, "_transient_certified")
+    lus = _lu_shapes(monkeypatch)
+    run_analyze(model, OPTIONS)
+    assert [sizes for _, _, sizes in guesses] == [(6, 6)]
+    assert lyapunov == []
+    assert lus == [(576, 576)]
 
 
 def test_doubled_generator_keeps_its_matrix_algebra():
@@ -148,6 +165,11 @@ def test_faithful_channel_splits_into_its_blocks(monkeypatch, d):
     assert svds == [(n * (n - 1) // 2, 16, 16)] + [(16, 16)] * n + [(d, d)]
     assert report.passed and report.is_unique
     assert report.enclosure_ranks == (4,) * n and report.fixed_algebra_dim == n
+    # the pairs' overlaps, taken in one stacked SVD, keep the bits of a loop
+    decomposition = minimal_enclosures(model)
+    overlaps = [opnorm(p.matrix @ q.matrix)
+                for p, q in itertools.combinations(decomposition.minimal_projections, 2)]
+    assert decomposition.max_overlap == max(overlaps)
 
 
 def test_coupled_copies_fail_the_pair_certificate():
