@@ -63,11 +63,16 @@ path:
    ``alpha_T`` has pushed it towards the identity and how much of the
    transient corner ``q = 1 - r`` survives.  Since ``r`` is sub-harmonic,
    ``alpha`` maps ``qMq`` into itself, so ``alpha_T(q)`` is the flow of
-   the corner of ``q`` applied to its identity, an ``m^2 x m^2`` real
-   propagator (``m = rank q``), and ``alpha_T(r) = 1 - alpha_T(q)`` by
-   unitality.  Whether the decay ideal ``{a : alpha_t(a^dag a) -> 0}`` is
-   the left ideal of operators annihilating ``r`` from the right is read
-   off that flow and the stationary state (:func:`decay_ideal_units`).
+   the corner of ``q`` applied to its identity, and ``alpha_T(r) = 1 -
+   alpha_T(q)`` by unitality.  On the certificate's corner of a generator
+   that flow is a shift-and-invert Krylov action on the LU the certificate
+   factored (:func:`_krylov_flow`), with no ``m^2 x m^2`` exponential
+   (``m = rank q``); when it does not converge, and on every other
+   corner, it is the corner's ``m^2 x m^2`` real propagator
+   (:meth:`Dynamics.transient`).  Whether the decay ideal ``{a :
+   alpha_t(a^dag a) -> 0}`` is the left ideal of operators annihilating
+   ``r`` from the right is read off that flow and the stationary state
+   (:func:`decay_ideal_units`).
 
 Oscillatory peripheral spectrum means plain limits of states may not
 exist, so state-level limits always go through Cesaro means, while the
@@ -133,6 +138,7 @@ from .linalg import (
     _tol,
     as_complex_matrix,
     hermitian_part,
+    matrix_exp,
     opnorm,
     order_leq,
     proj_supremum,
@@ -198,6 +204,13 @@ _KERNEL_ERROR = 1e-4
 # from seed _GUESS_SEED (_recurrent_guess), and used only once certified
 # (_certify).
 _GUESS_SEED = 0
+
+# The flow on the certificate's corner of a generator (_krylov_flow): at most
+# _KRYLOV_STEPS Arnoldi steps, its error estimated every _KRYLOV_CHECK steps
+# against _KRYLOV_TOL of the result.
+_KRYLOV_STEPS = 60
+_KRYLOV_CHECK = 6
+_KRYLOV_TOL = 1e-10
 
 
 def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
@@ -380,17 +393,20 @@ class Dynamics:
     Holds the terms of the map, its standard form ``(G, {L_i})``
     (:func:`~qdsa.channels._terms`), the real Schrodinger form
     :func:`~qdsa.channels._real_schrodinger` sums from them (not built by
-    the LU route of the split for a model with few terms), its one kernel
-    split (:attr:`split`), the stationary space and its support
-    (:func:`stationary_support`), the real propagator for each horizon and
-    picture asked for (the Heisenberg one on the transpose) and that of a
-    transient corner (:meth:`transient`), its corners (:func:`_corner`)
-    and, from ``_LU_MIN_SIZE`` unknowns on, its certified closed classes
-    (:attr:`reduction`).  When they are certified, :attr:`space` is summed
-    from the class corners', ``minimal_enclosures`` takes the classes as
-    its blocks and :meth:`transient` the certificate's corner of the rest,
-    so no ``d^2 x d^2`` array is built; only ``cesaro_limit`` splits the
-    whole model.  Build one per top-level call and pass it to the
+    the LU route of the split for a model with few terms, nor on the
+    certificate's corner), its one kernel split (:attr:`split`), the
+    stationary space and its support (:func:`stationary_support`), the
+    real propagator for each horizon and picture asked for (the Heisenberg
+    one on the transpose) and the flow of a transient corner
+    (:meth:`transient`), its corners (:func:`_corner`), the LU the
+    transient certificate factors (:attr:`lu`) and, from ``_LU_MIN_SIZE``
+    unknowns on, its certified closed classes (:attr:`reduction`).  When
+    they are certified, :attr:`space` is summed from the class corners',
+    ``minimal_enclosures`` takes the classes as its blocks and
+    :meth:`transient` the certificate's corner of the rest, whose flow on
+    a generator acts through that LU (:func:`_krylov_flow`), so no ``d^2 x
+    d^2`` array is built; only ``cesaro_limit`` splits the whole model.
+    Build one per top-level call and pass it to the
     functions of this module in place of the model, so the memory it holds
     never outlives the analysis.  It keeps no model, only the terms, so a
     corner is a ``Dynamics`` like any other.
@@ -428,16 +444,42 @@ class Dynamics:
             _propagate(r, horizon, self.discrete), picture))
 
     def transient(self, r: Projection, horizon: float):
-        """An isometry ``W`` onto ``1 - r`` and its corner's propagator: the
-        certificate's transient corner (:attr:`reduction`) when ``r`` is
-        the sum of the certified classes."""
+        """An isometry ``W`` onto ``1 - r`` and ``apply``, ``alpha_T`` of
+        its corner on a Hermitian operator.  When ``r`` is the sum of the
+        certified classes the corner is the certificate's (:attr:`reduction`),
+        and for a generator ``apply`` is the Krylov action on its LU
+        (:func:`_krylov_flow`) until one call does not converge; from then
+        on, and on every other corner, it is the corner's dense flow."""
         def build():
             ws, wq = self.reduction
-            if wq is None or not projections_equal(
-                    r, Projection.from_range_basis(np.concatenate(ws, axis=1)), self.tol):
+            certified = wq is not None and projections_equal(
+                r, Projection.from_range_basis(np.concatenate(ws, axis=1)), self.tol)
+            if not certified:
                 wq = r.complement().range_basis
-            return wq, _corner(self, wq).flow(horizon)
+            corner = _corner(self, wq)
+            krylov = certified and not self.discrete
+
+            def apply(a):
+                nonlocal krylov
+                y = _krylov_flow(corner, horizon, hermitian_coords(a)) if krylov else None
+                if y is not None:
+                    return from_hermitian_coords(y, corner.dim)
+                krylov = False
+                return corner.flow(horizon).apply(a)
+            return wq, apply
         return self._cached(("transient", horizon, r.matrix.tobytes()), build)
+
+    @cached_property
+    def lu(self):
+        """``solve(x, trans)`` (:func:`_lu`) from one LU of the fixed-point
+        matrix, assembled afresh (:func:`~qdsa.channels._real_schrodinger`)
+        into an array the LU owns; None when it is singular.  ``trans=0``
+        solves with the Heisenberg generator, for :func:`_transient_certified`
+        and :func:`_krylov_flow`."""
+        a = _real_schrodinger(*self.terms, self.dim)
+        if self.discrete:
+            a.flat[::a.shape[0] + 1] -= 1.0
+        return _lu(a)
 
     @cached_property
     def reduction(self):
@@ -694,19 +736,16 @@ def _transient_certified(dyn: Dynamics) -> bool:
     model has ``tr(sigma q) = 0``.
 
     ``L`` is the Heisenberg generator (``Phi - 1`` for a channel), the
-    transpose of the fixed-point matrix, solved by one LU (:func:`_lu`) of
-    a copy of the real form.  ``Z`` certifies when ``Z >= 0`` and ``-L(Z) >=
-    1/2``, with ``L(Z)`` recomputed from the terms, each by a margin of ten
-    times ``d eps |Z| (1 + sum_i |X_i|^2 + 2 |G|)``, its rounding: then
+    transpose of the fixed-point matrix, solved by the corner's one LU
+    (:attr:`Dynamics.lu`), which its flow reuses (:func:`_krylov_flow`).
+    ``Z`` certifies when ``Z >= 0`` and ``-L(Z) >= 1/2``, with ``L(Z)``
+    recomputed from the terms, each by a margin of ten times ``d eps |Z|
+    (1 + sum_i |X_i|^2 + 2 |G|)``, its rounding: then
     ``beta_T(Z) - Z <= -1/2 integral_0^T beta_t(1) dt`` and ``beta_T(Z) >=
     0`` bound the integral by ``2 Z`` (Lyapunov); for a channel the same
     holds for the sum over iterations.
     """
-    m = dyn.dim
-    a = dyn.schrodinger.copy()
-    if dyn.discrete:
-        a.flat[::m * m + 1] -= 1.0
-    solve = _lu(a)
+    m, solve = dyn.dim, dyn.lu
     z = None if solve is None else solve(-hermitian_coords(np.eye(m))[:, None], 0)[:, 0]
     if z is None or not np.isfinite(z).all():
         return False
@@ -717,6 +756,54 @@ def _transient_certified(dyn: Dynamics) -> bool:
     decrease = dyn.discrete * z - _act(dyn.terms, z)
     return bool(_hermitian_spectrum(z)[0] >= margin
                 and _hermitian_spectrum(decrease)[0] >= 0.5 + margin)
+
+
+def _krylov_flow(dyn: Dynamics, horizon: float, x: np.ndarray):
+    """``exp(T L) x`` for the Heisenberg generator ``L`` of ``dyn`` and the
+    frame coordinates ``x`` of an operator, by shift-and-invert Krylov on
+    the LU of :attr:`Dynamics.lu` (van den Eshof and Hochbruck, SIAM J. Sci.
+    Comput. 27, 2006); None when it has not converged by ``_KRYLOV_STEPS``
+    steps.
+
+    Arnoldi on ``L^-1`` from ``x = beta v_1`` gives ``L^-1 V_k = V_k S_k +
+    h_{k+1,k} v_{k+1} e_k^T`` and ``y_k(t) = beta V_k exp(t S_k^-1) e_1``,
+    whose residual ``y_k' - L y_k`` is ``beta h_{k+1,k} (e_k^T S_k^-1
+    exp(t S_k^-1) e_1) L v_{k+1}``.  ``T`` times its norm at ``T``, with
+    ``L v_{k+1}`` from the terms (:func:`~qdsa.channels._act`), estimates
+    the error; it is taken every ``_KRYLOV_CHECK`` steps, at the last step
+    and on a breakdown, and the action stops once it is at most
+    ``_KRYLOV_TOL |y_k|``.  Each step is one solve and two passes of
+    Gram-Schmidt, so the action holds no ``m^2 x m^2`` array.
+    """
+    beta = np.linalg.norm(x)
+    steps = min(_KRYLOV_STEPS, x.size)
+    v = np.zeros((steps + 1, x.size))
+    h = np.zeros((steps + 1, steps))
+    v[0] = x / beta
+    for k in range(1, steps + 1):
+        w = dyn.lu(v[k - 1], 0)
+        for _ in range(2):
+            c = v[:k] @ w
+            w -= c @ v[:k]
+            h[:k, k - 1] += c
+        h[k, k - 1] = np.linalg.norm(w)
+        if h[k, k - 1] > 0.0:
+            v[k] = w / h[k, k - 1]
+        if k % _KRYLOV_CHECK and k < steps and h[k, k - 1] > 0.0:
+            continue
+        lv = np.linalg.norm(_act(dyn.terms, from_hermitian_coords(v[k], dyn.dim)))
+        try:
+            # a singular or overflowing S_k^-1 gives no estimate at this step
+            with np.errstate(over="raise", invalid="raise"):
+                s = np.linalg.inv(h[:k, :k])
+                e = matrix_exp(horizon * s)[:, 0]
+                estimate = horizon * h[k, k - 1] * abs(s[-1] @ e) * lv
+                done = estimate <= _KRYLOV_TOL * np.linalg.norm(e)
+        except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
+            continue
+        if done:
+            return beta * (e @ v[:k])
+    return None
 
 
 def _checked_residual(dyn: Dynamics, p: Projection, error, what: str):
@@ -889,7 +976,8 @@ class RecurrentReport:
     identity and ``transient_norm`` how much of its complement ``q``
     survives; both are monotone non-increasing in the horizon.  Both are
     read off ``alpha_T(q)``, the flow of the corner of ``q`` (:func:`_corner`)
-    applied to its identity: ``limit_estimate`` is ``1 - alpha_T(q)``,
+    applied to its identity (:meth:`Dynamics.transient`, a Krylov action on
+    a reduced generator): ``limit_estimate`` is ``1 - alpha_T(q)``,
     which equals ``alpha_T(r)`` by unitality, so the two coincide in exact
     arithmetic.  They are exactly 0 when ``r`` is the identity.
     """
@@ -910,8 +998,11 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     """Compute the minimal recurrent projection and its horizon diagnostics.
 
     ``alpha_T`` is taken on the transient corner only; no ``d^2 x d^2``
-    propagator is built.  That corner is a semigroup only for a sub-harmonic
-    ``r``, so an ``r`` that fails the sub-harmonic test is an InternalError.
+    propagator is built, and on a reduced generator no ``m^2 x m^2`` one
+    unless the Krylov action on the certificate's LU does not converge
+    (:meth:`Dynamics.transient`).  That corner is a semigroup only for a
+    sub-harmonic ``r``, so an ``r`` that fails the sub-harmonic test is an
+    InternalError.
     """
     dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)  # rejected even when no propagator runs
@@ -922,8 +1013,8 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
         _checked_residual(dyn, r_min, InternalError, "recurrent projection")
-        w, flow = dyn.transient(r_min, horizon)
-        transient = w @ flow.apply(np.eye(w.shape[1])) @ w.conj().T
+        w, apply = dyn.transient(r_min, horizon)
+        transient = w @ apply(np.eye(w.shape[1])) @ w.conj().T
     estimate = hermitian_part(np.eye(d) - transient)
     estimate.flags.writeable = False
     sup_deviation = opnorm(estimate - np.eye(d))
@@ -999,8 +1090,8 @@ def decay_ideal_units(obj, report: RecurrentReport,
         if eps >= 10 * dyn.tol.atol and bound >= 10 * DEFAULT_DECAY_TOL:
             return DecayIdealResult(False, False, eps, bound)
         if eps <= dyn.tol.atol:
-            w, flow = dyn.transient(r, horizon)
-            value = opnorm(flow.apply(np.outer(w[j].conj(), w[j])))
+            w, apply = dyn.transient(r, horizon)
+            value = opnorm(apply(np.outer(w[j].conj(), w[j])))
             low, high = ((v <= DEFAULT_DECAY_TOL, _decisive(v, DEFAULT_DECAY_TOL))
                          for v in (value - 2 * eps, value + 2 * eps))
             if low == high:

@@ -73,7 +73,7 @@ def _operators(raw, key: str, dim: int, where: str, nonempty: bool) -> tuple:
     if not isinstance(raw, list) or (nonempty and not raw):
         article = "a nonempty" if nonempty else "an"
         raise ParseError(f"{where}: '{key}' must be {article} array of matrices")
-    ops = tuple(matrix_from_json(v, f"{key}[{i}]") for i, v in enumerate(raw))
+    ops = tuple(matrix_from_json(v, f"{where}: {key}[{i}]") for i, v in enumerate(raw))
     return tuple(_square(v, f"{key}[{i}]", dim, where) for i, v in enumerate(ops))
 
 
@@ -140,7 +140,7 @@ def _as_model_spec(data, where: str) -> ModelSpec:
         if "hamiltonian" not in data:
             raise ValidationError(f"{where}: generator form requires 'hamiltonian'")
         kind = LindbladGenerator
-        operators = (_square(matrix_from_json(data["hamiltonian"], "hamiltonian"),
+        operators = (_square(matrix_from_json(data["hamiltonian"], f"{where}: hamiltonian"),
                              "hamiltonian", dim, where),
                      _operators(data.get("lindblad_ops", []), "lindblad_ops", dim, where,
                                 nonempty=False))
@@ -217,7 +217,7 @@ def parse_state(path, dim: int | None = None) -> DensityMatrix:
         raise ParseError(f"{path}: 'dim' and 'matrix' are required")
     if not _is_integer(data["dim"]):
         raise ParseError(f"{path}: 'dim' must be an integer")
-    m = matrix_from_json(data["matrix"], "matrix")
+    m = matrix_from_json(data["matrix"], f"{path}: matrix")
     if m.shape != (data["dim"], data["dim"]):
         raise ValidationError(f"{path}: matrix shape {m.shape} does not match dim {data['dim']}")
     if dim is not None and data["dim"] != dim:

@@ -4,7 +4,8 @@ structure analysis of a model with few terms no more: its one
 ``d^2 x d^2`` array is the real form the kernel split assembles and factors
 in place, with no cached real form beside it, no complex Schrodinger
 matrix, no copy of the channel's ``R - 1`` and no ``d^2 x m^2`` block frame
-of the transient corner."""
+of the transient corner; and a certified transient corner holds only the
+LU of its own real form."""
 
 import tracemalloc
 
@@ -14,7 +15,7 @@ import pytest
 import qdsa.analyze
 import qdsa.asymptotics
 from qdsa.analyze import run_analyze
-from qdsa.asymptotics import Dynamics, _fixed_point_matrix, recurrent_projection
+from qdsa.asymptotics import Dynamics, _corner, _fixed_point_matrix, recurrent_projection
 from qdsa.channels import HEISENBERG, SCHRODINGER, to_superoperator
 from qdsa.models import build_fixture
 from qdsa.sampling import block_diagonal_channel, transient_block_generator
@@ -90,6 +91,35 @@ def test_analysis_assembles_the_top_level_form_once_and_caches_none(monkeypatch,
     run_analyze(_model(kind, 24))
     assert sizes == ([12, 12] if kind == "generator" else [4] * 6)
     assert len(made) == 1 and "schrodinger" not in vars(made[0])
+
+
+def _arrays(obj):
+    """The arrays held by ``obj``: in its dicts, tuples and lists, and in
+    the closures of its functions."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value)
+    elif callable(obj):
+        for cell in getattr(obj, "__closure__", None) or ():
+            yield from _arrays(cell.cell_contents)
+
+
+def test_transient_corner_holds_its_lu_only():
+    # after the Krylov action at the default horizon, the certificate's
+    # corner of 16 caches no real form and no flow: its one m^2 x m^2
+    # array is the LU the certificate factored and the action solved with
+    dyn = Dynamics(_model("generator", 32))
+    recurrent_projection(dyn)
+    corner = _corner(dyn, dyn.reduction[1])
+    n = corner.dim ** 2
+    assert "schrodinger" not in vars(corner) and "lu" in vars(corner)
+    assert not any(key[0] == "flow" for key in corner._cache)
+    assert [a.shape for a in _arrays(vars(corner)) if a.size >= n * n] == [(n, n)]
 
 
 @pytest.mark.parametrize("name", ["AD", "ADK", "M3"])

@@ -240,6 +240,7 @@ def test_every_rejection_names_its_cause(tmp_path, reader, content, error, fragm
     with pytest.raises(error, match=re.escape(fragment)) as excinfo:
         reader(path)
     assert excinfo.type is error
+    assert str(path) in str(excinfo.value)
 
 
 def test_unknown_fixture_rejected():

@@ -2,10 +2,14 @@
 
 ``recurrent_projection`` propagates only the transient corner ``qMq``,
 ``q = 1 - r``: the flow of ``_corner`` for an isometry ``W`` onto ``q``,
-whose ``m^2 x m^2`` matrix ``R_q`` is assembled from the compressed
-operators ``W^dag X W`` of the model's terms.  The full
-``d^2 x d^2`` propagator of the same ``Dynamics`` is the reference, and so
-is ``P^T R P`` for the block frame ``P`` of ``W``, which ``R_q`` equals.
+whose ``m^2 x m^2`` real form ``R_q`` is assembled from the compressed
+operators ``W^dag X W`` of the model's terms.  On the certificate's corner
+of a reduced generator that flow is the shift-and-invert Krylov action on
+the LU of ``R_q`` the certificate factored (``_krylov_flow``), which gives
+way to the dense ``m^2 x m^2`` propagator when it does not converge; every
+other corner takes that propagator.  The full ``d^2 x d^2`` propagator of
+the same ``Dynamics`` is the reference, and so is ``P^T R P`` for the
+block frame ``P`` of ``W``, which ``R_q`` equals.
 """
 
 import numpy as np
@@ -13,13 +17,15 @@ import pytest
 
 import qdsa.asymptotics
 import qdsa.channels
-from qdsa.asymptotics import Dynamics, _corner, recurrent_projection
-from qdsa.channels import _kron
+from qdsa.asymptotics import Dynamics, _corner, _krylov_flow, recurrent_projection
+from qdsa.channels import _kron, hermitian_coords
 from qdsa.errors import InternalError, ValidationError
-from qdsa.linalg import opnorm
+from qdsa.linalg import Projection, opnorm
 from qdsa.sampling import haar_unitary, transient_block_generator
 from test_dynamics import _all_models, _counting
 from test_frame import _dense_frame
+from test_kernel_split import _lu_shapes, _rung
+from test_recurrent_reduction import CERTIFIED
 from test_small_models import _block_frame
 
 
@@ -56,12 +62,16 @@ class TestCornerFlow:
         assert opnorm(report.limit_estimate - full) <= 1e-12
 
     def test_no_full_propagator(self, monkeypatch, name, model, horizon):
+        # a model below _LU_MIN_SIZE propagates its transient corner by the
+        # m^2 x m^2 propagator; the reduced generator-d24 rung acts on its
+        # certificate's corner by the Krylov action, with no exponential
         exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
         powers = _counting(monkeypatch, np.linalg, "matrix_power")
         report = recurrent_projection(model, horizon=horizon)
         m = model.dim - report.recurrent.rank
+        reduced = model.dim ** 2 >= qdsa.asymptotics._LU_MIN_SIZE
         shapes = [args[0].shape for args in exps + powers]
-        assert shapes == ([(m * m, m * m)] if m else [])
+        assert shapes == ([(m * m, m * m)] if m and not reduced else [])
 
 
 @pytest.mark.parametrize("name,model,horizon", FULL_RANK, ids=[m[0] for m in FULL_RANK])
@@ -115,3 +125,54 @@ def test_block_frame_equals_dense_product(d, m, rng):
     assert np.max(np.abs(p - dense.real)) <= 1e-14
     assert np.max(np.abs(dense.imag)) <= 1e-14
     assert opnorm(p.T @ p - np.eye(m * m)) <= 1e-14
+
+
+@pytest.mark.parametrize("d,seed", CERTIFIED, ids=[f"generator-d{d}-s{s}" for d, s in CERTIFIED])
+def test_krylov_action_matches_the_dense_corner_flow(d, seed):
+    # at the default horizon the action converges on every certified draw;
+    # at short ones it may give way to the dense flow, which then serves
+    dyn = Dynamics(_rung("generator", d, seed)[0])
+    ws, wq = dyn.reduction
+    r = Projection.from_range_basis(np.concatenate(ws, axis=1))
+    corner = _corner(dyn, wq)
+    one = np.eye(corner.dim)
+    assert _krylov_flow(corner, 30.0, hermitian_coords(one)) is not None
+    for horizon in (0.1, 1.0, 3.0, 30.0):
+        w, apply = dyn.transient(r, horizon)
+        assert w is wq
+        got = apply(one)
+        want = corner.flow(horizon).apply(one)
+        assert opnorm(got - want) <= 1e-8 * opnorm(want)
+
+
+def test_short_horizon_takes_the_dense_fallback(monkeypatch):
+    # at T = 1 the action on generator-d24's corner of 12 does not converge
+    # within _KRYLOV_STEPS steps, so its 144 x 144 propagator is built
+    exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
+    recurrent_projection(_rung("generator", 24, 1)[0], horizon=1.0)
+    assert [args[0].shape for args in exps] == [(144, 144)]
+
+
+def test_certified_corner_builds_no_exponential(monkeypatch):
+    # generator-d48 reduces to a class of 24 and a transient corner of 24:
+    # the two (576, 576) LUs are the certificate's, which the action
+    # reuses, then the class corner's split
+    exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
+    flows = _counting(monkeypatch, qdsa.asymptotics, "_krylov_flow")
+    lus = _lu_shapes(monkeypatch)
+    report = recurrent_projection(_rung("generator", 48, 1)[0], horizon=30.0)
+    assert report.recurrent.rank == 24
+    assert exps == [] and len(flows) == 1
+    assert lus == [(576, 576)] * 2
+
+
+def test_krylov_action_on_a_corner_of_one_level(monkeypatch):
+    # a transient corner of one level: the first Arnoldi step breaks down
+    # exactly, and the action is exact there
+    dyn = Dynamics(transient_block_generator(15, 1, np.random.default_rng(1))[0])
+    wq = dyn.reduction[1]
+    exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
+    report = recurrent_projection(dyn, horizon=1.0)
+    assert report.recurrent.rank == 15 and exps == []
+    want = _corner(dyn, wq).flow(1.0).apply(np.eye(1))
+    assert abs(report.transient_norm - abs(want[0, 0])) <= 1e-12 * abs(want[0, 0])
