@@ -25,14 +25,14 @@ path:
    kernel and its Heisenberg fixed points as its left kernel, both as
    orthonormal Hermitian bases (:attr:`Dynamics.split`).  Below
    ``_LU_MIN_SIZE`` unknowns the split is one real SVD
-   (:func:`_split_kernel_range`); from
-   there on it is one LU of ``s - F`` for a small shift ``s``, through
-   which a fixed-seed random block is pushed and read off an ordered real
-   Schur form, with the SVD as the fallback whenever that route cannot
-   vouch for its kernels.  For a model with few terms that route factors
-   a real form of its own in place and takes its products with ``F`` from
-   the terms (:func:`~qdsa.channels._act`), so it holds no other
-   ``d^2 x d^2`` matrix.  A maximal-support stationary state is the exact
+   (:func:`_split_kernel_range`); from there on it is one LU of ``s - F``
+   for a small shift ``s``, through which a fixed-seed random block is
+   pushed and read off an ordered real Schur form, with the SVD as the
+   fallback whenever that route cannot vouch for its kernels.  Each route
+   factors an ``F`` it forms itself (:func:`_fixed_point_form`), and for a
+   model with few terms the LU route takes its products with ``F`` from
+   the terms (:func:`~qdsa.channels._act`), so it holds no other ``d^2 x
+   d^2`` matrix.  A maximal-support stationary state is the exact
    time-average limit of the maximally mixed state of the recurrent corner
    (:class:`StationarySpace`): its oblique projection onto the kernel along
    the range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
@@ -85,14 +85,17 @@ one analysis: one model at one tolerance, which computes each derived
 object at most once.  The top level and every corner share one assembly,
 :func:`~qdsa.channels._real_schrodinger` of their terms, which never forms
 the complex Schrodinger matrix whole: it sums it into the real form a
-chunk of rows at a time, and every later step
-works on real matrices.  Per corner a structure analysis holds at most two
-``n x n`` matrices at once (``n`` the square of the corner's dimension),
-and one from ``_LU_MIN_SIZE`` on when its split takes its products from
-the terms; a certified model's largest arrays are those of its class and
-transient corners and the ``(d_i d_j)^2`` maps between pairs of classes,
-never ``d^2 x d^2``, and each corner is built, assembled and split once
-(:func:`_corner`).  Nothing is cached on the model or globally.
+chunk of rows at a time, and every later step works on real matrices;
+the cached one (:attr:`Dynamics.schrodinger`) serves flows only.  Per
+corner a structure analysis holds at most two ``n x n`` matrices at once
+(``n`` the square of the corner's dimension), and one from
+``_LU_MIN_SIZE`` on when its split takes its products from the terms; a
+certified model's largest arrays are those of its class and transient
+corners and the ``(d_i d_j)^2`` maps between pairs of classes, never
+``d^2 x d^2``.  Each corner is built and split once (:func:`_corner`);
+its split, its LU and its flows each assemble a real form of their own,
+so a transient corner whose Krylov action falls back to a dense flow is
+assembled twice.  Nothing is cached on the model or globally.
 """
 
 from __future__ import annotations
@@ -174,17 +177,6 @@ DEFAULT_HORIZON = 30.0
 DEFAULT_DECAY_TOL = 1e-8
 
 
-def _fixed_point_matrix(superop_matrix: np.ndarray, discrete: bool) -> np.ndarray:
-    """Matrix whose kernel is the fixed-point space of the dynamics: ``R``
-    itself, or for a channel ``R - 1``, a copy with 1 subtracted on its
-    diagonal (the bits of subtracting the identity matrix)."""
-    if discrete:
-        m = superop_matrix.copy()
-        m.flat[::m.shape[0] + 1] -= 1.0
-        return m
-    return superop_matrix
-
-
 # The split runs one SVD below _LU_MIN_SIZE unknowns (d^2) and the
 # resolvent route of _resolvent_split from there on, where its one LU is a
 # fraction of the SVD's cost.  That route shifts by s = _SHIFT * |F|_1,
@@ -213,20 +205,29 @@ _KRYLOV_CHECK = 6
 _KRYLOV_TOL = 1e-10
 
 
-def _split_kernel_range(r: np.ndarray, discrete: bool, tol: ToleranceConfig):
-    """Orthonormal bases of the numerical kernel and the left kernel of the
-    fixed-point matrix ``F`` of the real form ``r`` (``r - 1`` for a channel,
-    ``discrete``, else ``r``) from one SVD of ``F``, cut at ``tol.cutoff`` of
-    the largest singular value: the split below ``_LU_MIN_SIZE`` unknowns
-    and the fallback of :func:`_resolvent_split` (:attr:`Dynamics.split`).
+def _fixed_point_form(dyn: Dynamics, r: np.ndarray | None = None) -> np.ndarray:
+    """The fixed-point matrix ``F`` (``R``, or ``R - 1`` for a channel) of
+    ``dyn`` in an array of its own, ``R`` assembled afresh or copied from
+    the real form ``r``: the one place ``F`` is formed and a channel's
+    identity subtracted, 1 on the diagonal with the bits of ``R - 1``."""
+    f = _real_schrodinger(*dyn.terms, dyn.dim) if r is None else r.copy()
+    if dyn.discrete:
+        f.flat[::f.shape[0] + 1] -= 1.0
+    return f
 
-    For the real Schrodinger form the kernel holds the stationary states
-    and the left kernel the Heisenberg fixed points.  The kernel of a
-    fixed-point matrix is never empty: it holds the identity (Heisenberg)
-    or a stationary state (Schrodinger).  An empty numerical kernel is
-    therefore an InternalError.
+
+def _split_kernel_range(f: np.ndarray, tol: ToleranceConfig):
+    """Orthonormal bases of the numerical kernel and the left kernel of the
+    fixed-point matrix ``f`` (:func:`_fixed_point_form`) from one SVD, cut
+    at ``tol.cutoff`` of the largest singular value: the split below
+    ``_LU_MIN_SIZE`` unknowns and the fallback of :func:`_resolvent_split`
+    (:attr:`Dynamics.split`).
+
+    The kernel holds the stationary states and the left kernel the
+    Heisenberg fixed points, so neither is empty: an empty numerical kernel
+    is an InternalError.
     """
-    u, s, vh = np.linalg.svd(_fixed_point_matrix(r, discrete))
+    u, s, vh = np.linalg.svd(f)
     cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
     null_mask = s <= cutoff
     if not null_mask.any():
@@ -240,17 +241,17 @@ def _resolvent_split(dyn: Dynamics):
     """Kernel and left kernel of the fixed-point matrix ``F`` of ``dyn``
     from one LU of ``s - F``, or None when this route cannot vouch for them.
 
-    ``s - F`` is formed in a real form the route owns and factors in
-    place: ``-R``, then ``+1`` for a channel and, once ``|F|_1`` is read
-    off that ``-F``, ``+s`` on the diagonal, the bits of ``s - F``.  That
-    form is assembled afresh when the products with ``F`` and ``F^T``
-    (:func:`_fixed_point_product`) are cheaper from the terms, else copied
-    from the cached ``R`` they are taken on.  ``(s - F)^-1`` scales a
-    kernel vector by ``1/s`` and an eigenvector of eigenvalue ``mu`` by
-    ``1/|s - mu|``, so after ``_SOLVES`` applications a random block spans
-    the kernel up to ``(s/|mu|)^_SOLVES``.  The kernel is read off the
-    block by :func:`_block_kernel`; the left kernel comes from transposed
-    solves.
+    ``s - F`` is the route's own ``F`` (:func:`_fixed_point_form`) negated
+    and factored in place, ``+s`` on its diagonal once ``|F|_1`` is read off
+    that ``-F``: the bits of ``s - F``.  That ``F`` is assembled afresh when
+    the products with ``F`` and ``F^T`` (:func:`_fixed_point_product`) are
+    cheaper from the terms, else copied from a real form ``R`` the split
+    assembles for them and drops on return, never :attr:`Dynamics.schrodinger`.
+    ``(s - F)^-1`` scales a kernel vector by
+    ``1/s`` and an eigenvector of eigenvalue ``mu`` by ``1/|s - mu|``, so
+    after ``_SOLVES`` applications a random block spans the kernel up to
+    ``(s/|mu|)^_SOLVES``.  The kernel is read off the block by
+    :func:`_block_kernel`; the left kernel comes from transposed solves.
     None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
     either kernel, or the two kernels differ in dimension.
     """
@@ -260,11 +261,9 @@ def _resolvent_split(dyn: Dynamics):
     # a product with F costs about 8 d^3 flops per complex d x d product of
     # _act (two a term, two more for G) against 2 d^4 per column of R
     g, ops = dyn.terms
-    r = None if 8 * (len(ops) + (g is not None)) <= dyn.dim else dyn.schrodinger
-    a = _real_schrodinger(*dyn.terms, dyn.dim) if r is None else r.copy()
+    r = None if 8 * (len(ops) + (g is not None)) <= dyn.dim else _real_schrodinger(g, ops, dyn.dim)
+    a = _fixed_point_form(dyn, r)
     np.negative(a, out=a)
-    if dyn.discrete:
-        a.flat[::n + 1] += 1.0
     # |F|_1 = |-F|_1, the infinity norm of the Fortran-ordered view of -F
     norm = dlange("I", a.T)
     if norm == 0.0:
@@ -391,25 +390,23 @@ class Dynamics:
     derived from it, each built on first use.
 
     Holds the terms of the map, its standard form ``(G, {L_i})``
-    (:func:`~qdsa.channels._terms`), the real Schrodinger form
-    :func:`~qdsa.channels._real_schrodinger` sums from them (not built by
-    the LU route of the split for a model with few terms, nor on the
-    certificate's corner), its one kernel split (:attr:`split`), the
-    stationary space and its support (:func:`stationary_support`), the
-    real propagator for each horizon and picture asked for (the Heisenberg
-    one on the transpose) and the flow of a transient corner
-    (:meth:`transient`), its corners (:func:`_corner`), the LU the
-    transient certificate factors (:attr:`lu`) and, from ``_LU_MIN_SIZE``
-    unknowns on, its certified closed classes (:attr:`reduction`).  When
-    they are certified, :attr:`space` is summed from the class corners',
-    ``minimal_enclosures`` takes the classes as its blocks and
-    :meth:`transient` the certificate's corner of the rest, whose flow on
-    a generator acts through that LU (:func:`_krylov_flow`), so no ``d^2 x
-    d^2`` array is built; only ``cesaro_limit`` splits the whole model.
-    Build one per top-level call and pass it to the
-    functions of this module in place of the model, so the memory it holds
-    never outlives the analysis.  It keeps no model, only the terms, so a
-    corner is a ``Dynamics`` like any other.
+    (:func:`~qdsa.channels._terms`), its one kernel split (:attr:`split`)
+    of a fixed-point matrix it forms itself (:func:`_fixed_point_form`),
+    the stationary space and its support (:func:`stationary_support`), the
+    real Schrodinger form (:attr:`schrodinger`, for flows only) and its
+    propagator for each horizon and picture asked for (the Heisenberg one
+    on the transpose), the flow of a transient corner (:meth:`transient`),
+    its corners (:func:`_corner`), the LU the transient certificate factors
+    (:attr:`lu`) and, from ``_LU_MIN_SIZE`` unknowns on, its certified
+    closed classes (:attr:`reduction`).  When they are certified,
+    :attr:`space` is summed from the class corners', ``minimal_enclosures``
+    takes the classes as its blocks and :meth:`transient` the certificate's
+    corner of the rest, whose flow on a generator acts through that LU
+    (:func:`_krylov_flow`), so no ``d^2 x d^2`` array is built; only
+    ``cesaro_limit`` splits the whole model.  Build one per top-level call
+    and pass it to the functions of this module in place of the model, so
+    the memory it holds never outlives the analysis.  It keeps no model,
+    only the terms, so a corner is a ``Dynamics`` like any other.
     """
 
     def __init__(self, model, tol: ToleranceConfig | None = None):
@@ -431,7 +428,7 @@ class Dynamics:
 
     @cached_property
     def schrodinger(self) -> np.ndarray:
-        """Real form of the Schrodinger superoperator, read-only."""
+        """Real form of the Schrodinger superoperator, read-only, for flows."""
         r = _real_schrodinger(*self.terms, self.dim)
         r.flags.writeable = False
         return r
@@ -471,15 +468,11 @@ class Dynamics:
 
     @cached_property
     def lu(self):
-        """``solve(x, trans)`` (:func:`_lu`) from one LU of the fixed-point
-        matrix, assembled afresh (:func:`~qdsa.channels._real_schrodinger`)
-        into an array the LU owns; None when it is singular.  ``trans=0``
-        solves with the Heisenberg generator, for :func:`_transient_certified`
-        and :func:`_krylov_flow`."""
-        a = _real_schrodinger(*self.terms, self.dim)
-        if self.discrete:
-            a.flat[::a.shape[0] + 1] -= 1.0
-        return _lu(a)
+        """``solve(x, trans)`` (:func:`_lu`) from one LU of a fixed-point
+        matrix of its own (:func:`_fixed_point_form`); None when singular.
+        ``trans=0`` solves with the Heisenberg generator, for
+        :func:`_transient_certified` and :func:`_krylov_flow`."""
+        return _lu(_fixed_point_form(self))
 
     @cached_property
     def reduction(self):
@@ -492,15 +485,15 @@ class Dynamics:
 
     @cached_property
     def split(self):
-        """Kernel and left kernel of the fixed-point matrix: from
-        :func:`_resolvent_split` from ``_LU_MIN_SIZE`` unknowns on, else
-        (or when that route declines) from :func:`_split_kernel_range` on
-        the cached real form."""
+        """Kernel and left kernel of the fixed-point matrix, from
+        :func:`_resolvent_split` from ``_LU_MIN_SIZE`` unknowns on, else (or
+        when it declines) from :func:`_split_kernel_range` on an ``F``
+        formed afresh; neither reads :attr:`schrodinger`."""
         if self.dim ** 2 >= _LU_MIN_SIZE:
             split = _resolvent_split(self)
             if split is not None:
                 return split
-        return _split_kernel_range(self.schrodinger, self.discrete, self.tol)
+        return _split_kernel_range(_fixed_point_form(self), self.tol)
 
     @cached_property
     def limit(self):
@@ -799,7 +792,7 @@ def _krylov_flow(dyn: Dynamics, horizon: float, x: np.ndarray):
                 e = matrix_exp(horizon * s)[:, 0]
                 estimate = horizon * h[k, k - 1] * abs(s[-1] @ e) * lv
                 done = estimate <= _KRYLOV_TOL * np.linalg.norm(e)
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
+        except (np.linalg.LinAlgError, FloatingPointError, ValidationError):
             continue
         if done:
             return beta * (e @ v[:k])

@@ -471,8 +471,11 @@ def _terms(obj, channel: bool | None = None):
     if kind:
         return None, obj.kraus_ops
     g = -1j * obj.hamiltonian
-    for l in obj.lindblad_ops:
-        g = g - 0.5 * (l.conj().T @ l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in obj.lindblad_ops:
+            g = g - 0.5 * (l.conj().T @ l)
+    if not np.isfinite(g).all():
+        raise ValidationError("G = -iH - sum_i L_i^dag L_i / 2 overflows: the model is too large")
     g.flags.writeable = False
     return g, obj.lindblad_ops
 

@@ -213,7 +213,10 @@ def matrix_exp(a) -> np.ndarray:
     if np.iscomplexobj(m):
         return scipy.linalg.expm(_check_square(m))
     m = _check_square(m.astype(float, copy=False))
-    norm = float(np.abs(m).sum(axis=0).max())
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(m).sum(axis=0).max())
+    if norm == math.inf:
+        raise ValidationError("matrix exponential of a matrix whose 1-norm overflows")
     squarings = max(0, math.ceil(math.log2(norm / _THETA_9))) if norm > 0 else 0
     e = scipy.linalg.expm(m / 2.0 ** squarings)
     for _ in range(squarings):

@@ -15,9 +15,9 @@ import pytest
 import qdsa.analyze
 import qdsa.asymptotics
 from qdsa.analyze import run_analyze
-from qdsa.asymptotics import Dynamics, _corner, _fixed_point_matrix, recurrent_projection
+from qdsa.asymptotics import Dynamics, _corner, _fixed_point_form, recurrent_projection
 from qdsa.channels import HEISENBERG, SCHRODINGER, to_superoperator
-from qdsa.models import build_fixture
+from qdsa.models import build_fixture, fixture_names
 from qdsa.sampling import block_diagonal_channel, transient_block_generator
 
 ASSEMBLY_FACTOR = 1.75
@@ -77,10 +77,18 @@ def test_analysis_assembles_the_top_level_form_once_and_caches_none(monkeypatch,
     # a generator rung is reduced to its certified corners of size 12, a
     # channel rung to its six blocks of size 4, and neither assembles a
     # form at 24
-    sizes, made = [], []
+    sizes, made = [], _recorded(monkeypatch)
     assemble = qdsa.asymptotics._real_schrodinger
     monkeypatch.setattr(qdsa.asymptotics, "_real_schrodinger",
                         lambda g, ops, dim: sizes.append(dim) or assemble(g, ops, dim))
+    run_analyze(_model(kind, 24))
+    assert sizes == ([12, 12] if kind == "generator" else [4] * 6)
+    assert len(made) == 1 and "schrodinger" not in vars(made[0])
+
+
+def _recorded(monkeypatch) -> list:
+    """The top-level Dynamics that ``run_analyze`` builds, in order."""
+    made = []
 
     class Recorded(Dynamics):
         def __init__(self, model, tol=None):
@@ -88,9 +96,35 @@ def test_analysis_assembles_the_top_level_form_once_and_caches_none(monkeypatch,
             made.append(self)
 
     monkeypatch.setattr(qdsa.analyze, "Dynamics", Recorded)
-    run_analyze(_model(kind, 24))
-    assert sizes == ([12, 12] if kind == "generator" else [4] * 6)
-    assert len(made) == 1 and "schrodinger" not in vars(made[0])
+    return made
+
+
+def _with_corners(dyn):
+    """``dyn`` and every corner cached under it."""
+    yield dyn
+    for value in dyn._cache.values():
+        if isinstance(value, Dynamics):
+            yield from _with_corners(value)
+
+
+ANALYZE_LADDER = [f"{kind}-d{d}" for kind, d in (("generator", 4), ("generator", 8),
+                                                 ("generator", 12), ("channel", 8),
+                                                 ("channel", 16))]
+
+
+@pytest.mark.parametrize("name", fixture_names() + ANALYZE_LADDER)
+def test_only_a_flow_caches_the_real_form(monkeypatch, name):
+    # every split factors an F it forms and drops, so after an analysis a
+    # Dynamics holds the cached real form only beside a flow taken on it:
+    # the top level and each of its corners, on the fixtures and the
+    # analyze-ladder rungs
+    made = _recorded(monkeypatch)
+    kind, _, d = name.partition("-d")
+    run_analyze(_model(kind, int(d)) if d else build_fixture(name))
+    assert len(made) == 1
+    for dyn in _with_corners(made[0]):
+        flows = any(key[0] == "flow" for key in dyn._cache)
+        assert flows or "schrodinger" not in vars(dyn)
 
 
 def _arrays(obj):
@@ -136,8 +170,12 @@ class TestOwnedRealForm:
         assert r.flags.c_contiguous and _root(r).dtype == np.float64
 
     def test_fixed_point_matrix_has_the_bits_of_subtracting_the_identity(self, name):
+        # assembled afresh or copied from a given real form, F is an array
+        # of its own with the bits of R, or of R - 1 for a channel
+        dyn = Dynamics(build_fixture(name))
         r = to_superoperator(build_fixture(name), SCHRODINGER).real
-        got = _fixed_point_matrix(r, discrete=True)
-        want = r - np.eye(r.shape[0])
-        assert got.tobytes() == want.tobytes()
-        assert _fixed_point_matrix(r, discrete=False) is r
+        want = r - np.eye(r.shape[0]) if dyn.discrete else r
+        for got in (_fixed_point_form(dyn), _fixed_point_form(dyn, r)):
+            assert got.tobytes() == want.tobytes()
+            assert _root(got) is not _root(r) and got.flags.writeable
+        assert "schrodinger" not in vars(dyn)

@@ -10,7 +10,7 @@ from conftest import ket_bra
 from qdsa.asymptotics import (
     Dynamics,
     StationarySpace,
-    _fixed_point_matrix,
+    _fixed_point_form,
     _kernel_component,
     _split_kernel_range,
     cesaro_limit,
@@ -618,8 +618,8 @@ class TestObliqueComponent:
     @pytest.mark.parametrize("name", fixture_names())
     def test_matches_kernel_range_solve(self, name, rng):
         dyn = Dynamics(build_fixture(name))
-        m = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
-        kernel, left = _split_kernel_range(dyn.schrodinger, dyn.discrete, DEFAULT_TOL)
+        m = _fixed_point_form(dyn)
+        kernel, left = _split_kernel_range(m, DEFAULT_TOL)
         u, sv, _ = np.linalg.svd(m)
         range_ = u[:, sv > max(DEFAULT_TOL.rank_rtol * sv[0], DEFAULT_TOL.atol)]
         basis = np.hstack([kernel, range_])
@@ -630,8 +630,7 @@ class TestObliqueComponent:
 
     def test_defective_zero_eigenvalue_is_internal_error(self):
         # a nilpotent block: the kernel e_0 and left kernel e_1 are orthogonal
-        kernel, left = _split_kernel_range(np.array([[0.0, 1.0], [0.0, 0.0]]), False,
-                                           DEFAULT_TOL)
+        kernel, left = _split_kernel_range(np.array([[0.0, 1.0], [0.0, 0.0]]), DEFAULT_TOL)
         with pytest.raises(InternalError, match="defective"):
             _kernel_component(kernel, left, np.ones(2))
 

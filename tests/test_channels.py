@@ -380,6 +380,11 @@ class TestStinespring:
         dil = stinespring_dilate(ch)
         assert opnorm(dil.isometry.conj().T @ dil.isometry - np.eye(3)) <= 1e-12
 
+    def test_represent_is_a_kron_one(self, rng):
+        dil = stinespring_dilate(haar_random_channel(3, 2, rng))
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert np.array_equal(dil.represent(a), np.kron(a, np.eye(2)))
+
 
 class TestGeneratorToChannel:
     def test_matches_propagator(self, m3, rng):

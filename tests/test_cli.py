@@ -342,6 +342,31 @@ def test_non_finite_model_entry_exits_1(tmp_path, fixture):
     assert err == "error: matrix contains non-finite entries\n"
 
 
+@pytest.mark.parametrize("command", ["evolve", "analyze"])
+def test_overflow_exits_1_without_traceback(tmp_path, command):
+    """A finite time whose ``t L`` has a 1-norm past the largest float, and
+    finite jumps whose ``L^dag L`` overflows, are validation errors naming
+    the cause."""
+    if command == "evolve":
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"dim": 2, "matrix": matrix_to_json(np.eye(2) / 2)}),
+                         encoding="utf-8")
+        args = ("--model", str(emit_fixture(tmp_path, "AD")), "--state", str(state),
+                "--times", "1e308")
+        cause = "1-norm overflows"
+    else:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 2, "hamiltonian": matrix_to_json(np.zeros((2, 2))),
+                                    "lindblad_ops": [matrix_to_json([[0.0, 0.0], [1e160, 0.0]])]}),
+                        encoding="utf-8")
+        args = ("--model", str(path))
+        cause = "L_i^dag L_i / 2 overflows"
+    code, out, err = run_cli(command, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and cause in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fixture", ["ADK", "AD"])
 @pytest.mark.parametrize("as_spec", [True, False])
 class TestLibraryHorizon:

@@ -23,7 +23,7 @@ from conftest import ket_bra
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     Dynamics,
-    _fixed_point_matrix,
+    _fixed_point_form,
     _fixed_point_product,
     recurrent_projection,
 )
@@ -114,7 +114,7 @@ def test_lu_kernels_match_the_svd(monkeypatch, kind, d, seed):
 
 @pytest.mark.parametrize("kind,d", [("generator", 24), ("channel", 24), ("channel", 8)])
 def test_split_leaves_the_real_form(kind, d):
-    # s - F, and F on the SVD route, are formed from copies: R keeps its bytes
+    # each route factors an F it forms itself: a cached R keeps its bytes
     dyn = Dynamics(_rung(kind, d, 1)[0])
     before = dyn.schrodinger.tobytes()
     dyn.split
@@ -129,7 +129,7 @@ def test_fixed_point_norm_has_the_bits_of_the_dense_norm(monkeypatch, kind, d):
     # -F, it keeps the bits of the norm of the whole F, so the factored
     # matrix's diagonal is -diag(F) + _SHIFT |F|_1 to the bit
     dyn = Dynamics(_rung(kind, d, 1)[0])
-    f = _fixed_point_matrix(dyn.schrodinger, dyn.discrete)
+    f = _fixed_point_form(dyn)
     norms, factored = [], []
     dlange, dgetrf = scipy.linalg.lapack.dlange, scipy.linalg.lapack.dgetrf
     monkeypatch.setattr(scipy.linalg.lapack, "dlange",
@@ -144,15 +144,17 @@ def test_fixed_point_norm_has_the_bits_of_the_dense_norm(monkeypatch, kind, d):
 
 
 def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):
-    # a channel's LU route takes |F|_1 and s - F from its own real form and
-    # every product with F from the terms: its one d^2 x d^2 array is the LU's
+    # a channel's LU route takes |F|_1 and s - F from the one F it forms and
+    # every product with F from the terms: its one d^2 x d^2 array is the
+    # LU's, and no real form is cached
     dyn = Dynamics(_rung("channel", 24, 1)[0])
-    formed = _counting(monkeypatch, qdsa.asymptotics, "_fixed_point_matrix")
+    formed = _counting(monkeypatch, qdsa.asymptotics, "_fixed_point_form")
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     dyn.split
     assert lus == [(576, 576)] and svds == []
-    assert formed == []
+    assert len(formed) == 1
+    assert "schrodinger" not in vars(dyn)
 
 
 PRODUCT_MODELS = fixture_names() + [f"{kind}-d{d}" for kind in ("generator", "channel")
@@ -199,10 +201,10 @@ def _route_model(name: str):
 
 @pytest.mark.parametrize("name", ROUTES)
 def test_lu_route_takes_its_products_where_they_cost_less(monkeypatch, name):
-    # a model with many terms keeps the cached real form for the products and
-    # factors a copy of it; one with few factors its own form and never
-    # builds the cached one.  Either way one LU runs and the kernels are the
-    # SVD's
+    # a model with many terms assembles a real form of the split's own for
+    # the products and factors a copy of it; one with few factors its own
+    # form and takes the products from the terms.  Either way one LU runs,
+    # no real form is cached and the kernels are the SVD's
     model = _route_model(name)
     dyn = Dynamics(model)
     acts = _counting(monkeypatch, qdsa.asymptotics, "_act")
@@ -210,7 +212,8 @@ def test_lu_route_takes_its_products_where_they_cost_less(monkeypatch, name):
     kernel, left = dyn.split
     n = dyn.dim ** 2
     assert lus == [(n, n)]
-    assert bool(acts) == ROUTES[name] == ("schrodinger" not in vars(dyn))
+    assert bool(acts) == ROUTES[name]
+    assert "schrodinger" not in vars(dyn)
     _by_svd(monkeypatch)
     want_kernel, want_left = Dynamics(model).split
     assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
