@@ -28,8 +28,8 @@ from .linalg import (
     Projection,
     ToleranceConfig,
     _is_integer,
+    _support_rank,
     opnorm,
-    support_projection,
 )
 from .modelio import ModelSpec, matrix_from_json, matrix_to_json
 
@@ -239,9 +239,8 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
                                   for unit in decay_ideal_units(dyn, report))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
-    limit_support = support_projection(report.limit_estimate, tol)
     checks.append(CheckResult("limit-support-full",
-                              float(dyn.dim - limit_support.rank), 0.5))
+                              float(dyn.dim - _support_rank(report.limit_estimate, tol)), 0.5))
 
     return AnalysisReport(
         label=spec.label,

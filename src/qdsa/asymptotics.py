@@ -132,12 +132,15 @@ from .errors import (
 )
 from .harmonic import _leak, _residual
 from .linalg import (
+    _FROBENIUS_FLOOR,
     Projection,
     ToleranceConfig,
     _check_operand,
     _decisive,
+    _frobenius,
     _hermitian_spectrum,
     _norm_exceeds,
+    _support_rank,
     _tol,
     as_complex_matrix,
     hermitian_part,
@@ -578,12 +581,24 @@ def stationary_support(space: StationarySpace, tol: ToleranceConfig | None = Non
     of the supports of all stationary states.
 
     Checked directly: every basis element ``b`` of the space must satisfy
-    ``|(1 - P) b| <= atol |b|``, else InternalError.
+    ``|(1 - P) b| <= atol |b|``, else InternalError, with ``1 - P`` formed
+    from ``P`` and not decomposed again.  Since ``|b| >= |b|_F / sqrt(d)``,
+    a leak whose Frobenius norm is at most ``atol |b|_F / (2 sqrt(d))``
+    passes with no SVD, so a clean pass takes none; any other leak is
+    decided by ``_norm_exceeds`` against ``atol |b|``.
     """
     tol = _tol(tol)
     support = support_projection(space.state.matrix, tol)
-    outside = support.complement().matrix
-    if any(_norm_exceeds(outside @ b, tol.atol * opnorm(b)) for b in space.basis):
+    outside = np.eye(support.dim) - support.matrix
+
+    def leaks(b):
+        leak = outside @ b
+        clean = tol.atol * _frobenius(b) / math.sqrt(support.dim) / 2
+        if clean >= _FROBENIUS_FLOOR and _frobenius(leak) <= clean:
+            return False
+        return _norm_exceeds(leak, tol.atol * opnorm(b))
+
+    if any(leaks(b) for b in space.basis):
         raise InternalError("stationary support disagrees with the maximal-state support")
     return support
 
@@ -660,8 +675,9 @@ def _certify(dyn: Dynamics, u: np.ndarray, sizes: tuple):
     other columns, when the classes are certified to carry the stationary
     structure class by class; else None.
 
-    (a) Each ``p_i = W_i W_i^dag`` is sub-harmonic: its residual on the
-    terms is at most ``atol`` (:func:`~qdsa.linalg._norm_exceeds`, so a
+    (a) Each ``p_i = W_i W_i^dag`` is sub-harmonic: its leak on the
+    terms, read off ``W_i`` (:func:`~qdsa.harmonic._leak`, no projection
+    built), is at most ``atol`` (:func:`~qdsa.linalg._norm_exceeds`, so a
     clear pass takes no SVD).  (c) No fixed point couples two classes
     (:func:`_uncoupled`).  (b) When columns are left, ``q = 1 - r``, ``r =
     sum_i p_i``, is transient: :func:`_transient_certified` on the corner
@@ -674,7 +690,7 @@ def _certify(dyn: Dynamics, u: np.ndarray, sizes: tuple):
     """
     *ws, wq = np.split(u, np.cumsum(sizes), axis=1)
     atol = dyn.tol.atol
-    if any(_norm_exceeds(_leak(dyn.terms, Projection.from_range_basis(w)), atol) for w in ws):
+    if any(_norm_exceeds(_leak(dyn.terms, w), atol) for w in ws):
         return None
     if not _uncoupled(dyn, ws):
         return None
@@ -811,7 +827,7 @@ def _checked_residual(dyn: Dynamics, p: Projection, error, what: str):
 def _fixed_basis(dyn: Dynamics) -> list:
     """Orthonormal Hermitian basis of the Heisenberg fixed points: the
     left kernel of the split, since the Heisenberg form is the transpose."""
-    return [from_hermitian_coords(x, dyn.dim) for x in dyn.split[1].T]
+    return list(from_hermitian_coords(dyn.split[1].T, dyn.dim))
 
 
 def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = None):
@@ -870,8 +886,9 @@ class EnclosureDecomposition:
     ``certificate_ranks`` the rank of that state's support.
     ``subharmonic_residuals`` holds each projection's residual on the
     terms, :func:`~qdsa.harmonic._residual`, checked against ``atol``,
-    and ``max_overlap`` the largest ``|p q|`` over distinct pairs of
-    projections (0.0 for fewer than two), checked against ``10 atol``.
+    and ``max_overlap`` the largest ``|p q| = |W_p^dag W_q|`` over distinct
+    pairs of projections, with ``W`` the range bases (0.0 for fewer than
+    two), checked against ``10 atol``.
     """
 
     minimal_projections: tuple
@@ -900,7 +917,11 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     draw merged two eigenvalue clusters; the class is then redrawn, at most
     8 draws in all before ConvergenceFailure.  A block whose stationary
     state misses part of it is a ConvergenceFailure too.  The fixed algebra
-    is the sum of those of the classes, abelian when each is.
+    is the sum of those of the classes, abelian when each is.  Each check
+    reads an array of its answer's size: a certificate's support rank
+    (:func:`~qdsa.linalg._support_rank`), a block's ``d x k`` leak
+    (:func:`~qdsa.harmonic._leak`) and the pairs' ``k_p x k_q`` Gram blocks
+    ``W_p^dag W_q``.
     """
     rng = np.random.default_rng(seed)
     dyn = _as_dynamics(obj, tol)
@@ -936,7 +957,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
 
     final = []
     for (w, _), certificate in zip(blocks, limits):
-        rank = support_projection(certificate[1].matrix, dyn.tol).rank
+        rank = _support_rank(certificate[1].matrix, dyn.tol)
         if rank < w.shape[1]:
             raise ConvergenceFailure(
                 f"the stationary state of a block of size {w.shape[1]} has support "
@@ -947,9 +968,11 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     projections = tuple(p for p, _, _ in final)
     residuals = tuple(_checked_residual(dyn, p, InternalError, f"refined enclosure {i}")
                       for i, p in enumerate(projections))
-    # every |p q| over distinct pairs in one stacked SVD
-    overlaps = [p.matrix @ q.matrix for p, q in itertools.combinations(projections, 2)]
-    max_overlap = opnorm(np.stack(overlaps)) if overlaps else 0.0
+    # |p q| = |W_p^dag W_q| over distinct pairs, one stacked SVD per pair shape
+    overlaps = {}
+    for p, q in itertools.combinations(projections, 2):
+        overlaps.setdefault((p.rank, q.rank), []).append(p.range_basis.conj().T @ q.range_basis)
+    max_overlap = max((opnorm(np.stack(g)) for g in overlaps.values()), default=0.0)
     if max_overlap > 10 * dyn.tol.atol:
         raise InternalError("refined enclosures are not mutually orthogonal")
     return EnclosureDecomposition(projections, unique, fixed_dim,

@@ -16,9 +16,11 @@ family the order condition is equivalent to ``p' V_i p = 0`` for every i
 (via ``p alpha(p') p = sum_i (p' V_i p)^dag (p' V_i p)``), and for a
 generator to ``p' L_i p = 0`` together with ``p' G p = 0`` where
 ``G = -iH - (1/2) sum_i L_i^dag L_i``.  Both are one stack of leaks
-``p' X p`` over the terms ``(G, {L_i})`` (:func:`_leak`), a corner's too,
-whose norm :func:`_residual` reports, and are cross-validated against the
-time-sampled order condition in the test suite.
+``p' X W = X W - W (W^dag X W)``, with the norms of ``p' X p``, over the
+terms ``(G, {L_i})`` and the orthonormal columns ``W`` of ``p``
+(:func:`_leak`), a corner's too, whose norm :func:`_residual` reports, and
+are cross-validated against the time-sampled order condition in the test
+suite.
 
 Sub-harmonic and super-harmonic projections each form a complete lattice;
 :func:`subharmonic_closure` checks closure of a family under infimum and
@@ -149,19 +151,21 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     )
 
 
-def _leak(terms, p: Projection) -> np.ndarray:
-    """The stack of ``(1-p) X p`` over the Kraus operators, or the jumps and
-    ``G``, of the terms ``(G, {L_i})`` (``_terms``): 0 exactly when
-    sub-harmonic."""
+def _leak(terms, w: np.ndarray) -> np.ndarray:
+    """The stack of ``X W - W (W^dag X W) = (1-p) X W`` over the Kraus
+    operators, or the jumps and ``G``, of the terms ``(G, {L_i})``
+    (``_terms``), for the ``k`` orthonormal columns ``W`` of ``p``: 0
+    exactly when sub-harmonic.  ``W^dag`` is a co-isometry, so each has the
+    spectral and Frobenius norms of ``(1-p) X p``, at ``O(d^2 k)``."""
     g, ops = terms
-    pm = p.matrix
-    pc = np.eye(p.dim) - pm
-    return pc @ np.stack(ops if g is None else (*ops, g)) @ pm
+    xw = np.stack(ops if g is None else (*ops, g)) @ w
+    return xw - w @ (w.conj().T @ xw)
 
 
 def _residual(terms, p: Projection) -> float:
-    """The reported residual ``max |(1-p) X p|`` of :func:`_leak`, one SVD."""
-    return opnorm(_leak(terms, p))
+    """The reported residual ``max |(1-p) X p|`` of :func:`_leak` on the
+    range basis of ``p``, one SVD of the ``(K, d, rank p)`` stack."""
+    return opnorm(_leak(terms, p.range_basis))
 
 
 def kraus_invariance_test(ch: QuantumChannel, p: Projection,
@@ -196,7 +200,7 @@ def is_subharmonic(obj, p: Projection, tol: ToleranceConfig | None = None) -> bo
     ``atol``, decided by ``_norm_exceeds``: a clear pass takes no SVD."""
     terms = _terms(obj)
     _check_operand(p.dim, obj.dim)
-    return not _norm_exceeds(_leak(terms, p), _tol(tol).atol)
+    return not _norm_exceeds(_leak(terms, p.range_basis), _tol(tol).atol)
 
 
 def is_superharmonic(obj, p: Projection, tol: ToleranceConfig | None = None) -> bool:

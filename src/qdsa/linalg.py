@@ -137,6 +137,10 @@ def opnorm(m: np.ndarray) -> float:
 _FROBENIUS_FLOOR = 1e-100
 
 
+def _frobenius(m: np.ndarray) -> float:
+    return math.sqrt(np.vdot(m, m).real)
+
+
 def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
     """``opnorm(m) > bound``, for a norm that is compared and not reported.
 
@@ -145,7 +149,7 @@ def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
     covers the rounding of both norms, so the decision is always that of
     ``opnorm(m) > bound``.  Otherwise the SVD decides.
     """
-    if bound >= _FROBENIUS_FLOOR and math.sqrt(np.vdot(m, m).real) <= bound / 2:
+    if bound >= _FROBENIUS_FLOOR and _frobenius(m) <= bound / 2:
         return False
     return opnorm(m) > bound
 
@@ -299,12 +303,18 @@ class Projection:
         return _spectral_projection(np.eye(self.dim) - self.matrix, lambda w: w > 0.5)
 
 
-def _spectral_projection(m: np.ndarray, keep) -> Projection:
-    """The projection onto the eigenvectors of ``hermitian_part(m)`` whose
-    ascending eigenvalues ``w`` the mask ``keep(w)`` selects, each column's
-    phase fixed by :func:`_fix_phases`."""
+def _spectral_cut(m: np.ndarray, keep):
+    """The eigenvectors ``v`` of ``hermitian_part(m)`` and the mask
+    ``keep(w)`` on its ascending eigenvalues ``w``."""
     w, v = np.linalg.eigh(hermitian_part(m))
-    return Projection.from_range_basis(_fix_phases(v[:, keep(w)]), m.shape[0])
+    return v, keep(w)
+
+
+def _spectral_projection(m: np.ndarray, keep) -> Projection:
+    """The projection onto the columns of :func:`_spectral_cut` that the
+    mask selects, each column's phase fixed by :func:`_fix_phases`."""
+    v, mask = _spectral_cut(m, keep)
+    return Projection.from_range_basis(_fix_phases(v[:, mask]), m.shape[0])
 
 
 def projections_equal(p: Projection, q: Projection,
@@ -316,14 +326,11 @@ def projections_equal(p: Projection, q: Projection,
     return not _norm_exceeds(p.matrix - q.matrix, factor * tol.atol)
 
 
-def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:
-    """Smallest projection ``P`` with ``x P = P x = x`` for PSD ``x``.
-
-    Eigenvalues above ``tol.cutoff(lambda_max)`` count as nonzero;
-    the relative cutoff with an absolute floor keeps support decisions stable
-    when eigenvalues span many orders of magnitude after long evolutions.
-    The zero matrix has the zero projection as its support.
-    """
+def _support_cut(x, tol: ToleranceConfig | None):
+    """The cut that decides the support of PSD ``x``, for
+    :func:`_spectral_cut`: the validated Hermitian matrix and the mask that
+    keeps its eigenvalues above ``tol.cutoff(lambda_max)``, NotPSD when the
+    least is below ``-psd_tol``."""
     tol = _tol(tol)
     m = as_complex_matrix(x)
     _check_hermitian(m, tol, "support argument")
@@ -331,9 +338,28 @@ def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:
     def keep(w):
         if w[0] < -tol.psd_tol:
             raise NotPSD(f"support of a non-PSD matrix (min eigenvalue {w[0]:.3e})")
-        return w > tol.cutoff(float(w[-1]) if w.size else 0.0)
+        return w > tol.cutoff(float(w[-1]))
 
-    return _spectral_projection(m, keep)
+    return m, keep
+
+
+def support_projection(x, tol: ToleranceConfig | None = None) -> Projection:
+    """Smallest projection ``P`` with ``x P = P x = x`` for PSD ``x``.
+
+    Eigenvalues above ``tol.cutoff(lambda_max)`` count as nonzero;
+    the relative cutoff with an absolute floor keeps support decisions stable
+    when eigenvalues span many orders of magnitude after long evolutions.
+    The zero matrix has the zero projection as its support.  A caller that
+    reads only the rank takes :func:`_support_rank`: the same cut, with no
+    projection built.
+    """
+    return _spectral_projection(*_support_cut(x, tol))
+
+
+def _support_rank(x, tol: ToleranceConfig | None = None) -> int:
+    """``support_projection(x, tol).rank``, with the same errors: the number
+    of eigenvalues the same cut keeps."""
+    return int(np.count_nonzero(_spectral_cut(*_support_cut(x, tol))[1]))
 
 
 def _family_sum(family):

@@ -8,6 +8,7 @@ from qdsa.channels import (
     HEISENBERG,
     LindbladGenerator,
     QuantumChannel,
+    _terms,
     apply_heisenberg,
     generator_to_channel,
     propagator,
@@ -49,20 +50,34 @@ def proj(m):
     return Projection.from_matrix(np.asarray(m, dtype=complex))
 
 
+def _block_leak(x: np.ndarray, p: Projection) -> float:
+    """``|(1-p) X p|`` as ``|X W - W (W^dag X W)|`` for the range basis
+    ``W`` of ``p``."""
+    w = p.range_basis
+    xw = x @ w
+    return opnorm(xw - w @ (w.conj().T @ xw))
+
+
 def _kraus_residual(ch: QuantumChannel, p: Projection) -> float:
-    pc = np.eye(ch.dim) - p.matrix
-    return max(opnorm(pc @ v @ p.matrix) for v in ch.kraus_ops)
+    return max(_block_leak(v, p) for v in ch.kraus_ops)
 
 
 def _generator_residual(gen: LindbladGenerator, p: Projection) -> float:
-    pm = p.matrix
-    pc = np.eye(gen.dim) - pm
     g = -1j * gen.hamiltonian
     worst = 0.0
     for l in gen.lindblad_ops:
-        worst = max(worst, opnorm(pc @ l @ pm))
+        worst = max(worst, _block_leak(l, p))
         g = g - 0.5 * (l.conj().T @ l)
-    return max(worst, opnorm(pc @ g @ pm))
+    return max(worst, _block_leak(g, p))
+
+
+def _square_leak(model, p: Projection):
+    """``max |(1-p) X p|`` over the operators ``X`` of the terms, from
+    ``d x d`` products, and ``max |X|``."""
+    g, ops = _terms(model)
+    xs = [*ops] if g is None else [*ops, g]
+    pc = np.eye(p.dim) - p.matrix
+    return max(opnorm(pc @ x @ p.matrix) for x in xs), max(opnorm(x) for x in xs)
 
 
 def _assert_reference_residual(model, rng, extra=()):
@@ -132,6 +147,34 @@ class TestOneResidual:
                         assert subharmonic_residual(model, p) == pytest.approx(leak, rel=1e-12)
                         _assert_reference_residual(model, rng, [p])
                         verdicts.add(is_subharmonic(model, p))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_block_leak_has_the_norm_of_the_square_one(self, seed):
+        # |X W - W (W^dag X W)| = |(1-p) X p|, since W^dag is a
+        # co-isometry: to rounding, on random models and on invariant
+        # blocks, at every rank from 0 to d; the verdict is the square
+        # formula's wherever rounding cannot carry it across atol
+        rng = np.random.default_rng(seed)
+        atol, eps = DEFAULT_TOL.atol, np.finfo(float).eps
+        verdicts = set()
+        for d in range(1, 9):
+            n = int(rng.integers(1, 4))
+            models = [(haar_random_channel(d, n, rng), []), (random_generator(d, n, rng), [])]
+            if d > 1:
+                r = int(rng.integers(1, d))
+                channel, blocks = block_diagonal_channel([r, d - r], n, rng)
+                generator, block = transient_block_generator(r, d - r, rng)
+                models += [(channel, blocks), (generator, [block])]
+            for model, invariant in models:
+                for p in [random_projection(d, k, rng) for k in range(d + 1)] + invariant:
+                    square, scale = _square_leak(model, p)
+                    bound = 8 * d * eps * scale
+                    assert abs(subharmonic_residual(model, p) - square) <= bound, (d, p.rank)
+                    if abs(square - atol) > bound:
+                        verdict = is_subharmonic(model, p)
+                        assert verdict == (square <= atol), (d, p.rank)
+                        verdicts.add(verdict)
         assert verdicts == {True, False}
 
     def test_clear_pass_takes_no_svd(self, monkeypatch, adk):

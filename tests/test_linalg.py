@@ -15,13 +15,16 @@ from qdsa.errors import (
     NotUnital,
     OutOfUnitInterval,
 )
+from qdsa.asymptotics import minimal_enclosures, recurrent_projection, stationary_space
 from qdsa.harmonic import fixed_point_support_check
 from qdsa.linalg import (
+    DEFAULT_TOL,
     Projection,
     ToleranceConfig,
     _fix_phases,
     _norm_exceeds,
     _psd_defect,
+    _support_rank,
     is_psd,
     matrix_exp,
     opnorm,
@@ -32,6 +35,7 @@ from qdsa.linalg import (
     projections_equal,
     support_projection,
 )
+from qdsa.models import build_fixture, fixture_names
 from qdsa.sampling import (
     random_hermitian,
     random_projection,
@@ -187,6 +191,58 @@ class TestSupportProjection:
             q = Projection.from_range_basis(basis[:, :k + extra], dim)
             assert opnorm(x @ q.matrix - x) <= 1e-10
             assert order_leq(p.matrix, q.matrix)
+
+
+class TestSupportRank:
+    """``_support_rank`` is ``support_projection(x).rank``: the same cut,
+    with the same errors, and no projection built."""
+
+    def test_fixture_states(self):
+        for name in fixture_names():
+            model = build_fixture(name)
+            states = [stationary_space(model).state.matrix,
+                      recurrent_projection(model).limit_estimate,
+                      *(state.matrix for _, state in minimal_enclosures(model).certificates)]
+            for x in states:
+                assert _support_rank(x) == support_projection(x).rank, name
+
+    def test_psd_of_every_rank(self, rng):
+        # eigenvalues over six decades, and next to the cutoff on either side
+        for dim in range(1, 7):
+            basis = random_projection(dim, dim, rng).range_basis
+            for k in range(dim + 1):
+                w = 10.0 ** rng.uniform(-6.0, 0.0, size=k)
+                x = (basis[:, :k] * w) @ basis[:, :k].conj().T
+                assert _support_rank(x) == support_projection(x).rank == k
+                edge = DEFAULT_TOL.cutoff(1.0) * (1.0 + rng.uniform(-1e-3, 1e-3, size=dim))
+                edge[0] = 1.0
+                y = (basis * edge) @ basis.conj().T
+                assert _support_rank(y) == support_projection(y).rank
+
+    def test_zero_matrix(self):
+        for dim in (1, 3):
+            assert _support_rank(np.zeros((dim, dim))) == 0
+
+    def test_builds_no_projection(self, monkeypatch):
+        built = []
+        post_init = Projection.__post_init__
+        monkeypatch.setattr(Projection, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        assert _support_rank(np.diag([0.5, 0.0, 0.5])) == 2
+        assert built == []
+
+    @pytest.mark.parametrize("x,error", [
+        (np.diag([-1.0, 1.0]), NotPSD),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), NotHermitian),
+        (np.zeros((2, 3)), DimMismatch),
+    ], ids=["indefinite", "not-hermitian", "not-square"])
+    def test_same_errors(self, x, error):
+        messages = []
+        for reader in (support_projection, _support_rank):
+            with pytest.raises(error) as raised:
+                reader(x)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 class TestLattice:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdsa.asymptotics
+import qdsa.harmonic
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     Dynamics,
@@ -33,6 +34,7 @@ from qdsa.asymptotics import (
 from qdsa.channels import LindbladGenerator, QuantumChannel
 from qdsa.harmonic import _residual
 from qdsa.linalg import DEFAULT_TOL, Projection, opnorm, projections_equal
+from qdsa.models import build_fixture, fixture_names
 from qdsa.sampling import (
     block_diagonal_channel,
     haar_random_channel,
@@ -167,9 +169,59 @@ def test_faithful_channel_splits_into_its_blocks(monkeypatch, d):
     assert report.enclosure_ranks == (4,) * n and report.fixed_algebra_dim == n
     # the pairs' overlaps, taken in one stacked SVD, keep the bits of a loop
     decomposition = minimal_enclosures(model)
-    overlaps = [opnorm(p.matrix @ q.matrix)
+    overlaps = [opnorm(p.range_basis.conj().T @ q.range_basis)
                 for p, q in itertools.combinations(decomposition.minimal_projections, 2)]
     assert decomposition.max_overlap == max(overlaps)
+
+
+OVERLAP_MODELS = [*fixture_names(), *(f"channel-d{d}" for d in FAITHFUL)]
+
+
+@pytest.mark.parametrize("name", OVERLAP_MODELS)
+def test_overlap_gram_blocks_agree_with_the_square_products(name):
+    # |p q| = |W_p^dag W_q|: the Gram blocks give the d x d products' worst
+    # overlap to rounding
+    if name in fixture_names():
+        model = build_fixture(name)
+    else:
+        model = _rung("channel", int(name.removeprefix("channel-d")), 1)[0]
+    decomposition = minimal_enclosures(model, seed=GOLDEN_SEED)
+    square = max((opnorm(p.matrix @ q.matrix) for p, q in
+                  itertools.combinations(decomposition.minimal_projections, 2)), default=0.0)
+    assert abs(decomposition.max_overlap - square) <= 8 * model.dim * np.finfo(float).eps
+
+
+def test_enclosure_decisions_read_answer_sized_arrays(monkeypatch):
+    # channel-d32 has 8 classes of 4: the certificate reads each class's
+    # leak off its isometry and builds no Projection, and after the
+    # support every array that minimal_enclosures hands to opnorm is a
+    # block's (32, 4) leak or a pair's (4, 4) Gram block
+    model = _rung("channel", 32, 1)[0]
+    built = []
+    post_init = Projection.__post_init__
+    monkeypatch.setattr(Projection, "__post_init__",
+                        lambda self: built.append(self.rank) or post_init(self))
+    certify = qdsa.asymptotics._certify
+    built_by_certify = []
+
+    def counted(*args):
+        before = len(built)
+        result = certify(*args)
+        built_by_certify.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(qdsa.asymptotics, "_certify", counted)
+    dyn = Dynamics(model)
+    assert len(dyn.reduction[0]) == 8
+    assert built_by_certify == [0]
+    assert dyn.support.rank == 32
+    shapes = []
+    for module in (qdsa.asymptotics, qdsa.harmonic):
+        norm = module.opnorm
+        monkeypatch.setattr(module, "opnorm",
+                            lambda m, norm=norm: shapes.append(np.shape(m)[-2:]) or norm(m))
+    minimal_enclosures(dyn)
+    assert set(shapes) == {(32, 4), (4, 4)}
 
 
 def test_coupled_copies_fail_the_pair_certificate():

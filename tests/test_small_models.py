@@ -13,7 +13,9 @@ import pytest
 
 import qdsa.analyze
 import qdsa.asymptotics
+import qdsa.channels
 import qdsa.harmonic
+import qdsa.linalg
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import Dynamics, minimal_enclosures, recurrent_projection
 from qdsa.channels import (
@@ -30,6 +32,8 @@ from qdsa.channels import (
 )
 from qdsa.harmonic import subharmonic_residual
 from qdsa.linalg import DEFAULT_TOL, opnorm, support_projection
+from qdsa.modelio import model_spec_from_fixture
+from qdsa.models import fixture_names
 from qdsa.sampling import block_diagonal_channel, random_hermitian, transient_block_generator
 from test_dynamics import GOLDEN_SEED, _all_models, _counting
 
@@ -371,7 +375,7 @@ class TestComputedOnce:
                 decomposition.certificates, decomposition.certificate_ranks):
             assert residual == subharmonic_residual(model, p)
             assert rank == support_projection(state.matrix, DEFAULT_TOL).rank
-        overlaps = [opnorm(p.matrix @ q.matrix)
+        overlaps = [opnorm(p.range_basis.conj().T @ q.range_basis)
                     for i, p in enumerate(projections) for q in projections[i + 1:]]
         assert decomposition.max_overlap == max(overlaps, default=0.0)
 
@@ -379,3 +383,15 @@ class TestComputedOnce:
         dyn = Dynamics(model)
         report = recurrent_projection(dyn, horizon=horizon)
         assert dyn.support is report.stationary_support
+
+
+def test_fixtures_build_a_support_projection_only_where_one_is_read(monkeypatch):
+    # two per analysis, the stationary support and the recurrent supremum;
+    # the certificates' ranks and the limit-support check count the cut's
+    # eigenvalues and build none
+    modules = (qdsa.linalg, qdsa.channels, qdsa.harmonic, qdsa.asymptotics, qdsa.analyze)
+    calls = [_counting(monkeypatch, module, "support_projection")
+             for module in modules if hasattr(module, "support_projection")]
+    for name in fixture_names():
+        run_analyze(model_spec_from_fixture(name), AnalysisOptions(seed=GOLDEN_SEED))
+    assert sum(map(len, calls)) == 14

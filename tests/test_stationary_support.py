@@ -8,12 +8,14 @@ derivations must give the same projection.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdsa.asymptotics
-from qdsa.asymptotics import _as_state, stationary_space, stationary_support
-from qdsa.channels import LindbladGenerator
+from qdsa.asymptotics import StationarySpace, _as_state, stationary_space, stationary_support
+from qdsa.channels import DensityMatrix, LindbladGenerator
+from qdsa.errors import InternalError
 from qdsa.linalg import (
     DEFAULT_TOL,
     opnorm,
@@ -75,6 +77,33 @@ def test_one_state_per_space(monkeypatch):
     calls = _counting(monkeypatch, qdsa.asymptotics, "_as_state")
     stationary_space(build_fixture("ID3"))
     assert len(calls) == 1
+
+
+def _leaking_space(d: int, leak: float) -> StationarySpace:
+    """A space by hand on ``C^d``: the state ``diag(3/4, 1/4, 0, ...)``,
+    whose support ``P`` is exactly ``e_0, e_1``, and one basis element ``b =
+    u u^dag``, ``u = sqrt(1 - leak^2) e_0 + leak e_2``, with ``|b| = |b|_F =
+    1``, well above ``|b|_F / sqrt(d)``, and ``|(1 - P) b| = leak``."""
+    state = np.zeros((d, d), dtype=complex)
+    state[0, 0], state[1, 1] = 0.75, 0.25
+    u = np.zeros(d, dtype=complex)
+    u[0], u[2] = np.sqrt(1.0 - leak ** 2), leak
+    return StationarySpace((np.outer(u, u.conj()),), DensityMatrix(state), 1)
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_leak_is_decided_on_either_side_of_atol(monkeypatch, d):
+    # a leak within atol |b|_F / (2 sqrt d) passes with no SVD; any other
+    # is decided against atol |b| exactly, by the SVD, just below and just
+    # above it
+    atol = DEFAULT_TOL.atol
+    svds = _counting(monkeypatch, np.linalg, "svd")
+    assert stationary_support(_leaking_space(d, atol / (4 * np.sqrt(d)))).rank == 2
+    assert svds == []
+    assert stationary_support(_leaking_space(d, atol * (1 - 1e-6))).rank == 2
+    assert svds
+    with pytest.raises(InternalError, match="disagrees with the maximal-state support"):
+        stationary_support(_leaking_space(d, atol * (1 + 1e-6)))
 
 
 @SWEEP
