@@ -5,12 +5,13 @@ Hermitian frame of :mod:`qdsa.channels` the Schrodinger matrix ``R`` is
 real and the Heisenberg one is its transpose.  The analysis pipeline is one
 path:
 
-1. From ``_LU_MIN_SIZE`` unknowns on, the model is first reduced to the
-   corners of its closed classes (:attr:`Dynamics.reduction`), at ``O(K
-   d^3)`` cost and before any ``d^2 x d^2`` work: the minimal enclosures
-   are guessed in Hilbert space as the closed classes of the eigenvectors
-   of one generic combination of the terms, their edges cut by the one
-   rank rule ``tol.cutoff`` (:func:`_recurrent_guess`).  The guess decides
+1. From ``_REDUCE_MIN_SIZE`` unknowns on (``d >= 8``), the model is first
+   reduced to the corners of its closed classes
+   (:attr:`Dynamics.reduction`), at ``O(K d^3)`` cost and before any ``d^2
+   x d^2`` work: the minimal enclosures are guessed in Hilbert space as the
+   closed classes of the eigenvectors of one generic combination of the
+   terms, their edges cut by the one rank rule ``tol.cutoff``
+   (:func:`_recurrent_guess`).  The guess decides
    nothing: it is used only when each class is sub-harmonic, no fixed
    point couples two classes, and a Lyapunov solve on the corner of the
    rest, if any is left, certifies that corner transient, so that the
@@ -65,14 +66,15 @@ path:
    ``alpha`` maps ``qMq`` into itself, so ``alpha_T(q)`` is the flow of
    the corner of ``q`` applied to its identity, and ``alpha_T(r) = 1 -
    alpha_T(q)`` by unitality.  On the certificate's corner of a generator
-   that flow is a shift-and-invert Krylov action on the LU the certificate
-   factored (:func:`_krylov_flow`), with no ``m^2 x m^2`` exponential
-   (``m = rank q``); when it does not converge, and on every other
-   corner, it is the corner's ``m^2 x m^2`` real propagator
-   (:meth:`Dynamics.transient`).  Whether the decay ideal ``{a :
-   alpha_t(a^dag a) -> 0}`` is the left ideal of operators annihilating
-   ``r`` from the right is read off that flow and the stationary state
-   (:func:`decay_ideal_units`).
+   that flow, once the corner has more than ``_KRYLOV_STEPS`` unknowns, is
+   a shift-and-invert Krylov action on the LU the certificate factored
+   (:func:`_krylov_flow`), with no ``m^2 x m^2`` exponential (``m = rank
+   q``); when it does not converge, on a smaller corner, whose Arnoldi basis
+   would span it whole, and on every other corner, it is the corner's ``m^2
+   x m^2`` real propagator (:meth:`Dynamics.transient`).  Whether the decay
+   ideal ``{a : alpha_t(a^dag a) -> 0}`` is the left ideal of operators
+   annihilating ``r`` from the right is read off that flow and the
+   stationary state (:func:`decay_ideal_units`).
 
 Oscillatory peripheral spectrum means plain limits of states may not
 exist, so state-level limits always go through Cesaro means, while the
@@ -182,9 +184,10 @@ DEFAULT_DECAY_TOL = 1e-8
 
 # The split runs one SVD below _LU_MIN_SIZE unknowns (d^2) and the
 # resolvent route of _resolvent_split from there on, where its one LU is a
-# fraction of the SVD's cost.  That route shifts by s = _SHIFT * |F|_1,
-# applies (s - F)^-1 _SOLVES times to a random block of 2 * _OVERSAMPLE
-# columns drawn from seed _SPLIT_SEED, cuts its Ritz values at
+# fraction of the SVD's cost; this crossover gates the split alone, and the
+# reduction has its own, _REDUCE_MIN_SIZE.  The route shifts by s = _SHIFT *
+# |F|_1, applies (s - F)^-1 _SOLVES times to a random block of 2 *
+# _OVERSAMPLE columns drawn from seed _SPLIT_SEED, cuts its Ritz values at
 # tol.cutoff(|F|_1), and keeps a kernel only when its estimated distance from
 # the true one is at most _KERNEL_ERROR * tol.atol.
 _LU_MIN_SIZE = 256
@@ -194,15 +197,19 @@ _OVERSAMPLE = 8
 _SPLIT_SEED = 0
 _KERNEL_ERROR = 1e-4
 
-# From _LU_MIN_SIZE unknowns on the closed classes are first guessed from
-# the eigenvectors of one combination of the terms, its coefficients drawn
-# from seed _GUESS_SEED (_recurrent_guess), and used only once certified
-# (_certify).
+# From _REDUCE_MIN_SIZE unknowns (d >= 8) on the closed classes are first
+# guessed from the eigenvectors of one combination of the terms, its
+# coefficients drawn from seed _GUESS_SEED (_recurrent_guess), and used only
+# once certified (_certify).  There the guess costs less than the whole
+# split it can spare; below, it costs more than it saves.
+_REDUCE_MIN_SIZE = 64
 _GUESS_SEED = 0
 
-# The flow on the certificate's corner of a generator (_krylov_flow): at most
-# _KRYLOV_STEPS Arnoldi steps, its error estimated every _KRYLOV_CHECK steps
-# against _KRYLOV_TOL of the result.
+# The flow on the certificate's corner of a generator with more than
+# _KRYLOV_STEPS unknowns (_krylov_flow): at most _KRYLOV_STEPS Arnoldi
+# steps, its error estimated every _KRYLOV_CHECK steps against _KRYLOV_TOL
+# of the result.  A smaller corner takes its dense flow, since the Arnoldi
+# basis would span the whole corner.
 _KRYLOV_STEPS = 60
 _KRYLOV_CHECK = 6
 _KRYLOV_TOL = 1e-10
@@ -400,12 +407,13 @@ class Dynamics:
     propagator for each horizon and picture asked for (the Heisenberg one
     on the transpose), the flow of a transient corner (:meth:`transient`),
     its corners (:func:`_corner`), the LU the transient certificate factors
-    (:attr:`lu`) and, from ``_LU_MIN_SIZE`` unknowns on, its certified
+    (:attr:`lu`) and, from ``_REDUCE_MIN_SIZE`` unknowns on, its certified
     closed classes (:attr:`reduction`).  When they are certified,
     :attr:`space` is summed from the class corners', ``minimal_enclosures``
     takes the classes as its blocks and :meth:`transient` the certificate's
     corner of the rest, whose flow on a generator acts through that LU
-    (:func:`_krylov_flow`), so no ``d^2 x d^2`` array is built; only
+    (:func:`_krylov_flow`) once it has more than ``_KRYLOV_STEPS`` unknowns,
+    so no ``d^2 x d^2`` array is built; only
     ``cesaro_limit`` splits the whole model.  Build one per top-level call
     and pass it to the functions of this module in place of the model, so
     the memory it holds never outlives the analysis.  It keeps no model,
@@ -447,7 +455,8 @@ class Dynamics:
         """An isometry ``W`` onto ``1 - r`` and ``apply``, ``alpha_T`` of
         its corner on a Hermitian operator.  When ``r`` is the sum of the
         certified classes the corner is the certificate's (:attr:`reduction`),
-        and for a generator ``apply`` is the Krylov action on its LU
+        and for a generator, on a corner of more than ``_KRYLOV_STEPS``
+        unknowns, ``apply`` is the Krylov action on its LU
         (:func:`_krylov_flow`) until one call does not converge; from then
         on, and on every other corner, it is the corner's dense flow."""
         def build():
@@ -457,7 +466,7 @@ class Dynamics:
             if not certified:
                 wq = r.complement().range_basis
             corner = _corner(self, wq)
-            krylov = certified and not self.discrete
+            krylov = certified and not self.discrete and corner.dim ** 2 > _KRYLOV_STEPS
 
             def apply(a):
                 nonlocal krylov
@@ -482,8 +491,9 @@ class Dynamics:
         """Isometries ``((W_1, ..., W_n), W_q)`` onto the certified closed
         classes (:func:`_recurrent_guess`, :func:`_certify`) and onto the
         rest, which has no columns for a faithful model, tried from
-        ``_LU_MIN_SIZE`` unknowns on; ``((1,), None)`` when there is none."""
-        guess = _recurrent_guess(self.terms, self.tol) if self.dim ** 2 >= _LU_MIN_SIZE else None
+        ``_REDUCE_MIN_SIZE`` unknowns on; ``((1,), None)`` when there is none."""
+        guess = (_recurrent_guess(self.terms, self.tol)
+                 if self.dim ** 2 >= _REDUCE_MIN_SIZE else None)
         return (guess and _certify(self, *guess)) or ((np.eye(self.dim, dtype=complex),), None)
 
     @cached_property
@@ -866,9 +876,8 @@ def _cluster_eigenvalues(w: np.ndarray, scale: float):
 
 
 def _canonical_key(p: Projection):
-    diag = np.round(np.real(np.diag(p.matrix)), 6)
-    flat = np.round(np.real(p.matrix).ravel(), 6)
-    return (-p.rank, tuple(-diag), tuple(-flat))
+    m = -np.round(np.real(p.matrix), 6)
+    return (-p.rank, np.diag(m).tolist(), m.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -992,10 +1001,10 @@ class RecurrentReport:
     identity and ``transient_norm`` how much of its complement ``q``
     survives; both are monotone non-increasing in the horizon.  Both are
     read off ``alpha_T(q)``, the flow of the corner of ``q`` (:func:`_corner`)
-    applied to its identity (:meth:`Dynamics.transient`, a Krylov action on
-    a reduced generator): ``limit_estimate`` is ``1 - alpha_T(q)``,
-    which equals ``alpha_T(r)`` by unitality, so the two coincide in exact
-    arithmetic.  They are exactly 0 when ``r`` is the identity.
+    applied to its identity (:meth:`Dynamics.transient`): ``limit_estimate``
+    is ``1 - alpha_T(q)``, which equals ``alpha_T(r)`` by unitality, so the
+    two coincide in exact arithmetic.  They are exactly 0 when ``r`` is the
+    identity.
     """
 
     recurrent: Projection
@@ -1013,12 +1022,10 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
                          tol: ToleranceConfig | None = None, seed: int = 7) -> RecurrentReport:
     """Compute the minimal recurrent projection and its horizon diagnostics.
 
-    ``alpha_T`` is taken on the transient corner only; no ``d^2 x d^2``
-    propagator is built, and on a reduced generator no ``m^2 x m^2`` one
-    unless the Krylov action on the certificate's LU does not converge
-    (:meth:`Dynamics.transient`).  That corner is a semigroup only for a
-    sub-harmonic ``r``, so an ``r`` that fails the sub-harmonic test is an
-    InternalError.
+    ``alpha_T`` is taken on the transient corner only
+    (:meth:`Dynamics.transient`); no ``d^2 x d^2`` propagator is built.
+    That corner is a semigroup only for a sub-harmonic ``r``, so an ``r``
+    that fails the sub-harmonic test is an InternalError.
     """
     dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)  # rejected even when no propagator runs

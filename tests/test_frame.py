@@ -130,16 +130,21 @@ def _old_corner(s_full: np.ndarray, w: np.ndarray, discrete: bool) -> np.ndarray
 
 
 def _visited_blocks(monkeypatch, model):
-    """Every block isometry that minimal_enclosures builds a corner for."""
+    """Every block isometry that minimal_enclosures takes a corner of to
+    split it: the stationary support, and with it the certified reduction
+    and the certificate's transient corner, which has no fixed points, is
+    found before recording starts."""
     blocks = []
     original = qdsa.asymptotics._corner
+    top = Dynamics(model)
+    top.support
 
     def recording(dyn, w):
         blocks.append(np.array(w))
         return original(dyn, w)
 
     monkeypatch.setattr(qdsa.asymptotics, "_corner", recording)
-    minimal_enclosures(model)
+    minimal_enclosures(top)
     monkeypatch.undo()
     assert blocks
     return blocks
@@ -258,9 +263,13 @@ def test_identity_corner_is_the_dynamics_itself(m3):
     assert _corner(dyn, np.eye(3)[:, [1, 0, 2]]) is not dyn
 
 
-def test_channel_d8_runs_one_full_size_svd(monkeypatch):
+def test_channel_d8_splits_its_two_classes_not_the_whole(monkeypatch):
+    # from _REDUCE_MIN_SIZE unknowns on the faithful channel-d8 is reduced
+    # to its two classes of 4: one (16, 16) kernel SVD each, the pair's
+    # stacked SVD of the same size, and no (64, 64) SVD
     _, channel, horizon = _ladder_models()[2]
     n = channel.dim ** 2
+    assert n >= qdsa.asymptotics._REDUCE_MIN_SIZE
     shapes = []
     original = np.linalg.svd
 
@@ -271,8 +280,9 @@ def test_channel_d8_runs_one_full_size_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     report = recurrent_projection(channel, horizon=horizon)
     assert report.recurrent.rank == channel.dim
-    assert shapes.count((n, n)) == 1
-    assert max(max(s) for s in shapes) == n
+    assert (n, n) not in shapes
+    assert shapes.count((16, 16)) == 2
+    assert max(max(s) for s in shapes) == 16
 
 
 def test_generator_criterion_builds_each_propagator_once(monkeypatch):

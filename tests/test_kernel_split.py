@@ -281,12 +281,14 @@ def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
 
 
 def test_below_the_crossover_the_svd_runs(monkeypatch):
-    model, block = _rung("generator", 8, 1)
+    # generator-d7 is below the reduction's gate too, so it splits whole
+    model, block = _rung("generator", 7, 1)
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     report = recurrent_projection(model)
-    assert 8 * 8 < qdsa.asymptotics._LU_MIN_SIZE
-    assert svds.count((64, 64)) == 1
+    assert 7 * 7 < qdsa.asymptotics._REDUCE_MIN_SIZE < qdsa.asymptotics._LU_MIN_SIZE
+    assert svds.count((49, 49)) == 1
+    assert max(max(s) for s in svds) == 49
     assert lus == []
     assert projections_equal(report.recurrent, block)
 

@@ -1,6 +1,7 @@
 """The certified closed classes.
 
-From ``_LU_MIN_SIZE`` unknowns on, ``Dynamics.reduction`` guesses the
+From ``_REDUCE_MIN_SIZE`` unknowns on (``d >= 8``; its own gate, apart
+from the split's ``_LU_MIN_SIZE``), ``Dynamics.reduction`` guesses the
 closed classes from the eigenvectors of one generic combination of the
 terms (``_recurrent_guess``) and keeps the guess only when (a) each class is
 sub-harmonic, (b) a Lyapunov solve on the corner of the rest, if any,
@@ -8,10 +9,13 @@ certifies that corner transient and (c) no fixed point couples two classes
 (``_certify``, which runs (c) before (b)).  A certified model's stationary
 space, enclosures and transient flow are read off the class corners and
 the rest's corner, so no ``d^2 x d^2`` array is built; a declined guess
-leaves the analysis as it was.
+leaves the analysis as it was.  Every analyze-ladder rung from the gate on
+agrees with its whole split, and an irreducible model above the gate gives
+the whole split's report to the byte.
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -24,8 +28,10 @@ import qdsa.harmonic
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     Dynamics,
+    _canonical_key,
     _certify,
     _corner,
+    _recurrent_guess,
     _transient_certified,
     _uncoupled,
     minimal_enclosures,
@@ -38,6 +44,7 @@ from qdsa.models import build_fixture, fixture_names
 from qdsa.sampling import (
     block_diagonal_channel,
     haar_random_channel,
+    random_generator,
     random_hermitian,
     transient_block_generator,
 )
@@ -385,3 +392,82 @@ def test_public_stationary_space_reads_the_reduction(monkeypatch, kind, d, seed)
     assert space.dim == whole.dim
     assert _span_distance(space, whole) <= 1e-14
     assert np.abs(space.state.matrix - whole.state.matrix).max() <= 1e-14
+
+
+LADDER = [(kind, d, seed) for seed in (1, 2, 3) for kind, d in
+          (("generator", 4), ("generator", 8), ("generator", 12), ("channel", 8), ("channel", 16))]
+
+
+def _whole(monkeypatch):
+    """Close the reduction's gate: every model is split whole."""
+    monkeypatch.setattr(qdsa.asymptotics, "_REDUCE_MIN_SIZE", sys.maxsize)
+
+
+@pytest.mark.parametrize("kind,d,seed", LADDER,
+                         ids=[f"{kind}-d{d}-s{seed}" for kind, d, seed in LADDER])
+def test_ladder_rung_reduced_agrees_with_the_whole_split(monkeypatch, kind, d, seed):
+    # from _REDUCE_MIN_SIZE unknowns on every analyze-ladder rung is
+    # reduced; generator-d4 is below the gate, so its two runs are one
+    model = _rung(kind, d, seed)[0]
+    gated = d * d < qdsa.asymptotics._REDUCE_MIN_SIZE
+    reduced = run_analyze(model, OPTIONS)
+    _whole(monkeypatch)
+    whole = run_analyze(model, OPTIONS)
+    if gated:
+        assert reduced.to_json() == whole.to_json()
+    for field in _DISCRETE:
+        assert getattr(reduced, field) == getattr(whole, field), field
+    assert [c.passed for c in reduced.checks] == [c.passed for c in whole.checks]
+    for p, q in ((reduced.recurrent, whole.recurrent),
+                 (reduced.stationary_support, whole.stationary_support)):
+        assert p.rank == q.rank
+        assert np.abs(p.matrix - q.matrix).max() <= PROJECTION_ATOL
+    assert abs(reduced.transient_norm - whole.transient_norm) <= 1e-9 * whole.transient_norm
+
+
+IRREDUCIBLE = ["random-generator-d8", "haar-channel-d8"]
+
+
+@pytest.mark.parametrize("name", IRREDUCIBLE)
+def test_irreducible_model_pays_for_the_guess_alone(monkeypatch, name):
+    # one class fills the space: the guess declines and the whole model is
+    # split, so the report is the closed gate's to the byte
+    rng = np.random.default_rng(1)
+    model = (random_generator(8, 2, rng) if name.startswith("random")
+             else haar_random_channel(8, 2, rng))
+    dyn = Dynamics(model)
+    assert model.dim ** 2 >= qdsa.asymptotics._REDUCE_MIN_SIZE
+    assert _recurrent_guess(dyn.terms, dyn.tol) is None
+    assert dyn.reduction[1] is None
+    report = run_analyze(model, OPTIONS)
+    _whole(monkeypatch)
+    assert report.to_json() == run_analyze(model, OPTIONS).to_json()
+
+
+def _tuple_key(p: Projection):
+    """The enclosure sort key as it was: the diagonal and the entries,
+    each rounded on its own and turned into a tuple of numpy scalars."""
+    diag = np.round(np.real(np.diag(p.matrix)), 6)
+    flat = np.round(np.real(p.matrix).ravel(), 6)
+    return (-p.rank, tuple(-diag), tuple(-flat))
+
+
+KEY_MODELS = [*fixture_names(), *(f"channel-d{d}" for d in (16, 32, 48, 64, 96))]
+
+
+@pytest.mark.parametrize("name", KEY_MODELS)
+def test_canonical_key_orders_as_the_tuple_key(name):
+    # the key from one rounded matrix sorts the enclosures as the tuple key
+    # did, from any starting order
+    if name in fixture_names():
+        model = build_fixture(name)
+    else:
+        model = _rung("channel", int(name.removeprefix("channel-d")), 1)[0]
+    projections = minimal_enclosures(model, seed=GOLDEN_SEED).minimal_projections
+    assert [id(p) for p in sorted(projections, key=_tuple_key)] == list(map(id, projections))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        shuffled = [projections[i] for i in rng.permutation(len(projections))]
+        got = sorted(shuffled, key=_canonical_key)
+        want = sorted(shuffled, key=_tuple_key)
+        assert [id(p) for p in got] == [id(p) for p in want]

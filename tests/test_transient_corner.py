@@ -4,10 +4,13 @@
 ``q = 1 - r``: the flow of ``_corner`` for an isometry ``W`` onto ``q``,
 whose ``m^2 x m^2`` real form ``R_q`` is assembled from the compressed
 operators ``W^dag X W`` of the model's terms.  On the certificate's corner
-of a reduced generator that flow is the shift-and-invert Krylov action on
-the LU of ``R_q`` the certificate factored (``_krylov_flow``), which gives
-way to the dense ``m^2 x m^2`` propagator when it does not converge; every
-other corner takes that propagator.  The full ``d^2 x d^2`` propagator of
+of a reduced generator with more than ``_KRYLOV_STEPS`` unknowns that flow
+is the shift-and-invert Krylov action on the LU of ``R_q`` the certificate
+factored (``_krylov_flow``), which gives way to the dense ``m^2 x m^2``
+propagator when it does not converge; every other corner, the certified
+ones of generator-d8 and generator-d12 (16 and 36 unknowns) among them,
+takes that propagator, since an Arnoldi basis of that many steps would span
+it whole.  The full ``d^2 x d^2`` propagator of
 the same ``Dynamics`` is the reference, and so is ``P^T R P`` for the
 block frame ``P`` of ``W``, which ``R_q`` equals.
 """
@@ -17,14 +20,15 @@ import pytest
 
 import qdsa.asymptotics
 import qdsa.channels
+from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import Dynamics, _corner, _krylov_flow, recurrent_projection
 from qdsa.channels import _kron, hermitian_coords
 from qdsa.errors import InternalError, ValidationError
 from qdsa.linalg import Projection, opnorm
 from qdsa.sampling import haar_unitary, transient_block_generator
-from test_dynamics import _all_models, _counting
+from test_dynamics import GOLDEN_SEED, _all_models, _counting
 from test_frame import _dense_frame
-from test_kernel_split import _lu_shapes, _rung
+from test_kernel_split import _lu_shapes, _rung, _svd_shapes
 from test_recurrent_reduction import CERTIFIED
 from test_small_models import _block_frame
 
@@ -62,16 +66,21 @@ class TestCornerFlow:
         assert opnorm(report.limit_estimate - full) <= 1e-12
 
     def test_no_full_propagator(self, monkeypatch, name, model, horizon):
-        # a model below _LU_MIN_SIZE propagates its transient corner by the
-        # m^2 x m^2 propagator; the reduced generator-d24 rung acts on its
-        # certificate's corner by the Krylov action, with no exponential
+        # a reduced generator whose certified corner has more than
+        # _KRYLOV_STEPS unknowns (generator-d24's 144) acts on it by the
+        # Krylov action, with no exponential; every other transient corner,
+        # generator-d8's 16 and generator-d12's 36 among them, takes its
+        # m^2 x m^2 propagator
         exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
         powers = _counting(monkeypatch, np.linalg, "matrix_power")
         report = recurrent_projection(model, horizon=horizon)
         m = model.dim - report.recurrent.rank
-        reduced = model.dim ** 2 >= qdsa.asymptotics._LU_MIN_SIZE
+        dyn = Dynamics(model)
+        krylov = (dyn.reduction[1] is not None and not dyn.discrete
+                  and m * m > qdsa.asymptotics._KRYLOV_STEPS)
+        assert krylov == (name == "generator-d24")
         shapes = [args[0].shape for args in exps + powers]
-        assert shapes == ([(m * m, m * m)] if m and not reduced else [])
+        assert shapes == ([(m * m, m * m)] if m and not krylov else [])
 
 
 @pytest.mark.parametrize("name,model,horizon", FULL_RANK, ids=[m[0] for m in FULL_RANK])
@@ -166,13 +175,44 @@ def test_certified_corner_builds_no_exponential(monkeypatch):
     assert lus == [(576, 576)] * 2
 
 
+@pytest.mark.parametrize("d", [12, 16], ids=["generator-d12", "generator-d16"])
+def test_krylov_rule_on_the_certified_corner(monkeypatch, d):
+    # the reduced rung's certified corner of d/2 levels has n = (d/2)^2
+    # unknowns: 36 on generator-d12, at most _KRYLOV_STEPS, so it takes its
+    # dense flow, one (36, 36) exponential and no action; 64 on
+    # generator-d16, which takes the action once and no exponential.  The
+    # one LU is the certificate's, and no SVD has more than n rows: the
+    # class corner's split and decay_ideal_units' d x d trace norm
+    model = _rung("generator", d, 1)[0]
+    n = (d // 2) ** 2
+    krylov = n > qdsa.asymptotics._KRYLOV_STEPS
+    exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
+    flows = _counting(monkeypatch, qdsa.asymptotics, "_krylov_flow")
+    svds = _svd_shapes(monkeypatch)
+    lus = _lu_shapes(monkeypatch)
+    report = run_analyze(model, AnalysisOptions(seed=GOLDEN_SEED))
+    assert report.passed and report.recurrent.rank == d // 2
+    assert lus == [(n, n)]
+    assert max(max(shape) for shape in svds) == n
+    assert len(flows) == krylov
+    assert [args[0].shape for args in exps] == [(n, n)] * (not krylov)
+
+
 def test_krylov_action_on_a_corner_of_one_level(monkeypatch):
     # a transient corner of one level: the first Arnoldi step breaks down
-    # exactly, and the action is exact there
-    dyn = Dynamics(transient_block_generator(15, 1, np.random.default_rng(1))[0])
-    wq = dyn.reduction[1]
+    # exactly, and the action is exact there; the analysis takes the
+    # corner's dense flow, one 1 x 1 exponential, as on every corner of at
+    # most _KRYLOV_STEPS unknowns
+    model = transient_block_generator(15, 1, np.random.default_rng(1))[0]
+    dyn = Dynamics(model)
+    corner = _corner(dyn, dyn.reduction[1])
+    want = corner.flow(1.0).apply(np.eye(1))
+    got = _krylov_flow(corner, 1.0, hermitian_coords(np.eye(1)))
+    assert got.shape == (1,)
+    assert abs(got[0] - want[0, 0].real) <= 1e-12 * abs(want[0, 0])
     exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
-    report = recurrent_projection(dyn, horizon=1.0)
-    assert report.recurrent.rank == 15 and exps == []
-    want = _corner(dyn, wq).flow(1.0).apply(np.eye(1))
+    flows = _counting(monkeypatch, qdsa.asymptotics, "_krylov_flow")
+    report = recurrent_projection(model, horizon=1.0)
+    assert report.recurrent.rank == 15 and flows == []
+    assert [args[0].shape for args in exps] == [(1, 1)]
     assert abs(report.transient_norm - abs(want[0, 0])) <= 1e-12 * abs(want[0, 0])
