@@ -24,8 +24,13 @@ path:
    One split of the fixed-point matrix ``F`` (``R``, or ``R - 1`` for a
    channel) of each such corner gives its stationary space as its right
    kernel and its Heisenberg fixed points as its left kernel, both as
-   orthonormal Hermitian bases (:attr:`Dynamics.split`).  Below
-   ``_LU_MIN_SIZE`` unknowns the split is one real SVD
+   orthonormal Hermitian bases (:attr:`Dynamics.split`).  In dimension
+   one ``F`` is one number ``f``, so the split is closed form: ``|f|``,
+   its one singular value, is cut at ``tol.cutoff`` and both kernels are
+   ``[[1]]``, and the limit is the one state ``[[1]]``; a one-level corner,
+   such as a rank-one minimal enclosure with its pure absorbing state,
+   takes no SVD, solve or eigendecomposition.  Below ``_LU_MIN_SIZE``
+   unknowns the split is one real SVD
    (:func:`_split_kernel_range`); from there on it is one LU of ``s - F``
    for a small shift ``s``, through which a fixed-seed random block is
    pushed and read off an ordered real Schur form, with the SVD as the
@@ -229,22 +234,27 @@ def _fixed_point_form(dyn: Dynamics, r: np.ndarray | None = None) -> np.ndarray:
 def _split_kernel_range(f: np.ndarray, tol: ToleranceConfig):
     """Orthonormal bases of the numerical kernel and the left kernel of the
     fixed-point matrix ``f`` (:func:`_fixed_point_form`) from one SVD, cut
-    at ``tol.cutoff`` of the largest singular value: the split below
-    ``_LU_MIN_SIZE`` unknowns and the fallback of :func:`_resolvent_split`
-    (:attr:`Dynamics.split`).
+    at ``tol.cutoff`` of the largest singular value: the split from
+    dimension two to below ``_LU_MIN_SIZE`` unknowns and the fallback of
+    :func:`_resolvent_split` (:attr:`Dynamics.split`).
 
     The kernel holds the stationary states and the left kernel the
     Heisenberg fixed points, so neither is empty: an empty numerical kernel
     is an InternalError.
     """
     u, s, vh = np.linalg.svd(f)
-    cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
+    cutoff = tol.cutoff(float(s[0]))
     null_mask = s <= cutoff
     if not null_mask.any():
-        raise InternalError(
-            f"numerical fixed-point kernel is empty (smallest singular value "
-            f"{s[-1]:.3e}, cutoff {cutoff:.3e})")
+        raise _empty_kernel(s[-1], cutoff)
     return vh[null_mask].conj().T, u[:, null_mask]
+
+
+def _empty_kernel(smallest: float, cutoff: float) -> InternalError:
+    """The error of a fixed-point matrix whose smallest singular value is
+    above ``cutoff``: no numerical kernel, so no stationary state."""
+    return InternalError(f"numerical fixed-point kernel is empty (smallest singular value "
+                         f"{smallest:.3e}, cutoff {cutoff:.3e})")
 
 
 def _resolvent_split(dyn: Dynamics):
@@ -402,6 +412,7 @@ class Dynamics:
     Holds the terms of the map, its standard form ``(G, {L_i})``
     (:func:`~qdsa.channels._terms`), its one kernel split (:attr:`split`)
     of a fixed-point matrix it forms itself (:func:`_fixed_point_form`),
+    in closed form in dimension one, where that matrix is one number,
     the stationary space and its support (:func:`stationary_support`), the
     real Schrodinger form (:attr:`schrodinger`, for flows only) and its
     propagator for each horizon and picture asked for (the Heisenberg one
@@ -501,7 +512,18 @@ class Dynamics:
         """Kernel and left kernel of the fixed-point matrix, from
         :func:`_resolvent_split` from ``_LU_MIN_SIZE`` unknowns on, else (or
         when it declines) from :func:`_split_kernel_range` on an ``F``
-        formed afresh; neither reads :attr:`schrodinger`."""
+        formed afresh; neither reads :attr:`schrodinger`.  In dimension one
+        ``F`` is one number ``f`` and ``|f|`` its one singular value: both
+        kernels are ``[[1]]`` when ``|f|`` is at most ``tol.cutoff(|f|)``,
+        the cut of :func:`_split_kernel_range`, and else the same
+        :func:`_empty_kernel` error."""
+        if self.dim == 1:
+            # F is one number f, and |f| its one singular value
+            f = abs(float(_fixed_point_form(self)[0, 0]))
+            cutoff = self.tol.cutoff(f)
+            if not f <= cutoff:
+                raise _empty_kernel(f, cutoff)
+            return np.ones((1, 1)), np.ones((1, 1))
         if self.dim ** 2 >= _LU_MIN_SIZE:
             split = _resolvent_split(self)
             if split is not None:
@@ -511,8 +533,12 @@ class Dynamics:
     @cached_property
     def limit(self):
         """Stationary dimension and the time-average limit of the maximally
-        mixed state (:func:`_limit`)."""
-        return self.split[0].shape[1], _limit(self, np.eye(self.dim) / self.dim)
+        mixed state (:func:`_limit`); in dimension one, once :attr:`split`
+        has found the kernel, the one state ``[[1]]``."""
+        dim = self.split[0].shape[1]
+        if self.dim == 1:
+            return dim, DensityMatrix(np.ones((1, 1)), self.tol)
+        return dim, _limit(self, np.eye(self.dim) / self.dim)
 
     @cached_property
     def space(self) -> StationarySpace:

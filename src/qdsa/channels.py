@@ -498,7 +498,12 @@ def _schrodinger_rows(g, ops, dim: int, a: slice, b: slice) -> np.ndarray:
 
 def _real_schrodinger(g, ops, dim: int) -> np.ndarray:
     """The real Schrodinger form summed from the terms :func:`_terms` in
-    dimension ``dim``, a chunk of rows of ``S`` at a time."""
+    dimension ``dim``, a chunk of rows of ``S`` at a time.  In dimension
+    one the frame is the identity, so the form is ``Re S`` of the one chunk,
+    in an array of its own, with no frame pass."""
+    if dim == 1:
+        whole = slice(0, 1)
+        return _schrodinger_rows(g, ops, 1, whole, whole).reshape(1, 1).real.copy()
     return _frame_chunks(lambda a, b: _schrodinger_rows(g, ops, dim, a, b),
                          dim * dim, dim * dim)
 

@@ -368,10 +368,12 @@ def format_summary(summary: VerifySummary) -> str:
     lines = [f"seed={summary.seed} trials={summary.trials} "
              f"dims={','.join(str(d) for d in summary.dims)}"]
     for r in summary.results:
-        status = "PASS" if r.passed else "FAIL"
+        status = "SKIP" if r.trials == 0 else "PASS" if r.passed else "FAIL"
         lines.append(f"{status} {r.name:<40} trials={r.trials:<5d} "
                      f"failures={r.failures:<3d} worst={r.worst:.3e}")
-    total = len(summary.results)
-    good = sum(1 for r in summary.results if r.passed)
-    lines.append(f"verify: {'PASS' if summary.passed else 'FAIL'} ({good}/{total} properties)")
+    ran = [r for r in summary.results if r.trials]
+    good = sum(1 for r in ran if r.passed)
+    skipped = len(summary.results) - len(ran)
+    count = f"{good}/{len(ran)} properties" + (f", {skipped} skipped" if skipped else "")
+    lines.append(f"verify: {'PASS' if summary.passed else 'FAIL'} ({count})")
     return "\n".join(lines)

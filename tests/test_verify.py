@@ -7,7 +7,14 @@ import qdsa.verify
 from qdsa.analyze import CheckResult, run_analyze
 from qdsa.errors import TheoremViolation
 from qdsa.linalg import DEFAULT_TOL
-from qdsa.verify import _generator_criterion, _tally, run_verify
+from qdsa.verify import (
+    PropertyResult,
+    VerifySummary,
+    _generator_criterion,
+    _tally,
+    format_summary,
+    run_verify,
+)
 from test_dynamics import _counting
 
 
@@ -20,6 +27,20 @@ def test_tally_counts_each_trial_once():
 def test_tally_of_no_trials_passes():
     result = _tally("p", iter(()))
     assert (result.trials, result.failures, result.worst) == (0, 0, 0.0)
+
+
+def test_summary_skips_a_property_that_ran_no_trial():
+    ran, idle, failed = (PropertyResult("ran", 3, 0, 0.0), PropertyResult("idle", 0, 0, 0.0),
+                         PropertyResult("failed", 2, 1, 1.0))
+    lines = format_summary(VerifySummary(3, 4, (1,), (ran, idle))).splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["PASS", "SKIP"]
+    assert lines[-1] == "verify: PASS (1/1 properties, 1 skipped)"
+    summary = VerifySummary(3, 4, (1,), (ran, failed, idle))
+    assert not summary.passed
+    assert format_summary(summary).endswith("verify: FAIL (1/2 properties, 1 skipped)")
+    # a run in which every property ran prints no skip count
+    assert format_summary(VerifySummary(3, 4, (1,), (ran, failed))).endswith(
+        "verify: FAIL (1/2 properties)")
 
 
 def test_theorem_violation_is_one_failure_per_trial(monkeypatch):
