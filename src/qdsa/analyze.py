@@ -239,8 +239,9 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
                                   for unit in decay_ideal_units(dyn, report))
     checks.append(CheckResult("decay-ideal-agreement", float(disagreements), 0.5))
 
-    checks.append(CheckResult("limit-support-full",
-                              float(dyn.dim - _support_rank(report.limit_estimate, tol)), 0.5))
+    # an identity r has the identity estimate, of full rank
+    limit_rank = dyn.dim if r_min.rank == dyn.dim else _support_rank(report.limit_estimate, tol)
+    checks.append(CheckResult("limit-support-full", float(dyn.dim - limit_rank), 0.5))
 
     return AnalysisReport(
         label=spec.label,

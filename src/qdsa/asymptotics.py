@@ -110,7 +110,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -147,6 +147,7 @@ from .linalg import (
     _frobenius,
     _hermitian_spectrum,
     _norm_exceeds,
+    _spectral_norms,
     _support_rank,
     _tol,
     as_complex_matrix,
@@ -534,10 +535,11 @@ class Dynamics:
     def limit(self):
         """Stationary dimension and the time-average limit of the maximally
         mixed state (:func:`_limit`); in dimension one, once :attr:`split`
-        has found the kernel, the one state ``[[1]]``."""
+        has found the kernel, the one state ``[[1]]`` of
+        :func:`_one_level_state`, validated once for every corner."""
         dim = self.split[0].shape[1]
         if self.dim == 1:
-            return dim, DensityMatrix(np.ones((1, 1)), self.tol)
+            return dim, _one_level_state()
         return dim, _limit(self, np.eye(self.dim) / self.dim)
 
     @cached_property
@@ -565,6 +567,14 @@ class Dynamics:
     def support(self) -> Projection:
         """The stationary support :func:`stationary_support` of :attr:`space`."""
         return stationary_support(self.space, self.tol)
+
+
+@cache
+def _one_level_state() -> DensityMatrix:
+    """The one state ``[[1]]`` of a one-level corner, a state at every
+    tolerance: built and validated once, on first use, so that importing
+    the package takes no decomposition."""
+    return DensityMatrix(np.ones((1, 1)))
 
 
 def _as_dynamics(obj, tol: ToleranceConfig | None) -> Dynamics:
@@ -788,7 +798,9 @@ def _transient_certified(dyn: Dynamics) -> bool:
     (1 + sum_i |X_i|^2 + 2 |G|)``, its rounding: then
     ``beta_T(Z) - Z <= -1/2 integral_0^T beta_t(1) dt`` and ``beta_T(Z) >=
     0`` bound the integral by ``2 Z`` (Lyapunov); for a channel the same
-    holds for the sum over iterations.
+    holds for the sum over iterations.  The norms of the terms and of ``Z``
+    come from one stacked SVD and the two spectra from one stacked
+    ``eigvalsh``, each with the bits of its own call.
     """
     m, solve = dyn.dim, dyn.lu
     z = None if solve is None else solve(-hermitian_coords(np.eye(m))[:, None], 0)[:, 0]
@@ -796,11 +808,13 @@ def _transient_certified(dyn: Dynamics) -> bool:
         return False
     z = from_hermitian_coords(z, m)
     g, ops = dyn.terms
-    weight = 1 + sum(opnorm(x) ** 2 for x in ops) + (0 if g is None else 2 * opnorm(g))
-    margin = 10 * m * np.finfo(float).eps * opnorm(z) * weight
-    decrease = dyn.discrete * z - _act(dyn.terms, z)
-    return bool(_hermitian_spectrum(z)[0] >= margin
-                and _hermitian_spectrum(decrease)[0] >= 0.5 + margin)
+    terms = ops if g is None else (*ops, g)
+    *norms, z_norm = _spectral_norms(np.stack((*terms, z))).tolist()
+    weight = 1 + sum(x ** 2 for x in norms[:len(ops)]) + (0 if g is None else 2 * norms[-1])
+    margin = 10 * m * np.finfo(float).eps * z_norm * weight
+    z_low, decrease_low = _hermitian_spectrum(
+        np.stack((z, dyn.discrete * z - _act(dyn.terms, z))))[:, 0].tolist()
+    return bool(z_low >= margin and decrease_low >= 0.5 + margin)
 
 
 def _krylov_flow(dyn: Dynamics, horizon: float, x: np.ndarray):
@@ -954,11 +968,13 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     state misses part of it is a ConvergenceFailure too.  The fixed algebra
     is the sum of those of the classes, abelian when each is.  Each check
     reads an array of its answer's size: a certificate's support rank
-    (:func:`~qdsa.linalg._support_rank`), a block's ``d x k`` leak
+    (:func:`~qdsa.linalg._support_rank`; 1 for the one-level state, and
+    that of :attr:`Dynamics.support` for the analysis's own state, cut the
+    same way), a block's ``d x k`` leak
     (:func:`~qdsa.harmonic._leak`) and the pairs' ``k_p x k_q`` Gram blocks
-    ``W_p^dag W_q``.
+    ``W_p^dag W_q``.  The generator of ``seed`` is built at the first draw.
     """
-    rng = np.random.default_rng(seed)
+    rng = None  # a class with a one-dimensional fixed algebra draws nothing
     dyn = _as_dynamics(obj, tol)
     r = dyn.support
     # the classes of the reduction (the dynamics itself when unreduced)
@@ -976,6 +992,7 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             if len(fixed) == 1:
                 parts = [(top, top_corner)]
             else:
+                rng = rng or np.random.default_rng(seed)
                 w_eig, v_eig = np.linalg.eigh(hermitian_part(random_combination(fixed, rng)))
                 parts = [(w, _corner(dyn, w)) for w in (
                     top @ v_eig[:, idx]
@@ -992,7 +1009,11 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
 
     final = []
     for (w, _), certificate in zip(blocks, limits):
-        rank = _support_rank(certificate[1].matrix, dyn.tol)
+        # a one-level block's state [[1]] has rank 1, and the analysis's
+        # own state has that of the support cut from it
+        state = certificate[1]
+        rank = (1 if w.shape[1] == 1 else r.rank if state is dyn.space.state
+                else _support_rank(state.matrix, dyn.tol))
         if rank < w.shape[1]:
             raise ConvergenceFailure(
                 f"the stationary state of a block of size {w.shape[1]} has support "
@@ -1051,7 +1072,9 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     ``alpha_T`` is taken on the transient corner only
     (:meth:`Dynamics.transient`); no ``d^2 x d^2`` propagator is built.
     That corner is a semigroup only for a sub-harmonic ``r``, so an ``r``
-    that fails the sub-harmonic test is an InternalError.
+    that fails the sub-harmonic test is an InternalError.  When ``r`` is
+    the identity the estimate is exactly ``1`` and both norms are ``0.0``,
+    with no SVD.
     """
     dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)  # rejected even when no propagator runs
@@ -1059,15 +1082,15 @@ def recurrent_projection(obj, horizon: float = DEFAULT_HORIZON,
     r_min = proj_supremum(decomposition.minimal_projections, dyn.tol)
     r_stat = dyn.support
     d = dyn.dim
-    transient = np.zeros((d, d), dtype=complex)
     if r_min.rank < d:
         _checked_residual(dyn, r_min, InternalError, "recurrent projection")
         w, apply = dyn.transient(r_min, horizon)
         transient = w @ apply(np.eye(w.shape[1])) @ w.conj().T
-    estimate = hermitian_part(np.eye(d) - transient)
+        estimate = hermitian_part(np.eye(d) - transient)
+        sup_deviation, transient_norm = opnorm(estimate - np.eye(d)), opnorm(transient)
+    else:
+        estimate, sup_deviation, transient_norm = np.eye(d, dtype=complex), 0.0, 0.0
     estimate.flags.writeable = False
-    sup_deviation = opnorm(estimate - np.eye(d))
-    transient_norm = opnorm(transient)
     matches = projections_equal(r_min, r_stat, dyn.tol, factor=100.0)
     faithful = r_stat.rank == dyn.dim
     return RecurrentReport(

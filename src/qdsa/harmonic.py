@@ -37,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
+    _BLOCK,
     SCHRODINGER,
     LindbladGenerator,
     QuantumChannel,
@@ -53,6 +54,7 @@ from .linalg import (
     _is_integer,
     _norm_exceeds,
     _psd_defect,
+    _spectral_norms,
     _statuses_consistent,
     _tol,
     as_complex_matrix,
@@ -106,12 +108,16 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     """Evaluate all four sub-harmonicity conditions for a channel.
 
     Conditions 3 and 4 are checked on the full matrix-unit basis, each in
-    one pass over the ``(d^2, d, d)`` stack of units with one stacked SVD,
-    so the number of numpy calls does not grow with ``d``; each unit's
-    residual has the bits of the same expression on that unit alone.  The
-    face condition is sampled on ``trials`` (a nonnegative integer, else
-    ValidationError) states ``p sigma p / tr(p sigma)`` with ``sigma``
-    random and full rank, drawn in turn from ``rng``.
+    one pass over the ``(d^2, d, d)`` stack of units, and both take their
+    norms from one SVD of the two stacks, so the number of numpy calls does
+    not grow with ``d``; each unit's residual has the bits of the same
+    expression on that unit alone.  The face condition is sampled on
+    ``trials`` (a nonnegative integer, else ValidationError) states ``p
+    sigma p / tr(p sigma)`` with ``sigma`` random and full rank, drawn from
+    ``rng`` as one block of at most ``channels._BLOCK`` entries at a time
+    (the stream of one draw after another), each block pushed through one
+    action and one batched trace; each state's residual has the bits of its
+    own trial.
     """
     tol = _tol(tol)
     terms = _terms(ch, channel=True)
@@ -126,19 +132,22 @@ def subharmonic_report(ch: QuantumChannel, p: Projection, trials: int = 32,
     order_defect = _psd_defect(_act(terms, pm) - pm)
 
     units = _matrix_units(ch.dim)
-    comp = opnorm(pm @ _act(terms, units) @ pm - pm @ _act(terms, pm @ units @ pm) @ pm)
     inside = _act(terms, pc @ units @ pc)
-    corner = opnorm(inside - pc @ inside @ pc)
+    comp, corner = _spectral_norms(np.stack((
+        pm @ _act(terms, units) @ pm - pm @ _act(terms, pm @ units @ pm) @ pm,
+        inside - pc @ inside @ pc))).max(axis=-1).tolist()
 
     face = 0.0
     if p.rank > 0:
-        for _ in range(trials):
-            g = _ginibre(ch.dim, ch.dim, rng)
-            sigma = g @ g.conj().T
-            compressed = pm @ sigma @ pm
-            rho = compressed / np.trace(compressed)
+        block = max(1, _BLOCK // ch.dim ** 2)
+        for start in range(0, trials, block):
+            g = _ginibre(ch.dim, ch.dim, rng, min(block, trials - start))
+            compressed = pm @ (g @ g.conj().swapaxes(-1, -2)) @ pm
+            rho = compressed / np.trace(compressed, axis1=-2, axis2=-1)[:, None, None]
             nu = _act(terms, rho, SCHRODINGER)
-            face = max(face, abs(complex(np.trace(nu @ pm)) - 1.0))
+            # Python's complex abs, whose bits numpy's does not always have
+            face = max(face, *(abs(t - 1.0)
+                               for t in np.trace(nu @ pm, axis1=-2, axis2=-1).tolist()))
 
     a = tol.atol
     order_check = ConditionCheck("alpha(p) >= p", order_defect, a)

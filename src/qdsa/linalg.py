@@ -118,18 +118,26 @@ def as_complex_matrix(a) -> np.ndarray:
     return _check_square(np.array(a, dtype=complex))
 
 
-def opnorm(m: np.ndarray) -> float:
-    """Spectral (largest singular value) norm; 0.0 for an empty matrix.  Of
-    a stack of matrices (leading axes), the largest norm in the stack, from
-    one stacked SVD.
+def _spectral_norms(m: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a stack (leading axes), 0.0 for
+    a matrix with no entries, from one stacked SVD, each with the bits of
+    its own call.
 
     The same LAPACK call as ``np.linalg.norm(m, 2)`` without its axis
     bookkeeping; singular values come back in descending order.
     """
     s = np.linalg.svd(m, compute_uv=False)
-    if not s.size:
-        return 0.0
-    return float(s[0] if s.ndim == 1 else s[..., 0].max())
+    return s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+
+
+def opnorm(m: np.ndarray) -> float:
+    """Spectral (largest singular value) norm; 0.0 for an empty matrix.  Of
+    a stack of matrices (leading axes), the largest norm in the stack
+    (:func:`_spectral_norms`)."""
+    norms = _spectral_norms(m)
+    if not norms.ndim:
+        return float(norms)
+    return float(norms.max()) if norms.size else 0.0
 
 
 # Below this bound the squares summed into the Frobenius norm may underflow,
@@ -145,12 +153,19 @@ def _norm_exceeds(m: np.ndarray, bound: float) -> bool:
     """``opnorm(m) > bound``, for a norm that is compared and not reported.
 
     The Frobenius norm bounds the spectral norm from above, so when it is at
-    most ``bound / 2`` the answer is False without an SVD; the factor 2
-    covers the rounding of both norms, so the decision is always that of
-    ``opnorm(m) > bound``.  Otherwise the SVD decides.
+    most ``bound / 2`` the answer is False without an SVD.  It also bounds
+    the largest norm of a stack of ``K`` matrices of shape ``r x c`` from
+    below, by ``|m|_F / sqrt(K min(r, c))``, so when the (finite) Frobenius
+    norm exceeds ``2 bound sqrt(K min(r, c))`` the answer is True without
+    one.  The factor 2 covers the rounding of both norms, so the decision
+    is always that of ``opnorm(m) > bound``.  Otherwise the SVD decides.
     """
-    if bound >= _FROBENIUS_FLOOR and _frobenius(m) <= bound / 2:
-        return False
+    if bound >= _FROBENIUS_FLOOR:
+        frobenius = _frobenius(m)
+        if frobenius <= bound / 2:
+            return False
+        if 2 * bound * math.sqrt(m.size // max(m.shape[-2:])) < frobenius < math.inf:
+            return True
     return opnorm(m) > bound
 
 
@@ -160,11 +175,14 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    """``(m + m^dag) / 2``; of each matrix of a stack (leading axes)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``m``."""
+    """Ascending eigenvalues of the Hermitian part of ``m``; of each matrix
+    of a stack, from one stacked ``eigvalsh``, each with the bits of its
+    own call."""
     return np.linalg.eigvalsh(hermitian_part(m))
 
 
@@ -447,7 +465,9 @@ def projection_order_diagnostic(x, p: Projection,
     """Evaluate all equivalent order conditions between ``x`` and ``p``.
 
     ``x`` must satisfy ``0 <= x <= 1`` within tolerance, else
-    OutOfUnitInterval is raised.
+    OutOfUnitInterval is raised.  The seven norms come from one stacked
+    SVD and the two PSD defects from one stacked ``eigvalsh``, each with
+    the bits of its own call.
     """
     tol = _tol(tol)
     xm = as_complex_matrix(x)
@@ -460,18 +480,24 @@ def projection_order_diagnostic(x, p: Projection,
     if pm.shape != xm.shape:
         raise DimMismatch("x and p have different dimensions")
     pc = np.eye(p.dim) - pm
+    xp, px = xm @ pm, pm @ xm
+    pxp = px @ pm
+    norms = _spectral_norms(np.stack((pxp - pm, xm - pm - pc @ xm @ pc, xp - pm, px - pm,
+                                      pxp - xm, xp - xm, px - xm))).tolist()
+    lows = _hermitian_spectrum(np.stack((xm - pm, pm - xm)))[:, 0].tolist()
+    geq_defect, leq_defect = (max(0.0, -w) for w in lows)
     a = tol.atol
     geq = (
-        ConditionCheck("x - p is psd", _psd_defect(xm - pm), a),
-        ConditionCheck("p x p = p", opnorm(pm @ xm @ pm - pm), a),
-        ConditionCheck("x = p + (1-p) x (1-p)", opnorm(xm - pm - pc @ xm @ pc), a),
-        ConditionCheck("x p = p", opnorm(xm @ pm - pm), a),
-        ConditionCheck("p x = p", opnorm(pm @ xm - pm), a),
+        ConditionCheck("x - p is psd", geq_defect, a),
+        ConditionCheck("p x p = p", norms[0], a),
+        ConditionCheck("x = p + (1-p) x (1-p)", norms[1], a),
+        ConditionCheck("x p = p", norms[2], a),
+        ConditionCheck("p x = p", norms[3], a),
     )
     leq = (
-        ConditionCheck("p - x is psd", _psd_defect(pm - xm), a),
-        ConditionCheck("p x p = x", opnorm(pm @ xm @ pm - xm), a),
-        ConditionCheck("x p = x", opnorm(xm @ pm - xm), a),
-        ConditionCheck("p x = x", opnorm(pm @ xm - xm), a),
+        ConditionCheck("p - x is psd", leq_defect, a),
+        ConditionCheck("p x p = x", norms[4], a),
+        ConditionCheck("x p = x", norms[5], a),
+        ConditionCheck("p x = x", norms[6], a),
     )
     return OrderDiagnostic(geq, leq)

@@ -30,8 +30,12 @@ __all__ = [
 ]
 
 
-def _ginibre(rows: int, cols: int, rng) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _ginibre(rows: int, cols: int, rng, count: int | None = None) -> np.ndarray:
+    """A complex Ginibre ``rows x cols`` matrix, real part drawn before
+    imaginary; with ``count``, a ``(count, rows, cols)`` stack from one
+    fill, the same stream as ``count`` draws of one."""
+    z = rng.standard_normal((2, rows, cols) if count is None else (count, 2, rows, cols))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def gaussian_block(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -135,7 +135,8 @@ def _kadison_schwarz(rng, trials, dims, tol):
         for _ in range(trials):
             ch = _random_channel(dim, rng)
             g = _ginibre(dim, dim, rng)
-            lhs = apply_heisenberg(ch, g).conj().T @ apply_heisenberg(ch, g)
+            image = apply_heisenberg(ch, g)
+            lhs = image.conj().T @ image
             defect = _psd_defect(apply_heisenberg(ch, g.conj().T @ g) - lhs)
             yield defect, defect > tol.atol
 

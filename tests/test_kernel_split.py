@@ -69,12 +69,13 @@ def _without_reduction(monkeypatch):
 
 
 def _svd_shapes(monkeypatch) -> list:
-    """Shapes of the SVDs run outside ``opnorm``, in call order."""
+    """Shapes of the SVDs run outside the norm helpers (``opnorm`` and the
+    stacked ``_spectral_norms`` it calls), in call order."""
     shapes = []
     original = np.linalg.svd
 
     def recording(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name != "opnorm":
+        if sys._getframe(1).f_code.co_name not in ("opnorm", "_spectral_norms"):
             shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
 
