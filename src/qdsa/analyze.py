@@ -27,6 +27,7 @@ from .errors import ParseError, ValidationError
 from .linalg import (
     Projection,
     ToleranceConfig,
+    _check_seed,
     _is_integer,
     _support_rank,
     opnorm,
@@ -53,14 +54,6 @@ def default_seed() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValidationError(f"{_SEED_ENV} must be an integer, got {raw!r}") from exc
-
-
-def _check_seed(seed) -> int:
-    """``seed``; ValidationError unless it is a nonnegative integer (a bool
-    is not)."""
-    if not _is_integer(seed) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -216,18 +209,10 @@ def run_analyze(spec, options: AnalysisOptions | None = None) -> AnalysisReport:
         float(dyn.dim - r_min.rank) if report.faithful_family else 0.0, 0.5))
 
     subharm = max(decomposition.subharmonic_residuals, default=0.0)
-    projections = decomposition.minimal_projections
-    if decomposition.is_unique:
-        # an abelian fixed algebra of dimension k has exactly k minimal
-        # projections, so a merged or a missing block shows here
-        minimal_defect = float(abs(len(projections) - decomposition.fixed_algebra_dim))
-    else:
-        # the stationary dimension and support rank of the state that
-        # certified each enclosure, as minimal_enclosures found them
-        certified = zip(projections, decomposition.certificates,
-                        decomposition.certificate_ranks)
-        minimal_defect = max((float(abs(sdim - 1) + (p.rank - supp_rank))
-                              for p, (sdim, _), supp_rank in certified), default=0.0)
+    # a fixed algebra sum_k M_{n_k} (x) 1_{m_k} has dimension sum_k n_k^2, so
+    # a merged, a missing or a wrongly joined block shows here
+    minimal_defect = float(abs(sum(n * n for n, _ in decomposition.block_types)
+                               - decomposition.fixed_algebra_dim))
     checks.append(CheckResult("enclosures-orthogonal", decomposition.max_overlap,
                               10 * tol.atol))
     checks.append(CheckResult("enclosures-subharmonic", subharm, 10 * tol.atol))

@@ -54,15 +54,16 @@ path:
    W`` exactly, a semigroup again for a sub- or super-harmonic block (the
    enclosures of Baumgartner and Narnhofer, Rev. Math. Phys. 24, 2012).
    Residuals are read off the terms too, so every function runs on a corner.
-   The Heisenberg fixed points of each class corner form a *-algebra (it
-   has a faithful stationary state), so one split along the spectral
-   projections of a generic Hermitian fixed element yields an orthogonal
-   family of minimal enclosures, i.e. supports of the minimal invariant
-   faces; a class whose fixed algebra is one-dimensional is one block,
-   with no draw.  Each block is certified by its corner having a
-   one-dimensional stationary space whose state has full support on the
-   block; a block with a larger one means the draw merged two blocks, and
-   the split is redrawn.
+   The Heisenberg fixed points of each class corner form a *-algebra
+   ``sum_k M_{n_k} (x) 1_{m_k}`` (it has a faithful stationary state), so
+   one split along the spectral projections of a generic Hermitian fixed
+   element yields an orthogonal family of minimal enclosures, i.e. supports
+   of the minimal invariant faces, and the block types: two blocks lie in
+   one ``M_{n_k}`` exactly when a fixed element joins them.  A class whose
+   fixed algebra is one-dimensional is one block, with no draw.  Each block
+   is certified by its corner having one stationary state, of full support
+   on the block; a block with more means the draw merged two, and the split
+   is redrawn.
 
 3. The minimal recurrent projection ``r`` is the supremum of the minimal
    enclosures.  At a finite horizon ``T`` the report records how far
@@ -143,6 +144,7 @@ from .linalg import (
     Projection,
     ToleranceConfig,
     _check_operand,
+    _check_seed,
     _decisive,
     _frobenius,
     _hermitian_spectrum,
@@ -882,7 +884,7 @@ def _fixed_basis(dyn: Dynamics) -> list:
 
 def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = None):
     """Stationary-space dimension and time-average state of the corner of
-    the block ``p`` (:func:`_corner`); used to certify enclosure minimality.
+    the block ``p`` (:func:`_corner`): how each minimal enclosure is certified.
 
     The state is in the coordinates of ``p.range_basis``.  A leaking block
     (:func:`~qdsa.harmonic._residual` above ``atol``) is FamilyNotSubharmonic.
@@ -893,14 +895,6 @@ def restricted_stationary_dim(obj, p: Projection, tol: ToleranceConfig | None = 
         raise DimMismatch("cannot restrict to the zero block")
     _checked_residual(dyn, p, FamilyNotSubharmonic, "block")
     return _corner(dyn, p.range_basis).limit
-
-
-def _is_abelian(hermitian_basis, tol: ToleranceConfig) -> bool:
-    for i, a in enumerate(hermitian_basis):
-        for b in hermitian_basis[i + 1:]:
-            if _norm_exceeds(a @ b - b @ a, 10 * tol.atol):
-                return False
-    return True
 
 
 def _cluster_eigenvalues(w: np.ndarray, scale: float):
@@ -924,15 +918,14 @@ def _canonical_key(p: Projection):
 class EnclosureDecomposition:
     """Orthogonal family of minimal enclosures (minimal invariant faces).
 
-    ``is_unique`` is True exactly when the fixed-point algebra on the
-    recurrent block is abelian; otherwise the family returned is one valid
-    maximal orthogonal choice, deterministic for a given seed, and only the
-    projection supremum of the family is basis independent.
+    ``block_types`` holds the type ``(n_k, m_k)`` of each summand ``M_{n_k}
+    (x) 1_{m_k}`` of the fixed-point algebra on the recurrent block, in
+    descending order: ``n_k`` projections of rank ``m_k`` lie under it.
+    ``is_unique`` is True exactly when every ``n_k = 1`` (the algebra is
+    abelian); otherwise the family returned is one valid maximal orthogonal
+    choice, deterministic for a given seed, and only the projection
+    supremum of the family is basis independent.
 
-    ``certificates`` holds, for each projection, the stationary dimension
-    and time-average state of its corner (:func:`_corner`) that certified
-    it minimal (what :func:`restricted_stationary_dim` returns for it), and
-    ``certificate_ranks`` the rank of that state's support.
     ``subharmonic_residuals`` holds each projection's residual on the
     terms, :func:`~qdsa.harmonic._residual`, checked against ``atol``,
     and ``max_overlap`` the largest ``|p q| = |W_p^dag W_q|`` over distinct
@@ -941,12 +934,27 @@ class EnclosureDecomposition:
     """
 
     minimal_projections: tuple
-    is_unique: bool
+    block_types: tuple
     fixed_algebra_dim: int
-    certificates: tuple
-    certificate_ranks: tuple
     subharmonic_residuals: tuple
     max_overlap: float
+
+    @property
+    def is_unique(self) -> bool:
+        return all(n == 1 for n, _ in self.block_types)
+
+
+def _block_types(fixed: list, v_eig: np.ndarray, groups: list, tol: ToleranceConfig) -> list:
+    """Types ``(n_k, m_k)`` of a class's fixed algebra off its split along the
+    clusters ``groups`` of eigenvectors ``v_eig``: parts ``i`` and ``j`` lie in
+    one ``M_{n_k}`` exactly when ``sum_b |P_i b P_j|_F^2``, over the fixed
+    basis, exceeds ``(10 atol)^2`` (it is O(1) there and 0 across blocks)."""
+    starts = [g[0] for g in groups]
+    weights = np.sum(np.abs(v_eig.conj().T @ np.asarray(fixed) @ v_eig) ** 2, axis=0)
+    joined = (np.add.reduceat(np.add.reduceat(weights, starts, axis=0), starts, axis=1)
+              > (10 * tol.atol) ** 2)
+    # any two parts of one M_{n_k} are joined, so each block is a row
+    return [(sum(row), len(groups[row.index(True)])) for row in set(map(tuple, joined.tolist()))]
 
 
 def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
@@ -966,14 +974,18 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     draw merged two eigenvalue clusters; the class is then redrawn, at most
     8 draws in all before ConvergenceFailure.  A block whose stationary
     state misses part of it is a ConvergenceFailure too.  The fixed algebra
-    is the sum of those of the classes, abelian when each is.  Each check
-    reads an array of its answer's size: a certificate's support rank
-    (:func:`~qdsa.linalg._support_rank`; 1 for the one-level state, and
-    that of :attr:`Dynamics.support` for the analysis's own state, cut the
-    same way), a block's ``d x k`` leak
+    and its block types are the sum of those of the classes: a class split
+    into as many blocks as its algebra has dimensions has every ``n_k = 1``
+    (``sum n_k = sum n_k^2``), and any other is read off the draw
+    (:func:`_block_types`).  Each check reads an array of its answer's
+    size: a certificate's support rank (:func:`~qdsa.linalg._support_rank`;
+    1 for the one-level state, and that of :attr:`Dynamics.support` for the
+    analysis's own state, cut the same way), a block's ``d x k`` leak
     (:func:`~qdsa.harmonic._leak`) and the pairs' ``k_p x k_q`` Gram blocks
-    ``W_p^dag W_q``.  The generator of ``seed`` is built at the first draw.
+    ``W_p^dag W_q``.  The seed is checked first, and its generator built at
+    the first draw.
     """
+    _check_seed(seed)
     rng = None  # a class with a one-dimensional fixed algebra draws nothing
     dyn = _as_dynamics(obj, tol)
     r = dyn.support
@@ -982,11 +994,10 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     classes = dyn.reduction[0]
     if r.rank < sum(w.shape[1] for w in classes):
         classes = (r.range_basis,)
-    blocks, limits, unique, fixed_dim = [], [], True, 0
+    projections, types, fixed_dim = [], [], 0
     for top in classes:
         top_corner = _corner(dyn, top)
         fixed = _fixed_basis(top_corner)
-        unique = unique and _is_abelian(fixed, dyn.tol)
         fixed_dim += len(fixed)
         for _ in range(8):
             if len(fixed) == 1:
@@ -994,9 +1005,8 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             else:
                 rng = rng or np.random.default_rng(seed)
                 w_eig, v_eig = np.linalg.eigh(hermitian_part(random_combination(fixed, rng)))
-                parts = [(w, _corner(dyn, w)) for w in (
-                    top @ v_eig[:, idx]
-                    for idx in _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0])))]
+                groups = _cluster_eigenvalues(w_eig, float(w_eig[-1] - w_eig[0]))
+                parts = [(w, _corner(dyn, w)) for w in (top @ v_eig[:, idx] for idx in groups)]
             part_limits = [corner.limit for _, corner in parts]
             if all(sdim == 1 for sdim, _ in part_limits):
                 break
@@ -1004,24 +1014,20 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
             raise ConvergenceFailure(
                 f"no generic fixed element split the recurrent block of size {top.shape[1]} "
                 f"(fixed space dimension {len(fixed)}) into blocks of one stationary state")
-        blocks += parts
-        limits += part_limits
+        for (w, _), (_, state) in zip(parts, part_limits):
+            # a one-level block's state [[1]] has rank 1, and the analysis's
+            # own state has that of the support cut from it
+            rank = (1 if w.shape[1] == 1 else r.rank if state is dyn.space.state
+                    else _support_rank(state.matrix, dyn.tol))
+            if rank < w.shape[1]:
+                raise ConvergenceFailure(
+                    f"the stationary state of a block of size {w.shape[1]} has support "
+                    f"of rank {rank} only")
+            projections.append(Projection.from_range_basis(w))
+        types += ([(1, w.shape[1]) for w, _ in parts] if len(parts) == len(fixed)
+                  else _block_types(fixed, v_eig, groups, dyn.tol))
 
-    final = []
-    for (w, _), certificate in zip(blocks, limits):
-        # a one-level block's state [[1]] has rank 1, and the analysis's
-        # own state has that of the support cut from it
-        state = certificate[1]
-        rank = (1 if w.shape[1] == 1 else r.rank if state is dyn.space.state
-                else _support_rank(state.matrix, dyn.tol))
-        if rank < w.shape[1]:
-            raise ConvergenceFailure(
-                f"the stationary state of a block of size {w.shape[1]} has support "
-                f"of rank {rank} only")
-        final.append((Projection.from_range_basis(w), certificate, rank))
-
-    final.sort(key=lambda item: _canonical_key(item[0]))
-    projections = tuple(p for p, _, _ in final)
+    projections.sort(key=_canonical_key)
     residuals = tuple(_checked_residual(dyn, p, InternalError, f"refined enclosure {i}")
                       for i, p in enumerate(projections))
     # |p q| = |W_p^dag W_q| over distinct pairs, one stacked SVD per pair shape
@@ -1031,9 +1037,8 @@ def minimal_enclosures(obj, tol: ToleranceConfig | None = None,
     max_overlap = max((opnorm(np.stack(g)) for g in overlaps.values()), default=0.0)
     if max_overlap > 10 * dyn.tol.atol:
         raise InternalError("refined enclosures are not mutually orthogonal")
-    return EnclosureDecomposition(projections, unique, fixed_dim,
-                                  tuple(c for _, c, _ in final),
-                                  tuple(k for _, _, k in final), residuals, max_overlap)
+    return EnclosureDecomposition(tuple(projections), tuple(sorted(types, reverse=True)),
+                                  fixed_dim, residuals, max_overlap)
 
 
 @dataclass(frozen=True)
@@ -1234,7 +1239,7 @@ def minimality_certificate(obj, recurrent: Projection,
     sub-harmonic; the two notions are distinct and the sweep only checks
     the minimality direction.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)
     for p in (recurrent, *decomposition.minimal_projections):

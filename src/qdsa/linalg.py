@@ -113,6 +113,14 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_seed(seed) -> int:
+    """``seed``; ValidationError unless it is a nonnegative integer (a bool
+    is not)."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a square complex matrix with finite entries."""
     return _check_square(np.array(a, dtype=complex))

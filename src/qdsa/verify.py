@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import AnalysisOptions, _check_seed, run_analyze
+from .analyze import AnalysisOptions, run_analyze
 from .asymptotics import Dynamics, _kernel_component
 from .channels import (
     SCHRODINGER,
@@ -41,6 +41,7 @@ from .harmonic import (
 from .linalg import (
     DEFAULT_TOL,
     Projection,
+    _check_seed,
     _decisive,
     _is_integer,
     _psd_defect,

@@ -337,8 +337,9 @@ def test_fixture_report_matches_golden(name):
 
 
 class TestEnclosuresMinimalCheck:
-    """With an abelian fixed algebra of dimension k the check counts the
-    enclosures against k, so a merged block fails it."""
+    """The check is the law sum_k n_k^2 = fixed_algebra_dim over the block
+    types; with an abelian algebra it counts the enclosures, so a merged
+    block fails it."""
 
     @pytest.mark.parametrize("name", ["AD", "ADK", "M3", "TH"])
     def test_unique_fixtures_pass(self, name):
@@ -355,9 +356,7 @@ class TestEnclosuresMinimalCheck:
             enclosures = report.enclosures
             whole = (report.recurrent,)
             return dataclasses.replace(report, enclosures=dataclasses.replace(
-                enclosures, minimal_projections=whole,
-                certificates=enclosures.certificates[:1],
-                certificate_ranks=(report.recurrent.rank,),
+                enclosures, minimal_projections=whole, block_types=((1, 2),),
                 subharmonic_residuals=enclosures.subharmonic_residuals[:1]))
 
         monkeypatch.setattr(qdsa.analyze, "recurrent_projection", merged)

@@ -19,6 +19,7 @@ import pytest
 import scipy.linalg.lapack
 
 import qdsa.asymptotics
+import qdsa.linalg
 from conftest import ket_bra
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
@@ -69,17 +70,28 @@ def _without_reduction(monkeypatch):
 
 
 def _svd_shapes(monkeypatch) -> list:
-    """Shapes of the SVDs run outside the norm helpers (``opnorm`` and the
-    stacked ``_spectral_norms`` it calls), in call order."""
-    shapes = []
-    original = np.linalg.svd
+    """Shapes of the SVDs that are not norms, in call order: every SVD run
+    while ``linalg._spectral_norms`` (which ``opnorm`` calls) is on the
+    stack is a norm, whichever helper runs it."""
+    shapes, in_norms = [], []
+    original_svd, original_norms = np.linalg.svd, qdsa.linalg._spectral_norms
 
     def recording(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name not in ("opnorm", "_spectral_norms"):
+        if not in_norms:
             shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
+        return original_svd(a, *args, **kwargs)
+
+    def norms(m):
+        in_norms.append(m)
+        try:
+            return original_norms(m)
+        finally:
+            in_norms.pop()
 
     monkeypatch.setattr(np.linalg, "svd", recording)
+    for module in [m for name, m in sys.modules.items() if name.startswith("qdsa")]:
+        if getattr(module, "_spectral_norms", None) is original_norms:
+            monkeypatch.setattr(module, "_spectral_norms", norms)
     return shapes
 
 

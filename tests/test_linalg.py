@@ -15,7 +15,12 @@ from qdsa.errors import (
     NotUnital,
     OutOfUnitInterval,
 )
-from qdsa.asymptotics import minimal_enclosures, recurrent_projection, stationary_space
+from qdsa.asymptotics import (
+    minimal_enclosures,
+    recurrent_projection,
+    restricted_stationary_dim,
+    stationary_space,
+)
 from qdsa.harmonic import fixed_point_support_check
 from qdsa.linalg import (
     DEFAULT_TOL,
@@ -202,7 +207,8 @@ class TestSupportRank:
             model = build_fixture(name)
             states = [stationary_space(model).state.matrix,
                       recurrent_projection(model).limit_estimate,
-                      *(state.matrix for _, state in minimal_enclosures(model).certificates)]
+                      *(restricted_stationary_dim(model, p)[1].matrix
+                        for p in minimal_enclosures(model).minimal_projections)]
             for x in states:
                 assert _support_rank(x) == support_projection(x).rank, name
 

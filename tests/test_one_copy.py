@@ -63,6 +63,12 @@ def test_operand_dimension_rule_lives_in_linalg():
     assert occurrences("operand dimension") == {"linalg.py": 1}
 
 
+def test_seed_rule_lives_in_linalg():
+    # analyze, verify and asymptotics import linalg._check_seed
+    assert occurrences("seed must be a nonnegative integer") == {"linalg.py": 1}
+    assert occurrences("def _check_seed(") == {"linalg.py": 1}
+
+
 @pytest.mark.parametrize("call", [
     lambda: to_superoperator(build_fixture("AD")).apply(np.eye(3)),
     lambda: apply_heisenberg(build_fixture("ADK"), np.eye(3)),

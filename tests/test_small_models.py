@@ -17,7 +17,12 @@ import qdsa.channels
 import qdsa.harmonic
 import qdsa.linalg
 from qdsa.analyze import AnalysisOptions, run_analyze
-from qdsa.asymptotics import Dynamics, minimal_enclosures, recurrent_projection
+from qdsa.asymptotics import (
+    Dynamics,
+    minimal_enclosures,
+    recurrent_projection,
+    restricted_stationary_dim,
+)
 from qdsa.channels import (
     HEISENBERG,
     SCHRODINGER,
@@ -369,12 +374,10 @@ class TestComputedOnce:
         decomposition = minimal_enclosures(model, seed=GOLDEN_SEED)
         projections = decomposition.minimal_projections
         assert len(decomposition.subharmonic_residuals) == len(projections)
-        assert len(decomposition.certificate_ranks) == len(projections)
-        for p, residual, (_, state), rank in zip(
-                projections, decomposition.subharmonic_residuals,
-                decomposition.certificates, decomposition.certificate_ranks):
+        for p, residual in zip(projections, decomposition.subharmonic_residuals):
             assert residual == subharmonic_residual(model, p)
-            assert rank == support_projection(state.matrix, DEFAULT_TOL).rank
+            _, state = restricted_stationary_dim(model, p)
+            assert support_projection(state.matrix, DEFAULT_TOL).rank == p.rank
         overlaps = [opnorm(p.range_basis.conj().T @ q.range_basis)
                     for i, p in enumerate(projections) for q in projections[i + 1:]]
         assert decomposition.max_overlap == max(overlaps, default=0.0)
