@@ -30,15 +30,15 @@ path:
    ``[[1]]``, and the limit is the one state ``[[1]]``; a one-level corner,
    such as a rank-one minimal enclosure with its pure absorbing state,
    takes no SVD, solve or eigendecomposition.  Below ``_LU_MIN_SIZE``
-   unknowns the split is one real SVD
-   (:func:`_split_kernel_range`); from there on it is one LU of ``s - F``
-   for a small shift ``s``, through which a fixed-seed random block is
-   pushed and read off an ordered real Schur form, with the SVD as the
-   fallback whenever that route cannot vouch for its kernels.  Each route
-   factors an ``F`` it forms itself (:func:`_fixed_point_form`), and for a
-   model with few terms the LU route takes its products with ``F`` from
-   the terms (:func:`~qdsa.channels._act`), so it holds no other ``d^2 x
-   d^2`` matrix.  A maximal-support stationary state is the exact
+   unknowns the split is one real SVD (:func:`_split_kernel_range`); from
+   there on it is one LU of ``s - F`` for a small shift ``s``, through
+   which a fixed-seed random block ``Q`` is pushed, and one thin SVD of
+   ``F Q``, with the SVD as the fallback whenever that route cannot vouch
+   for its kernels: every split cuts singular values at ``tol.cutoff``.
+   Each route factors an ``F`` it forms itself (:func:`_fixed_point_form`),
+   and for a model with few terms the LU route takes its products with
+   ``F`` from the terms (:func:`~qdsa.channels._act`), so it holds no other
+   ``d^2 x d^2`` matrix.  A maximal-support stationary state is the exact
    time-average limit of the maximally mixed state of the recurrent corner
    (:class:`StationarySpace`): its oblique projection onto the kernel along
    the range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
@@ -148,6 +148,7 @@ from .linalg import (
     _decisive,
     _frobenius,
     _hermitian_spectrum,
+    _is_integer,
     _norm_exceeds,
     _spectral_norms,
     _support_rank,
@@ -195,9 +196,9 @@ DEFAULT_DECAY_TOL = 1e-8
 # fraction of the SVD's cost; this crossover gates the split alone, and the
 # reduction has its own, _REDUCE_MIN_SIZE.  The route shifts by s = _SHIFT *
 # |F|_1, applies (s - F)^-1 _SOLVES times to a random block of 2 *
-# _OVERSAMPLE columns drawn from seed _SPLIT_SEED, cuts its Ritz values at
-# tol.cutoff(|F|_1), and keeps a kernel only when its estimated distance from
-# the true one is at most _KERNEL_ERROR * tol.atol.
+# _OVERSAMPLE columns drawn from seed _SPLIT_SEED, cuts the singular values
+# of F times that block at tol.cutoff(|F|_1), and keeps a kernel only when
+# its estimated distance from the true one is at most _KERNEL_ERROR * tol.atol.
 _LU_MIN_SIZE = 256
 _SHIFT = 1e-6
 _SOLVES = 4
@@ -270,11 +271,11 @@ def _resolvent_split(dyn: Dynamics):
     the products with ``F`` and ``F^T`` (:func:`_fixed_point_product`) are
     cheaper from the terms, else copied from a real form ``R`` the split
     assembles for them and drops on return, never :attr:`Dynamics.schrodinger`.
-    ``(s - F)^-1`` scales a kernel vector by
-    ``1/s`` and an eigenvector of eigenvalue ``mu`` by ``1/|s - mu|``, so
-    after ``_SOLVES`` applications a random block spans the kernel up to
-    ``(s/|mu|)^_SOLVES``.  The kernel is read off the block by
-    :func:`_block_kernel`; the left kernel comes from transposed solves.
+    ``(s - F)^-1`` scales a kernel vector by ``1/s`` and an eigenvector of
+    eigenvalue ``mu`` by ``1/|s - mu|``, so after ``_SOLVES`` applications
+    a random block spans the kernel up to ``(s/|mu|)^_SOLVES``.  The kernel
+    is read off the block by :func:`_block_kernel`, and the left kernel off
+    transposed solves by the same rule on ``F^T``.
     None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
     either kernel, or the two kernels differ in dimension.
     """
@@ -333,40 +334,26 @@ def _fixed_point_product(dyn: Dynamics, r, picture: str):
 
 
 def _block_kernel(product, solve, block: np.ndarray, cutoff: float, bound: float):
-    """Orthonormal basis of the kernel of ``f``, found in the span of
-    ``solve^_SOLVES (block)``: the Schur vectors of the Ritz values of its
-    compression ``Q^T f Q`` at most ``cutoff``, from an ordered real Schur
-    form.  ``product`` is ``x -> f x`` on a block; it is asked only for
-    ``f Q`` and ``f K``, blocks of at most ``2 * _OVERSAMPLE`` columns.
+    """Orthonormal basis of the kernel of ``f`` in the span ``Q`` of
+    ``solve^_SOLVES (block)``: the right singular vectors of ``f Q`` whose
+    singular values are at most ``cutoff``, the refined Ritz vectors of 0
+    (Jia, Linear Algebra Appl. 259, 1997), from one product ``x -> f x``.
 
-    None when a Ritz value is indecisive against ``cutoff``, the kernel is
-    empty or leaves fewer than ``_OVERSAMPLE`` columns of the block spare,
-    the Schur form cannot be reordered, or the kernel's estimated distance
-    from the true one exceeds ``bound``.  That estimate is the residual
-    ``|f K|`` over the gap, the smallest Ritz value above the cutoff: the
-    Davis-Kahan bound for a normal ``f``, and about twice the projector
-    distance from the SVD's kernel on the seeded d = 24, 32 models.
+    None when a singular value is indecisive against ``cutoff``, the kernel
+    is empty or leaves fewer than ``_OVERSAMPLE`` columns spare, or its
+    estimated distance from the true one exceeds ``bound``: the residual
+    ``|f K|``, the largest singular value kept, over the gap, the next one,
+    which by interlacing is at least the matching singular value of ``f``.
     """
-    import scipy.linalg
-
     q = block
     for _ in range(_SOLVES):
         q, _ = np.linalg.qr(solve(q))
-    h = q.T @ product(q)
-    ritz = np.abs(np.linalg.eigvals(h))
-    if not all(_decisive(x, cutoff) for x in ritz):
+    _, s, vt = np.linalg.svd(product(q), full_matrices=False)
+    k = np.count_nonzero(s <= cutoff)
+    if (not _decisive(s, cutoff).all() or not 0 < k <= q.shape[1] - _OVERSAMPLE
+            or s[-k] > bound * s[-k - 1]):
         return None
-    try:
-        _, z, k = scipy.linalg.schur(h, output="real",
-                                     sort=lambda re, im: math.hypot(re, im) <= cutoff)
-    except np.linalg.LinAlgError:
-        return None
-    if not 0 < k <= q.shape[1] - _OVERSAMPLE:
-        return None
-    kernel = q @ z[:, :k]
-    if _norm_exceeds(product(kernel), bound * float(ritz[ritz > cutoff].min())):
-        return None
-    return kernel
+    return q @ vt[-k:].T
 
 
 def _kernel_component(kernel: np.ndarray, left: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -1240,6 +1227,8 @@ def minimality_certificate(obj, recurrent: Projection,
     the minimality direction.
     """
     rng = np.random.default_rng(_check_seed(seed))
+    if not _is_integer(trials) or trials < 0:
+        raise ValidationError(f"trials must be a nonnegative integer, got {trials!r}")
     dyn = _as_dynamics(obj, tol)
     _check_horizon(horizon, dyn.discrete)
     for p in (recurrent, *decomposition.minimal_projections):

@@ -58,6 +58,7 @@ from .linalg import (
     ToleranceConfig,
     _check_hermitian,
     _check_operand,
+    _is_integer,
     _norm_exceeds,
     _tol,
     as_complex_matrix,
@@ -381,6 +382,8 @@ class StinespringDilation:
     def __init__(self, isometry, multiplicity: int, tol: ToleranceConfig | None = None):
         tol = _tol(tol)
         v = np.array(isometry, dtype=complex)
+        if not _is_integer(multiplicity):
+            raise ValidationError(f"multiplicity must be an integer, got {multiplicity!r}")
         if v.ndim != 2 or multiplicity < 1 or v.shape[0] != v.shape[1] * multiplicity:
             raise DimMismatch("isometry must have shape (d*n, d)")
         dim = v.shape[1]

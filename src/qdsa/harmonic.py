@@ -179,8 +179,9 @@ def _residual(terms, p: Projection) -> float:
 
 def kraus_invariance_test(ch: QuantumChannel, p: Projection,
                           tol: ToleranceConfig | None = None) -> bool:
-    """Exact algebraic sub-harmonicity test: ``(1-p) V_i p = 0`` for all i."""
-    return is_subharmonic(ch, p, tol)
+    """Exact algebraic sub-harmonicity test: ``(1-p) V_i p = 0`` for all i;
+    TypeError for a generator."""
+    return _subharmonic(ch, p, tol, channel=True)
 
 
 def is_subharmonic_generator(gen: LindbladGenerator, p: Projection,
@@ -191,8 +192,9 @@ def is_subharmonic_generator(gen: LindbladGenerator, p: Projection,
     grid); the test suite cross-validates it against the order condition
     ``alpha_t(p) >= p`` sampled at several times, and any disagreement
     beyond tolerance is a test failure rather than something resolved here.
+    TypeError for a channel.
     """
-    return is_subharmonic(gen, p, tol)
+    return _subharmonic(gen, p, tol, channel=False)
 
 
 def subharmonic_residual(obj, p: Projection) -> float:
@@ -207,7 +209,12 @@ def subharmonic_residual(obj, p: Projection) -> float:
 def is_subharmonic(obj, p: Projection, tol: ToleranceConfig | None = None) -> bool:
     """The exact test for either model, :func:`subharmonic_residual` <=
     ``atol``, decided by ``_norm_exceeds``: a clear pass takes no SVD."""
-    terms = _terms(obj)
+    return _subharmonic(obj, p, tol)
+
+
+def _subharmonic(obj, p: Projection, tol, channel: bool | None = None) -> bool:
+    """:func:`is_subharmonic` of a model of the kind ``channel`` demands."""
+    terms = _terms(obj, channel)
     _check_operand(p.dim, obj.dim)
     return not _norm_exceeds(_leak(terms, p.range_basis), _tol(tol).atol)
 

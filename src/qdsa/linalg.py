@@ -64,10 +64,10 @@ class ToleranceConfig:
 
     def cutoff(self, top):
         """The rank and support cutoff below ``top``, the largest eigenvalue
-        or singular value (the 1-norm for the Ritz values of the LU kernel
-        route): ``rank_rtol`` relative, with ``atol`` as floor.  Every rank
-        and support decision of the package uses it but the Choi cut of
-        ``generator_to_channel``, a mass budget."""
+        or singular value (the 1-norm of ``F`` for the singular values of
+        ``F Q`` of the LU kernel route): ``rank_rtol`` relative, with
+        ``atol`` as floor.  Every rank and support decision of the package
+        uses it but the Choi cut of ``generator_to_channel``, a mass budget."""
         return max(self.rank_rtol * top, self.atol)
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from qdsa.analyze import AnalysisOptions, _projection_from_json, run_analyze
-from qdsa.asymptotics import cesaro_mean, restricted_stationary_dim
+from qdsa.asymptotics import (
+    cesaro_mean,
+    minimality_certificate,
+    recurrent_projection,
+    restricted_stationary_dim,
+)
 from qdsa.channels import (
     SCHRODINGER,
     DensityMatrix,
@@ -42,6 +47,13 @@ from qdsa.verify import run_verify
 
 OVERFLOW = "matrix exponential of a matrix whose 1-norm overflows"
 HUGE_JUMP = LindbladGenerator(np.zeros((2, 2)), [np.array([[0.0, 0.0], [1e160, 0.0]])])
+
+
+def _certificate(trials):
+    """``minimality_certificate`` of AD's own recurrent structure."""
+    report = recurrent_projection(build_fixture("AD"))
+    return minimality_certificate(build_fixture("AD"), report.recurrent, report.enclosures,
+                                  trials=trials)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -118,12 +130,26 @@ def test_input_rules_are_validation_errors(rule, call):
      r"projection basis has shape \(2, 2\), expected \(2, 1\)"),
     (ValidationError, lambda: run_verify(1, 2, (0,)), r"dims must be within 1..16, got \(0,\)"),
     (ValidationError, lambda: run_verify(1, 2, (17,)), r"dims must be within 1..16, got \(17,\)"),
+    (ValidationError, lambda: _certificate(1.5), "trials must be a nonnegative integer, got 1.5"),
+    (ValidationError, lambda: _certificate(-1), "trials must be a nonnegative integer, got -1"),
+    (ValidationError, lambda: _certificate(True),
+     "trials must be a nonnegative integer, got True"),
+    (ValidationError, lambda: StinespringDilation(np.eye(4)[:, :2], 2.0),
+     "multiplicity must be an integer, got 2.0"),
+    (ValidationError, lambda: StinespringDilation(np.eye(2), True),
+     "multiplicity must be an integer, got True"),
 ], ids=["as-complex-matrix-not-square", "range-basis-1d", "range-basis-ambient-dim",
         "range-basis-not-orthonormal", "projections-equal-dims", "supremum-empty",
         "infimum-empty", "order-diagnostic-dims", "jump-shape", "superoperator-not-square",
         "dilation-shape", "dilation-multiplicity-0", "restrict-to-zero-block",
-        "report-basis-shape", "verify-dim-0", "verify-dim-17"])
+        "report-basis-shape", "verify-dim-0", "verify-dim-17", "certificate-fractional-trials",
+        "certificate-negative-trials", "certificate-bool-trials",
+        "dilation-fractional-multiplicity", "dilation-bool-multiplicity"])
 def test_typed_rejections(error, call, message):
     with pytest.raises(error, match=message) as info:
         call()
     assert type(info.value) is error
+
+
+def test_zero_certificate_trials_sweep_nothing():
+    assert _certificate(0).sweep_trials == 0

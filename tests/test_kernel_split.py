@@ -16,6 +16,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 
 import qdsa.asymptotics
@@ -24,6 +25,7 @@ from conftest import ket_bra
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     Dynamics,
+    _corner,
     _fixed_point_form,
     _fixed_point_product,
     recurrent_projection,
@@ -41,6 +43,14 @@ from test_dynamics import GOLDEN_SEED, _compare, _counting
 
 STRUCTURE_RUNGS = [(kind, d, seed) for seed in (1, 2) for kind in ("generator", "channel")
                    for d in (24, 32)]
+# whole models of 256 to 400 unknowns whose kernels the LU route finds:
+# Haar channels and random generators on C^16, 1_2 (x) a rung, and a
+# channel of six invariant blocks of 3
+WHOLE_MODELS = ["haar-d16-k2", "haar-d16-k4", "random-generator-d16-k1",
+                "random-generator-d16-k2", "random-generator-d16-k3",
+                "doubled-generator-d12", "doubled-channel-d8", "blocks-3x6"]
+LU_SPLITS = ([(f"{kind}-d{d}", seed) for kind, d, seed in STRUCTURE_RUNGS]
+             + [(name, seed) for seed in (1, 2, 3) for name in WHOLE_MODELS])
 
 
 def _rung(kind: str, d: int, seed: int):
@@ -95,6 +105,12 @@ def _svd_shapes(monkeypatch) -> list:
     return shapes
 
 
+def _lu_split_svds(n: int) -> list:
+    """The SVDs of an LU split of ``n`` unknowns: one thin SVD of ``F Q``
+    per kernel, ``Q`` the pushed block of ``2 * _OVERSAMPLE`` columns."""
+    return [(n, 2 * qdsa.asymptotics._OVERSAMPLE)] * 2
+
+
 def _lu_shapes(monkeypatch) -> list:
     shapes = []
     original = scipy.linalg.lapack.dgetrf
@@ -113,11 +129,30 @@ def _projector_distance(a: np.ndarray, b: np.ndarray) -> float:
     return opnorm(a @ a.T - b @ b.T)
 
 
-@pytest.mark.parametrize("kind,d,seed", STRUCTURE_RUNGS,
-                         ids=[f"{k}-d{d}-s{s}" for k, d, s in STRUCTURE_RUNGS])
-def test_lu_kernels_match_the_svd(monkeypatch, kind, d, seed):
-    model = _rung(kind, d, seed)[0]
+def _split_model(name: str, seed: int):
+    """The model ``name`` of ``LU_SPLITS``, drawn from ``seed``."""
+    kind, _, rest = name.rpartition("-d")
+    if kind in ("generator", "channel"):
+        return _rung(kind, int(rest), seed)[0]
+    if kind.startswith("doubled-"):
+        model, one = _rung(kind.removeprefix("doubled-"), int(rest), seed)[0], np.eye(2)
+        if kind == "doubled-channel":
+            return QuantumChannel([np.kron(one, v) for v in model.kraus_ops])
+        return LindbladGenerator(np.kron(one, model.hamiltonian),
+                                 [np.kron(one, l) for l in model.lindblad_ops])
+    if name == "blocks-3x6":
+        return block_diagonal_channel([3] * 6, 2, np.random.default_rng(seed))[0]
+    return _route_model(name, seed)
+
+
+@pytest.mark.parametrize("name,seed", LU_SPLITS, ids=[f"{n}-s{s}" for n, s in LU_SPLITS])
+def test_lu_kernels_match_the_svd(monkeypatch, name, seed):
+    # the route accepts, taking only its thin SVDs, and its kernels are
+    # the SVD's
+    model = _split_model(name, seed)
+    svds = _svd_shapes(monkeypatch)
     kernel, left = Dynamics(model).split
+    assert svds == _lu_split_svds(model.dim ** 2)
     _by_svd(monkeypatch)
     want_kernel, want_left = Dynamics(model).split
     assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
@@ -159,13 +194,13 @@ def test_fixed_point_norm_has_the_bits_of_the_dense_norm(monkeypatch, kind, d):
 def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):
     # a channel's LU route takes |F|_1 and s - F from the one F it forms and
     # every product with F from the terms: its one d^2 x d^2 array is the
-    # LU's, and no real form is cached
+    # LU's, its SVDs are the thin ones of F Q, and no real form is cached
     dyn = Dynamics(_rung("channel", 24, 1)[0])
     formed = _counting(monkeypatch, qdsa.asymptotics, "_fixed_point_form")
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     dyn.split
-    assert lus == [(576, 576)] and svds == []
+    assert lus == [(576, 576)] and svds == _lu_split_svds(576)
     assert len(formed) == 1
     assert "schrodinger" not in vars(dyn)
 
@@ -203,12 +238,12 @@ ROUTES = {
 }
 
 
-def _route_model(name: str):
+def _route_model(name: str, seed: int = 1):
     kind, _, rest = name.rpartition("-d")
     if "-k" not in rest:
-        return _rung(kind, int(rest), 1)[0]
+        return _rung(kind, int(rest), seed)[0]
     d, k = (int(x) for x in rest.split("-k"))
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     return haar_random_channel(d, k, rng) if kind == "haar" else random_generator(d, k, rng)
 
 
@@ -236,14 +271,15 @@ def test_lu_route_takes_its_products_where_they_cost_less(monkeypatch, name):
 
 def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
     # ten invariant blocks: the kernel leaves fewer than _OVERSAMPLE of the
-    # block's columns spare, so the route declines and the SVD runs
+    # block's columns spare, so the route declines after its thin SVDs and
+    # the SVD runs
     channel, _ = block_diagonal_channel([2] * 10, 2, np.random.default_rng(3))
     dyn = Dynamics(channel)
     assert 10 + qdsa.asymptotics._OVERSAMPLE > 2 * qdsa.asymptotics._OVERSAMPLE
     assert qdsa.asymptotics._resolvent_split(dyn) is None
     svds = _svd_shapes(monkeypatch)
     kernel, left = dyn.split
-    assert svds == [(400, 400)]
+    assert svds == _lu_split_svds(400) + [(400, 400)]
     assert kernel.shape == left.shape == (400, 10)
 
 
@@ -268,10 +304,10 @@ def test_inaccurate_kernel_falls_back_to_the_svd(monkeypatch):
 def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
     # a generator rung is reduced to its certified recurrent corner of size
     # k = d/2: one LU of the transient corner's Lyapunov solve, then the
-    # recurrent corner's split, an LU from _LU_MIN_SIZE unknowns on and an
-    # SVD below.  A channel rung is faithful and reduced to its d/4 blocks
-    # of size 4: one stacked SVD of the maps between pairs of blocks, then
-    # each block's split, an SVD of its 16 unknowns, and no LU
+    # recurrent corner's split, an LU and its thin SVDs from _LU_MIN_SIZE
+    # unknowns on and an SVD below.  A channel rung is faithful and reduced
+    # to its d/4 blocks of size 4: one stacked SVD of the maps between pairs
+    # of blocks, then each block's split, an SVD of its 16 unknowns, and no LU
     model, block = _rung(kind, d, 1)
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
@@ -288,9 +324,26 @@ def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
         half = (d // 2) ** 2
         lu_split = half >= qdsa.asymptotics._LU_MIN_SIZE
         assert lus == [(half, half)] * (1 + lu_split)
-        assert svds == [(half, half)] * (not lu_split)
+        assert svds == (_lu_split_svds(half) if lu_split else [(half, half)])
         assert report.recurrent.rank == block.rank
         assert projections_equal(report.recurrent, block)
+
+
+def test_lu_split_cuts_singular_values_alone(monkeypatch):
+    # the recurrent corner of generator-d32 (256 unknowns) splits by the LU
+    # route, which cuts the singular values of F Q: no eigenvalues of a
+    # non-symmetric matrix and no Schur form
+    dyn = Dynamics(_rung("generator", 32, 1)[0])
+    (w,), _ = dyn.reduction
+    corner = _corner(dyn, w)
+    eigvals = _counting(monkeypatch, np.linalg, "eigvals")
+    schur = _counting(monkeypatch, scipy.linalg, "schur")
+    svds = _svd_shapes(monkeypatch)
+    lus = _lu_shapes(monkeypatch)
+    kernel, left = corner.split
+    assert lus == [(256, 256)] and svds == _lu_split_svds(256)
+    assert eigvals == [] and schur == []
+    assert kernel.shape == left.shape == (256, 1)
 
 
 def test_below_the_crossover_the_svd_runs(monkeypatch):

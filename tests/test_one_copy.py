@@ -14,7 +14,13 @@ import pytest
 from qdsa.asymptotics import Dynamics
 from qdsa.channels import apply_heisenberg, lindblad_apply, stinespring_dilate, to_superoperator
 from qdsa.errors import DimMismatch
-from qdsa.harmonic import fixed_point_support_check, subharmonic_report, subharmonic_residual
+from qdsa.harmonic import (
+    fixed_point_support_check,
+    is_subharmonic_generator,
+    kraus_invariance_test,
+    subharmonic_report,
+    subharmonic_residual,
+)
 from qdsa.linalg import Projection, ToleranceConfig
 from qdsa.models import build_fixture
 
@@ -98,8 +104,10 @@ def test_every_caller_rejects_a_non_model(call):
     (lambda ch, gen: stinespring_dilate(gen), "QuantumChannel"),
     (lambda ch, gen: subharmonic_report(gen, Projection.identity(2)), "QuantumChannel"),
     (lambda ch, gen: fixed_point_support_check(gen, np.eye(2)), "QuantumChannel"),
+    (lambda ch, gen: kraus_invariance_test(gen, Projection.identity(2)), "QuantumChannel"),
+    (lambda ch, gen: is_subharmonic_generator(ch, Projection.identity(2)), "LindbladGenerator"),
 ], ids=["lindblad_apply", "apply_heisenberg", "stinespring_dilate", "subharmonic_report",
-        "fixed_point_support_check"])
+        "fixed_point_support_check", "kraus_invariance_test", "is_subharmonic_generator"])
 def test_every_one_kind_entry_point_rejects_the_other_kind(call, expected):
     with pytest.raises(TypeError, match=f"expected a {expected}, got a "):
         call(build_fixture("ADK"), build_fixture("AD"))

@@ -49,7 +49,13 @@ from qdsa.sampling import (
     transient_block_generator,
 )
 from test_dynamics import GOLDEN_SEED, PROJECTION_ATOL, _counting
-from test_kernel_split import _lu_shapes, _rung, _svd_shapes, _without_reduction
+from test_kernel_split import (
+    _lu_shapes,
+    _lu_split_svds,
+    _rung,
+    _svd_shapes,
+    _without_reduction,
+)
 
 OPTIONS = AnalysisOptions(seed=GOLDEN_SEED)
 CERTIFIED = [(d, seed) for d in (16, 24, 32, 48, 64) for seed in (1, 2, 3)]
@@ -80,8 +86,8 @@ def _unitary(first: np.ndarray) -> np.ndarray:
 def test_certified_block_is_the_constructed_one(monkeypatch, d, seed):
     # the certified corners are the only ones assembled and factored: the
     # transient corner's Lyapunov LU, then the recurrent corner's split (an
-    # LU from _LU_MIN_SIZE unknowns on, an SVD below); the d x d SVD is
-    # decay_ideal_units' trace norm
+    # LU and its thin SVDs from _LU_MIN_SIZE unknowns on, an SVD below); the
+    # d x d SVD is decay_ideal_units' trace norm
     model, block = _rung("generator", d, seed)
     (w,), wq = Dynamics(model).reduction
     assert wq.shape == (d, d - block.rank)
@@ -94,7 +100,7 @@ def test_certified_block_is_the_constructed_one(monkeypatch, d, seed):
     lu_split = k * k >= qdsa.asymptotics._LU_MIN_SIZE
     assert sizes == [m, k]
     assert lus == [(m * m, m * m)] + [(k * k, k * k)] * lu_split
-    assert svds == [(k * k, k * k)] * (not lu_split) + [(d, d)]
+    assert svds == (_lu_split_svds(k * k) if lu_split else [(k * k, k * k)]) + [(d, d)]
     assert report.passed
     assert projections_equal(report.recurrent, block)
 
