@@ -148,6 +148,7 @@ from .linalg import (
     _decisive,
     _frobenius,
     _hermitian_spectrum,
+    _householder,
     _is_integer,
     _norm_exceeds,
     _spectral_norms,
@@ -277,7 +278,8 @@ def _resolvent_split(dyn: Dynamics):
     is read off the block by :func:`_block_kernel`, and the left kernel off
     transposed solves by the same rule on ``F^T``.
     None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
-    either kernel, or the two kernels differ in dimension.
+    either kernel (the left one is not sought once the kernel is declined),
+    or the two kernels differ in dimension.
     """
     from scipy.linalg.lapack import dlange
 
@@ -301,9 +303,11 @@ def _resolvent_split(dyn: Dynamics):
     bound = _KERNEL_ERROR * dyn.tol.atol
     kernel = _block_kernel(_fixed_point_product(dyn, r, SCHRODINGER),
                            lambda x: solve(x, 1), block, cutoff, bound)
+    if kernel is None:
+        return None
     left = _block_kernel(_fixed_point_product(dyn, r, HEISENBERG),
                          lambda x: solve(x, 0), block, cutoff, bound)
-    if kernel is None or left is None or kernel.shape != left.shape:
+    if left is None or kernel.shape != left.shape:
         return None
     return kernel, left
 
@@ -347,7 +351,7 @@ def _block_kernel(product, solve, block: np.ndarray, cutoff: float, bound: float
     """
     q = block
     for _ in range(_SOLVES):
-        q, _ = np.linalg.qr(solve(q))
+        q, _ = _householder(solve(q))
     _, s, vt = np.linalg.svd(product(q), full_matrices=False)
     k = np.count_nonzero(s <= cutoff)
     if (not _decisive(s, cutoff).all() or not 0 < k <= q.shape[1] - _OVERSAMPLE

@@ -410,14 +410,19 @@ class StinespringDilation:
         return v.conj().T @ _kron(a, np.eye(self.multiplicity)) @ v
 
 
+def _adjoint(terms):
+    """The terms ``(G^dag, {X_i^dag})`` of the Schrodinger picture, for the
+    terms ``(G, {X_i})`` of :func:`_terms`."""
+    g, ops = terms
+    return None if g is None else g.conj().T, tuple(x.conj().T for x in ops)
+
+
 def _act(terms, m: np.ndarray, picture: str = HEISENBERG) -> np.ndarray:
     """``sum_i X_i^dag m X_i``, plus ``G^dag m + m G`` for a generator, of
     the terms ``(G, {X_i})`` of :func:`_terms`, unchecked; broadcast over a
     stack ``m``, each matrix with the bits of its own sum.  The Schrodinger
-    picture is the same form of ``(G^dag, {X_i^dag})``."""
-    g, ops = terms
-    if picture == SCHRODINGER:
-        g, ops = None if g is None else g.conj().T, tuple(x.conj().T for x in ops)
+    picture is the same form of the :func:`_adjoint` terms."""
+    g, ops = _adjoint(terms) if picture == SCHRODINGER else terms
     out = sum(x.conj().T @ m @ x for x in ops)
     return out if g is None else g.conj().T @ m + m @ g + out
 

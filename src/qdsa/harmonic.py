@@ -22,6 +22,12 @@ terms ``(G, {L_i})`` and the orthonormal columns ``W`` of ``p``
 are cross-validated against the time-sampled order condition in the test
 suite.
 
+A projection ``p`` is super-harmonic (``alpha(p) <= p``) exactly when
+``1 - p`` is sub-harmonic, ``p X (1 - p) = 0`` for every term.  Since
+``(1 - p) X^dag p`` is its adjoint, :func:`is_superharmonic` takes the
+same leak of the range basis of ``p`` itself under the adjoint terms
+``(G^dag, {X_i^dag})``, with no complement built.
+
 Sub-harmonic and super-harmonic projections each form a complete lattice;
 :func:`subharmonic_closure` checks closure of a family under infimum and
 supremum.  :func:`fixed_point_support_check` certifies that the support of
@@ -38,10 +44,12 @@ import numpy as np
 
 from .channels import (
     _BLOCK,
+    HEISENBERG,
     SCHRODINGER,
     LindbladGenerator,
     QuantumChannel,
     _act,
+    _adjoint,
     _matrix_units,
     _terms,
 )
@@ -212,16 +220,23 @@ def is_subharmonic(obj, p: Projection, tol: ToleranceConfig | None = None) -> bo
     return _subharmonic(obj, p, tol)
 
 
-def _subharmonic(obj, p: Projection, tol, channel: bool | None = None) -> bool:
-    """:func:`is_subharmonic` of a model of the kind ``channel`` demands."""
+def _subharmonic(obj, p: Projection, tol, channel: bool | None = None,
+                 picture: str = HEISENBERG) -> bool:
+    """:func:`is_subharmonic` of a model of the kind ``channel`` demands;
+    in the Schrodinger ``picture``, of its :func:`~qdsa.channels._adjoint`
+    terms, which is :func:`is_superharmonic`."""
     terms = _terms(obj, channel)
     _check_operand(p.dim, obj.dim)
+    if picture == SCHRODINGER:
+        terms = _adjoint(terms)
     return not _norm_exceeds(_leak(terms, p.range_basis), _tol(tol).atol)
 
 
 def is_superharmonic(obj, p: Projection, tol: ToleranceConfig | None = None) -> bool:
-    """True when ``alpha(p) <= p``, i.e. the complement is sub-harmonic."""
-    return is_subharmonic(obj, p.complement(), tol)
+    """True when ``alpha(p) <= p``, i.e. ``1 - p`` is sub-harmonic: the
+    leak ``(1 - p) X^dag p`` of the range basis of ``p`` under the adjoint
+    terms, decided as in :func:`is_subharmonic`, with no complement built."""
+    return _subharmonic(obj, p, tol, picture=SCHRODINGER)
 
 
 class ClosureResult(NamedTuple):

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian, NotPSD, OutOfUnitInterval, ValidationError
+from .errors import (
+    DimMismatch,
+    InternalError,
+    NotHermitian,
+    NotPSD,
+    OutOfUnitInterval,
+    ValidationError,
+)
 
 __all__ = [
     "ToleranceConfig",
@@ -252,6 +259,34 @@ def matrix_exp(a) -> np.ndarray:
     for _ in range(squarings):
         e = e @ e
     return e
+
+
+def _householder(a: np.ndarray):
+    """``Q`` and the diagonal of ``R`` of the reduced QR of the complex128 or
+    float64 matrix ``a``: LAPACK's ``zgeqrf`` and ``zungqr`` (``dgeqrf`` and
+    ``dorgqr`` for real input), the routines of ``np.linalg.qr``, called from
+    ``scipy.linalg.lapack`` (imported on first use, as in :func:`matrix_exp`)
+    without numpy's wrapper, which costs several times the factorization at
+    d <= 16.  The ``n^2`` workspace (``n`` columns) covers the blocked code
+    whenever it runs, as numpy's does, and ``Q`` is C-ordered as numpy's is,
+    so both results have numpy's bits wherever scipy's LAPACK computes as
+    numpy's does.  An empty ``a`` calls no LAPACK; a nonzero ``info`` is an
+    InternalError.
+    """
+    from scipy.linalg.lapack import dgeqrf, dorgqr, zgeqrf, zungqr
+
+    m, n = a.shape
+    k = min(m, n)
+    if not k:
+        return np.zeros((m, k), a.dtype), np.zeros(k, a.dtype)
+    geqrf, orgqr = (zgeqrf, zungqr) if np.iscomplexobj(a) else (dgeqrf, dorgqr)
+    qr, tau, _, info = geqrf(a, lwork=n * n)
+    r = qr.diagonal().copy()  # read before the second call overwrites qr
+    if not info:
+        q, _, info = orgqr(qr[:, :k], tau, lwork=n * n, overwrite_a=True)
+    if info:
+        raise InternalError(f"Householder QR of a {m} x {n} matrix failed (info {info})")
+    return np.ascontiguousarray(q), r
 
 
 def is_psd(a, tol: ToleranceConfig | None = None) -> bool:

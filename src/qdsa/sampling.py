@@ -4,7 +4,8 @@ Random channels come from slicing a Haar-random isometry, which guarantees
 exact unitality by construction.  Structured variants (block-diagonal Kraus
 families, generators with a transient block leaking into a recurrent one)
 carry known invariant subspaces and are what the lattice and decay property
-suites are driven with.
+suites are driven with.  Every sampler rejects a size or rank that is not
+an integer (a bool is not one) with ValidationError.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import LindbladGenerator, QuantumChannel
-from .errors import DimMismatch
-from .linalg import Projection, hermitian_part
+from .errors import DimMismatch, ValidationError
+from .linalg import Projection, _householder, _is_integer, hermitian_part
 
 __all__ = [
     "haar_unitary",
@@ -52,12 +53,26 @@ def random_combination(elements, rng):
     return sum(c * b for c, b in zip(coeffs, elements))
 
 
+def _check_size(name: str, *values) -> None:
+    """ValidationError unless each size or rank of ``values`` is an integer
+    (a bool is not one)."""
+    for value in values:
+        if not _is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def haar_unitary(dim: int, rng) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(dim, dim, rng))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    """A Haar-random ``dim x dim`` unitary (Mezzadri, Notices AMS 54, 2007):
+    the ``Q`` of a Ginibre matrix by :func:`~qdsa.linalg._householder`,
+    each column's phase set by the matching diagonal entry of ``R``; the
+    empty ``(0, 0)`` array for ``dim = 0``."""
+    _check_size("dim", dim)
+    q, r = _householder(_ginibre(dim, dim, rng))
+    return q * (r / np.abs(r))
 
 
 def random_hermitian(dim: int, rng) -> np.ndarray:
+    _check_size("dim", dim)
     return hermitian_part(_ginibre(dim, dim, rng))
 
 
@@ -72,8 +87,11 @@ def random_unit_interval_hermitian(dim: int, rng) -> np.ndarray:
 
 
 def random_projection(dim: int, rank: int, rng) -> Projection:
-    """A Haar-random projection of the given rank; DimMismatch unless
-    ``0 <= rank <= dim``."""
+    """A Haar-random projection of the given rank; ValidationError unless
+    ``dim`` and ``rank`` are integers, then DimMismatch unless ``0 <= rank
+    <= dim``."""
+    _check_size("dim", dim)
+    _check_size("rank", rank)
     if not 0 <= rank <= dim:
         raise DimMismatch(f"a projection of rank {rank} does not fit dimension {dim}")
     if rank == 0:
@@ -83,6 +101,7 @@ def random_projection(dim: int, rank: int, rng) -> Projection:
 
 
 def random_density_matrix(dim: int, rng) -> np.ndarray:
+    _check_size("dim", dim)
     g = _ginibre(dim, dim, rng)
     m = g @ g.conj().T
     return m / np.trace(m)
@@ -90,11 +109,14 @@ def random_density_matrix(dim: int, rng) -> np.ndarray:
 
 def haar_random_channel(dim: int, n_kraus: int, rng) -> QuantumChannel:
     """Slice a Haar-random isometry C^d -> C^d tensor C^n into Kraus operators."""
-    q, _ = np.linalg.qr(_ginibre(dim * n_kraus, dim, rng))
+    _check_size("dim", dim)
+    _check_size("n_kraus", n_kraus)
+    q, _ = _householder(_ginibre(dim * n_kraus, dim, rng))
     return QuantumChannel([q[i * dim:(i + 1) * dim, :] for i in range(n_kraus)])
 
 
 def random_generator(dim: int, n_ops: int, rng) -> LindbladGenerator:
+    _check_size("n_ops", n_ops)
     h = random_hermitian(dim, rng)
     ops = [_ginibre(dim, dim, rng) / np.sqrt(dim) for _ in range(n_ops)]
     return LindbladGenerator(h, ops)
@@ -107,6 +129,8 @@ def block_diagonal_channel(block_dims, n_kraus: int, rng):
     union of blocks is an exactly invariant subspace; callers build
     sub-harmonic families from subsets of the returned blocks.
     """
+    _check_size("block size", *block_dims)
+    _check_size("n_kraus", n_kraus)
     dim = int(sum(block_dims))
     slices = []
     lo = 0
@@ -116,7 +140,7 @@ def block_diagonal_channel(block_dims, n_kraus: int, rng):
     ops = [np.zeros((dim, dim), dtype=complex) for _ in range(n_kraus)]
     for (lo, hi) in slices:
         b = hi - lo
-        q, _ = np.linalg.qr(_ginibre(b * n_kraus, b, rng))
+        q, _ = _householder(_ginibre(b * n_kraus, b, rng))
         for i in range(n_kraus):
             ops[i][lo:hi, lo:hi] = q[i * b:(i + 1) * b, :]
     u = haar_unitary(dim, rng)
@@ -134,6 +158,7 @@ def transient_block_generator(recurrent_dim: int, transient_dim: int, rng):
     Hamiltonian is block diagonal; a Haar unitary then rotates the basis.
     Returns ``(generator, recurrent_block)``.
     """
+    _check_size("block size", recurrent_dim, transient_dim)
     k, m = recurrent_dim, transient_dim
     dim = k + m
     h = np.zeros((dim, dim), dtype=complex)

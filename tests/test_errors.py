@@ -42,6 +42,15 @@ from qdsa.linalg import (
 )
 from qdsa.modelio import matrix_to_json
 from qdsa.models import build_fixture, fixture_horizon
+from qdsa.sampling import (
+    block_diagonal_channel,
+    haar_random_channel,
+    haar_unitary,
+    random_density_matrix,
+    random_generator,
+    random_projection,
+    transient_block_generator,
+)
 from qdsa.verify import run_verify
 
 
@@ -138,13 +147,42 @@ def test_input_rules_are_validation_errors(rule, call):
      "multiplicity must be an integer, got 2.0"),
     (ValidationError, lambda: StinespringDilation(np.eye(2), True),
      "multiplicity must be an integer, got True"),
+    (ValidationError, lambda: random_projection(3, 1.5, np.random.default_rng(0)),
+     "rank must be an integer, got 1.5"),
+    (ValidationError, lambda: random_projection(3, True, np.random.default_rng(0)),
+     "rank must be an integer, got True"),
+    (ValidationError, lambda: random_projection(3.0, 0, np.random.default_rng(0)),
+     "dim must be an integer, got 3.0"),
+    (ValidationError, lambda: haar_unitary(2.0, np.random.default_rng(0)),
+     "dim must be an integer, got 2.0"),
+    (ValidationError, lambda: haar_unitary(True, np.random.default_rng(0)),
+     "dim must be an integer, got True"),
+    (ValidationError, lambda: haar_random_channel(2, 1.0, np.random.default_rng(0)),
+     "n_kraus must be an integer, got 1.0"),
+    (ValidationError, lambda: random_generator(2.0, 1, np.random.default_rng(0)),
+     "dim must be an integer, got 2.0"),
+    (ValidationError, lambda: random_generator(2, True, np.random.default_rng(0)),
+     "n_ops must be an integer, got True"),
+    (ValidationError, lambda: random_density_matrix(2.5, np.random.default_rng(0)),
+     "dim must be an integer, got 2.5"),
+    (ValidationError, lambda: block_diagonal_channel([2, 2.0], 2, np.random.default_rng(0)),
+     "block size must be an integer, got 2.0"),
+    (ValidationError, lambda: block_diagonal_channel([2, 2], 1.5, np.random.default_rng(0)),
+     "n_kraus must be an integer, got 1.5"),
+    (ValidationError, lambda: transient_block_generator(1.5, 1, np.random.default_rng(0)),
+     "block size must be an integer, got 1.5"),
 ], ids=["as-complex-matrix-not-square", "range-basis-1d", "range-basis-ambient-dim",
         "range-basis-not-orthonormal", "projections-equal-dims", "supremum-empty",
         "infimum-empty", "order-diagnostic-dims", "jump-shape", "superoperator-not-square",
         "dilation-shape", "dilation-multiplicity-0", "restrict-to-zero-block",
         "report-basis-shape", "verify-dim-0", "verify-dim-17", "certificate-fractional-trials",
         "certificate-negative-trials", "certificate-bool-trials",
-        "dilation-fractional-multiplicity", "dilation-bool-multiplicity"])
+        "dilation-fractional-multiplicity", "dilation-bool-multiplicity",
+        "projection-fractional-rank", "projection-bool-rank", "projection-fractional-dim",
+        "haar-fractional-dim", "haar-bool-dim", "haar-channel-fractional-kraus",
+        "generator-fractional-dim", "generator-bool-ops", "density-fractional-dim",
+        "block-channel-fractional-block", "block-channel-fractional-kraus",
+        "transient-generator-fractional-block"])
 def test_typed_rejections(error, call, message):
     with pytest.raises(error, match=message) as info:
         call()

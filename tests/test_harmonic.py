@@ -28,6 +28,7 @@ from qdsa.harmonic import (
 from qdsa.linalg import (
     DEFAULT_TOL,
     Projection,
+    _decisive,
     hermitian_part,
     opnorm,
     order_leq,
@@ -48,6 +49,11 @@ from test_dynamics import _counting
 
 def proj(m):
     return Projection.from_matrix(np.asarray(m, dtype=complex))
+
+
+def _union(blocks) -> Projection:
+    """The projection onto the span of mutually orthogonal ``blocks``."""
+    return Projection.from_range_basis(np.concatenate([b.range_basis for b in blocks], axis=1))
 
 
 def _block_leak(x: np.ndarray, p: Projection) -> float:
@@ -384,6 +390,65 @@ class TestSuperharmonic:
             ch = haar_random_channel(dim, 2, rng)
             p = random_projection(dim, int(rng.integers(0, dim + 1)), rng)
             assert is_subharmonic(ch, p) == is_superharmonic(ch, p.complement())
+
+    @staticmethod
+    def _assert_complement_rule(model, projections, outcomes):
+        # is_superharmonic(p) reads p's own basis under the adjoint terms;
+        # it must be is_subharmonic(1 - p) wherever that residual is decisive
+        for p in projections:
+            q = p.complement()
+            if _decisive(subharmonic_residual(model, q), DEFAULT_TOL.atol):
+                outcome = is_superharmonic(model, p)
+                assert outcome == is_subharmonic(model, q)
+                outcomes[outcome] += 1
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_is_the_complement_rule_on_random_models(self, dim):
+        rng = np.random.default_rng(dim)
+        outcomes = {True: 0, False: 0}
+        for n_ops in (1, 2, 3):
+            for model in (haar_random_channel(dim, n_ops, rng),
+                          random_generator(dim, n_ops, rng)):
+                self._assert_complement_rule(
+                    model, [random_projection(dim, rank, rng) for rank in range(dim + 1)],
+                    outcomes)
+        # rank 0 and rank d are always super-harmonic, a random rank between
+        # them almost never
+        assert outcomes[True] >= 12 and (dim == 1 or outcomes[False])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_the_complement_rule_on_invariant_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        outcomes = {True: 0, False: 0}
+        for parts in ([1, 2], [2, 2], [1, 1, 3], [2, 3, 1]):
+            ch, blocks = block_diagonal_channel(parts, 2, rng)
+            unions = [_union(blocks[:i]) for i in range(1, len(blocks))]
+            tilted = [random_projection(ch.dim, 1, rng)]
+            self._assert_complement_rule(
+                ch, unions + [u.complement() for u in unions] + tilted, outcomes)
+        for k, m in ((1, 2), (2, 2), (3, 1)):
+            gen, block = transient_block_generator(k, m, rng)
+            self._assert_complement_rule(gen, [block, block.complement()], outcomes)
+        # the unions and their complements are invariant, a tilted rank one
+        # is not; of the generator's recurrent block only 1 - block is
+        assert outcomes == {True: 15, False: 7}
+
+    def test_builds_no_complement_and_runs_no_eigh(self, monkeypatch, rng):
+        models = [haar_random_channel(3, 2, rng), random_generator(3, 2, rng)]
+        projections = [random_projection(3, rank, rng) for rank in range(4)]
+        eighs = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: eighs.append(1) or original(*a, **k))
+
+        def refuse(self):
+            raise AssertionError("is_superharmonic built a complement")
+
+        monkeypatch.setattr(Projection, "complement", refuse)
+        for model in models:
+            for p in projections:
+                is_superharmonic(model, p)
+        assert not eighs
 
 
 class TestClosure:
