@@ -77,7 +77,11 @@ path:
    (:func:`_krylov_flow`), with no ``m^2 x m^2`` exponential (``m = rank
    q``); when it does not converge, on a smaller corner, whose Arnoldi basis
    would span it whole, and on every other corner, it is the corner's ``m^2
-   x m^2`` real propagator (:meth:`Dynamics.transient`).  Whether the decay
+   x m^2`` real propagator (:meth:`Dynamics.transient`).  On a one-level
+   corner, as every transient corner of the bundled fixtures is, it is
+   one number ``e``, the exponential (or power) of the closed-form real
+   form, and ``alpha_T`` multiplies by it, with no ``Superoperator``, no
+   cached flow and no import of ``scipy.linalg``.  Whether the decay
    ideal ``{a : alpha_t(a^dag a) -> 0}`` is the left ideal of operators
    annihilating ``r`` from the right is read off that flow and the
    stationary state (:func:`decay_ideal_units`).
@@ -463,7 +467,10 @@ class Dynamics:
         and for a generator, on a corner of more than ``_KRYLOV_STEPS``
         unknowns, ``apply`` is the Krylov action on its LU
         (:func:`_krylov_flow`) until one call does not converge; from then
-        on, and on every other corner, it is the corner's dense flow."""
+        on, and on every other corner, it is the corner's dense flow.  On a
+        one-level corner ``apply`` multiplies by the 1 x 1 propagator
+        ``e`` of its closed-form real form, the bits of that flow's
+        ``apply``, with no flow, Superoperator or real form cached."""
         def build():
             ws, wq = self.reduction
             certified = wq is not None and projections_equal(
@@ -471,6 +478,9 @@ class Dynamics:
             if not certified:
                 wq = r.complement().range_basis
             corner = _corner(self, wq)
+            if corner.dim == 1:
+                e = _propagate(_real_schrodinger(*corner.terms, 1), horizon, corner.discrete)
+                return wq, lambda a: e * a
             krylov = certified and not self.discrete and corner.dim ** 2 > _KRYLOV_STEPS
 
             def apply(a):
@@ -548,11 +558,13 @@ class Dynamics:
         bases = [from_hermitian_coords(c.split[0].T, c.dim) for c in corners]
         if wq is None:
             return StationarySpace(tuple(bases[0]), self.limit[1], len(bases[0]))
-        import scipy.linalg
-
         w = np.concatenate(ws, axis=1)
-        state = scipy.linalg.block_diag(*(x.shape[1] / w.shape[1] * c.limit[1].matrix
-                                          for x, c in zip(ws, corners)))
+        state = np.zeros((w.shape[1], w.shape[1]), dtype=complex)
+        start = 0
+        for x, c in zip(ws, corners):
+            stop = start + x.shape[1]
+            state[start:stop, start:stop] = x.shape[1] / w.shape[1] * c.limit[1].matrix
+            start = stop
         basis = tuple(x @ b @ x.conj().T for x, block in zip(ws, bases) for b in block)
         return StationarySpace(basis, DensityMatrix(w @ state @ w.conj().T, self.tol), len(basis))
 

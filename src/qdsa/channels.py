@@ -507,11 +507,18 @@ def _schrodinger_rows(g, ops, dim: int, a: slice, b: slice) -> np.ndarray:
 def _real_schrodinger(g, ops, dim: int) -> np.ndarray:
     """The real Schrodinger form summed from the terms :func:`_terms` in
     dimension ``dim``, a chunk of rows of ``S`` at a time.  In dimension
-    one the frame is the identity, so the form is ``Re S`` of the one chunk,
-    in an array of its own, with no frame pass."""
+    one the frame is the identity and ``S`` one number, so the form is
+    ``Re(sum_i conj(L_i) L_i + G + conj(G))`` in an array of its own, summed
+    by the ufuncs of :func:`_schrodinger_rows` in its order on 1 x 1
+    arrays, which gives its bits, with no chunk and no frame pass."""
     if dim == 1:
-        whole = slice(0, 1)
-        return _schrodinger_rows(g, ops, 1, whole, whole).reshape(1, 1).real.copy()
+        s = np.zeros((1, 1), dtype=complex)
+        for x in ops:
+            s += x.conj() * x
+        if g is not None:
+            s += g
+            s += g.conj()
+        return s.real.copy()
     return _frame_chunks(lambda a, b: _schrodinger_rows(g, ops, dim, a, b),
                          dim * dim, dim * dim)
 

@@ -279,6 +279,14 @@ def fixed_point_support_check(ch: QuantumChannel, x,
     Returns ``(support, superharmonic)``.
     """
     tol = _tol(tol)
+    support, defect = _fixed_point_support(ch, x, tol)
+    return support, defect <= tol.psd_tol
+
+
+def _fixed_point_support(ch: QuantumChannel, x, tol: ToleranceConfig):
+    """``(support, defect)`` of :func:`fixed_point_support_check`: the
+    support ``s`` of ``x`` and the PSD defect of ``s - alpha(s)``, with its
+    errors."""
     terms = _terms(ch, channel=True)
     xm = as_complex_matrix(x)
     _check_operand(xm.shape[0], ch.dim)
@@ -293,4 +301,4 @@ def fixed_point_support_check(ch: QuantumChannel, x,
         raise TheoremViolation(
             f"support of a fixed point failed the super-harmonic check "
             f"(defect {defect:.3e}); this indicates numerical breakdown")
-    return s, defect <= tol.psd_tol
+    return s, defect

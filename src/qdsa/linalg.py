@@ -241,21 +241,28 @@ def matrix_exp(a) -> np.ndarray:
     ``exp(-4)`` against 4e-15), so real input is scaled into the range of
     degree 9 or less and squared back here.
 
-    ``scipy.linalg`` is imported here, on first use, so that importing the
-    package (and starting the CLI) does not pay for it.
+    A 1 x 1 matrix takes ``np.exp`` of its (scaled) entry, which is what
+    ``scipy.linalg.expm`` returns for that shape; ``scipy.linalg`` is
+    imported here, on first use and for larger matrices only, so that
+    importing the package, starting the CLI and the flow of a one-level
+    corner do not pay for it.
     """
-    import scipy.linalg
-
     m = np.asarray(a)
+    if m.shape == (1, 1):
+        expm = np.exp
+    else:
+        import scipy.linalg
+
+        expm = scipy.linalg.expm
     if np.iscomplexobj(m):
-        return scipy.linalg.expm(_check_square(m))
+        return expm(_check_square(m))
     m = _check_square(m.astype(float, copy=False))
     with np.errstate(over="ignore"):
         norm = float(np.abs(m).sum(axis=0).max())
     if norm == math.inf:
         raise ValidationError("matrix exponential of a matrix whose 1-norm overflows")
     squarings = max(0, math.ceil(math.log2(norm / _THETA_9))) if norm > 0 else 0
-    e = scipy.linalg.expm(m / 2.0 ** squarings)
+    e = expm(m / 2.0 ** squarings)
     for _ in range(squarings):
         e = e @ e
     return e

@@ -5,7 +5,8 @@ exact unitality by construction.  Structured variants (block-diagonal Kraus
 families, generators with a transient block leaking into a recurrent one)
 carry known invariant subspaces and are what the lattice and decay property
 suites are driven with.  Every sampler rejects a size or rank that is not
-an integer (a bool is not one) with ValidationError.
+an integer (a bool is not one) with ValidationError, and a negative one
+with DimMismatch.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ def gaussian_block(rows: int, cols: int, seed: int) -> np.ndarray:
     """Real standard normal ``rows x cols`` block from its own generator
     seeded with ``seed``: the same block on every call, whatever other
     draws were taken."""
+    _check_size("block size", rows, cols)
     return np.random.default_rng(seed).standard_normal((rows, cols))
 
 
@@ -55,10 +57,12 @@ def random_combination(elements, rng):
 
 def _check_size(name: str, *values) -> None:
     """ValidationError unless each size or rank of ``values`` is an integer
-    (a bool is not one)."""
+    (a bool is not one), then DimMismatch if it is negative."""
     for value in values:
         if not _is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise DimMismatch(f"{name} must be nonnegative, got {value}")
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -88,10 +92,11 @@ def random_unit_interval_hermitian(dim: int, rng) -> np.ndarray:
 
 def random_projection(dim: int, rank: int, rng) -> Projection:
     """A Haar-random projection of the given rank; ValidationError unless
-    ``dim`` and ``rank`` are integers, then DimMismatch unless ``0 <= rank
-    <= dim``."""
+    ``dim`` and ``rank`` are integers, then DimMismatch for a negative
+    ``dim`` or unless ``0 <= rank <= dim``."""
     _check_size("dim", dim)
-    _check_size("rank", rank)
+    if not _is_integer(rank):
+        raise ValidationError(f"rank must be an integer, got {rank!r}")
     if not 0 <= rank <= dim:
         raise DimMismatch(f"a projection of rank {rank} does not fit dimension {dim}")
     if rank == 0:

@@ -465,6 +465,19 @@ class TestColdStart:
                               env=env, check=True)
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_analysis_does_not_load_scipy_linalg(self, tmp_path, name):
+        # every transient corner and every one-level exponential of the
+        # fixtures is closed form, so a fresh analysis never needs scipy
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        code = ("import sys; from qdsa.cli import main; code = main(sys.argv[1:]); "
+                "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, "analyze", "--model",
+                               str(emit_fixture(tmp_path, name))],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stderr.strip() == "0 False"
+
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "evolve", "examples"])
 def test_unwritable_output_exits_1_without_traceback(tmp_path, command):

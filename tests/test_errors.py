@@ -44,11 +44,14 @@ from qdsa.modelio import matrix_to_json
 from qdsa.models import build_fixture, fixture_horizon
 from qdsa.sampling import (
     block_diagonal_channel,
+    gaussian_block,
     haar_random_channel,
     haar_unitary,
     random_density_matrix,
     random_generator,
+    random_hermitian,
     random_projection,
+    random_unit_interval_hermitian,
     transient_block_generator,
 )
 from qdsa.verify import run_verify
@@ -171,6 +174,34 @@ def test_input_rules_are_validation_errors(rule, call):
      "n_kraus must be an integer, got 1.5"),
     (ValidationError, lambda: transient_block_generator(1.5, 1, np.random.default_rng(0)),
      "block size must be an integer, got 1.5"),
+    (DimMismatch, lambda: haar_unitary(-1, np.random.default_rng(0)),
+     "dim must be nonnegative, got -1"),
+    (DimMismatch, lambda: random_hermitian(-1, np.random.default_rng(0)),
+     "dim must be nonnegative, got -1"),
+    (DimMismatch, lambda: random_unit_interval_hermitian(-1, np.random.default_rng(0)),
+     "dim must be nonnegative, got -1"),
+    (DimMismatch, lambda: random_density_matrix(-1, np.random.default_rng(0)),
+     "dim must be nonnegative, got -1"),
+    (DimMismatch, lambda: haar_random_channel(-1, 2, np.random.default_rng(0)),
+     "dim must be nonnegative, got -1"),
+    (DimMismatch, lambda: haar_random_channel(2, -1, np.random.default_rng(0)),
+     "n_kraus must be nonnegative, got -1"),
+    (ValidationError, lambda: haar_random_channel(2, 0, np.random.default_rng(0)),
+     "a channel needs at least one Kraus operator"),
+    (DimMismatch, lambda: random_generator(-1, 2, np.random.default_rng(0)),
+     "dim must be nonnegative, got -1"),
+    (DimMismatch, lambda: random_generator(2, -1, np.random.default_rng(0)),
+     "n_ops must be nonnegative, got -1"),
+    (DimMismatch, lambda: block_diagonal_channel([2, -1], 2, np.random.default_rng(0)),
+     "block size must be nonnegative, got -1"),
+    (DimMismatch, lambda: block_diagonal_channel([2, 2], -1, np.random.default_rng(0)),
+     "n_kraus must be nonnegative, got -1"),
+    (DimMismatch, lambda: transient_block_generator(-1, 2, np.random.default_rng(0)),
+     "block size must be nonnegative, got -1"),
+    (DimMismatch, lambda: transient_block_generator(2, -1, np.random.default_rng(0)),
+     "block size must be nonnegative, got -1"),
+    (DimMismatch, lambda: gaussian_block(-1, 2, 0), "block size must be nonnegative, got -1"),
+    (DimMismatch, lambda: gaussian_block(2, -1, 0), "block size must be nonnegative, got -1"),
 ], ids=["as-complex-matrix-not-square", "range-basis-1d", "range-basis-ambient-dim",
         "range-basis-not-orthonormal", "projections-equal-dims", "supremum-empty",
         "infimum-empty", "order-diagnostic-dims", "jump-shape", "superoperator-not-square",
@@ -182,7 +213,13 @@ def test_input_rules_are_validation_errors(rule, call):
         "haar-fractional-dim", "haar-bool-dim", "haar-channel-fractional-kraus",
         "generator-fractional-dim", "generator-bool-ops", "density-fractional-dim",
         "block-channel-fractional-block", "block-channel-fractional-kraus",
-        "transient-generator-fractional-block"])
+        "transient-generator-fractional-block", "haar-negative-dim",
+        "hermitian-negative-dim", "unit-interval-negative-dim", "density-negative-dim",
+        "haar-channel-negative-dim", "haar-channel-negative-kraus", "haar-channel-zero-kraus",
+        "generator-negative-dim", "generator-negative-ops", "block-channel-negative-block",
+        "block-channel-negative-kraus", "transient-generator-negative-recurrent",
+        "transient-generator-negative-transient", "gaussian-negative-rows",
+        "gaussian-negative-cols"])
 def test_typed_rejections(error, call, message):
     with pytest.raises(error, match=message) as info:
         call()

@@ -2,18 +2,24 @@
 
 A ``Dynamics`` of dimension one is the scalar semigroup it is: its
 fixed-point matrix ``F`` (``R``, or ``R - 1`` for a channel) is one number
-``f``.  ``_real_schrodinger`` returns ``Re S`` of its one chunk (the frame
-of ``M_1`` is the identity), ``Dynamics.split`` cuts ``|f|``, the one
+``f``.  ``_real_schrodinger`` returns ``Re S`` of that number, summed as
+the chunked assembly sums it (the frame of ``M_1`` is the identity),
+``Dynamics.split`` cuts ``|f|``, the one
 singular value, at ``tol.cutoff`` and ``Dynamics.limit`` is the one state
-``[[1]]``.  These tests hold the closed form to the general route it
-replaces: the same kernel dimension, the same state bits, the same error
-text on a leaky corner, and the same real form, zero signs included.
+``[[1]]``.  ``Dynamics.transient`` multiplies by the 1 x 1 propagator of a
+one-level corner, and ``matrix_exp`` takes ``np.exp`` of a 1 x 1 matrix.
+These tests hold the closed form to the general route it replaces: the
+same kernel dimension, the same state bits, the same error text on a leaky
+corner, the same real form, zero signs included, the same transient
+action and the same exponential as scipy's.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qdsa.asymptotics
 import qdsa.channels
@@ -25,6 +31,7 @@ from qdsa.asymptotics import (
     _fixed_point_form,
     _kernel_component,
     _split_kernel_range,
+    recurrent_projection,
 )
 from qdsa.channels import (
     LindbladGenerator,
@@ -32,12 +39,14 @@ from qdsa.channels import (
     _frame_chunks,
     _real_schrodinger,
     _schrodinger_rows,
+    _terms,
     from_hermitian_coords,
     hermitian_coords,
 )
 from qdsa.errors import InternalError
-from qdsa.linalg import DEFAULT_TOL
+from qdsa.linalg import _THETA_9, DEFAULT_TOL, matrix_exp
 from qdsa.models import build_fixture, fixture_names
+from qdsa.sampling import haar_random_channel, random_generator, transient_block_generator
 from qdsa.verify import format_summary, run_verify
 from test_dynamics import GOLDEN_SEED
 
@@ -97,6 +106,15 @@ def _random_terms(rng, discrete: bool):
 
     ops = tuple(np.array([[entry()]]) for _ in range(int(rng.integers(0, 4))))
     return (None if discrete else np.array([[entry()]])), ops
+
+
+def _assert_chunked_bits(g, ops):
+    """The one-level real form of ``(g, ops)`` has the bits of the chunked
+    assembly, in an owned C-contiguous float64 array."""
+    r = _real_schrodinger(g, ops, 1)
+    want = _frame_chunks(lambda a, b: _schrodinger_rows(g, ops, 1, a, b), 1, 1)
+    assert r.tobytes() == want.tobytes()
+    assert r.flags.owndata and r.flags.c_contiguous and r.dtype == np.float64
 
 
 @pytest.mark.parametrize("name", ONE_LEVEL)
@@ -164,10 +182,7 @@ def test_closed_form_matches_the_general_route_on_random_terms(discrete):
     rng = np.random.default_rng(0)
     for _ in range(2000):
         g, ops = _random_terms(rng, discrete)
-        r = _real_schrodinger(g, ops, 1)
-        want = _frame_chunks(lambda a, b: _schrodinger_rows(g, ops, 1, a, b), 1, 1)
-        assert r.tobytes() == want.tobytes()
-        assert r.flags.owndata and r.flags.c_contiguous and r.dtype == np.float64
+        _assert_chunked_bits(g, ops)
         _assert_is_the_svd_route(Dynamics.__new__(Dynamics)._hold((g, ops), 1, DEFAULT_TOL))
 
 
@@ -192,3 +207,89 @@ def test_one_level_corners_take_no_general_route(monkeypatch):
     assert corners
     assert calls
     assert [call for call in calls if call[1] == 1] == []
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names() if n != "TH"])
+def test_fixture_one_level_real_forms_have_the_chunked_bits(monkeypatch, name):
+    corners = _one_level_corners(monkeypatch, build_fixture(name))
+    assert corners
+    for corner in corners:
+        _assert_chunked_bits(*corner.terms)
+
+
+def test_sampled_one_level_real_forms_have_the_chunked_bits():
+    rng = np.random.default_rng(5)
+    models = [haar_random_channel(1, k, rng) for k in (1, 2, 3) for _ in range(20)]
+    models += [random_generator(1, n, rng) for n in (0, 1, 2, 3) for _ in range(20)]
+    for model in models:
+        _assert_chunked_bits(*_terms(model))
+
+
+def _transient_cases():
+    """The fixtures with a transient corner and a certified generator whose
+    transient corner is one level, at two horizons each: 0.5 and 30 for a
+    generator, 1 and 30 iterations for a channel."""
+    cases = []
+    for name in ("AD", "ADK", "M3", "DFS3"):
+        model = build_fixture(name)
+        horizons = (1.0, 30.0) if isinstance(model, QuantumChannel) else (0.5, 30.0)
+        cases += [(name, model, t) for t in horizons]
+    for k in (7, 11):
+        gen, _ = transient_block_generator(k, 1, np.random.default_rng(1))
+        cases += [(f"generator-d{k + 1}", gen, t) for t in (0.5, 30.0)]
+    return cases
+
+
+TRANSIENT = _transient_cases()
+
+
+@pytest.mark.parametrize("name,model,horizon", TRANSIENT,
+                         ids=[f"{name}-T{t:g}" for name, _, t in TRANSIENT])
+def test_one_level_transient_action_is_the_flow(monkeypatch, name, model, horizon):
+    r = recurrent_projection(model, horizon=horizon).recurrent
+    dyn = Dynamics(model)
+    if name.startswith("generator"):
+        assert dyn.reduction[1] is not None
+    built = []
+    superoperator = qdsa.asymptotics.Superoperator
+    monkeypatch.setattr(qdsa.asymptotics, "Superoperator",
+                        lambda *args: built.append(args) or superoperator(*args))
+    w, apply = dyn.transient(r, horizon)
+    assert w.shape[1] == 1
+    inputs = [np.eye(1), np.eye(1, dtype=complex)] + [np.outer(row.conj(), row) for row in w]
+    actions = [apply(a) for a in inputs]
+    assert built == []
+    corner = _corner(dyn, w)
+    assert corner._cache == {} and "schrodinger" not in vars(corner)
+    for a, action in zip(inputs, actions):
+        want = corner.flow(horizon).apply(a)
+        assert np.asarray(action, dtype=complex).tobytes() == want.tobytes()
+
+
+def _scipy_exp(m: np.ndarray) -> np.ndarray:
+    """``matrix_exp`` with ``scipy.linalg.expm`` as its core, the reference:
+    complex input whole, real input scaled by the 1-norm rule and squared."""
+    if np.iscomplexobj(m):
+        return scipy.linalg.expm(m)
+    norm = float(np.abs(m).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(norm / _THETA_9))) if norm > 0 else 0
+    e = scipy.linalg.expm(m / 2.0 ** squarings)
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("scipy.linalg.expm was called")
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_one_level_exponential_has_scipys_bits(monkeypatch, kind):
+    values = [0.0, 1e-3, -1e-3, 2.0, -2.0, 50.0, -50.0, 1e3, -1e3]
+    entries = [kind(x) if kind is float else x * (0.6 + 0.8j) for x in values]
+    with np.errstate(over="ignore"):
+        want = [_scipy_exp(np.array([[x]])) for x in entries]
+        monkeypatch.setattr(scipy.linalg, "expm", _refused)
+        got = [matrix_exp(np.array([[x]])) for x in entries]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

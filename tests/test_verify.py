@@ -47,7 +47,7 @@ def test_theorem_violation_is_one_failure_per_trial(monkeypatch):
     def broken(*args, **kwargs):
         raise TheoremViolation("forced")
 
-    monkeypatch.setattr(qdsa.verify, "fixed_point_support_check", broken)
+    monkeypatch.setattr(qdsa.verify, "_fixed_point_support", broken)
     summary = run_verify(seed=5, trials=3, dims=(2,))
     result = next(r for r in summary.results if r.name == "fixed-point-support-superharmonic")
     assert (result.trials, result.failures, result.worst) == (3, 3, 1.0)
