@@ -82,18 +82,29 @@ def _projection_to_json(p: Projection) -> dict:
     return {"rank": p.rank, "range_basis": matrix_to_json(p.range_basis.T)}
 
 
-def _key(data, key: str, where: str):
-    """``data[key]``; ParseError naming ``key`` when ``data`` has no such key."""
+# a loaded value of each annotated type: an integer is no bool or float, a
+# boolean no int, a float may be an int, and a tuple is stored as an array
+_TYPES = {"int": ("an integer", _is_integer),
+          "bool": ("a boolean", lambda x: isinstance(x, bool)),
+          "float": ("a number", lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)),
+          "str": ("a string", lambda x: isinstance(x, str)),
+          "tuple": ("an array", lambda x: isinstance(x, list))}
+
+
+def _key(data, key: str, where: str, kind: str = ""):
+    """``data[key]``; ParseError naming ``key`` when ``data`` has no such
+    key or its value is not of the annotated type ``kind`` (``_TYPES``)."""
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"{where}: missing key {key!r}")
+    what, ok = _TYPES.get(kind, ("", lambda x: True))
+    if not ok(data[key]):
+        raise ParseError(f"{where}: {key!r} must be {what}, got {data[key]!r}")
     return data[key]
 
 
 def _projection_from_json(data, dim: int) -> Projection:
     cols = _key(data, "range_basis", "projection")
-    rank = _key(data, "rank", "projection")
-    if not _is_integer(rank):
-        raise ParseError(f"projection: 'rank' must be an integer, got {rank!r}")
+    rank = _key(data, "rank", "projection", "int")
     basis = (np.zeros((dim, 0), dtype=complex) if cols == []
              else matrix_from_json(cols, "range_basis").T)
     if basis.shape != (dim, rank):
@@ -145,15 +156,17 @@ class AnalysisReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalysisReport":
-        values = {f.name: _key(data, f.name, "report") for f in fields(cls)}
-        for key in ("enclosure_ranks", "checks"):
-            if not isinstance(values[key], list):
-                raise ParseError(f"report: {key!r} must be an array, got {values[key]!r}")
-        values["enclosure_ranks"] = tuple(values["enclosure_ranks"])
+        values = {f.name: _key(data, f.name, "report", f.type) for f in fields(cls)}
+        ranks, kind = values["enclosure_ranks"], values["kind"]
+        if kind not in ("channel", "generator"):
+            raise ParseError(f"report: 'kind' must be 'channel' or 'generator', got {kind!r}")
+        if not all(map(_is_integer, ranks)):
+            raise ParseError(f"report: 'enclosure_ranks' must hold integers, got {ranks!r}")
+        values["enclosure_ranks"] = tuple(ranks)
         for name in _PROJECTIONS:
             values[name] = _projection_from_json(values[name], values["dim"])
-        values["checks"] = tuple(CheckResult(*(_key(c, k, "check") for k in
-                                               ("name", "residual", "tolerance")))
+        values["checks"] = tuple(CheckResult(*(_key(c, f.name, "check", f.type)
+                                               for f in fields(CheckResult)))
                                  for c in values["checks"])
         return cls(**values)
 

@@ -5,7 +5,7 @@ Hermitian frame of :mod:`qdsa.channels` the Schrodinger matrix ``R`` is
 real and the Heisenberg one is its transpose.  The analysis pipeline is one
 path:
 
-1. From ``_REDUCE_MIN_SIZE`` unknowns on (``d >= 8``), the model is first
+1. From ``_LARGE_MIN_SIZE`` unknowns on (``d >= 8``), the model is first
    reduced to the corners of its closed classes
    (:attr:`Dynamics.reduction`), at ``O(K d^3)`` cost and before any ``d^2
    x d^2`` work: the minimal enclosures are guessed in Hilbert space as the
@@ -29,21 +29,18 @@ path:
    its one singular value, is cut at ``tol.cutoff`` and both kernels are
    ``[[1]]``, and the limit is the one state ``[[1]]``; a one-level corner,
    such as a rank-one minimal enclosure with its pure absorbing state,
-   takes no SVD, solve or eigendecomposition.  Below ``_LU_MIN_SIZE``
-   unknowns the split is one real SVD (:func:`_split_kernel_range`); from
-   there on it is one LU of ``s - F`` for a small shift ``s``, through
-   which a fixed-seed random block ``Q`` is pushed, and one thin SVD of
-   ``F Q``, with the SVD as the fallback whenever that route cannot vouch
-   for its kernels: every split cuts singular values at ``tol.cutoff``.
-   Each route factors an ``F`` it forms itself (:func:`_fixed_point_form`),
-   and for a model with few terms the LU route takes its products with
-   ``F`` from the terms (:func:`~qdsa.channels._act`), so it holds no other
-   ``d^2 x d^2`` matrix.  A maximal-support stationary state is the exact
-   time-average limit of the maximally mixed state of the recurrent corner
-   (:class:`StationarySpace`): its oblique projection onto the kernel along
-   the range, ``K (L^T K)^-1 L^T``.  In finite dimension the peripheral
-   spectrum of a CP trace-preserving semigroup is semisimple, so that
-   component is precisely the long-time Cesaro limit.
+   takes no SVD, solve or eigendecomposition.  The size that gates the
+   reduction gates the split: below it the split is one real SVD
+   (:func:`_split_kernel_range`), and from it on one LU of ``s - F`` for a
+   small shift ``s`` (:func:`_resolvent_split`), which gives both the
+   solves that push a random block ``Q`` and the products of one thin SVD
+   of ``F Q``, with the SVD as the fallback.  Every split cuts singular
+   values at ``tol.cutoff``.  A maximal-support stationary state is the
+   exact time-average limit of the maximally mixed state of the recurrent
+   corner (:class:`StationarySpace`): its oblique projection onto the
+   kernel along the range, ``K (L^T K)^-1 L^T``.  In finite dimension the
+   peripheral spectrum of a CP trace-preserving semigroup is semisimple,
+   so that component is precisely the long-time Cesaro limit.
 
 2. The support of that maximal-support state gives the maximal recurrent
    block ``r``: the state dominates every stationary state, so its support
@@ -100,11 +97,10 @@ the complex Schrodinger matrix whole: it sums it into the real form a
 chunk of rows at a time, and every later step works on real matrices;
 the cached one (:attr:`Dynamics.schrodinger`) serves flows only.  Per
 corner a structure analysis holds at most two ``n x n`` matrices at once
-(``n`` the square of the corner's dimension), and one from
-``_LU_MIN_SIZE`` on when its split takes its products from the terms; a
-certified model's largest arrays are those of its class and transient
-corners and the ``(d_i d_j)^2`` maps between pairs of classes, never
-``d^2 x d^2``.  Each corner is built and split once (:func:`_corner`);
+(``n`` the square of the corner's dimension), and its split one whatever
+the number of terms.  A certified model's largest arrays are those of its
+class and transient corners and the ``(d_i d_j)^2`` maps between pairs of
+classes, never ``d^2 x d^2``.  Each corner is built and split once (:func:`_corner`);
 its split, its LU and its flows each assemble a real form of their own,
 so a transient corner whose Krylov action falls back to a dense flow is
 assembled twice.  Nothing is cached on the model or globally.
@@ -127,7 +123,6 @@ from .channels import (
     Superoperator,
     _act,
     _check_horizon,
-    _coords,
     _propagate,
     _real_schrodinger,
     _terms,
@@ -196,28 +191,21 @@ DEFAULT_HORIZON = 30.0
 DEFAULT_DECAY_TOL = 1e-8
 
 
-# The split runs one SVD below _LU_MIN_SIZE unknowns (d^2) and the
-# resolvent route of _resolvent_split from there on, where its one LU is a
-# fraction of the SVD's cost; this crossover gates the split alone, and the
-# reduction has its own, _REDUCE_MIN_SIZE.  The route shifts by s = _SHIFT *
-# |F|_1, applies (s - F)^-1 _SOLVES times to a random block of 2 *
-# _OVERSAMPLE columns drawn from seed _SPLIT_SEED, cuts the singular values
-# of F times that block at tol.cutoff(|F|_1), and keeps a kernel only when
-# its estimated distance from the true one is at most _KERNEL_ERROR * tol.atol.
-_LU_MIN_SIZE = 256
+# From _LARGE_MIN_SIZE unknowns (d^2, d >= 8) on the closed classes are
+# guessed from one combination of the terms, drawn from seed _GUESS_SEED
+# (_recurrent_guess) and used once certified (_certify), and every split
+# takes the resolvent route of _resolvent_split; below, the guess costs
+# more than it saves and the split is one SVD, no dearer than the route.
+# The route shifts by s = _SHIFT * |F|_1, applies (s - F)^-1 _SOLVES times
+# to a block of 2 * _OVERSAMPLE columns drawn from seed _SPLIT_SEED, and
+# keeps a kernel only when its estimated error is at most _KERNEL_ERROR * atol.
+_LARGE_MIN_SIZE = 64
+_GUESS_SEED = 0
 _SHIFT = 1e-6
 _SOLVES = 4
 _OVERSAMPLE = 8
 _SPLIT_SEED = 0
 _KERNEL_ERROR = 1e-4
-
-# From _REDUCE_MIN_SIZE unknowns (d >= 8) on the closed classes are first
-# guessed from the eigenvectors of one combination of the terms, its
-# coefficients drawn from seed _GUESS_SEED (_recurrent_guess), and used only
-# once certified (_certify).  There the guess costs less than the whole
-# split it can spare; below, it costs more than it saves.
-_REDUCE_MIN_SIZE = 64
-_GUESS_SEED = 0
 
 # The flow on the certificate's corner of a generator with more than
 # _KRYLOV_STEPS unknowns (_krylov_flow): at most _KRYLOV_STEPS Arnoldi
@@ -229,12 +217,12 @@ _KRYLOV_CHECK = 6
 _KRYLOV_TOL = 1e-10
 
 
-def _fixed_point_form(dyn: Dynamics, r: np.ndarray | None = None) -> np.ndarray:
+def _fixed_point_form(dyn: Dynamics) -> np.ndarray:
     """The fixed-point matrix ``F`` (``R``, or ``R - 1`` for a channel) of
-    ``dyn`` in an array of its own, ``R`` assembled afresh or copied from
-    the real form ``r``: the one place ``F`` is formed and a channel's
-    identity subtracted, 1 on the diagonal with the bits of ``R - 1``."""
-    f = _real_schrodinger(*dyn.terms, dyn.dim) if r is None else r.copy()
+    ``dyn``, assembled afresh in an array of its own: the one place ``F`` is
+    formed and a channel's identity subtracted, 1 on the diagonal with the
+    bits of ``R - 1``."""
+    f = _real_schrodinger(*dyn.terms, dyn.dim)
     if dyn.discrete:
         f.flat[::f.shape[0] + 1] -= 1.0
     return f
@@ -244,7 +232,7 @@ def _split_kernel_range(f: np.ndarray, tol: ToleranceConfig):
     """Orthonormal bases of the numerical kernel and the left kernel of the
     fixed-point matrix ``f`` (:func:`_fixed_point_form`) from one SVD, cut
     at ``tol.cutoff`` of the largest singular value: the split from
-    dimension two to below ``_LU_MIN_SIZE`` unknowns and the fallback of
+    dimension two to below ``_LARGE_MIN_SIZE`` unknowns and the fallback of
     :func:`_resolvent_split` (:attr:`Dynamics.split`).
 
     The kernel holds the stationary states and the left kernel the
@@ -272,80 +260,76 @@ def _resolvent_split(dyn: Dynamics):
 
     ``s - F`` is the route's own ``F`` (:func:`_fixed_point_form`) negated
     and factored in place, ``+s`` on its diagonal once ``|F|_1`` is read off
-    that ``-F``: the bits of ``s - F``.  That ``F`` is assembled afresh when
-    the products with ``F`` and ``F^T`` (:func:`_fixed_point_product`) are
-    cheaper from the terms, else copied from a real form ``R`` the split
-    assembles for them and drops on return, never :attr:`Dynamics.schrodinger`.
-    ``(s - F)^-1`` scales a kernel vector by ``1/s`` and an eigenvector of
-    eigenvalue ``mu`` by ``1/|s - mu|``, so after ``_SOLVES`` applications
-    a random block spans the kernel up to ``(s/|mu|)^_SOLVES``.  The kernel
-    is read off the block by :func:`_block_kernel`, and the left kernel off
-    transposed solves by the same rule on ``F^T``.
-    None when ``F = 0``, the LU is singular, :func:`_block_kernel` declines
-    either kernel (the left one is not sought once the kernel is declined),
-    or the two kernels differ in dimension.
+    that ``-F``: the bits of ``s - F``.  That LU (:func:`_lu`) is the
+    route's one ``n x n`` array whatever the number of terms: it gives the
+    solves and the products with ``F``.  ``(s - F)^-1`` scales a kernel
+    vector by ``1/s`` and an eigenvector of eigenvalue ``mu`` by ``1/|s -
+    mu|``, so after ``_SOLVES`` applications a random block spans the kernel
+    up to ``(s/|mu|)^_SOLVES``; :func:`_block_kernel` reads the kernel off
+    it, and the left kernel by the same rule on ``F^T``.  None when ``F =
+    0``, the LU is singular, :func:`_block_kernel` declines either kernel
+    (the left one is not sought once the kernel is declined), or the two
+    kernels differ in dimension.
     """
     from scipy.linalg.lapack import dlange
 
-    n = dyn.dim ** 2
-    # a product with F costs about 8 d^3 flops per complex d x d product of
-    # _act (two a term, two more for G) against 2 d^4 per column of R
-    g, ops = dyn.terms
-    r = None if 8 * (len(ops) + (g is not None)) <= dyn.dim else _real_schrodinger(g, ops, dyn.dim)
-    a = _fixed_point_form(dyn, r)
+    a = _fixed_point_form(dyn)
+    n = a.shape[0]
     np.negative(a, out=a)
     # |F|_1 = |-F|_1, the infinity norm of the Fortran-ordered view of -F
     norm = dlange("I", a.T)
     if norm == 0.0:
         return None
-    a.flat[::n + 1] += _SHIFT * norm
-    solve = _lu(a)
-    if solve is None:
+    shift = _SHIFT * norm
+    a.flat[::n + 1] += shift
+    lu = _lu(a)
+    if lu is None:
         return None
     block = gaussian_block(n, 2 * _OVERSAMPLE, _SPLIT_SEED)
-    cutoff = dyn.tol.cutoff(norm)
-    bound = _KERNEL_ERROR * dyn.tol.atol
-    kernel = _block_kernel(_fixed_point_product(dyn, r, SCHRODINGER),
-                           lambda x: solve(x, 1), block, cutoff, bound)
+    rule = (shift, dyn.tol.cutoff(norm), _KERNEL_ERROR * dyn.tol.atol)
+    kernel = _block_kernel(lu, 1, block, *rule)
     if kernel is None:
         return None
-    left = _block_kernel(_fixed_point_product(dyn, r, HEISENBERG),
-                         lambda x: solve(x, 0), block, cutoff, bound)
+    left = _block_kernel(lu, 0, block, *rule)
     if left is None or kernel.shape != left.shape:
         return None
     return kernel, left
 
 
 def _lu(a: np.ndarray):
-    """``solve(x, trans)`` from one LU of the C-contiguous real matrix
-    ``a``, factored in place as its transpose (its Fortran-ordered view):
-    ``trans=1`` solves with ``a``, ``trans=0`` with ``a^T``.  None when the
-    LU is singular."""
-    from scipy.linalg.lapack import dgetrf, dgetrs
+    """``solve(x, trans)`` and ``times(x, trans)`` from one LU of the
+    C-contiguous real matrix ``a``, factored in place as its transpose (its
+    Fortran-ordered view, ``a^T = P L U``): ``trans=1`` solves with or
+    multiplies by ``a``, ``trans=0`` by ``a^T``.  ``times`` reads the
+    product of a block of columns off the factors, ``P`` by ``dlaswp`` and
+    ``L`` and ``U`` by ``dtrmm``.  None when the LU is singular."""
+    from scipy.linalg.blas import dtrmm
+    from scipy.linalg.lapack import dgetrf, dgetrs, dlaswp
 
     lu, piv, info = dgetrf(a.T, overwrite_a=True)
     if info != 0:
         return None
-    return lambda x, trans: dgetrs(lu, piv, x, trans=trans)[0]
+
+    def times(x, trans):
+        if trans:
+            # a x = U^T L^T P^T x
+            y = dtrmm(1.0, lu, dlaswp(x, piv), lower=1, trans_a=1, diag=1, overwrite_b=1)
+            return dtrmm(1.0, lu, y, trans_a=1, overwrite_b=1)
+        # a^T x = P L U x
+        y = dtrmm(1.0, lu, dtrmm(1.0, lu, x), lower=1, diag=1, overwrite_b=1)
+        return dlaswp(y, piv, inc=-1, overwrite_a=1)
+
+    return (lambda x, trans: dgetrs(lu, piv, x, trans=trans)[0]), times
 
 
-def _fixed_point_product(dyn: Dynamics, r, picture: str):
-    """``x -> F x`` (Schrodinger) or ``F^T x`` (Heisenberg) on a block of
-    frame coordinates: on the real form ``r``, or, when ``r`` is None, from
-    the terms by :func:`~qdsa.channels._act` on the stack of Hermitian
-    matrices of its columns; minus ``x`` for a channel."""
-    def product(x: np.ndarray) -> np.ndarray:
-        y = (_coords(_act(dyn.terms, from_hermitian_coords(x.T, dyn.dim), picture)).real.T
-             if r is None else (r if picture == SCHRODINGER else r.T) @ x)
-        return y - x if dyn.discrete else y
-    return product
-
-
-def _block_kernel(product, solve, block: np.ndarray, cutoff: float, bound: float):
-    """Orthonormal basis of the kernel of ``f`` in the span ``Q`` of
-    ``solve^_SOLVES (block)``: the right singular vectors of ``f Q`` whose
-    singular values are at most ``cutoff``, the refined Ritz vectors of 0
-    (Jia, Linear Algebra Appl. 259, 1997), from one product ``x -> f x``.
+def _block_kernel(lu, trans: int, block: np.ndarray, shift: float, cutoff: float,
+                  bound: float):
+    """Orthonormal basis of the kernel of ``f`` (``F``, or ``F^T`` for
+    ``trans=0``) in the span ``Q`` of ``(s - f)^-_SOLVES block``, from the
+    ``solve`` and ``times`` of the LU ``lu`` of ``s - F`` (:func:`_lu`) at the
+    shift ``s``: the right singular vectors of ``f Q = s Q - (s - f) Q``
+    whose singular values are at most ``cutoff``, the refined Ritz vectors of
+    0 (Jia, Linear Algebra Appl. 259, 1997).
 
     None when a singular value is indecisive against ``cutoff``, the kernel
     is empty or leaves fewer than ``_OVERSAMPLE`` columns spare, or its
@@ -353,10 +337,11 @@ def _block_kernel(product, solve, block: np.ndarray, cutoff: float, bound: float
     ``|f K|``, the largest singular value kept, over the gap, the next one,
     which by interlacing is at least the matching singular value of ``f``.
     """
+    solve, times = lu
     q = block
     for _ in range(_SOLVES):
-        q, _ = _householder(solve(q))
-    _, s, vt = np.linalg.svd(product(q), full_matrices=False)
+        q, _ = _householder(solve(q, trans))
+    _, s, vt = np.linalg.svd(shift * q - times(q, trans), full_matrices=False)
     k = np.count_nonzero(s <= cutoff)
     if (not _decisive(s, cutoff).all() or not 0 < k <= q.shape[1] - _OVERSAMPLE
             or s[-k] > bound * s[-k - 1]):
@@ -416,14 +401,14 @@ class Dynamics:
     propagator for each horizon and picture asked for (the Heisenberg one
     on the transpose), the flow of a transient corner (:meth:`transient`),
     its corners (:func:`_corner`), the LU the transient certificate factors
-    (:attr:`lu`) and, from ``_REDUCE_MIN_SIZE`` unknowns on, its certified
-    closed classes (:attr:`reduction`).  When they are certified,
-    :attr:`space` is summed from the class corners', ``minimal_enclosures``
-    takes the classes as its blocks and :meth:`transient` the certificate's
-    corner of the rest, whose flow on a generator acts through that LU
-    (:func:`_krylov_flow`) once it has more than ``_KRYLOV_STEPS`` unknowns,
-    so no ``d^2 x d^2`` array is built; only
-    ``cesaro_limit`` splits the whole model.  Build one per top-level call
+    (:attr:`lu`) and, from ``_LARGE_MIN_SIZE`` unknowns on, where its split
+    takes the LU route, its certified closed classes (:attr:`reduction`).
+    When they are certified, :attr:`space` is summed from the class
+    corners', ``minimal_enclosures`` takes the classes as its blocks and
+    :meth:`transient` the certificate's corner of the rest, whose flow on a
+    generator acts through that LU (:func:`_krylov_flow`) once it has more
+    than ``_KRYLOV_STEPS`` unknowns, so no ``d^2 x d^2`` array is built;
+    only ``cesaro_limit`` splits the whole model.  Build one per top-level call
     and pass it to the functions of this module in place of the model, so
     the memory it holds never outlives the analysis.  It keeps no model,
     only the terms, so a corner is a ``Dynamics`` like any other.
@@ -495,32 +480,32 @@ class Dynamics:
 
     @cached_property
     def lu(self):
-        """``solve(x, trans)`` (:func:`_lu`) from one LU of a fixed-point
-        matrix of its own (:func:`_fixed_point_form`); None when singular.
+        """``solve(x, trans)`` of :func:`_lu`, as the split's LU route
+        takes it, on a fixed-point matrix of its own; None when singular.
         ``trans=0`` solves with the Heisenberg generator, for
         :func:`_transient_certified` and :func:`_krylov_flow`."""
-        return _lu(_fixed_point_form(self))
+        lu = _lu(_fixed_point_form(self))
+        return lu and lu[0]
 
     @cached_property
     def reduction(self):
         """Isometries ``((W_1, ..., W_n), W_q)`` onto the certified closed
         classes (:func:`_recurrent_guess`, :func:`_certify`) and onto the
         rest, which has no columns for a faithful model, tried from
-        ``_REDUCE_MIN_SIZE`` unknowns on; ``((1,), None)`` when there is none."""
+        ``_LARGE_MIN_SIZE`` unknowns on; ``((1,), None)`` when there is none."""
         guess = (_recurrent_guess(self.terms, self.tol)
-                 if self.dim ** 2 >= _REDUCE_MIN_SIZE else None)
+                 if self.dim ** 2 >= _LARGE_MIN_SIZE else None)
         return (guess and _certify(self, *guess)) or ((np.eye(self.dim, dtype=complex),), None)
 
     @cached_property
     def split(self):
         """Kernel and left kernel of the fixed-point matrix, from
-        :func:`_resolvent_split` from ``_LU_MIN_SIZE`` unknowns on, else (or
-        when it declines) from :func:`_split_kernel_range` on an ``F``
-        formed afresh; neither reads :attr:`schrodinger`.  In dimension one
-        ``F`` is one number ``f`` and ``|f|`` its one singular value: both
-        kernels are ``[[1]]`` when ``|f|`` is at most ``tol.cutoff(|f|)``,
-        the cut of :func:`_split_kernel_range`, and else the same
-        :func:`_empty_kernel` error."""
+        :func:`_resolvent_split` from ``_LARGE_MIN_SIZE`` unknowns on, where
+        the reduction runs, else (or when it declines) from
+        :func:`_split_kernel_range` on an ``F`` formed afresh; neither reads
+        :attr:`schrodinger`.  In dimension one ``F`` is one number ``f``:
+        both kernels are ``[[1]]`` when ``|f|``, its one singular value, is
+        at most ``tol.cutoff(|f|)``, and else the :func:`_empty_kernel` error."""
         if self.dim == 1:
             # F is one number f, and |f| its one singular value
             f = abs(float(_fixed_point_form(self)[0, 0]))
@@ -528,7 +513,7 @@ class Dynamics:
             if not f <= cutoff:
                 raise _empty_kernel(f, cutoff)
             return np.ones((1, 1)), np.ones((1, 1))
-        if self.dim ** 2 >= _LU_MIN_SIZE:
+        if self.dim ** 2 >= _LARGE_MIN_SIZE:
             split = _resolvent_split(self)
             if split is not None:
                 return split

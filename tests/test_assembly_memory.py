@@ -170,12 +170,12 @@ class TestOwnedRealForm:
         assert r.flags.c_contiguous and _root(r).dtype == np.float64
 
     def test_fixed_point_matrix_has_the_bits_of_subtracting_the_identity(self, name):
-        # assembled afresh or copied from a given real form, F is an array
-        # of its own with the bits of R, or of R - 1 for a channel
+        # assembled afresh, F is an array of its own with the bits of R, or
+        # of R - 1 for a channel
         dyn = Dynamics(build_fixture(name))
         r = to_superoperator(build_fixture(name), SCHRODINGER).real
         want = r - np.eye(r.shape[0]) if dyn.discrete else r
-        for got in (_fixed_point_form(dyn), _fixed_point_form(dyn, r)):
-            assert got.tobytes() == want.tobytes()
-            assert _root(got) is not _root(r) and got.flags.writeable
+        got = _fixed_point_form(dyn)
+        assert got.tobytes() == want.tobytes()
+        assert _root(got) is not _root(r) and got.flags.writeable
         assert "schrodinger" not in vars(dyn)

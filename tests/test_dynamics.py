@@ -11,6 +11,7 @@ import qdsa.analyze
 import qdsa.asymptotics
 import qdsa.channels
 from conftest import ket_bra, run_cli
+from exact import exact_ranks
 from qdsa.analyze import AnalysisOptions, run_analyze
 from qdsa.asymptotics import (
     DEFAULT_HORIZON,
@@ -368,6 +369,12 @@ class TestEnclosuresMinimalCheck:
 
 
 class TestStiffModel:
+    @pytest.mark.parametrize("rates", [(1e4, 1e-4), (1e6, 1e-6)])
+    def test_exact_answer_is_one_faithful_state(self, rates):
+        # the answer the analysis should give: one stationary state, of full
+        # support, where it raises the InternalError pinned below
+        assert exact_ranks(thermal_qubit(*rates)) == (1, 2)
+
     def test_run_analyze_raises_typed_error(self):
         with pytest.raises(QdsaError) as info:
             run_analyze(thermal_qubit(1e4, 1e-4), AnalysisOptions(seed=GOLDEN_SEED))

@@ -1,9 +1,12 @@
 """Every input error the library raises is a ValidationError, also a ValueError."""
 
+import functools
+import json
+
 import numpy as np
 import pytest
 
-from qdsa.analyze import AnalysisOptions, _projection_from_json, run_analyze
+from qdsa.analyze import AnalysisOptions, AnalysisReport, _projection_from_json, run_analyze
 from qdsa.asymptotics import (
     cesaro_mean,
     minimality_certificate,
@@ -27,6 +30,7 @@ from qdsa.errors import (
     NotPSD,
     NotUnital,
     OutOfUnitInterval,
+    ParseError,
     ValidationError,
 )
 from qdsa.harmonic import subharmonic_report
@@ -59,6 +63,19 @@ from qdsa.verify import run_verify
 
 OVERFLOW = "matrix exponential of a matrix whose 1-norm overflows"
 HUGE_JUMP = LindbladGenerator(np.zeros((2, 2)), [np.array([[0.0, 0.0], [1e160, 0.0]])])
+
+
+@functools.cache
+def _m3_report() -> str:
+    return run_analyze(build_fixture("M3")).to_json()
+
+
+def _loaded_report(key: str, value, check: bool = False) -> AnalysisReport:
+    """The M3 report loaded back with one field, of its first check when
+    ``check``, set to ``value``."""
+    data = json.loads(_m3_report())
+    (data["checks"][0] if check else data)[key] = value
+    return AnalysisReport.from_json_dict(data)
 
 
 def _certificate(trials):
@@ -202,6 +219,31 @@ def test_input_rules_are_validation_errors(rule, call):
      "block size must be nonnegative, got -1"),
     (DimMismatch, lambda: gaussian_block(-1, 2, 0), "block size must be nonnegative, got -1"),
     (DimMismatch, lambda: gaussian_block(2, -1, 0), "block size must be nonnegative, got -1"),
+    (ParseError, lambda: _loaded_report("stationary_dim", "2"),
+     "report: 'stationary_dim' must be an integer, got '2'"),
+    (ParseError, lambda: _loaded_report("stationary_dim", True),
+     "report: 'stationary_dim' must be an integer, got True"),
+    (ParseError, lambda: _loaded_report("decay_ideal_rank", 1.0),
+     "report: 'decay_ideal_rank' must be an integer, got 1.0"),
+    (ParseError, lambda: _loaded_report("dim", 3.0), "report: 'dim' must be an integer, got 3.0"),
+    (ParseError, lambda: _loaded_report("enclosure_ranks", [1, 1.0]),
+     r"report: 'enclosure_ranks' must hold integers, got \[1, 1.0\]"),
+    (ParseError, lambda: _loaded_report("is_unique", "yes"),
+     "report: 'is_unique' must be a boolean, got 'yes'"),
+    (ParseError, lambda: _loaded_report("supports_match", 1),
+     "report: 'supports_match' must be a boolean, got 1"),
+    (ParseError, lambda: _loaded_report("sup_deviation", "x"),
+     "report: 'sup_deviation' must be a number, got 'x'"),
+    (ParseError, lambda: _loaded_report("horizon", False),
+     "report: 'horizon' must be a number, got False"),
+    (ParseError, lambda: _loaded_report("label", 5), "report: 'label' must be a string, got 5"),
+    (ParseError, lambda: _loaded_report("kind", 3), "report: 'kind' must be a string, got 3"),
+    (ParseError, lambda: _loaded_report("kind", "map"),
+     "report: 'kind' must be 'channel' or 'generator', got 'map'"),
+    (ParseError, lambda: _loaded_report("residual", "x", check=True),
+     "check: 'residual' must be a number, got 'x'"),
+    (ParseError, lambda: _loaded_report("name", 5, check=True),
+     "check: 'name' must be a string, got 5"),
 ], ids=["as-complex-matrix-not-square", "range-basis-1d", "range-basis-ambient-dim",
         "range-basis-not-orthonormal", "projections-equal-dims", "supremum-empty",
         "infimum-empty", "order-diagnostic-dims", "jump-shape", "superoperator-not-square",
@@ -219,11 +261,20 @@ def test_input_rules_are_validation_errors(rule, call):
         "generator-negative-dim", "generator-negative-ops", "block-channel-negative-block",
         "block-channel-negative-kraus", "transient-generator-negative-recurrent",
         "transient-generator-negative-transient", "gaussian-negative-rows",
-        "gaussian-negative-cols"])
+        "gaussian-negative-cols", "report-string-int", "report-bool-int", "report-float-int",
+        "report-float-dim", "report-float-enclosure-rank", "report-string-bool",
+        "report-int-bool", "report-string-float", "report-bool-float", "report-int-label",
+        "report-int-kind", "report-unknown-kind", "check-string-residual", "check-int-name"])
 def test_typed_rejections(error, call, message):
     with pytest.raises(error, match=message) as info:
         call()
     assert type(info.value) is error
+
+
+def test_report_float_field_accepts_an_integer():
+    report = _loaded_report("sup_deviation", 0)
+    assert report.sup_deviation == 0
+    assert json.loads(report.to_json())["sup_deviation"] == 0
 
 
 def test_zero_certificate_trials_sweep_nothing():

@@ -262,12 +262,12 @@ def test_identity_corner_is_the_dynamics_itself(m3):
 
 
 def test_channel_d8_splits_its_two_classes_not_the_whole(monkeypatch):
-    # from _REDUCE_MIN_SIZE unknowns on the faithful channel-d8 is reduced
+    # from _LARGE_MIN_SIZE unknowns on the faithful channel-d8 is reduced
     # to its two classes of 4: one (16, 16) kernel SVD each, the pair's
     # stacked SVD of the same size, and no (64, 64) SVD
     _, channel, horizon = _ladder_models()[2]
     n = channel.dim ** 2
-    assert n >= qdsa.asymptotics._REDUCE_MIN_SIZE
+    assert n >= qdsa.asymptotics._LARGE_MIN_SIZE
     shapes = []
     original = np.linalg.svd
 

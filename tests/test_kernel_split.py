@@ -1,17 +1,20 @@
 """The one route to the fixed-point kernels.
 
 ``Dynamics.split`` splits the fixed-point matrix ``F`` of a model by one
-SVD below ``_LU_MIN_SIZE`` unknowns (``_split_kernel_range``) and, from
-there on, by one LU of ``s - F`` through which a random block is pushed
-(``_resolvent_split``); that route falls back to the SVD whenever it cannot
-vouch for its kernels.  Every pipeline function reads the stationary space,
-its support and the fixed algebra off this one split, whichever way it was
-found.
+SVD below ``_LARGE_MIN_SIZE`` unknowns (``_split_kernel_range``) and, from
+there on, where the reduction runs too, by one LU of ``s - F`` through
+which a random block is pushed (``_resolvent_split``); that route takes its
+products with ``F`` from the same LU's factors (``_lu``), so it holds one
+``n x n`` array whatever the number of terms, and falls back to the SVD,
+on an ``F`` formed afresh, whenever it cannot vouch for its kernels.  Every
+pipeline function reads the stationary space, its support and the fixed
+algebra off this one split, whichever way it was found.
 """
 
 import gc
 import json
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,10 +30,10 @@ from qdsa.asymptotics import (
     Dynamics,
     _corner,
     _fixed_point_form,
-    _fixed_point_product,
+    _lu,
     recurrent_projection,
 )
-from qdsa.channels import HEISENBERG, SCHRODINGER, LindbladGenerator, QuantumChannel
+from qdsa.channels import LindbladGenerator, QuantumChannel
 from qdsa.linalg import Projection, opnorm, projections_equal
 from qdsa.models import build_fixture, fixture_names, identity_model
 from qdsa.sampling import (
@@ -49,8 +52,14 @@ STRUCTURE_RUNGS = [(kind, d, seed) for seed in (1, 2) for kind in ("generator", 
 WHOLE_MODELS = ["haar-d16-k2", "haar-d16-k4", "random-generator-d16-k1",
                 "random-generator-d16-k2", "random-generator-d16-k3",
                 "doubled-generator-d12", "doubled-channel-d8", "blocks-3x6"]
+# whole models of 64 to 225 unknowns, from the LU route's lower end on: a
+# random generator and a Haar channel with two terms, a generator with a
+# transient half, and a channel of invariant blocks of 2 (and one level)
+SMALL_MODELS = [name.format(d) for name in ("random-generator-d{}-k2", "haar-d{}-k2",
+                                            "transient-d{}", "blocks-2-d{}")
+                for d in range(8, 16)]
 LU_SPLITS = ([(f"{kind}-d{d}", seed) for kind, d, seed in STRUCTURE_RUNGS]
-             + [(name, seed) for seed in (1, 2, 3) for name in WHOLE_MODELS])
+             + [(name, seed) for seed in (1, 2, 3) for name in WHOLE_MODELS + SMALL_MODELS])
 
 
 def _rung(kind: str, d: int, seed: int):
@@ -70,8 +79,8 @@ def _stiff_gap(d: int) -> LindbladGenerator:
 
 
 def _by_svd(monkeypatch):
-    """Force every split to the SVD."""
-    monkeypatch.setattr(qdsa.asymptotics, "_LU_MIN_SIZE", sys.maxsize)
+    """Force every split to the SVD: the LU route declines."""
+    monkeypatch.setattr(qdsa.asymptotics, "_resolvent_split", lambda dyn: None)
 
 
 def _without_reduction(monkeypatch):
@@ -142,6 +151,13 @@ def _split_model(name: str, seed: int):
                                  [np.kron(one, l) for l in model.lindblad_ops])
     if name == "blocks-3x6":
         return block_diagonal_channel([3] * 6, 2, np.random.default_rng(seed))[0]
+    if kind == "transient":
+        d = int(rest)
+        return transient_block_generator(d // 2, d - d // 2, np.random.default_rng(seed))[0]
+    if kind == "blocks-2":
+        d = int(rest)
+        return block_diagonal_channel([2] * (d // 2) + [1] * (d % 2), 2,
+                                      np.random.default_rng(seed))[0]
     return _route_model(name, seed)
 
 
@@ -193,8 +209,9 @@ def test_fixed_point_norm_has_the_bits_of_the_dense_norm(monkeypatch, kind, d):
 
 def test_lu_route_forms_no_fixed_point_matrix(monkeypatch):
     # a channel's LU route takes |F|_1 and s - F from the one F it forms and
-    # every product with F from the terms: its one d^2 x d^2 array is the
-    # LU's, its SVDs are the thin ones of F Q, and no real form is cached
+    # every product with F from that LU's factors: its one d^2 x d^2 array
+    # is the LU's, its SVDs are the thin ones of F Q, and no real form is
+    # cached
     dyn = Dynamics(_rung("channel", 24, 1)[0])
     formed = _counting(monkeypatch, qdsa.asymptotics, "_fixed_point_form")
     svds = _svd_shapes(monkeypatch)
@@ -212,30 +229,35 @@ PRODUCT_MODELS = fixture_names() + [f"{kind}-d{d}" for kind in ("generator", "ch
 @pytest.mark.parametrize("columns", [1, 16])
 @pytest.mark.parametrize("name", PRODUCT_MODELS)
 def test_product_from_the_terms_is_the_real_form_product(name, columns):
-    # the LU route takes F q and F^T q from the terms, not from R: each
-    # entry within 2 eps |R|_1 max|q| of the dense product
+    # the LU route takes F q and F^T q from the factors of s - F, as s q -
+    # (s - F) q: each entry within 2 eps |F|_1 max|q| of the dense product
+    # with F, in both pictures (the largest error measured on these models
+    # is 0.6 of that unit)
     kind, _, d = name.partition("-d")
     dyn = Dynamics(_rung(kind, int(d), 1)[0] if d else build_fixture(name))
-    r = dyn.schrodinger
-    q = np.random.default_rng(columns).standard_normal((r.shape[0], columns))
-    unit = 2 * np.finfo(float).eps * float(np.abs(r).sum(axis=0).max()) * np.abs(q).max()
-    for picture, m in ((SCHRODINGER, r), (HEISENBERG, r.T)):
-        want = m @ q - dyn.discrete * q
-        got = _fixed_point_product(dyn, None, picture)(q)
+    f = _fixed_point_form(dyn)
+    norm = float(np.abs(f).sum(axis=0).max())
+    shift = qdsa.asymptotics._SHIFT * norm
+    a = -f
+    a.flat[::a.shape[0] + 1] += shift
+    lu = _lu(a)
+    if lu is None:
+        # ID2 and ID3: F = 0, which the route declines before its LU
+        assert norm == 0.0
+        return
+    _, times = lu
+    q = np.random.default_rng(columns).standard_normal((f.shape[0], columns))
+    unit = 2 * np.finfo(float).eps * norm * np.abs(q).max()
+    for trans, m in ((1, f), (0, f.T)):
+        got = shift * q - times(q, trans)
         assert got.shape == q.shape
-        assert np.abs(got - want).max() <= unit
-        assert _fixed_point_product(dyn, r, picture)(q).tobytes() == want.tobytes()
+        assert np.abs(got - m @ q).max() <= unit
 
 
-# (model, whether the LU route takes its products with F from the terms):
-# _act costs about 8 d^3 flops per complex d x d product, two a term and two
-# more for a generator's G, against 2 d^4 a column of R, so the terms win
-# while 8 (K + [generator]) <= d
-ROUTES = {
-    "channel-d24": True, "generator-d24": True, "channel-d32": True,
-    "haar-d16-k2": True, "haar-d16-k4": False, "haar-d24-k8": False,
-    "random-generator-d16-k2": False, "random-generator-d32-k3": True,
-}
+# models of one to eight terms, at 256 to 1024 unknowns, whose products
+# with F each route takes from its LU
+ROUTES = ["channel-d24", "generator-d24", "channel-d32", "haar-d16-k2", "haar-d16-k4",
+          "haar-d24-k8", "random-generator-d16-k2", "random-generator-d32-k3"]
 
 
 def _route_model(name: str, seed: int = 1):
@@ -249,24 +271,42 @@ def _route_model(name: str, seed: int = 1):
 
 @pytest.mark.parametrize("name", ROUTES)
 def test_lu_route_takes_its_products_where_they_cost_less(monkeypatch, name):
-    # a model with many terms assembles a real form of the split's own for
-    # the products and factors a copy of it; one with few factors its own
-    # form and takes the products from the terms.  Either way one LU runs,
-    # no real form is cached and the kernels are the SVD's
+    # whatever the number of terms, the route assembles one real form,
+    # factors it in place and takes every product with F from that LU's
+    # factors: no action of the terms, one LU, no real form cached, and the
+    # kernels are the SVD's
     model = _route_model(name)
     dyn = Dynamics(model)
     acts = _counting(monkeypatch, qdsa.asymptotics, "_act")
+    assemblies = _counting(monkeypatch, qdsa.asymptotics, "_real_schrodinger")
     lus = _lu_shapes(monkeypatch)
     kernel, left = dyn.split
     n = dyn.dim ** 2
     assert lus == [(n, n)]
-    assert bool(acts) == ROUTES[name]
+    assert acts == [] and len(assemblies) == 1
     assert "schrodinger" not in vars(dyn)
     _by_svd(monkeypatch)
     want_kernel, want_left = Dynamics(model).split
     assert kernel.shape == want_kernel.shape and left.shape == want_left.shape
     assert _projector_distance(kernel, want_kernel) <= 1e-10
     assert _projector_distance(left, want_left) <= 1e-10
+
+
+def test_many_term_split_holds_one_real_form(monkeypatch):
+    # a Haar channel of 8 Kraus operators on C^24: the split assembles one
+    # real form, the LU's, and its traced peak stays within 1.6 n^2 doubles
+    # (1.50 measured), where a second n x n array would pass 2
+    dyn = Dynamics(haar_random_channel(24, 8, np.random.default_rng(1)))
+    assemblies = _counting(monkeypatch, qdsa.asymptotics, "_real_schrodinger")
+    n = dyn.dim ** 2
+    tracemalloc.start()
+    try:
+        dyn.split
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(assemblies) == 1
+    assert peak <= 1.6 * n * n * 8
 
 
 def test_kernel_wider_than_the_block_falls_back_to_the_svd(monkeypatch):
@@ -304,8 +344,8 @@ def test_inaccurate_kernel_falls_back_to_the_svd(monkeypatch):
 def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
     # a generator rung is reduced to its certified recurrent corner of size
     # k = d/2: one LU of the transient corner's Lyapunov solve, then the
-    # recurrent corner's split, an LU and its thin SVDs from _LU_MIN_SIZE
-    # unknowns on and an SVD below.  A channel rung is faithful and reduced
+    # recurrent corner's split, an LU and its thin SVDs, since k^2 is at
+    # least _LARGE_MIN_SIZE.  A channel rung is faithful and reduced
     # to its d/4 blocks of size 4: one stacked SVD of the maps between pairs
     # of blocks, then each block's split, an SVD of its 16 unknowns, and no LU
     model, block = _rung(kind, d, 1)
@@ -322,9 +362,9 @@ def test_structure_rung_runs_one_lu_and_no_full_svd(monkeypatch, kind, d):
         assert [p.rank for p in report.enclosures.minimal_projections] == [4] * blocks
     else:
         half = (d // 2) ** 2
-        lu_split = half >= qdsa.asymptotics._LU_MIN_SIZE
-        assert lus == [(half, half)] * (1 + lu_split)
-        assert svds == (_lu_split_svds(half) if lu_split else [(half, half)])
+        assert half >= qdsa.asymptotics._LARGE_MIN_SIZE
+        assert lus == [(half, half)] * 2
+        assert svds == _lu_split_svds(half)
         assert report.recurrent.rank == block.rank
         assert projections_equal(report.recurrent, block)
 
@@ -347,12 +387,13 @@ def test_lu_split_cuts_singular_values_alone(monkeypatch):
 
 
 def test_below_the_crossover_the_svd_runs(monkeypatch):
-    # generator-d7 is below the reduction's gate too, so it splits whole
+    # generator-d7 is below the one gate of the reduction and the LU route,
+    # so it splits whole, by one SVD
     model, block = _rung("generator", 7, 1)
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     report = recurrent_projection(model)
-    assert 7 * 7 < qdsa.asymptotics._REDUCE_MIN_SIZE < qdsa.asymptotics._LU_MIN_SIZE
+    assert 7 * 7 < qdsa.asymptotics._LARGE_MIN_SIZE <= 8 * 8
     assert svds.count((49, 49)) == 1
     assert max(max(s) for s in svds) == 49
     assert lus == []

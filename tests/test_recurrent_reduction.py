@@ -1,7 +1,7 @@
 """The certified closed classes.
 
-From ``_REDUCE_MIN_SIZE`` unknowns on (``d >= 8``; its own gate, apart
-from the split's ``_LU_MIN_SIZE``), ``Dynamics.reduction`` guesses the
+From ``_LARGE_MIN_SIZE`` unknowns on (``d >= 8``; the gate from which the
+split takes the LU route too), ``Dynamics.reduction`` guesses the
 closed classes from the eigenvectors of one generic combination of the
 terms (``_recurrent_guess``) and keeps the guess only when (a) each class is
 sub-harmonic, (b) a Lyapunov solve on the corner of the rest, if any,
@@ -15,7 +15,6 @@ the whole split's report to the byte.
 """
 
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -85,9 +84,9 @@ def _unitary(first: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("d,seed", CERTIFIED, ids=[f"generator-d{d}-s{s}" for d, s in CERTIFIED])
 def test_certified_block_is_the_constructed_one(monkeypatch, d, seed):
     # the certified corners are the only ones assembled and factored: the
-    # transient corner's Lyapunov LU, then the recurrent corner's split (an
-    # LU and its thin SVDs from _LU_MIN_SIZE unknowns on, an SVD below); the
-    # d x d SVD is decay_ideal_units' trace norm
+    # transient corner's Lyapunov LU, then the recurrent corner's split, an
+    # LU and its thin SVDs (every corner here has at least _LARGE_MIN_SIZE
+    # unknowns); the d x d SVD is decay_ideal_units' trace norm
     model, block = _rung("generator", d, seed)
     (w,), wq = Dynamics(model).reduction
     assert wq.shape == (d, d - block.rank)
@@ -97,10 +96,10 @@ def test_certified_block_is_the_constructed_one(monkeypatch, d, seed):
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     report = run_analyze(model, OPTIONS)
-    lu_split = k * k >= qdsa.asymptotics._LU_MIN_SIZE
+    assert k * k >= qdsa.asymptotics._LARGE_MIN_SIZE
     assert sizes == [m, k]
-    assert lus == [(m * m, m * m)] + [(k * k, k * k)] * lu_split
-    assert svds == (_lu_split_svds(k * k) if lu_split else [(k * k, k * k)]) + [(d, d)]
+    assert lus == [(m * m, m * m), (k * k, k * k)]
+    assert svds == _lu_split_svds(k * k) + [(d, d)]
     assert report.passed
     assert projections_equal(report.recurrent, block)
 
@@ -126,7 +125,7 @@ def test_declined_guess_leaves_the_report_as_it_was(monkeypatch, name):
     # a Haar channel's one class fills the space; the doubled models split
     # into their copies, which a fixed point couples (certificate (c))
     model = _declined_model(name)
-    assert model.dim ** 2 >= qdsa.asymptotics._LU_MIN_SIZE
+    assert model.dim ** 2 >= qdsa.asymptotics._LARGE_MIN_SIZE
     assert Dynamics(model).reduction[1] is None
     report = run_analyze(model, OPTIONS)
     _without_reduction(monkeypatch)
@@ -136,8 +135,9 @@ def test_declined_guess_leaves_the_report_as_it_was(monkeypatch, name):
 def test_coupled_classes_decline_before_the_lyapunov_solve(monkeypatch):
     # the guess splits 1_2 (x) generator-d12 into its two copies of 6 and a
     # transient rest of 12, but a fixed point couples the copies: (c)
-    # declines before (b) factors the rest's corner, so the one LU that
-    # runs is the whole split's
+    # declines before (b) factors the rest's corner, so no Lyapunov LU
+    # runs: the LUs are the whole split's and then that of the split of
+    # the 144-unknown corner of r, which minimal_enclosures takes as one class
     model = _doubled(_rung("generator", 12, 1)[0])
     guesses = _counting(monkeypatch, qdsa.asymptotics, "_certify")
     lyapunov = _counting(monkeypatch, qdsa.asymptotics, "_transient_certified")
@@ -145,7 +145,7 @@ def test_coupled_classes_decline_before_the_lyapunov_solve(monkeypatch):
     run_analyze(model, OPTIONS)
     assert [sizes for _, _, sizes in guesses] == [(6, 6)]
     assert lyapunov == []
-    assert lus == [(576, 576)]
+    assert lus == [(576, 576), (144, 144)]
 
 
 def test_doubled_generator_keeps_its_matrix_algebra():
@@ -405,17 +405,18 @@ LADDER = [(kind, d, seed) for seed in (1, 2, 3) for kind, d in
 
 
 def _whole(monkeypatch):
-    """Close the reduction's gate: every model is split whole."""
-    monkeypatch.setattr(qdsa.asymptotics, "_REDUCE_MIN_SIZE", sys.maxsize)
+    """Switch the guess off, and with it the reduction: every model is split
+    whole, by the route its size takes."""
+    monkeypatch.setattr(qdsa.asymptotics, "_recurrent_guess", lambda terms, tol: None)
 
 
 @pytest.mark.parametrize("kind,d,seed", LADDER,
                          ids=[f"{kind}-d{d}-s{seed}" for kind, d, seed in LADDER])
 def test_ladder_rung_reduced_agrees_with_the_whole_split(monkeypatch, kind, d, seed):
-    # from _REDUCE_MIN_SIZE unknowns on every analyze-ladder rung is
+    # from _LARGE_MIN_SIZE unknowns on every analyze-ladder rung is
     # reduced; generator-d4 is below the gate, so its two runs are one
     model = _rung(kind, d, seed)[0]
-    gated = d * d < qdsa.asymptotics._REDUCE_MIN_SIZE
+    gated = d * d < qdsa.asymptotics._LARGE_MIN_SIZE
     reduced = run_analyze(model, OPTIONS)
     _whole(monkeypatch)
     whole = run_analyze(model, OPTIONS)
@@ -442,7 +443,7 @@ def test_irreducible_model_pays_for_the_guess_alone(monkeypatch, name):
     model = (random_generator(8, 2, rng) if name.startswith("random")
              else haar_random_channel(8, 2, rng))
     dyn = Dynamics(model)
-    assert model.dim ** 2 >= qdsa.asymptotics._REDUCE_MIN_SIZE
+    assert model.dim ** 2 >= qdsa.asymptotics._LARGE_MIN_SIZE
     assert _recurrent_guess(dyn.terms, dyn.tol) is None
     assert dyn.reduction[1] is None
     report = run_analyze(model, OPTIONS)

@@ -181,18 +181,21 @@ def test_krylov_rule_on_the_certified_corner(monkeypatch, d):
     # unknowns: 36 on generator-d12, at most _KRYLOV_STEPS, so it takes its
     # dense flow, one (36, 36) exponential and no action; 64 on
     # generator-d16, which takes the action once and no exponential.  The
-    # one LU is the certificate's, and no SVD has more than n rows: the
-    # class corner's split and decay_ideal_units' d x d trace norm
+    # first LU is the certificate's; the class corner, of n unknowns too,
+    # adds its split's LU from _LARGE_MIN_SIZE unknowns on.  No SVD has
+    # more than n rows: the class corner's split and decay_ideal_units' d x
+    # d trace norm
     model = _rung("generator", d, 1)[0]
     n = (d // 2) ** 2
     krylov = n > qdsa.asymptotics._KRYLOV_STEPS
+    lu_split = n >= qdsa.asymptotics._LARGE_MIN_SIZE
     exps = _counting(monkeypatch, qdsa.channels, "matrix_exp")
     flows = _counting(monkeypatch, qdsa.asymptotics, "_krylov_flow")
     svds = _svd_shapes(monkeypatch)
     lus = _lu_shapes(monkeypatch)
     report = run_analyze(model, AnalysisOptions(seed=GOLDEN_SEED))
     assert report.passed and report.recurrent.rank == d // 2
-    assert lus == [(n, n)]
+    assert lus == [(n, n)] * (1 + lu_split)
     assert max(max(shape) for shape in svds) == n
     assert len(flows) == krylov
     assert [args[0].shape for args in exps] == [(n, n)] * (not krylov)
